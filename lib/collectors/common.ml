@@ -1,7 +1,8 @@
 (** Machinery shared by every collector: batched GC-thread cost
-    accounting, parallel worker phases, root scanning, SATB concurrent
-    marking, evacuation, remembered-set scanning and a stop-the-world
-    full compaction used as everyone's last resort. *)
+    accounting, parallel worker phases and the claim loop that feeds
+    them, root scanning, the SATB mark cycle, the evacuation kernel,
+    remembered-set scanning, the allocation stall, and the escalation
+    path everyone ends on — a stop-the-world full compaction, then OOM. *)
 
 open Heap
 
@@ -37,6 +38,10 @@ module Ticker = struct
     if t.pending >= t.batch * t.workers then flush t
 end
 
+(** A ticker for work done inside a stop-the-world pause, shared by one
+    worker per core. *)
+let stw_ticker rt = Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
+
 (* ------------------------------------------------------------------ *)
 (* Parallel GC worker phases.                                           *)
 
@@ -60,18 +65,6 @@ let run_workers rt ~n ~name f =
   while !remaining > 0 do
     Sim.Engine.wait done_c
   done
-
-(** A shared work counter: workers claim indices until the range is
-    drained (single-threaded host, so a plain ref suffices). *)
-let make_claimer limit =
-  let next = ref 0 in
-  fun () ->
-    if !next >= limit then None
-    else begin
-      let i = !next in
-      incr next;
-      Some i
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Roots.                                                               *)
@@ -106,8 +99,6 @@ module Marker = struct
     satb : Gobj.t Util.Vec.t;  (** overwritten values enqueued by mutators *)
     stack : Gobj.t Util.Vec.t;  (** gray worklist *)
     mutable active : bool;
-    mutable objects_marked : int;
-    mutable epoch : int;
   }
 
   let create ?(scope = All) ?(gen = Old_gen) ?(remap = false)
@@ -122,8 +113,6 @@ module Marker = struct
       satb = Util.Vec.create Gobj.null;
       stack = Util.Vec.create Gobj.null;
       active = false;
-      objects_marked = 0;
-      epoch = 0;
     }
 
   let in_scope t (o : Gobj.t) =
@@ -141,6 +130,24 @@ module Marker = struct
   let satb_enqueue t (old_v : Gobj.t) =
     if t.active then Util.Vec.push t.satb old_v
 
+  let is_active t = t.active
+
+  let rec enqueue_all ms old_v =
+    match ms with
+    | [] -> ()
+    | m :: rest ->
+        satb_enqueue m old_v;
+        enqueue_all rest old_v
+
+  (** The SATB pre-write barrier over the markers [ms]: while any of them
+      marks, bill one barrier and snapshot the overwritten value into
+      every active queue. *)
+  let pre_write costs ms (old_v : Gobj.t) =
+    if List.exists is_active ms then begin
+      Sim.Engine.tick costs.Costs.satb_barrier;
+      if old_v != Gobj.null then enqueue_all ms old_v
+    end
+
   (* Visit one gray object: mark children, push newly marked ones.
      Colored-pointer marking (ZGC/GenZ) recolors every reference with an
      atomic op and traverses uncompressed 64-bit references, so both a
@@ -155,7 +162,6 @@ module Marker = struct
       else size_cost
     in
     Ticker.tick tk (costs.Costs.mark_obj + size_cost);
-    t.objects_marked <- t.objects_marked + 1;
     let nf = Gobj.num_fields o in
     for i = 0 to nf - 1 do
       Ticker.tick tk costs.Costs.mark_ref;
@@ -215,27 +221,64 @@ module Marker = struct
 
   (** STW terminal drain (final mark / remark). *)
   let final_drain t tk = drain t tk
+
+  (** One old-generation SATB mark cycle, as every concurrent-marking
+      collector runs it:
+      - an init-mark pause opens the mark (after retiring the TLABs when
+        [retire_tlabs]), runs [at_init ()], grays the roots and fires
+        [Mark_start];
+      - [workers] fibers mark concurrently, timed as [phase] when given;
+      - a [final] pause re-scans the roots (mutators may have stashed
+        unmarked references in stack slots, which have no barrier),
+        drains what is left, closes the mark, runs [at_final tk] and
+        fires [Mark_end]. *)
+  let cycle ?(retire_tlabs = false) ?phase ?(at_init = ignore) ~at_final
+      ~final ~workers t =
+    let rt = t.rt in
+    let heap = rt.RtM.heap in
+    let metrics = rt.RtM.metrics in
+    Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Init_mark (fun () ->
+        if retire_tlabs then RtM.retire_all_tlabs rt;
+        ignore (Heap_impl.begin_mark heap);
+        at_init ();
+        t.active <- true;
+        let tk = stw_ticker rt in
+        scan_roots rt tk (gray t);
+        Ticker.flush tk;
+        RtM.fire_phase rt Runtime.Vhook.Mark_start);
+    let timed edge =
+      match phase with
+      | Some name -> edge metrics name ~now:(Sim.Engine.now rt.RtM.engine)
+      | None -> ()
+    in
+    timed Metrics.phase_begin;
+    concurrent_mark t ~workers;
+    timed Metrics.phase_end;
+    Runtime.Safepoint.stw rt.RtM.safepoint final (fun () ->
+        let tk = stw_ticker rt in
+        scan_roots rt tk (gray t);
+        final_drain t tk;
+        t.active <- false;
+        Heap_impl.end_mark heap;
+        at_final tk;
+        Ticker.flush tk;
+        RtM.fire_phase rt Runtime.Vhook.Mark_end)
 end
 
 (* ------------------------------------------------------------------ *)
 (* Evacuation.                                                          *)
 
 module Evac = struct
-  (** A GC thread's destination buffer: one claimed region per kind.
-      [on_copied] fires with each new copy — generational collectors use
-      it to re-create old-to-young remembered-set entries for relocated
-      holders. *)
+  (** A GC thread's destination buffer: one claimed region per kind. *)
   type dest = {
     rt : RtM.t;
     kind : Region.kind;
     mutable current : Region.t option;
-    on_copied : Gobj.t -> unit;
   }
 
   exception Evacuation_failure
 
-  let make_dest ?(on_copied = fun _ -> ()) rt kind =
-    { rt; kind; current = None; on_copied }
+  let make_dest rt kind = { rt; kind; current = None }
 
   let dest_region d ~size =
     let ok r = Region.fits r size in
@@ -247,6 +290,20 @@ module Evac = struct
             d.current <- Some r;
             r
         | None -> raise Evacuation_failure)
+
+  (** Move [o] to the top of region [r]: mint the copy, install the
+      forwarding pointer (logged under [site]) and bill the copy.  Every
+      relocation in the simulator goes through here. *)
+  let relocate rt tk ~site (r : Region.t) (o : Gobj.t) =
+    let heap = rt.RtM.heap in
+    let copy =
+      Gobj.remake ~pool:heap.Heap_impl.pool ~uids:heap.Heap_impl.uids o
+        ~age:(o.Gobj.age + 1) ~region:r.Region.rid ~offset:r.Region.top
+    in
+    Heap_impl.push_relocated heap r copy;
+    Gobj.set_forward_with ~hooks:heap.Heap_impl.hooks ~site o copy;
+    Ticker.tick tk (Costs.copy_cost rt.RtM.costs o.Gobj.size);
+    copy
 
   (** Copy [o] to [d], installing the forwarding pointer; returns the new
       copy.  Idempotent: an already-forwarded object returns its copy.
@@ -270,46 +327,101 @@ module Evac = struct
             Ticker.flush tk;
             Sim.Engine.tick w
         | None -> ());
-        let costs = d.rt.RtM.costs in
-        let heap = d.rt.RtM.heap in
         let r = dest_region d ~size:o.Gobj.size in
-        let copy =
-          Gobj.remake ~pool:heap.Heap_impl.pool ~uids:heap.Heap_impl.uids o
-            ~age:(o.Gobj.age + 1) ~region:r.Region.rid ~offset:r.Region.top
-        in
-        Heap_impl.push_relocated d.rt.RtM.heap r copy;
-        Gobj.set_forward_with ~hooks:d.rt.RtM.heap.Heap_impl.hooks
-          ~site:"Evac.copy_object" o copy;
-        Ticker.tick tk (Costs.copy_cost costs o.Gobj.size);
-        d.rt.RtM.heap.Heap_impl.bytes_allocated <-
-          d.rt.RtM.heap.Heap_impl.bytes_allocated + o.Gobj.size;
-        d.on_copied copy;
+        let copy = relocate d.rt tk ~site:"Evac.copy_object" r o in
+        let heap = d.rt.RtM.heap in
+        heap.Heap_impl.bytes_allocated <-
+          heap.Heap_impl.bytes_allocated + o.Gobj.size;
         copy
     end
 
-  (** Evacuate every live (marked) object of [region]; returns copied
-      bytes.  Liveness comes from the region's live bitmap (current mark
-      epoch results). *)
-  let evacuate_region d tk (region : Region.t) =
-    let heap = d.rt.RtM.heap in
+  (** The tenuring rule of every copying young collection: an object is
+      promoted once it has survived [age] collections, or once the
+      cycle's [survivors] (bytes kept young) overflow a sixteenth of the
+      heap (HotSpot-style survivor overflow). *)
+  type tenure = { age : int; cap : int; mutable survivors : int }
+
+  let tenure rt ~age =
+    { age; cap = rt.RtM.heap.Heap_impl.cfg.heap_bytes / 16; survivors = 0 }
+
+  let promotes t (o : Gobj.t) = o.Gobj.age >= t.age || t.survivors > t.cap
+
+  (** Which mark decides liveness in {!evacuate_region}. *)
+  type liveness =
+    | Old_mark
+        (** the last old mark; a region allocated since its snapshot is
+            wholly live *)
+    | Young_mark
+        (** the current young mark: snapshot regions all predate the
+            cycle, and objects born during it were allocated marked *)
+
+  (** The evacuation kernel: copy every live, not yet forwarded object of
+      [region] to the destination [pick o] chooses, then run
+      [after tk o copy].  One [Evac_batch] reports the region when it
+      copied anything.  {!Evacuation_failure} escapes when a destination
+      runs out of regions. *)
+  let evacuate_region rt ?(live = Old_mark) ?(after = fun _ _ _ -> ()) ~pick
+      tk (region : Region.t) =
+    let heap = rt.RtM.heap in
     let copied = ref 0 in
     let objects = ref 0 in
     Util.Vec.iter
       (fun (o : Gobj.t) ->
         if
           (not (Gobj.is_forwarded o))
-          && (Heap_impl.is_marked heap o || region.Region.alloc_epoch >= heap.Heap_impl.mark_epoch)
+          &&
+          match live with
+          | Old_mark ->
+              Heap_impl.is_marked heap o
+              || region.Region.alloc_epoch >= heap.Heap_impl.mark_epoch
+          | Young_mark -> Heap_impl.is_marked_young heap o
         then begin
-          let _ = copy_object d tk o in
+          let copy = copy_object (pick o) tk o in
+          after tk o copy;
           copied := !copied + o.Gobj.size;
           incr objects
         end)
       region.Region.objects;
-    if !objects > 0 && RtM.tracing d.rt then
-      RtM.trace d.rt
-        (Runtime.Tracepoint.Evac_batch { objects = !objects; bytes = !copied });
-    !copied
+    if !objects > 0 && RtM.tracing rt then
+      RtM.trace rt
+        (Runtime.Tracepoint.Evac_batch { objects = !objects; bytes = !copied })
 end
+
+(* ------------------------------------------------------------------ *)
+(* The claim loop.                                                      *)
+
+(** Run [f ctx tk item] over [items] with [n] GC workers, each with its
+    own [init ()] context (e.g. a destination buffer).  Workers claim
+    items in index order, each exactly once, and stop claiming when the
+    items run out, when [stop ()] turns true (checked between items), or
+    once an item has raised {!Evac.Evacuation_failure}.  Returns the
+    unprocessed remainder and whether an item failed.  The remainder
+    lists the unclaimed items from the highest index down, then the
+    failing items (latest failure first). *)
+let parallel_drain rt ~n ~name ?(stop = fun () -> false) ~init items f =
+  let len = Array.length items in
+  let next = ref 0 in
+  let leftover = ref [] in
+  let failed = ref false in
+  run_workers rt ~n ~name (fun _ tk ->
+      let ctx = init () in
+      let continue_ = ref true in
+      while !continue_ do
+        if stop () || !failed || !next >= len then continue_ := false
+        else begin
+          let i = !next in
+          incr next;
+          match f ctx tk items.(i) with
+          | () -> ()
+          | exception Evac.Evacuation_failure ->
+              failed := true;
+              leftover := items.(i) :: !leftover
+        end
+      done);
+  for i = !next to len - 1 do
+    leftover := items.(i) :: !leftover
+  done;
+  (!leftover, !failed)
 
 (* ------------------------------------------------------------------ *)
 (* Reference updating.                                                  *)
@@ -351,53 +463,6 @@ let update_refs_in_card rt (tk : Ticker.t) card =
         Gobj.set_field o i (Gobj.resolve child)
       end)
 
-(* ------------------------------------------------------------------ *)
-(* Paranoid validation (SIM_PARANOID=1): after a collection, walk the
-   roots on the host (no virtual cost) and fail fast if any reachable
-   object was freed, printing the path.  Test/debug aid only.           *)
-
-let paranoid =
-  match Sys.getenv_opt "SIM_PARANOID" with Some "1" -> true | _ -> false
-  [@@gcsim.allow "env-gated validation flag (SIM_PARANOID), read once at module init"]
-
-exception Lost_object of string
-
-let check_reachability rt ~where =
-  if paranoid then begin
-    let heap = rt.RtM.heap in
-    let seen = Hashtbl.create 4096 in
-    let describe (o : Gobj.t) =
-      let r = Heap_impl.region heap o.Gobj.region in
-      Printf.sprintf "#%d(r%d %s%s in_cset=%b age=%d mark=%d ymark=%d fwd=%b)"
-        o.Gobj.id o.Gobj.region
-        (Region.kind_to_string r.Region.kind)
-        (if Gobj.is_freed o then " FREED" else "")
-        r.Region.in_cset o.Gobj.age o.Gobj.mark o.Gobj.ymark
-        (Gobj.is_forwarded o)
-    in
-    let rec visit path (o : Gobj.t) =
-      let o = Gobj.resolve o in
-      (* Key on uid, not the record: records are cyclic through the null
-         knot, so structural hashing of the value itself is off-limits. *)
-      if not (Hashtbl.mem seen o.Gobj.uid) then begin
-        Hashtbl.replace seen o.Gobj.uid ();
-        if Gobj.is_freed o then
-          raise
-            (Lost_object
-               (Printf.sprintf "%s: lost %s path=[%s]; lost-region hist: %s; parent-region hist: %s"
-                  where (describe o)
-                  (String.concat " -> " (List.rev_map describe path))
-                  (Heap_impl.dump_region_history o.Gobj.region)
-                  (match path with
-                  | p :: _ -> Heap_impl.dump_region_history p.Gobj.region
-                  | [] -> "-")))
-        ;
-        Gobj.iter_fields (fun _ c -> visit (o :: path) c) o
-      end
-    in
-    RtM.iter_roots rt (fun o -> if o != Gobj.null then visit [] o)
-  end
-
 (** Release humongous regions whose object died per the just-completed
     mark (G1's "eager reclaim"; every collector needs it because
     humongous regions are excluded from collection sets).  Returns the
@@ -430,10 +495,6 @@ let reclaim_dead_humongous rt (tk : Ticker.t) =
     cross-object reference during the update sweep, letting collectors
     rebuild their remembered sets (every pre-compaction entry is stale
     once objects move). *)
-let debug_full =
-  match Sys.getenv_opt "SIM_DEBUG" with Some "1" -> true | _ -> false
-  [@@gcsim.allow "env-gated debug flag (SIM_DEBUG), read once at module init"]
-
 let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
   let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
@@ -445,7 +506,7 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
       RtM.retire_all_tlabs rt;
       (* Full GC "sufficiently utilizes all available CPU resources"
          (§4.3 and all baselines): parallelize over every core. *)
-      let tk = Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) () in
+      let tk = stw_ticker rt in
       (* Mark. *)
       let _epoch = Heap_impl.begin_mark heap in
       RtM.fire_phase ~collector:vname rt Runtime.Vhook.Mark_start;
@@ -500,15 +561,8 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
         match pick () with
         | None -> false
         | Some d ->
-            let copy =
-              Gobj.remake ~pool:heap.Heap_impl.pool ~uids:heap.Heap_impl.uids
-                o ~age:(o.Gobj.age + 1) ~region:d.Region.rid
-                ~offset:d.Region.top
-            in
-            Heap_impl.push_relocated heap d copy;
-            Gobj.set_forward_with ~hooks:heap.Heap_impl.hooks
-              ~site:"full_compact.place_elsewhere" o copy;
-            Ticker.tick tk (Costs.copy_cost costs o.Gobj.size);
+            ignore
+              (Evac.relocate rt tk ~site:"full_compact.place_elsewhere" d o);
             true
       in
       let reclaimed = ref 0 in
@@ -540,16 +594,9 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
                would start from indices of the pre-slide layout. *)
             Region.clear_objects r;
             List.iter
-              (fun (o : Gobj.t) ->
-                let copy =
-                  Gobj.remake ~pool:heap.Heap_impl.pool
-                    ~uids:heap.Heap_impl.uids o ~age:(o.Gobj.age + 1)
-                    ~region:r.Region.rid ~offset:r.Region.top
-                in
-                Heap_impl.push_relocated heap r copy;
-                Gobj.set_forward_with ~hooks:heap.Heap_impl.hooks
-                  ~site:"full_compact.slide_in_place" o copy;
-                Ticker.tick tk (Costs.copy_cost costs o.Gobj.size))
+              (fun o ->
+                ignore
+                  (Evac.relocate rt tk ~site:"full_compact.slide_in_place" r o))
               stay;
             r.Region.live_bytes <- r.Region.top;
             Queue.push r dest_pool
@@ -585,32 +632,75 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
       ignore survivors;
       Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
       Ticker.flush tk;
-      check_reachability rt ~where:"full_compact";
       Metrics.add metrics "full_gc_count" 1;
-      ((if debug_full then begin
-         let live = ref 0 and used = ref 0 in
-         Array.iter
-           (fun (r : Region.t) ->
-             if not (Region.is_free r) then begin
-               live := !live + r.Region.live_bytes;
-               used := !used + r.Region.top
-             end)
-           heap.Heap_impl.regions;
-         Printf.eprintf
-           "[full] %.3fs reclaimed=%d free=%d live=%s used=%s victims_kept=%d\n%!"
-           (float_of_int (Sim.Engine.now rt.RtM.engine) /. 1e9)
-           !reclaimed
-           (Heap_impl.free_regions heap)
-           (Util.Units.pp_bytes !live) (Util.Units.pp_bytes !used)
-           (Array.fold_left
-              (fun a (r : Region.t) ->
-                if (not (Region.is_free r)) && Region.live_ratio r >= 0.95 then
-                  a + 1
-                else a)
-              0 heap.Heap_impl.regions)
-       end)
-      [@gcsim.allow "debug summary on stderr, dead unless SIM_DEBUG=1"]);
       RtM.notify_memory_freed rt;
       RtM.fire_phase ~collector:vname rt Runtime.Vhook.Evac_end;
       RtM.fire_phase ~collector:vname rt Runtime.Vhook.Cycle_end;
       !reclaimed)
+
+(* ------------------------------------------------------------------ *)
+(* Escalation.                                                          *)
+
+(** Free regions below which a collection has made no usable progress. *)
+let low_watermark heap = max 2 (Heap_impl.num_regions heap / 50)
+
+let below_low_watermark rt =
+  let heap = rt.RtM.heap in
+  Heap_impl.free_regions heap < low_watermark heap
+
+(** The last rung of every collector's escalation ladder: a full
+    compaction ([on_live_ref] as in {!stw_full_compact}), then
+    out-of-memory if even that left the heap below the low watermark. *)
+let full_gc_or_oom ?on_live_ref rt =
+  ignore (stw_full_compact ?on_live_ref rt);
+  if below_low_watermark rt then begin
+    rt.RtM.oom <- true;
+    RtM.notify_memory_freed rt
+  end
+
+let count_regions (heap : Heap_impl.t) kind =
+  let n = ref 0 in
+  for i = 0 to Array.length heap.Heap_impl.regions - 1 do
+    if heap.Heap_impl.regions.(i).Region.kind = kind then incr n
+  done;
+  !n
+
+(** Young regions (humongous regions are always old). *)
+let young_count rt = count_regions rt.RtM.heap Region.Young
+
+(** Old regions as a fraction of the heap (the old-cycle trigger). *)
+let old_occupancy rt =
+  let heap = rt.RtM.heap in
+  float_of_int (count_regions heap Region.Old)
+  /. float_of_int (Heap_impl.num_regions heap)
+
+(* ------------------------------------------------------------------ *)
+(* Installation.                                                        *)
+
+(** Plug a collector into [rt] and start its controllers.  On allocation
+    failure the mutator runs [on_alloc_failure] (the collector's request
+    for memory), then stalls — parked, so safepoints need not wait for
+    it — until memory is freed.  Each [(name, body)] of [controllers]
+    becomes a daemon GC fiber, spawned in order. *)
+let install rt ~name ~store_barrier ~load_extra_cost ~mutator_tax_pct
+    ~on_alloc_failure controllers =
+  let alloc_failure () =
+    on_alloc_failure ();
+    Runtime.Safepoint.park rt.RtM.safepoint;
+    Sim.Engine.wait rt.RtM.mem_freed;
+    Runtime.Safepoint.unpark rt.RtM.safepoint
+  in
+  RtM.install_collector rt
+    {
+      RtM.cname = name;
+      store_barrier;
+      load_extra_cost;
+      mutator_tax_pct;
+      alloc_failure;
+    };
+  List.iter
+    (fun (name, body) ->
+      ignore
+        (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc ~name
+           body))
+    controllers

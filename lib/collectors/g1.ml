@@ -41,32 +41,7 @@ type t = {
   mutable young_budget : int;  (** regions of eden before a young GC *)
   mutable urgent : bool;  (** an allocation failed; collect now *)
   mutable last_pause_est : int;
-  mutable dirty_since_rebuild : int;
 }
-
-let debug =
-  match Sys.getenv_opt "SIM_DEBUG" with Some "1" -> true | _ -> false
-  [@@gcsim.allow "env-gated debug flag (SIM_DEBUG), read once at module init"]
-
-let stw_config (t : t) : Stw_collect.config =
-  { tenure_age = t.config.tenure_age; gc_threads = t.config.gc_threads }
-
-let young_region_count t =
-  let n = ref 0 in
-  Array.iter
-    (fun (r : Region.t) ->
-      if r.Region.kind = Region.Young && not r.Region.humongous then incr n)
-    t.rt.RtM.heap.Heap_impl.regions;
-  !n
-
-(* Old regions consumed, as a fraction of the heap (IHOP metric). *)
-let old_occupancy t =
-  let heap = t.rt.RtM.heap in
-  let n = ref 0 in
-  Array.iter
-    (fun (r : Region.t) -> if r.Region.kind = Region.Old then incr n)
-    heap.Heap_impl.regions;
-  float_of_int !n /. float_of_int (Heap_impl.num_regions heap)
 
 (* ------------------------------------------------------------------ *)
 (* Collection-set policy.                                               *)
@@ -118,7 +93,6 @@ let adapt_young_budget t ~pause =
 (* Pauses and concurrent cycle.                                         *)
 
 let collect t ~mixed =
-  let metrics = t.rt.RtM.metrics in
   let old_cset = if mixed then take_mixed_slice t else [] in
   let kind = if mixed then Metrics.Mixed_stw else Metrics.Young_stw in
   let t0 = Sim.Engine.now t.rt.RtM.engine in
@@ -126,26 +100,13 @@ let collect t ~mixed =
     if t.marking then [ t.marker.Common.Marker.stack; t.marker.Common.Marker.satb ]
     else []
   in
-  let result =
-    Stw_collect.collect t.rt ~remsets:t.remsets ~config:(stw_config t)
-      ~old_cset ~extra_roots ~pause_kind:kind ()
+  let failed =
+    Stw_collect.collect t.rt ~remsets:t.remsets
+      ~tenure_age:t.config.tenure_age ~old_cset ~extra_roots ~pause_kind:kind ()
   in
-  let pause = Sim.Engine.now t.rt.RtM.engine - t0 in
-  adapt_young_budget t ~pause;
-  (if debug then
-    Printf.eprintf
-      "[g1] %.3fs %s pause=%s reclaimed=%d copied=%s free=%d budget=%d cands=%d\n%!"
-      (float_of_int t0 /. 1e9)
-      (if mixed then "mixed" else "young")
-      (Util.Units.pp_time_ns pause) result.Stw_collect.reclaimed_regions
-      (Util.Units.pp_bytes result.Stw_collect.copied_bytes)
-      (Heap_impl.free_regions t.rt.RtM.heap)
-      t.young_budget (List.length t.candidates))
-  [@gcsim.allow "debug trace on stderr, dead unless SIM_DEBUG=1"];
-  Metrics.add metrics "g1.young_collections" 1;
-  result.Stw_collect.failed
-
-let low_watermark heap = max 2 (Heap_impl.num_regions heap / 50)
+  adapt_young_budget t ~pause:(Sim.Engine.now t.rt.RtM.engine - t0);
+  Metrics.add t.rt.RtM.metrics "g1.young_collections" 1;
+  failed
 
 (* Full GC: every remembered set goes stale when the heap compacts, so
    drop them all and rebuild from the surviving references. *)
@@ -164,14 +125,7 @@ let full_gc t =
       Region_remsets.add t.remsets ~target_rid:child.Gobj.region
         ~card:(Heap_impl.card_of_field heap holder i)
   in
-  let reclaimed = Common.stw_full_compact ~on_live_ref t.rt in
-  (if debug then
-     Printf.eprintf "[g1] %.3fs full-gc reclaimed=%d free=%d\n%!"
-       (float_of_int (Sim.Engine.now t.rt.RtM.engine) /. 1e9)
-       reclaimed
-       (Heap_impl.free_regions heap))
-  [@gcsim.allow "debug trace on stderr, dead unless SIM_DEBUG=1"];
-  reclaimed
+  Common.full_gc_or_oom ~on_live_ref t.rt
 
 let remset_rebuild_wanted (r : Region.t) =
   (not (Region.is_free r)) && Stw_collect.remember_from r
@@ -183,37 +137,12 @@ let run_mark_cycle t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
-  let marker = t.marker in
-  (if debug then
-     Printf.eprintf "[g1] %.3fs mark-cycle start\n%!"
-       (float_of_int (Sim.Engine.now rt.RtM.engine) /. 1e9))
-  [@gcsim.allow "debug trace on stderr, dead unless SIM_DEBUG=1"];
   t.marking <- true;
   Metrics.phase_begin metrics "g1.conc_mark" ~now:(Sim.Engine.now rt.RtM.engine);
-  Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Init_mark (fun () ->
-      ignore (Heap_impl.begin_mark heap);
-      marker.Common.Marker.active <- true;
-      let tk =
-        Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
-      in
-      Common.scan_roots rt tk (Common.Marker.gray marker);
-      Common.Ticker.flush tk;
-      RtM.fire_phase rt Runtime.Vhook.Mark_start);
-  Common.Marker.concurrent_mark marker ~workers:t.config.gc_threads;
-  Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Remark (fun () ->
-      let tk =
-        Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
-      in
-      (* Re-scan roots: mutators may have stashed unmarked refs in slots
-         that never saw a write barrier (stack slots). *)
-      Common.scan_roots rt tk (Common.Marker.gray marker);
-      Common.Marker.final_drain marker tk;
-      marker.Common.Marker.active <- false;
-      Heap_impl.end_mark heap;
+  Common.Marker.cycle t.marker ~final:Metrics.Remark
+    ~workers:t.config.gc_threads ~at_final:(fun tk ->
       let _, cleared = Heap_impl.process_weak_refs_marked heap in
-      Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
-      Common.Ticker.flush tk;
-      RtM.fire_phase rt Runtime.Vhook.Mark_end);
+      Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process));
   Metrics.phase_end metrics "g1.conc_mark" ~now:(Sim.Engine.now rt.RtM.engine);
   (* Concurrent remembered-set rebuild: scan every dirty card, record
      cross-region references, clean the card (Table 7's G1 "Build"). *)
@@ -277,12 +206,6 @@ let run_mark_cycle t =
       (fun (a : Region.t) b ->
         compare (Region.garbage_bytes b) (Region.garbage_bytes a))
       !cands;
-  (if debug then
-     Printf.eprintf "[g1] %.3fs mark-cycle done: candidates=%d free=%d\n%!"
-       (float_of_int (Sim.Engine.now rt.RtM.engine) /. 1e9)
-       (List.length t.candidates)
-       (Heap_impl.free_regions heap))
-  [@gcsim.allow "debug trace on stderr, dead unless SIM_DEBUG=1"];
   t.marking <- false;
   RtM.fire_phase rt Runtime.Vhook.Cycle_end
 
@@ -293,25 +216,17 @@ let run_mark_cycle t =
    collection, then marking + mixed collections, then a full compaction,
    then OOM — so a failed evacuation can never spin the controller. *)
 let ensure_progress t =
-  let heap = t.rt.RtM.heap in
-  let low = low_watermark heap in
   let failed = collect t ~mixed:(t.candidates <> []) in
-  if failed || Heap_impl.free_regions heap < low then begin
+  if failed || Common.below_low_watermark t.rt then begin
     if t.candidates = [] then run_mark_cycle t;
     let guard = ref 8 in
     while
-      Heap_impl.free_regions heap < low && t.candidates <> [] && !guard > 0
+      Common.below_low_watermark t.rt && t.candidates <> [] && !guard > 0
     do
       decr guard;
       ignore (collect t ~mixed:true)
     done;
-    if Heap_impl.free_regions heap < low then begin
-      ignore (full_gc t);
-      if Heap_impl.free_regions heap < low then begin
-        t.rt.RtM.oom <- true;
-        RtM.notify_memory_freed t.rt
-      end
-    end
+    if Common.below_low_watermark t.rt then full_gc t
   end
 
 let controller t () =
@@ -323,14 +238,14 @@ let controller t () =
       ensure_progress t
     end
     else if
-      young_region_count t >= t.young_budget
+      Common.young_count rt >= t.young_budget
       || Heap_impl.free_regions rt.RtM.heap
          <= max 2 (Heap_impl.num_regions rt.RtM.heap / 16)
-         && young_region_count t > 0
+         && Common.young_count rt > 0
     then ensure_progress t
     else if
       t.mark_requested
-      || ((not t.marking) && t.candidates = [] && old_occupancy t >= t.config.ihop_pct)
+      || ((not t.marking) && t.candidates = [] && Common.old_occupancy rt >= t.config.ihop_pct)
     then begin
       t.mark_requested <- false;
       run_mark_cycle t
@@ -355,7 +270,6 @@ let install ?(config = default_config) rt =
       young_budget = max 4 (Heap_impl.num_regions heap / 4);
       urgent = false;
       last_pause_est = Util.Units.ms;
-      dirty_since_rebuild = 0;
     }
   in
   (* Verifier metadata: a per-target-region remset covers an old→young
@@ -374,11 +288,9 @@ let install ?(config = default_config) rt =
               || Heap_impl.card_is_dirty heap card));
     };
   let costs = rt.RtM.costs in
+  let markers = [ t.marker ] in
   let store_barrier ~src ~field ~old_v ~new_v =
-    if t.marker.Common.Marker.active then begin
-      Sim.Engine.tick costs.Costs.satb_barrier;
-      if old_v != Gobj.null then Common.Marker.satb_enqueue t.marker old_v
-    end;
+    Common.Marker.pre_write costs markers old_v;
     if new_v != Gobj.null && new_v.Gobj.region <> src.Gobj.region then begin
       (* Post-write barrier: dirty the card; refinement inserts the
          remembered-set entry inline. *)
@@ -387,21 +299,8 @@ let install ?(config = default_config) rt =
       Stw_collect.barrier_insert rt t.remsets ~src ~field ~child:new_v
     end
   in
-  let alloc_failure () =
-    t.urgent <- true;
-    Runtime.Safepoint.park rt.RtM.safepoint;
-    Sim.Engine.wait rt.RtM.mem_freed;
-    Runtime.Safepoint.unpark rt.RtM.safepoint
-  in
-  RtM.install_collector rt
-    {
-      RtM.cname = "g1";
-      store_barrier;
-      load_extra_cost = 0;
-      mutator_tax_pct = 0;
-      alloc_failure;
-    };
-  ignore
-    (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc
-       ~name:"g1-controller" (controller t));
+  Common.install rt ~name:"g1" ~store_barrier ~load_extra_cost:0
+    ~mutator_tax_pct:0
+    ~on_alloc_failure:(fun () -> t.urgent <- true)
+    [ ("g1-controller", controller t) ];
   t

@@ -45,9 +45,6 @@ type t = {
   mutable urgent : bool;
 }
 
-let stw_config (t : t) : Stw_collect.config =
-  { tenure_age = t.config.tenure_age; gc_threads = t.config.gc_threads }
-
 (* RC epoch: process the logged field updates, then reclaim the young
    generation (and, when a concurrent trace has produced candidates, a
    defrag slice bounded only by free space — LXR pauses are not
@@ -75,8 +72,8 @@ let rc_epoch t ~defrag =
   t.rc_log <- 0;
   t.last_epoch_bytes <- rt.RtM.heap.Heap_impl.bytes_allocated;
   let pause_kind = if defrag then Metrics.Mixed_stw else Metrics.Rc_epoch in
-  let result =
-    Stw_collect.collect rt ~remsets:t.remsets ~config:(stw_config t)
+  let failed =
+    Stw_collect.collect rt ~remsets:t.remsets ~tenure_age:t.config.tenure_age
       ~old_cset ~pause_kind ()
   in
   (* The increment/decrement processing shares the same pause; bill it on
@@ -84,36 +81,17 @@ let rc_epoch t ~defrag =
      cost as part of epoch bookkeeping (small relative to copying). *)
   Sim.Engine.tick (log * costs.Costs.rc_process_ref / max 1 (Sim.Engine.cores rt.RtM.engine));
   Metrics.add rt.RtM.metrics "lxr.rc_log_processed" log;
-  result.Stw_collect.failed
+  failed
 
 (* Concurrent trace for cyclic garbage and defrag-candidate selection. *)
 let run_trace t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
-  let marker = t.marker in
-  Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Init_mark (fun () ->
-      ignore (Heap_impl.begin_mark heap);
-      marker.Common.Marker.active <- true;
-      let tk =
-        Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
-      in
-      Common.scan_roots rt tk (Common.Marker.gray marker);
-      Common.Ticker.flush tk;
-      RtM.fire_phase rt Runtime.Vhook.Mark_start);
-  Common.Marker.concurrent_mark marker ~workers:t.config.gc_threads;
-  Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Remark (fun () ->
-      let tk =
-        Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
-      in
-      Common.scan_roots rt tk (Common.Marker.gray marker);
-      Common.Marker.final_drain marker tk;
-      marker.Common.Marker.active <- false;
-      Heap_impl.end_mark heap;
+  Common.Marker.cycle t.marker ~final:Metrics.Remark
+    ~workers:t.config.gc_threads ~at_final:(fun tk ->
       let _, cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
-      ignore (Common.reclaim_dead_humongous rt tk);
-      Common.Ticker.flush tk;
-      RtM.fire_phase rt Runtime.Vhook.Mark_end);
+      ignore (Common.reclaim_dead_humongous rt tk));
   let cands = ref [] in
   Array.iter
     (fun (r : Region.t) ->
@@ -135,7 +113,6 @@ let run_trace t =
 let controller t () =
   let rt = t.rt in
   let heap = rt.RtM.heap in
-  let low = max 2 (Heap_impl.num_regions heap / 50) in
   while true do
     let since =
       heap.Heap_impl.bytes_allocated - t.last_epoch_bytes
@@ -143,16 +120,11 @@ let controller t () =
     if t.urgent || since >= t.config.epoch_alloc_bytes then begin
       t.urgent <- false;
       let failed = rc_epoch t ~defrag:(t.candidates <> []) in
-      if failed || Heap_impl.free_regions heap < low then begin
+      if failed || Common.below_low_watermark rt then begin
         if t.candidates = [] then run_trace t;
         let failed2 = rc_epoch t ~defrag:true in
-        if failed2 || Heap_impl.free_regions heap < low then begin
-          ignore (Common.stw_full_compact rt);
-          if Heap_impl.free_regions heap < low then begin
-            rt.RtM.oom <- true;
-            RtM.notify_memory_freed rt
-          end
-        end
+        if failed2 || Common.below_low_watermark rt then
+          Common.full_gc_or_oom rt
       end
     end
     else if
@@ -193,29 +165,16 @@ let install ?(config = default_config) rt =
     };
   let costs = rt.RtM.costs in
   let store_barrier ~src ~field ~old_v ~new_v =
-    (* Field-logging RC barrier on every reference store. *)
+    (* Field-logging RC barrier on every reference store; it also feeds
+       a running trace's SATB queue, at no extra cost. *)
     Sim.Engine.tick costs.Costs.rc_barrier;
     t.rc_log <- t.rc_log + 1;
-    if t.marker.Common.Marker.active && old_v != Gobj.null then
-      Common.Marker.satb_enqueue t.marker old_v;
+    if old_v != Gobj.null then Common.Marker.satb_enqueue t.marker old_v;
     if new_v != Gobj.null && new_v.Gobj.region <> src.Gobj.region then
       Stw_collect.barrier_insert rt t.remsets ~src ~field ~child:new_v
   in
-  let alloc_failure () =
-    t.urgent <- true;
-    Runtime.Safepoint.park rt.RtM.safepoint;
-    Sim.Engine.wait rt.RtM.mem_freed;
-    Runtime.Safepoint.unpark rt.RtM.safepoint
-  in
-  RtM.install_collector rt
-    {
-      RtM.cname = "lxr";
-      store_barrier;
-      load_extra_cost = 0;
-      mutator_tax_pct = 0;
-      alloc_failure;
-    };
-  ignore
-    (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc
-       ~name:"lxr-controller" (controller t));
+  Common.install rt ~name:"lxr" ~store_barrier ~load_extra_cost:0
+    ~mutator_tax_pct:0
+    ~on_alloc_failure:(fun () -> t.urgent <- true)
+    [ ("lxr-controller", controller t) ];
   t

@@ -45,6 +45,22 @@ type t = {
   mutable urgent : bool;
 }
 
+(** A Shenandoah instance on [rt], without a controller (GenShen drives
+    its own). *)
+let create ?(config = default_config) rt =
+  {
+    rt;
+    config;
+    marker = Common.Marker.create rt;
+    cycle_running = false;
+    degen_requested = false;
+    urgent = false;
+  }
+
+(** Allocation failed: a running cycle degenerates at its next
+    checkpoint. *)
+let request_degeneration t = if t.cycle_running then t.degen_requested <- true
+
 (* ------------------------------------------------------------------ *)
 (* Collection-set selection (final mark).                               *)
 
@@ -79,39 +95,6 @@ let select_cset t =
   !cset
 
 (* ------------------------------------------------------------------ *)
-(* Parallel phase drivers with degeneration checkpoints.                *)
-
-(* Run [f ctx tk item] over [items] with [n] GC workers (each with its
-   own [init ()] context, e.g. a destination buffer), stopping early when
-   the degeneration flag rises or [f] reports failure.  Returns the
-   unprocessed remainder (failure-item included). *)
-let parallel_drain t ~n ~name ~init items f =
-  let arr = Array.of_list items in
-  let next = ref 0 in
-  let leftover = ref [] in
-  let failed = ref false in
-  Common.run_workers t.rt ~n ~name (fun _ tk ->
-      let ctx = init () in
-      let continue_ = ref true in
-      while !continue_ do
-        if t.degen_requested || !failed || !next >= Array.length arr then
-          continue_ := false
-        else begin
-          let i = !next in
-          incr next;
-          match f ctx tk arr.(i) with
-          | () -> ()
-          | exception Common.Evac.Evacuation_failure ->
-              failed := true;
-              leftover := arr.(i) :: !leftover
-        end
-      done);
-  for i = !next to Array.length arr - 1 do
-    leftover := arr.(i) :: !leftover
-  done;
-  (!leftover, !failed)
-
-(* ------------------------------------------------------------------ *)
 (* Cycle.                                                               *)
 
 let release_cset t tk cset =
@@ -124,22 +107,21 @@ let release_cset t tk cset =
   Metrics.add t.rt.RtM.metrics "shen.regions_reclaimed" (List.length cset);
   RtM.notify_memory_freed t.rt
 
+let evac_hook t _ _ copy = t.config.copy_hook copy
+
 (* Finish the rest of a degenerated cycle inside one STW pause; returns
    true when even the degenerated evacuation failed (full GC needed). *)
 let degenerate t ~evac_rest ~update_rest ~cset =
   let rt = t.rt in
   Metrics.add rt.RtM.metrics "shen.degenerated" 1;
   Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Degenerated (fun () ->
-      let tk =
-        Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
-      in
-      let dest =
-        Common.Evac.make_dest ~on_copied:t.config.copy_hook rt Region.Old
-      in
+      let tk = Common.stw_ticker rt in
+      let dest = Common.Evac.make_dest rt Region.Old in
+      let pick _ = dest in
       let failed =
         match
           List.iter
-            (fun r -> ignore (Common.Evac.evacuate_region dest tk r))
+            (Common.Evac.evacuate_region rt ~after:(evac_hook t) ~pick tk)
             evac_rest
         with
         | () -> false
@@ -162,75 +144,46 @@ let run_cycle t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
-  let marker = t.marker in
   t.cycle_running <- true;
   t.degen_requested <- false;
   let now () = Sim.Engine.now rt.RtM.engine in
-  let stw_tk () =
-    Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
-  in
+  let stop () = t.degen_requested in
+  let after = evac_hook t in
   Metrics.phase_begin metrics "shen.cycle" ~now:(now ());
-  (* 1. Init mark (STW). *)
-  Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Init_mark (fun () ->
-      RtM.retire_all_tlabs rt;
-      ignore (Heap_impl.begin_mark heap);
-      marker.Common.Marker.active <- true;
-      let tk = stw_tk () in
-      Common.scan_roots rt tk (Common.Marker.gray marker);
-      Common.Ticker.flush tk;
-      RtM.fire_phase rt Runtime.Vhook.Mark_start);
-  (* 2. Concurrent mark. *)
-  Metrics.phase_begin metrics "shen.mark" ~now:(now ());
-  Common.Marker.concurrent_mark marker ~workers:t.config.gc_threads;
-  Metrics.phase_end metrics "shen.mark" ~now:(now ());
-  (* 3. Final mark (STW): terminate marking, process weak refs, select
-     the collection set. *)
+  (* 1-3. Init mark (STW), concurrent mark, final mark (STW): terminate
+     marking, process weak refs, select the collection set. *)
   let cset = ref [] in
-  Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Final_mark (fun () ->
-      let tk = stw_tk () in
-      Common.scan_roots rt tk (Common.Marker.gray marker);
-      Common.Marker.final_drain marker tk;
-      marker.Common.Marker.active <- false;
-      Heap_impl.end_mark heap;
+  Common.Marker.cycle t.marker ~retire_tlabs:true ~phase:"shen.mark"
+    ~final:Metrics.Final_mark ~workers:t.config.gc_threads
+    ~at_final:(fun tk ->
       let _, cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
       cset := select_cset t;
-      ignore (Common.reclaim_dead_humongous rt tk);
-      Common.Ticker.flush tk;
-      RtM.fire_phase rt Runtime.Vhook.Mark_end);
+      ignore (Common.reclaim_dead_humongous rt tk));
   (* 4. Concurrent evacuation. *)
   Metrics.phase_begin metrics "shen.evac" ~now:(now ());
   let evac_rest, evac_failed =
-    parallel_drain t ~n:t.config.gc_threads ~name:"shen-evac"
+    Common.parallel_drain rt ~n:t.config.gc_threads ~name:"shen-evac" ~stop
       ~init:(fun () ->
-        Common.Evac.make_dest ~on_copied:t.config.copy_hook rt Region.Old)
-      !cset
-      (fun dest tk r -> ignore (Common.Evac.evacuate_region dest tk r))
+        let dest = Common.Evac.make_dest rt Region.Old in
+        fun _ -> dest)
+      (Array.of_list !cset)
+      (fun pick tk r -> Common.Evac.evacuate_region rt ~after ~pick tk r)
   in
   Metrics.phase_end metrics "shen.evac" ~now:(now ());
   let all_regions = Array.to_list heap.Heap_impl.regions in
   let finish_ok =
     if evac_failed || t.degen_requested then begin
       let failed = degenerate t ~evac_rest ~update_rest:all_regions ~cset:!cset in
-      if failed then begin
-        ignore (Common.stw_full_compact rt);
-        if
-          Heap_impl.free_regions heap
-          < max 2 (Heap_impl.num_regions heap / 50)
-        then begin
-          rt.RtM.oom <- true;
-          RtM.notify_memory_freed rt
-        end
-      end;
+      if failed then Common.full_gc_or_oom rt;
       false
     end
     else begin
       (* 5. Concurrent update-refs over every live region. *)
       Metrics.phase_begin metrics "shen.update_refs" ~now:(now ());
       let update_rest, _ =
-        parallel_drain t ~n:t.config.gc_threads ~name:"shen-update"
-          ~init:(fun () -> ())
-          all_regions
+        Common.parallel_drain rt ~n:t.config.gc_threads ~name:"shen-update"
+          ~stop ~init:ignore heap.Heap_impl.regions
           (fun () tk (r : Region.t) ->
             if (not (Region.is_free r)) && not r.Region.in_cset then
               Common.update_refs_in_region rt tk r)
@@ -249,12 +202,11 @@ let run_cycle t =
   (* 6. Final update-refs (STW): fix roots, release the cset. *)
   if finish_ok then
     Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Remark (fun () ->
-        let tk = stw_tk () in
+        let tk = Common.stw_ticker rt in
         RtM.update_roots rt;
         release_cset t tk !cset;
         Common.Ticker.flush tk;
         RtM.fire_phase rt Runtime.Vhook.Evac_end);
-  Common.check_reachability rt ~where:"shen_cycle";
   Metrics.phase_end metrics "shen.cycle" ~now:(now ());
   Metrics.add metrics "shen.cycles" 1;
   t.cycle_running <- false;
@@ -273,56 +225,22 @@ let controller t () =
       run_cycle t;
       (* Escalate if the cycle made no usable progress while mutators are
          starving: full GC, then OOM. *)
-      let low = max 2 (Heap_impl.num_regions heap / 50) in
-      if rt.RtM.stalled_mutators > 0 && Heap_impl.free_regions heap < low
-      then begin
-        ignore (Common.stw_full_compact rt);
-        if Heap_impl.free_regions heap < low then begin
-          rt.RtM.oom <- true;
-          RtM.notify_memory_freed rt
-        end
-      end
+      if rt.RtM.stalled_mutators > 0 && Common.below_low_watermark rt then
+        Common.full_gc_or_oom rt
     end
     else Sim.Engine.sleep rt.RtM.engine t.config.poll_interval
   done
 
-let install ?(config = default_config) rt =
-  let t =
-    {
-      rt;
-      config;
-      marker = Common.Marker.create rt;
-      cycle_running = false;
-      degen_requested = false;
-      urgent = false;
-    }
-  in
+let install ?config rt =
+  let t = create ?config rt in
   let costs = rt.RtM.costs in
-  let store_barrier ~src ~field ~old_v ~new_v =
-    ignore src;
-    ignore field;
-    ignore new_v;
-    if t.marker.Common.Marker.active then begin
-      Sim.Engine.tick costs.Costs.satb_barrier;
-      if old_v != Gobj.null then Common.Marker.satb_enqueue t.marker old_v
-    end
-  in
-  let alloc_failure () =
-    t.urgent <- true;
-    if t.cycle_running then t.degen_requested <- true;
-    Runtime.Safepoint.park rt.RtM.safepoint;
-    Sim.Engine.wait rt.RtM.mem_freed;
-    Runtime.Safepoint.unpark rt.RtM.safepoint
-  in
-  RtM.install_collector rt
-    {
-      RtM.cname = "shenandoah";
-      store_barrier;
-      load_extra_cost = 1;
-      mutator_tax_pct = 0;
-      alloc_failure;
-    };
-  ignore
-    (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc
-       ~name:"shen-controller" (controller t));
+  let markers = [ t.marker ] in
+  Common.install rt ~name:"shenandoah"
+    ~store_barrier:(fun ~src:_ ~field:_ ~old_v ~new_v:_ ->
+      Common.Marker.pre_write costs markers old_v)
+    ~load_extra_cost:1 ~mutator_tax_pct:0
+    ~on_alloc_failure:(fun () ->
+      t.urgent <- true;
+      request_degeneration t)
+    [ ("shen-controller", controller t) ];
   t

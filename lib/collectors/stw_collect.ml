@@ -14,18 +14,6 @@ open Heap
 module RtM = Runtime.Rt
 module Metrics = Runtime.Metrics
 
-type config = { tenure_age : int; gc_threads : int }
-
-let default_config = { tenure_age = 2; gc_threads = 2 }
-
-type result = {
-  reclaimed_regions : int;
-  copied_bytes : int;
-  promoted_bytes : int;
-  cards_scanned : int;
-  failed : bool;  (** evacuation ran out of space: caller must full-GC *)
-}
-
 (* Should stores out of this region be remembered?  Old holders and
    humongous holders are not re-traced by young collections. *)
 let remember_from (r : Region.t) = r.Region.kind = Region.Old || r.Region.humongous
@@ -44,19 +32,18 @@ let barrier_insert rt remsets ~(src : Gobj.t) ~field ~(child : Gobj.t) =
   end
 
 (** Run one collection pause.  [old_cset] must be non-humongous old
-    regions chosen by the caller's policy (empty for a young-only GC). *)
-let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
-    ?(extra_roots = []) ~pause_kind () =
+    regions chosen by the caller's policy (empty for a young-only GC).
+    Returns true when evacuation ran out of space: nothing was released
+    and the caller must fall back to a full compaction. *)
+let collect rt ~(remsets : Region_remsets.t) ~tenure_age
+    ~(old_cset : Region.t list) ?(extra_roots = []) ~pause_kind () =
   let heap = rt.RtM.heap in
   let costs = rt.RtM.costs in
-  ignore config.gc_threads;
   Runtime.Safepoint.stw rt.RtM.safepoint pause_kind (fun () ->
       RtM.retire_all_tlabs rt;
       (* STW pause work is shared by parallel GC workers on the idle
          cores; see {!Common.Ticker}. *)
-      let tk =
-        Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
-      in
+      let tk = Common.stw_ticker rt in
       (* Snapshot the cset. *)
       let cset = ref [] in
       Array.iter
@@ -87,7 +74,7 @@ let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
       in
       let dest_young = Common.Evac.make_dest rt Region.Young in
       let dest_old = Common.Evac.make_dest rt Region.Old in
-      let copied = ref 0 and promoted = ref 0 and cards = ref 0 in
+      let copied = ref 0 and cards = ref 0 in
       let copied_objects = ref 0 in
       (* Humongous regions observed to be referenced during this pause
          (for G1-style eager reclaim below). *)
@@ -96,26 +83,23 @@ let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
         if (Heap_impl.region heap o.Gobj.region).Region.humongous then
           Hashtbl.replace humongous_reached o.Gobj.region ()
       in
-      let survivor_bytes = ref 0 in
-      let survivor_cap = heap.Heap_impl.cfg.heap_bytes / 16 in
+      let tenure = Common.Evac.tenure rt ~age:tenure_age in
       let scan_list = Util.Vec.create Gobj.null in
       (* Copy a cset object (idempotent) and queue its copy for scanning.
-         Survivor overflow promotes directly (HotSpot-style adaptive
-         tenuring). *)
+         Old cset objects stay old; young ones follow the tenuring rule. *)
       let copy_out (o : Gobj.t) =
         if Gobj.is_forwarded o then Gobj.resolve o
         else begin
           let promote =
             (Heap_impl.region heap o.Gobj.region).Region.kind = Region.Old
-            || o.Gobj.age >= config.tenure_age
-            || !survivor_bytes > survivor_cap
+            || Common.Evac.promotes tenure o
           in
           let dest = if promote then dest_old else dest_young in
           let o' = Common.Evac.copy_object dest tk o in
           copied := !copied + o.Gobj.size;
           incr copied_objects;
-          if promote then promoted := !promoted + o.Gobj.size
-          else survivor_bytes := !survivor_bytes + o.Gobj.size;
+          if not promote then
+            tenure.survivors <- tenure.survivors + o.Gobj.size;
           Util.Vec.push scan_list o';
           o'
         end
@@ -140,20 +124,6 @@ let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
           end
         end
       in
-      ((if Common.paranoid then
-          Array.iter
-            (fun (r : Region.t) ->
-              if
-                r.Region.kind = Region.Young
-                && (not r.Region.humongous)
-                && not r.Region.in_cset
-              then
-                Printf.eprintf
-                  "[paranoid] young region r%d outside cset! top=%d epoch=%d heap_epoch=%d\n%!"
-                  r.Region.rid r.Region.top r.Region.alloc_epoch
-                  heap.Heap_impl.mark_epoch)
-            heap.Heap_impl.regions)
-       [@gcsim.allow "paranoid-mode report on stderr, dead unless SIM_PARANOID=1"]);
       let failed = ref false in
       (try
          (* Roots. *)
@@ -240,44 +210,12 @@ let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
            done
          done
        with Common.Evac.Evacuation_failure -> failed := true);
-      (* Paranoid: before releasing, every reachable object inside the
-         cset must have been copied out by the trace. *)
-      (if Common.paranoid && not !failed then begin
-         let seen = Hashtbl.create 4096 in
-         let rec visit path (o : Gobj.t) =
-           let o = Gobj.resolve o in
-           if not (Hashtbl.mem seen o.Gobj.id) then begin
-             Hashtbl.replace seen o.Gobj.id ();
-             if
-               (Heap_impl.region heap o.Gobj.region).Region.in_cset
-               && not (Gobj.is_forwarded o)
-             then
-               failwith
-                 (Printf.sprintf
-                    "stw_collect pre-release: #%d (r%d age=%d) reachable in cset but not copied; path=[%s]"
-                    o.Gobj.id o.Gobj.region o.Gobj.age
-                    (String.concat ";"
-                       (List.rev_map
-                          (fun (p : Gobj.t) ->
-                            Printf.sprintf "#%d(r%d %s)" p.Gobj.id
-                              p.Gobj.region
-                              (Region.kind_to_string
-                                 (Heap_impl.region heap p.Gobj.region)
-                                   .Region.kind))
-                          path)));
-             Gobj.iter_fields (fun _ c -> visit (o :: path) c) o
-           end
-         in
-         RtM.iter_roots rt (fun o -> if o != Gobj.null then visit [] o)
-       end);
-      let reclaimed = ref 0 in
       if not !failed then begin
         List.iter
           (fun (r : Region.t) ->
             Region_remsets.clear remsets r.Region.rid;
             Heap_impl.release_region heap r;
-            Common.Ticker.tick tk costs.Costs.region_reset;
-            incr reclaimed)
+            Common.Ticker.tick tk costs.Costs.region_reset)
           !cset;
         (* Eager humongous reclaim (G1): a humongous region that was not
            reached during this pause and whose remembered set holds no
@@ -315,8 +253,7 @@ let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
               if not !referenced then begin
                 Region_remsets.clear remsets r.Region.rid;
                 Heap_impl.release_region heap r;
-                Common.Ticker.tick tk costs.Costs.region_reset;
-                incr reclaimed
+                Common.Ticker.tick tk costs.Costs.region_reset
               end
             end)
           heap.Heap_impl.regions;
@@ -333,14 +270,7 @@ let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
           (Runtime.Tracepoint.Evac_batch
              { objects = !copied_objects; bytes = !copied });
       Common.Ticker.flush tk;
-      Common.check_reachability rt ~where:"stw_collect";
       Metrics.add rt.RtM.metrics "stw_collections" 1;
       Metrics.add rt.RtM.metrics "cards_scanned" !cards;
       RtM.notify_memory_freed rt;
-      {
-        reclaimed_regions = !reclaimed;
-        copied_bytes = !copied;
-        promoted_bytes = !promoted;
-        cards_scanned = !cards;
-        failed = !failed;
-      })
+      !failed)

@@ -26,13 +26,11 @@ type style = Update_refs_phase | Lazy_healing
 type t = {
   rt : RtM.t;
   remset : Remset.t;  (** old-to-young, card granularity *)
-  tenure_age : int;
+  tenure : Common.Evac.tenure;
   style : style;
   atomic_cost : bool;  (** colored-pointer cost during young marking *)
   marker : Common.Marker.t;
   mutable young_cycle_active : bool;
-  mutable survivor_bytes : int;  (** copied-to-young this cycle *)
-  mutable survivor_cap : int;  (** survivor-overflow promotion threshold *)
 }
 
 let create ?(tenure_age = 1) ?(atomic_cost = false) ~style rt =
@@ -43,7 +41,7 @@ let create ?(tenure_age = 1) ?(atomic_cost = false) ~style rt =
       remset =
         Remset.create ~name:"old2young"
           ~total_cards:(Heap_impl.total_cards heap);
-      tenure_age;
+      tenure = Common.Evac.tenure rt ~age:tenure_age;
       style;
       atomic_cost;
       marker =
@@ -51,8 +49,6 @@ let create ?(tenure_age = 1) ?(atomic_cost = false) ~style rt =
           ~scope:(Common.Marker.Only (fun r -> r.Region.kind = Region.Young))
           ~gen:Common.Marker.Young_gen ~atomic_cost rt;
       young_cycle_active = false;
-      survivor_bytes = 0;
-      survivor_cap = heap.Heap_impl.cfg.heap_bytes / 16;
     }
   in
   (* Verifier metadata: the card remset is the sole old→young coverage
@@ -116,74 +112,36 @@ let scan_remset_roots t tk =
     t.remset;
   List.iter (fun card -> Remset.remove t.remset card) !prune
 
-(* Evacuate one young region: survivors stay young, objects past the
-   tenuring age are promoted; promoted objects with young references get
-   remembered-set entries for their new location. *)
-let evacuate_young_region t tk ~dest_young ~dest_old (r : Region.t) =
+(* Young evacuation's post-copy hook: survivors stay young and count
+   toward survivor overflow; a promoted copy may still point at young
+   objects (possibly via stale refs — their copies are also young), so
+   its new location gets remembered-set entries. *)
+let after_copy t tk (o : Gobj.t) (o' : Gobj.t) =
   let heap = t.rt.RtM.heap in
-  let costs = t.rt.RtM.costs in
-  let copied_objects = ref 0 in
-  let copied_bytes = ref 0 in
-  (* Liveness is exactly the young mark: snapshot regions all predate the
-     cycle, and objects born during it were allocated young-marked. *)
-  ignore r.Region.alloc_epoch;
-  Util.Vec.iter
-    (fun (o : Gobj.t) ->
-      if (not (Gobj.is_forwarded o)) && Heap_impl.is_marked_young heap o
-      then begin
-        incr copied_objects;
-        copied_bytes := !copied_bytes + o.Gobj.size;
-        let promote =
-          o.Gobj.age >= t.tenure_age || t.survivor_bytes > t.survivor_cap
-        in
-        let dest = if promote then dest_old else dest_young in
-        let o' = Common.Evac.copy_object dest tk o in
-        if not promote then
-          t.survivor_bytes <- t.survivor_bytes + o.Gobj.size;
-        if promote then begin
-          Metrics.add t.rt.RtM.metrics "young.promoted_bytes" o.Gobj.size;
-          (* The new old-generation copy may still point at young objects
-             (possibly via stale refs — their copies are also young). *)
-          Gobj.iter_fields
-            (fun i child ->
-              let child = Gobj.resolve child in
-              if is_young heap child then begin
-                Common.Ticker.tick tk costs.Costs.remset_insert;
-                ignore
-                  (Remset.add t.remset (Heap_impl.card_of_field heap o' i))
-              end)
-            o'
-        end
-      end)
-    r.Region.objects;
-  if !copied_objects > 0 && RtM.tracing t.rt then
-    RtM.trace t.rt
-      (Runtime.Tracepoint.Evac_batch
-         { objects = !copied_objects; bytes = !copied_bytes })
+  if is_young heap o' then
+    t.tenure.survivors <- t.tenure.survivors + o.Gobj.size
+  else begin
+    Metrics.add t.rt.RtM.metrics "young.promoted_bytes" o.Gobj.size;
+    Gobj.iter_fields
+      (fun i child ->
+        let child = Gobj.resolve child in
+        if is_young heap child then begin
+          Common.Ticker.tick tk t.rt.RtM.costs.Costs.remset_insert;
+          ignore (Remset.add t.remset (Heap_impl.card_of_field heap o' i))
+        end)
+      o'
+  end
 
 (** Run one concurrent young collection.  Returns false on evacuation
     failure (caller escalates). *)
-let debug =
-  match Sys.getenv_opt "SIM_DEBUG" with Some "1" -> true | _ -> false
-  [@@gcsim.allow "env-gated debug flag (SIM_DEBUG), read once at module init"]
-
 let collect t ~gc_threads =
   let rt = t.rt in
   let heap = rt.RtM.heap in
-  (if debug then
-     Printf.eprintf "[young] %.3fs start free=%d young=%d\n%!"
-       (float_of_int (Sim.Engine.now rt.RtM.engine) /. 1e9)
-       (Heap_impl.free_regions heap)
-       (List.length (young_regions t)))
-  [@gcsim.allow "debug trace on stderr, dead unless SIM_DEBUG=1"];
   let metrics = rt.RtM.metrics in
   let marker = t.marker in
   let now () = Sim.Engine.now rt.RtM.engine in
-  let stw_tk () =
-    Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
-  in
   t.young_cycle_active <- true;
-  t.survivor_bytes <- 0;
+  t.tenure.survivors <- 0;
   Metrics.phase_begin metrics "young.cycle" ~now:(now ());
   let snapshot = ref [] in
   (* Init (STW): roots + remembered set. *)
@@ -194,7 +152,7 @@ let collect t ~gc_threads =
       List.iter (fun (r : Region.t) -> r.Region.in_cset <- true) !snapshot;
       marker.Common.Marker.active <- true;
       RtM.fire_phase rt Runtime.Vhook.Remset_scan;
-      let tk = stw_tk () in
+      let tk = Common.stw_ticker rt in
       Common.scan_roots rt tk (Common.Marker.gray marker);
       scan_remset_roots t tk;
       Common.Ticker.flush tk);
@@ -203,34 +161,31 @@ let collect t ~gc_threads =
   Common.Marker.concurrent_mark marker ~workers:gc_threads;
   Metrics.phase_end metrics "young.mark" ~now:(now ());
   Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Final_mark (fun () ->
-      let tk = stw_tk () in
+      let tk = Common.stw_ticker rt in
       Common.scan_roots rt tk (Common.Marker.gray marker);
       Common.Marker.final_drain marker tk;
       marker.Common.Marker.active <- false;
       Heap_impl.end_young_mark heap;
       Common.Ticker.flush tk;
       RtM.fire_phase rt Runtime.Vhook.Young_mark_end);
-  (* Concurrent evacuation over the snapshot. *)
+  (* Concurrent evacuation over the snapshot: survivors stay young,
+     objects past the tenuring age are promoted. *)
   Metrics.phase_begin metrics "young.evac" ~now:(now ());
-  let arr = Array.of_list !snapshot in
-  let next = ref 0 in
-  let failed = ref false in
-  Common.run_workers rt ~n:gc_threads ~name:"young-evac" (fun _ tk ->
-      let dest_young = Common.Evac.make_dest rt Region.Young in
-      let dest_old = Common.Evac.make_dest rt Region.Old in
-      let continue_ = ref true in
-      while !continue_ do
-        if !failed || !next >= Array.length arr then continue_ := false
-        else begin
-          let i = !next in
-          incr next;
-          match evacuate_young_region t tk ~dest_young ~dest_old arr.(i) with
-          | () -> ()
-          | exception Common.Evac.Evacuation_failure -> failed := true
-        end
-      done);
+  let after = after_copy t in
+  let _, failed =
+    Common.parallel_drain rt ~n:gc_threads ~name:"young-evac"
+      ~init:(fun () ->
+        let dest_young = Common.Evac.make_dest rt Region.Young in
+        let dest_old = Common.Evac.make_dest rt Region.Old in
+        fun o ->
+          if Common.Evac.promotes t.tenure o then dest_old else dest_young)
+      (Array.of_list !snapshot)
+      (fun pick tk r ->
+        Common.Evac.evacuate_region rt ~live:Common.Evac.Young_mark ~after
+          ~pick tk r)
+  in
   Metrics.phase_end metrics "young.evac" ~now:(now ());
-  if not !failed then begin
+  if not failed then begin
     (* Reference updating: eager pass (GenShen) or left to load-barrier
        healing and the next marking cycle (GenZ). *)
     (match t.style with
@@ -279,15 +234,7 @@ let collect t ~gc_threads =
     RtM.fire_phase rt Runtime.Vhook.Evac_end
   end
   else List.iter (fun (r : Region.t) -> r.Region.in_cset <- false) !snapshot;
-  Common.check_reachability rt ~where:"young_gen";
   Metrics.phase_end metrics "young.cycle" ~now:(now ());
   t.young_cycle_active <- false;
   RtM.fire_phase rt Runtime.Vhook.Cycle_end;
-  (if debug then
-     Printf.eprintf "[young] %.3fs end ok=%b free=%d remset=%d\n%!"
-       (float_of_int (Sim.Engine.now rt.RtM.engine) /. 1e9)
-       (not !failed)
-       (Heap_impl.free_regions heap)
-       (Remset.cardinal t.remset))
-  [@gcsim.allow "debug trace on stderr, dead unless SIM_DEBUG=1"];
-  not !failed
+  not failed

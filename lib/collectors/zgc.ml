@@ -42,9 +42,24 @@ type t = {
   config : config;
   marker : Common.Marker.t;
   mutable forwarding : Forwarding.t list;  (** tables of the current cycle *)
-  mutable cycle_running : bool;
   mutable urgent : bool;
 }
+
+(** A ZGC instance on [rt], without a controller (GenZ drives its own).
+    Registers the verifier's forwarding-table source: the off-heap tables
+    alive right now, checked against live copies at [Evac_end]. *)
+let create ?(config = default_config) rt =
+  let t =
+    {
+      rt;
+      config;
+      marker = Common.Marker.create ~remap:true ~atomic_cost:true rt;
+      forwarding = [];
+      urgent = false;
+    }
+  in
+  RtM.register_fwd_table_source rt (fun () -> t.forwarding);
+  t
 
 let select_relocation_set t =
   let heap = t.rt.RtM.heap in
@@ -62,101 +77,57 @@ let run_cycle t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
-  let marker = t.marker in
-  t.cycle_running <- true;
   let now () = Sim.Engine.now rt.RtM.engine in
-  let stw_tk () =
-    Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
-  in
   Metrics.phase_begin metrics "zgc.cycle" ~now:(now ());
-  (* Pause Mark Start. *)
-  Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Init_mark (fun () ->
-      RtM.retire_all_tlabs rt;
-      ignore (Heap_impl.begin_mark heap);
-      marker.Common.Marker.active <- true;
-      let tk = stw_tk () in
-      Common.scan_roots rt tk (Common.Marker.gray marker);
-      Common.Ticker.flush tk;
-      RtM.fire_phase rt Runtime.Vhook.Mark_start);
-  (* Concurrent mark: remaps every stale reference it encounters — the
-     previous cycle's forwarding tables can be dropped afterwards. *)
-  Metrics.phase_begin metrics "zgc.mark" ~now:(now ());
-  Common.Marker.concurrent_mark marker ~workers:t.config.gc_threads;
-  Metrics.phase_end metrics "zgc.mark" ~now:(now ());
-  (* Pause Mark End. *)
-  Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Final_mark (fun () ->
-      let tk = stw_tk () in
-      Common.scan_roots rt tk (Common.Marker.gray marker);
-      Common.Marker.final_drain marker tk;
-      marker.Common.Marker.active <- false;
-      Heap_impl.end_mark heap;
+  (* Pause Mark Start, concurrent mark, Pause Mark End.  The concurrent
+     mark remaps every stale reference it encounters, so the previous
+     cycle's forwarding tables can be dropped afterwards. *)
+  Common.Marker.cycle t.marker ~retire_tlabs:true ~phase:"zgc.mark"
+    ~final:Metrics.Final_mark ~workers:t.config.gc_threads
+    ~at_final:(fun tk ->
       RtM.update_roots rt;
       let _, cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
-      ignore (Common.reclaim_dead_humongous rt tk);
-      Common.Ticker.flush tk;
-      RtM.fire_phase rt Runtime.Vhook.Mark_end);
+      ignore (Common.reclaim_dead_humongous rt tk));
   t.forwarding <- [];
   (* Concurrent relocation: each region is freed the moment its live
      objects are out — this is the incremental reclamation G1/Shenandoah
      lack, and the reason ZGC stalls rather than degenerates. *)
   Metrics.phase_begin metrics "zgc.relocate" ~now:(now ());
-  let rset = select_relocation_set t in
-  let arr = Array.of_list rset in
-  let next = ref 0 in
-  let out_of_space = ref false in
-  Common.run_workers rt ~n:t.config.gc_threads ~name:"zgc-relocate"
-    (fun _ tk ->
-      let dest =
-        Common.Evac.make_dest ~on_copied:t.config.copy_hook rt Region.Old
-      in
-      let continue_ = ref true in
-      while !continue_ do
-        if !out_of_space || !next >= Array.length arr then continue_ := false
-        else begin
-          let i = !next in
-          incr next;
-          let r = arr.(i) in
-          let fwd =
-            Forwarding.create ~rid:r.Region.rid
-              ~expected:(Region.object_count r)
-          in
-          match Common.Evac.evacuate_region dest tk r with
-          | _copied ->
-              Util.Vec.iter
-                (fun (o : Gobj.t) ->
-                  if Gobj.is_forwarded o then
-                    Forwarding.add fwd ~old_offset:o.Gobj.offset
-                      o.Gobj.forward)
-                r.Region.objects;
-              t.forwarding <- fwd :: t.forwarding;
-              Metrics.add rt.RtM.metrics "zgc.reclaimed_bytes" r.Region.top;
-              Heap_impl.release_region heap r;
-              Common.Ticker.tick tk rt.RtM.costs.Costs.region_reset;
-              Common.Ticker.flush tk;
-              RtM.notify_memory_freed rt
-          | exception Common.Evac.Evacuation_failure -> out_of_space := true
-        end
-      done);
-  Common.check_reachability rt ~where:"zgc_relocate";
-  if not !out_of_space then RtM.fire_phase rt Runtime.Vhook.Evac_end;
+  let after _ _ copy = t.config.copy_hook copy in
+  let _, out_of_space =
+    Common.parallel_drain rt ~n:t.config.gc_threads ~name:"zgc-relocate"
+      ~init:(fun () ->
+        let dest = Common.Evac.make_dest rt Region.Old in
+        fun _ -> dest)
+      (Array.of_list (select_relocation_set t))
+      (fun pick tk r ->
+        let fwd =
+          Forwarding.create ~rid:r.Region.rid ~expected:(Region.object_count r)
+        in
+        Common.Evac.evacuate_region rt ~after ~pick tk r;
+        Util.Vec.iter
+          (fun (o : Gobj.t) ->
+            if Gobj.is_forwarded o then
+              Forwarding.add fwd ~old_offset:o.Gobj.offset o.Gobj.forward)
+          r.Region.objects;
+        t.forwarding <- fwd :: t.forwarding;
+        Metrics.add rt.RtM.metrics "zgc.reclaimed_bytes" r.Region.top;
+        Heap_impl.release_region heap r;
+        Common.Ticker.tick tk rt.RtM.costs.Costs.region_reset;
+        Common.Ticker.flush tk;
+        RtM.notify_memory_freed rt)
+  in
+  if not out_of_space then RtM.fire_phase rt Runtime.Vhook.Evac_end;
   Metrics.phase_end metrics "zgc.relocate" ~now:(now ());
   Metrics.phase_end metrics "zgc.cycle" ~now:(now ());
   Metrics.add metrics "zgc.cycles" 1;
   Metrics.add metrics "zgc.forwarding_bytes"
     (List.fold_left (fun a f -> a + Forwarding.byte_size f) 0 t.forwarding);
-  if !out_of_space then begin
-    (* Relocation wedged with no free destination: compact under STW and
-       declare OOM if even that cannot free memory (ZGC would stall
-       forever; we bound the simulation the way Table 4 reports OOMs). *)
-    ignore (Common.stw_full_compact rt);
-    let low = max 2 (Heap_impl.num_regions heap / 50) in
-    if Heap_impl.free_regions heap < low then begin
-      rt.RtM.oom <- true;
-      RtM.notify_memory_freed rt
-    end
-  end;
-  t.cycle_running <- false;
+  (* Relocation wedged with no free destination: compact under STW and
+     declare OOM if even that cannot free memory (ZGC would stall
+     forever; we bound the simulation the way Table 4 reports OOMs). *)
+  if out_of_space then Common.full_gc_or_oom rt;
   RtM.fire_phase rt Runtime.Vhook.Cycle_end
 
 let controller t () =
@@ -172,46 +143,17 @@ let controller t () =
     else Sim.Engine.sleep rt.RtM.engine t.config.poll_interval
   done
 
-let install ?(config = default_config) rt =
-  let t =
-    {
-      rt;
-      config;
-      marker = Common.Marker.create ~remap:true ~atomic_cost:true rt;
-      forwarding = [];
-      cycle_running = false;
-      urgent = false;
-    }
-  in
-  (* Verifier metadata: the off-heap forwarding tables alive right now
-     (checked against live copies at [Evac_end]). *)
-  RtM.register_fwd_table_source rt (fun () -> t.forwarding);
+let install ?config rt =
+  let t = create ?config rt in
   let costs = rt.RtM.costs in
-  let store_barrier ~src ~field ~old_v ~new_v =
-    ignore src;
-    ignore field;
-    ignore new_v;
-    if t.marker.Common.Marker.active then begin
-      Sim.Engine.tick costs.Costs.satb_barrier;
-      if old_v != Gobj.null then Common.Marker.satb_enqueue t.marker old_v
-    end
-  in
-  let alloc_failure () =
-    (* No degenerated mode: stall until relocation frees something. *)
-    t.urgent <- true;
-    Runtime.Safepoint.park rt.RtM.safepoint;
-    Sim.Engine.wait rt.RtM.mem_freed;
-    Runtime.Safepoint.unpark rt.RtM.safepoint
-  in
-  RtM.install_collector rt
-    {
-      RtM.cname = "zgc";
-      store_barrier;
-      load_extra_cost = costs.Costs.colored_load_extra;
-      mutator_tax_pct = costs.Costs.compressed_oops_tax_pct;
-      alloc_failure;
-    };
-  ignore
-    (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc
-       ~name:"zgc-controller" (controller t));
+  let markers = [ t.marker ] in
+  Common.install rt ~name:"zgc"
+    ~store_barrier:(fun ~src:_ ~field:_ ~old_v ~new_v:_ ->
+      Common.Marker.pre_write costs markers old_v)
+    ~load_extra_cost:costs.Costs.colored_load_extra
+    ~mutator_tax_pct:costs.Costs.compressed_oops_tax_pct
+    ~on_alloc_failure:(fun () ->
+      (* No degenerated mode: stall until relocation frees something. *)
+      t.urgent <- true)
+    [ ("zgc-controller", controller t) ];
   t

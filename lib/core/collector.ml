@@ -18,23 +18,6 @@ type t = {
   mutable young_failures : int;  (** consecutive, triggers full GC (§4.3) *)
 }
 
-let young_count t =
-  let n = ref 0 in
-  Array.iter
-    (fun (r : Region.t) -> if r.Region.kind = Region.Young then incr n)
-    t.rt.RtM.heap.Heap_impl.regions;
-  !n
-
-let old_occupancy t =
-  let heap = t.rt.RtM.heap in
-  let n = ref 0 in
-  Array.iter
-    (fun (r : Region.t) -> if r.Region.kind = Region.Old then incr n)
-    heap.Heap_impl.regions;
-  float_of_int !n /. float_of_int (Heap_impl.num_regions heap)
-
-let low_watermark heap = max 2 (Heap_impl.num_regions heap / 50)
-
 let full_gc t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
@@ -56,12 +39,8 @@ let full_gc t =
         (Remset.add t.young.Young.remset
            (Heap_impl.card_of_field heap holder i))
   in
-  ignore (Common.stw_full_compact ~on_live_ref rt);
-  Metrics.add rt.RtM.metrics "jade.full_gcs" 1;
-  if Heap_impl.free_regions heap < low_watermark heap then begin
-    rt.RtM.oom <- true;
-    RtM.notify_memory_freed rt
-  end
+  Common.full_gc_or_oom ~on_live_ref rt;
+  Metrics.add rt.RtM.metrics "jade.full_gcs" 1
 
 (* Young controller: §4.1.  Chasing mode also applies here — a stalled
    mutator's core goes to young evacuation. *)
@@ -81,12 +60,12 @@ let young_controller t () =
     end
     else if
       t.young_urgent
-      || young_count t >= budget
+      || Common.young_count rt >= budget
       (* Keep enough headroom that the next young evacuation still has
          destination regions — critical on small heaps. *)
       || Heap_impl.free_regions heap
          <= max 4 (Heap_impl.num_regions heap / 8)
-         && young_count t > 0
+         && Common.young_count rt > 0
     then begin
       t.young_urgent <- false;
       let workers =
@@ -95,7 +74,7 @@ let young_controller t () =
         else t.config.young_workers
       in
       let ok = Young.collect t.young ~workers in
-      if ok && Heap_impl.free_regions heap >= low_watermark heap then
+      if ok && not (Common.below_low_watermark rt) then
         t.young_failures <- 0
       else begin
         t.young_failures <- t.young_failures + 1;
@@ -120,14 +99,14 @@ let old_controller t () =
     let proactive =
       heap.Heap_impl.bytes_allocated - !last_cycle_bytes
       > heap.Heap_impl.cfg.heap_bytes
-      && old_occupancy t > 0.15
+      && Common.old_occupancy rt > 0.15
     in
     if
       (t.old_urgent
-      || old_occupancy t >= t.config.old_trigger_occupancy
+      || Common.old_occupancy rt >= t.config.old_trigger_occupancy
       || proactive
       || Heap_impl.free_regions heap <= max 4 (Heap_impl.num_regions heap / 8)
-         && old_occupancy t > 0.2)
+         && Common.old_occupancy rt > 0.2)
       && not t.full_requested
     then begin
       t.old_urgent <- false;
@@ -185,35 +164,19 @@ let install ?(config = Jade_config.default) rt =
     }
   in
   let costs = rt.RtM.costs in
-  let store_barrier ~src ~field ~old_v ~new_v =
-    if t.old_gc.Old.marker.Common.Marker.active then begin
-      Sim.Engine.tick costs.Costs.satb_barrier;
-      if old_v != Gobj.null then
-        Common.Marker.satb_enqueue t.old_gc.Old.marker old_v
-    end;
-    Young.barrier t.young ~src ~field ~new_v;
-    Old.barrier t.old_gc ~src ~field ~new_v
-  in
-  let alloc_failure () =
-    t.young_urgent <- true;
-    Runtime.Safepoint.park rt.RtM.safepoint;
-    Sim.Engine.wait rt.RtM.mem_freed;
-    Runtime.Safepoint.unpark rt.RtM.safepoint
-  in
-  RtM.install_collector rt
-    {
-      RtM.cname = "jade";
-      store_barrier;
-      load_extra_cost = 1;
-      mutator_tax_pct =
-        (if config.compressed_oops then 0
-         else costs.Costs.compressed_oops_tax_pct);
-      alloc_failure;
-    };
-  ignore
-    (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc
-       ~name:"jade-young-controller" (young_controller t));
-  ignore
-    (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc
-       ~name:"jade-old-controller" (old_controller t));
+  let markers = [ old_gc.Old.marker ] in
+  Common.install rt ~name:"jade"
+    ~store_barrier:(fun ~src ~field ~old_v ~new_v ->
+      Common.Marker.pre_write costs markers old_v;
+      Young.barrier young ~src ~field ~new_v;
+      Old.barrier old_gc ~src ~field ~new_v)
+    ~load_extra_cost:1
+    ~mutator_tax_pct:
+      (if config.compressed_oops then 0
+       else costs.Costs.compressed_oops_tax_pct)
+    ~on_alloc_failure:(fun () -> t.young_urgent <- true)
+    [
+      ("jade-young-controller", young_controller t);
+      ("jade-old-controller", old_controller t);
+    ];
   t

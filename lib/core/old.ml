@@ -27,17 +27,10 @@ type t = {
   crdt : Crdt.t;
   group_remsets : Remset.t array;
   young : Young.t;  (** for old-to-young inserts and promotion stats *)
-  mutable plan : Grouping.plan option;
   mutable current_group : int;  (** round in progress; -1 outside rounds *)
   mutable cycle_running : bool;
   mutable est_cycle_time : int;  (** EMA of cycle duration, Algorithm 2 *)
-  mutable cards_scanned_last_build : int;
-  mutable cards_inserted_via_crdt : int;
 }
-
-let debug =
-  match Sys.getenv_opt "SIM_DEBUG" with Some "1" -> true | _ -> false
-  [@@gcsim.allow "env-gated debug flag (SIM_DEBUG), read once at module init"]
 
 let create ~config ~young rt =
   let heap = rt.RtM.heap in
@@ -53,12 +46,9 @@ let create ~config ~young rt =
             ~name:(Printf.sprintf "jade-group-%d" i)
             ~total_cards:(Heap_impl.total_cards heap));
     young;
-    plan = None;
     current_group = -1;
     cycle_running = false;
     est_cycle_time = 50 * Util.Units.ms;
-    cards_scanned_last_build = 0;
-    cards_inserted_via_crdt = 0;
   }
 
 (** Write-barrier hook (old half): during evacuation rounds, stores that
@@ -99,30 +89,13 @@ let mark_phase t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
-  let marker = t.marker in
-  let now () = Sim.Engine.now rt.RtM.engine in
-  let stw_tk () =
-    Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
-  in
-  Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Init_mark (fun () ->
-      ignore (Heap_impl.begin_mark heap);
+  Common.Marker.cycle t.marker ~phase:"jade.mark" ~final:Metrics.Final_mark
+    ~workers:t.config.old_workers
+    ~at_init:(fun () ->
       Crdt.reset t.crdt;
-      marker.Common.Marker.active <- true;
-      t.young.Young.old_marker <- Some marker;
-      let tk = stw_tk () in
-      Common.scan_roots rt tk (Common.Marker.gray marker);
-      Common.Ticker.flush tk;
-      RtM.fire_phase rt Runtime.Vhook.Mark_start);
-  Metrics.phase_begin metrics "jade.mark" ~now:(now ());
-  Common.Marker.concurrent_mark marker ~workers:t.config.old_workers;
-  Metrics.phase_end metrics "jade.mark" ~now:(now ());
-  Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Final_mark (fun () ->
-      let tk = stw_tk () in
-      Common.scan_roots rt tk (Common.Marker.gray marker);
-      Common.Marker.final_drain marker tk;
-      marker.Common.Marker.active <- false;
+      t.young.Young.old_marker <- Some t.marker)
+    ~at_final:(fun tk ->
       t.young.Young.old_marker <- None;
-      Heap_impl.end_mark heap;
       (* §4.4: weak references checked in an extra STW phase — unless the
          concurrent variant (the paper's stated future work) is on, in
          which case only the discovery snapshot happens here. *)
@@ -131,9 +104,7 @@ let mark_phase t =
         Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
         Metrics.add metrics "jade.weak_stw_cleared" cleared
       end;
-      ignore (Common.reclaim_dead_humongous rt tk);
-      Common.Ticker.flush tk;
-      RtM.fire_phase rt Runtime.Vhook.Mark_end);
+      ignore (Common.reclaim_dead_humongous rt tk));
   if t.config.Jade_config.concurrent_weak_refs then begin
     (* Concurrent weak processing: safe because the mark results are
        stable after final mark, referents are judged through resolve, and
@@ -182,29 +153,17 @@ let group_phase t =
   Sim.Engine.tick (60 * max 1 plan.Grouping.tracked);
   Metrics.phase_end metrics "jade.group" ~now:(now ());
   Metrics.add metrics "jade.groups_built" (Grouping.num_groups plan);
-  (if debug then
-     Printf.eprintf
-       "[jade-old] %.3fs grouping: candidates=%d tracked=%d groups=%d regions=%d free_est=%s free_regions=%d promo_rate=%.1fMB/s est_time=%s\n%!"
-       (float_of_int (now ()) /. 1e9)
-       (List.length candidates) plan.Grouping.tracked
-       (Grouping.num_groups plan) (Grouping.total_regions plan)
-       (Util.Units.pp_bytes free_bytes)
-       (Heap_impl.free_regions heap)
-       (t.young.Young.promotion_rate /. 1e6)
-       (Util.Units.pp_time_ns t.est_cycle_time))
-  [@gcsim.allow "debug trace on stderr, dead unless SIM_DEBUG=1"];
   plan
 
 (* ------------------------------------------------------------------ *)
 (* Remembered-set building with the CRDT shortcut (§3.3).               *)
 
-let build_remsets t (plan : Grouping.plan) =
+let build_remsets t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
   let costs = rt.RtM.costs in
   let now () = Sim.Engine.now rt.RtM.engine in
-  ignore plan;
   Metrics.phase_begin metrics "jade.build" ~now:(now ());
   let scanned = ref 0 and via_crdt = ref 0 in
   let group_of_region rid = (Heap_impl.region heap rid).Region.group in
@@ -261,34 +220,24 @@ let build_remsets t (plan : Grouping.plan) =
     else if Crdt.get t.crdt card = Crdt.Empty then Crdt.Empty
     else Crdt.Overflow
   in
-  let narr = Util.Vec.length work in
-  let next = ref 0 in
-  Common.run_workers rt ~n:t.config.old_workers ~name:"jade-build" (fun _ tk ->
-      let continue_ = ref true in
-      while !continue_ do
-        if !next >= narr then continue_ := false
-        else begin
-          let card = Util.Vec.get work !next in
-          incr next;
-          (match crdt_get card with
-          | Crdt.Empty ->
-              (* Dirtied after the marking snapshot: conservative scan. *)
-              scan_card_for_targets tk card
-          | Crdt.One r1 ->
-              incr via_crdt;
-              insert_for_target tk ~card ~target_rid:r1
-          | Crdt.Two (r1, r2) ->
-              incr via_crdt;
-              insert_for_target tk ~card ~target_rid:r1;
-              insert_for_target tk ~card ~target_rid:r2
-          | Crdt.Overflow ->
-              (* Three or more referenced regions: rescan (§3.3). *)
-              scan_card_for_targets tk card);
-          Heap_impl.clean_card heap card
-        end
-      done);
-  t.cards_scanned_last_build <- !scanned;
-  t.cards_inserted_via_crdt <- !via_crdt;
+  ignore
+    (Common.parallel_drain rt ~n:t.config.old_workers ~name:"jade-build"
+       ~init:ignore (Util.Vec.to_array work) (fun () tk card ->
+         (match crdt_get card with
+         | Crdt.Empty ->
+             (* Dirtied after the marking snapshot: conservative scan. *)
+             scan_card_for_targets tk card
+         | Crdt.One r1 ->
+             incr via_crdt;
+             insert_for_target tk ~card ~target_rid:r1
+         | Crdt.Two (r1, r2) ->
+             incr via_crdt;
+             insert_for_target tk ~card ~target_rid:r1;
+             insert_for_target tk ~card ~target_rid:r2
+         | Crdt.Overflow ->
+             (* Three or more referenced regions: rescan (§3.3). *)
+             scan_card_for_targets tk card);
+         Heap_impl.clean_card heap card));
   Metrics.add metrics "jade.build_cards_scanned" !scanned;
   Metrics.add metrics "jade.build_cards_via_crdt" !via_crdt;
   Metrics.phase_end metrics "jade.build" ~now:(now ())
@@ -333,9 +282,6 @@ let evacuate_group t ~group (regions : Region.t list) =
   let metrics = rt.RtM.metrics in
   let costs = rt.RtM.costs in
   t.current_group <- group;
-  let arr = Array.of_list regions in
-  let next = ref 0 in
-  let failed = ref false in
   (* Chasing mode (§4.3): when mutators are stalled their cores are idle;
      run with as many workers as cores to finish the round sooner. *)
   let workers =
@@ -345,38 +291,16 @@ let evacuate_group t ~group (regions : Region.t list) =
   in
   if workers > t.config.old_workers then
     Metrics.add metrics "jade.chasing_rounds" 1;
-  Common.run_workers rt ~n:workers ~name:"jade-evac" (fun _ tk ->
-      let dest = Common.Evac.make_dest rt Region.Old in
-      let continue_ = ref true in
-      while !continue_ do
-        if !failed || !next >= Array.length arr then continue_ := false
-        else begin
-          let i = !next in
-          incr next;
-          let r = arr.(i) in
-          let objs = ref 0 and bytes = ref 0 in
-          match
-            Util.Vec.iter
-              (fun (o : Gobj.t) ->
-                if
-                  (not (Gobj.is_forwarded o)) && Heap_impl.is_marked heap o
-                then begin
-                  let o' = Common.Evac.copy_object dest tk o in
-                  incr objs;
-                  bytes := !bytes + o.Gobj.size;
-                  evacuate_object_fields t tk o' ~group
-                end)
-              r.Region.objects
-          with
-          | () ->
-              if !objs > 0 && RtM.tracing rt then
-                RtM.trace rt
-                  (Runtime.Tracepoint.Evac_batch
-                     { objects = !objs; bytes = !bytes })
-          | exception Common.Evac.Evacuation_failure -> failed := true
-        end
-      done);
-  if not !failed then begin
+  let after tk _ o' = evacuate_object_fields t tk o' ~group in
+  let _, failed =
+    Common.parallel_drain rt ~n:workers ~name:"jade-evac"
+      ~init:(fun () ->
+        let dest = Common.Evac.make_dest rt Region.Old in
+        fun _ -> dest)
+      (Array.of_list regions)
+      (fun pick tk r -> Common.Evac.evacuate_region rt ~after ~pick tk r)
+  in
+  if not failed then begin
     (* Heal every remembered incoming reference, then release the group:
        this is the per-group incremental reclamation of §3.1. *)
     (* Cons-free remset snapshot; descending order preserved (the legacy
@@ -386,17 +310,9 @@ let evacuate_group t ~group (regions : Region.t list) =
     Remset.iter (fun c -> Util.Vec.push cardv c) t.group_remsets.(group);
     let nc = Util.Vec.length cardv in
     let cards = Array.init nc (fun i -> Util.Vec.get cardv (nc - 1 - i)) in
-    let nextc = ref 0 in
-    Common.run_workers rt ~n:workers ~name:"jade-heal" (fun _ tk ->
-        let continue_ = ref true in
-        while !continue_ do
-          if !nextc >= Array.length cards then continue_ := false
-          else begin
-            let c = !nextc in
-            incr nextc;
-            Common.update_refs_in_card rt tk cards.(c)
-          end
-        done);
+    ignore
+      (Common.parallel_drain rt ~n:workers ~name:"jade-heal" ~init:ignore cards
+         (fun () tk card -> Common.update_refs_in_card rt tk card));
     Remset.clear t.group_remsets.(group);
     let tk = Common.Ticker.create () in
     List.iter
@@ -407,11 +323,10 @@ let evacuate_group t ~group (regions : Region.t list) =
       regions;
     Common.Ticker.flush tk;
     Metrics.add metrics "jade.rounds" 1;
-    Common.check_reachability rt ~where:"jade_round";
     RtM.notify_memory_freed rt
   end;
   t.current_group <- -1;
-  not !failed
+  not failed
 
 (* ------------------------------------------------------------------ *)
 (* The cycle.                                                           *)
@@ -427,8 +342,7 @@ let run_cycle t =
   Metrics.phase_begin metrics "jade.old_cycle" ~now:t0;
   mark_phase t;
   let plan = group_phase t in
-  t.plan <- Some plan;
-  build_remsets t plan;
+  build_remsets t;
   Metrics.phase_begin metrics "jade.old_evac" ~now:(now ());
   RtM.fire_phase rt Runtime.Vhook.Evac_start;
   let ok = ref true in
@@ -445,7 +359,6 @@ let run_cycle t =
   Array.iter
     (fun (r : Region.t) -> r.Region.group <- -1)
     rt.RtM.heap.Heap_impl.regions;
-  t.plan <- None;
   let dur = now () - t0 in
   t.est_cycle_time <- ((t.est_cycle_time * 7) + (dur * 3)) / 10;
   Metrics.phase_end metrics "jade.old_cycle" ~now:(now ());

@@ -38,13 +38,9 @@ type t = {
   mutable promotion_rate : float;  (** bytes per second, EMA *)
   mutable last_gc_end : int;
   mutable promoted_prev : int;
-  mutable consecutive_starved : int;
   mutable copied_objects : int;  (** objects evacuated this cycle (trace) *)
   mutable copied_bytes : int;
-  mutable survivor_bytes : int;  (** copied-to-young this cycle *)
-  mutable survivor_cap : int;
-      (** adaptive tenuring: once a cycle's survivors exceed this, the
-          rest promote directly (survivor-overflow, as in HotSpot) *)
+  tenure : Common.Evac.tenure;
 }
 
 let create ~config rt =
@@ -64,11 +60,9 @@ let create ~config rt =
     promotion_rate = 0.;
     last_gc_end = 0;
     promoted_prev = 0;
-    consecutive_starved = 0;
     copied_objects = 0;
     copied_bytes = 0;
-    survivor_bytes = 0;
-    survivor_cap = heap.Heap_impl.cfg.heap_bytes / 16;
+    tenure = Common.Evac.tenure rt ~age:config.Jade_config.tenure_age;
   }
 
 let in_snapshot heap (o : Gobj.t) =
@@ -101,10 +95,7 @@ let copy_out t (dests : Common.Evac.dest * Common.Evac.dest) tk (o : Gobj.t) =
   else begin
       let dest_young, dest_old = dests in
       Common.Ticker.tick tk t.rt.RtM.costs.Costs.mark_atomic;
-      let promote =
-        o.Gobj.age >= t.config.tenure_age
-        || t.survivor_bytes > t.survivor_cap
-      in
+      let promote = Common.Evac.promotes t.tenure o in
       let dest = if promote then dest_old else dest_young in
       let racy = t.config.planted_bug = Jade_config.Racy_forwarding in
       let window =
@@ -118,7 +109,7 @@ let copy_out t (dests : Common.Evac.dest * Common.Evac.dest) tk (o : Gobj.t) =
       t.copied_bytes <- t.copied_bytes + o.Gobj.size;
       if promote then
         Metrics.add t.rt.RtM.metrics "jade.promoted_bytes" o.Gobj.size
-      else t.survivor_bytes <- t.survivor_bytes + o.Gobj.size;
+      else t.tenure.survivors <- t.tenure.survivors + o.Gobj.size;
       Util.Vec.push t.scan_stack o';
       o'
   end
@@ -211,11 +202,8 @@ let collect t ~workers =
   let metrics = rt.RtM.metrics in
   let costs = rt.RtM.costs in
   let now () = Sim.Engine.now rt.RtM.engine in
-  let stw_tk () =
-    Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
-  in
   Metrics.phase_begin metrics "jade.young" ~now:(now ());
-  t.survivor_bytes <- 0;
+  t.tenure.survivors <- 0;
   t.copied_objects <- 0;
   t.copied_bytes <- 0;
   let snapshot = ref [] in
@@ -237,7 +225,7 @@ let collect t ~workers =
          is taken and the remembered set is about to become the only
          source of old-held young roots. *)
       RtM.fire_phase rt Runtime.Vhook.Remset_scan;
-      let tk = stw_tk () in
+      let tk = Common.stw_ticker rt in
       let dests =
         (Common.Evac.make_dest rt Region.Young, Common.Evac.make_dest rt Region.Old)
       in
@@ -296,7 +284,7 @@ let collect t ~workers =
   (* Final STW: rescan roots (stack-only survivors), drain stragglers,
      release the snapshot, process weak references. *)
   Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Final_mark (fun () ->
-      let tk = stw_tk () in
+      let tk = Common.stw_ticker rt in
       let dests =
         (Common.Evac.make_dest rt Region.Young, Common.Evac.make_dest rt Region.Old)
       in
@@ -329,7 +317,6 @@ let collect t ~workers =
         Util.Vec.clear t.pending
       end;
       Common.Ticker.flush tk);
-  Common.check_reachability rt ~where:"jade_young";
   RtM.notify_memory_freed rt;
   (* Promotion-rate EMA for Algorithm 2. *)
   let promoted = Metrics.counter metrics "jade.promoted_bytes" in

@@ -39,11 +39,14 @@ let zgc =
 
 let genshen =
   { name = "genshen";
-    install = (fun rt -> ignore (Collectors.Genshen.install rt));
+    install =
+      (fun rt ->
+        ignore Collectors.Generational.(install genshen rt));
     concurrent_copy = true }
 
 let genz =
-  { name = "genz"; install = (fun rt -> ignore (Collectors.Genz.install rt));
+  { name = "genz";
+    install = (fun rt -> ignore Collectors.Generational.(install genz rt));
     concurrent_copy = true }
 
 let lxr =

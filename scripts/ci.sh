@@ -125,6 +125,27 @@ for c in jade g1; do
 done
 echo "golden traces reproduced via the CLI (jade, g1)"
 
+echo "== benchmark fingerprint fence (bench/perf at seed 42) =="
+# One repetition of each bench/perf workload.  Each workload's
+# fingerprint digests exact integers of every simulation's end state
+# (clock, requests, pauses, busy time, bytes allocated, objects minted);
+# at seed 42 it must equal Catalog.seed42_fingerprints, and perf.exe
+# exits non-zero on any mismatch.  So a refactor that claims to keep
+# behaviour is held to it across all eight collectors.
+if ! dune exec bench/perf/perf.exe -- run --seed 42 --reps 1 \
+    > /tmp/ci_perf_seed42.txt 2>&1; then
+  cat /tmp/ci_perf_seed42.txt >&2
+  echo "benchmark fingerprint fence FAILED" >&2
+  exit 1
+fi
+grep '^== ' /tmp/ci_perf_seed42.txt
+
+echo "== no lint exemptions in the collectors (lib/collectors, lib/core) =="
+if grep -rn 'gcsim.allow' lib/collectors lib/core; then
+  echo "[@gcsim.allow] found under lib/collectors or lib/core" >&2
+  exit 1
+fi
+
 echo "== zero-perturbation fence (tracing must not move simulated time) =="
 # Attaching the tracer must not move a single simulated number, the
 # stream must be byte-identical at -j1 and -j4, and same-seed runs must

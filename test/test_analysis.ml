@@ -104,8 +104,8 @@ let test_verified_fixed_work_all_collectors () =
       ("g1", fun rt -> ignore (Collectors.G1.install rt));
       ("shenandoah", fun rt -> ignore (Collectors.Shenandoah.install rt));
       ("zgc", fun rt -> ignore (Collectors.Zgc.install rt));
-      ("genshen", fun rt -> ignore (Collectors.Genshen.install rt));
-      ("genz", fun rt -> ignore (Collectors.Genz.install rt));
+      ("genshen", fun rt -> ignore Collectors.Generational.(install genshen rt));
+      ("genz", fun rt -> ignore Collectors.Generational.(install genz rt));
       ("lxr", fun rt -> ignore (Collectors.Lxr.install rt));
       ("jade", fun rt -> ignore (Jade.Collector.install rt));
     ]

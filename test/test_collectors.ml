@@ -44,8 +44,8 @@ let collectors : (string * (Runtime.Rt.t -> unit)) list =
              rt));
     ("shenandoah", fun rt -> ignore (Collectors.Shenandoah.install rt));
     ("zgc", fun rt -> ignore (Collectors.Zgc.install rt));
-    ("genshen", fun rt -> ignore (Collectors.Genshen.install rt));
-    ("genz", fun rt -> ignore (Collectors.Genz.install rt));
+    ("genshen", fun rt -> ignore Collectors.Generational.(install genshen rt));
+    ("genz", fun rt -> ignore Collectors.Generational.(install genz rt));
     ("lxr", fun rt -> ignore (Collectors.Lxr.install rt));
     ("jade", fun rt -> ignore (Jade.Collector.install rt));
   ]
@@ -179,6 +179,162 @@ let test_region_remsets () =
   Alcotest.(check bool) "set dropped" true
     (Collectors.Region_remsets.get rs 3 = None)
 
+(* ------------------------------------------------------------------ *)
+(* The claim loop (Common.parallel_drain).                              *)
+
+(* Run [f] in a GC fiber of a fresh two-core engine, to completion. *)
+let in_gc_fiber f =
+  let engine = Sim.Engine.create ~cores:2 () in
+  let heap =
+    Heap.Heap_impl.create
+      (Heap.Heap_impl.config ~heap_bytes:(4 * mib)
+         ~region_bytes:(256 * Util.Units.kib) ())
+  in
+  let rt = Runtime.Rt.create ~seed:42 ~engine ~heap () in
+  let result = ref None in
+  ignore
+    (Sim.Engine.spawn engine ~name:"driver" ~kind:Sim.Engine.Gc (fun () ->
+         result := Some (f rt)));
+  Sim.Engine.run engine;
+  match !result with Some r -> r | None -> Alcotest.fail "driver never ran"
+
+(* Each item bills enough to flush its worker's ticker, so workers
+   interleave between items. *)
+let busy tk = Collectors.Common.Ticker.tick tk 50_000
+
+let test_claim_each_once_in_order () =
+  let claims = ref [] and workers_seen = ref [] in
+  let leftover, failed =
+    in_gc_fiber (fun rt ->
+        let next_worker = ref 0 in
+        Collectors.Common.parallel_drain rt ~n:3 ~name:"claim"
+          ~init:(fun () ->
+            incr next_worker;
+            !next_worker)
+          (Array.init 20 Fun.id)
+          (fun w tk i ->
+            claims := i :: !claims;
+            if not (List.mem w !workers_seen) then
+              workers_seen := w :: !workers_seen;
+            busy tk))
+  in
+  Alcotest.(check (list int)) "every index once, in order"
+    (List.init 20 Fun.id) (List.rev !claims);
+  Alcotest.(check bool) "several workers claimed" true
+    (List.length !workers_seen > 1);
+  Alcotest.(check (list int)) "no remainder" [] leftover;
+  Alcotest.(check bool) "no failure" false failed
+
+(* An evacuation failure stops further claims and hands back the
+   remainder with the failing item included — what Shenandoah's
+   degenerated cycle then finishes under STW. *)
+let test_claim_failure_returns_remainder () =
+  let done_ = ref [] and claims_after_failure = ref 0 in
+  let failed_yet = ref false in
+  let leftover, failed =
+    in_gc_fiber (fun rt ->
+        Collectors.Common.parallel_drain rt ~n:2 ~name:"claim" ~init:ignore
+          (Array.init 10 Fun.id)
+          (fun () tk i ->
+            if !failed_yet then incr claims_after_failure;
+            if i = 4 then begin
+              failed_yet := true;
+              raise Collectors.Common.Evac.Evacuation_failure
+            end;
+            busy tk;
+            done_ := i :: !done_))
+  in
+  Alcotest.(check bool) "failure reported" true failed;
+  Alcotest.(check int) "no claim after the failure" 0 !claims_after_failure;
+  Alcotest.(check bool) "failing item handed back" true (List.mem 4 leftover);
+  Alcotest.(check int) "failing item last" 4 (List.nth leftover (List.length leftover - 1));
+  Alcotest.(check (list int)) "processed + remainder = all, each once"
+    (List.init 10 Fun.id)
+    (List.sort compare (!done_ @ leftover));
+  Alcotest.(check (list int)) "unclaimed items from the highest index down"
+    (List.rev (List.filter (fun i -> i > 4 && not (List.mem i !done_))
+       (List.init 10 Fun.id)))
+    (List.filter (fun i -> i <> 4) leftover)
+
+(* The stop flag is read between items: once it rises no new item is
+   claimed, and everything unclaimed comes back. *)
+let test_claim_stop_flag () =
+  let processed = ref 0 in
+  let leftover, failed =
+    in_gc_fiber (fun rt ->
+        Collectors.Common.parallel_drain rt ~n:1 ~name:"claim"
+          ~stop:(fun () -> !processed >= 3)
+          ~init:ignore (Array.init 10 Fun.id)
+          (fun () tk _ ->
+            busy tk;
+            incr processed))
+  in
+  Alcotest.(check int) "stopped after three items" 3 !processed;
+  Alcotest.(check bool) "a stop is not a failure" false failed;
+  Alcotest.(check (list int)) "remainder" [ 9; 8; 7; 6; 5; 4; 3 ] leftover
+
+(* ------------------------------------------------------------------ *)
+(* Verifier metadata: what each registered collector tells --verify.   *)
+
+(* Per collector, after install: remembered-set providers,
+   forwarding-table sources, and the owner of the CRDT source.  Dropping
+   a registration would only make --verify check less, silently; this
+   fence makes it fail. *)
+let expected_metadata =
+  [
+    ("jade", (1, 0, Some "jade"));
+    ("g1", (1, 0, None));
+    ("g1-10ms", (1, 0, None));
+    ("zgc", (0, 1, None));
+    ("shenandoah", (0, 0, None));
+    ("lxr", (1, 0, None));
+    ("genz", (1, 1, None));
+    ("genshen", (1, 0, None));
+  ]
+
+let test_verifier_metadata () =
+  List.iter
+    (fun (e : Experiments.Registry.entry) ->
+      let engine = Sim.Engine.create ~cores:2 () in
+      let heap =
+        Heap.Heap_impl.create
+          (Heap.Heap_impl.config ~heap_bytes:(8 * mib)
+             ~region_bytes:(256 * Util.Units.kib) ())
+      in
+      let rt = Runtime.Rt.create ~seed:42 ~engine ~heap () in
+      e.Experiments.Registry.install rt;
+      let actual =
+        ( List.length rt.Runtime.Rt.remset_providers,
+          List.length rt.Runtime.Rt.fwd_table_sources,
+          Option.map fst rt.Runtime.Rt.crdt_source )
+      in
+      Alcotest.(check (triple int int (option string)))
+        (e.Experiments.Registry.name ^ " registrations")
+        (List.assoc e.Experiments.Registry.name expected_metadata)
+        actual)
+    Experiments.Registry.all
+
+(* ------------------------------------------------------------------ *)
+(* Variants.                                                            *)
+
+(* G1-10ms is G1 with a 10 ms soft pause target.  On a scenario with
+   millisecond pauses the target changes the eden budget, and with it how
+   often G1 collects (the Table 3 critical-jops effect). *)
+let test_g1_pause_target_binds () =
+  let app = Workload.Apps.find "specjbb2015" in
+  let machine = Experiments.Exp.machine_for ~cores:8 app ~mult:4.0 in
+  let pauses name =
+    let e = Experiments.Registry.find name in
+    (Experiments.Harness.run_closed ~machine ~warmup:(50 * ms)
+       ~duration:(200 * ms) ~install:e.Experiments.Registry.install
+       ~collector:name app)
+      .Experiments.Harness.pause_count
+  in
+  let g1 = pauses "g1" and g1_10ms = pauses "g1-10ms" in
+  Alcotest.(check bool)
+    (Printf.sprintf "pause counts differ (g1 %d, g1-10ms %d)" g1 g1_10ms)
+    true (g1 <> g1_10ms)
+
 let () =
   Alcotest.run "collectors"
     ([
@@ -194,6 +350,22 @@ let () =
            collectors );
        ( "region remsets",
          [ Alcotest.test_case "lifecycle" `Quick test_region_remsets ] );
+       ( "claim loop",
+         [
+           Alcotest.test_case "each index once, in order" `Quick
+             test_claim_each_once_in_order;
+           Alcotest.test_case "failure returns the remainder" `Quick
+             test_claim_failure_returns_remainder;
+           Alcotest.test_case "stop flag between items" `Quick
+             test_claim_stop_flag;
+         ] );
+       ( "verifier metadata",
+         [ Alcotest.test_case "registrations" `Quick test_verifier_metadata ] );
+       ( "variants",
+         [
+           Alcotest.test_case "g1-10ms pause target binds" `Slow
+             test_g1_pause_target_binds;
+         ] );
        ( "determinism",
          [
            Alcotest.test_case "g1" `Slow

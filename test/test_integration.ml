@@ -59,8 +59,8 @@ let test_fixed_work_all_collectors () =
         ("g1", install_g1);
         ("shenandoah", fun rt -> ignore (Collectors.Shenandoah.install rt));
         ("zgc", fun rt -> ignore (Collectors.Zgc.install rt));
-        ("genshen", fun rt -> ignore (Collectors.Genshen.install rt));
-        ("genz", fun rt -> ignore (Collectors.Genz.install rt));
+        ("genshen", fun rt -> ignore Collectors.Generational.(install genshen rt));
+        ("genz", fun rt -> ignore Collectors.Generational.(install genz rt));
         ("lxr", fun rt -> ignore (Collectors.Lxr.install rt));
         ("jade", install_jade);
       ]

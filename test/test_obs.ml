@@ -1,10 +1,11 @@
 (* Observability fence: golden-trace snapshots, analyzer properties and
    the determinism contract for lib/obs (DESIGN.md §11).
 
-   - Golden snapshots: every registered collector's trace of the
+   - Golden snapshots: each registered collector's trace of the
      canonical scenario (Experiments.Trace_run.Golden — lusearch,
      4 cores, 1.5x heap, seed 42, 600 requests) must match the committed
-     test/golden/<collector>.trace byte-for-byte.  On mismatch the
+     test/golden/<collector>.trace byte-for-byte; g1-10ms has none, as
+     its trace would repeat g1's.  On mismatch the
      failure names the first divergent event line.  Regenerate with
        GCSIM_BLESS=1 dune runtest
      (or `gcsim trace -c NAME --golden test/golden/NAME.trace`, whose
@@ -503,10 +504,14 @@ let prop_mmu_monotone_synthetic =
 (* ------------------------------------------------------------------ *)
 
 let () =
+  (* No g1-10ms snapshot: on the golden scenario its 10 ms pause target
+     never binds, so its stream would repeat g1's byte for byte.
+     test_collectors' "g1-10ms pause target binds" covers the variant. *)
   let golden_tests =
-    List.map
+    List.filter_map
       (fun (e : Registry.entry) ->
-        Alcotest.test_case e.Registry.name `Quick (test_golden e))
+        if e.Registry.name = "g1-10ms" then None
+        else Some (Alcotest.test_case e.Registry.name `Quick (test_golden e)))
       Registry.all
   in
   let activity_tests =
