@@ -137,39 +137,39 @@ let check_region_contents t =
       let running = ref 0 in
       Util.Vec.iter
         (fun (o : Gobj.t) ->
-          if o.region <> rid then
+          if Gobj.region o <> rid then
             emit t ~invariant:"resident-region-field" ~region:rid
               ~object_id:o.id
               "object #%d resident in region %d but its region field says %d"
-              o.id rid o.region;
+              o.id rid (Gobj.region o);
           if Gobj.is_freed o then
             emit t ~invariant:"resident-not-freed" ~region:rid ~object_id:o.id
               "object #%d (uid=%d, %dB, age=%d, fwd=%b, humongous=%b) is \
                flagged freed yet still resident in region %d (%s, \
                humongous=%b); region history: %s"
-              o.id o.uid o.size o.age (Gobj.is_forwarded o)
+              o.id o.uid (Gobj.size o) (Gobj.age o) (Gobj.is_forwarded o)
               (Gobj.has_flag o Gobj.flag_humongous)
               rid
               (Region.kind_to_string r.Region.kind)
               r.Region.humongous
               (H.dump_region_history rid);
-          if o.offset <> !running then
+          if Gobj.offset o <> !running then
             emit t ~invariant:"region-layout" ~region:rid ~object_id:o.id
               "object #%d at offset %d, expected contiguous offset %d" o.id
-              o.offset !running;
-          running := !running + o.size;
+              (Gobj.offset o) !running;
+          running := !running + Gobj.size o;
           match chase o with
           | None ->
               emit t ~invariant:"forwarding-chain-bounded" ~region:rid
                 ~object_id:o.id
                 "forwarding chain of object #%d exceeds 64 hops (cycle?)" o.id
           | Some f ->
-              if f.Gobj.id <> o.id || f.Gobj.size <> o.size then
+              if f.Gobj.id <> o.id || Gobj.size f <> Gobj.size o then
                 emit t ~invariant:"forwarding-identity" ~region:rid
                   ~object_id:o.id
                   "forwarding of #%d(%dB) resolves to #%d(%dB): copies must \
                    preserve logical identity and payload size"
-                  o.id o.size f.Gobj.id f.Gobj.size)
+                  o.id (Gobj.size o) f.Gobj.id (Gobj.size f))
         r.Region.objects;
       if !running <> r.Region.top then
         emit t ~invariant:"region-size-sum" ~region:rid
@@ -190,17 +190,17 @@ let check_reachability t =
     if not (Hashtbl.mem seen o.Gobj.uid) then begin
       Hashtbl.replace seen o.Gobj.uid ();
       if Gobj.is_freed o then
-        emit t ~invariant:"no-dangling-reference" ~region:o.Gobj.region
+        emit t ~invariant:"no-dangling-reference" ~region:(Gobj.region o)
           ~object_id:o.Gobj.id
           "reachable reference (from %s) resolves to freed object #%d, last \
            resident at region %d offset %d — reclaimed memory reached \
            without a forwarding entry"
-          from o.Gobj.id o.Gobj.region o.Gobj.offset
-      else if Region.is_free (H.region heap o.Gobj.region) then
-        emit t ~invariant:"no-dangling-reference" ~region:o.Gobj.region
+          from o.Gobj.id (Gobj.region o) (Gobj.offset o)
+      else if Region.is_free (H.region heap (Gobj.region o)) then
+        emit t ~invariant:"no-dangling-reference" ~region:(Gobj.region o)
           ~object_id:o.Gobj.id
           "reachable object #%d (from %s) claims region %d, which is free"
-          o.Gobj.id from o.Gobj.region
+          o.Gobj.id from (Gobj.region o)
       else stack := o :: !stack
     end
   in
@@ -231,22 +231,22 @@ let check_satb t =
   let epoch = heap.H.mark_epoch in
   let wm = t.mark_watermark in
   iter_residents heap (fun _r (o : Gobj.t) ->
-      if o.Gobj.mark >= epoch then
+      if Gobj.mark o >= epoch then
         Gobj.iter_fields
           (fun i c ->
             let rc = Gobj.resolve c in
             if
               (not (Gobj.is_freed rc))
               && rc.Gobj.uid < wm
-              && rc.Gobj.mark < epoch
+              && Gobj.mark rc < epoch
             then
-              emit t ~invariant:"satb-tri-color" ~region:rc.Gobj.region
+              emit t ~invariant:"satb-tri-color" ~region:(Gobj.region rc)
                 ~object_id:rc.Gobj.id
                 "black→white edge after final drain: marked #%d (region %d) \
                  field %d → unmarked snapshot object #%d (region %d, \
                  mark=%d < epoch %d)"
-                o.Gobj.id o.Gobj.region i rc.Gobj.id rc.Gobj.region
-                rc.Gobj.mark epoch)
+                o.Gobj.id (Gobj.region o) i rc.Gobj.id (Gobj.region rc)
+                (Gobj.mark rc) epoch)
           o)
 
 (** Young-generation tri-color analog, for collectors that really mark
@@ -258,20 +258,20 @@ let check_young_satb t =
   let heap = t.rt.RtM.heap in
   let yepoch = heap.H.young_epoch in
   iter_residents heap (fun (r : Region.t) (o : Gobj.t) ->
-      if r.Region.kind = Region.Young && o.Gobj.ymark >= yepoch then
+      if r.Region.kind = Region.Young && Gobj.ymark o >= yepoch then
         Gobj.iter_fields
           (fun i c ->
             let rc = Gobj.resolve c in
             if
               (not (Gobj.is_freed rc))
-              && (H.region heap rc.Gobj.region).Region.kind = Region.Young
-              && rc.Gobj.ymark < yepoch
+              && (H.region heap (Gobj.region rc)).Region.kind = Region.Young
+              && Gobj.ymark rc < yepoch
             then
-              emit t ~invariant:"young-satb-tri-color" ~region:rc.Gobj.region
+              emit t ~invariant:"young-satb-tri-color" ~region:(Gobj.region rc)
                 ~object_id:rc.Gobj.id
                 "young-marked #%d field %d → unmarked young object #%d \
                  (region %d, ymark=%d < epoch %d)"
-                o.Gobj.id i rc.Gobj.id rc.Gobj.region rc.Gobj.ymark yepoch)
+                o.Gobj.id i rc.Gobj.id (Gobj.region rc) (Gobj.ymark rc) yepoch)
           o)
 
 (* ------------------------------------------------------------------ *)
@@ -299,7 +299,7 @@ let check_livemap t =
       Util.Vec.iter
         (fun (o : Gobj.t) ->
           if
-            o.Gobj.mark >= epoch
+            Gobj.mark o >= epoch
             && o.Gobj.uid < wm
             && not (Region.livemap_is_marked r o)
           then
@@ -307,7 +307,7 @@ let check_livemap t =
               ~object_id:o.Gobj.id
               "object #%d (region %d offset %d) is marked in epoch %d but \
                its region live bit is clear"
-              o.Gobj.id rid o.Gobj.offset epoch)
+              o.Gobj.id rid (Gobj.offset o) epoch)
         r.Region.objects
     end
   done
@@ -372,7 +372,7 @@ let check_crdt t =
             let found = ref false in
             Region.iter_objects_in_range r ~off:(H.card_to_offset heap card)
               ~len:heap.H.cfg.H.card_bytes (fun (o : Gobj.t) ->
-                if o.Gobj.mark >= epoch then found := true);
+                if Gobj.mark o >= epoch then found := true);
             if not !found then
               emit t ~invariant:"crdt-live-agreement" ~region:rid
                 "CRDT card %d (region %d) is recorded but no marked object \
@@ -385,14 +385,14 @@ let check_crdt t =
           if
             r.Region.kind = Region.Old
             && r.Region.alloc_epoch < epoch
-            && o.Gobj.mark >= epoch
+            && Gobj.mark o >= epoch
             && o.Gobj.uid < wm
             && not (Gobj.is_forwarded o)
           then
             Gobj.iter_fields
               (fun i c ->
                 let rc = Gobj.resolve c in
-                if (not (Gobj.is_freed rc)) && rc.Gobj.region <> o.Gobj.region
+                if (not (Gobj.is_freed rc)) && Gobj.region rc <> Gobj.region o
                 then begin
                   let card = H.card_of_field heap o i in
                   if
@@ -403,7 +403,7 @@ let check_crdt t =
                       ~object_id:o.Gobj.id
                       "marked holder #%d field %d (card %d) references \
                        region %d but the card is neither recorded nor dirty"
-                      o.Gobj.id i card rc.Gobj.region
+                      o.Gobj.id i card (Gobj.region rc)
                 end)
               o)
   | _ -> ()
@@ -437,9 +437,9 @@ let check_remset_coverage t =
               let rc = Gobj.resolve c in
               if
                 (not (Gobj.is_freed rc))
-                && (H.region heap rc.Gobj.region).Region.kind = Region.Young
+                && (H.region heap (Gobj.region rc)).Region.kind = Region.Young
               then begin
-                let target_rid = rc.Gobj.region in
+                let target_rid = Gobj.region rc in
                 let covered (_name, f) =
                   f ~card:(H.card_of_field heap o i) ~target_rid
                   ||
@@ -458,7 +458,7 @@ let check_remset_coverage t =
                          (region %d); stored ref uid=%d region=%d stale=%b"
                         (fst p) o.Gobj.id r.Region.rid (Gobj.is_forwarded o) i
                         (H.card_of_field heap o i) rc.Gobj.id target_rid
-                        c.Gobj.uid c.Gobj.region (c != rc))
+                        c.Gobj.uid (Gobj.region c) (c != rc))
                   providers
               end)
             o)
@@ -483,20 +483,20 @@ let check_fwd_tables t =
                      hops"
                     old_offset
               | Some rc ->
-                  if rc.Gobj.id <> copy.Gobj.id || rc.Gobj.size <> copy.Gobj.size
+                  if rc.Gobj.id <> copy.Gobj.id || Gobj.size rc <> Gobj.size copy
                   then
                     emit t ~invariant:"fwd-table-identity"
                       ~object_id:copy.Gobj.id
                       "forwarding-table entry #%d(%dB) resolves to #%d(%dB)"
-                      copy.Gobj.id copy.Gobj.size rc.Gobj.id rc.Gobj.size;
+                      copy.Gobj.id (Gobj.size copy) rc.Gobj.id (Gobj.size rc);
                   if not (Gobj.is_freed rc) then begin
-                    let r = H.region heap rc.Gobj.region in
+                    let r = H.region heap (Gobj.region rc) in
                     if Region.is_free r then
                       emit t ~invariant:"fwd-table-live-copy"
-                        ~region:rc.Gobj.region ~object_id:rc.Gobj.id
+                        ~region:(Gobj.region rc) ~object_id:rc.Gobj.id
                         "forwarding-table entry resolves to #%d in region \
                          %d, which is free"
-                        rc.Gobj.id rc.Gobj.region
+                        rc.Gobj.id (Gobj.region rc)
                   end)
             tbl)
         (source ()))

@@ -119,10 +119,10 @@ let full_gc t =
   let on_live_ref (holder : Gobj.t) i (child : Gobj.t) =
     let child = Gobj.resolve child in
     if
-      child.Gobj.region <> holder.Gobj.region
-      && Stw_collect.remember_from (Heap_impl.region heap holder.Gobj.region)
+      Gobj.region child <> Gobj.region holder
+      && Stw_collect.remember_from (Heap_impl.region heap (Gobj.region holder))
     then
-      Region_remsets.add t.remsets ~target_rid:child.Gobj.region
+      Region_remsets.add t.remsets ~target_rid:(Gobj.region child)
         ~card:(Heap_impl.card_of_field heap holder i)
   in
   Common.full_gc_or_oom ~on_live_ref t.rt
@@ -170,11 +170,11 @@ let run_mark_cycle t =
               let child = Gobj.get_field o i in
               if
                 child != Gobj.null
-                && (Gobj.resolve child).Gobj.region <> o.Gobj.region
+                && Gobj.region (Gobj.resolve child) <> Gobj.region o
               then begin
                 Common.Ticker.tick tk rt.RtM.costs.Costs.remset_insert;
                 Region_remsets.add t.remsets
-                  ~target_rid:(Gobj.resolve child).Gobj.region
+                  ~target_rid:(Gobj.region (Gobj.resolve child))
                   ~card
               end);
         Heap_impl.clean_card heap card
@@ -291,7 +291,7 @@ let install ?(config = default_config) rt =
   let markers = [ t.marker ] in
   let store_barrier ~src ~field ~old_v ~new_v =
     Common.Marker.pre_write costs markers old_v;
-    if new_v != Gobj.null && new_v.Gobj.region <> src.Gobj.region then begin
+    if new_v != Gobj.null && Gobj.region new_v <> Gobj.region src then begin
       (* Post-write barrier: dirty the card; refinement inserts the
          remembered-set entry inline. *)
       Sim.Engine.tick costs.Costs.card_barrier;

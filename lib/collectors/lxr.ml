@@ -170,7 +170,7 @@ let install ?(config = default_config) rt =
     Sim.Engine.tick costs.Costs.rc_barrier;
     t.rc_log <- t.rc_log + 1;
     if old_v != Gobj.null then Common.Marker.satb_enqueue t.marker old_v;
-    if new_v != Gobj.null && new_v.Gobj.region <> src.Gobj.region then
+    if new_v != Gobj.null && Gobj.region new_v <> Gobj.region src then
       Stw_collect.barrier_insert rt t.remsets ~src ~field ~child:new_v
   in
   Common.install rt ~name:"lxr" ~store_barrier ~load_extra_cost:0

@@ -22,11 +22,11 @@ let remember_from (r : Region.t) = r.Region.kind = Region.Old || r.Region.humong
     cross-region references from old/humongous holders. *)
 let barrier_insert rt remsets ~(src : Gobj.t) ~field ~(child : Gobj.t) =
   let heap = rt.RtM.heap in
-  if child.Gobj.region <> src.Gobj.region then begin
-    let src_r = Heap_impl.region heap src.Gobj.region in
+  if Gobj.region child <> Gobj.region src then begin
+    let src_r = Heap_impl.region heap (Gobj.region src) in
     if remember_from src_r then begin
       Sim.Engine.tick rt.RtM.costs.Costs.remset_barrier;
-      Region_remsets.add remsets ~target_rid:child.Gobj.region
+      Region_remsets.add remsets ~target_rid:(Gobj.region child)
         ~card:(Heap_impl.card_of_field heap src field)
     end
   end
@@ -70,7 +70,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
          roots into the cset: coverage must be complete right now. *)
       RtM.fire_phase rt Runtime.Vhook.Remset_scan;
       let in_cset (o : Gobj.t) =
-        (Heap_impl.region heap o.Gobj.region).Region.in_cset
+        (Heap_impl.region heap (Gobj.region o)).Region.in_cset
       in
       let dest_young = Common.Evac.make_dest rt Region.Young in
       let dest_old = Common.Evac.make_dest rt Region.Old in
@@ -80,8 +80,8 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
          (for G1-style eager reclaim below). *)
       let humongous_reached = Hashtbl.create 8 in
       let note_humongous (o : Gobj.t) =
-        if (Heap_impl.region heap o.Gobj.region).Region.humongous then
-          Hashtbl.replace humongous_reached o.Gobj.region ()
+        if (Heap_impl.region heap (Gobj.region o)).Region.humongous then
+          Hashtbl.replace humongous_reached (Gobj.region o) ()
       in
       let tenure = Common.Evac.tenure rt ~age:tenure_age in
       let scan_list = Util.Vec.create Gobj.null in
@@ -91,15 +91,15 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
         if Gobj.is_forwarded o then Gobj.resolve o
         else begin
           let promote =
-            (Heap_impl.region heap o.Gobj.region).Region.kind = Region.Old
+            (Heap_impl.region heap (Gobj.region o)).Region.kind = Region.Old
             || Common.Evac.promotes tenure o
           in
           let dest = if promote then dest_old else dest_young in
           let o' = Common.Evac.copy_object dest tk o in
-          copied := !copied + o.Gobj.size;
+          copied := !copied + Gobj.size o;
           incr copied_objects;
           if not promote then
-            tenure.survivors <- tenure.survivors + o.Gobj.size;
+            tenure.survivors <- tenure.survivors + Gobj.size o;
           Util.Vec.push scan_list o';
           o'
         end
@@ -115,11 +115,11 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
           let child = if in_cset child then copy_out child else child in
           Gobj.set_field holder i child;
           if
-            child.Gobj.region <> holder.Gobj.region
-            && remember_from (Heap_impl.region heap holder.Gobj.region)
+            Gobj.region child <> Gobj.region holder
+            && remember_from (Heap_impl.region heap (Gobj.region holder))
           then begin
             Common.Ticker.tick tk costs.Costs.remset_insert;
-            Region_remsets.add remsets ~target_rid:child.Gobj.region
+            Region_remsets.add remsets ~target_rid:(Gobj.region child)
               ~card:(Heap_impl.card_of_field heap holder i)
           end
         end
@@ -177,7 +177,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                                   entry for the survivor's new region. *)
                                Common.Ticker.tick tk costs.Costs.remset_insert;
                                Region_remsets.add remsets
-                                 ~target_rid:child'.Gobj.region
+                                 ~target_rid:(Gobj.region child')
                                  ~card:
                                    (Heap_impl.card_of_field heap o i)
                              end
@@ -188,12 +188,12 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                                   set is cleared on release — the new
                                   location needs this holder card too. *)
                                Gobj.set_field o i child;
-                               if child.Gobj.region <> o.Gobj.region
+                               if Gobj.region child <> Gobj.region o
                                then begin
                                  Common.Ticker.tick tk
                                    costs.Costs.remset_insert;
                                  Region_remsets.add remsets
-                                   ~target_rid:child.Gobj.region
+                                   ~target_rid:(Gobj.region child)
                                    ~card:(Heap_impl.card_of_field heap o i)
                                end
                              end
@@ -242,7 +242,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                             let child = Gobj.get_field o i in
                             if
                               child != Gobj.null
-                              && (Gobj.resolve child).Gobj.region
+                              && Gobj.region (Gobj.resolve child)
                                  = r.Region.rid
                             then begin
                               ignore o;

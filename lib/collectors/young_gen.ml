@@ -62,10 +62,10 @@ let create ?(tenure_age = 1) ?(atomic_cost = false) ~style rt =
   t
 
 let is_young heap (o : Gobj.t) =
-  (Heap_impl.region heap o.Gobj.region).Region.kind = Region.Young
+  (Heap_impl.region heap (Gobj.region o)).Region.kind = Region.Young
 
 let is_old heap (o : Gobj.t) =
-  (Heap_impl.region heap o.Gobj.region).Region.kind = Region.Old
+  (Heap_impl.region heap (Gobj.region o)).Region.kind = Region.Old
 
 (** Write-barrier hook: remember old-to-young stores; during a young
     cycle also gray the stored value so concurrently created references
@@ -119,9 +119,9 @@ let scan_remset_roots t tk =
 let after_copy t tk (o : Gobj.t) (o' : Gobj.t) =
   let heap = t.rt.RtM.heap in
   if is_young heap o' then
-    t.tenure.survivors <- t.tenure.survivors + o.Gobj.size
+    t.tenure.survivors <- t.tenure.survivors + Gobj.size o
   else begin
-    Metrics.add t.rt.RtM.metrics "young.promoted_bytes" o.Gobj.size;
+    Metrics.add t.rt.RtM.metrics "young.promoted_bytes" (Gobj.size o);
     Gobj.iter_fields
       (fun i child ->
         let child = Gobj.resolve child in

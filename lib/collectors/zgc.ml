@@ -109,7 +109,7 @@ let run_cycle t =
         Util.Vec.iter
           (fun (o : Gobj.t) ->
             if Gobj.is_forwarded o then
-              Forwarding.add fwd ~old_offset:o.Gobj.offset o.Gobj.forward)
+              Forwarding.add fwd ~old_offset:(Gobj.offset o) o.Gobj.forward)
           r.Region.objects;
         t.forwarding <- fwd :: t.forwarding;
         Metrics.add rt.RtM.metrics "zgc.reclaimed_bytes" r.Region.top;

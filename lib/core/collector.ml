@@ -29,8 +29,8 @@ let full_gc t =
   Crdt.reset t.old_gc.Old.crdt;
   let on_live_ref (holder : Gobj.t) i (child : Gobj.t) =
     let child = Gobj.resolve child in
-    let holder_r = Heap_impl.region heap holder.Gobj.region in
-    let child_r = Heap_impl.region heap child.Gobj.region in
+    let holder_r = Heap_impl.region heap (Gobj.region holder) in
+    let child_r = Heap_impl.region heap (Gobj.region child) in
     if
       holder_r.Region.kind = Region.Old
       && child_r.Region.kind = Region.Young
@@ -144,7 +144,7 @@ let install ?(config = Jade_config.default) rt =
       (fun o' i child ->
         if old_gc.Old.current_group >= 0 then begin
           let g =
-            (Heap_impl.region rt.RtM.heap child.Gobj.region).Region.group
+            (Heap_impl.region rt.RtM.heap (Gobj.region child)).Region.group
           in
           if g >= old_gc.Old.current_group then
             ignore

@@ -58,12 +58,12 @@ let create ~config ~young rt =
 let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
   let heap = t.rt.RtM.heap in
   (* Null first: the sentinel's region id (-1) must never be looked up. *)
-  if new_v != Gobj.null && new_v.Gobj.region <> src.Gobj.region then begin
+  if new_v != Gobj.null && Gobj.region new_v <> Gobj.region src then begin
     let child = new_v in
     Sim.Engine.tick t.rt.RtM.costs.Costs.card_barrier;
     let card = Heap_impl.card_of_field heap src field in
     let child_is_young =
-      (Heap_impl.region heap child.Gobj.region).Region.kind = Region.Young
+      (Heap_impl.region heap (Gobj.region child)).Region.kind = Region.Young
     in
     (* The planted bug must also drop the card dirtying for old→young
        stores — otherwise the dirty bit masks the missing remset insert
@@ -74,7 +74,7 @@ let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
         && t.config.Jade_config.planted_bug = Jade_config.Skip_remset_insert)
     then Heap_impl.dirty_card heap card;
     if t.current_group >= 0 then begin
-      let g = (Heap_impl.region heap child.Gobj.region).Region.group in
+      let g = (Heap_impl.region heap (Gobj.region child)).Region.group in
       if g >= t.current_group then begin
         Sim.Engine.tick t.rt.RtM.costs.Costs.remset_barrier;
         ignore (Remset.add t.group_remsets.(g) card)
@@ -189,7 +189,7 @@ let build_remsets t =
                occupies that slot. *)
             if
               (not (Gobj.is_freed child))
-              && child.Gobj.region <> o.Gobj.region
+              && Gobj.region child <> Gobj.region o
             then begin
               (* This scan is followed by [clean_card]; if the card still
                  covers an old→young edge whose remset insert the young
@@ -197,12 +197,12 @@ let build_remsets t =
                  dirty bit is the last record of that edge — re-publish
                  it before erasing the backup.  Unbilled: an idempotent
                  bitset insert the mutator already paid for once. *)
-              (let cr = Heap_impl.region heap child.Gobj.region in
-               let hr = Heap_impl.region heap o.Gobj.region in
+              (let cr = Heap_impl.region heap (Gobj.region child) in
+               let hr = Heap_impl.region heap (Gobj.region o) in
                if
                  cr.Region.kind = Region.Young && hr.Region.kind = Region.Old
                then ignore (Remset.add t.young.Young.remset card));
-              insert_for_target tk ~card ~target_rid:child.Gobj.region
+              insert_for_target tk ~card ~target_rid:(Gobj.region child)
             end
         end)
   in
@@ -251,7 +251,7 @@ let evacuate_object_fields t tk (o' : Gobj.t) ~group =
   for i = 0 to Gobj.num_fields o' - 1 do
     let child = Gobj.get_field o' i in
     if child != Gobj.null then begin
-      let child_r = Heap_impl.region heap child.Gobj.region in
+      let child_r = Heap_impl.region heap (Gobj.region child) in
       match child_r.Region.kind with
       | Region.Young ->
           Common.Ticker.tick tk costs.Costs.remset_insert;

@@ -66,13 +66,13 @@ let create ~config rt =
   }
 
 let in_snapshot heap (o : Gobj.t) =
-  (Heap_impl.region heap o.Gobj.region).Region.in_cset
+  (Heap_impl.region heap (Gobj.region o)).Region.in_cset
 
 let is_young heap (o : Gobj.t) =
-  (Heap_impl.region heap o.Gobj.region).Region.kind = Region.Young
+  (Heap_impl.region heap (Gobj.region o)).Region.kind = Region.Young
 
 let is_old heap (o : Gobj.t) =
-  (Heap_impl.region heap o.Gobj.region).Region.kind = Region.Old
+  (Heap_impl.region heap (Gobj.region o)).Region.kind = Region.Old
 
 (** Write-barrier hook (young half): remember old-to-young stores and
     keep concurrently created young references alive during a cycle. *)
@@ -106,10 +106,10 @@ let copy_out t (dests : Common.Evac.dest * Common.Evac.dest) tk (o : Gobj.t) =
       in
       let o' = Common.Evac.copy_object ~racy ?window dest tk o in
       t.copied_objects <- t.copied_objects + 1;
-      t.copied_bytes <- t.copied_bytes + o.Gobj.size;
+      t.copied_bytes <- t.copied_bytes + Gobj.size o;
       if promote then
-        Metrics.add t.rt.RtM.metrics "jade.promoted_bytes" o.Gobj.size
-      else t.tenure.survivors <- t.tenure.survivors + o.Gobj.size;
+        Metrics.add t.rt.RtM.metrics "jade.promoted_bytes" (Gobj.size o)
+      else t.tenure.survivors <- t.tenure.survivors + Gobj.size o;
       Util.Vec.push t.scan_stack o';
       o'
   end
@@ -138,7 +138,7 @@ let scan_copy t dests tk (o' : Gobj.t) =
         (match t.old_marker with
         | Some m when m.Common.Marker.active -> Common.Marker.gray m child
         | _ -> ());
-        if is_old heap o' && o'.Gobj.region <> child.Gobj.region then
+        if is_old heap o' && Gobj.region o' <> Gobj.region child then
           match t.promoted_old_ref with
           | Some f -> f o' i child
           | None -> ()

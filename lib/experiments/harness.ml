@@ -110,6 +110,12 @@ let prepare ?(machine = default_machine) ?verify
     | Some st -> st
     | None -> raise (Setup_oom "workload setup did not complete")
   in
+  (* The live set just built lives as long as the run.  Promote it here,
+     as part of set-up, rather than in whichever host minor collection
+     first lands in the run: which phase pays for it would otherwise
+     depend only on where the minor-heap boundary happens to fall (a
+     set-up that fits in one minor heap leaves all of it for the run). *)
+  Gc.minor ();
   (rt, fun m -> Workload.Spec.request st rt m)
 
 (* A summary for runs that died building the live set. *)

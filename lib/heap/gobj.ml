@@ -46,23 +46,66 @@ type t = {
   mutable uid : int;  (** physical identity of this record — unique per
                           copy, never reused (pooled records mint a fresh
                           one); keys forwarding-install race checks *)
-  mutable size : int;  (** bytes, header included *)
   mutable fields : t array;  (** reference slots; {!null} = empty *)
-  mutable region : int;
-  mutable offset : int;  (** byte offset of the header inside the region *)
   mutable forward : t;  (** newer copy; {!null} = not relocated *)
-  mutable mark : int;  (** epoch of the last old/full marking that reached it *)
-  mutable ymark : int;
-      (** epoch of the last *young* marking that reached it — young and
-          old cycles co-run, so their mark state must not alias *)
-  mutable age : int;  (** young collections survived *)
-  mutable flags : int;
   mutable inrefs : int;
       (** heap reference slots currently holding this record.  Roots are
           deliberately not counted: a root-reachable object is marked and
           hence forwarded before its region is ever released, so the
           zero-inrefs recycling test never sees it. *)
+  mutable loc : int;  (** packed [region] and [offset]; see below *)
+  mutable marks : int;  (** packed [mark] and [ymark] epochs *)
+  mutable meta : int;  (** packed [size], [age] and [flags] *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* Packed header words.                                                 *)
+(*
+   loc   = region lsl 32 lor offset       offset: bits 0-31 (unsigned)
+                                          region: bits 32-62 (signed; the
+                                          sentinel's -1 survives [asr])
+   marks = mark lsl 31 lor ymark          ymark: bits 0-30, mark: 31-61
+   meta  = size lsl 28 lor age lsl 8 lor flags
+                                          flags: bits 0-7, age: 8-27,
+                                          size: bits 28-61
+
+   Every width is checked where its bound is set, never wrapped: region
+   sizes when a heap is created, epochs when a marking cycle begins, ages
+   when a copy is made, flags when one is set, and everything in the cold
+   {!make}.  The hot accessors then decode with one shift or mask and no
+   test. *)
+
+let offset_bits = 32
+let max_offset = (1 lsl offset_bits) - 1
+let max_region = (1 lsl (62 - offset_bits)) - 1
+let max_region_bytes = 1 lsl offset_bits
+let epoch_bits = 31
+let max_epoch = (1 lsl epoch_bits) - 1
+let flag_bits = 8
+let flag_mask = (1 lsl flag_bits) - 1
+let age_bits = 20
+let max_age = (1 lsl age_bits) - 1
+let age_field = max_age lsl flag_bits
+let size_shift = flag_bits + age_bits
+let max_size = (1 lsl (62 - size_shift)) - 1
+
+let[@inline] pack_loc ~region ~offset = (region lsl offset_bits) lor offset
+let[@inline] region t = t.loc asr offset_bits
+let[@inline] offset t = t.loc land max_offset
+let[@inline] set_loc t ~region ~offset = t.loc <- pack_loc ~region ~offset
+let[@inline] mark t = t.marks lsr epoch_bits
+let[@inline] ymark t = t.marks land max_epoch
+let[@inline] set_mark t e = t.marks <- (e lsl epoch_bits) lor (t.marks land max_epoch)
+let[@inline] set_ymark t e = t.marks <- (t.marks land lnot max_epoch) lor e
+let[@inline] size t = t.meta lsr size_shift
+let[@inline] age t = (t.meta lsr flag_bits) land max_age
+let[@inline] flags t = t.meta land flag_mask
+
+let check_range what v ~max =
+  if v < 0 || v > max then
+    invalid_arg (Printf.sprintf "Gobj: %s %d outside [0, %d]" what v max)
+
+let check_epoch e = check_range "epoch" e ~max:max_epoch
 
 let header_bytes = 16
 let slot_bytes = 8
@@ -87,16 +130,12 @@ let rec null =
   {
     id = -1;
     uid = -1;
-    size = 0;
     fields = no_fields;
-    region = -1;
-    offset = 0;
     forward = null;
-    mark = 0;
-    ymark = 0;
-    age = 0;
-    flags = 0;
     inrefs = 0;
+    loc = pack_loc ~region:(-1) ~offset:0;
+    marks = 0;
+    meta = 0;
   }
 
 let[@inline] is_null t = t == null
@@ -145,42 +184,30 @@ let uid_watermark () = !(Domain.DLS.get uid_counter_key)
     runs share a domain (sequential) or not ([-j N]). *)
 let reset_uids () = Domain.DLS.get uid_counter_key := 0
 
-(** [make] with a cached uid handle — the allocation fast path. *)
-let make_with ~uids ~id ~size ~nrefs ~region ~offset =
-  {
-    id;
-    uid = mint uids;
-    size;
-    fields = (if nrefs = 0 then no_fields else Array.make nrefs null);
-    region;
-    offset;
-    forward = null;
-    mark = 0;
-    ymark = 0;
-    age = 0;
-    flags = 0;
-    inrefs = 0;
-  }
-
+(** Checked constructor for cold paths and tests: pays the DLS lookup
+    for the uid and range-checks every packed header field. *)
 let make ~id ~size ~nrefs ~region ~offset =
+  check_range "region" region ~max:max_region;
+  check_range "offset" offset ~max:max_offset;
+  check_range "size" size ~max:max_size;
   {
     id;
     uid = fresh_uid ();
-    size;
     fields = (if nrefs = 0 then no_fields else Array.make nrefs null);
-    region;
-    offset;
     forward = null;
-    mark = 0;
-    ymark = 0;
-    age = 0;
-    flags = 0;
     inrefs = 0;
+    loc = pack_loc ~region ~offset;
+    marks = 0;
+    meta = size lsl size_shift;
   }
 
-let has_flag t f = t.flags land f <> 0
-let set_flag t f = t.flags <- t.flags lor f
-let clear_flag t f = t.flags <- t.flags land lnot f
+let has_flag t f = t.meta land f <> 0
+
+let set_flag t f =
+  check_range "flags" f ~max:flag_mask;
+  t.meta <- t.meta lor f
+
+let clear_flag t f = t.meta <- t.meta land lnot (f land flag_mask)
 
 let is_weak_referent t = has_flag t flag_weak_referent
 let is_humongous t = has_flag t flag_humongous
@@ -224,7 +251,7 @@ let forward_depth t =
 let num_fields t = Array.length t.fields
 
 (** Byte offset of field slot [i] inside the object's region. *)
-let field_offset t i = t.offset + header_bytes + (i * slot_bytes)
+let field_offset t i = offset t + header_bytes + (i * slot_bytes)
 
 (* Reads past the end of [fields] return the sentinel instead of
    raising: a region release can detach a dead resident's field array
@@ -262,7 +289,7 @@ let iter_fields f t =
 let pp fmt t =
   if is_null t then Format.fprintf fmt "<null>"
   else
-    Format.fprintf fmt "#%d(%dB r%d+%d%s)" t.id t.size t.region t.offset
+    Format.fprintf fmt "#%d(%dB r%d+%d%s)" t.id (size t) (region t) (offset t)
       (if is_forwarded t then " fwd" else "")
 
 (* ------------------------------------------------------------------ *)
@@ -336,41 +363,25 @@ module Pool = struct
     (p.records_reused, p.arrays_reused, p.records_pooled, p.arrays_pooled)
 end
 
-(** Pool-aware {!make_with}: the allocation fast path.  A recycled
+(** Pool-aware allocation: the fast path.  A recycled
     record is reinitialized field-for-field like a literal and mints its
     uid from the same handle, so the simulated state cannot tell a
     pooled object from a fresh one. *)
 let alloc_with ~pool ~uids ~id ~size ~nrefs ~region ~offset =
   let fields = Pool.take_array pool nrefs in
   let c = Pool.take_record pool in
+  let loc = pack_loc ~region ~offset and meta = size lsl size_shift in
   if c == null then
-    {
-      id;
-      uid = mint uids;
-      size;
-      fields;
-      region;
-      offset;
-      forward = null;
-      mark = 0;
-      ymark = 0;
-      age = 0;
-      flags = 0;
-      inrefs = 0;
-    }
+    { id; uid = mint uids; fields; forward = null; inrefs = 0; loc; marks = 0; meta }
   else begin
     c.id <- id;
     c.uid <- mint uids;
-    c.size <- size;
     c.fields <- fields;
-    c.region <- region;
-    c.offset <- offset;
     c.forward <- null;
-    c.mark <- 0;
-    c.ymark <- 0;
-    c.age <- 0;
-    c.flags <- 0;
     c.inrefs <- 0;
+    c.loc <- loc;
+    c.marks <- 0;
+    c.meta <- meta;
     c
   end
 
@@ -379,34 +390,29 @@ let alloc_with ~pool ~uids ~id ~size ~nrefs ~region ~offset =
     (one logical set of slots); [inrefs] starts at 0 — healing migrates
     each incoming edge from the old record through {!set_field}. *)
 let remake ~pool ~uids (o : t) ~age ~region ~offset =
+  check_range "age" age ~max:max_age;
   let c = Pool.take_record pool in
+  let loc = pack_loc ~region ~offset
+  and meta = (o.meta land lnot age_field) lor (age lsl flag_bits) in
   if c == null then
     {
       id = o.id;
       uid = mint uids;
-      size = o.size;
       fields = o.fields;
-      region;
-      offset;
       forward = null;
-      mark = o.mark;
-      ymark = o.ymark;
-      age;
-      flags = o.flags;
       inrefs = 0;
+      loc;
+      marks = o.marks;
+      meta;
     }
   else begin
     c.id <- o.id;
     c.uid <- mint uids;
-    c.size <- o.size;
     c.fields <- o.fields;
-    c.region <- region;
-    c.offset <- offset;
     c.forward <- null;
-    c.mark <- o.mark;
-    c.ymark <- o.ymark;
-    c.age <- age;
-    c.flags <- o.flags;
     c.inrefs <- 0;
+    c.loc <- loc;
+    c.marks <- o.marks;
+    c.meta <- meta;
     c
   end

@@ -18,26 +18,20 @@
 
     Dead records and field arrays are recycled through a {!Pool} owned by
     {!Heap_impl.t} — see the ownership rules there and on {!Pool}.  The
-    record is concrete: collectors and the verifier read and mutate
-    fields directly on their hot paths (every field is [mutable] so
-    pooled records can be reinitialized in place). *)
+    record is concrete: collectors and the verifier read and mutate the
+    reference-graph fields ([fields], [forward], [inrefs]) directly on
+    their hot paths (every field is [mutable] so pooled records can be
+    reinitialized in place).  The scalar header is packed into three
+    words — [loc], [marks] and [meta] — read and written only through the
+    accessors below, so a record is 8 words of payload instead of 12. *)
 
 type t = {
   mutable id : int;  (** logical identity, preserved across copies *)
   mutable uid : int;  (** physical identity of this record — unique per
                           copy, never reused (pooled records mint a fresh
                           one); keys forwarding-install race checks *)
-  mutable size : int;  (** bytes, header included *)
   mutable fields : t array;  (** reference slots; {!null} = empty *)
-  mutable region : int;
-  mutable offset : int;  (** byte offset of the header inside the region *)
   mutable forward : t;  (** newer copy; {!null} = not relocated *)
-  mutable mark : int;  (** epoch of the last old/full marking that reached it *)
-  mutable ymark : int;
-      (** epoch of the last *young* marking that reached it — young and
-          old cycles co-run, so their mark state must not alias *)
-  mutable age : int;  (** young collections survived *)
-  mutable flags : int;
   mutable inrefs : int;
       (** heap reference slots currently holding this record, maintained
           at the {!set_field} choke point plus a decrement pass over
@@ -46,7 +40,79 @@ type t = {
           before its region is released, so the zero-[inrefs] recycling
           test never sees it.  Gates record recycling only — never a
           liveness source for the simulated collectors. *)
+  mutable loc : int;
+      (** {!region} and {!offset}: [region lsl 32 lor offset] *)
+  mutable marks : int;
+      (** {!mark} and {!ymark}: [mark lsl 31 lor ymark] *)
+  mutable meta : int;
+      (** {!size}, {!age} and {!flags}: [size lsl 28 lor age lsl 8 lor flags] *)
 }
+
+(** {2 Packed header}
+
+    Each width is checked where its bound is set, never wrapped:
+    {!Heap_impl.create} checks region ids and region sizes,
+    {!Heap_impl.begin_mark} and {!Heap_impl.begin_young_mark} check
+    epochs, {!remake} checks ages, {!set_flag} checks flag bits, and the
+    cold {!make} checks everything.  Out-of-range values
+    raise [Invalid_argument].  The accessors decode with one shift or
+    mask and test nothing. *)
+
+val max_region : int
+(** Largest region id a [loc] word holds (2^30 - 1); the sentinel's
+    region is -1. *)
+
+val max_offset : int
+(** Largest byte offset a [loc] word holds (2^32 - 1). *)
+
+val max_region_bytes : int
+(** Largest region size whose offsets and object sizes all fit (2^32). *)
+
+val max_epoch : int
+(** Largest mark or young-mark epoch (2^31 - 1). *)
+
+val max_age : int
+(** Largest age (2^20 - 1). *)
+
+val flag_mask : int
+(** The 8 flag bits. *)
+
+val max_size : int
+(** Largest object size in bytes (2^34 - 1). *)
+
+val region : t -> int
+(** Id of the region holding the record; -1 for {!null}. *)
+
+val offset : t -> int
+(** Byte offset of the header inside its region. *)
+
+val set_loc : t -> region:int -> offset:int -> unit
+(** Unchecked: the caller places the record inside a region of a heap
+    whose geometry {!Heap_impl.create} checked. *)
+
+val mark : t -> int
+(** Epoch of the last old/full marking that reached the record. *)
+
+val ymark : t -> int
+(** Epoch of the last *young* marking that reached it — young and old
+    cycles co-run, so their mark state must not alias. *)
+
+val set_mark : t -> int -> unit
+(** Unchecked: epochs are checked when a marking cycle begins. *)
+
+val set_ymark : t -> int -> unit
+(** Unchecked, like {!set_mark}. *)
+
+val check_epoch : int -> unit
+(** Raise [Invalid_argument] unless the epoch is in [0, max_epoch]. *)
+
+val size : t -> int
+(** Bytes, header included. *)
+
+val age : t -> int
+(** Young collections survived; set by {!remake}. *)
+
+val flags : t -> int
 
 (** {2 The null sentinel} *)
 
@@ -119,17 +185,17 @@ val reset_uids : unit -> unit
 
 (** {2 Construction} *)
 
-val make_with :
-  uids:uids -> id:int -> size:int -> nrefs:int -> region:int -> offset:int -> t
-(** [make] with a cached uid handle; allocates fresh storage. *)
-
 val make : id:int -> size:int -> nrefs:int -> region:int -> offset:int -> t
-(** Like {!make_with} but pays the DLS lookup; for cold paths and tests. *)
+(** Fresh storage, with the DLS lookup for the uid and every header
+    field range-checked; for cold paths and tests. *)
 
 (** {2 Flags} *)
 
 val has_flag : t -> int -> bool
+
 val set_flag : t -> int -> unit
+(** Checked against {!flag_mask}. *)
+
 val clear_flag : t -> int -> unit
 val is_weak_referent : t -> bool
 val is_humongous : t -> bool
@@ -231,11 +297,12 @@ val alloc_with :
   region:int ->
   offset:int ->
   t
-(** Pool-aware {!make_with} — the allocation fast path. *)
+(** Pool-aware allocation — the fast path.  Unchecked: {!Heap_impl}
+    allocates only inside regions of a checked geometry. *)
 
 val remake : pool:Pool.t -> uids:uids -> t -> age:int -> region:int -> offset:int -> t
 (** Pool-aware copy record for relocation: logical identity, size, mark
-    state and flags carry over; the [fields] array is shared with the
+    state and flags carry over, [age] is checked against {!max_age}; the [fields] array is shared with the
     source (one logical set of slots); [inrefs] starts at 0 — healing
     migrates each incoming edge from the old record through
     {!set_field}. *)

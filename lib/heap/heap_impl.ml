@@ -125,6 +125,12 @@ let create ?(costs = Costs.default) cfg =
   if nregions < 2 then invalid_arg "Heap.create: need at least two regions";
   if nregions > Crdt.max_region_id then
     invalid_arg "Heap.create: too many regions for CRDT encoding";
+  (* The packed object header ([Gobj.t]'s [loc] and [meta] words) holds
+     region ids, offsets and object sizes without a per-object test: ids
+     are bounded by the stricter CRDT limit above, offsets and sizes by
+     the region size. *)
+  if cfg.region_bytes > Gobj.max_region_bytes then
+    invalid_arg "Heap.create: region_bytes too large for the object header";
   let regions =
     Array.init nregions (fun rid ->
         Region.make ~card_bytes:cfg.card_bytes ~rid ~size:cfg.region_bytes ())
@@ -172,7 +178,7 @@ let used_bytes t = t.used
     raw [Region.push_obj] so heap-level accounting stays exact. *)
 let push_relocated t (r : Region.t) (o : Gobj.t) =
   Region.push_obj r o;
-  t.used <- t.used + o.size
+  t.used <- t.used + Gobj.size o
 
 (** A collector about to rebuild [r] in place (full-GC slide) retires the
     region's current contents from the incremental {!used_bytes};
@@ -185,7 +191,8 @@ let begin_region_rebuild t (r : Region.t) = t.used <- t.used - r.top
 let card_of t ~rid ~offset = (rid * cards_per_region t) + (offset / t.cfg.card_bytes)
 
 (** Card holding field slot [i] of [o]. *)
-let card_of_field t (o : Gobj.t) i = card_of t ~rid:o.region ~offset:(Gobj.field_offset o i)
+let card_of_field t (o : Gobj.t) i =
+  card_of t ~rid:(Gobj.region o) ~offset:(Gobj.field_offset o i)
 
 let card_to_region t card = card / cards_per_region t
 
@@ -221,7 +228,7 @@ let scan_card t card ~f =
     Region.iter_objects_in_range r ~off ~len:t.cfg.card_bytes (fun o ->
         let nf = Gobj.num_fields o in
         if nf > 0 then begin
-          let base = o.Gobj.offset + Gobj.header_bytes in
+          let base = Gobj.offset o + Gobj.header_bytes in
           let lo =
             if base >= off then 0
             else (off - base + Gobj.slot_bytes - 1) lsr Gobj.slot_shift
@@ -369,8 +376,8 @@ let alloc_in t (r : Region.t) ?id ~size ~nrefs () =
     Gobj.alloc_with ~pool:t.pool ~uids:t.uids ~id ~size ~nrefs ~region:r.rid
       ~offset:r.top
   in
-  if t.allocate_live then o.mark <- t.mark_epoch;
-  if t.allocate_live_young then o.ymark <- t.young_epoch;
+  if t.allocate_live then Gobj.set_mark o t.mark_epoch;
+  if t.allocate_live_young then Gobj.set_ymark o t.young_epoch;
   Region.push_obj r o;
   t.bytes_allocated <- t.bytes_allocated + size;
   t.used <- t.used + size;
@@ -388,6 +395,7 @@ let object_size ~nrefs ~data_bytes =
     collection marks only young regions and must not clobber the old
     generation's results from its own marking cycle. *)
 let begin_mark ?(scope = fun (_ : Region.t) -> true) t =
+  Gobj.check_epoch (t.mark_epoch + 1);
   t.mark_epoch <- t.mark_epoch + 1;
   t.allocate_live <- true;
   Array.iter
@@ -410,18 +418,18 @@ let end_mark ?(scope = fun (_ : Region.t) -> true) t =
            else r.marking_live))
     t.regions
 
-let is_marked t (o : Gobj.t) = o.mark >= t.mark_epoch
+let is_marked t (o : Gobj.t) = Gobj.mark o >= t.mark_epoch
 
 (** Mark [o] in the current old epoch; returns false if it already was.
     Also accounts region live bytes and sets the region's live bitmap. *)
 let mark_object t (o : Gobj.t) =
-  if o.mark >= t.mark_epoch then false
+  if Gobj.mark o >= t.mark_epoch then false
   else begin
     Access.log_with t.hooks Access.Atomic Access.Mark_bit ~key:o.uid
       ~site:"Heap_impl.mark_object";
-    o.mark <- t.mark_epoch;
-    let r = t.regions.(o.region) in
-    r.marking_live <- r.marking_live + o.size;
+    Gobj.set_mark o t.mark_epoch;
+    let r = t.regions.(Gobj.region o) in
+    r.marking_live <- r.marking_live + Gobj.size o;
     Region.livemap_mark r o;
     true
   end
@@ -430,6 +438,7 @@ let mark_object t (o : Gobj.t) =
    young cycle can overlap an old cycle without corrupting it. -------- *)
 
 let begin_young_mark t =
+  Gobj.check_epoch (t.young_epoch + 1);
   t.young_epoch <- t.young_epoch + 1;
   t.allocate_live_young <- true;
   Array.iter
@@ -440,16 +449,16 @@ let begin_young_mark t =
 
 let end_young_mark t = t.allocate_live_young <- false
 
-let is_marked_young t (o : Gobj.t) = o.ymark >= t.young_epoch
+let is_marked_young t (o : Gobj.t) = Gobj.ymark o >= t.young_epoch
 
 let mark_object_young t (o : Gobj.t) =
-  if o.ymark >= t.young_epoch then false
+  if Gobj.ymark o >= t.young_epoch then false
   else begin
     Access.log_with t.hooks Access.Atomic Access.Mark_bit ~key:o.uid
       ~site:"Heap_impl.mark_object_young";
-    o.ymark <- t.young_epoch;
-    let r = t.regions.(o.region) in
-    r.marking_live <- r.marking_live + o.size;
+    Gobj.set_ymark o t.young_epoch;
+    let r = t.regions.(Gobj.region o) in
+    r.marking_live <- r.marking_live + Gobj.size o;
     true
   end
 

@@ -100,18 +100,18 @@ let[@inline] card_index t off =
     one shift and one compare.  Amortized O(1): every BOT entry is
     written at most once per region lifetime. *)
 let push_obj t (o : Gobj.t) =
-  o.region <- t.rid;
-  o.offset <- t.top;
+  Gobj.set_loc o ~region:t.rid ~offset:t.top;
   let idx = Util.Vec.length t.objects in
   Util.Vec.push t.objects o;
-  if o.size > 0 then begin
-    let c1 = card_index t (t.top + o.size - 1) in
+  let size = Gobj.size o in
+  if size > 0 then begin
+    let c1 = card_index t (t.top + size - 1) in
     while t.bot_filled <= c1 do
       Array.unsafe_set t.bot t.bot_filled idx;
       t.bot_filled <- t.bot_filled + 1
     done
   end;
-  t.top <- t.top + o.size
+  t.top <- t.top + size
 
 (* Forget every object without touching liveness/kind bookkeeping: the
    full-GC in-place slide empties the region and immediately re-pushes
@@ -133,10 +133,10 @@ let livemap_get t =
       m
 
 let livemap_mark t (o : Gobj.t) =
-  ignore (Util.Bitset.set (livemap_get t) (o.offset / 8))
+  ignore (Util.Bitset.set (livemap_get t) (Gobj.offset o / 8))
 
 let livemap_is_marked t (o : Gobj.t) =
-  match t.livemap with None -> false | Some m -> Util.Bitset.get m (o.offset / 8)
+  match t.livemap with None -> false | Some m -> Util.Bitset.get m (Gobj.offset o / 8)
 
 let livemap_clear t = match t.livemap with None -> () | Some m -> Util.Bitset.clear_all m
 
@@ -160,7 +160,7 @@ let first_object_at t ~off =
         !i < n
         &&
         let o = Util.Vec.get t.objects !i in
-        o.offset + o.size <= off
+        Gobj.offset o + Gobj.size o <= off
       do
         incr i
       done;
@@ -171,12 +171,11 @@ let first_object_at t ~off =
          the card's end, found by binary search (cold path — only freshly
          reset or humongous-tail gaps hit it). *)
       let i =
-        Util.Vec.find_first_geq t.objects ~key:off ~of_elt:(fun (o : Gobj.t) ->
-            o.offset)
+        Util.Vec.find_first_geq t.objects ~key:off ~of_elt:Gobj.offset
       in
       if i > 0 then
         let prev = Util.Vec.get t.objects (i - 1) in
-        if prev.offset + prev.size > off then i - 1 else i
+        if Gobj.offset prev + Gobj.size prev > off then i - 1 else i
       else i
     end
   end
@@ -192,7 +191,7 @@ let iter_objects_in_range t ~off ~len f =
   let continue_ = ref true in
   while !continue_ && !i < Util.Vec.length t.objects do
     let o = Util.Vec.get t.objects !i in
-    if o.offset >= stop then continue_ := false
+    if Gobj.offset o >= stop then continue_ := false
     else begin
       f o;
       incr i

@@ -169,12 +169,12 @@ let phase_avg t name =
 
 (* -- counters -------------------------------------------------------- *)
 
-let add t key n =
-  if t.recording then
-    Hashtbl.replace t.counters key
-      (n + Option.value ~default:0 (Hashtbl.find_opt t.counters key))
+(* Matching on [Not_found] rather than a [find_opt] result: collectors
+   bump counters per promoted object, and [Some] would box every read. *)
+let counter t key =
+  match Hashtbl.find t.counters key with n -> n | exception Not_found -> 0
 
-let counter t key = Option.value ~default:0 (Hashtbl.find_opt t.counters key)
+let add t key n = if t.recording then Hashtbl.replace t.counters key (n + counter t key)
 
 (* -- summaries ------------------------------------------------------- *)
 

@@ -244,10 +244,7 @@ let get_root m i =
   else o
 
 (** Drop stack roots above index [n] (end-of-request cleanup). *)
-let truncate_roots m n =
-  while Util.Vec.length m.roots > n do
-    ignore (Util.Vec.pop m.roots)
-  done
+let truncate_roots m n = Util.Vec.truncate m.roots n
 
 let clear_roots m = Util.Vec.clear m.roots
 

@@ -39,7 +39,7 @@ type state =
   | Sleeping of int (* absolute wake time *)
   | Finished
 
-type cont = K : (unit, unit) Effect.Deep.continuation -> cont
+type cont = No_cont | K : (unit, unit) Effect.Deep.continuation -> cont
 
 type thread = {
   tid : int;
@@ -48,7 +48,7 @@ type thread = {
   daemon : bool; (* daemons do not keep the simulation alive *)
   mutable state : state;
   mutable debt : int; (* virtual ns still to pay before resuming *)
-  mutable cont : cont option;
+  mutable cont : cont; (* [No_cont] unless suspended *)
   mutable yielded : bool;
   mutable enqueued : bool; (* membership flag for the run queue *)
   mutable body : (unit -> unit) option; (* set until first scheduled *)
@@ -66,7 +66,7 @@ let dummy_thread =
     daemon = true;
     state = Finished;
     debt = 0;
-    cont = None;
+    cont = No_cont;
     yielded = false;
     enqueued = false;
     body = None;
@@ -190,7 +190,7 @@ let spawn t ?(daemon = false) ~name ~kind body =
       daemon;
       state = Runnable;
       debt = 0;
-      cont = None;
+      cont = No_cont;
       yielded = false;
       enqueued = false;
       body = Some body;
@@ -279,12 +279,16 @@ let on_finish th f = th.on_finish <- f :: th.on_finish
 
 let finish_thread t th =
   th.state <- Finished;
-  th.cont <- None;
+  th.cont <- No_cont;
   if not th.daemon then t.live_nondaemon <- t.live_nondaemon - 1;
   List.iter (fun f -> f ()) th.on_finish;
   th.on_finish <- []
 
 let handler t th : (unit, unit) Effect.Deep.handler =
+  (* Tick and Yield suspend a thread every quantum, so their capture
+     closure is built once per thread and their payload is stored before
+     the capture: such a suspension allocates only the continuation. *)
+  let capture = Some (fun k -> th.cont <- K k) in
   {
     retc = (fun () -> finish_thread t th);
     exnc =
@@ -292,29 +296,26 @@ let handler t th : (unit, unit) Effect.Deep.handler =
         if t.failure = None then t.failure <- Some e;
         finish_thread t th);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
         match eff with
         | Tick n ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                th.cont <- Some (K k);
-                th.debt <- n)
+            th.debt <- n;
+            capture
         | Yield ->
-            Some
-              (fun k ->
-                th.cont <- Some (K k);
-                th.yielded <- true)
+            th.yielded <- true;
+            capture
         | Wait c ->
             Some
               (fun k ->
-                th.cont <- Some (K k);
+                th.cont <- K k;
                 th.state <- Blocked;
                 th.blocked_on <- c.cname;
                 Queue.push th c.waiters)
         | Sleep_until wake ->
             Some
               (fun k ->
-                th.cont <- Some (K k);
+                th.cont <- K k;
                 if wake <= now t then () (* zero-length sleep: stay runnable *)
                 else begin
                   th.state <- Sleeping wake;
@@ -325,13 +326,13 @@ let handler t th : (unit, unit) Effect.Deep.handler =
 
 let resume t th =
   match th.cont, th.body with
-  | Some (K k), _ ->
-      th.cont <- None;
+  | K k, _ ->
+      th.cont <- No_cont;
       Effect.Deep.continue k ()
-  | None, Some body ->
+  | No_cont, Some body ->
       th.body <- None;
       Effect.Deep.match_with body () (handler t th)
-  | None, None ->
+  | No_cont, None ->
       failwith
         (Printf.sprintf
            "Sim.Engine.resume: thread %S (tid %d, state %s) has neither a \

@@ -10,7 +10,11 @@ type t = {
   sub_bits : int;
   counts : int array;
   mutable total : int;
-  mutable sum : float;
+  mutable sum : int;
+      (** exact integer sum: an [int] field keeps {!record} free of the
+          boxed-float store a [float] field costs; the float views
+          ({!sum}, {!mean}) equal a float accumulator's while the total
+          stays below 2^53 ns (~104 days) *)
   mutable max_value : int;
   mutable min_value : int;
 }
@@ -22,7 +26,7 @@ let create ?(sub_bits = 7) () =
     sub_bits;
     counts = Array.make nbuckets 0;
     total = 0;
-    sum = 0.;
+    sum = 0;
     max_value = 0;
     min_value = max_int;
   }
@@ -30,7 +34,7 @@ let create ?(sub_bits = 7) () =
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.total <- 0;
-  t.sum <- 0.;
+  t.sum <- 0;
   t.max_value <- 0;
   t.min_value <- max_int
 
@@ -71,7 +75,7 @@ let record ?(count = 1) t v =
     let b = min (bucket_of t v) (Array.length t.counts - 1) in
     t.counts.(b) <- t.counts.(b) + count;
     t.total <- t.total + count;
-    t.sum <- t.sum +. (float_of_int v *. float_of_int count);
+    t.sum <- t.sum + (v * count);
     if v > t.max_value then t.max_value <- v;
     if v < t.min_value then t.min_value <- v
   end
@@ -79,8 +83,8 @@ let record ?(count = 1) t v =
 let total t = t.total
 let max_value t = t.max_value
 let min_value t = if t.total = 0 then 0 else t.min_value
-let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
-let sum t = t.sum
+let mean t = if t.total = 0 then 0. else float_of_int t.sum /. float_of_int t.total
+let sum t = float_of_int t.sum
 
 (** [percentile t p] with [p] in [0, 100]; 0 when empty. *)
 let percentile t p =
@@ -111,7 +115,7 @@ let merge ~into src =
     (fun i c -> if c > 0 then into.counts.(i) <- into.counts.(i) + c)
     src.counts;
   into.total <- into.total + src.total;
-  into.sum <- into.sum +. src.sum;
+  into.sum <- into.sum + src.sum;
   if src.max_value > into.max_value then into.max_value <- src.max_value;
   if src.total > 0 && src.min_value < into.min_value then
     into.min_value <- src.min_value

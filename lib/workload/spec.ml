@@ -67,7 +67,8 @@ type state = {
   seg_fanout : int;
   (* per-mutator medium pools, keyed by mutator id *)
   pools : (int, int) Hashtbl.t;  (** mutator id -> root index of its pool *)
-  mutable next_pool_idx : (int, int) Hashtbl.t;
+  next_pool_idx : (int, int) Hashtbl.t;
+      (** mutator id -> next pool slot to overwrite; bound with [pools] *)
 }
 
 let dir rt st =
@@ -143,13 +144,15 @@ let setup spec rt (m : Runtime.Mutator.t) =
   st
 
 (* Resolve this mutator's pool object, creating it on first use.  The pool
-   lives at a stable index of the mutator's root set. *)
+   lives at a stable index of the mutator's root set.  Runs once per
+   request, so the lookup matches on [Not_found] rather than boxing a
+   [find_opt] result. *)
 let pool_of st (m : Runtime.Mutator.t) =
-  match Hashtbl.find_opt st.pools m.Runtime.Mutator.mid with
-  | Some idx ->
+  match Hashtbl.find st.pools m.Runtime.Mutator.mid with
+  | idx ->
       let p = Runtime.Mutator.get_root m idx in
       if Heap.Gobj.is_null p then invalid_arg "pool root was cleared" else p
-  | None ->
+  | exception Not_found ->
       let p = Runtime.Mutator.alloc m ~data_bytes:0 ~nrefs:st.spec.pool_slots in
       let idx = Runtime.Mutator.push_root m p in
       Hashtbl.replace st.pools m.Runtime.Mutator.mid idx;
@@ -214,9 +217,8 @@ let request st rt (m : Runtime.Mutator.t) =
      overwriting (killing) entries [pool_slots] requests old.  The cursor
      walks down the temp chain through the rooted slot. *)
   (if not (Heap.Gobj.is_null pool) then begin
-    let idx0 =
-      Option.value ~default:0 (Hashtbl.find_opt st.next_pool_idx m.Runtime.Mutator.mid)
-    in
+    (* [pool_of] bound this mutator's cursor with its pool. *)
+    let idx0 = Hashtbl.find st.next_pool_idx m.Runtime.Mutator.mid in
     for j = 0 to spec.survivors - 1 do
       let o = Runtime.Mutator.get_root m temp_root in
       if not (Heap.Gobj.is_null o) then begin

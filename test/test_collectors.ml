@@ -70,20 +70,20 @@ let verify_reachable rt =
       Hashtbl.replace seen o.Heap.Gobj.id ();
       incr count;
       if Heap.Gobj.is_freed o then begin
-        let r = Heap.Heap_impl.region heap o.Heap.Gobj.region in
+        let r = Heap.Heap_impl.region heap (Heap.Gobj.region o) in
         Alcotest.failf
           "reachable object #%d is freed (region %d kind=%s top=%d off=%d size=%d fwd=%b mark=%d ymark=%d epoch=%d age=%d)"
-          o.Heap.Gobj.id o.Heap.Gobj.region
+          o.Heap.Gobj.id (Heap.Gobj.region o)
           (Heap.Region.kind_to_string r.Heap.Region.kind)
-          r.Heap.Region.top o.Heap.Gobj.offset o.Heap.Gobj.size
-          (Heap.Gobj.is_forwarded o) o.Heap.Gobj.mark o.Heap.Gobj.ymark
-          heap.Heap.Heap_impl.mark_epoch o.Heap.Gobj.age
+          r.Heap.Region.top (Heap.Gobj.offset o) (Heap.Gobj.size o)
+          (Heap.Gobj.is_forwarded o) (Heap.Gobj.mark o) (Heap.Gobj.ymark o)
+          heap.Heap.Heap_impl.mark_epoch (Heap.Gobj.age o)
       end;
-      let r = Heap.Heap_impl.region heap o.Heap.Gobj.region in
+      let r = Heap.Heap_impl.region heap (Heap.Gobj.region o) in
       if Heap.Region.is_free r then
         Alcotest.failf "reachable object #%d lives in a free region"
           o.Heap.Gobj.id;
-      if o.Heap.Gobj.offset + o.Heap.Gobj.size > r.Heap.Region.top then
+      if Heap.Gobj.offset o + Heap.Gobj.size o > r.Heap.Region.top then
         Alcotest.failf "reachable object #%d outside its region's span"
           o.Heap.Gobj.id;
       Heap.Gobj.iter_fields (fun _ child -> visit (depth + 1) child) o

@@ -97,7 +97,7 @@ let test_object_offsets_sorted () =
   let r = claim_exn heap Region.Young in
   let sizes = [ 64; 128; 32; 256; 48 ] in
   let objs = List.map (fun s -> alloc heap r ~size:s ~nrefs:0) sizes in
-  let offsets = List.map (fun (o : Gobj.t) -> o.Gobj.offset) objs in
+  let offsets = List.map (fun (o : Gobj.t) -> Gobj.offset o) objs in
   Alcotest.(check (list int)) "bump offsets" [ 0; 64; 192; 224; 480 ] offsets
 
 let test_forwarding_resolve () =
@@ -308,7 +308,7 @@ let first_object_at_model =
              if i >= n then n
              else
                let o = Util.Vec.get r.Region.objects i in
-               if o.Gobj.offset + o.Gobj.size > off then i else go (i + 1)
+               if Gobj.offset o + Gobj.size o > off then i else go (i + 1)
            in
            go 0
          in
@@ -623,6 +623,115 @@ let test_pool_recycles_deterministically () =
   let fresh = alloc heap r2 ~size:64 ~nrefs:3 in
   Alcotest.(check bool) "pooling off never recycles" true (fresh != dead)
 
+(* ------------------------------------------------------------------ *)
+(* Packed object header. *)
+
+(* Every accessor must read back exactly what was stored, at the edges of
+   each width and in between, and no setter may disturb a neighbouring
+   field of the same word. *)
+let packed_header_roundtrip =
+  let edges lo hi = QCheck2.Gen.(oneof [ pure lo; pure hi; int_range lo hi ]) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"header accessors round-trip at the width limits"
+       QCheck2.Gen.(
+         tup3
+           (triple
+              (oneof [ pure Crdt.max_region_id; edges 0 Gobj.max_region ])
+              (oneof [ pure (Heap_impl.default_config.region_bytes - 1); edges 0 Gobj.max_offset ])
+              (edges 0 Gobj.max_size))
+           (pair (edges 0 Gobj.max_age) (edges 0 Gobj.flag_mask))
+           (pair (edges 0 Gobj.max_epoch) (edges 0 Gobj.max_epoch)))
+       (fun ((region, offset, size), (age, flags), (mark, ymark)) ->
+         let src = Gobj.make ~id:7 ~size ~nrefs:1 ~region:0 ~offset:0 in
+         let fresh =
+           Gobj.region src = 0 && Gobj.offset src = 0 && Gobj.size src = size
+           && Gobj.age src = 0 && Gobj.flags src = 0 && Gobj.mark src = 0
+           && Gobj.ymark src = 0
+         in
+         if flags > 0 then Gobj.set_flag src flags;
+         Gobj.set_mark src mark;
+         Gobj.set_ymark src ymark;
+         (* A relocation copy takes the new place and age and carries
+            size, flags and marks over. *)
+         let o =
+           Gobj.remake ~pool:(Gobj.Pool.create ()) ~uids:(Gobj.uid_source ()) src ~age
+             ~region ~offset
+         in
+         let all () =
+           Gobj.region o = region && Gobj.offset o = offset && Gobj.size o = size
+           && Gobj.age o = age && Gobj.flags o = flags && Gobj.mark o = mark
+           && Gobj.ymark o = ymark
+         in
+         let stored = all () in
+         (* Rewriting a field with its own value, or moving the record to
+            the same place, is a no-op on every other field. *)
+         Gobj.set_mark o mark;
+         Gobj.set_ymark o ymark;
+         Gobj.set_loc o ~region ~offset;
+         let idempotent = all () in
+         Gobj.clear_flag o Gobj.flag_mask;
+         Gobj.set_ymark o 0;
+         let cleared =
+           Gobj.flags o = 0 && Gobj.ymark o = 0 && Gobj.mark o = mark
+           && Gobj.age o = age && Gobj.size o = size
+         in
+         fresh && stored && idempotent && cleared))
+
+let test_packed_header_sentinel () =
+  Alcotest.(check int) "sentinel region" (-1) (Gobj.region Gobj.null);
+  Alcotest.(check int) "sentinel offset" 0 (Gobj.offset Gobj.null);
+  Alcotest.(check int) "sentinel size" 0 (Gobj.size Gobj.null);
+  Alcotest.(check int) "sentinel marks" 0 (Gobj.mark Gobj.null + Gobj.ymark Gobj.null);
+  Alcotest.(check int) "sentinel age and flags" 0 (Gobj.age Gobj.null + Gobj.flags Gobj.null)
+
+let test_packed_header_checked () =
+  let raises what f =
+    Alcotest.(check bool) (what ^ " raises") true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  let mk ?(size = 16) ?(region = 0) ?(offset = 0) () =
+    ignore (Gobj.make ~id:0 ~size ~nrefs:0 ~region ~offset)
+  in
+  raises "region above max" (fun () -> mk ~region:(Gobj.max_region + 1) ());
+  raises "negative region" (fun () -> mk ~region:(-1) ());
+  raises "offset above max" (fun () -> mk ~offset:(Gobj.max_offset + 1) ());
+  raises "size above max" (fun () -> mk ~size:(Gobj.max_size + 1) ());
+  raises "negative size" (fun () -> mk ~size:(-8) ());
+  let o = Gobj.make ~id:0 ~size:16 ~nrefs:0 ~region:0 ~offset:0 in
+  raises "flag outside the flag bits" (fun () -> Gobj.set_flag o (Gobj.flag_mask + 1));
+  raises "epoch above max" (fun () -> Gobj.check_epoch (Gobj.max_epoch + 1));
+  let heap = mk_heap () in
+  let pool = heap.Heap_impl.pool and uids = heap.Heap_impl.uids in
+  raises "copy age above max" (fun () ->
+      Gobj.remake ~pool ~uids o ~age:(Gobj.max_age + 1) ~region:0 ~offset:0);
+  (* Region geometry is checked once, when the heap is created — before
+     any region is built, so the oversized request costs nothing. *)
+  let region_bytes = 2 * Gobj.max_region_bytes in
+  raises "region_bytes above max" (fun () ->
+      Heap_impl.create (Heap_impl.config ~heap_bytes:(2 * region_bytes) ~region_bytes ()));
+  (* Epochs are checked when a cycle begins: the last representable
+     epoch still marks and reads back, the one after it raises. *)
+  heap.Heap_impl.mark_epoch <- Gobj.max_epoch - 1;
+  heap.Heap_impl.young_epoch <- Gobj.max_epoch - 1;
+  Alcotest.(check int) "last old epoch" Gobj.max_epoch (Heap_impl.begin_mark heap);
+  Alcotest.(check int) "last young epoch" Gobj.max_epoch (Heap_impl.begin_young_mark heap);
+  let r = claim_exn heap Region.Old in
+  let live = alloc heap r ~size:64 ~nrefs:1 in
+  Alcotest.(check bool) "born marked at the last epoch" true
+    (Heap_impl.is_marked heap live && Heap_impl.is_marked_young heap live);
+  Heap_impl.end_mark heap;
+  Heap_impl.end_young_mark heap;
+  raises "old epoch overflow" (fun () -> Heap_impl.begin_mark heap);
+  raises "young epoch overflow" (fun () -> Heap_impl.begin_young_mark heap)
+
+(* The header is three packed words plus five references and counters:
+   a record spends 8 words, not the 12 of one field per scalar. *)
+let test_packed_header_size () =
+  let heap = mk_heap () in
+  let r = claim_exn heap Region.Young in
+  let o = alloc heap r ~size:64 ~nrefs:2 in
+  Alcotest.(check bool) "at most 8 fields" true (Obj.size (Obj.repr o) <= 8)
+
 let () =
   Alcotest.run "heap"
     [
@@ -676,6 +785,13 @@ let () =
         [
           Alcotest.test_case "remset" `Quick test_remset;
           Alcotest.test_case "forwarding table" `Quick test_forwarding_table;
+        ] );
+      ( "packed header",
+        [
+          packed_header_roundtrip;
+          Alcotest.test_case "sentinel encoding" `Quick test_packed_header_sentinel;
+          Alcotest.test_case "out-of-range values raise" `Quick test_packed_header_checked;
+          Alcotest.test_case "record size" `Quick test_packed_header_size;
         ] );
       ( "sentinel+pool",
         [

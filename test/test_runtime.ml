@@ -148,10 +148,10 @@ let test_mutator_alloc () =
     run_in_mutator rt (fun m ->
         let o = Mutator.alloc m ~data_bytes:100 ~nrefs:2 in
         Alcotest.(check int) "size" (Heap.Heap_impl.object_size ~nrefs:2 ~data_bytes:100)
-          o.Heap.Gobj.size;
+          (Heap.Gobj.size o);
         o)
   in
-  let r = Heap.Heap_impl.region rt.Rt.heap o.Heap.Gobj.region in
+  let r = Heap.Heap_impl.region rt.Rt.heap (Heap.Gobj.region o) in
   Alcotest.(check bool) "allocated in a young region" true
     (r.Heap.Region.kind = Heap.Region.Young)
 
@@ -195,7 +195,7 @@ let test_humongous_alloc () =
     run_in_mutator rt (fun m -> Mutator.alloc m ~data_bytes:(200 * Util.Units.kib) ~nrefs:0)
   in
   Alcotest.(check bool) "flagged humongous" true (Heap.Gobj.is_humongous o);
-  let r = Heap.Heap_impl.region rt.Rt.heap o.Heap.Gobj.region in
+  let r = Heap.Heap_impl.region rt.Rt.heap (Heap.Gobj.region o) in
   Alcotest.(check bool) "own region" true r.Heap.Region.humongous
 
 let test_tlab_refill_claims_regions () =

@@ -19,7 +19,7 @@ let reachable_bytes rt =
     let o = Heap.Gobj.resolve o in
     if not (Hashtbl.mem seen o.Heap.Gobj.id) then begin
       Hashtbl.replace seen o.Heap.Gobj.id ();
-      bytes := !bytes + o.Heap.Gobj.size;
+      bytes := !bytes + Heap.Gobj.size o;
       Heap.Gobj.iter_fields (fun _ child -> visit child) o
     end
   in
