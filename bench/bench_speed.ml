@@ -203,11 +203,15 @@ let git_rev () =
   | None -> "unknown"
 
 let write_json ~path ~quick (speeds : Experiments.Harness.speed list) =
+  (* Read the revision before [open_out] truncates [path]: the committed
+     baselines are tracked files, so a clean tree would otherwise always
+     read as dirty. *)
+  let rev = git_rev () in
   let oc = open_out path in
   Printf.fprintf oc "{\n  \"experiment\": \"speed\",\n";
   Printf.fprintf oc "  \"quick\": %b,\n" quick;
   Printf.fprintf oc "  \"unix_time\": %.0f,\n" (Unix.time ());
-  Printf.fprintf oc "  \"git_rev\": \"%s\",\n" (json_escape (git_rev ()));
+  Printf.fprintf oc "  \"git_rev\": \"%s\",\n" (json_escape rev);
   Printf.fprintf oc "  \"ocaml_version\": \"%s\",\n"
     (json_escape Sys.ocaml_version);
   Printf.fprintf oc "  \"host_cores\": %d,\n"
