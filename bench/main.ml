@@ -29,7 +29,6 @@ let experiments : (string * (unit -> unit)) list =
     ("ablations", Bench_ablations.all);
     ("micro", Bench_micro.all);
     ("obs", Bench_obs.all);
-    ("speed", Bench_speed.all);
   ]
 
 let () =
@@ -48,50 +47,18 @@ let () =
     in
     go [] args
   in
-  (* Extract "--baseline FILE" / "--fail-under R" (speed experiment). *)
-  let args =
-    let rec go acc = function
-      | [] -> List.rev acc
-      | "--baseline" :: v :: rest ->
-          Bench_speed.baseline := Some v;
-          go acc rest
-      | [ "--baseline" ] -> failwith "--baseline needs a file"
-      | "--fail-under" :: v :: rest -> (
-          match float_of_string_opt v with
-          | Some r when r > 0. ->
-              Bench_speed.fail_under := Some r;
-              go acc rest
-          | _ ->
-              failwith
-                (Printf.sprintf "--fail-under %s: want a positive ratio" v))
-      | [ "--fail-under" ] -> failwith "--fail-under needs a value"
-      | "--fail-alloc-over" :: v :: rest -> (
-          match float_of_string_opt v with
-          | Some r when r > 0. ->
-              Bench_speed.fail_alloc_over := Some r;
-              go acc rest
-          | _ ->
-              failwith
-                (Printf.sprintf "--fail-alloc-over %s: want a positive ratio" v))
-      | [ "--fail-alloc-over" ] -> failwith "--fail-alloc-over needs a value"
-      | a :: rest -> go (a :: acc) rest
-    in
-    go [] args
-  in
   Bench_tables.quick := quick;
   Bench_figures.quick := quick;
   Bench_ablations.quick := quick;
   Bench_micro.quick := quick;
   Bench_obs.quick := quick;
-  Bench_speed.quick := quick;
   (match jobs with
   | None -> ()
   | Some n ->
       let n = if n = 0 then Util.Dpool.default_jobs () else n in
       Bench_tables.jobs := n;
       Bench_figures.jobs := n;
-      Bench_obs.jobs := n;
-      Bench_speed.jobs := n);
+      Bench_obs.jobs := n);
   let selected =
     List.filter (fun a -> a <> "--quick" && a <> "all") args
   in

@@ -14,13 +14,59 @@ open Cmdliner
 open Experiments
 
 (* '-j 0' means "pick for me". *)
-let resolve_jobs jobs =
-  if jobs < 0 then begin
-    Printf.eprintf "gcsim: --jobs=%d (want 0 for auto, or >= 1)\n" jobs;
-    exit 2
-  end
-  else if jobs = 0 then Util.Dpool.default_jobs ()
-  else jobs
+let resolve_jobs jobs = if jobs = 0 then Util.Dpool.default_jobs () else jobs
+
+(* -- argument checks --------------------------------------------------- *)
+
+(* Each check returns the value or says what its flag accepts.  The
+   flags read through them (see [checked] below), so a bad value is a
+   usage error naming the flag; [check --replay] applies the same checks
+   to a replay file's metadata. *)
+
+let ( let* ) = Result.bind
+
+let any_int s =
+  match int_of_string_opt s with
+  | Some n -> Ok n
+  | None -> Error (Printf.sprintf "invalid value %S, want an integer" s)
+
+let int_at_least lo s =
+  let* n = any_int s in
+  if n >= lo then Ok n
+  else Error (Printf.sprintf "invalid value %S, want an integer >= %d" s lo)
+
+let positive_float s =
+  match float_of_string_opt s with
+  | Some x when x > 0. && Float.is_finite x -> Ok x
+  | _ -> Error (Printf.sprintf "invalid value %S, want a number > 0" s)
+
+let one_of what names s =
+  if List.mem s names then Ok s
+  else
+    Error
+      (Printf.sprintf "unknown %s %S (known: %s)" what s
+         (String.concat ", " names))
+
+let collector_name =
+  one_of "collector" (List.map (fun e -> e.Registry.name) Registry.all)
+
+let workload_name =
+  one_of "workload"
+    (List.map (fun (a : Workload.Apps.t) -> a.Workload.Apps.name)
+       Workload.Apps.all)
+
+(* A comma-separated list for {!Registry.find_list}, e.g. "jade,g1,zgc". *)
+let collector_list s =
+  match
+    List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' s))
+  with
+  | [] -> Error "want at least one collector name"
+  | names ->
+      List.fold_left
+        (fun acc n ->
+          let* s = acc in
+          Result.map (fun _ -> s) (collector_name n))
+        (Ok s) names
 
 (* Print one finished run.  Must stay out of the domain pool: parallel
    runs compute summaries silently and print here, in list order. *)
@@ -50,17 +96,6 @@ let run_cmd collectors workload heap_mult qps duration_s warmup_s cores seed
     region_kib gc_report verify jobs =
   let jobs = resolve_jobs jobs in
   let entries = Registry.find_list collectors in
-  if entries = [] then begin
-    Printf.eprintf "gcsim: --collector needs at least one name\n";
-    exit 2
-  end;
-  let verify =
-    match Analysis.Sanitizer.level_of_string verify with
-    | Some level -> level
-    | None ->
-        Printf.eprintf "gcsim: --verify=%s (want off, fast or full)\n" verify;
-        exit 2
-  in
   let app = Workload.Apps.find workload in
   let machine =
     {
@@ -128,17 +163,6 @@ let trace_cmd collectors workload heap_mult cores seed requests out golden
     verify jobs =
   let jobs = resolve_jobs jobs in
   let entries = Registry.find_list collectors in
-  if entries = [] then begin
-    Printf.eprintf "gcsim: --collector needs at least one name\n";
-    exit 2
-  end;
-  let verify =
-    match Analysis.Sanitizer.level_of_string verify with
-    | Some level -> level
-    | None ->
-        Printf.eprintf "gcsim: --verify=%s (want off, fast or full)\n" verify;
-        exit 2
-  in
   let app = Workload.Apps.find workload in
   let multi = List.length entries > 1 in
   (* The banner never mentions jobs or output paths: like run/check, the
@@ -183,45 +207,46 @@ let trace_cmd collectors workload heap_mult cores seed requests out golden
 
 (* -- gcsim check: schedule-space exploration -------------------------- *)
 
-let bug_of_string = function
-  | "none" -> Some Jade.Jade_config.No_bug
-  | "skip-remset" -> Some Jade.Jade_config.Skip_remset_insert
-  | "racy-forwarding" -> Some Jade.Jade_config.Racy_forwarding
-  | "racy-forwarding-window" -> Some Jade.Jade_config.Racy_forwarding_window
-  | _ -> None
+let bugs =
+  Jade.Jade_config.
+    [
+      ("none", No_bug);
+      ("skip-remset", Skip_remset_insert);
+      ("racy-forwarding", Racy_forwarding);
+      ("racy-forwarding-window", Racy_forwarding_window);
+    ]
 
-let bug_to_string = function
-  | Jade.Jade_config.No_bug -> "none"
-  | Jade.Jade_config.Skip_remset_insert -> "skip-remset"
-  | Jade.Jade_config.Racy_forwarding -> "racy-forwarding"
-  | Jade.Jade_config.Racy_forwarding_window -> "racy-forwarding-window"
+let bug_to_string b = fst (List.find (fun (_, b') -> b' = b) bugs)
+
+let bug_of_string s =
+  Result.map (fun s -> List.assoc s bugs) (one_of "bug" (List.map fst bugs) s)
 
 (** Rebuild the exact scenario a check run (or a replay file) names. *)
 let check_scenario ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
     ~requests ~bug =
   let entry =
     match bug with
-    | Jade.Jade_config.No_bug -> Registry.find collector
+    | Jade.Jade_config.No_bug -> Ok (Registry.find collector)
     | b when collector = "jade" ->
         (* Two young workers: the racy-forwarding bugs need a second
            evacuation thread to race with (default is 1). *)
-        Registry.jade_with ~name:"jade(planted)"
-          { Jade.Jade_config.default with planted_bug = b; young_workers = 2 }
-    | _ ->
-        Printf.eprintf "gcsim check: --bug requires --collector jade\n";
-        exit 2
+        Ok
+          (Registry.jade_with ~name:"jade(planted)"
+             { Jade.Jade_config.default with planted_bug = b; young_workers = 2 })
+    | _ -> Error "--bug requires --collector jade"
   in
-  let app = Workload.Apps.find workload in
-  let machine =
-    {
-      (Exp.machine_for ~cores app ~mult:heap_mult) with
-      Harness.seed;
-      region_bytes = region_kib * Util.Units.kib;
-    }
-  in
-  ( Harness.check_scenario ~machine ?requests ~install:entry.Registry.install
-      app,
-    app )
+  Result.map
+    (fun (entry : Registry.entry) ->
+      let app = Workload.Apps.find workload in
+      let machine =
+        {
+          (Exp.machine_for ~cores app ~mult:heap_mult) with
+          Harness.seed;
+          region_bytes = region_kib * Util.Units.kib;
+        }
+      in
+      Harness.check_scenario ~machine ?requests ~install:entry.Registry.install app)
+    entry
 
 let check_meta ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
     ~requests ~bug ~strategy =
@@ -238,113 +263,108 @@ let check_meta ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
     ("strategy", Analysis.Explore.strategy_to_string strategy);
   ]
 
-let check_cmd collector workload heap_mult cores seed region_kib requests
-    schedules depth strategy_s bug_s replay_file replay_out jobs =
-  let jobs = resolve_jobs jobs in
-  let strategy =
-    match Analysis.Explore.strategy_of_string strategy_s with
-    | Some s -> s
-    | None ->
-        Printf.eprintf "gcsim: --strategy=%s (want rand, bounded or pruned)\n"
-          strategy_s;
-        exit 2
+(* Replay mode: the file's meta rebuilds the scenario; CLI flags fill
+   any keys an older file lacks.  Each value passes the check its flag
+   does, so a bad file is a usage error naming the key. *)
+let replay_cmd path ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
+    ~requests ~bug =
+  let sched = Analysis.Schedule.load path in
+  let meta key parse fallback =
+    match Analysis.Schedule.find_meta sched key with
+    | None -> Ok fallback
+    | Some v ->
+        Result.map_error
+          (fun msg -> Printf.sprintf "--replay %s: --%s %s" path key msg)
+          (parse v)
   in
-  let bug =
-    match bug_of_string bug_s with
-    | Some b -> b
-    | None ->
-        Printf.eprintf
-          "gcsim: --bug=%s (want none, skip-remset, racy-forwarding or \
-           racy-forwarding-window)\n"
-          bug_s;
-        exit 2
+  let* collector = meta "collector" collector_name collector in
+  let* workload = meta "workload" workload_name workload in
+  let* heap_mult = meta "heap-mult" positive_float heap_mult in
+  let* cores = meta "cores" (int_at_least 1) cores in
+  let* seed = meta "seed" any_int seed in
+  let* region_kib = meta "region-kib" (int_at_least 1) region_kib in
+  let* requests =
+    meta "requests"
+      (function
+        | "default" -> Ok requests
+        | v -> Result.map Option.some (int_at_least 1 v))
+      requests
   in
-  match replay_file with
-  | Some path ->
-      (* Replay mode: the file's meta rebuilds the scenario; CLI flags
-         fill any keys an older file lacks. *)
-      let sched = Analysis.Schedule.load path in
-      let meta key fallback =
-        match Analysis.Schedule.find_meta sched key with
-        | Some v -> v
-        | None -> fallback
-      in
-      let collector = meta "collector" collector in
-      let workload = meta "workload" workload in
-      let heap_mult = float_of_string (meta "heap-mult" (string_of_float heap_mult)) in
-      let cores = int_of_string (meta "cores" (string_of_int cores)) in
-      let seed = int_of_string (meta "seed" (string_of_int seed)) in
-      let region_kib = int_of_string (meta "region-kib" (string_of_int region_kib)) in
-      let requests =
-        match meta "requests" "default" with
-        | "default" -> requests
-        | n -> Some (int_of_string n)
-      in
-      let bug =
-        match bug_of_string (meta "bug" (bug_to_string bug)) with
-        | Some b -> b
-        | None -> bug
-      in
-      let scenario, _ =
-        check_scenario ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
-          ~requests ~bug
-      in
-      Printf.printf "replaying %s: %s on %s, %s\n%!" path collector workload
-        (Analysis.Schedule.describe sched.Analysis.Schedule.choices);
-      (match Analysis.Explore.replay scenario sched.Analysis.Schedule.choices with
-      | Some report ->
-          Printf.printf "violation reproduced:\n%s\n" (Analysis.Report.to_string report);
-          1
-      | None ->
-          Printf.printf "replay completed with no violation\n";
-          0)
+  let* bug = meta "bug" bug_of_string bug in
+  let* scenario =
+    check_scenario ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
+      ~requests ~bug
+  in
+  Printf.printf "replaying %s: %s on %s, %s\n%!" path collector workload
+    (Analysis.Schedule.describe sched.Analysis.Schedule.choices);
+  match Analysis.Explore.replay scenario sched.Analysis.Schedule.choices with
+  | Some report ->
+      Printf.printf "violation reproduced:\n%s\n" (Analysis.Report.to_string report);
+      Ok 1
   | None ->
-      let scenario, _ =
-        check_scenario ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
-          ~requests ~bug
-      in
-      let cfg =
-        { Analysis.Explore.strategy; schedules; depth; seed; jobs }
-      in
-      (* The banner and report never mention jobs: `check -j N` output is
-         byte-identical to `-j 1` (scripts/ci.sh diffs the two). *)
-      Printf.printf
-        "checking %s on %s: strategy=%s schedules=%d depth=%d seed=%d%s\n%!"
-        collector workload strategy_s schedules depth seed
-        (if bug = Jade.Jade_config.No_bug then ""
-         else " bug=" ^ bug_to_string bug);
-      let r = Analysis.Explore.run scenario cfg in
-      Printf.printf
-        "explored %d schedule%s (%d choice points in baseline, %d pruned as \
-         equivalent, %d shrink runs)\n"
-        r.Analysis.Explore.explored
-        (if r.Analysis.Explore.explored = 1 then "" else "s")
-        r.Analysis.Explore.baseline_choice_points r.Analysis.Explore.pruned
-        r.Analysis.Explore.shrink_runs;
-      (match r.Analysis.Explore.violation with
-      | None ->
-          Printf.printf "no violation found\n";
-          0
-      | Some v ->
-          Printf.printf "VIOLATION (as found, %s):\n%s\n"
-            (Analysis.Schedule.describe v.Analysis.Explore.first_schedule)
-            (Analysis.Report.to_string v.Analysis.Explore.first_report);
-          Printf.printf "minimized: %s\n"
-            (Analysis.Schedule.describe v.Analysis.Explore.schedule);
-          (match replay_out with
-          | Some path ->
-              Analysis.Schedule.save path
-                {
-                  Analysis.Schedule.meta =
-                    check_meta ~collector ~workload ~heap_mult ~cores ~seed
-                      ~region_kib ~requests ~bug ~strategy;
-                  choices = v.Analysis.Explore.schedule;
-                };
-              Printf.printf "replay file written: %s (gcsim check --replay %s)\n"
-                path path
-          | None -> ());
-          1)
+      Printf.printf "replay completed with no violation\n";
+      Ok 0
 
+let check_cmd collector workload heap_mult cores seed region_kib requests
+    schedules depth strategy bug replay_file replay_out jobs =
+  let jobs = resolve_jobs jobs in
+  let result =
+    match replay_file with
+    | Some path ->
+        replay_cmd path ~collector ~workload ~heap_mult ~cores ~seed
+          ~region_kib ~requests ~bug
+    | None ->
+        let* scenario =
+          check_scenario ~collector ~workload ~heap_mult ~cores ~seed
+            ~region_kib ~requests ~bug
+        in
+        let cfg =
+          { Analysis.Explore.strategy; schedules; depth; seed; jobs }
+        in
+        (* The banner and report never mention jobs: `check -j N` output is
+           byte-identical to `-j 1` (scripts/ci.sh diffs the two). *)
+        Printf.printf
+          "checking %s on %s: strategy=%s schedules=%d depth=%d seed=%d%s\n%!"
+          collector workload
+          (Analysis.Explore.strategy_to_string strategy)
+          schedules depth seed
+          (if bug = Jade.Jade_config.No_bug then ""
+           else " bug=" ^ bug_to_string bug);
+        let r = Analysis.Explore.run scenario cfg in
+        Printf.printf
+          "explored %d schedule%s (%d choice points in baseline, %d pruned as \
+           equivalent, %d shrink runs)\n"
+          r.Analysis.Explore.explored
+          (if r.Analysis.Explore.explored = 1 then "" else "s")
+          r.Analysis.Explore.baseline_choice_points r.Analysis.Explore.pruned
+          r.Analysis.Explore.shrink_runs;
+        Ok
+          (match r.Analysis.Explore.violation with
+          | None ->
+              Printf.printf "no violation found\n";
+              0
+          | Some v ->
+              Printf.printf "VIOLATION (as found, %s):\n%s\n"
+                (Analysis.Schedule.describe v.Analysis.Explore.first_schedule)
+                (Analysis.Report.to_string v.Analysis.Explore.first_report);
+              Printf.printf "minimized: %s\n"
+                (Analysis.Schedule.describe v.Analysis.Explore.schedule);
+              (match replay_out with
+              | Some path ->
+                  Analysis.Schedule.save path
+                    {
+                      Analysis.Schedule.meta =
+                        check_meta ~collector ~workload ~heap_mult ~cores ~seed
+                          ~region_kib ~requests ~bug ~strategy;
+                      choices = v.Analysis.Explore.schedule;
+                    };
+                  Printf.printf
+                    "replay file written: %s (gcsim check --replay %s)\n" path
+                    path
+              | None -> ());
+              1)
+  in
+  match result with Ok code -> `Ok code | Error msg -> `Error (false, msg)
 let list_cmd () =
   print_endline "collectors:";
   List.iter
@@ -364,19 +384,44 @@ let list_cmd () =
 
 (* -- cmdliner plumbing ------------------------------------------------ *)
 
-let collector_arg =
+(* A flag's converter from one of the checks above: cmdliner reports a
+   failed check as "option '--FLAG': ..." and exits 124. *)
+let checked check print =
+  Arg.conv ((fun s -> Result.map_error (fun m -> `Msg m) (check s)), print)
+
+let count lo = checked (int_at_least lo) Format.pp_print_int
+let positive = checked positive_float Format.pp_print_float
+let name check = checked check Format.pp_print_string
+
+(* A converter from a library's own [of_string], aliases included. *)
+let parsed of_string to_string ~want =
+  checked
+    (fun s ->
+      match of_string s with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "invalid value %S, want %s" s want))
+    (fun ppf v -> Format.pp_print_string ppf (to_string v))
+
+let collectors_arg =
   Arg.(
-    value & opt string "jade"
+    value
+    & opt (name collector_list) "jade"
     & info [ "c"; "collector" ] ~docv:"NAME"
         ~doc:
-          "Collector to run.  $(b,run) accepts a comma-separated list \
-           (e.g. $(b,-c jade,g1,zgc)): each collector is one independent \
-           simulation, fanned over $(b,--jobs) domains, with summaries \
+          "Collector to run, or a comma-separated list (e.g. \
+           $(b,-c jade,g1,zgc)): each collector is one independent \
+           simulation, fanned over $(b,--jobs) domains, with results \
            printed in list order.")
+
+let collector_arg =
+  Arg.(
+    value
+    & opt (name collector_name) "jade"
+    & info [ "c"; "collector" ] ~docv:"NAME" ~doc:"Collector to check.")
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt (count 0) 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Domains to fan independent simulations over ($(b,0) = auto).  \
@@ -386,18 +431,20 @@ let jobs_arg =
 
 let workload_arg =
   Arg.(
-    value & opt string "h2-tpcc"
+    value
+    & opt (name workload_name) "h2-tpcc"
     & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Workload to run.")
 
 let heap_mult_arg =
   Arg.(
-    value & opt float 4.0
+    value & opt positive 4.0
     & info [ "m"; "heap-mult" ] ~docv:"X"
         ~doc:"Heap size as a multiple of the workload's minimum heap.")
 
 let qps_arg =
   Arg.(
-    value & opt (some float) None
+    value
+    & opt (some positive) None
     & info [ "qps" ] ~docv:"QPS"
         ~doc:"Offered load (open loop); omit for closed-loop peak throughput.")
 
@@ -413,14 +460,14 @@ let warmup_arg =
     & info [ "warmup" ] ~docv:"SECONDS" ~doc:"Warmup in virtual seconds.")
 
 let cores_arg =
-  Arg.(value & opt int 8 & info [ "cores" ] ~docv:"N" ~doc:"Virtual cores.")
+  Arg.(value & opt (count 1) 8 & info [ "cores" ] ~docv:"N" ~doc:"Virtual cores.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
 let region_arg =
   Arg.(
-    value & opt int 512
+    value & opt (count 1) 512
     & info [ "region-kib" ] ~docv:"KIB" ~doc:"Region size in KiB.")
 
 let gc_report_arg =
@@ -431,7 +478,10 @@ let gc_report_arg =
 let verify_arg =
   Arg.(
     value
-    & opt ~vopt:"full" string "off"
+    & opt ~vopt:Analysis.Sanitizer.Full
+        (parsed Analysis.Sanitizer.level_of_string
+           Analysis.Sanitizer.level_to_string ~want:"off, fast or full")
+        Analysis.Sanitizer.Off
     & info [ "verify" ] ~docv:"LEVEL"
         ~doc:
           "Run the GC invariant sanitizer: $(b,off) (default), $(b,fast) \
@@ -442,7 +492,8 @@ let verify_arg =
 
 let requests_arg =
   Arg.(
-    value & opt (some int) None
+    value
+    & opt (some (count 1)) None
     & info [ "requests" ] ~docv:"N"
         ~doc:
           "Fixed requests per explored schedule (default: the workload's \
@@ -465,7 +516,11 @@ let depth_arg =
 
 let strategy_arg =
   Arg.(
-    value & opt string "rand"
+    value
+    & opt
+        (parsed Analysis.Explore.strategy_of_string
+           Analysis.Explore.strategy_to_string ~want:"rand, bounded or pruned")
+        Analysis.Explore.Rand
     & info [ "strategy" ] ~docv:"S"
         ~doc:
           "Exploration strategy: $(b,rand) (seeded random walk), \
@@ -474,7 +529,8 @@ let strategy_arg =
 
 let bug_arg =
   Arg.(
-    value & opt string "none"
+    value
+    & opt (enum bugs) Jade.Jade_config.No_bug
     & info [ "bug" ] ~docv:"NAME"
         ~doc:
           "Plant a known protocol bug (jade only): $(b,skip-remset), \
@@ -497,9 +553,11 @@ let replay_out_arg =
 
 let check_term =
   Term.(
-    const check_cmd $ collector_arg $ workload_arg $ heap_mult_arg $ cores_arg
-    $ seed_arg $ region_arg $ requests_arg $ schedules_arg $ depth_arg
-    $ strategy_arg $ bug_arg $ replay_arg $ replay_out_arg $ jobs_arg)
+    ret
+      (const check_cmd $ collector_arg $ workload_arg $ heap_mult_arg
+     $ cores_arg $ seed_arg $ region_arg $ requests_arg $ schedules_arg
+     $ depth_arg $ strategy_arg $ bug_arg $ replay_arg $ replay_out_arg
+     $ jobs_arg))
 
 let check_info =
   Cmd.info "check"
@@ -515,21 +573,22 @@ let check_info =
    regenerates the committed golden file byte-for-byte. *)
 let trace_workload_arg =
   Arg.(
-    value & opt string "lusearch"
+    value
+    & opt (name workload_name) "lusearch"
     & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Workload to trace.")
 
 let trace_heap_mult_arg =
   Arg.(
-    value & opt float 1.5
+    value & opt positive 1.5
     & info [ "m"; "heap-mult" ] ~docv:"X"
         ~doc:"Heap size as a multiple of the workload's minimum heap.")
 
 let trace_cores_arg =
-  Arg.(value & opt int 4 & info [ "cores" ] ~docv:"N" ~doc:"Virtual cores.")
+  Arg.(value & opt (count 1) 4 & info [ "cores" ] ~docv:"N" ~doc:"Virtual cores.")
 
 let trace_requests_arg =
   Arg.(
-    value & opt int 600
+    value & opt (count 1) 600
     & info [ "requests" ] ~docv:"N"
         ~doc:"Fixed number of requests to run (fixed-work loop).")
 
@@ -553,7 +612,7 @@ let trace_golden_arg =
 
 let trace_term =
   Term.(
-    const trace_cmd $ collector_arg $ trace_workload_arg $ trace_heap_mult_arg
+    const trace_cmd $ collectors_arg $ trace_workload_arg $ trace_heap_mult_arg
     $ trace_cores_arg $ seed_arg $ trace_requests_arg $ trace_out_arg
     $ trace_golden_arg $ verify_arg $ jobs_arg)
 
@@ -567,7 +626,7 @@ let trace_info =
 
 let run_term =
   Term.(
-    const run_cmd $ collector_arg $ workload_arg $ heap_mult_arg $ qps_arg
+    const run_cmd $ collectors_arg $ workload_arg $ heap_mult_arg $ qps_arg
     $ duration_arg $ warmup_arg $ cores_arg $ seed_arg $ region_arg
     $ gc_report_arg $ verify_arg $ jobs_arg)
 

@@ -146,13 +146,12 @@ let check_region_contents t =
             emit t ~invariant:"resident-not-freed" ~region:rid ~object_id:o.id
               "object #%d (uid=%d, %dB, age=%d, fwd=%b, humongous=%b) is \
                flagged freed yet still resident in region %d (%s, \
-               humongous=%b); region history: %s"
+               top=%d, humongous=%b)"
               o.id o.uid (Gobj.size o) (Gobj.age o) (Gobj.is_forwarded o)
               (Gobj.has_flag o Gobj.flag_humongous)
               rid
               (Region.kind_to_string r.Region.kind)
-              r.Region.humongous
-              (H.dump_region_history rid);
+              r.Region.top r.Region.humongous;
           if Gobj.offset o <> !running then
             emit t ~invariant:"region-layout" ~region:rid ~object_id:o.id
               "object #%d at offset %d, expected contiguous offset %d" o.id

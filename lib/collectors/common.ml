@@ -615,10 +615,7 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
          every subsequent young collection. *)
       Array.iter
         (fun (r : Region.t) ->
-          if r.Region.kind = Region.Young then begin
-            r.Region.kind <- Region.Old;
-            Heap_impl.record_region_event r.Region.rid "relabel:old"
-          end)
+          if r.Region.kind = Region.Young then r.Region.kind <- Region.Old)
         heap.Heap_impl.regions;
       (* Update all references, then roots. *)
       Array.iter

@@ -229,10 +229,10 @@ let run_fixed ?machine ?verify ?attach ?requests ~install ~collector app =
     installs its own oracle set per run
     ({!Analysis.Sanitizer.install_check_oracles}).
 
-    [on_run] observes each completed run's driver result (the speed
-    benchmark accumulates virtual ns explored this way).  Under a
-    parallel exploration it is called from pool domains, so it must be
-    domain-safe — accumulate through [Atomic], not a plain ref. *)
+    [on_run] observes each completed run's driver result (e.g. to sum
+    the virtual ns explored).  Under a parallel exploration it is called
+    from pool domains, so it must be domain-safe — accumulate through
+    [Atomic], not a plain ref. *)
 let check_scenario ?machine ?requests ?(on_run = fun (_ : Runtime.Driver.result) -> ())
     ~install (app : Workload.Apps.t) : Analysis.Explore.scenario =
  fun ~attach ->
@@ -249,63 +249,6 @@ let check_scenario ?machine ?requests ?(on_run = fun (_ : Runtime.Driver.result)
         (Runtime.Driver.run rt
            ~n_mutators:app.Workload.Apps.spec.Workload.Spec.mutators
            ~mode:(Runtime.Driver.Fixed n) ~request ())
-
-(* ------------------------------------------------------------------ *)
-(* Host-time speedometer.                                               *)
-
-(** How fast the simulator itself runs on the host: virtual ns advanced
-    per host second.  This is the engine-throughput figure every perf PR
-    tracks (recorded in BENCH_speed.json by [bench speed]); it has no
-    bearing on simulated metrics, only on how long experiments take. *)
-type speed = {
-  label : string;
-  host_s : float;  (** host wall-clock spent *)
-  sim_ns : int;  (** virtual ns the run advanced *)
-  sim_ns_per_host_s : float;
-  minor_words : float;
-      (** host minor-heap words allocated by the run — the deterministic
-          allocation meter ([Gc.minor_words] delta; repeatable for a
-          fixed seed, unlike wall-clock) *)
-  promoted_words : float;  (** host words promoted to the major heap *)
-}
-
-(** [measure_speed ~label f] times [f] on the host clock; [f] returns
-    the virtual ns its simulation advanced.  Besides wall-clock it
-    records the host allocation meter: minor and promoted words are a
-    deterministic proxy for allocation pressure, so per-run deltas are
-    comparable across hosts and gateable in CI where timing is not. *)
-let measure_speed ~label f =
-  (* Row isolation: pay off the previous row's host garbage before the
-     clock starts, so a major slice inherited from a heavy neighbor
-     cannot land inside a sub-millisecond row (idle-jump measured 14x
-     slow purely from sleeper-wheel's promotions without this), and so
-     the promotion meter counts this row's own promotions only. *)
-  Gc.full_major ();
-  let s0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
-  let sim_ns = f () in
-  let host_s = Unix.gettimeofday () -. t0 in
-  let s1 = Gc.quick_stat () in
-  {
-    label;
-    host_s;
-    sim_ns;
-    sim_ns_per_host_s =
-      (if host_s > 0. then float_of_int sim_ns /. host_s else 0.);
-    minor_words = s1.Gc.minor_words -. s0.Gc.minor_words;
-    promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
-  }
-  [@@gcsim.allow
-    "host-side harness: wall-clock timing of the simulator itself, never \
-     feeds back into simulated time"]
-
-let pp_speed (s : speed) =
-  Printf.sprintf
-    "%-28s %8.3fs host  %12s sim  %10.1f sim-us/host-ms  %8.1fM mwords"
-    s.label s.host_s
-    (Util.Units.pp_time_ns s.sim_ns)
-    (s.sim_ns_per_host_s /. 1e6)
-    (s.minor_words /. 1e6)
 
 (* ------------------------------------------------------------------ *)
 (* Reporting.                                                           *)

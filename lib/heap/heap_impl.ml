@@ -87,36 +87,6 @@ type t = {
           costs one load and one branch. *)
 }
 
-(* Debug aid: per-region event history, recorded when SIM_HEAP_TRACE=1. *)
-let trace_regions =
-  match Sys.getenv_opt "SIM_HEAP_TRACE" with Some "1" -> true | _ -> false
-  [@@gcsim.allow "env-gated trace flag (SIM_HEAP_TRACE), read once at module init"]
-
-(* Domain-local so traced parallel sweeps don't interleave histories
-   (and so the simulator core keeps zero shared mutable toplevel state,
-   per scripts/lint_purity.sh). *)
-let region_history_key : (int, string list ref) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let record_region_event rid ev =
-  if trace_regions then begin
-    let region_history = Domain.DLS.get region_history_key in
-    let l =
-      match Hashtbl.find_opt region_history rid with
-      | Some l -> l
-      | None ->
-          let l = ref [] in
-          Hashtbl.replace region_history rid l;
-          l
-    in
-    l := ev :: !l
-  end
-
-let dump_region_history rid =
-  match Hashtbl.find_opt (Domain.DLS.get region_history_key) rid with
-  | None -> "no history"
-  | Some l -> String.concat " <- " !l
-
 let create ?(costs = Costs.default) cfg =
   (* A fresh heap is a fresh simulated world: restart the uid space so
      runs are byte-reproducible within one process (replay needs it). *)
@@ -257,15 +227,14 @@ let claim_region t kind =
       failwith
         (Printf.sprintf
            "Heap_impl.claim_region: region %d is on the free list but in \
-            state %s (top=%d) — double claim or missed release; history: %s"
+            state %s (top=%d) — double claim or missed release"
            rid
            (Region.kind_to_string r.Region.kind)
-           r.Region.top (dump_region_history rid));
+           r.Region.top);
     Access.log_with t.hooks Access.Acquire Access.Region_ctl ~key:rid
       ~site:"Heap_impl.claim_region";
     r.kind <- kind;
     r.alloc_epoch <- t.mark_epoch;
-    record_region_event rid ("claim:" ^ Region.kind_to_string kind);
     (match t.on_region_event with
     | Some f -> f r ~claimed:true
     | None -> ());
@@ -281,8 +250,8 @@ let release_region t (r : Region.t) =
     failwith
       (Printf.sprintf
          "Heap_impl.release_region: region %d is already free — double \
-          release; history: %s"
-         r.rid (dump_region_history r.rid));
+          release"
+         r.rid);
   (* Fired before the reset so the observer still sees the region's kind
      and bump pointer (how full it was when it died). *)
   (match t.on_region_event with
@@ -346,7 +315,6 @@ let release_region t (r : Region.t) =
   end;
   t.used <- t.used - r.top;
   Region.reset r;
-  record_region_event r.rid "release";
   Queue.push r.rid t.free_q;
   t.free_count <- t.free_count + 1
 

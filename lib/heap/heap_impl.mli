@@ -149,14 +149,6 @@ val release_region : t -> Region.t -> unit
 val set_region_observer : t -> (Region.t -> claimed:bool -> unit) option -> unit
 (** Install or remove the region-lifecycle observer ({!t.on_region_event}). *)
 
-val record_region_event : int -> string -> unit
-(** Append an event to a region's trace history (no-op unless
-    SIM_HEAP_TRACE=1); collectors record kind relabels through this. *)
-
-val dump_region_history : int -> string
-(** Per-region claim/release history for diagnostics; "no history"
-    unless SIM_HEAP_TRACE=1 was set at startup. *)
-
 (** {2 Object allocation} *)
 
 val fresh_obj_id : t -> int

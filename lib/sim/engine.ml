@@ -423,14 +423,9 @@ let next_wake_ns t =
 (** Run the simulation until all non-daemon threads finish, [until] virtual
     ns elapse, or {!request_stop} is called.  Re-raises the first exception
     escaping any thread.  Raises {!Deadlock} when progress is impossible. *)
-let debug_heartbeat =
-  match Sys.getenv_opt "SIM_DEBUG" with Some "1" -> true | _ -> false
-  [@@gcsim.allow "env-gated debug flag (SIM_DEBUG), read once at module init"]
-
 let run ?until t =
   let limit = match until with Some u -> u | None -> max_int in
   let scratch = Array.make t.cores dummy_thread in
-  let rounds = ref 0 in
   (try
      while
        (not t.stop_requested)
@@ -438,26 +433,6 @@ let run ?until t =
        && t.live_nondaemon > 0
        && t.clock < limit
      do
-       ((if debug_heartbeat then begin
-          incr rounds;
-          if !rounds land 0x3FFF = 0 then begin
-            Printf.eprintf "[sim] clock=%.3fs runnable=%d sleepers=%d\n%!"
-              (float_of_int t.clock /. 1e9)
-              (Queue.length t.runq)
-              (Util.Pqueue.length t.sleepers);
-            List.iter
-              (fun th ->
-                if th.state <> Finished then
-                  Printf.eprintf "  %-24s %s\n%!" th.name
-                    (match th.state with
-                    | Runnable -> "runnable"
-                    | Blocked -> "blocked:" ^ th.blocked_on
-                    | Sleeping w -> Printf.sprintf "sleeping(%.3fs)" (float_of_int w /. 1e9)
-                    | Finished -> "finished"))
-              t.all_threads
-          end
-        end)
-       [@gcsim.allow "debug heartbeat on stderr, dead unless SIM_DEBUG=1"]);
        wake_due_sleepers t;
        if Queue.is_empty t.runq then begin
          let w = next_wake_ns t in

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Continuous-integration entry point: build, run the full test suite,
-# then smoke the benchmark driver in quick mode (micro + engine speed).
+# hold the benchmark to its fingerprints and allocation baseline, then
+# smoke the benchmark driver in quick mode.
 # Run from the repository root:  ./scripts/ci.sh
 set -eu
 
@@ -133,16 +134,43 @@ echo "== benchmark fingerprint fence (bench/perf at seed 42) =="
 # exits non-zero on any mismatch.  So a refactor that claims to keep
 # behaviour is held to it across all eight collectors.
 if ! dune exec bench/perf/perf.exe -- run --seed 42 --reps 1 \
-    > /tmp/ci_perf_seed42.txt 2>&1; then
+    --out /tmp/ci_perf_seed42.json > /tmp/ci_perf_seed42.txt 2>&1; then
   cat /tmp/ci_perf_seed42.txt >&2
   echo "benchmark fingerprint fence FAILED" >&2
   exit 1
 fi
 grep '^== ' /tmp/ci_perf_seed42.txt
 
-echo "== no lint exemptions in the collectors (lib/collectors, lib/core) =="
-if grep -rn 'gcsim.allow' lib/collectors lib/core; then
-  echo "[@gcsim.allow] found under lib/collectors or lib/core" >&2
+echo "== perf gate (seed 42 vs committed BENCH_perf_seed42.json) =="
+# Judge that run against the committed baseline row by row, not by
+# compare's exit code: its wall-clock rows are noisy on a shared host.
+# - alloc_mwords_per_sim_ms: host minor words repeat exactly for a seed,
+#   so any workload more than 1.0% above the baseline fails (a 10%
+#   regression confined to one of all8-lusearch-fixed's eight
+#   collectors still moves that aggregate by about 1.25%);
+# - promoted_mwords_per_sim_ms: fails when compare judges it worse;
+# - sim_ms_per_host_s: fails below 0.5x the baseline, an
+#   order-of-magnitude guard (an accidentally quadratic scan, a debug
+#   hook left installed), not a noise gate.
+dune exec bench/perf/perf.exe -- compare BENCH_perf_seed42.json \
+  /tmp/ci_perf_seed42.json > /tmp/ci_perf_compare.txt 2>&1 || true
+cat /tmp/ci_perf_compare.txt
+awk '
+  $2 == "alloc_mwords_per_sim_ms" { n++; if ($6 + 0 > 1.0) { print "FAIL " $0; bad++ } }
+  $2 == "promoted_mwords_per_sim_ms" && $NF == "worse" { print "FAIL " $0; bad++ }
+  $2 == "sim_ms_per_host_s" && $5 < 0.5 * $4 { print "FAIL " $0; bad++ }
+  /missing from B/ { print "FAIL " $0; bad++ }
+  END {
+    if (n == 0) { print "FAIL compare printed no alloc_mwords_per_sim_ms rows"; bad++ }
+    exit bad > 0
+  }' /tmp/ci_perf_compare.txt || {
+  echo "perf gate FAILED" >&2
+  exit 1
+}
+
+echo "== no lint exemptions in the simulator core (lib/{sim,heap,core,collectors}) =="
+if grep -rn 'gcsim.allow' lib/sim lib/heap lib/core lib/collectors; then
+  echo "[@gcsim.allow] found under lib/sim, lib/heap, lib/core or lib/collectors" >&2
   exit 1
 fi
 
@@ -156,22 +184,3 @@ dune exec test/test_obs.exe -- test determinism
 
 echo "== bench smoke (quick micro) =="
 dune exec bench/main.exe -- --quick micro
-
-echo "== perf smoke (quick speed vs committed quick baseline) =="
-# Guard the hot path: measure the quick speed suite and diff it against
-# the committed BENCH_speed_quick.json (same-duration rows — the
-# allocation rate has a startup component, so quick never compares
-# against full), failing on a >2x regression of any sim_ns_per_host_s
-# row.  The wall-clock gate is deliberately loose (0.5x): it exists to
-# catch order-of-magnitude slips (an accidentally quadratic scan, a
-# debug hook left installed), not CI-host noise.  The allocation gate
-# is tight (1.10x) because the meter it reads — minor words per
-# simulated ns on the closed-loop rows — is deterministic for a fixed
-# seed, so a >10% regression of the allocation-free object graph fails
-# CI outright.
-# Snapshot the baseline first — the bench overwrites the quick file.
-cp BENCH_speed_quick.json /tmp/ci_speed_baseline.json
-dune exec bench/main.exe -- --quick speed \
-  --baseline /tmp/ci_speed_baseline.json --fail-under 0.5 \
-  --fail-alloc-over 1.10
-git checkout -- BENCH_speed_quick.json 2>/dev/null || true

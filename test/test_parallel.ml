@@ -1,6 +1,6 @@
 (* Parallel-exploration determinism fences: everything the -j flag
    touches must be byte-identical to the sequential run.  Three fences
-   (explorer search, table sweep, bench-speed accumulation) plus a
+   (explorer search, table sweep, explored-sim_ns accumulation) plus a
    domain-safety regression that runs two full harness simulations
    concurrently in raw domains and expects the sequential answers. *)
 
@@ -150,7 +150,7 @@ let test_table_sweep_fence () =
     (render_sweep ~jobs:1) (render_sweep ~jobs:3)
 
 (* ------------------------------------------------------------------ *)
-(* Fence 3: bench speed's accumulation.  The virtual ns explored by a
+(* Fence 3: explored-time accumulation.  The virtual ns explored by a
    check run, summed across schedules through the on_run hook, is
    -j-independent (same run multiset, integer addition commutes). *)
 
@@ -176,12 +176,12 @@ let check_sim_ns ~jobs =
   in
   (match r.Analysis.Explore.violation with
   | Some v ->
-      Alcotest.failf "unexpected violation in speed scenario: %s"
+      Alcotest.failf "unexpected violation in explored scenario: %s"
         (Analysis.Report.to_string v.Analysis.Explore.report)
   | None -> ());
   Atomic.get sim_ns
 
-let test_bench_speed_fence () =
+let test_explore_sim_ns_fence () =
   let a = check_sim_ns ~jobs:1 in
   let b = check_sim_ns ~jobs:4 in
   Alcotest.(check bool) "explored some virtual time" true (a > 0);
@@ -244,10 +244,10 @@ let () =
           Alcotest.test_case "table sweep byte-identical" `Quick
             test_table_sweep_fence;
         ] );
-      ( "bench-fence",
+      ( "explore-fence",
         [
-          Alcotest.test_case "speed accumulation -j independent" `Quick
-            test_bench_speed_fence;
+          Alcotest.test_case "explored sim_ns sum -j independent" `Quick
+            test_explore_sim_ns_fence;
         ] );
       ( "domain-safety",
         [
