@@ -224,7 +224,7 @@ let bug_of_string s =
 (** Rebuild the exact scenario a check run (or a replay file) names. *)
 let check_scenario ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
     ~requests ~bug =
-  let entry =
+  let* entry =
     match bug with
     | Jade.Jade_config.No_bug -> Ok (Registry.find collector)
     | b when collector = "jade" ->
@@ -235,18 +235,15 @@ let check_scenario ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
              { Jade.Jade_config.default with planted_bug = b; young_workers = 2 })
     | _ -> Error "--bug requires --collector jade"
   in
-  Result.map
-    (fun (entry : Registry.entry) ->
-      let app = Workload.Apps.find workload in
-      let machine =
-        {
-          (Exp.machine_for ~cores app ~mult:heap_mult) with
-          Harness.seed;
-          region_bytes = region_kib * Util.Units.kib;
-        }
-      in
-      Harness.check_scenario ~machine ?requests ~install:entry.Registry.install app)
-    entry
+  let app = Workload.Apps.find workload in
+  let machine =
+    {
+      (Exp.machine_for ~cores app ~mult:heap_mult) with
+      Harness.seed;
+      region_bytes = region_kib * Util.Units.kib;
+    }
+  in
+  Ok (Harness.check_scenario ~machine ?requests ~install:entry.Registry.install app)
 
 let check_meta ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
     ~requests ~bug ~strategy =
@@ -365,6 +362,7 @@ let check_cmd collector workload heap_mult cores seed region_kib requests
               1)
   in
   match result with Ok code -> `Ok code | Error msg -> `Error (false, msg)
+
 let list_cmd () =
   print_endline "collectors:";
   List.iter
@@ -539,7 +537,7 @@ let bug_arg =
 
 let replay_arg =
   Arg.(
-    value & opt (some string) None
+    value & opt (some file) None
     & info [ "replay" ] ~docv:"FILE"
         ~doc:
           "Replay a schedule file written by a previous check instead of \

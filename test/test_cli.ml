@@ -74,6 +74,7 @@ let () =
           rejects "check -m 0" "'-m'";
           rejects "check --strategy=x" "'--strategy'";
           rejects "check --bug=skip-remset -c g1" "--bug";
+          rejects "check --replay=no-such-file" "'--replay'";
         ] );
       ( "replay",
         List.map
