@@ -40,12 +40,25 @@ let positive_float s =
   | Some x when x > 0. && Float.is_finite x -> Ok x
   | _ -> Error (Printf.sprintf "invalid value %S, want a number > 0" s)
 
+let non_negative_float s =
+  match float_of_string_opt s with
+  | Some x when x >= 0. && Float.is_finite x -> Ok x
+  | _ -> Error (Printf.sprintf "invalid value %S, want a finite number >= 0" s)
+
 let one_of what names s =
   if List.mem s names then Ok s
   else
     Error
       (Printf.sprintf "unknown %s %S (known: %s)" what s
          (String.concat ", " names))
+
+(* A check from a library's own [of_string], aliases included. *)
+let parsed_by of_string ~want s =
+  match of_string s with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "invalid value %S, want %s" s want)
+
+let strategy_want = "rand, bounded or pruned"
 
 let collector_name =
   one_of "collector" (List.map (fun e -> e.Registry.name) Registry.all)
@@ -288,6 +301,15 @@ let replay_cmd path ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
       requests
   in
   let* bug = meta "bug" bug_of_string bug in
+  (* Exploration keys do not shape a replay, but a file that carries one
+     must still hold a value its flag accepts. *)
+  let* _ =
+    meta "strategy"
+      (parsed_by Analysis.Explore.strategy_of_string ~want:strategy_want)
+      Analysis.Explore.Rand
+  in
+  let* _ = meta "schedules" (int_at_least 1) 1 in
+  let* _ = meta "depth" (int_at_least 0) 0 in
   let* scenario =
     check_scenario ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
       ~requests ~bug
@@ -389,16 +411,13 @@ let checked check print =
 
 let count lo = checked (int_at_least lo) Format.pp_print_int
 let positive = checked positive_float Format.pp_print_float
+let non_negative = checked non_negative_float Format.pp_print_float
 let name check = checked check Format.pp_print_string
 
 (* A converter from a library's own [of_string], aliases included. *)
 let parsed of_string to_string ~want =
-  checked
-    (fun s ->
-      match of_string s with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "invalid value %S, want %s" s want))
-    (fun ppf v -> Format.pp_print_string ppf (to_string v))
+  checked (parsed_by of_string ~want) (fun ppf v ->
+      Format.pp_print_string ppf (to_string v))
 
 let collectors_arg =
   Arg.(
@@ -448,13 +467,13 @@ let qps_arg =
 
 let duration_arg =
   Arg.(
-    value & opt float 1.0
+    value & opt positive 1.0
     & info [ "d"; "duration" ] ~docv:"SECONDS"
         ~doc:"Measured window in virtual seconds.")
 
 let warmup_arg =
   Arg.(
-    value & opt float 0.25
+    value & opt non_negative 0.25
     & info [ "warmup" ] ~docv:"SECONDS" ~doc:"Warmup in virtual seconds.")
 
 let cores_arg =
@@ -500,13 +519,13 @@ let requests_arg =
 
 let schedules_arg =
   Arg.(
-    value & opt int 64
+    value & opt (count 1) 64
     & info [ "schedules" ] ~docv:"N"
         ~doc:"Exploration budget: maximum schedules to run.")
 
 let depth_arg =
   Arg.(
-    value & opt int 8
+    value & opt (count 0) 8
     & info [ "depth" ] ~docv:"K"
         ~doc:
           "Search depth: choice-point horizon for $(b,bounded)/$(b,pruned), \
@@ -517,7 +536,7 @@ let strategy_arg =
     value
     & opt
         (parsed Analysis.Explore.strategy_of_string
-           Analysis.Explore.strategy_to_string ~want:"rand, bounded or pruned")
+           Analysis.Explore.strategy_to_string ~want:strategy_want)
         Analysis.Explore.Rand
     & info [ "strategy" ] ~docv:"S"
         ~doc:

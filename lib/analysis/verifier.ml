@@ -139,36 +139,40 @@ let check_region_contents t =
         (fun (o : Gobj.t) ->
           if Gobj.region o <> rid then
             emit t ~invariant:"resident-region-field" ~region:rid
-              ~object_id:o.id
+              ~object_id:(Gobj.id o)
               "object #%d resident in region %d but its region field says %d"
-              o.id rid (Gobj.region o);
+              (Gobj.id o) rid (Gobj.region o);
           if Gobj.is_freed o then
-            emit t ~invariant:"resident-not-freed" ~region:rid ~object_id:o.id
+            emit t ~invariant:"resident-not-freed" ~region:rid
+              ~object_id:(Gobj.id o)
               "object #%d (uid=%d, %dB, age=%d, fwd=%b, humongous=%b) is \
                flagged freed yet still resident in region %d (%s, \
                top=%d, humongous=%b)"
-              o.id o.uid (Gobj.size o) (Gobj.age o) (Gobj.is_forwarded o)
+              (Gobj.id o) (Gobj.uid o) (Gobj.size o) (Gobj.age o)
+              (Gobj.is_forwarded o)
               (Gobj.has_flag o Gobj.flag_humongous)
               rid
               (Region.kind_to_string r.Region.kind)
               r.Region.top r.Region.humongous;
           if Gobj.offset o <> !running then
-            emit t ~invariant:"region-layout" ~region:rid ~object_id:o.id
-              "object #%d at offset %d, expected contiguous offset %d" o.id
-              (Gobj.offset o) !running;
+            emit t ~invariant:"region-layout" ~region:rid
+              ~object_id:(Gobj.id o)
+              "object #%d at offset %d, expected contiguous offset %d"
+              (Gobj.id o) (Gobj.offset o) !running;
           running := !running + Gobj.size o;
           match chase o with
           | None ->
               emit t ~invariant:"forwarding-chain-bounded" ~region:rid
-                ~object_id:o.id
-                "forwarding chain of object #%d exceeds 64 hops (cycle?)" o.id
+                ~object_id:(Gobj.id o)
+                "forwarding chain of object #%d exceeds 64 hops (cycle?)"
+                (Gobj.id o)
           | Some f ->
-              if f.Gobj.id <> o.id || Gobj.size f <> Gobj.size o then
+              if Gobj.id f <> Gobj.id o || Gobj.size f <> Gobj.size o then
                 emit t ~invariant:"forwarding-identity" ~region:rid
-                  ~object_id:o.id
+                  ~object_id:(Gobj.id o)
                   "forwarding of #%d(%dB) resolves to #%d(%dB): copies must \
                    preserve logical identity and payload size"
-                  o.id (Gobj.size o) f.Gobj.id (Gobj.size f))
+                  (Gobj.id o) (Gobj.size o) (Gobj.id f) (Gobj.size f))
         r.Region.objects;
       if !running <> r.Region.top then
         emit t ~invariant:"region-size-sum" ~region:rid
@@ -186,20 +190,20 @@ let check_reachability t =
   let stack = ref [] in
   let visit ~from o =
     let o = Gobj.resolve o in
-    if not (Hashtbl.mem seen o.Gobj.uid) then begin
-      Hashtbl.replace seen o.Gobj.uid ();
+    if not (Hashtbl.mem seen (Gobj.uid o)) then begin
+      Hashtbl.replace seen (Gobj.uid o) ();
       if Gobj.is_freed o then
         emit t ~invariant:"no-dangling-reference" ~region:(Gobj.region o)
-          ~object_id:o.Gobj.id
+          ~object_id:(Gobj.id o)
           "reachable reference (from %s) resolves to freed object #%d, last \
            resident at region %d offset %d — reclaimed memory reached \
            without a forwarding entry"
-          from o.Gobj.id (Gobj.region o) (Gobj.offset o)
+          from (Gobj.id o) (Gobj.region o) (Gobj.offset o)
       else if Region.is_free (H.region heap (Gobj.region o)) then
         emit t ~invariant:"no-dangling-reference" ~region:(Gobj.region o)
-          ~object_id:o.Gobj.id
+          ~object_id:(Gobj.id o)
           "reachable object #%d (from %s) claims region %d, which is free"
-          o.Gobj.id from (Gobj.region o)
+          (Gobj.id o) from (Gobj.region o)
       else stack := o :: !stack
     end
   in
@@ -212,7 +216,7 @@ let check_reachability t =
     | o :: rest ->
         stack := rest;
         Gobj.iter_fields
-          (fun _i c -> visit ~from:(Printf.sprintf "#%d" o.Gobj.id) c)
+          (fun _i c -> visit ~from:(Printf.sprintf "#%d" (Gobj.id o)) c)
           o
   done
 
@@ -236,15 +240,15 @@ let check_satb t =
             let rc = Gobj.resolve c in
             if
               (not (Gobj.is_freed rc))
-              && rc.Gobj.uid < wm
+              && Gobj.uid rc < wm
               && Gobj.mark rc < epoch
             then
               emit t ~invariant:"satb-tri-color" ~region:(Gobj.region rc)
-                ~object_id:rc.Gobj.id
+                ~object_id:(Gobj.id rc)
                 "black→white edge after final drain: marked #%d (region %d) \
                  field %d → unmarked snapshot object #%d (region %d, \
                  mark=%d < epoch %d)"
-                o.Gobj.id (Gobj.region o) i rc.Gobj.id (Gobj.region rc)
+                (Gobj.id o) (Gobj.region o) i (Gobj.id rc) (Gobj.region rc)
                 (Gobj.mark rc) epoch)
           o)
 
@@ -267,10 +271,11 @@ let check_young_satb t =
               && Gobj.ymark rc < yepoch
             then
               emit t ~invariant:"young-satb-tri-color" ~region:(Gobj.region rc)
-                ~object_id:rc.Gobj.id
+                ~object_id:(Gobj.id rc)
                 "young-marked #%d field %d → unmarked young object #%d \
                  (region %d, ymark=%d < epoch %d)"
-                o.Gobj.id i rc.Gobj.id (Gobj.region rc) (Gobj.ymark rc) yepoch)
+                (Gobj.id o) i (Gobj.id rc) (Gobj.region rc) (Gobj.ymark rc)
+                yepoch)
           o)
 
 (* ------------------------------------------------------------------ *)
@@ -299,14 +304,14 @@ let check_livemap t =
         (fun (o : Gobj.t) ->
           if
             Gobj.mark o >= epoch
-            && o.Gobj.uid < wm
+            && Gobj.uid o < wm
             && not (Region.livemap_is_marked r o)
           then
             emit t ~invariant:"livemap-agreement" ~region:rid
-              ~object_id:o.Gobj.id
+              ~object_id:(Gobj.id o)
               "object #%d (region %d offset %d) is marked in epoch %d but \
                its region live bit is clear"
-              o.Gobj.id rid (Gobj.offset o) epoch)
+              (Gobj.id o) rid (Gobj.offset o) epoch)
         r.Region.objects
     end
   done
@@ -385,7 +390,7 @@ let check_crdt t =
             r.Region.kind = Region.Old
             && r.Region.alloc_epoch < epoch
             && Gobj.mark o >= epoch
-            && o.Gobj.uid < wm
+            && Gobj.uid o < wm
             && not (Gobj.is_forwarded o)
           then
             Gobj.iter_fields
@@ -399,10 +404,10 @@ let check_crdt t =
                     && not (H.card_is_dirty heap card)
                   then
                     emit t ~invariant:"crdt-completeness" ~region:r.Region.rid
-                      ~object_id:o.Gobj.id
+                      ~object_id:(Gobj.id o)
                       "marked holder #%d field %d (card %d) references \
                        region %d but the card is neither recorded nor dirty"
-                      o.Gobj.id i card (Gobj.region rc)
+                      (Gobj.id o) i card (Gobj.region rc)
                 end)
               o)
   | _ -> ()
@@ -451,13 +456,13 @@ let check_remset_coverage t =
                   (fun p ->
                     if not (covered p) then
                       emit t ~invariant:"remset-coverage" ~region:r.Region.rid
-                        ~object_id:o.Gobj.id
+                        ~object_id:(Gobj.id o)
                         "old→young edge not covered by %s: holder #%d \
                          (region %d, fwd=%b) field %d (card %d) → young #%d \
                          (region %d); stored ref uid=%d region=%d stale=%b"
-                        (fst p) o.Gobj.id r.Region.rid (Gobj.is_forwarded o) i
-                        (H.card_of_field heap o i) rc.Gobj.id target_rid
-                        c.Gobj.uid (Gobj.region c) (c != rc))
+                        (fst p) (Gobj.id o) r.Region.rid (Gobj.is_forwarded o) i
+                        (H.card_of_field heap o i) (Gobj.id rc) target_rid
+                        (Gobj.uid c) (Gobj.region c) (c != rc))
                   providers
               end)
             o)
@@ -477,25 +482,28 @@ let check_fwd_tables t =
               match chase copy with
               | None ->
                   emit t ~invariant:"fwd-table-chain-bounded"
-                    ~object_id:copy.Gobj.id
+                    ~object_id:(Gobj.id copy)
                     "forwarding-table entry (old offset %d) chains past 64 \
                      hops"
                     old_offset
               | Some rc ->
-                  if rc.Gobj.id <> copy.Gobj.id || Gobj.size rc <> Gobj.size copy
+                  if
+                    Gobj.id rc <> Gobj.id copy
+                    || Gobj.size rc <> Gobj.size copy
                   then
                     emit t ~invariant:"fwd-table-identity"
-                      ~object_id:copy.Gobj.id
+                      ~object_id:(Gobj.id copy)
                       "forwarding-table entry #%d(%dB) resolves to #%d(%dB)"
-                      copy.Gobj.id (Gobj.size copy) rc.Gobj.id (Gobj.size rc);
+                      (Gobj.id copy) (Gobj.size copy) (Gobj.id rc)
+                      (Gobj.size rc);
                   if not (Gobj.is_freed rc) then begin
                     let r = H.region heap (Gobj.region rc) in
                     if Region.is_free r then
                       emit t ~invariant:"fwd-table-live-copy"
-                        ~region:(Gobj.region rc) ~object_id:rc.Gobj.id
+                        ~region:(Gobj.region rc) ~object_id:(Gobj.id rc)
                         "forwarding-table entry resolves to #%d in region \
                          %d, which is free"
-                        rc.Gobj.id (Gobj.region rc)
+                        (Gobj.id rc) (Gobj.region rc)
                   end)
             tbl)
         (source ()))

@@ -11,9 +11,18 @@
       0            empty
       overflow     the card references 3+ distinct regions
       otherwise    low 16 bits = rid1 + 1, next 16 bits = rid2 + 1 (0 if none)
+
+    The entry array is allocated by the first {!record}: until then every
+    card reads [Empty], and a heap whose run never marks (or whose marks
+    find no cross-region reference) never pays for the table.
 *)
 
-type t = { entries : int array; mutable overflowed : int; mutable recorded : int }
+type t = {
+  cards : int;
+  mutable entries : int array;  (** [[||]] until the first {!record} *)
+  mutable overflowed : int;
+  mutable recorded : int;
+}
 
 type entry = Empty | One of int | Two of int * int | Overflow
 
@@ -21,13 +30,14 @@ let overflow_sentinel = -1
 let max_region_id = 0xFFFE
 
 let create ~total_cards =
-  { entries = Array.make total_cards 0; overflowed = 0; recorded = 0 }
+  if total_cards < 0 then invalid_arg "Crdt.create: total_cards";
+  { cards = total_cards; entries = [||]; overflowed = 0; recorded = 0 }
 
-let total_cards t = Array.length t.entries
+let total_cards t = t.cards
 
 (** Memory footprint in bytes: 4 bytes per card, as in the paper (0.78 %
     of the heap). *)
-let byte_size t = 4 * Array.length t.entries
+let byte_size t = 4 * t.cards
 
 let decode v =
   if v = overflow_sentinel then Overflow
@@ -37,12 +47,15 @@ let decode v =
     let hi = (v lsr 16) land 0xFFFF in
     if hi = 0 then One r1 else Two (r1, hi - 1)
 
-let get t card = decode t.entries.(card)
+let get t card =
+  if card < 0 || card >= t.cards then invalid_arg "Crdt.get: card";
+  if Array.length t.entries = 0 then Empty else decode t.entries.(card)
 
 (** Record that [card] holds a reference into region [rid].  Duplicate
     regions are stored once; a third distinct region overflows. *)
 let record t ~card ~rid =
   if rid < 0 || rid > max_region_id then invalid_arg "Crdt.record: rid";
+  if Array.length t.entries = 0 then t.entries <- Array.make t.cards 0;
   let v = t.entries.(card) in
   if v = overflow_sentinel then ()
   else begin

@@ -9,7 +9,10 @@
     rescanned during remembered-set building.  Remembered-set building
     then needs no card scanning for the exact entries: it maps each
     recorded region to its group and sets the group's bit directly,
-    which is where Table 7's reduction in scanned cards comes from. *)
+    which is where Table 7's reduction in scanned cards comes from.
+
+    The entries are allocated by the first {!record}; an untouched table
+    reads [Empty] everywhere and owns no per-card words. *)
 
 type t
 
@@ -32,6 +35,7 @@ val record : t -> card:int -> rid:int -> unit
     exceeds {!max_region_id}. *)
 
 val get : t -> int -> entry
+(** Raises [Invalid_argument] when the card is outside [0, total_cards). *)
 
 val reset : t -> unit
 (** Clear every entry (done at each marking cycle's start). *)

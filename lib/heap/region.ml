@@ -6,7 +6,10 @@
     maps each card to the first object overlapping it, so card scans
     start at the right object in O(1) instead of binary-searching the
     object vector per card; it is maintained incrementally by
-    {!push_obj} and invalidated wholesale by {!reset}.  [live_bytes] is
+    {!push_obj} and invalidated wholesale by {!reset}.  The table is
+    allocated when the region first receives an object: a short run
+    claims only some of its heap's regions, and a region never claimed
+    costs no per-card words.  [live_bytes] is
     the result of the last completed marking cycle and drives
     collection-set / group selection. *)
 
@@ -24,10 +27,11 @@ type t = {
   mutable kind : kind;
   mutable top : int;  (** bump pointer: bytes used *)
   objects : Gobj.t Util.Vec.t;
-  bot : int array;
+  mutable bot : int array;
       (** block-offset table: per card, the index in [objects] of the
           first object whose bytes overlap the card; -1 when no object
-          does.  Append-only between resets, exactly like [objects]. *)
+          does.  Append-only between resets, exactly like [objects].
+          Empty until the region first receives an object. *)
   mutable bot_filled : int;
       (** number of owned BOT entries.  Allocation is contiguous, so the
           owned entries are exactly the prefix covering [0, top): the
@@ -58,7 +62,7 @@ let make ?(card_bytes = 512) ~rid ~size () =
     kind = Free;
     top = 0;
     objects = Util.Vec.create ~capacity:64 Gobj.null;
-    bot = Array.make ((size + card_bytes - 1) / card_bytes) (-1);
+    bot = [||];
     bot_filled = 0;
     live_bytes = 0;
     marking_live = 0;
@@ -98,7 +102,8 @@ let[@inline] card_index t off =
     [bot_filled ..= card(top + size - 1)] — extending the owned prefix
     needs no per-card ownership test, and the common small object costs
     one shift and one compare.  Amortized O(1): every BOT entry is
-    written at most once per region lifetime. *)
+    written at most once per region lifetime.  The region's first object
+    allocates the table. *)
 let push_obj t (o : Gobj.t) =
   Gobj.set_loc o ~region:t.rid ~offset:t.top;
   let idx = Util.Vec.length t.objects in
@@ -106,6 +111,8 @@ let push_obj t (o : Gobj.t) =
   let size = Gobj.size o in
   if size > 0 then begin
     let c1 = card_index t (t.top + size - 1) in
+    if t.bot_filled <= c1 && Array.length t.bot = 0 then
+      t.bot <- Array.make ((t.size + t.card_bytes - 1) / t.card_bytes) (-1);
     while t.bot_filled <= c1 do
       Array.unsafe_set t.bot t.bot_filled idx;
       t.bot_filled <- t.bot_filled + 1

@@ -6,7 +6,9 @@
     maps each card to the first object overlapping it, so card scans
     start at the right object in O(1) instead of binary-searching the
     object vector per card; it is maintained incrementally by
-    {!push_obj} and invalidated wholesale by {!reset}.  [live_bytes] is
+    {!push_obj} and invalidated wholesale by {!reset}.  The table is
+    allocated when the region first receives an object, so a region
+    never claimed costs no per-card words.  [live_bytes] is
     the result of the last completed marking cycle and drives
     collection-set / group selection.
 
@@ -27,10 +29,11 @@ type t = {
   mutable kind : kind;
   mutable top : int;  (** bump pointer: bytes used *)
   objects : Gobj.t Util.Vec.t;
-  bot : int array;
+  mutable bot : int array;
       (** block-offset table: per card, the index in [objects] of the
           first object whose bytes overlap the card; -1 when no object
-          does.  Append-only between resets, exactly like [objects]. *)
+          does.  Append-only between resets, exactly like [objects].
+          Empty until the region first receives an object. *)
   mutable bot_filled : int;
       (** number of owned BOT entries.  Allocation is contiguous, so the
           owned entries are exactly the prefix covering [0, top): the
@@ -71,9 +74,9 @@ val fits : t -> int -> bool
 
 val push_obj : t -> Gobj.t -> unit
 (** Append an already-constructed object at the current top.  The caller
-    guarantees [fits].  Maintains the block-offset table incrementally;
-    amortized O(1): every BOT entry is written at most once per region
-    lifetime. *)
+    guarantees [fits].  Maintains the block-offset table incrementally
+    (the region's first object allocates it); amortized O(1): every BOT
+    entry is written at most once per region lifetime. *)
 
 val clear_objects : t -> unit
 (** Forget every object without touching liveness/kind bookkeeping: the

@@ -58,6 +58,13 @@ let () =
           rejects "run -w nope" "'-w'";
           rejects "run --jobs=-1" "'--jobs'";
           rejects "run --verify=bogus" "'--verify'";
+          rejects "run -d 0" "'-d'";
+          rejects "run --duration=-1" "'--duration'";
+          rejects "run --duration=nan" "'--duration'";
+          rejects "run --duration=inf" "'--duration'";
+          rejects "run --warmup=-0.1" "'--warmup'";
+          rejects "run --warmup=inf" "'--warmup'";
+          rejects "run --warmup=x" "'--warmup'";
         ] );
       ( "trace",
         [
@@ -75,6 +82,10 @@ let () =
           rejects "check --strategy=x" "'--strategy'";
           rejects "check --bug=skip-remset -c g1" "--bug";
           rejects "check --replay=no-such-file" "'--replay'";
+          rejects "check --schedules=0" "'--schedules'";
+          rejects "check --schedules=1.5" "'--schedules'";
+          rejects "check --depth=-1" "'--depth'";
+          rejects "check --depth=x" "'--depth'";
         ] );
       ( "replay",
         List.map
@@ -86,6 +97,9 @@ let () =
             ("collector", "nope");
             ("workload", "nope");
             ("bug", "nope");
+            ("strategy", "nope");
+            ("schedules", "0");
+            ("depth", "-1");
           ] );
       ( "accepted",
         [

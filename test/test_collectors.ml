@@ -66,14 +66,14 @@ let verify_reachable rt =
   let count = ref 0 in
   let rec visit depth (o : Heap.Gobj.t) =
     let o = Heap.Gobj.resolve o in
-    if not (Hashtbl.mem seen o.Heap.Gobj.id) then begin
-      Hashtbl.replace seen o.Heap.Gobj.id ();
+    if not (Hashtbl.mem seen (Heap.Gobj.id o)) then begin
+      Hashtbl.replace seen (Heap.Gobj.id o) ();
       incr count;
       if Heap.Gobj.is_freed o then begin
         let r = Heap.Heap_impl.region heap (Heap.Gobj.region o) in
         Alcotest.failf
           "reachable object #%d is freed (region %d kind=%s top=%d off=%d size=%d fwd=%b mark=%d ymark=%d epoch=%d age=%d)"
-          o.Heap.Gobj.id (Heap.Gobj.region o)
+          (Heap.Gobj.id o) (Heap.Gobj.region o)
           (Heap.Region.kind_to_string r.Heap.Region.kind)
           r.Heap.Region.top (Heap.Gobj.offset o) (Heap.Gobj.size o)
           (Heap.Gobj.is_forwarded o) (Heap.Gobj.mark o) (Heap.Gobj.ymark o)
@@ -82,10 +82,10 @@ let verify_reachable rt =
       let r = Heap.Heap_impl.region heap (Heap.Gobj.region o) in
       if Heap.Region.is_free r then
         Alcotest.failf "reachable object #%d lives in a free region"
-          o.Heap.Gobj.id;
+          (Heap.Gobj.id o);
       if Heap.Gobj.offset o + Heap.Gobj.size o > r.Heap.Region.top then
         Alcotest.failf "reachable object #%d outside its region's span"
-          o.Heap.Gobj.id;
+          (Heap.Gobj.id o);
       Heap.Gobj.iter_fields (fun _ child -> visit (depth + 1) child) o
     end
   in

@@ -230,8 +230,8 @@ let test_jade_single_phase_updates_refs () =
   let seen = Hashtbl.create 1024 in
   let rec visit (o : Gobj.t) =
     let o = Gobj.resolve o in
-    if not (Hashtbl.mem seen o.Heap.Gobj.id) then begin
-      Hashtbl.replace seen o.Heap.Gobj.id ();
+    if not (Hashtbl.mem seen (Heap.Gobj.id o)) then begin
+      Hashtbl.replace seen (Heap.Gobj.id o) ();
       Gobj.iter_fields
         (fun _ child ->
           incr total;

@@ -17,8 +17,8 @@ let reachable_bytes rt =
   let bytes = ref 0 in
   let rec visit (o : Heap.Gobj.t) =
     let o = Heap.Gobj.resolve o in
-    if not (Hashtbl.mem seen o.Heap.Gobj.id) then begin
-      Hashtbl.replace seen o.Heap.Gobj.id ();
+    if not (Hashtbl.mem seen (Heap.Gobj.id o)) then begin
+      Hashtbl.replace seen (Heap.Gobj.id o) ();
       bytes := !bytes + Heap.Gobj.size o;
       Heap.Gobj.iter_fields (fun _ child -> visit child) o
     end

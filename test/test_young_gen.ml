@@ -43,7 +43,7 @@ let build_old_to_young env (m : Runtime.Mutator.t) =
     | None -> Alcotest.fail "no region"
   in
   let holder' =
-    Heap_impl.alloc_in env.heap old_r ~id:holder.Gobj.id ~size:(Gobj.size holder)
+    Heap_impl.alloc_in env.heap old_r ~id:(Gobj.id holder) ~size:(Gobj.size holder)
       ~nrefs:0 ()
   in
   (* Share the slots, as relocation does. *)
