@@ -37,7 +37,7 @@ let () =
     (Util.Units.pp_bytes free_bytes)
     host_us;
   Printf.printf "  tracked (live < %.0f%%): %d regions, skipped by cap: %d\n"
-    (100. *. config.Jade.Jade_config.live_threshold)
+    (100. *. Jade.Grouping.live_threshold)
     plan.Jade.Grouping.tracked plan.Jade.Grouping.skipped;
   Printf.printf "  groups: %d (paper cap: %d)\n\n"
     (Jade.Grouping.num_groups plan)

@@ -69,9 +69,6 @@ type config = {
           discarded, not counted. *)
 }
 
-let default_config =
-  { strategy = Rand; schedules = 64; depth = 8; seed = 1; jobs = 1 }
-
 type scenario = attach:(RtM.t -> unit) -> unit
 (** One full simulation: build a fresh engine/heap/runtime, call
     [attach rt] {e before} running (it installs the policy and oracles),

@@ -375,7 +375,7 @@ let check_crdt t =
           if (not (Region.is_free r)) && r.Region.alloc_epoch < epoch then begin
             let found = ref false in
             Region.iter_objects_in_range r ~off:(H.card_to_offset heap card)
-              ~len:heap.H.cfg.H.card_bytes (fun (o : Gobj.t) ->
+              ~len:H.card_bytes (fun (o : Gobj.t) ->
                 if Gobj.mark o >= epoch then found := true);
             if not !found then
               emit t ~invariant:"crdt-live-agreement" ~region:rid

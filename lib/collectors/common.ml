@@ -13,16 +13,19 @@ module Metrics = Runtime.Metrics
 (* Batched cost accounting for GC threads.                              *)
 
 module Ticker = struct
-  type t = { mutable pending : int; batch : int; workers : int }
+  type t = { mutable pending : int; workers : int }
+
+  (** Ticks are paid to the engine in chunks of about this many ns. *)
+  let batch = 20_000
 
   (** [workers] divides all billed cost: under a stop-the-world pause,
       [k <= cores] workers sharing the work finish in work/k wall time
       with no contention (all mutators are stopped), so serially executed
       STW phases bill cost/k — exact in this machine model.  Concurrent
       phases use real worker fibers instead and must keep [workers = 1]. *)
-  let create ?(batch = 20_000) ?(workers = 1) () =
+  let create ?(workers = 1) () =
     if workers < 1 then invalid_arg "Ticker.create";
-    { pending = 0; batch; workers }
+    { pending = 0; workers }
 
   let flush t =
     if t.pending > 0 then begin
@@ -31,16 +34,28 @@ module Ticker = struct
       Sim.Engine.tick n
     end
 
-  (** Accumulate [n] ns, paying the engine in ~[batch]-sized chunks so GC
-      loops do not suspend on every object. *)
+  (** Accumulate [n] ns, paying the engine in ~{!batch}-sized chunks so
+      GC loops do not suspend on every object. *)
   let tick t n =
     t.pending <- t.pending + n;
-    if t.pending >= t.batch * t.workers then flush t
+    if t.pending >= batch * t.workers then flush t
 end
 
 (** A ticker for work done inside a stop-the-world pause, shared by one
     worker per core. *)
 let stw_ticker rt = Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
+
+(** Return [r] to the free list, billing the region reset to [tk]. *)
+let release_region rt tk r =
+  Heap_impl.release_region rt.RtM.heap r;
+  Ticker.tick tk rt.RtM.costs.Costs.region_reset
+
+(** Concurrent GC threads of every baseline collector. *)
+let gc_threads = 2
+
+(** How long an idle controller, Jade's included, sleeps before
+    re-checking its triggers. *)
+let poll_interval = 100 * Util.Units.us
 
 (* ------------------------------------------------------------------ *)
 (* Parallel GC worker phases.                                           *)
@@ -479,8 +494,7 @@ let reclaim_dead_humongous rt (tk : Ticker.t) =
         && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
         && r.Region.live_bytes = 0
       then begin
-        Heap_impl.release_region heap r;
-        Ticker.tick tk rt.RtM.costs.Costs.region_reset;
+        release_region rt tk r;
         incr n
       end)
     heap.Heap_impl.regions;
@@ -538,7 +552,6 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
           (fun (a : Region.t) b -> compare a.Region.live_bytes b.Region.live_bytes)
           !victims
       in
-      let costs = rt.RtM.costs in
       let dest_pool : Region.t Queue.t = Queue.create () in
       let current_dest = ref None in
       (* A compacted region with room for [size] more bytes.  The current
@@ -585,8 +598,7 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
             (fun o -> if not (place_elsewhere o) then Util.Vec.push stay o)
             live;
           if Util.Vec.is_empty stay then begin
-            Heap_impl.release_region heap r;
-            Ticker.tick tk costs.Costs.region_reset;
+            release_region rt tk r;
             incr reclaimed
           end
           else begin

@@ -11,28 +11,18 @@ open Heap
 module RtM = Runtime.Rt
 module Metrics = Runtime.Metrics
 
-type config = {
-  gc_threads : int;  (** concurrent marking workers *)
-  pause_target : int;  (** soft pause limit, ns *)
-  ihop_pct : float;  (** occupancy fraction that starts concurrent mark *)
-  tenure_age : int;
-  cset_live_threshold : float;  (** only regions below this join mixed csets *)
-  poll_interval : int;
-}
+(** Occupancy fraction that starts concurrent mark. *)
+let ihop_pct = 0.45
 
-let default_config =
-  {
-    gc_threads = 2;
-    pause_target = 200 * Util.Units.ms;
-    ihop_pct = 0.45;
-    tenure_age = 2;
-    cset_live_threshold = 0.85;
-    poll_interval = 100 * Util.Units.us;
-  }
+(** Young collections an object survives before promotion. *)
+let tenure_age = 2
+
+(** Only regions below this liveness join mixed csets. *)
+let cset_live_threshold = 0.85
 
 type t = {
   rt : RtM.t;
-  config : config;
+  pause_target : int;  (** soft pause limit, ns *)
   remsets : Region_remsets.t;
   marker : Common.Marker.t;
   mutable marking : bool;
@@ -50,7 +40,7 @@ type t = {
    copying cost plus remembered-set card scans (G1's pause prediction). *)
 let take_mixed_slice t =
   let costs = t.rt.RtM.costs in
-  let budget = ref (t.config.pause_target - t.last_pause_est) in
+  let budget = ref (t.pause_target - t.last_pause_est) in
   let slice = ref [] and n = ref 0 in
   let continue_ = ref true in
   let stw_workers = Sim.Engine.cores t.rt.RtM.engine in
@@ -81,7 +71,7 @@ let take_mixed_slice t =
   !slice
 
 let adapt_young_budget t ~pause =
-  let target = t.config.pause_target in
+  let target = t.pause_target in
   t.last_pause_est <- (t.last_pause_est + pause) / 2;
   let ratio = float_of_int target /. float_of_int (max pause 1) in
   let ratio = Float.min 2.0 (Float.max 0.5 ratio) in
@@ -102,7 +92,7 @@ let collect t ~mixed =
   in
   let failed =
     Stw_collect.collect t.rt ~remsets:t.remsets
-      ~tenure_age:t.config.tenure_age ~old_cset ~extra_roots ~pause_kind:kind ()
+      ~tenure_age ~old_cset ~extra_roots ~pause_kind:kind ()
   in
   adapt_young_budget t ~pause:(Sim.Engine.now t.rt.RtM.engine - t0);
   Metrics.add t.rt.RtM.metrics "g1.young_collections" 1;
@@ -140,7 +130,7 @@ let run_mark_cycle t =
   t.marking <- true;
   Metrics.phase_begin metrics "g1.conc_mark" ~now:(Sim.Engine.now rt.RtM.engine);
   Common.Marker.cycle t.marker ~final:Metrics.Remark
-    ~workers:t.config.gc_threads ~at_final:(fun tk ->
+    ~workers:Common.gc_threads ~at_final:(fun tk ->
       let _, cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process));
   Metrics.phase_end metrics "g1.conc_mark" ~now:(Sim.Engine.now rt.RtM.engine);
@@ -156,9 +146,9 @@ let run_mark_cycle t =
   let nd = Util.Vec.length dirtyv in
   let cards = Array.init nd (fun i -> Util.Vec.get dirtyv (nd - 1 - i)) in
   Metrics.add metrics "g1.cards_scanned" (Array.length cards);
-  Common.run_workers rt ~n:t.config.gc_threads ~name:"g1-rebuild" (fun w tk ->
+  Common.run_workers rt ~n:Common.gc_threads ~name:"g1-rebuild" (fun w tk ->
       let n = Array.length cards in
-      let chunk = (n + t.config.gc_threads - 1) / t.config.gc_threads in
+      let chunk = (n + Common.gc_threads - 1) / Common.gc_threads in
       let lo = w * chunk and hi = min n ((w + 1) * chunk) in
       for idx = lo to hi - 1 do
         let card = cards.(idx) in
@@ -188,7 +178,7 @@ let run_mark_cycle t =
         r.Region.kind = Region.Old
         && (not r.Region.humongous)
         && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-        && Region.live_ratio r < t.config.cset_live_threshold
+        && Region.live_ratio r < cset_live_threshold
       then cands := r :: !cands;
       (* Eager reclaim of dead humongous regions. *)
       if
@@ -245,23 +235,23 @@ let controller t () =
     then ensure_progress t
     else if
       t.mark_requested
-      || ((not t.marking) && t.candidates = [] && Common.old_occupancy rt >= t.config.ihop_pct)
+      || ((not t.marking) && t.candidates = [] && Common.old_occupancy rt >= ihop_pct)
     then begin
       t.mark_requested <- false;
       run_mark_cycle t
     end
-    else Sim.Engine.sleep engine t.config.poll_interval
+    else Sim.Engine.sleep engine Common.poll_interval
   done
 
 (* ------------------------------------------------------------------ *)
 (* Plumbing.                                                            *)
 
-let install ?(config = default_config) rt =
+let install ?(pause_target = 200 * Util.Units.ms) rt =
   let heap = rt.RtM.heap in
   let t =
     {
       rt;
-      config;
+      pause_target;
       remsets = Region_remsets.create heap;
       marker = Common.Marker.create rt;
       marking = false;

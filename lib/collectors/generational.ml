@@ -17,20 +17,11 @@
 open Heap
 module RtM = Runtime.Rt
 
-type config = {
-  gc_threads : int;
-  young_budget_fraction : int;  (** young GC when young regions > heap/n *)
-  old_trigger_occupancy : float;
-  poll_interval : int;
-}
+(** Young GC when young regions exceed heap/[young_budget_fraction]. *)
+let young_budget_fraction = 4
 
-let default_config =
-  {
-    gc_threads = 2;
-    young_budget_fraction = 4;
-    old_trigger_occupancy = 0.60;
-    poll_interval = 100 * Util.Units.us;
-  }
+(** Start an old cycle above this old-generation occupancy. *)
+let old_trigger_occupancy = 0.60
 
 (** What the wrapper drives of the parent collector. *)
 type old_cycle = {
@@ -45,8 +36,7 @@ type variant = {
   colored : bool;
       (** colored pointers: atomic young marking, a per-load color check
           and the compressed-oops tax *)
-  old_gen :
-    RtM.t -> gc_threads:int -> copy_hook:(Gobj.t -> unit) -> old_cycle;
+  old_gen : RtM.t -> copy_hook:(Gobj.t -> unit) -> old_cycle;
 }
 
 let old_only (r : Region.t) = r.Region.kind = Region.Old
@@ -57,18 +47,8 @@ let genz =
     style = Young_gen.Lazy_healing;
     colored = true;
     old_gen =
-      (fun rt ~gc_threads ~copy_hook ->
-        let z =
-          Zgc.create
-            ~config:
-              {
-                Zgc.default_config with
-                gc_threads;
-                cset_filter = old_only;
-                copy_hook;
-              }
-            rt
-        in
+      (fun rt ~copy_hook ->
+        let z = Zgc.create ~config:{ cset_filter = old_only; copy_hook } rt in
         {
           run_cycle = (fun () -> Zgc.run_cycle z);
           marker = z.Zgc.marker;
@@ -82,17 +62,9 @@ let genshen =
     style = Young_gen.Update_refs_phase;
     colored = false;
     old_gen =
-      (fun rt ~gc_threads ~copy_hook ->
+      (fun rt ~copy_hook ->
         let s =
-          Shenandoah.create
-            ~config:
-              {
-                Shenandoah.default_config with
-                gc_threads;
-                cset_filter = old_only;
-                copy_hook;
-              }
-            rt
+          Shenandoah.create ~config:{ cset_filter = old_only; copy_hook } rt
         in
         {
           run_cycle = (fun () -> Shenandoah.run_cycle s);
@@ -103,7 +75,6 @@ let genshen =
 
 type t = {
   rt : RtM.t;
-  config : config;
   young : Young_gen.t;
   old : old_cycle;
   mutable urgent : bool;
@@ -122,7 +93,7 @@ let controller t () =
   let heap = rt.RtM.heap in
   while true do
     let budget =
-      max 4 (Heap_impl.num_regions heap / t.config.young_budget_fraction)
+      max 4 (Heap_impl.num_regions heap / young_budget_fraction)
     in
     if
       t.urgent
@@ -131,15 +102,15 @@ let controller t () =
          && Common.young_count rt > 0
     then begin
       t.urgent <- false;
-      let ok = Young_gen.collect t.young ~gc_threads:t.config.gc_threads in
+      let ok = Young_gen.collect t.young in
       if (not ok) || Common.below_low_watermark rt then escalate t
     end
-    else if Common.old_occupancy rt >= t.config.old_trigger_occupancy then
+    else if Common.old_occupancy rt >= old_trigger_occupancy then
       t.old.run_cycle ()
-    else Sim.Engine.sleep rt.RtM.engine t.config.poll_interval
+    else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
   done
 
-let install ?(config = default_config) variant rt =
+let install variant rt =
   let young =
     Young_gen.create ~atomic_cost:variant.colored ~style:variant.style rt
   in
@@ -157,8 +128,8 @@ let install ?(config = default_config) variant rt =
                (Heap_impl.card_of_field heap o' i)))
       o'
   in
-  let old = variant.old_gen rt ~gc_threads:config.gc_threads ~copy_hook in
-  let t = { rt; config; young; old; urgent = false } in
+  let old = variant.old_gen rt ~copy_hook in
+  let t = { rt; young; old; urgent = false } in
   let costs = rt.RtM.costs in
   (* Old-generation SATB during old marking, young SATB during young
      marking; old-to-young remembering always. *)

@@ -15,28 +15,20 @@ open Heap
 module RtM = Runtime.Rt
 module Metrics = Runtime.Metrics
 
-type config = {
-  gc_threads : int;
-  epoch_alloc_bytes : int;  (** RC epoch every this many allocated bytes *)
-  tenure_age : int;
-  trace_trigger_occupancy : float;
-  defrag_live_threshold : float;
-  poll_interval : int;
-}
+(** RC epoch every this many allocated bytes. *)
+let epoch_alloc_bytes = 12 * Util.Units.mib
 
-let default_config =
-  {
-    gc_threads = 2;
-    epoch_alloc_bytes = 12 * Util.Units.mib;
-    tenure_age = 1;
-    trace_trigger_occupancy = 0.55;
-    defrag_live_threshold = 0.85;
-    poll_interval = 100 * Util.Units.us;
-  }
+(** RC epochs an object survives before promotion. *)
+let tenure_age = 1
+
+(** Start a concurrent trace above this heap occupancy. *)
+let trace_trigger_occupancy = 0.55
+
+(** Only old regions below this liveness become defrag candidates. *)
+let defrag_live_threshold = 0.85
 
 type t = {
   rt : RtM.t;
-  config : config;
   remsets : Region_remsets.t;
   marker : Common.Marker.t;
   mutable rc_log : int;  (** pending increment/decrement log entries *)
@@ -73,7 +65,7 @@ let rc_epoch t ~defrag =
   t.last_epoch_bytes <- rt.RtM.heap.Heap_impl.bytes_allocated;
   let pause_kind = if defrag then Metrics.Mixed_stw else Metrics.Rc_epoch in
   let failed =
-    Stw_collect.collect rt ~remsets:t.remsets ~tenure_age:t.config.tenure_age
+    Stw_collect.collect rt ~remsets:t.remsets ~tenure_age
       ~old_cset ~pause_kind ()
   in
   (* The increment/decrement processing shares the same pause; bill it on
@@ -88,7 +80,7 @@ let run_trace t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
   Common.Marker.cycle t.marker ~final:Metrics.Remark
-    ~workers:t.config.gc_threads ~at_final:(fun tk ->
+    ~workers:Common.gc_threads ~at_final:(fun tk ->
       let _, cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
       ignore (Common.reclaim_dead_humongous rt tk));
@@ -99,7 +91,7 @@ let run_trace t =
         r.Region.kind = Region.Old
         && (not r.Region.humongous)
         && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-        && Region.live_ratio r < t.config.defrag_live_threshold
+        && Region.live_ratio r < defrag_live_threshold
       then cands := r :: !cands)
     heap.Heap_impl.regions;
   t.candidates <-
@@ -117,7 +109,7 @@ let controller t () =
     let since =
       heap.Heap_impl.bytes_allocated - t.last_epoch_bytes
     in
-    if t.urgent || since >= t.config.epoch_alloc_bytes then begin
+    if t.urgent || since >= epoch_alloc_bytes then begin
       t.urgent <- false;
       let failed = rc_epoch t ~defrag:(t.candidates <> []) in
       if failed || Common.below_low_watermark rt then begin
@@ -129,18 +121,17 @@ let controller t () =
     end
     else if
       t.candidates = []
-      && Heap_impl.occupancy heap >= t.config.trace_trigger_occupancy
+      && Heap_impl.occupancy heap >= trace_trigger_occupancy
       && not t.marker.Common.Marker.active
     then run_trace t
-    else Sim.Engine.sleep rt.RtM.engine t.config.poll_interval
+    else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
   done
 
-let install ?(config = default_config) rt =
+let install rt =
   let heap = rt.RtM.heap in
   let t =
     {
       rt;
-      config;
       remsets = Region_remsets.create heap;
       marker = Common.Marker.create rt;
       rc_log = 0;

@@ -15,26 +15,20 @@ module RtM = Runtime.Rt
 module Metrics = Runtime.Metrics
 
 type config = {
-  gc_threads : int;
-  trigger_occupancy : float;  (** start a cycle above this heap occupancy *)
-  cset_live_threshold : float;
   cset_filter : Region.t -> bool;
       (** extra victim filter (GenShen restricts old cycles to old regions) *)
   copy_hook : Gobj.t -> unit;
       (** fires on every evacuated copy (GenShen rebuilds old-to-young
           remembered-set entries for relocated holders) *)
-  poll_interval : int;
 }
 
-let default_config =
-  {
-    gc_threads = 2;
-    trigger_occupancy = 0.55;
-    cset_live_threshold = 0.85;
-    cset_filter = (fun _ -> true);
-    copy_hook = ignore;
-    poll_interval = 100 * Util.Units.us;
-  }
+let default_config = { cset_filter = (fun _ -> true); copy_hook = ignore }
+
+(** Start a cycle above this heap occupancy. *)
+let trigger_occupancy = 0.55
+
+(** Only regions below this liveness join the collection set. *)
+let cset_live_threshold = 0.85
 
 type t = {
   rt : RtM.t;
@@ -79,7 +73,7 @@ let select_cset t =
            (not (Region.is_free r))
            && (not r.Region.humongous)
            && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-           && Region.live_ratio r < t.config.cset_live_threshold
+           && Region.live_ratio r < cset_live_threshold
            && t.config.cset_filter r)
     |> List.sort (fun (a : Region.t) b ->
            compare a.Region.live_bytes b.Region.live_bytes)
@@ -98,12 +92,7 @@ let select_cset t =
 (* Cycle.                                                               *)
 
 let release_cset t tk cset =
-  let heap = t.rt.RtM.heap in
-  List.iter
-    (fun (r : Region.t) ->
-      Heap_impl.release_region heap r;
-      Common.Ticker.tick tk t.rt.RtM.costs.Costs.region_reset)
-    cset;
+  List.iter (Common.release_region t.rt tk) cset;
   Metrics.add t.rt.RtM.metrics "shen.regions_reclaimed" (List.length cset);
   RtM.notify_memory_freed t.rt
 
@@ -154,7 +143,7 @@ let run_cycle t =
      marking, process weak refs, select the collection set. *)
   let cset = ref [] in
   Common.Marker.cycle t.marker ~retire_tlabs:true ~phase:"shen.mark"
-    ~final:Metrics.Final_mark ~workers:t.config.gc_threads
+    ~final:Metrics.Final_mark ~workers:Common.gc_threads
     ~at_final:(fun tk ->
       let _, cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
@@ -163,7 +152,7 @@ let run_cycle t =
   (* 4. Concurrent evacuation. *)
   Metrics.phase_begin metrics "shen.evac" ~now:(now ());
   let evac_rest, evac_failed =
-    Common.parallel_drain rt ~n:t.config.gc_threads ~name:"shen-evac" ~stop
+    Common.parallel_drain rt ~n:Common.gc_threads ~name:"shen-evac" ~stop
       ~init:(fun () ->
         let dest = Common.Evac.make_dest rt Region.Old in
         fun _ -> dest)
@@ -182,7 +171,7 @@ let run_cycle t =
       (* 5. Concurrent update-refs over every live region. *)
       Metrics.phase_begin metrics "shen.update_refs" ~now:(now ());
       let update_rest, _ =
-        Common.parallel_drain rt ~n:t.config.gc_threads ~name:"shen-update"
+        Common.parallel_drain rt ~n:Common.gc_threads ~name:"shen-update"
           ~stop ~init:ignore heap.Heap_impl.regions
           (fun () tk (r : Region.t) ->
             if (not (Region.is_free r)) && not r.Region.in_cset then
@@ -219,7 +208,7 @@ let controller t () =
   let rt = t.rt in
   let heap = rt.RtM.heap in
   while true do
-    if t.urgent || Heap_impl.occupancy heap >= t.config.trigger_occupancy
+    if t.urgent || Heap_impl.occupancy heap >= trigger_occupancy
     then begin
       t.urgent <- false;
       run_cycle t;
@@ -228,11 +217,11 @@ let controller t () =
       if rt.RtM.stalled_mutators > 0 && Common.below_low_watermark rt then
         Common.full_gc_or_oom rt
     end
-    else Sim.Engine.sleep rt.RtM.engine t.config.poll_interval
+    else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
   done
 
-let install ?config rt =
-  let t = create ?config rt in
+let install rt =
+  let t = create rt in
   let costs = rt.RtM.costs in
   let markers = [ t.marker ] in
   Common.install rt ~name:"shenandoah"

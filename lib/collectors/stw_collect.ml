@@ -214,8 +214,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
         List.iter
           (fun (r : Region.t) ->
             Region_remsets.clear remsets r.Region.rid;
-            Heap_impl.release_region heap r;
-            Common.Ticker.tick tk costs.Costs.region_reset)
+            Common.release_region rt tk r)
           !cset;
         (* Eager humongous reclaim (G1): a humongous region that was not
            reached during this pause and whose remembered set holds no
@@ -252,8 +251,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                       rs);
               if not !referenced then begin
                 Region_remsets.clear remsets r.Region.rid;
-                Heap_impl.release_region heap r;
-                Common.Ticker.tick tk costs.Costs.region_reset
+                Common.release_region rt tk r
               end
             end)
           heap.Heap_impl.regions;

@@ -33,7 +33,10 @@ type t = {
   mutable young_cycle_active : bool;
 }
 
-let create ?(tenure_age = 1) ?(atomic_cost = false) ~style rt =
+(** Young collections an object survives before promotion. *)
+let tenure_age = 1
+
+let create ?(atomic_cost = false) ~style rt =
   let heap = rt.RtM.heap in
   let t =
     {
@@ -134,7 +137,7 @@ let after_copy t tk (o : Gobj.t) (o' : Gobj.t) =
 
 (** Run one concurrent young collection.  Returns false on evacuation
     failure (caller escalates). *)
-let collect t ~gc_threads =
+let collect t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
@@ -158,7 +161,7 @@ let collect t ~gc_threads =
       Common.Ticker.flush tk);
   (* Concurrent young mark. *)
   Metrics.phase_begin metrics "young.mark" ~now:(now ());
-  Common.Marker.concurrent_mark marker ~workers:gc_threads;
+  Common.Marker.concurrent_mark marker ~workers:Common.gc_threads;
   Metrics.phase_end metrics "young.mark" ~now:(now ());
   Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Final_mark (fun () ->
       let tk = Common.stw_ticker rt in
@@ -173,7 +176,7 @@ let collect t ~gc_threads =
   Metrics.phase_begin metrics "young.evac" ~now:(now ());
   let after = after_copy t in
   let _, failed =
-    Common.parallel_drain rt ~n:gc_threads ~name:"young-evac"
+    Common.parallel_drain rt ~n:Common.gc_threads ~name:"young-evac"
       ~init:(fun () ->
         let dest_young = Common.Evac.make_dest rt Region.Young in
         let dest_old = Common.Evac.make_dest rt Region.Old in
@@ -204,7 +207,7 @@ let collect t ~gc_threads =
                  && r.Region.kind = Region.Young
                  && not r.Region.in_cset)
         in
-        Common.run_workers rt ~n:gc_threads ~name:"young-update" (fun w tk ->
+        Common.run_workers rt ~n:Common.gc_threads ~name:"young-update" (fun w tk ->
             (* Fix the remembered cards and the survivor regions. *)
             if w = 0 then
               Remset.iter (fun card -> Common.update_refs_in_card rt tk card)
@@ -223,8 +226,7 @@ let collect t ~gc_threads =
     List.iter
       (fun (r : Region.t) ->
         Metrics.add metrics "young.reclaimed_bytes" r.Region.top;
-        Heap_impl.release_region heap r;
-        Common.Ticker.tick tk rt.RtM.costs.Costs.region_reset)
+        Common.release_region rt tk r)
       !snapshot;
     Common.Ticker.flush tk;
     let _, cleared = Heap_impl.process_weak_refs_freed_only heap in

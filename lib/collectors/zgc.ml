@@ -16,26 +16,20 @@ module RtM = Runtime.Rt
 module Metrics = Runtime.Metrics
 
 type config = {
-  gc_threads : int;
-  trigger_occupancy : float;
-  relocation_live_threshold : float;
   cset_filter : Region.t -> bool;
       (** extra victim filter (GenZ restricts old cycles to old regions) *)
   copy_hook : Gobj.t -> unit;
       (** fires on every relocated copy (GenZ rebuilds old-to-young
           remembered-set entries for relocated holders) *)
-  poll_interval : int;
 }
 
-let default_config =
-  {
-    gc_threads = 2;
-    trigger_occupancy = 0.50;
-    relocation_live_threshold = 0.85;
-    cset_filter = (fun _ -> true);
-    copy_hook = ignore;
-    poll_interval = 100 * Util.Units.us;
-  }
+let default_config = { cset_filter = (fun _ -> true); copy_hook = ignore }
+
+(** Start a cycle above this heap occupancy. *)
+let trigger_occupancy = 0.50
+
+(** Only regions below this liveness are relocated. *)
+let relocation_live_threshold = 0.85
 
 type t = {
   rt : RtM.t;
@@ -68,7 +62,7 @@ let select_relocation_set t =
          (not (Region.is_free r))
          && (not r.Region.humongous)
          && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-         && Region.live_ratio r < t.config.relocation_live_threshold
+         && Region.live_ratio r < relocation_live_threshold
          && t.config.cset_filter r)
   |> List.sort (fun (a : Region.t) b ->
          compare a.Region.live_bytes b.Region.live_bytes)
@@ -83,7 +77,7 @@ let run_cycle t =
      mark remaps every stale reference it encounters, so the previous
      cycle's forwarding tables can be dropped afterwards. *)
   Common.Marker.cycle t.marker ~retire_tlabs:true ~phase:"zgc.mark"
-    ~final:Metrics.Final_mark ~workers:t.config.gc_threads
+    ~final:Metrics.Final_mark ~workers:Common.gc_threads
     ~at_final:(fun tk ->
       RtM.update_roots rt;
       let _, cleared = Heap_impl.process_weak_refs_marked heap in
@@ -96,7 +90,7 @@ let run_cycle t =
   Metrics.phase_begin metrics "zgc.relocate" ~now:(now ());
   let after _ _ copy = t.config.copy_hook copy in
   let _, out_of_space =
-    Common.parallel_drain rt ~n:t.config.gc_threads ~name:"zgc-relocate"
+    Common.parallel_drain rt ~n:Common.gc_threads ~name:"zgc-relocate"
       ~init:(fun () ->
         let dest = Common.Evac.make_dest rt Region.Old in
         fun _ -> dest)
@@ -113,8 +107,7 @@ let run_cycle t =
           r.Region.objects;
         t.forwarding <- fwd :: t.forwarding;
         Metrics.add rt.RtM.metrics "zgc.reclaimed_bytes" r.Region.top;
-        Heap_impl.release_region heap r;
-        Common.Ticker.tick tk rt.RtM.costs.Costs.region_reset;
+        Common.release_region rt tk r;
         Common.Ticker.flush tk;
         RtM.notify_memory_freed rt)
   in
@@ -135,16 +128,16 @@ let controller t () =
   while true do
     if
       t.urgent
-      || Heap_impl.occupancy rt.RtM.heap >= t.config.trigger_occupancy
+      || Heap_impl.occupancy rt.RtM.heap >= trigger_occupancy
     then begin
       t.urgent <- false;
       run_cycle t
     end
-    else Sim.Engine.sleep rt.RtM.engine t.config.poll_interval
+    else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
   done
 
-let install ?config rt =
-  let t = create ?config rt in
+let install rt =
+  let t = create rt in
   let costs = rt.RtM.costs in
   let markers = [ t.marker ] in
   Common.install rt ~name:"zgc"

@@ -42,6 +42,12 @@ let full_gc t =
   Common.full_gc_or_oom ~on_live_ref rt;
   Metrics.add rt.RtM.metrics "jade.full_gcs" 1
 
+(** Young GC when young regions exceed heap/[young_budget_fraction]. *)
+let young_budget_fraction = 4
+
+(** Start an old cycle above this old-generation occupancy. *)
+let old_trigger_occupancy = 0.45
+
 (* Young controller: §4.1.  Chasing mode also applies here — a stalled
    mutator's core goes to young evacuation. *)
 let young_controller t () =
@@ -49,14 +55,14 @@ let young_controller t () =
   let heap = rt.RtM.heap in
   while true do
     let budget =
-      max 4 (Heap_impl.num_regions heap / t.config.young_budget_fraction)
+      max 4 (Heap_impl.num_regions heap / young_budget_fraction)
     in
     if t.full_requested then begin
       if not t.old_gc.Old.cycle_running then begin
         t.full_requested <- false;
         full_gc t
       end
-      else Sim.Engine.sleep rt.RtM.engine t.config.poll_interval
+      else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
     end
     else if
       t.young_urgent
@@ -84,7 +90,7 @@ let young_controller t () =
         if t.young_failures >= 3 then t.full_requested <- true
       end
     end
-    else Sim.Engine.sleep rt.RtM.engine t.config.poll_interval
+    else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
   done
 
 let old_controller t () =
@@ -103,7 +109,7 @@ let old_controller t () =
     in
     if
       (t.old_urgent
-      || Common.old_occupancy rt >= t.config.old_trigger_occupancy
+      || Common.old_occupancy rt >= old_trigger_occupancy
       || proactive
       || Heap_impl.free_regions heap <= max 4 (Heap_impl.num_regions heap / 8)
          && Common.old_occupancy rt > 0.2)
@@ -114,7 +120,7 @@ let old_controller t () =
       let ok = Old.run_cycle t.old_gc in
       if not ok then t.full_requested <- true
     end
-    else Sim.Engine.sleep rt.RtM.engine t.config.poll_interval
+    else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
   done
 
 let install ?(config = Jade_config.default) rt =

@@ -18,11 +18,19 @@ type plan = {
   estimated_free_bytes : int;
 }
 
+(** Tracked-list filter (85 %): regions at or above this liveness are
+    not worth evacuating. *)
+let live_threshold = 0.85
+
+(** Algorithm 2 reservation (85 %): the share of free memory kept for
+    the young generation's own activity. *)
+let young_ratio = 0.85
+
 (** Algorithm 2.  [free_bytes] available for old evacuation: whole free
     regions, minus the young promotion expected to land during the
     remaining GC time, scaled by the young reservation. *)
 let estimate_free_space ~free_region_count ~region_bytes ~promotion_rate
-    ~estimated_gc_time_ns ~young_ratio =
+    ~estimated_gc_time_ns =
   let free_space = free_region_count * region_bytes in
   let promoted =
     int_of_float
@@ -38,7 +46,7 @@ let build ~(config : Jade_config.t) ~free_bytes candidates =
   (* Lines 1-6: the tracked list, filtered by live ratio. *)
   let tracked_list =
     List.filter
-      (fun (r : Region.t) -> Region.live_ratio r < config.live_threshold)
+      (fun (r : Region.t) -> Region.live_ratio r < live_threshold)
       candidates
   in
   let tracked = List.length tracked_list in
@@ -106,9 +114,3 @@ let num_groups plan = Array.length plan.groups
 
 let total_regions plan =
   Array.fold_left (fun acc g -> acc + List.length g) 0 plan.groups
-
-let total_live_bytes plan =
-  Array.fold_left
-    (fun acc g ->
-      List.fold_left (fun a (r : Region.t) -> a + r.Region.live_bytes) acc g)
-    0 plan.groups

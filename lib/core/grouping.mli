@@ -19,24 +19,30 @@ type plan = {
   estimated_free_bytes : int;  (** the Algorithm 2 output used *)
 }
 
+val live_threshold : float
+(** Tracked-list filter of Algorithm 1: regions at or above 85 %
+    liveness are not evacuated. *)
+
+val young_ratio : float
+(** Algorithm 2's reservation for the young generation's own activity:
+    85 % of free memory. *)
+
 val estimate_free_space :
   free_region_count:int ->
   region_bytes:int ->
   promotion_rate:float ->
   estimated_gc_time_ns:int ->
-  young_ratio:float ->
   int
 (** Algorithm 2: bytes available as old-evacuation destinations — whole
     free regions, minus the promotion expected to land during the
     remaining GC time ([promotion_rate] in bytes/s), scaled by
-    [1 - young_ratio] (the reservation for the young generation's own
-    activity, 85 % by default).  Clamped at zero. *)
+    [1 - young_ratio].  Clamped at zero. *)
 
 val build :
   config:Jade_config.t -> free_bytes:int -> Heap.Region.t list -> plan
 (** Algorithm 1.  [candidates] are the old regions eligible this cycle
     (the caller applies kind/humongous/epoch filters); [build] filters
-    out regions at or above [config.live_threshold] liveness, sorts the
+    out regions at or above {!live_threshold} liveness, sorts the
     rest by live bytes ascending, and splits them into at most
     [config.max_groups] groups.  Guarantees:
     - every group's regions are below the liveness threshold;
@@ -49,4 +55,3 @@ val build :
 
 val num_groups : plan -> int
 val total_regions : plan -> int
-val total_live_bytes : plan -> int

@@ -1,10 +1,12 @@
-(** Jade configuration (§3–4 defaults).
+(** Jade configuration (§3–4 defaults): the settings experiments vary.
 
-    The paper's defaults: regions are filtered out of the tracked list
-    above 85 % liveness, at most 16 groups are built per cycle, the
-    free-space estimator reserves 85 % of free memory for the young
-    generation, and the chasing mode raises the number of concurrent GC
-    threads to the core count while mutators are stalled. *)
+    The paper's defaults: at most 16 groups are built per cycle, and the
+    chasing mode raises the number of concurrent GC threads to the core
+    count while mutators are stalled.  The paper's fixed parameters are
+    constants beside their readers: the 85 % liveness filter and the
+    85 % young reservation in {!Grouping}, the tenuring age in {!Young},
+    the trigger thresholds in [collector.ml], and the poll interval
+    shared with the baselines in {!Collectors.Common}. *)
 
 (** Deliberately planted protocol bugs, for sanitizer regression tests
     ([lib/analysis]).  A planted variant must never ship in an
@@ -34,11 +36,6 @@ type t = {
   young_workers : int;  (** concurrent young GC threads *)
   old_workers : int;  (** concurrent old GC threads *)
   max_groups : int;  (** Algorithm 1, MAX_GROUP *)
-  live_threshold : float;  (** tracked-list filter (85 %) *)
-  young_ratio : float;  (** Algorithm 2 reservation (85 %) *)
-  tenure_age : int;  (** young collections survived before promotion *)
-  young_budget_fraction : int;  (** young GC when young regions > heap/n *)
-  old_trigger_occupancy : float;  (** start an old cycle above this *)
   chasing_mode : bool;  (** §4.3: all-core evacuation during stalls *)
   compressed_oops : bool;
       (** disabled only for the Table 5 apples-to-apples comparison *)
@@ -49,7 +46,6 @@ type t = {
   concurrent_weak_refs : bool;
       (** §4.4 future work: process the weak discover list concurrently
           instead of inside the final-mark pause *)
-  poll_interval : int;
   planted_bug : planted_bug;  (** sanitizer regression tests only *)
 }
 
@@ -58,15 +54,9 @@ let default =
     young_workers = 1;
     old_workers = 1;
     max_groups = 16;
-    live_threshold = 0.85;
-    young_ratio = 0.85;
-    tenure_age = 2;
-    young_budget_fraction = 4;
-    old_trigger_occupancy = 0.45;
     chasing_mode = true;
     compressed_oops = true;
     use_crdt = true;
     concurrent_weak_refs = false;
-    poll_interval = 100 * Util.Units.us;
     planted_bug = No_bug;
   }

@@ -139,7 +139,6 @@ let group_phase t =
       ~region_bytes:heap.Heap_impl.cfg.region_bytes
       ~promotion_rate:t.young.Young.promotion_rate
       ~estimated_gc_time_ns:t.est_cycle_time
-      ~young_ratio:t.config.young_ratio
   in
   let plan = Grouping.build ~config:t.config ~free_bytes candidates in
   (* Install group ids on the regions and reset the group remsets. *)
@@ -278,9 +277,7 @@ let evacuate_object_fields t tk (o' : Gobj.t) ~group =
 
 let evacuate_group t ~group (regions : Region.t list) =
   let rt = t.rt in
-  let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
-  let costs = rt.RtM.costs in
   t.current_group <- group;
   (* Chasing mode (§4.3): when mutators are stalled their cores are idle;
      run with as many workers as cores to finish the round sooner. *)
@@ -318,8 +315,7 @@ let evacuate_group t ~group (regions : Region.t list) =
     List.iter
       (fun (r : Region.t) ->
         Metrics.add metrics "jade.old_bytes_reclaimed" r.Region.top;
-        Heap_impl.release_region heap r;
-        Common.Ticker.tick tk costs.Costs.region_reset)
+        Common.release_region rt tk r)
       regions;
     Common.Ticker.flush tk;
     Metrics.add metrics "jade.rounds" 1;

@@ -43,6 +43,9 @@ type t = {
   tenure : Common.Evac.tenure;
 }
 
+(** Young collections an object survives before promotion. *)
+let tenure_age = 2
+
 let create ~config rt =
   let heap = rt.RtM.heap in
   {
@@ -62,7 +65,7 @@ let create ~config rt =
     promoted_prev = 0;
     copied_objects = 0;
     copied_bytes = 0;
-    tenure = Common.Evac.tenure rt ~age:config.Jade_config.tenure_age;
+    tenure = Common.Evac.tenure rt ~age:tenure_age;
   }
 
 let in_snapshot heap (o : Gobj.t) =
@@ -301,8 +304,7 @@ let collect t ~workers =
         List.iter
           (fun (r : Region.t) ->
             Metrics.add metrics "jade.young_reclaimed_bytes" r.Region.top;
-            Heap_impl.release_region heap r;
-            Common.Ticker.tick tk costs.Costs.region_reset)
+            Common.release_region rt tk r)
           !snapshot;
         let _, cleared = Heap_impl.process_weak_refs_freed_only heap in
         Common.Ticker.tick tk (cleared * costs.Costs.weak_ref_process);

@@ -89,14 +89,6 @@ let critical_throughput ?cores (e : Registry.entry) app ~mult ~slo
     fractions;
   !best
 
-(** Latency/QPS curve: p99 at each offered load. *)
-let latency_curve ?cores ?duration (e : Registry.entry) app ~mult ~qps_list =
-  List.map
-    (fun qps ->
-      let s = at_qps ?cores ?duration e app ~mult ~qps in
-      (qps, s))
-    qps_list
-
 (** Fixed-work execution time (DaCapo). *)
 let fixed_time ?cores ?requests (e : Registry.entry) app ~mult =
   Harness.run_fixed

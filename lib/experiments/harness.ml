@@ -8,7 +8,6 @@ type machine = {
   cores : int;
   heap_bytes : int;
   region_bytes : int;
-  quantum : int;
   seed : int;
   pooling : bool;
       (** recycle dead records/field arrays ({!Heap.Heap_impl.config});
@@ -20,7 +19,6 @@ let default_machine =
     cores = 8;
     heap_bytes = 128 * Util.Units.mib;
     region_bytes = 512 * Util.Units.kib;
-    quantum = 20 * Util.Units.us;
     seed = 42;
     pooling = true;
   }
@@ -84,7 +82,7 @@ let prepare ?(machine = default_machine) ?verify
     max (4 * machine.region_bytes)
       (machine.heap_bytes / machine.region_bytes * machine.region_bytes)
   in
-  let engine = Sim.Engine.create ~cores:machine.cores ~quantum:machine.quantum () in
+  let engine = Sim.Engine.create ~cores:machine.cores () in
   let cfg =
     Heap.Heap_impl.config ~heap_bytes ~region_bytes:machine.region_bytes
       ~pooling:machine.pooling ()

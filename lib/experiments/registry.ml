@@ -17,14 +17,7 @@ let g1_10ms =
     name = "g1-10ms";
     install =
       (fun rt ->
-        ignore
-          (Collectors.G1.install
-             ~config:
-               {
-                 Collectors.G1.default_config with
-                 Collectors.G1.pause_target = 10 * Util.Units.ms;
-               }
-             rt));
+        ignore (Collectors.G1.install ~pause_target:(10 * Util.Units.ms) rt));
     concurrent_copy = false;
   }
 

@@ -247,7 +247,6 @@ let set_flag t f =
 
 let clear_flag t f = t.meta <- t.meta land lnot (f land flag_mask)
 
-let is_weak_referent t = has_flag t flag_weak_referent
 let is_humongous t = has_flag t flag_humongous
 let is_freed t = has_flag t flag_freed
 
@@ -339,12 +338,6 @@ let iter_fields f t =
     let o = Array.unsafe_get t.fields i in
     if o != null then f i o
   done
-
-let pp fmt t =
-  if is_null t then Format.fprintf fmt "<null>"
-  else
-    Format.fprintf fmt "#%d(%dB r%d+%d%s)" (id t) (size t) (region t) (offset t)
-      (if is_forwarded t then " fwd" else "")
 
 (* ------------------------------------------------------------------ *)
 (* Pooling.                                                             *)

@@ -220,7 +220,6 @@ val set_flag : t -> int -> unit
 (** Checked against {!flag_mask}. *)
 
 val clear_flag : t -> int -> unit
-val is_weak_referent : t -> bool
 val is_humongous : t -> bool
 val is_freed : t -> bool
 
@@ -280,8 +279,6 @@ val retire_edges : t -> unit
 
 val iter_fields : (int -> t -> unit) -> t -> unit
 (** Apply to each non-{!null} field (index, referent). *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {2 Pooling} *)
 

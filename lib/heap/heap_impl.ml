@@ -11,38 +11,35 @@
 type config = {
   heap_bytes : int;
   region_bytes : int;
-  card_bytes : int;
-  tlab_bytes : int;
   pooling : bool;
       (** recycle dead records and field arrays through the heap's
           {!Gobj.Pool} (host-side only; simulated state is identical
           either way — the flag exists for A/B allocation measurements) *)
 }
 
+(** Card granularity of the card table, remembered sets and CRDT. *)
+let card_bytes = 512
+
 let default_config =
   {
     heap_bytes = 64 * Util.Units.mib;
     region_bytes = 512 * Util.Units.kib;
-    card_bytes = 512;
-    tlab_bytes = 32 * Util.Units.kib;
     pooling = true;
   }
 
 let config ?(heap_bytes = default_config.heap_bytes)
     ?(region_bytes = default_config.region_bytes)
-    ?(card_bytes = default_config.card_bytes)
-    ?(tlab_bytes = default_config.tlab_bytes)
     ?(pooling = default_config.pooling) () =
   if heap_bytes mod region_bytes <> 0 then
     invalid_arg "Heap.config: heap_bytes must be a multiple of region_bytes";
   if region_bytes mod card_bytes <> 0 then
     invalid_arg "Heap.config: region_bytes must be a multiple of card_bytes";
-  { heap_bytes; region_bytes; card_bytes; tlab_bytes; pooling }
+  { heap_bytes; region_bytes; pooling }
 
 type t = {
   cfg : config;
   cpr : int;
-      (** [cfg.region_bytes / cfg.card_bytes], cached: card addressing
+      (** [cfg.region_bytes / card_bytes], cached: card addressing
           (every barrier's dirty_card goes through {!card_of}) must not
           pay a division just to recover a config-constant ratio *)
   costs : Costs.t;
@@ -103,20 +100,20 @@ let create ?(costs = Costs.default) cfg =
     invalid_arg "Heap.create: region_bytes too large for the object header";
   let regions =
     Array.init nregions (fun rid ->
-        Region.make ~card_bytes:cfg.card_bytes ~rid ~size:cfg.region_bytes ())
+        Region.make ~card_bytes ~rid ~size:cfg.region_bytes ())
   in
   let free_q = Queue.create () in
   Array.iter (fun (r : Region.t) -> Queue.push r.rid free_q) regions;
   {
     cfg;
-    cpr = cfg.region_bytes / cfg.card_bytes;
+    cpr = cfg.region_bytes / card_bytes;
     costs;
     uids = Gobj.uid_source ();
     hooks = Access.hooks ();
     regions;
     free_q;
     free_count = nregions;
-    card_dirty = Util.Bitset.create (cfg.heap_bytes / cfg.card_bytes);
+    card_dirty = Util.Bitset.create (cfg.heap_bytes / card_bytes);
     next_obj_id = 0;
     mark_epoch = 0;
     young_epoch = 0;
@@ -133,7 +130,7 @@ let num_regions t = Array.length t.regions
 let region t rid = t.regions.(rid)
 let free_regions t = t.free_count
 let used_regions t = num_regions t - t.free_count
-let total_cards t = t.cfg.heap_bytes / t.cfg.card_bytes
+let total_cards t = t.cfg.heap_bytes / card_bytes
 let cards_per_region t = t.cpr
 
 (** Occupancy as a fraction of the whole heap, at region granularity (the
@@ -158,7 +155,7 @@ let begin_region_rebuild t (r : Region.t) = t.used <- t.used - r.top
 (* ------------------------------------------------------------------ *)
 (* Cards.                                                               *)
 
-let card_of t ~rid ~offset = (rid * cards_per_region t) + (offset / t.cfg.card_bytes)
+let card_of t ~rid ~offset = (rid * cards_per_region t) + (offset / card_bytes)
 
 (** Card holding field slot [i] of [o]. *)
 let card_of_field t (o : Gobj.t) i =
@@ -167,7 +164,7 @@ let card_of_field t (o : Gobj.t) i =
 let card_to_region t card = card / cards_per_region t
 
 (** First byte offset covered by [card] inside its region. *)
-let card_to_offset t card = card mod cards_per_region t * t.cfg.card_bytes
+let card_to_offset t card = card mod cards_per_region t * card_bytes
 
 let dirty_card t card =
   Access.log_with t.hooks Access.Atomic Access.Card ~key:card
@@ -194,8 +191,8 @@ let scan_card t card ~f =
   let r = t.regions.(card_to_region t card) in
   if not (Region.is_free r) then begin
     let off = card_to_offset t card in
-    let stop = off + t.cfg.card_bytes in
-    Region.iter_objects_in_range r ~off ~len:t.cfg.card_bytes (fun o ->
+    let stop = off + card_bytes in
+    Region.iter_objects_in_range r ~off ~len:card_bytes (fun o ->
         let nf = Gobj.num_fields o in
         if nf > 0 then begin
           let base = Gobj.offset o + Gobj.header_bytes in

@@ -11,21 +11,20 @@
 type config = {
   heap_bytes : int;
   region_bytes : int;
-  card_bytes : int;
-  tlab_bytes : int;
   pooling : bool;
       (** recycle dead records and field arrays through the heap's
           {!Gobj.Pool} (host-side only; simulated state is identical
           either way — the flag exists for A/B allocation measurements) *)
 }
 
+val card_bytes : int
+(** Card granularity of the card table, remembered sets and CRDT: 512. *)
+
 val default_config : config
 
 val config :
   ?heap_bytes:int ->
   ?region_bytes:int ->
-  ?card_bytes:int ->
-  ?tlab_bytes:int ->
   ?pooling:bool ->
   unit ->
   config
@@ -37,7 +36,7 @@ val config :
 type t = {
   cfg : config;
   cpr : int;
-      (** [cfg.region_bytes / cfg.card_bytes], cached: card addressing
+      (** [cfg.region_bytes / card_bytes], cached: card addressing
           (every barrier's dirty_card goes through {!card_of}) must not
           pay a division just to recover a config-constant ratio *)
   costs : Costs.t;
@@ -151,8 +150,6 @@ val set_region_observer : t -> (Region.t -> claimed:bool -> unit) option -> unit
 
 (** {2 Object allocation} *)
 
-val fresh_obj_id : t -> int
-
 val alloc_in : t -> Region.t -> ?id:int -> size:int -> nrefs:int -> unit -> Gobj.t
 (** Allocate an object at [r]'s bump pointer.  The caller has checked
     [Region.fits] and owns the region (mutator TLAB or GC destination).
@@ -189,14 +186,10 @@ val mark_object_young : t -> Gobj.t -> bool
 
 val register_weak : t -> Gobj.t -> callback:(unit -> unit) option -> unit
 
-val process_weak_refs : t -> alive:(Gobj.t -> bool) -> int * int
-(** Process registered weak references: referents judged dead by [alive]
-    are dropped (their callbacks run) and the rest survive.  Tracing
-    collectors pass a mark test; young-only collections pass a
-    freed-region test.  Returns (survivors, cleared). *)
-
 val process_weak_refs_marked : t -> int * int
-(** Weak processing against the current mark (old/full collections). *)
+(** Process registered weak references against the current mark
+    (old/full collections): dead referents are dropped (their callbacks
+    run) and the rest survive.  Returns (survivors, cleared). *)
 
 val process_weak_refs_freed_only : t -> int * int
 (** Weak processing for young-only collections: a referent is dead only

@@ -1,10 +1,10 @@
-(** Post-run trace analysis: pause-time distributions, MMU curves,
-    per-phase time attribution and heap-occupancy material.
+(** Post-run trace analysis: pause-time distributions, MMU curves and
+    evacuation totals.
 
-    All statistics are exact (sorted-array nearest-rank percentiles over
-    the full pause population, not bucketed approximations) and are a
-    pure function of the event stream, so two byte-identical traces
-    always analyze identically. *)
+    Pause percentiles come from {!Util.Histogram}, the definition
+    {!Runtime.Metrics} uses for the same pauses, so a trace and the run's
+    summary agree.  Every statistic is a pure function of the event
+    stream: two byte-identical traces always analyze identically. *)
 
 module Tp = Runtime.Tracepoint
 
@@ -17,11 +17,6 @@ type pause_stats = {
   max_ns : int;
 }
 
-let empty_pause_stats =
-  { count = 0; total_ns = 0; p50_ns = 0; p95_ns = 0; p99_ns = 0; max_ns = 0 }
-
-type phase_stat = { phase : string; total_ns : int; count : int }
-
 type t = {
   window_start : int;  (** analysis window: the recorded measurement
                            interval when [Recording] markers are present,
@@ -32,40 +27,22 @@ type t = {
   mmu : (int * float) list;
       (** [(window_ns, utilization)] ascending; the monotone lower
           envelope of raw MMU (see {!mmu_curve}) *)
-  phases : phase_stat list;  (** per-phase attribution, sorted by name *)
-  peak_regions : int;  (** peak concurrently-claimed region count *)
-  region_claims : int;
   evac_batches : int;
-  evac_objects : int;
   evac_bytes : int;
-  requests : int;  (** completed requests observed in the trace *)
 }
 
 (* -- percentiles ----------------------------------------------------- *)
 
-(** Exact nearest-rank percentile over a sorted population. *)
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else begin
-    let rank = int_of_float (ceil (q /. 100. *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-  end
-
 let pause_stats_of durs =
-  let durs = Array.of_list durs in
-  Array.sort compare durs;
-  let n = Array.length durs in
-  if n = 0 then empty_pause_stats
-  else
-    {
-      count = n;
-      total_ns = Array.fold_left ( + ) 0 durs;
-      p50_ns = percentile durs 50.;
-      p95_ns = percentile durs 95.;
-      p99_ns = percentile durs 99.;
-      max_ns = durs.(n - 1);
-    }
+  let h = Util.Histogram.of_list durs in
+  {
+    count = Util.Histogram.total h;
+    total_ns = int_of_float (Util.Histogram.sum h);
+    p50_ns = Util.Histogram.percentile h 50.;
+    p95_ns = Util.Histogram.percentile h 95.;
+    p99_ns = Util.Histogram.percentile h 99.;
+    max_ns = Util.Histogram.max_value h;
+  }
 
 (* -- MMU ------------------------------------------------------------- *)
 
@@ -170,11 +147,7 @@ let analyze (events : Trace.event array) =
   (* Pause populations (the Pause event is emitted at the pause's end). *)
   let stw_durs = ref [] and stall_durs = ref [] in
   let stw_ivs = ref [] in
-  let phase_tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let phase_acc : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
-  let live_regions = ref 0 and peak_regions = ref 0 and claims = ref 0 in
-  let evac_batches = ref 0 and evac_objects = ref 0 and evac_bytes = ref 0 in
-  let requests = ref 0 in
+  let evac_batches = ref 0 and evac_bytes = ref 0 in
   Array.iter
     (fun (e : Trace.event) ->
       match e.Trace.payload with
@@ -185,30 +158,13 @@ let analyze (events : Trace.event array) =
               stw_durs := dur_ns :: !stw_durs;
               stw_ivs := (start_ns, start_ns + dur_ns) :: !stw_ivs
             end
-      | Tp.Phase_begin { name } -> Hashtbl.replace phase_tbl name e.Trace.ts
-      | Tp.Phase_end { name } -> (
-          match Hashtbl.find_opt phase_tbl name with
-          | Some t0 ->
-              Hashtbl.remove phase_tbl name;
-              let total, count =
-                match Hashtbl.find_opt phase_acc name with
-                | Some tc -> tc
-                | None -> (0, 0)
-              in
-              Hashtbl.replace phase_acc name
-                (total + (e.Trace.ts - t0), count + 1)
-          | None -> ())
-      | Tp.Region_claim _ ->
-          incr claims;
-          incr live_regions;
-          if !live_regions > !peak_regions then peak_regions := !live_regions
-      | Tp.Region_release _ -> decr live_regions
-      | Tp.Evac_batch { objects; bytes } ->
+      | Tp.Evac_batch { bytes; _ } ->
           incr evac_batches;
-          evac_objects := !evac_objects + objects;
           evac_bytes := !evac_bytes + bytes
-      | Tp.Request_end _ -> incr requests
-      | Tp.Request_begin | Tp.Boundary _ | Tp.Recording _ -> ())
+      | Tp.Phase_begin _ | Tp.Phase_end _ | Tp.Region_claim _
+      | Tp.Region_release _ | Tp.Request_begin | Tp.Request_end _
+      | Tp.Boundary _ | Tp.Recording _ ->
+          ())
     events;
   let ivs =
     merge_intervals
@@ -218,28 +174,15 @@ let analyze (events : Trace.event array) =
            if e > s then Some (s, e) else None)
          !stw_ivs)
   in
-  let phases =
-    Hashtbl.fold
-      (fun phase (total_ns, count) acc -> { phase; total_ns; count } :: acc)
-      phase_acc []
-    |> List.sort (fun a b -> compare a.phase b.phase)
-  in
   {
     window_start;
     window_end;
     stw = pause_stats_of !stw_durs;
     stalls = pause_stats_of !stall_durs;
     mmu = mmu_curve ivs ~lo:window_start ~hi:window_end;
-    phases;
-    peak_regions = !peak_regions;
-    region_claims = !claims;
     evac_batches = !evac_batches;
-    evac_objects = !evac_objects;
     evac_bytes = !evac_bytes;
-    requests = !requests;
   }
-
-let span_ns t = t.window_end - t.window_start
 
 (** Utilization guaranteed for any window at least [w] ns long: the
     curve value at the largest ladder rung <= [w] (conservative — the

@@ -55,12 +55,6 @@ let attach rt =
                 { rid = r.Heap.Region.rid; rkind; used = r.Heap.Region.top })));
   t
 
-(** Remove the recorder's hooks from [rt]; the recorded events remain
-    readable. *)
-let detach rt =
-  Runtime.Metrics.set_tracer rt.Runtime.Rt.metrics None;
-  Heap.Heap_impl.set_region_observer rt.Runtime.Rt.heap None
-
 let length t = Util.Vec.length t.events
 let events t = Util.Vec.to_array t.events
 let iter f t = Util.Vec.iter f t.events

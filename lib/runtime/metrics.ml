@@ -48,9 +48,7 @@ type t = {
   mutable busy_window_start : int;  (** engine busy-ns when recording began *)
   mutable busy_window_end : int;
   latency : Util.Histogram.t;
-  pause_hist : Util.Histogram.t;
-  stall_hist : Util.Histogram.t;
-  pauses : pause Util.Vec.t;
+  pauses : pause Util.Vec.t;  (** the one record of pauses and stalls *)
   phases : (string, phase) Hashtbl.t;
   counters : (string, int) Hashtbl.t;
   mutable requests_completed : int;
@@ -65,8 +63,6 @@ let create () =
     busy_window_start = 0;
     busy_window_end = 0;
     latency = Util.Histogram.create ();
-    pause_hist = Util.Histogram.create ();
-    stall_hist = Util.Histogram.create ();
     pauses = Util.Vec.create { at = 0; dur = 0; kind = Full_gc };
     phases = Hashtbl.create 16;
     counters = Hashtbl.create 16;
@@ -115,11 +111,7 @@ let record_pause t ~at ~dur kind =
         (Tracepoint.Pause
            { kind = pause_kind_to_string kind; start_ns = at; dur_ns = dur })
   | None -> ());
-  if t.recording then begin
-    Util.Vec.push t.pauses { at; dur; kind };
-    Util.Histogram.record t.pause_hist dur;
-    if kind = Alloc_stall then Util.Histogram.record t.stall_hist dur
-  end
+  if t.recording then Util.Vec.push t.pauses { at; dur; kind }
 
 (* -- named phases ---------------------------------------------------- *)
 
@@ -186,9 +178,16 @@ let cumulative_pause_of t kind =
     t.pauses
 
 let pause_count t = Util.Vec.length t.pauses
-let p99_pause t = Util.Histogram.percentile t.pause_hist 99.
-let max_pause t = Util.Histogram.max_value t.pause_hist
-let avg_pause t = int_of_float (Util.Histogram.mean t.pause_hist)
+
+(* Pause statistics read a histogram of the recorded durations: the same
+   percentile definition {!Obs.Analyze} applies to a trace. *)
+let pause_hist t =
+  Util.Histogram.of_list
+    (Util.Vec.fold (fun acc p -> p.dur :: acc) [] t.pauses)
+
+let p99_pause t = Util.Histogram.percentile (pause_hist t) 99.
+let max_pause t = Util.Histogram.max_value (pause_hist t)
+let avg_pause t = int_of_float (Util.Histogram.mean (pause_hist t))
 let p99_latency t = Util.Histogram.percentile t.latency 99.
 let p50_latency t = Util.Histogram.percentile t.latency 50.
 let p999_latency t = Util.Histogram.percentile t.latency 99.9

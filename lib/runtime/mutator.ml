@@ -121,8 +121,6 @@ let safe_sleep_until m wake =
   Sim.Engine.sleep_until (engine m) wake;
   Safepoint.unpark m.rt.Rt.safepoint
 
-let safe_sleep m ns = safe_sleep_until m (now m + max ns 0)
-
 (* ------------------------------------------------------------------ *)
 (* Allocation.                                                          *)
 
@@ -245,8 +243,6 @@ let get_root m i =
 
 (** Drop stack roots above index [n] (end-of-request cleanup). *)
 let truncate_roots m n = Util.Vec.truncate m.roots n
-
-let clear_roots m = Util.Vec.clear m.roots
 
 let finish m =
   flush m;

@@ -77,18 +77,14 @@ val get_root : t -> int -> Heap.Gobj.t
 val truncate_roots : t -> int -> unit
 (** Drop root slots at index [n] and above (end-of-request cleanup). *)
 
-val clear_roots : t -> unit
-
 (** {2 Blocking helpers (safepoint-safe)} *)
 
 val safe_wait : t -> Sim.Engine.cond -> unit
 (** Wait on a condition while counting as stopped for safepoints. *)
 
-val safe_sleep : t -> int -> unit
 val safe_sleep_until : t -> int -> unit
 
 (** {2 Low-level} *)
 
-val check_safepoint : t -> unit
 val tick : t -> int -> unit
 (** Charge mutator CPU (collector tax applied; batched). *)

@@ -147,10 +147,6 @@ let register_crdt_source t ~collector crdt =
 
 let register_root_set t v = t.root_sets <- v :: t.root_sets
 
-(** Total root slots across all root sets (for root-scan cost). *)
-let root_count t =
-  List.fold_left (fun acc v -> acc + Util.Vec.length v) 0 t.root_sets
-
 let iter_roots t f = List.iter (fun v -> Util.Vec.iter f v) t.root_sets
 
 (** Replace every root slot with the newest copy of its target (STW root
@@ -198,5 +194,4 @@ let add_global t o =
   Util.Vec.push t.globals o;
   Util.Vec.length t.globals - 1
 
-let set_global t i o = Util.Vec.set t.globals i o
 let get_global t i = Util.Vec.get t.globals i

@@ -105,7 +105,6 @@ type t = {
   mutable all_threads : thread list;
   mutable next_tid : int;
   mutable live_nondaemon : int;
-  mutable stop_requested : bool;
   busy_ns : int array; (* per {!kind} CPU accounting *)
   mutable failure : exn option;
   mutable current : thread; (* thread being driven; [dummy_thread] outside *)
@@ -136,7 +135,6 @@ let create ?(cores = 8) ?(quantum = 20_000) () =
     all_threads = [];
     next_tid = 0;
     live_nondaemon = 0;
-    stop_requested = false;
     busy_ns = Array.make 3 0;
     failure = None;
     current = dummy_thread;
@@ -269,8 +267,6 @@ let broadcast t c =
     enqueue t th;
     trace_wake t c th
   done
-
-let request_stop t = t.stop_requested <- true
 
 let on_finish th f = th.on_finish <- f :: th.on_finish
 
@@ -420,16 +416,15 @@ let next_wake_ns t =
   done;
   !result
 
-(** Run the simulation until all non-daemon threads finish, [until] virtual
-    ns elapse, or {!request_stop} is called.  Re-raises the first exception
-    escaping any thread.  Raises {!Deadlock} when progress is impossible. *)
+(** Run the simulation until all non-daemon threads finish or [until]
+    virtual ns elapse.  Re-raises the first exception escaping any
+    thread.  Raises {!Deadlock} when progress is impossible. *)
 let run ?until t =
   let limit = match until with Some u -> u | None -> max_int in
   let scratch = Array.make t.cores dummy_thread in
   (try
      while
-       (not t.stop_requested)
-       && (match t.failure with None -> true | Some _ -> false)
+       (match t.failure with None -> true | Some _ -> false)
        && t.live_nondaemon > 0
        && t.clock < limit
      do

@@ -108,18 +108,12 @@ val signal : t -> cond -> unit
 val broadcast : t -> cond -> unit
 (** Wake all waiters. *)
 
-val request_stop : t -> unit
-(** Make {!run} return at the next scheduling round. *)
-
-val on_finish : thread -> (unit -> unit) -> unit
-(** Register a callback to run when the thread finishes. *)
-
 val run : ?until:int -> t -> unit
-(** Run the simulation until all non-daemon threads finish, the virtual
-    clock reaches [until], or {!request_stop} is called.  Re-raises the
-    first exception escaping any thread; raises {!Deadlock} when no
-    progress is possible.  May be called again to continue (e.g. after a
-    setup phase). *)
+(** Run the simulation until all non-daemon threads finish or the
+    virtual clock reaches [until].  Re-raises the first exception
+    escaping any thread; raises {!Deadlock} when no progress is
+    possible.  May be called again to continue (e.g. after a setup
+    phase). *)
 
 (** {2 Analysis hooks}
 

@@ -4,15 +4,17 @@
     Small values (below [2^sub_bits]) are recorded exactly; larger values
     fall into log buckets with [sub_bits] bits of mantissa, giving a
     worst-case relative quantization error of [2^-sub_bits] (~0.8 % with
-    the default 7 bits) — ample for p99/p999 reporting.
+    7 bits) — ample for p99/p999 reporting.
 
     The bucket array is allocated by the first {!record} (or the first
     {!merge} of a histogram that has one): a histogram that records
     nothing, such as the stall histogram of a run without stalls, owns
     no buckets. *)
 
+(** Mantissa bits of a bucket. *)
+let sub_bits = 7
+
 type t = {
-  sub_bits : int;
   mutable counts : int array;  (** [[||]] until the first record *)
   mutable total : int;
   mutable sum : int;
@@ -24,23 +26,14 @@ type t = {
   mutable min_value : int;
 }
 
-let create ?(sub_bits = 7) () =
-  if sub_bits < 1 || sub_bits > 16 then invalid_arg "Histogram.create";
+let create () =
   {
-    sub_bits;
     counts = [||];
     total = 0;
     sum = 0;
     max_value = 0;
     min_value = max_int;
   }
-
-let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.total <- 0;
-  t.sum <- 0;
-  t.max_value <- 0;
-  t.min_value <- max_int
 
 let msb_position v =
   let pos = ref 0 and x = ref v in
@@ -53,35 +46,33 @@ let msb_position v =
 (* Bucket layout: bucket = v for v < 2^sub_bits; otherwise buckets are
    indexed by (exponent, mantissa) where exponent = msb - sub_bits + 1 >= 1
    and mantissa is the sub_bits bits below the most significant bit. *)
-let bucket_of t v =
+let bucket_of v =
   let v = max v 0 in
-  let sub = t.sub_bits in
-  if v < 1 lsl sub then v
+  if v < 1 lsl sub_bits then v
   else begin
-    let exponent = msb_position v - sub + 1 in
-    let mantissa = (v lsr exponent) land ((1 lsl sub) - 1) in
-    (exponent * (1 lsl sub)) + mantissa
+    let exponent = msb_position v - sub_bits + 1 in
+    let mantissa = (v lsr exponent) land ((1 lsl sub_bits) - 1) in
+    (exponent * (1 lsl sub_bits)) + mantissa
   end
 
 (* Midpoint of the value range a bucket covers; exact for small values.
    For bucket (e, m) the covered range is [m << e, (m+1) << e). *)
-let midpoint_of t bucket =
-  let sub = t.sub_bits in
-  if bucket < 1 lsl sub then bucket
+let midpoint_of bucket =
+  if bucket < 1 lsl sub_bits then bucket
   else begin
-    let exponent = bucket / (1 lsl sub) in
-    let mantissa = bucket mod (1 lsl sub) in
+    let exponent = bucket / (1 lsl sub_bits) in
+    let mantissa = bucket mod (1 lsl sub_bits) in
     (mantissa lsl exponent) + (1 lsl (exponent - 1))
   end
 
 (* Allocate the full layout: cold, once per histogram. *)
 let own_buckets t =
-  t.counts <- Array.make ((63 - t.sub_bits) * (1 lsl t.sub_bits)) 0
+  t.counts <- Array.make ((63 - sub_bits) * (1 lsl sub_bits)) 0
 
 let record ?(count = 1) t v =
   if count > 0 then begin
     if Array.length t.counts = 0 then own_buckets t;
-    let b = min (bucket_of t v) (Array.length t.counts - 1) in
+    let b = min (bucket_of v) (Array.length t.counts - 1) in
     t.counts.(b) <- t.counts.(b) + count;
     t.total <- t.total + count;
     t.sum <- t.sum + (v * count);
@@ -109,7 +100,7 @@ let percentile t p =
            if c > 0 then begin
              acc := !acc + c;
              if !acc >= rank then begin
-               result := min (midpoint_of t b) t.max_value;
+               result := min (midpoint_of b) t.max_value;
                raise Exit
              end
            end)
@@ -118,8 +109,12 @@ let percentile t p =
     !result
   end
 
+let of_list vs =
+  let t = create () in
+  List.iter (record t) vs;
+  t
+
 let merge ~into src =
-  if into.sub_bits <> src.sub_bits then invalid_arg "Histogram.merge";
   if Array.length src.counts > Array.length into.counts then own_buckets into;
   Array.iteri
     (fun i c -> if c > 0 then into.counts.(i) <- into.counts.(i) + c)

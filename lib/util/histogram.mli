@@ -4,7 +4,9 @@
     Small values (below [2^sub_bits]) are recorded exactly; larger values
     fall into logarithmic buckets with [sub_bits] bits of mantissa,
     giving a worst-case relative quantization error of [2^-sub_bits]
-    (~0.8 % with the default 7 bits) — ample for p99/p999 reporting.
+    (~0.8 % with 7 bits) — ample for p99/p999 reporting.  This is the
+    simulator's one percentile definition: every pause and latency
+    statistic is read from a histogram.
 
     The buckets are allocated by the first record, so a histogram that
     records nothing costs a few words instead of the full layout; counts,
@@ -13,11 +15,7 @@
 
 type t
 
-val create : ?sub_bits:int -> unit -> t
-(** [sub_bits] in [1, 16]; default 7.  Raises [Invalid_argument]
-    otherwise. *)
-
-val clear : t -> unit
+val create : unit -> t
 
 val record : ?count:int -> t -> int -> unit
 (** Record a value ([count] occurrences, default 1); negative values
@@ -37,6 +35,8 @@ val percentile : t -> float -> int
     values below [2^sub_bits], otherwise the bucket midpoint (never above
     the recorded maximum). *)
 
+val of_list : int list -> t
+(** A histogram holding each value of the list once. *)
+
 val merge : into:t -> t -> unit
-(** Add [src]'s counts into [into].  Raises [Invalid_argument] when the
-    two histograms have different [sub_bits]. *)
+(** Add [src]'s counts into [into]. *)

@@ -37,8 +37,6 @@ let[@inline] step t =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let next_int64 t = step t
-
 (** [split t] derives an independent generator; used to give each thread or
     mutator its own stream without sharing mutable state. *)
 let split t = of_state (step t)

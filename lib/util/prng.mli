@@ -12,8 +12,6 @@ val copy : t -> t
 val split : t -> t
 (** Derive an independent generator (advances the parent). *)
 
-val next_int64 : t -> int64
-
 val bits : t -> int
 (** Uniform non-negative int in [0, 2^62). *)
 

@@ -53,8 +53,3 @@ let render t =
   Buffer.contents buf
 
 let print t = print_string (render t)
-
-(** Shorthands for formatting numeric cells. *)
-let f1 x = Printf.sprintf "%.1f" x
-let f2 x = Printf.sprintf "%.2f" x
-let i x = string_of_int x

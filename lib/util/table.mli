@@ -9,9 +9,3 @@ val create : title:string -> headers:string list -> t
 val add_row : t -> string list -> t
 val render : t -> string
 val print : t -> unit
-
-(** Formatting shorthands for numeric cells. *)
-
-val f1 : float -> string
-val f2 : float -> string
-val i : int -> string

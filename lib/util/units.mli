@@ -10,7 +10,6 @@ val sec : int
 
 val kib : int
 val mib : int
-val gib : int
 
 val pp_time_ns : int -> string
 (** Adaptive unit, e.g. ["1.23ms"]. *)

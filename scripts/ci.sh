@@ -126,6 +126,19 @@ for c in jade g1; do
 done
 echo "golden traces reproduced via the CLI (jade, g1)"
 
+echo "== obs fence (bench obs reproduces the committed BENCH_obs.json) =="
+# The full observability benchmark takes under a second.  It writes
+# BENCH_obs.json to its working directory, so run it in a temp dir and
+# diff the result against the committed file: a change that moves a
+# pause percentile or MMU point must re-bless the file with it.
+dune build bench/main.exe
+root=$(pwd)
+obs_dir=$(mktemp -d)
+(cd "$obs_dir" && "$root/_build/default/bench/main.exe" obs > /dev/null)
+diff -u BENCH_obs.json "$obs_dir/BENCH_obs.json"
+rm -rf "$obs_dir"
+echo "BENCH_obs.json reproduced"
+
 echo "== benchmark fingerprint fence (bench/perf at seed 42) =="
 # One repetition of each bench/perf workload.  Each workload's
 # fingerprint digests exact integers of every simulation's end state

@@ -33,15 +33,7 @@ let collectors : (string * (Runtime.Rt.t -> unit)) list =
   [
     ("g1", fun rt -> ignore (Collectors.G1.install rt));
     ("g1-10ms",
-      fun rt ->
-        ignore
-          (Collectors.G1.install
-             ~config:
-               {
-                 Collectors.G1.default_config with
-                 Collectors.G1.pause_target = 10 * ms;
-               }
-             rt));
+      fun rt -> ignore (Collectors.G1.install ~pause_target:(10 * ms) rt));
     ("shenandoah", fun rt -> ignore (Collectors.Shenandoah.install rt));
     ("zgc", fun rt -> ignore (Collectors.Zgc.install rt));
     ("genshen", fun rt -> ignore Collectors.Generational.(install genshen rt));

@@ -3,7 +3,6 @@
    bug that round-robin never trips, minimizes it to a handful of forced
    choices, and replays are byte-deterministic. *)
 
-let us = Util.Units.us
 let kib = Util.Units.kib
 let mib = Util.Units.mib
 
@@ -64,7 +63,6 @@ let small_machine =
     Experiments.Harness.cores = 4;
     heap_bytes = 24 * mib;
     region_bytes = 256 * kib;
-    quantum = 20 * us;
     seed = 11;
     pooling = true;
   }

@@ -27,8 +27,7 @@ let test_config_validation () =
     (Invalid_argument "Heap.config: region_bytes must be a multiple of card_bytes")
     (fun () ->
       ignore
-        (Heap_impl.config ~heap_bytes:(1000 * 1024) ~region_bytes:1000
-           ~card_bytes:512 ()))
+        (Heap_impl.config ~heap_bytes:(1000 * 1024) ~region_bytes:1000 ()))
 
 let test_claim_release () =
   let heap = mk_heap () in
@@ -253,7 +252,7 @@ let scan_card_model =
          in
          let check_region (r : Region.t) =
            let cpr = Heap_impl.cards_per_region heap in
-           let card_bytes = heap.Heap_impl.cfg.Heap_impl.card_bytes in
+           let card_bytes = Heap_impl.card_bytes in
            let ok = ref true in
            for local = 0 to cpr - 1 do
              let card = (r.Region.rid * cpr) + local in

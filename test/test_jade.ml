@@ -101,7 +101,7 @@ let grouping_invariants =
          (* 2. liveness filter respected *)
          && Array.for_all
               (List.for_all (fun (r : Region.t) ->
-                   Region.live_ratio r < config.Jade.Jade_config.live_threshold))
+                   Region.live_ratio r < Jade.Grouping.live_threshold))
               groups
          (* 3. first group bounded by budget (except the one-region
                progress case) *)
@@ -135,7 +135,6 @@ let test_free_space_estimate () =
       ~region_bytes:(512 * kib)
       ~promotion_rate:(float_of_int mib *. 10.) (* 10 MiB/s *)
       ~estimated_gc_time_ns:(100 * ms) (* -> 1 MiB promoted *)
-      ~young_ratio:0.85
   in
   let expected =
     int_of_float (float_of_int ((10 * 512 * kib) - mib) *. 0.15)
@@ -147,7 +146,7 @@ let test_free_space_estimate_clamps () =
     Jade.Grouping.estimate_free_space ~free_region_count:1
       ~region_bytes:(512 * kib)
       ~promotion_rate:1e12 (* promotion exceeds free space *)
-      ~estimated_gc_time_ns:(100 * ms) ~young_ratio:0.85
+      ~estimated_gc_time_ns:(100 * ms)
   in
   Alcotest.(check int) "clamped at zero" 0 est
 

@@ -286,13 +286,31 @@ let test_raising_observer_fails_loudly () =
 (* ------------------------------------------------------------------ *)
 (* Analyzer unit tests. *)
 
-let test_percentile_exact () =
-  let sorted = [| 10; 20; 30; 40; 50; 60; 70; 80; 90; 100 |] in
-  Alcotest.(check int) "p50 of 10" 50 (Analyze.percentile sorted 50.);
-  Alcotest.(check int) "p95 of 10" 100 (Analyze.percentile sorted 95.);
-  Alcotest.(check int) "p99 of 10" 100 (Analyze.percentile sorted 99.);
-  Alcotest.(check int) "p100" 100 (Analyze.percentile sorted 100.);
-  Alcotest.(check int) "empty" 0 (Analyze.percentile [||] 50.)
+(* One percentile definition: the same pauses fed to a [Metrics.t] and
+   to the analyzer as a trace read the same p99 and max.  The durations
+   are not bucket-exact, so a bucketed side and an exact side would
+   disagree. *)
+let test_one_percentile () =
+  let m = Runtime.Metrics.create () in
+  let events =
+    Array.init 100 (fun i ->
+        let dur_ns = (i + 1) * 1_000_003 in
+        let start_ns = i * 200_000_000 in
+        Runtime.Metrics.record_pause m ~at:start_ns ~dur:dur_ns
+          Runtime.Metrics.Young_stw;
+        {
+          Trace.ts = start_ns + dur_ns;
+          tid = 0;
+          payload = Tp.Pause { kind = "young-stw"; start_ns; dur_ns };
+        })
+  in
+  let a = Analyze.analyze events in
+  Alcotest.(check int) "p99" (Runtime.Metrics.p99_pause m)
+    a.Analyze.stw.Analyze.p99_ns;
+  Alcotest.(check int) "max" (Runtime.Metrics.max_pause m)
+    a.Analyze.stw.Analyze.max_ns;
+  Alcotest.(check int) "max is the longest pause" 100_000_300
+    a.Analyze.stw.Analyze.max_ns
 
 (* The documented counterexample: raw MMU is NOT monotone in window
    size (two 1 ms pauses at [0,1] and [10,11] ms make an 11 ms window
@@ -541,7 +559,8 @@ let () =
         ] );
       ( "analyze",
         [
-          Alcotest.test_case "exact percentiles" `Quick test_percentile_exact;
+          Alcotest.test_case "one percentile definition" `Quick
+            test_one_percentile;
           Alcotest.test_case "MMU envelope" `Quick test_mmu_envelope;
           Alcotest.test_case "measurement window" `Quick test_analyze_window;
           Alcotest.test_case "chrome json shape" `Quick test_chrome_json_shape;

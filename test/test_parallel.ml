@@ -6,7 +6,6 @@
 
 let mib = Util.Units.mib
 let kib = Util.Units.kib
-let us = Util.Units.us
 
 (* ------------------------------------------------------------------ *)
 (* Fence 1: gcsim check.  The same search fanned over 4 domains must
@@ -102,7 +101,6 @@ let sweep_machine =
     Experiments.Harness.cores = 4;
     heap_bytes = 24 * mib;
     region_bytes = 256 * kib;
-    quantum = 20 * us;
     seed = 11;
     pooling = true;
   }
