@@ -141,9 +141,14 @@ module Marker = struct
     | Young_gen -> Heap_impl.mark_object_young heap o
 
   (** Called by the write barrier: pre-store snapshot of the overwritten
-      value.  Cheap test first; the queue is drained by mark workers. *)
+      value.  Cheap test first; the queue is drained by mark workers.
+      The queued record is flagged so region release never recycles it
+      while the queue may still name it. *)
   let satb_enqueue t (old_v : Gobj.t) =
-    if t.active then Util.Vec.push t.satb old_v
+    if t.active then begin
+      Gobj.set_flag old_v Gobj.flag_satb_logged;
+      Util.Vec.push t.satb old_v
+    end
 
   let is_active t = t.active
 

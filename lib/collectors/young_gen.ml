@@ -79,7 +79,10 @@ let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
   if new_v != Gobj.null && is_old heap src && is_young heap new_v then begin
     Sim.Engine.tick t.rt.RtM.costs.Costs.card_barrier;
     ignore (Remset.add t.remset (Heap_impl.card_of_field heap src field));
-    if t.young_cycle_active then Util.Vec.push t.marker.Common.Marker.satb new_v
+    if t.young_cycle_active then begin
+      Gobj.set_flag new_v Gobj.flag_satb_logged;
+      Util.Vec.push t.marker.Common.Marker.satb new_v
+    end
   end
 
 let young_regions t =
@@ -105,7 +108,10 @@ let scan_remset_roots t tk =
             let slot = Gobj.get_field o i in
             if slot != Gobj.null then begin
               let child = Gobj.resolve slot in
-              if is_young heap child then begin
+              (* A dead holder can carry a dangling reference whose
+                 region id was recycled into the young snapshot: graying
+                 it would mark and visit a freed object. *)
+              if (not (Gobj.is_freed child)) && is_young heap child then begin
                 found := true;
                 Common.Marker.gray t.marker child
               end

@@ -100,14 +100,19 @@ let copy_out t (dests : Common.Evac.dest * Common.Evac.dest) tk (o : Gobj.t) =
       Common.Ticker.tick tk t.rt.RtM.costs.Costs.mark_atomic;
       let promote = Common.Evac.promotes t.tenure o in
       let dest = if promote then dest_old else dest_young in
-      let racy = t.config.planted_bug = Jade_config.Racy_forwarding in
+      (* The option itself, a constant [Some true] or [None]: passing
+         [~racy:b] would box a [Some] on every copy. *)
+      let racy =
+        if t.config.planted_bug = Jade_config.Racy_forwarding then Some true
+        else None
+      in
       let window =
         match t.config.planted_bug with
         | Jade_config.Racy_forwarding_window ->
             Some (Sim.Engine.quantum t.rt.RtM.engine)
         | _ -> None
       in
-      let o' = Common.Evac.copy_object ~racy ?window dest tk o in
+      let o' = Common.Evac.copy_object ?racy ?window dest tk o in
       t.copied_objects <- t.copied_objects + 1;
       t.copied_bytes <- t.copied_bytes + Gobj.size o;
       if promote then

@@ -31,6 +31,11 @@
     - a [fields] array may be recycled from any dead unforwarded
       resident: dead holders are unreachable, and every guard on
       dangling edges ([is_freed]) fires before a field read;
+    - while a mark runs, only a resident born after every active
+      snapshot is harvested, and only a fresh one (age 0) that no SATB
+      queue took: the marker never visits an object born marked, but a
+      copy shares a pre-snapshot array and a queued record may still be
+      popped ({!release_residents});
     - [inrefs] is maintained at the {!set_field} choke point (install /
       overwrite) plus one decrement pass over dying holders at region
       release, so each logical edge is counted exactly once no matter
@@ -153,6 +158,11 @@ let flag_in_fwd_table = 8
 (* set when an off-heap forwarding table (ZGC-style) takes a reference
    to the record; never cleared, so such records are conservatively
    excluded from recycling for the rest of the run. *)
+
+let flag_satb_logged = 16
+(* set when a marker's SATB queue takes a bare reference to the record;
+   never cleared, so a dead record a queue may still hold is never
+   harvested while a mark runs ({!release_residents}). *)
 
 let no_fields : t array = [||]
 
@@ -453,3 +463,47 @@ let remake ~pool ~uids (o : t) ~age ~region ~offset =
     c.meta <- meta;
     c
   end
+
+(* ------------------------------------------------------------------ *)
+(* Region release.                                                      *)
+
+let harvest_none = max_int
+let harvest_all = -1
+
+(* A dead resident whose storage may go to the pool: unforwarded (live
+   objects were copied out and carry a forwarding pointer) and, while a
+   mark runs ([floor >= 0]), born after every active snapshot, fresh
+   (age 0: a copy shares its source's pre-snapshot array) and never
+   taken by an SATB queue.  [harvest_none] fails the uid test for
+   every record. *)
+let[@inline] harvestable ~floor o =
+  o.forward == null
+  && (floor < 0
+     || (o.ids land uid_mask >= floor
+        && o.meta land (age_field lor flag_satb_logged) = 0))
+
+(* Kept here rather than in [Heap_impl]: dune's dev profile compiles with
+   [-opaque], so only inside this module do the header tests and pool
+   pushes of the per-resident loop inline. *)
+let release_residents pool ~floor (objs : t Util.Vec.t) =
+  (* Two passes keep the edge accounting exactly once: first every
+     harvested holder retires its outgoing edges, then storage is
+     recycled, so a record whose only holders die with it is free by
+     the time the second pass tests it.  Field arrays of dead holders
+     are always safe to take (dangling-edge guards test [is_freed]
+     before any field read); records only when no stale edge, weak
+     registration or off-heap forwarding table can still name them. *)
+  if floor <> harvest_none then
+    Util.Vec.iter (fun o -> if harvestable ~floor o then retire_edges o) objs;
+  Util.Vec.iter
+    (fun o ->
+      if harvestable ~floor o then begin
+        Pool.put_array pool o.fields;
+        o.fields <- no_fields;
+        if
+          inrefs o = 0
+          && o.meta land (flag_weak_referent lor flag_in_fwd_table) = 0
+        then Pool.put_record pool o
+      end;
+      o.meta <- o.meta lor flag_freed)
+    objs

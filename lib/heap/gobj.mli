@@ -161,6 +161,11 @@ val flag_in_fwd_table : int
     to the record; never cleared, so such records are conservatively
     excluded from recycling for the rest of the run. *)
 
+val flag_satb_logged : int
+(** Set when a marker's SATB queue takes a bare reference to the record;
+    never cleared, so {!release_residents} never harvests a record such a
+    queue may still hold. *)
+
 val no_fields : t array
 (** The shared empty field array (reference-free objects allocate none). *)
 
@@ -333,3 +338,25 @@ val remake : pool:Pool.t -> uids:uids -> t -> age:int -> region:int -> offset:in
     {!max_age}; the [fields] array is shared with the source (one logical
     set of slots); {!inrefs} starts at 0 — healing migrates each incoming
     edge from the old record through {!set_field}. *)
+
+(** {2 Region release} *)
+
+val harvest_all : int
+(** The [floor] of a release while no mark runs: every dead resident
+    may be harvested. *)
+
+val harvest_none : int
+(** The [floor] of a release that harvests nothing (pooling off). *)
+
+val release_residents : Pool.t -> floor:int -> t Util.Vec.t -> unit
+(** Free the residents of a released region: each is flagged freed, and
+    a dead one (unforwarded) gives its field array and, when nothing
+    can name it again, its record to the pool.  While a mark runs,
+    [floor] is the uid watermark of the latest active snapshot, and only
+    a dead resident with a uid at or above it, age 0 and no
+    {!flag_satb_logged} is harvested: the marker never visits an object
+    born marked, and neither a copy's shared array nor a record an SATB
+    queue holds is taken.  Outside marking [floor] is {!harvest_all};
+    {!harvest_none} only flags.  A harvested holder's edges are retired
+    ({!retire_edges}) before any record is tested, so a record whose
+    holders all die with it is recycled in the same release. *)

@@ -65,6 +65,10 @@ type t = {
       (** while an old mark is running, new objects are born marked (SATB) *)
   mutable allocate_live_young : bool;
       (** same for a co-running young marking cycle *)
+  mutable mark_floor : int;
+      (** uid counter when the current/most recent old mark began:
+          records at or above it were created after its snapshot *)
+  mutable young_floor : int;  (** same for the young mark *)
   mutable bytes_allocated : int;  (** cumulative, for rate estimation *)
   mutable used : int;
       (** sum of non-free regions' bump pointers, maintained incrementally
@@ -119,6 +123,8 @@ let create ?(costs = Costs.default) cfg =
     young_epoch = 0;
     allocate_live = false;
     allocate_live_young = false;
+    mark_floor = 0;
+    young_floor = 0;
     bytes_allocated = 0;
     used = 0;
     pool = Gobj.Pool.create ();
@@ -270,40 +276,23 @@ let release_region t (r : Region.t) =
         ~site:"Heap_impl.clean_card"
     done;
   Util.Bitset.clear_range t.card_dirty ~lo:c0 ~hi:(c0 + cpr);
-  (* Harvest dead residents into the pool.  Unforwarded residents at
-     release time are exactly the dead ones: every live (marked or
-     born-during-cycle) object was copied out before its region is
-     released, so it carries a forwarding pointer.  Two passes keep the
-     edge accounting exactly-once: first retire each dying holder's
-     outgoing edges (forwarded holders are skipped — their shared
-     [fields] array belongs to the live copy now), then recycle storage.
-     Field arrays of dead holders are always safe to take (dangling-edge
-     guards test [is_freed] before any field read); records only when no
-     stale edge, weak registration or off-heap forwarding table can
-     still name them.  Skipped while any marking runs: SATB queues and
-     mark stacks may hold bare references that bypass [inrefs].
+  (* Free the residents, harvesting dead ones into the pool.
+     Unforwarded residents at release time are exactly the dead ones:
+     every live (marked or born-during-cycle) object was copied out
+     before its region is released, so it carries a forwarding pointer.
+     While any marking runs, SATB queues and mark stacks may hold bare
+     references that bypass [inrefs], so only objects born after every
+     active snapshot qualify (see {!Gobj.release_residents}).
      Host-side only — no events, no ticks, no simulated state. *)
-  if t.cfg.pooling && (not t.allocate_live) && not t.allocate_live_young
-  then begin
-    let pool = t.pool in
-    Util.Vec.iter
-      (fun (o : Gobj.t) ->
-        if not (Gobj.is_forwarded o) then Gobj.retire_edges o)
-      r.Region.objects;
-    Util.Vec.iter
-      (fun (o : Gobj.t) ->
-        if not (Gobj.is_forwarded o) then begin
-          Gobj.Pool.put_array pool o.Gobj.fields;
-          o.Gobj.fields <- Gobj.no_fields;
-          if
-            Gobj.inrefs o = 0
-            && not
-                 (Gobj.has_flag o
-                    (Gobj.flag_weak_referent lor Gobj.flag_in_fwd_table))
-          then Gobj.Pool.put_record pool o
-        end)
-      r.Region.objects
-  end;
+  let floor =
+    if not t.cfg.pooling then Gobj.harvest_none
+    else if t.allocate_live then
+      if t.allocate_live_young then max t.mark_floor t.young_floor
+      else t.mark_floor
+    else if t.allocate_live_young then t.young_floor
+    else Gobj.harvest_all
+  in
+  Gobj.release_residents t.pool ~floor r.Region.objects;
   t.used <- t.used - r.top;
   Region.reset r;
   Queue.push r.rid t.free_q;
@@ -358,6 +347,7 @@ let begin_mark ?(scope = fun (_ : Region.t) -> true) t =
   Gobj.check_epoch (t.mark_epoch + 1);
   t.mark_epoch <- t.mark_epoch + 1;
   t.allocate_live <- true;
+  t.mark_floor <- !(t.uids);
   Array.iter
     (fun (r : Region.t) ->
       if scope r then begin
@@ -401,6 +391,7 @@ let begin_young_mark t =
   Gobj.check_epoch (t.young_epoch + 1);
   t.young_epoch <- t.young_epoch + 1;
   t.allocate_live_young <- true;
+  t.young_floor <- !(t.uids);
   Array.iter
     (fun (r : Region.t) ->
       if r.kind = Region.Young then r.marking_live <- 0)

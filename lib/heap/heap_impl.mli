@@ -62,6 +62,10 @@ type t = {
       (** while an old mark is running, new objects are born marked (SATB) *)
   mutable allocate_live_young : bool;
       (** same for a co-running young marking cycle *)
+  mutable mark_floor : int;
+      (** uid counter when the current/most recent old mark began:
+          records at or above it were created after its snapshot *)
+  mutable young_floor : int;  (** same for the young mark *)
   mutable bytes_allocated : int;  (** cumulative, for rate estimation *)
   mutable used : int;
       (** sum of non-free regions' bump pointers, maintained incrementally
@@ -142,8 +146,10 @@ val release_region : t -> Region.t -> unit
     objects become garbage, the region's own cards are cleaned.  With
     [cfg.pooling], dead residents' records and field arrays are
     harvested into the heap's pool (see {!Gobj.Pool} for the ownership
-    rules) — skipped while any marking co-runs, since SATB queues and
-    mark stacks hold bare references that bypass the edge counts. *)
+    rules).  While any marking co-runs, SATB queues and mark stacks may
+    hold bare references that bypass the edge counts, so only fresh,
+    never-queued objects born after every active snapshot are harvested
+    ({!Gobj.release_residents}). *)
 
 val set_region_observer : t -> (Region.t -> claimed:bool -> unit) option -> unit
 (** Install or remove the region-lifecycle observer ({!t.on_region_event}). *)

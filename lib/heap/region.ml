@@ -205,10 +205,10 @@ let iter_objects_in_range t ~off ~len f =
     end
   done
 
-(** Reset to an empty, [Free] region; marks resident objects freed and
-    invalidates the block-offset table. *)
+(** Reset to an empty, [Free] region and invalidate the block-offset
+    table.  The caller has already freed the residents
+    ({!Gobj.release_residents}). *)
 let reset t =
-  Util.Vec.iter (fun (o : Gobj.t) -> Gobj.set_flag o Gobj.flag_freed) t.objects;
   Util.Vec.clear t.objects;
   Array.fill t.bot 0 t.bot_filled (-1);
   t.bot_filled <- 0;

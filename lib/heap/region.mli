@@ -106,5 +106,6 @@ val iter_objects_in_range : t -> off:int -> len:int -> (Gobj.t -> unit) -> unit
     scan (the card's contents are gone with the region). *)
 
 val reset : t -> unit
-(** Reset to an empty, [Free] region; marks resident objects freed and
-    invalidates the block-offset table. *)
+(** Reset to an empty, [Free] region and invalidate the block-offset
+    table.  The caller has already freed the residents
+    ({!Gobj.release_residents}). *)

@@ -111,6 +111,9 @@ type t = {
   mutable tracer : (trace_event -> unit) option;
   mutable policy : policy option;
   mutable choice_points : int; (* choice points presented to the policy *)
+  mutable self : t option;
+      (* [Some] of this engine, built once: {!run_thread} installs it in
+         [running_key] every scheduling slot *)
 }
 
 exception Deadlock of string
@@ -124,24 +127,29 @@ type _ Effect.t +=
 let create ?(cores = 8) ?(quantum = 20_000) () =
   if cores < 1 then invalid_arg "Engine.create: cores";
   if quantum < 1 then invalid_arg "Engine.create: quantum";
-  {
-    cores;
-    quantum;
-    clock = 0;
-    run_offset = 0;
-    local_budget = 0;
-    runq = Queue.create ();
-    sleepers = Util.Pqueue.create dummy_thread;
-    all_threads = [];
-    next_tid = 0;
-    live_nondaemon = 0;
-    busy_ns = Array.make 3 0;
-    failure = None;
-    current = dummy_thread;
-    tracer = None;
-    policy = None;
-    choice_points = 0;
-  }
+  let t =
+    {
+      cores;
+      quantum;
+      clock = 0;
+      run_offset = 0;
+      local_budget = 0;
+      runq = Queue.create ();
+      sleepers = Util.Pqueue.create dummy_thread;
+      all_threads = [];
+      next_tid = 0;
+      live_nondaemon = 0;
+      busy_ns = Array.make 3 0;
+      failure = None;
+      current = dummy_thread;
+      tracer = None;
+      policy = None;
+      choice_points = 0;
+      self = None;
+    }
+  in
+  t.self <- Some t;
+  t
 
 (** Virtual time as seen by the currently running thread. *)
 let now t = t.clock + t.run_offset
@@ -350,7 +358,7 @@ let run_thread t th budget =
   let running = Domain.DLS.get running_key in
   let saved_running = !running in
   let saved_current = t.current in
-  running := Some t;
+  running := t.self;
   t.current <- th;
   t.local_budget <- budget;
   let continue_loop = ref true in

@@ -667,6 +667,87 @@ let test_pool_recycles_deterministically () =
   let fresh = alloc heap r2 ~size:64 ~nrefs:3 in
   Alcotest.(check bool) "pooling off never recycles" true (fresh != dead)
 
+(* While a mark runs, region release harvests only a dead resident born
+   after every active snapshot, fresh (age 0) and never SATB-queued: the
+   marker never visits such an object, so nothing but [inrefs] can name
+   it.  A resident allocated before the snapshot, a copy (which shares
+   its source's array) and a queued record keep record and array alike.
+   [start] opens the marks under test on [heap]. *)
+let check_harvest_while_marking ~start () =
+  let heap = mk_heap () in
+  let pool = heap.Heap_impl.pool and uids = heap.Heap_impl.uids in
+  let home = claim_exn heap Region.Old in
+  let r = claim_exn heap Region.Young in
+  let target () = alloc heap home ~size:64 ~nrefs:0 in
+  let dead_holder () =
+    let o = alloc heap r ~size:64 ~nrefs:2 in
+    let x = target () in
+    Gobj.set_field o 0 x;
+    (o, x)
+  in
+  let pre, pre_x = dead_holder () in
+  let src = alloc heap home ~size:64 ~nrefs:2 in
+  start heap;
+  let post, post_x = dead_holder () in
+  let copy =
+    Gobj.remake ~pool ~uids src ~age:1 ~region:r.Region.rid ~offset:r.Region.top
+  in
+  Heap_impl.push_relocated heap r copy;
+  Gobj.set_forward src copy;
+  let logged, logged_x = dead_holder () in
+  Gobj.set_flag logged Gobj.flag_satb_logged;
+  let kept = [ ("pre-snapshot", pre); ("copy", copy); ("SATB-logged", logged) ] in
+  let arrays = List.map (fun (_, o) -> o.Gobj.fields) kept in
+  let _, _, records0, arrays0 = Gobj.Pool.stats pool in
+  Heap_impl.release_region heap r;
+  let _, _, records1, arrays1 = Gobj.Pool.stats pool in
+  Alcotest.(check (pair int int)) "one record, one array harvested" (1, 1)
+    (records1 - records0, arrays1 - arrays0);
+  Alcotest.(check int) "post-snapshot array taken" 0 (Gobj.num_fields post);
+  Alcotest.(check int) "its edge retired" 0 (Gobj.inrefs post_x);
+  List.iter2
+    (fun (what, o) a ->
+      Alcotest.(check bool) (what ^ " keeps its array") true (o.Gobj.fields == a);
+      Alcotest.(check bool) (what ^ " freed") true (Gobj.is_freed o))
+    kept arrays;
+  Alcotest.(check (pair int int)) "untouched holders keep their edges" (1, 1)
+    (Gobj.inrefs pre_x, Gobj.inrefs logged_x);
+  (* The one pooled record is the post-snapshot resident; the next
+     allocation after it is fresh, never one of the untouched records. *)
+  let r2 = claim_exn heap Region.Young in
+  let first = alloc heap r2 ~size:64 ~nrefs:2 in
+  let second = alloc heap r2 ~size:64 ~nrefs:2 in
+  Alcotest.(check bool) "post-snapshot record recycled" true (first == post);
+  Alcotest.(check bool) "untouched records stay out of the pool" true
+    (List.for_all (fun (_, o) -> second != o) kept)
+
+let test_harvest_old_mark () =
+  check_harvest_while_marking ~start:(fun h -> ignore (Heap_impl.begin_mark h)) ()
+
+let test_harvest_young_mark () =
+  check_harvest_while_marking
+    ~start:(fun h -> ignore (Heap_impl.begin_young_mark h))
+    ()
+
+(* With both marks open the later snapshot decides: an object born
+   between the two is pre-snapshot for the young mark and stays. *)
+let test_harvest_both_marks () =
+  check_harvest_while_marking
+    ~start:(fun h ->
+      ignore (Heap_impl.begin_mark h);
+      let r = claim_exn h Region.Old in
+      ignore (alloc h r ~size:64 ~nrefs:0);
+      ignore (Heap_impl.begin_young_mark h))
+    ();
+  let heap = mk_heap () in
+  ignore (Heap_impl.begin_mark heap);
+  let r = claim_exn heap Region.Young in
+  let between = alloc heap r ~size:64 ~nrefs:2 in
+  ignore (Heap_impl.begin_young_mark heap);
+  Heap_impl.release_region heap r;
+  Alcotest.(check int) "born between the snapshots: array kept" 2
+    (Gobj.num_fields between)
+
 (* ------------------------------------------------------------------ *)
 (* Packed object header. *)
 
@@ -968,5 +1049,11 @@ let () =
           sentinel_model;
           Alcotest.test_case "pool recycles deterministically" `Quick
             test_pool_recycles_deterministically;
+          Alcotest.test_case "harvest under an old mark" `Quick
+            test_harvest_old_mark;
+          Alcotest.test_case "harvest under a young mark" `Quick
+            test_harvest_young_mark;
+          Alcotest.test_case "harvest under both marks" `Quick
+            test_harvest_both_marks;
         ] );
     ]
