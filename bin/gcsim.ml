@@ -81,6 +81,21 @@ let collector_list s =
           Result.map (fun _ -> s) (collector_name n))
         (Ok s) names
 
+(* A heap smaller than the workload's live set cannot hold it: such a
+   run only stalls, so [-m] is checked against the workload here, where
+   both are known, and a failure is a usage error like a bad flag. *)
+let heap_holds_live_set (app : Workload.Apps.t) ~heap_mult =
+  let heap = (Exp.machine_for app ~mult:heap_mult).Harness.heap_bytes in
+  let live = app.Workload.Apps.spec.Workload.Spec.live_bytes in
+  if heap >= live then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "option '--heap-mult': %g gives a %s heap, smaller than the live \
+          set of %s (%s)"
+         heap_mult (Util.Units.pp_bytes heap) app.Workload.Apps.name
+         (Util.Units.pp_bytes live))
+
 (* Print one finished run.  Must stay out of the domain pool: parallel
    runs compute summaries silently and print here, in list order. *)
 let print_summary ~gc_report (s : Harness.summary) =
@@ -107,54 +122,59 @@ let print_summary ~gc_report (s : Harness.summary) =
 
 let run_cmd collectors workload heap_mult qps duration_s warmup_s cores seed
     region_kib gc_report verify jobs =
-  let jobs = resolve_jobs jobs in
-  let entries = Registry.find_list collectors in
   let app = Workload.Apps.find workload in
-  let machine =
-    {
-      (Exp.machine_for ~cores app ~mult:heap_mult) with
-      Harness.seed;
-      region_bytes = region_kib * Util.Units.kib;
-    }
-  in
-  let duration = int_of_float (duration_s *. 1e9) in
-  let warmup = int_of_float (warmup_s *. 1e9) in
-  (* The banner never mentions jobs: run output, like check output, is
-     byte-identical at any -j. *)
-  Printf.printf
-    "collector%s=%s workload=%s heap=%s (%.2fx min) cores=%d region=%dKiB %s\n%!"
-    (if List.length entries > 1 then "s" else "")
-    (String.concat "," (List.map (fun e -> e.Registry.name) entries))
-    workload
-    (Util.Units.pp_bytes machine.Harness.heap_bytes)
-    heap_mult cores region_kib
-    (match qps with
-    | Some q -> Printf.sprintf "open loop @ %.0f qps" q
-    | None -> "closed loop");
-  (if verify <> Analysis.Sanitizer.Off then
-     Printf.printf "sanitizer       : %s (invariant verifier%s)\n%!"
-       (Analysis.Sanitizer.level_to_string verify)
-       (if verify = Analysis.Sanitizer.Full then " + race detector" else ""));
-  (* One (collector x config) cell per pool task; summaries come back
-     in collector order and print identically at any -j. *)
-  let summaries =
-    Util.Dpool.map_list ~jobs
-      (fun (e : Registry.entry) ->
-        match qps with
-        | Some qps ->
-            Harness.run_open ~machine ~verify ~warmup ~duration
-              ~install:e.Registry.install ~collector:e.Registry.name ~qps app
-        | None ->
-            Harness.run_closed ~machine ~verify ~warmup ~duration
-              ~install:e.Registry.install ~collector:e.Registry.name app)
-      entries
-  in
-  let multi = List.length entries > 1 in
-  List.fold_left
-    (fun code (s : Harness.summary) ->
-      if multi then Printf.printf "-- %s --\n" s.Harness.collector;
-      max code (print_summary ~gc_report s))
-    0 summaries
+  match heap_holds_live_set app ~heap_mult with
+  | Error msg -> `Error (false, msg)
+  | Ok () ->
+      let jobs = resolve_jobs jobs in
+      let entries = Registry.find_list collectors in
+      let machine =
+        {
+          (Exp.machine_for ~cores app ~mult:heap_mult) with
+          Harness.seed;
+          region_bytes = region_kib * Util.Units.kib;
+        }
+      in
+      let duration = int_of_float (duration_s *. 1e9) in
+      let warmup = int_of_float (warmup_s *. 1e9) in
+      (* The banner never mentions jobs: run output, like check output, is
+         byte-identical at any -j. *)
+      Printf.printf
+        "collector%s=%s workload=%s heap=%s (%.2fx min) cores=%d region=%dKiB %s\n%!"
+        (if List.length entries > 1 then "s" else "")
+        (String.concat "," (List.map (fun e -> e.Registry.name) entries))
+        workload
+        (Util.Units.pp_bytes machine.Harness.heap_bytes)
+        heap_mult cores region_kib
+        (match qps with
+        | Some q -> Printf.sprintf "open loop @ %.0f qps" q
+        | None -> "closed loop");
+      (if verify <> Analysis.Sanitizer.Off then
+         Printf.printf "sanitizer       : %s (invariant verifier%s)\n%!"
+           (Analysis.Sanitizer.level_to_string verify)
+           (if verify = Analysis.Sanitizer.Full then " + race detector"
+            else ""));
+      (* One (collector x config) cell per pool task; summaries come back
+         in collector order and print identically at any -j. *)
+      let summaries =
+        Util.Dpool.map_list ~jobs
+          (fun (e : Registry.entry) ->
+            match qps with
+            | Some qps ->
+                Harness.run_open ~machine ~verify ~warmup ~duration
+                  ~install:e.Registry.install ~collector:e.Registry.name ~qps app
+            | None ->
+                Harness.run_closed ~machine ~verify ~warmup ~duration
+                  ~install:e.Registry.install ~collector:e.Registry.name app)
+          entries
+      in
+      let multi = List.length entries > 1 in
+      `Ok
+        (List.fold_left
+           (fun code (s : Harness.summary) ->
+             if multi then Printf.printf "-- %s --\n" s.Harness.collector;
+             max code (print_summary ~gc_report s))
+           0 summaries)
 
 (* -- gcsim trace: deterministic timeline + MMU/percentile summary ----- *)
 
@@ -174,49 +194,53 @@ let write_file path contents =
 
 let trace_cmd collectors workload heap_mult cores seed requests out golden
     verify jobs =
-  let jobs = resolve_jobs jobs in
-  let entries = Registry.find_list collectors in
   let app = Workload.Apps.find workload in
-  let multi = List.length entries > 1 in
-  (* The banner never mentions jobs or output paths: like run/check, the
-     simulated results are byte-identical at any -j. *)
-  Printf.printf
-    "trace collector%s=%s workload=%s heap-mult=%.2f cores=%d seed=%d \
-     requests=%d\n%!"
-    (if multi then "s" else "")
-    (String.concat "," (List.map (fun e -> e.Registry.name) entries))
-    workload heap_mult cores seed requests;
-  (* Simulations run in the pool; all file writes and printing happen
-     here afterwards, in collector order. *)
-  let results =
-    Util.Dpool.map_list ~jobs
-      (fun (e : Registry.entry) ->
-        Trace_run.run ~verify ~cores ~mult:heap_mult ~seed ~requests e app)
-      entries
-  in
-  let rows =
-    List.map2
-      (fun (e : Registry.entry) (r : Trace_run.result) ->
-        let meta = Trace_run.meta ~cores ~mult:heap_mult ~seed ~requests r in
-        (match out with
-        | Some path ->
-            let path = per_collector_path path e.Registry.name ~multi in
-            write_file path (Obs.Export.to_chrome_json ~meta r.Trace_run.trace);
-            Printf.printf "chrome trace written: %s (%d events)\n" path
-              (Obs.Trace.length r.Trace_run.trace)
-        | None -> ());
-        (match golden with
-        | Some path ->
-            let path = per_collector_path path e.Registry.name ~multi in
-            write_file path (Obs.Export.to_text ~meta r.Trace_run.trace);
-            Printf.printf "golden trace written: %s\n" path
-        | None -> ());
-        ( e.Registry.name,
-          Obs.Analyze.analyze (Obs.Trace.events r.Trace_run.trace) ))
-      entries results
-  in
-  print_endline (Obs.Export.summary_table rows);
-  0
+  match heap_holds_live_set app ~heap_mult with
+  | Error msg -> `Error (false, msg)
+  | Ok () ->
+      let jobs = resolve_jobs jobs in
+      let entries = Registry.find_list collectors in
+      let multi = List.length entries > 1 in
+      (* The banner never mentions jobs or output paths: like run/check, the
+         simulated results are byte-identical at any -j. *)
+      Printf.printf
+        "trace collector%s=%s workload=%s heap-mult=%.2f cores=%d seed=%d \
+         requests=%d\n%!"
+        (if multi then "s" else "")
+        (String.concat "," (List.map (fun e -> e.Registry.name) entries))
+        workload heap_mult cores seed requests;
+      (* Simulations run in the pool; all file writes and printing happen
+         here afterwards, in collector order. *)
+      let results =
+        Util.Dpool.map_list ~jobs
+          (fun (e : Registry.entry) ->
+            Trace_run.run ~verify ~cores ~mult:heap_mult ~seed ~requests e app)
+          entries
+      in
+      let rows =
+        List.map2
+          (fun (e : Registry.entry) (r : Trace_run.result) ->
+            let meta = Trace_run.meta ~cores ~mult:heap_mult ~seed ~requests r in
+            (match out with
+            | Some path ->
+                let path = per_collector_path path e.Registry.name ~multi in
+                write_file path
+                  (Obs.Export.to_chrome_json ~meta r.Trace_run.trace);
+                Printf.printf "chrome trace written: %s (%d events)\n" path
+                  (Obs.Trace.length r.Trace_run.trace)
+            | None -> ());
+            (match golden with
+            | Some path ->
+                let path = per_collector_path path e.Registry.name ~multi in
+                write_file path (Obs.Export.to_text ~meta r.Trace_run.trace);
+                Printf.printf "golden trace written: %s\n" path
+            | None -> ());
+            ( e.Registry.name,
+              Obs.Analyze.analyze (Obs.Trace.events r.Trace_run.trace) ))
+          entries results
+      in
+      print_endline (Obs.Export.summary_table rows);
+      `Ok 0
 
 (* -- gcsim check: schedule-space exploration -------------------------- *)
 
@@ -249,6 +273,7 @@ let check_scenario ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
     | _ -> Error "--bug requires --collector jade"
   in
   let app = Workload.Apps.find workload in
+  let* () = heap_holds_live_set app ~heap_mult in
   let machine =
     {
       (Exp.machine_for ~cores app ~mult:heap_mult) with
@@ -629,9 +654,10 @@ let trace_golden_arg =
 
 let trace_term =
   Term.(
-    const trace_cmd $ collectors_arg $ trace_workload_arg $ trace_heap_mult_arg
-    $ trace_cores_arg $ seed_arg $ trace_requests_arg $ trace_out_arg
-    $ trace_golden_arg $ verify_arg $ jobs_arg)
+    ret
+      (const trace_cmd $ collectors_arg $ trace_workload_arg
+     $ trace_heap_mult_arg $ trace_cores_arg $ seed_arg $ trace_requests_arg
+     $ trace_out_arg $ trace_golden_arg $ verify_arg $ jobs_arg))
 
 let trace_info =
   Cmd.info "trace"
@@ -643,9 +669,10 @@ let trace_info =
 
 let run_term =
   Term.(
-    const run_cmd $ collectors_arg $ workload_arg $ heap_mult_arg $ qps_arg
-    $ duration_arg $ warmup_arg $ cores_arg $ seed_arg $ region_arg
-    $ gc_report_arg $ verify_arg $ jobs_arg)
+    ret
+      (const run_cmd $ collectors_arg $ workload_arg $ heap_mult_arg $ qps_arg
+     $ duration_arg $ warmup_arg $ cores_arg $ seed_arg $ region_arg
+     $ gc_report_arg $ verify_arg $ jobs_arg))
 
 let run_info =
   Cmd.info "run" ~doc:"Run one collector on one workload and print a summary."

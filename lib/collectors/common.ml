@@ -412,20 +412,21 @@ end
 (* The claim loop.                                                      *)
 
 (** Run [f ctx tk item] over [items] with [n] GC workers, each with its
-    own [init ()] context (e.g. a destination buffer).  Workers claim
-    items in index order, each exactly once, and stop claiming when the
-    items run out, when [stop ()] turns true (checked between items), or
-    once an item has raised {!Evac.Evacuation_failure}.  Returns the
-    unprocessed remainder and whether an item failed.  The remainder
-    lists the unclaimed items from the highest index down, then the
-    failing items (latest failure first). *)
+    own ticker [tk] and [init tk] context (e.g. a destination buffer).
+    Workers claim items in index order, each exactly once, and stop
+    claiming when the items run out, when [stop ()] turns true (checked
+    between items), or once an item has raised
+    {!Evac.Evacuation_failure}.  Returns the unprocessed remainder and
+    whether an item failed.  The remainder lists the unclaimed items from
+    the highest index down, then the failing items (latest failure
+    first). *)
 let parallel_drain rt ~n ~name ?(stop = fun () -> false) ~init items f =
   let len = Array.length items in
   let next = ref 0 in
   let leftover = ref [] in
   let failed = ref false in
   run_workers rt ~n ~name (fun _ tk ->
-      let ctx = init () in
+      let ctx = init tk in
       let continue_ = ref true in
       while !continue_ do
         if stop () || !failed || !next >= len then continue_ := false
@@ -471,18 +472,26 @@ let update_refs_in_region rt (tk : Ticker.t) (region : Region.t) =
       end)
     region.Region.objects
 
+(** A card heal's per-worker context: the worker's ticker and the heal
+    cost, built once per worker so that {!update_refs_in_card} allocates
+    nothing per card. *)
+type healer = { heal_tk : Ticker.t; heal_cost : int }
+
+let healer rt tk = { heal_tk = tk; heal_cost = rt.RtM.costs.Costs.heal }
+
+let heal_slot h o i =
+  let child = Gobj.get_field o i in
+  if Gobj.is_forwarded child then begin
+    Ticker.tick h.heal_tk h.heal_cost;
+    Gobj.set_field o i (Gobj.resolve child)
+  end
+
 (** Scan one card, fixing stale references in the slots it covers; the
-    remembered-set consumers (G1 mixed evac, Jade group rounds). *)
-let update_refs_in_card rt (tk : Ticker.t) card =
-  let heap = rt.RtM.heap in
-  let costs = rt.RtM.costs in
-  Ticker.tick tk costs.Costs.card_scan;
-  Heap_impl.scan_card heap card ~f:(fun o i ->
-      let child = Gobj.get_field o i in
-      if Gobj.is_forwarded child then begin
-        Ticker.tick tk costs.Costs.heal;
-        Gobj.set_field o i (Gobj.resolve child)
-      end)
+    remembered-set consumers (Young_gen's update-refs, Jade group
+    heals). *)
+let update_refs_in_card rt h card =
+  Ticker.tick h.heal_tk rt.RtM.costs.Costs.card_scan;
+  Heap_impl.scan_card rt.RtM.heap card h ~f:heal_slot
 
 (** Release humongous regions whose object died per the just-completed
     mark (G1's "eager reclaim"; every collector needs it because

@@ -156,7 +156,7 @@ let run_mark_cycle t =
         let holder_rid = Heap_impl.card_to_region heap card in
         let holder_r = Heap_impl.region heap holder_rid in
         if remset_rebuild_wanted holder_r then
-          Heap_impl.scan_card heap card ~f:(fun o i ->
+          Heap_impl.scan_card heap card () ~f:(fun () o i ->
               let child = Gobj.get_field o i in
               if
                 child != Gobj.null

@@ -153,7 +153,7 @@ let run_cycle t =
   Metrics.phase_begin metrics "shen.evac" ~now:(now ());
   let evac_rest, evac_failed =
     Common.parallel_drain rt ~n:Common.gc_threads ~name:"shen-evac" ~stop
-      ~init:(fun () ->
+      ~init:(fun _ ->
         let dest = Common.Evac.make_dest rt Region.Old in
         fun _ -> dest)
       (Array.of_list !cset)

@@ -158,7 +158,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                      if not holder_r.Region.in_cset then begin
                        incr cards;
                        Common.Ticker.tick tk costs.Costs.card_scan;
-                       Heap_impl.scan_card heap card ~f:(fun o i ->
+                       Heap_impl.scan_card heap card () ~f:(fun () o i ->
                            Common.Ticker.tick tk costs.Costs.mark_ref;
                            let stored = Gobj.get_field o i in
                            if stored != Gobj.null then begin
@@ -237,7 +237,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                     Remset.iter
                       (fun card ->
                         Common.Ticker.tick tk costs.Costs.card_scan;
-                        Heap_impl.scan_card heap card ~f:(fun o i ->
+                        Heap_impl.scan_card heap card () ~f:(fun () o i ->
                             let child = Gobj.get_field o i in
                             if
                               child != Gobj.null

@@ -104,7 +104,7 @@ let scan_remset_roots t tk =
       if holder_r.Region.kind <> Region.Old then prune := card :: !prune
       else begin
         let found = ref false in
-        Heap_impl.scan_card heap card ~f:(fun o i ->
+        Heap_impl.scan_card heap card () ~f:(fun () o i ->
             let slot = Gobj.get_field o i in
             if slot != Gobj.null then begin
               let child = Gobj.resolve slot in
@@ -183,7 +183,7 @@ let collect t =
   let after = after_copy t in
   let _, failed =
     Common.parallel_drain rt ~n:Common.gc_threads ~name:"young-evac"
-      ~init:(fun () ->
+      ~init:(fun _ ->
         let dest_young = Common.Evac.make_dest rt Region.Young in
         let dest_old = Common.Evac.make_dest rt Region.Old in
         fun o ->
@@ -215,9 +215,11 @@ let collect t =
         in
         Common.run_workers rt ~n:Common.gc_threads ~name:"young-update" (fun w tk ->
             (* Fix the remembered cards and the survivor regions. *)
-            if w = 0 then
-              Remset.iter (fun card -> Common.update_refs_in_card rt tk card)
+            if w = 0 then begin
+              let h = Common.healer rt tk in
+              Remset.iter (fun card -> Common.update_refs_in_card rt h card)
                 t.remset
+            end
             else if w = 1 then
               List.iter
                 (fun (r : Region.t) ->

@@ -91,7 +91,7 @@ let run_cycle t =
   let after _ _ copy = t.config.copy_hook copy in
   let _, out_of_space =
     Common.parallel_drain rt ~n:Common.gc_threads ~name:"zgc-relocate"
-      ~init:(fun () ->
+      ~init:(fun _ ->
         let dest = Common.Evac.make_dest rt Region.Old in
         fun _ -> dest)
       (Array.of_list (select_relocation_set t))

@@ -179,7 +179,7 @@ let build_remsets t =
   let scan_card_for_targets tk card =
     incr scanned;
     Common.Ticker.tick tk costs.Costs.card_scan;
-    Heap_impl.scan_card heap card ~f:(fun o i ->
+    Heap_impl.scan_card heap card () ~f:(fun () o i ->
         let slot = Gobj.get_field o i in
         if slot != Gobj.null then begin
             let child = Gobj.resolve slot in
@@ -291,7 +291,7 @@ let evacuate_group t ~group (regions : Region.t list) =
   let after tk _ o' = evacuate_object_fields t tk o' ~group in
   let _, failed =
     Common.parallel_drain rt ~n:workers ~name:"jade-evac"
-      ~init:(fun () ->
+      ~init:(fun _ ->
         let dest = Common.Evac.make_dest rt Region.Old in
         fun _ -> dest)
       (Array.of_list regions)
@@ -308,8 +308,9 @@ let evacuate_group t ~group (regions : Region.t list) =
     let nc = Util.Vec.length cardv in
     let cards = Array.init nc (fun i -> Util.Vec.get cardv (nc - 1 - i)) in
     ignore
-      (Common.parallel_drain rt ~n:workers ~name:"jade-heal" ~init:ignore cards
-         (fun () tk card -> Common.update_refs_in_card rt tk card));
+      (Common.parallel_drain rt ~n:workers ~name:"jade-heal"
+         ~init:(Common.healer rt) cards
+         (fun h _ card -> Common.update_refs_in_card rt h card));
     Remset.clear t.group_remsets.(group);
     let tk = Common.Ticker.create () in
     List.iter

@@ -181,7 +181,7 @@ let scan_remset_card t dests tk card =
   if holder_r.Region.kind <> Region.Old then false
   else begin
     let keep = ref false in
-    Heap_impl.scan_card heap card ~f:(fun o i ->
+    Heap_impl.scan_card heap card () ~f:(fun () o i ->
         let slot = Gobj.get_field o i in
         if slot != Gobj.null then begin
           let child = Gobj.resolve slot in

@@ -186,34 +186,47 @@ let clean_card t card =
 
 let iter_dirty_cards f t = Util.Bitset.iter_set f t.card_dirty
 
-(** Scan the objects overlapping [card] in its region, applying [f] to each
-    reference slot that falls inside the card.  The intersecting field
-    window is computed arithmetically — field [i] lives at byte
-    [o.offset + header_bytes + i*slot_bytes], so the window is a pair of
-    divisions instead of a per-field range check.  Visits exactly the
-    field indices [foff >= off && foff < stop] would, in the same
-    order. *)
-let scan_card t card ~f =
+(** Scan the objects overlapping [card] in its region, applying
+    [f ctx] to each reference slot that falls inside the card.  The
+    intersecting field window is computed arithmetically — field [i]
+    lives at byte [o.offset + header_bytes + i*slot_bytes], so the window
+    is a pair of divisions instead of a per-field range check.  Visits
+    exactly the field indices [foff >= off && foff < stop] would, in the
+    same order.  The walk is its own loop and [f] gets its context as an
+    argument, so a closed [f] makes the scan allocation-free.  The object
+    count is re-read after every object: [f] may suspend the calling
+    fiber (batched GC cost accounting), and a concurrent cycle may reset
+    the region meanwhile — the reset empties [objects], which safely ends
+    the scan (the card's contents are gone with the region). *)
+let scan_card t card ctx ~f =
   let r = t.regions.(card_to_region t card) in
   if not (Region.is_free r) then begin
     let off = card_to_offset t card in
     let stop = off + card_bytes in
-    Region.iter_objects_in_range r ~off ~len:card_bytes (fun o ->
-        let nf = Gobj.num_fields o in
-        if nf > 0 then begin
-          let base = Gobj.offset o + Gobj.header_bytes in
-          let lo =
-            if base >= off then 0
-            else (off - base + Gobj.slot_bytes - 1) lsr Gobj.slot_shift
-          in
-          let hi =
-            if stop <= base then 0
-            else min nf ((stop - base + Gobj.slot_bytes - 1) lsr Gobj.slot_shift)
-          in
-          for i = lo to hi - 1 do
-            f o i
-          done
-        end)
+    let objects = r.Region.objects in
+    let j = ref (Region.first_object_at r ~off) in
+    while
+      !j < Util.Vec.length objects
+      && Gobj.offset (Util.Vec.get objects !j) < stop
+    do
+      let o = Util.Vec.get objects !j in
+      let nf = Gobj.num_fields o in
+      if nf > 0 then begin
+        let base = Gobj.offset o + Gobj.header_bytes in
+        let lo =
+          if base >= off then 0
+          else (off - base + Gobj.slot_bytes - 1) lsr Gobj.slot_shift
+        in
+        let hi =
+          if stop <= base then 0
+          else min nf ((stop - base + Gobj.slot_bytes - 1) lsr Gobj.slot_shift)
+        in
+        for i = lo to hi - 1 do
+          f ctx o i
+        done
+      end;
+      incr j
+    done
   end
 
 (* ------------------------------------------------------------------ *)

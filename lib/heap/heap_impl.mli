@@ -130,11 +130,14 @@ val card_is_dirty : t -> int -> bool
 val clean_card : t -> int -> unit
 val iter_dirty_cards : (int -> unit) -> t -> unit
 
-val scan_card : t -> int -> f:(Gobj.t -> int -> unit) -> unit
-(** Scan the objects overlapping [card] in its region, applying [f] to
-    each reference slot that falls inside the card.  The intersecting
-    field window is computed arithmetically from the slot grid, visiting
-    exactly the in-card field indices in order. *)
+val scan_card : t -> int -> 'a -> f:('a -> Gobj.t -> int -> unit) -> unit
+(** [scan_card t card ctx ~f] scans the objects overlapping [card] in its
+    region, applying [f ctx] to each reference slot that falls inside the
+    card.  The intersecting field window is computed arithmetically from
+    the slot grid, visiting exactly the in-card field indices in order.
+    The scan itself allocates nothing, so with a closed [f] (its state in
+    [ctx]) a card costs no host allocation.  [f] may suspend; a region
+    reset meanwhile ends the scan. *)
 
 (** {2 Region lifecycle} *)
 

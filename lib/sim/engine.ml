@@ -33,10 +33,11 @@ type kind = Mutator | Gc | Aux
 
 let kind_index = function Mutator -> 0 | Gc -> 1 | Aux -> 2
 
+(* Constant constructors only, so a state change allocates nothing. *)
 type state =
   | Runnable
   | Blocked (* waiting on a condition *)
-  | Sleeping of int (* absolute wake time *)
+  | Sleeping (* until [wake_at] *)
   | Finished
 
 type cont = No_cont | K : (unit, unit) Effect.Deep.continuation -> cont
@@ -47,6 +48,7 @@ type thread = {
   kind : kind;
   daemon : bool; (* daemons do not keep the simulation alive *)
   mutable state : state;
+  mutable wake_at : int; (* absolute wake time while [Sleeping] *)
   mutable debt : int; (* virtual ns still to pay before resuming *)
   mutable cont : cont; (* [No_cont] unless suspended *)
   mutable yielded : bool;
@@ -65,6 +67,7 @@ let dummy_thread =
     kind = Aux;
     daemon = true;
     state = Finished;
+    wake_at = 0;
     debt = 0;
     cont = No_cont;
     yielded = false;
@@ -75,7 +78,7 @@ let dummy_thread =
     blocked_on = "";
   }
 
-type cond = { cname : string; waiters : thread Queue.t }
+type cond = { cname : string; waiters : thread Util.Ring.t }
 
 (** Scheduling events observable by analysis tooling (the happens-before
     race detector derives its vector-clock edges from these).  [Spawned]
@@ -100,7 +103,7 @@ type t = {
   mutable clock : int;
   mutable run_offset : int; (* progress of the thread being driven now *)
   mutable local_budget : int; (* cap on self-paid ticks this round *)
-  runq : thread Queue.t;
+  runq : thread Util.Ring.t;
   sleepers : thread Util.Pqueue.t; (* keyed (wake time, tid) *)
   mutable all_threads : thread list;
   mutable next_tid : int;
@@ -118,11 +121,11 @@ type t = {
 
 exception Deadlock of string
 
-type _ Effect.t +=
-  | Tick : int -> unit Effect.t
-  | Yield : unit Effect.t
-  | Wait : cond -> unit Effect.t
-  | Sleep_until : int -> unit Effect.t
+(* The one effect.  Every suspending operation first records its operand
+   on the calling thread (debt, yielded flag, waiter-queue or sleeper-heap
+   entry), then performs this constant, so a suspension allocates only
+   the continuation and its [K] box. *)
+type _ Effect.t += Suspend : unit Effect.t
 
 let create ?(cores = 8) ?(quantum = 20_000) () =
   if cores < 1 then invalid_arg "Engine.create: cores";
@@ -134,7 +137,7 @@ let create ?(cores = 8) ?(quantum = 20_000) () =
       clock = 0;
       run_offset = 0;
       local_budget = 0;
-      runq = Queue.create ();
+      runq = Util.Ring.create dummy_thread;
       sleepers = Util.Pqueue.create dummy_thread;
       all_threads = [];
       next_tid = 0;
@@ -159,7 +162,7 @@ let quantum t = t.quantum
 let busy_ns t kind = t.busy_ns.(kind_index kind)
 let total_busy_ns t = Array.fold_left ( + ) 0 t.busy_ns
 
-let cond name = { cname = name; waiters = Queue.create () }
+let cond name = { cname = name; waiters = Util.Ring.create dummy_thread }
 
 (** Tid of the thread being driven right now; [-1] when the scheduler (or
     host code outside {!run}) is executing. *)
@@ -184,7 +187,7 @@ let choice_points t = t.choice_points
 let enqueue t th =
   if not th.enqueued && th.state = Runnable then begin
     th.enqueued <- true;
-    Queue.push th t.runq
+    Util.Ring.push t.runq th
   end
 
 let spawn t ?(daemon = false) ~name ~kind body =
@@ -195,6 +198,7 @@ let spawn t ?(daemon = false) ~name ~kind body =
       kind;
       daemon;
       state = Runnable;
+      wake_at = 0;
       debt = 0;
       cont = No_cont;
       yielded = false;
@@ -219,13 +223,14 @@ let spawn t ?(daemon = false) ~name ~kind body =
 
 (* The engine whose thread is currently being driven (each simulation
    runs entirely within one domain, so at most one resume is live per
-   domain; nested engines save/restore around [run_thread]).  Lets
-   {!tick} pay charges that fit in the thread's remaining round budget
-   by bumping [run_offset] directly — no effect perform, no
-   continuation switch.  The outcome is bit-identical to suspending:
-   the old scheduler paid a fitting tick in full and immediately
-   resumed the thread within the same round slot at the same virtual
-   time; only the coroutine round-trip disappears.
+   domain; nested engines save/restore around [run_thread]).  Its
+   [current] is the thread every suspending operation records its
+   operand on.  It also lets {!tick} pay charges that fit in the
+   thread's remaining round budget by bumping [run_offset] directly —
+   no effect perform, no continuation switch.  The outcome is
+   bit-identical to suspending: the old scheduler paid a fitting tick in
+   full and immediately resumed the thread within the same round slot at
+   the same virtual time; only the coroutine round-trip disappears.
 
    Domain-local, not global: the parallel exploration/sweep drivers
    ([Util.Dpool]) run whole simulations in sibling domains, and this
@@ -234,24 +239,55 @@ let spawn t ?(daemon = false) ~name ~kind body =
 let running_key : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
+(* The engine driving the calling thread.  Outside every spawned body
+   there is none, and an operation that would record its operand on the
+   current thread fails instead of silently writing to no thread. *)
+let running_engine op =
+  match !(Domain.DLS.get running_key) with
+  | Some t -> t
+  | None ->
+      invalid_arg ("Sim.Engine." ^ op ^ ": called outside a spawned thread")
+
 (** Charge [n] ns of virtual CPU time to the calling thread. *)
 let tick n =
-  if n > 0 then
-    match !(Domain.DLS.get running_key) with
-    | Some t when t.run_offset + n <= t.local_budget ->
-        t.run_offset <- t.run_offset + n
-    | _ -> Effect.perform (Tick n)
+  if n > 0 then begin
+    let t = running_engine "tick" in
+    if t.run_offset + n <= t.local_budget then t.run_offset <- t.run_offset + n
+    else begin
+      t.current.debt <- n;
+      Effect.perform Suspend
+    end
+  end
 
 (** Give up the rest of the current quantum, staying runnable. *)
-let yield () = Effect.perform Yield
+let yield () =
+  let t = running_engine "yield" in
+  t.current.yielded <- true;
+  Effect.perform Suspend
 
 (** Block until the condition is signalled. *)
-let wait c = Effect.perform (Wait c)
+let wait c =
+  let th = (running_engine "wait").current in
+  th.state <- Blocked;
+  th.blocked_on <- c.cname;
+  Util.Ring.push c.waiters th;
+  Effect.perform Suspend
+
+(** Sleep until an absolute virtual time; a time already reached returns
+    at once, exactly as if the thread had suspended and been resumed in
+    the same slot. *)
+let sleep_until _t wake =
+  let t = running_engine "sleep_until" in
+  if wake > now t then begin
+    let th = t.current in
+    th.state <- Sleeping;
+    th.wake_at <- wake;
+    Util.Pqueue.push t.sleepers ~key:wake ~tie:th.tid th;
+    Effect.perform Suspend
+  end
 
 (** Sleep without consuming CPU. *)
-let sleep t n = Effect.perform (Sleep_until (now t + max n 0))
-
-let sleep_until _t wake = Effect.perform (Sleep_until wake)
+let sleep t n = sleep_until t (now t + max n 0)
 
 (* Signalling does not suspend the caller, so these are plain functions. *)
 
@@ -261,16 +297,16 @@ let trace_wake t c (th : thread) =
   | None -> ()
 
 let signal t c =
-  if not (Queue.is_empty c.waiters) then begin
-    let th = Queue.pop c.waiters in
+  if not (Util.Ring.is_empty c.waiters) then begin
+    let th = Util.Ring.pop_exn c.waiters in
     th.state <- Runnable;
     enqueue t th;
     trace_wake t c th
   end
 
 let broadcast t c =
-  while not (Queue.is_empty c.waiters) do
-    let th = Queue.pop c.waiters in
+  while not (Util.Ring.is_empty c.waiters) do
+    let th = Util.Ring.pop_exn c.waiters in
     th.state <- Runnable;
     enqueue t th;
     trace_wake t c th
@@ -289,9 +325,9 @@ let finish_thread t th =
   th.on_finish <- []
 
 let handler t th : (unit, unit) Effect.Deep.handler =
-  (* Tick and Yield suspend a thread every quantum, so their capture
-     closure is built once per thread and their payload is stored before
-     the capture: such a suspension allocates only the continuation. *)
+  (* Built once per thread: the operation stored its operand before
+     performing [Suspend], so all that is left is keeping the
+     continuation. *)
   let capture = Some (fun k -> th.cont <- K k) in
   {
     retc = (fun () -> finish_thread t th);
@@ -302,30 +338,7 @@ let handler t th : (unit, unit) Effect.Deep.handler =
     effc =
       (fun (type a) (eff : a Effect.t) :
            ((a, unit) Effect.Deep.continuation -> unit) option ->
-        match eff with
-        | Tick n ->
-            th.debt <- n;
-            capture
-        | Yield ->
-            th.yielded <- true;
-            capture
-        | Wait c ->
-            Some
-              (fun k ->
-                th.cont <- K k;
-                th.state <- Blocked;
-                th.blocked_on <- c.cname;
-                Queue.push th c.waiters)
-        | Sleep_until wake ->
-            Some
-              (fun k ->
-                th.cont <- K k;
-                if wake <= now t then () (* zero-length sleep: stay runnable *)
-                else begin
-                  th.state <- Sleeping wake;
-                  Util.Pqueue.push t.sleepers ~key:wake ~tie:th.tid th
-                end)
-        | _ -> None);
+        match eff with Suspend -> capture | _ -> None);
   }
 
 let resume t th =
@@ -346,7 +359,7 @@ let resume t th =
            (match th.state with
            | Runnable -> "runnable"
            | Blocked -> "blocked on " ^ th.blocked_on
-           | Sleeping w -> Printf.sprintf "sleeping until %dns" w
+           | Sleeping -> Printf.sprintf "sleeping until %dns" th.wake_at
            | Finished -> "finished"))
 
 (* Drive [th] for at most [budget] ns; returns consumed CPU.
@@ -393,7 +406,7 @@ let run_thread t th budget =
    Stale entries are discarded whenever they surface at the top. *)
 
 let sleeper_entry_live (th : thread) key =
-  match th.state with Sleeping w -> w = key | _ -> false
+  th.state = Sleeping && th.wake_at = key
 
 let wake_due_sleepers t =
   let continue_ = ref true in
@@ -420,7 +433,7 @@ let next_wake_ns t =
       result := key;
       continue_ := false
     end
-    else ignore (Util.Pqueue.pop t.sleepers)
+    else ignore (Util.Pqueue.pop_exn t.sleepers)
   done;
   !result
 
@@ -437,7 +450,7 @@ let run ?until t =
        && t.clock < limit
      do
        wake_due_sleepers t;
-       if Queue.is_empty t.runq then begin
+       if Util.Ring.is_empty t.runq then begin
          let w = next_wake_ns t in
          if w < max_int then
            (* Idle: jump the clock straight to the next event. *)
@@ -463,8 +476,8 @@ let run ?until t =
          | None ->
              (* FIFO fast path: serve the front [cores] threads in queue
                 order; the remainder stays queued, still in order. *)
-             while !n < t.cores && not (Queue.is_empty t.runq) do
-               let th = Queue.pop t.runq in
+             while !n < t.cores && not (Util.Ring.is_empty t.runq) do
+               let th = Util.Ring.pop_exn t.runq in
                th.enqueued <- false;
                scratch.(!n) <- th;
                incr n
@@ -480,10 +493,10 @@ let run ?until t =
                 delayed a round), or at least two threads whose code will
                 actually execute this round (their host order decides who
                 observes whose effects at equal virtual time). *)
-             let m = Queue.length t.runq in
+             let m = Util.Ring.length t.runq in
              let cands = Array.make m dummy_thread in
              for i = 0 to m - 1 do
-               let th = Queue.pop t.runq in
+               let th = Util.Ring.pop_exn t.runq in
                th.enqueued <- false;
                cands.(i) <- th
              done;
@@ -537,7 +550,7 @@ let run ?until t =
             so every resumption and wakeup lands on exactly the round
             boundary that quantum-by-quantum stepping would produce. *)
          let step =
-           if step = t.quantum && Queue.is_empty t.runq then begin
+           if step = t.quantum && Util.Ring.is_empty t.runq then begin
              let min_debt = ref max_int in
              for i = 0 to !n - 1 do
                let th = scratch.(i) in

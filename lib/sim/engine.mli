@@ -24,6 +24,17 @@
     instant wake in [(wake time, tid)] order — the heap key — and a
     wake never reorders unrelated sleepers.
 
+    One effect suspends a thread.  {!tick} past the round budget,
+    {!yield}, {!wait} and {!sleep_until} first record their operand on
+    the calling thread (its debt, its yielded flag, an entry in the
+    condition's waiter queue or in the sleeper heap) and then perform a
+    single constant [Suspend] effect; the thread's handler, built once
+    at spawn, only keeps the continuation.  The run queue and the waiter
+    queues are {!Util.Ring}s, so a suspension costs the host the
+    continuation and its box (4 minor words) and nothing else.  With no
+    spawned thread to record the operand on, these operations raise
+    [Invalid_argument] rather than drop the call.
+
     The policy seam ({!set_policy}) exposes every scheduling {e choice
     point} — a round whose outcome depends on which runnable thread
     goes first — to analysis tooling (the schedule-space explorer in
@@ -80,7 +91,7 @@ val spawn :
 (** {2 Operations performed from inside a thread}
 
     These suspend the calling coroutine and must only be called from
-    within a spawned body. *)
+    within a spawned body; anywhere else they raise [Invalid_argument]. *)
 
 val tick : int -> unit
 (** Charge the calling thread [n] ns of virtual CPU time. *)

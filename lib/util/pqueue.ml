@@ -105,23 +105,20 @@ let min_elt_exn t =
 
 let min_key t = if t.len = 0 then None else Some t.keys.(0)
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let e = t.elts.(0) in
-    let last = t.len - 1 in
-    t.len <- last;
-    if last > 0 then begin
-      t.keys.(0) <- t.keys.(last);
-      t.ties.(0) <- t.ties.(last);
-      t.elts.(0) <- t.elts.(last)
-    end;
-    t.elts.(last) <- t.dummy;
-    if last > 0 then sift_down t 0;
-    Some e
-  end
-
+(* The engine pops a sleeper per wake, so the primitive returns the
+   element unboxed and [pop] wraps it. *)
 let pop_exn t =
-  match pop t with
-  | Some e -> e
-  | None -> invalid_arg "Pqueue.pop_exn: empty"
+  if t.len = 0 then invalid_arg "Pqueue.pop_exn: empty";
+  let e = t.elts.(0) in
+  let last = t.len - 1 in
+  t.len <- last;
+  if last > 0 then begin
+    t.keys.(0) <- t.keys.(last);
+    t.ties.(0) <- t.ties.(last);
+    t.elts.(0) <- t.elts.(last)
+  end;
+  t.elts.(last) <- t.dummy;
+  if last > 0 then sift_down t 0;
+  e
+
+let pop t = if t.len = 0 then None else Some (pop_exn t)

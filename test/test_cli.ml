@@ -21,15 +21,25 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-(* [args] must fail with exit 124 and an error that mentions [flag]. *)
-let check_rejected args flag =
+(* [args] must fail with exit 124 and an error that mentions [flag] and
+   every string in [also]. *)
+let check_rejected ?(also = []) args flag =
   let code, text = run args in
   Alcotest.(check int) ("exit code of gcsim " ^ args) 124 code;
-  if not (contains text flag) then
-    Alcotest.failf "gcsim %s: error does not name %s:\n%s" args flag text
+  List.iter
+    (fun s ->
+      if not (contains text s) then
+        Alcotest.failf "gcsim %s: error does not name %s:\n%s" args s text)
+    (flag :: also)
 
 let rejects args flag =
   Alcotest.test_case args `Quick (fun () -> check_rejected args flag)
+
+(* A heap multiple that leaves less than the workload's live set is a
+   usage error naming the flag and giving both sizes. *)
+let rejects_small_heap args ~heap ~live =
+  Alcotest.test_case args `Quick (fun () ->
+      check_rejected ~also:[ heap; live ] args "'--heap-mult'")
 
 (* A replay file whose metadata holds one bad value must be rejected
    the way the flag of the same name is. *)
@@ -65,6 +75,7 @@ let () =
           rejects "run --warmup=-0.1" "'--warmup'";
           rejects "run --warmup=inf" "'--warmup'";
           rejects "run --warmup=x" "'--warmup'";
+          rejects_small_heap "run -m 0.5" ~heap:"22.2MiB" ~live:"32.0MiB";
         ] );
       ( "trace",
         [
@@ -72,6 +83,8 @@ let () =
           rejects "trace -c jade,nope" "'-c'";
           rejects "trace -m 0" "'-m'";
           rejects "trace --requests=0" "'--requests'";
+          rejects_small_heap "trace -w h2-tpcc -m 0.5" ~heap:"22.2MiB"
+            ~live:"32.0MiB";
         ] );
       ( "check",
         [
@@ -86,6 +99,8 @@ let () =
           rejects "check --schedules=1.5" "'--schedules'";
           rejects "check --depth=-1" "'--depth'";
           rejects "check --depth=x" "'--depth'";
+          rejects_small_heap "check -w h2 -m 0.5" ~heap:"11.1MiB"
+            ~live:"16.0MiB";
         ] );
       ( "replay",
         List.map

@@ -200,7 +200,7 @@ let test_claim_each_once_in_order () =
     in_gc_fiber (fun rt ->
         let next_worker = ref 0 in
         Collectors.Common.parallel_drain rt ~n:3 ~name:"claim"
-          ~init:(fun () ->
+          ~init:(fun _ ->
             incr next_worker;
             !next_worker)
           (Array.init 20 Fun.id)
@@ -264,6 +264,47 @@ let test_claim_stop_flag () =
   Alcotest.(check int) "stopped after three items" 3 !processed;
   Alcotest.(check bool) "a stop is not a failure" false failed;
   Alcotest.(check (list int)) "remainder" [ 9; 8; 7; 6; 5; 4; 3 ] leftover
+
+(* ------------------------------------------------------------------ *)
+(* Card heal (Common.update_refs_in_card).                              *)
+
+(* Jade's group heal and Young_gen's update-refs scan a card per call;
+   with the worker's healer built once, a card costs no host allocation,
+   stale slots included. *)
+let test_heal_card_allocates_nothing () =
+  let engine = Sim.Engine.create () in
+  let heap =
+    Heap.Heap_impl.create
+      (Heap.Heap_impl.config ~heap_bytes:(4 * mib)
+         ~region_bytes:(256 * Util.Units.kib) ())
+  in
+  let rt = Runtime.Rt.create ~seed:42 ~engine ~heap () in
+  let claim () = Option.get (Heap.Heap_impl.claim_region heap Heap.Region.Old) in
+  let holders_r = claim () and targets_r = claim () in
+  let alloc r ~nrefs = Heap.Heap_impl.alloc_in heap r ~size:64 ~nrefs () in
+  let stale = alloc targets_r ~nrefs:0 and fresh = alloc targets_r ~nrefs:0 in
+  stale.Heap.Gobj.forward <- fresh;
+  let holders = Array.init 8 (fun _ -> alloc holders_r ~nrefs:4) in
+  let card = Heap.Heap_impl.card_of_field heap holders.(0) 0 in
+  let make_stale () =
+    for i = 0 to Array.length holders - 1 do
+      Heap.Gobj.set_field holders.(i) 1 stale
+    done
+  in
+  (* The engine is not running: a ticker that never reaches its flush
+     batch keeps the scan from suspending. *)
+  let tk = Collectors.Common.Ticker.create ~workers:1_000_000 () in
+  let h = Collectors.Common.healer rt tk in
+  make_stale ();
+  Collectors.Common.update_refs_in_card rt h card;
+  Alcotest.(check bool) "stale slot healed" true
+    (Heap.Gobj.get_field holders.(0) 1 == fresh);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    make_stale ();
+    Collectors.Common.update_refs_in_card rt h card
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. w0)
 
 (* ------------------------------------------------------------------ *)
 (* Verifier metadata: what each registered collector tells --verify.   *)
@@ -350,6 +391,11 @@ let () =
              test_claim_failure_returns_remainder;
            Alcotest.test_case "stop flag between items" `Quick
              test_claim_stop_flag;
+         ] );
+       ( "card heal",
+         [
+           Alcotest.test_case "allocates nothing per card" `Quick
+             test_heal_card_allocates_nothing;
          ] );
        ( "verifier metadata",
          [ Alcotest.test_case "registrations" `Quick test_verifier_metadata ] );

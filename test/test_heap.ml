@@ -140,12 +140,35 @@ let test_scan_card_finds_slots () =
   Gobj.set_field holder 1 target;
   let card = Heap_impl.card_of_field heap holder 1 in
   let hits = ref [] in
-  Heap_impl.scan_card heap card ~f:(fun o i ->
+  Heap_impl.scan_card heap card () ~f:(fun () o i ->
       if Gobj.get_field o i != Gobj.null then hits := (Gobj.id o, i) :: !hits);
   Alcotest.(check (list (pair int int)))
     "found the populated slot"
     [ (Gobj.id holder, 1) ]
     !hits
+
+let count_slot n _ _ = incr n
+
+(* The walk is its own loop: with a closed callback, scanning a card
+   costs no host allocation however many objects and slots it holds. *)
+let test_scan_card_allocates_nothing () =
+  let heap = mk_heap () in
+  let r = claim_exn heap Region.Old in
+  let target = alloc heap r ~size:32 ~nrefs:0 in
+  for _ = 1 to 40 do
+    let holder = alloc heap r ~size:64 ~nrefs:4 in
+    Gobj.set_field holder 2 target
+  done;
+  (* Mid-span: 40 holders of 64 bytes cover the region's first 2.5 KiB. *)
+  let card = Heap_impl.card_of heap ~rid:r.Region.rid ~offset:1024 in
+  let slots = ref 0 in
+  Heap_impl.scan_card heap card slots ~f:count_slot;
+  Alcotest.(check bool) "the card holds slots" true (!slots > 8);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Heap_impl.scan_card heap card slots ~f:count_slot
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. w0)
 
 let test_dirty_cards () =
   let heap = mk_heap () in
@@ -258,7 +281,7 @@ let scan_card_model =
              let card = (r.Region.rid * cpr) + local in
              let off = local * card_bytes in
              let got = ref [] in
-             Heap_impl.scan_card heap card ~f:(fun o i ->
+             Heap_impl.scan_card heap card () ~f:(fun () o i ->
                  got := (Gobj.uid o, i) :: !got);
              let expected = ref [] in
              Util.Vec.iter
@@ -603,7 +626,8 @@ let sentinel_model =
          for local = 0 to cpr - 1 do
            Heap_impl.scan_card heap
              ((r.Region.rid * cpr) + local)
-             ~f:(fun o _ -> if Gobj.is_null o then saw_null := true)
+             ()
+             ~f:(fun () o _ -> if Gobj.is_null o then saw_null := true)
          done;
          (* Writing null over every slot must not move used-bytes. *)
          Array.iter
@@ -996,6 +1020,8 @@ let () =
           Alcotest.test_case "card math" `Quick test_card_math;
           Alcotest.test_case "card of field" `Quick test_card_of_field;
           Alcotest.test_case "scan card" `Quick test_scan_card_finds_slots;
+          Alcotest.test_case "scan card allocates nothing" `Quick
+            test_scan_card_allocates_nothing;
           Alcotest.test_case "dirty cards" `Quick test_dirty_cards;
           Alcotest.test_case "release clears cards" `Quick
             test_release_clears_own_cards;

@@ -28,7 +28,8 @@ let test_card_scan_survives_region_reset () =
   let visited = ref 0 in
   Heap_impl.scan_card heap
     (Heap_impl.card_of heap ~rid:r.Region.rid ~offset:0)
-    ~f:(fun _ _ ->
+    ()
+    ~f:(fun () _ _ ->
       incr visited;
       (* Simulate a co-running collection reclaiming the region. *)
       if !visited = 3 then Heap_impl.release_region heap r);

@@ -237,6 +237,94 @@ let test_same_seed_workload_determinism () =
   in
   Alcotest.(check string) "byte-identical summaries" (run ()) (run ())
 
+(* Host words each suspension costs, averaged over [reps] repetitions of
+   [body] in a spawned thread after a warm-up: the window spans the
+   scheduler's work between suspensions too. *)
+let words_per_suspension ?(per_rep = 1) e body =
+  let reps = 10_000 and words = ref nan in
+  ignore
+    (Engine.spawn e ~name:"measured" ~kind:Engine.Mutator (fun () ->
+         for _ = 1 to 100 do
+           body ()
+         done;
+         let w0 = Gc.minor_words () in
+         for _ = 1 to reps do
+           body ()
+         done;
+         words := (Gc.minor_words () -. w0) /. float_of_int (reps * per_rep)));
+  Engine.run e;
+  !words
+
+(* A suspension allocates at most its continuation (2 words) and the
+   box that keeps it (2 words): operands live on the thread record, the
+   effect is a constant and the run queue is a ring. *)
+let test_suspensions_allocate_little () =
+  let at_most_4 what words =
+    if words > 4. then
+      Alcotest.failf "%s: %.2f minor words per suspension (want <= 4)" what
+        words
+  in
+  let e = Engine.create ~cores:1 ~quantum:(10 * us) () in
+  at_most_4 "tick past budget"
+    (words_per_suspension e (fun () -> Engine.tick (25 * us)));
+  let e = Engine.create ~cores:1 () in
+  at_most_4 "yield" (words_per_suspension e Engine.yield);
+  let e = Engine.create ~cores:1 () in
+  at_most_4 "sleep_until"
+    (words_per_suspension e (fun () ->
+         Engine.sleep_until e (Engine.now e + us)));
+  (* Ping-pong: each repetition is one [wait] and one [signal] in each
+     of two threads, so two suspensions. *)
+  let e = Engine.create ~cores:2 () in
+  let ping = Engine.cond "ping" and pong = Engine.cond "pong" in
+  ignore
+    (Engine.spawn e ~daemon:true ~name:"echo" ~kind:Engine.Mutator (fun () ->
+         while true do
+           Engine.wait ping;
+           Engine.signal e pong
+         done));
+  at_most_4 "wait plus signal"
+    (words_per_suspension ~per_rep:2 e (fun () ->
+         Engine.signal e ping;
+         Engine.wait pong))
+
+(* The suspending operations record their operand on the calling
+   thread; with no thread to record it on they must fail, never drop
+   the operation. *)
+let test_outside_thread_raises () =
+  let e = Engine.create () in
+  let c = Engine.cond "c" in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s outside a spawned thread returned" what
+    | exception Invalid_argument _ -> ()
+  in
+  let all_raise () =
+    raises "tick" (fun () -> Engine.tick 1);
+    raises "yield" Engine.yield;
+    raises "wait" (fun () -> Engine.wait c);
+    raises "sleep_until" (fun () -> Engine.sleep_until e (Engine.now e + us));
+    raises "sleep" (fun () -> Engine.sleep e us)
+  in
+  all_raise ();
+  ignore
+    (Engine.spawn e ~name:"t" ~kind:Engine.Mutator (fun () -> Engine.tick ms));
+  Engine.run e;
+  all_raise ();
+  (* The failed [wait] queued nobody: a waiter spawned now is the one a
+     signal wakes. *)
+  let woken = ref false in
+  ignore
+    (Engine.spawn e ~name:"waiter" ~kind:Engine.Mutator (fun () ->
+         Engine.wait c;
+         woken := true));
+  ignore
+    (Engine.spawn e ~name:"signaller" ~kind:Engine.Aux (fun () ->
+         Engine.tick us;
+         Engine.signal e c));
+  Engine.run e;
+  Alcotest.(check bool) "waiter woken" true !woken
+
 (* Property: CPU time is conserved and wall time is bounded by the
    theoretical parallel schedule, for arbitrary thread mixes. *)
 let cpu_conservation =
@@ -286,5 +374,9 @@ let () =
             test_same_seed_workload_determinism;
           Alcotest.test_case "quantum fairness" `Quick test_quantum_fairness;
           cpu_conservation;
+          Alcotest.test_case "suspensions allocate at most 4 words" `Quick
+            test_suspensions_allocate_little;
+          Alcotest.test_case "suspending outside a thread raises" `Quick
+            test_outside_thread_raises;
         ] );
     ]

@@ -150,6 +150,15 @@ let test_hot_path_no_alloc () =
         Vec.push v i;
         if i land 15 = 0 then Vec.truncate v 0
       done);
+  let r = Ring.create 0 in
+  check_no_alloc "Ring.push / pop_exn" (fun () ->
+      for i = 1 to n do
+        Ring.push r i;
+        if i land 15 = 0 then
+          while not (Ring.is_empty r) do
+            sink := !sink + Ring.pop_exn r
+          done
+      done);
   Alcotest.(check bool) "sink used" true (!sink <> min_int)
 
 (* ------------------------------------------------------------------ *)
@@ -445,6 +454,60 @@ let pqueue_model =
       drained = List.stable_sort compare pairs && Pqueue.is_empty q)
 
 (* ------------------------------------------------------------------ *)
+(* Ring *)
+
+(* Reference model: every operation sequence leaves [Ring] and
+   [Stdlib.Queue] with the same length, the same popped values and the
+   same failures on empty.  Pushes outnumber pops two to one, so runs
+   grow the ring past its first capacities, and interleaved pops move
+   the head so later pushes wrap around the array's end. *)
+let ring_reference_model =
+  qtest ~count:500 "ring matches Stdlib.Queue"
+    QCheck2.Gen.(
+      list_size (int_range 0 200)
+        (frequency [ (2, map Option.some (int_range 0 99)); (1, pure None) ]))
+    (fun ops ->
+      let r = Ring.create (-1) and q = Queue.create () in
+      let same_pop () =
+        match Ring.pop_exn r with
+        | x -> (not (Queue.is_empty q)) && x = Queue.pop q
+        | exception Invalid_argument _ -> Queue.is_empty q
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+            | Some x ->
+                Ring.push r x;
+                Queue.push x q;
+                true
+            | None -> same_pop ())
+          && Ring.length r = Queue.length q
+          && Ring.is_empty r = Queue.is_empty q)
+        ops
+      && List.for_all (fun _ -> same_pop ()) (List.init (Queue.length q) Fun.id)
+      && Ring.is_empty r)
+
+let test_ring_wrap_then_grow () =
+  let r = Ring.create 0 in
+  for i = 1 to 6 do
+    Ring.push r i
+  done;
+  for i = 1 to 4 do
+    check Alcotest.int "front" i (Ring.pop_exn r)
+  done;
+  (* The head now sits mid-array: these pushes wrap past its end, then
+     grow it while wrapped. *)
+  for i = 7 to 30 do
+    Ring.push r i
+  done;
+  check Alcotest.int "length" 26 (Ring.length r);
+  for i = 5 to 30 do
+    check Alcotest.int "FIFO across wrap and growth" i (Ring.pop_exn r)
+  done;
+  Alcotest.check_raises "empty" (Invalid_argument "Ring.pop_exn: empty")
+    (fun () -> ignore (Ring.pop_exn r))
+
+(* ------------------------------------------------------------------ *)
 (* Histogram *)
 
 let test_histogram_small_exact () =
@@ -647,6 +710,11 @@ let () =
           Alcotest.test_case "basic" `Quick test_pqueue_basic;
           Alcotest.test_case "tie-break" `Quick test_pqueue_tie_break;
           pqueue_model;
+        ] );
+      ( "ring",
+        [
+          ring_reference_model;
+          Alcotest.test_case "wrap then grow" `Quick test_ring_wrap_then_grow;
         ] );
       ( "histogram",
         [
