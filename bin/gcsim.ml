@@ -5,7 +5,7 @@
     gcsim run --collector jade --workload h2-tpcc --heap-mult 2.0
     gcsim run -c zgc -w specjbb2015 --qps 20000 --duration 1.5
     gcsim trace -c jade -w avrora --out trace.json
-    gcsim check -c jade -w avrora --requests 2000 --schedules 64 --depth 8
+    gcsim check -c jade -w avrora -m 1.5 --requests 400 --schedules 64 --depth 8
     gcsim check --replay failure.sched
     gcsim list
     v} *)

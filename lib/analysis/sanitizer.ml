@@ -28,6 +28,11 @@ let none = { verifier = None; race = None }
 
 let default_on_violation r = raise (Report.Violation r)
 
+(* Every recycled batch of stubs is checked before the pool takes it. *)
+let watch_stubs rt verifier =
+  Heap.Grace.set_check rt.RtM.heap.Heap.Heap_impl.grace
+    (Some (Verifier.check_stubs verifier))
+
 (** Install the sanitizer at [level].  Idempotent per runtime: a second
     install on the same [rt] is a no-op (the first one wins). *)
 let install ?(on_violation = default_on_violation) ~level rt =
@@ -40,6 +45,7 @@ let install ?(on_violation = default_on_violation) ~level rt =
         Verifier.create ~full:(level = Full) ~on_violation rt
       in
       rt.RtM.phase_hook <- Some (Verifier.on_phase verifier);
+      watch_stubs rt verifier;
       Runtime.Safepoint.set_on_release rt.RtM.safepoint (fun () ->
           RtM.fire_phase rt Vhook.Safepoint_release);
       let race =
@@ -71,6 +77,7 @@ let install_check_oracles ?(on_access = fun _ _ ~key:_ ~site:_ -> ())
     rt.RtM.verify_level <- 2;
     let verifier = Verifier.create ~full:false ~on_violation rt in
     rt.RtM.phase_hook <- Some (Verifier.on_phase verifier);
+    watch_stubs rt verifier;
     Runtime.Safepoint.set_on_release rt.RtM.safepoint (fun () ->
         RtM.fire_phase rt Vhook.Safepoint_release);
     let race = Race.create ~engine:rt.RtM.engine ~on_violation () in

@@ -510,6 +510,34 @@ let check_fwd_tables t =
     t.rt.RtM.fwd_table_sources
 
 (* ------------------------------------------------------------------ *)
+(* Stub recycling.                                                      *)
+
+(** Called by the heap's grace periods ({!Heap.Grace.set_check}) with
+    each batch of stubs about to be recycled: once the period has ended
+    nothing may name them, so no root slot may hold one and each must
+    still have no incoming heap edge.  Runs at both levels (it costs one
+    pass over the roots and the batch per period). *)
+let check_stubs t (batch : Gobj.t Util.Vec.t) =
+  t.checks <- t.checks + 1;
+  t.phase <- "stub-recycle";
+  let rooted = Hashtbl.create 64 in
+  RtM.iter_roots t.rt (fun o ->
+      if o != Gobj.null then Hashtbl.replace rooted (Gobj.uid o) ());
+  Util.Vec.iter
+    (fun (o : Gobj.t) ->
+      if Hashtbl.mem rooted (Gobj.uid o) then
+        emit t ~invariant:"stub-grace" ~object_id:(Gobj.id o)
+          "a root slot names forwarded record uid %d when its grace period \
+           ends and it is about to be recycled"
+          (Gobj.uid o)
+      else if Gobj.inrefs o <> 0 then
+        emit t ~invariant:"stub-grace" ~object_id:(Gobj.id o)
+          "forwarded record uid %d has %d incoming heap edges when its \
+           grace period ends and it is about to be recycled"
+          (Gobj.uid o) (Gobj.inrefs o))
+    batch
+
+(* ------------------------------------------------------------------ *)
 (* Dispatch.                                                            *)
 
 let on_phase t ~collector phase =

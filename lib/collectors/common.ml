@@ -713,8 +713,13 @@ let old_occupancy rt =
 (** Plug a collector into [rt] and start its controllers.  On allocation
     failure the mutator runs [on_alloc_failure] (the collector's request
     for memory), then stalls — parked, so safepoints need not wait for
-    it — until memory is freed.  Each [(name, body)] of [controllers]
-    becomes a daemon GC fiber, spawned in order. *)
+    it — until memory is freed.  Each [(name, step)] of [controllers]
+    becomes a daemon GC fiber, spawned in order, that runs [step ()]
+    forever: one step decides on, and runs, at most one collection (or
+    sleeps {!poll_interval}).  Between steps the controller holds no
+    collection state, so each one starts at a quiescent point of the
+    heap's grace periods ({!Heap.Grace}): a stub released while a cycle
+    runs is not recycled before that cycle has ended. *)
 let install rt ~name ~store_barrier ~load_extra_cost ~mutator_tax_pct
     ~on_alloc_failure controllers =
   let alloc_failure () =
@@ -731,9 +736,15 @@ let install rt ~name ~store_barrier ~load_extra_cost ~mutator_tax_pct
       mutator_tax_pct;
       alloc_failure;
     };
+  let grace = rt.RtM.heap.Heap_impl.grace in
   List.iter
-    (fun (name, body) ->
+    (fun (name, step) ->
+      let p = Grace.register grace in
       ignore
         (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc ~name
-           body))
+           (fun () ->
+             while true do
+               Grace.quiescent grace p;
+               step ()
+             done)))
     controllers

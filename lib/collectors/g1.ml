@@ -221,27 +221,24 @@ let ensure_progress t =
 
 let controller t () =
   let rt = t.rt in
-  let engine = rt.RtM.engine in
-  while true do
-    if t.urgent then begin
-      t.urgent <- false;
-      ensure_progress t
-    end
-    else if
-      Common.young_count rt >= t.young_budget
-      || Heap_impl.free_regions rt.RtM.heap
-         <= max 2 (Heap_impl.num_regions rt.RtM.heap / 16)
-         && Common.young_count rt > 0
-    then ensure_progress t
-    else if
-      t.mark_requested
-      || ((not t.marking) && t.candidates = [] && Common.old_occupancy rt >= ihop_pct)
-    then begin
-      t.mark_requested <- false;
-      run_mark_cycle t
-    end
-    else Sim.Engine.sleep engine Common.poll_interval
-  done
+  if t.urgent then begin
+    t.urgent <- false;
+    ensure_progress t
+  end
+  else if
+    Common.young_count rt >= t.young_budget
+    || Heap_impl.free_regions rt.RtM.heap
+       <= max 2 (Heap_impl.num_regions rt.RtM.heap / 16)
+       && Common.young_count rt > 0
+  then ensure_progress t
+  else if
+    t.mark_requested
+    || ((not t.marking) && t.candidates = [] && Common.old_occupancy rt >= ihop_pct)
+  then begin
+    t.mark_requested <- false;
+    run_mark_cycle t
+  end
+  else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
 
 (* ------------------------------------------------------------------ *)
 (* Plumbing.                                                            *)

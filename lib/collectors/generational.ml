@@ -91,24 +91,20 @@ let escalate t =
 let controller t () =
   let rt = t.rt in
   let heap = rt.RtM.heap in
-  while true do
-    let budget =
-      max 4 (Heap_impl.num_regions heap / young_budget_fraction)
-    in
-    if
-      t.urgent
-      || Common.young_count rt >= budget
-      || Heap_impl.free_regions heap <= max 2 (Heap_impl.num_regions heap / 16)
-         && Common.young_count rt > 0
-    then begin
-      t.urgent <- false;
-      let ok = Young_gen.collect t.young in
-      if (not ok) || Common.below_low_watermark rt then escalate t
-    end
-    else if Common.old_occupancy rt >= old_trigger_occupancy then
-      t.old.run_cycle ()
-    else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
-  done
+  let budget = max 4 (Heap_impl.num_regions heap / young_budget_fraction) in
+  if
+    t.urgent
+    || Common.young_count rt >= budget
+    || Heap_impl.free_regions heap <= max 2 (Heap_impl.num_regions heap / 16)
+       && Common.young_count rt > 0
+  then begin
+    t.urgent <- false;
+    let ok = Young_gen.collect t.young in
+    if (not ok) || Common.below_low_watermark rt then escalate t
+  end
+  else if Common.old_occupancy rt >= old_trigger_occupancy then
+    t.old.run_cycle ()
+  else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
 
 let install variant rt =
   let young =

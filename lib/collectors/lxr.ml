@@ -105,27 +105,23 @@ let run_trace t =
 let controller t () =
   let rt = t.rt in
   let heap = rt.RtM.heap in
-  while true do
-    let since =
-      heap.Heap_impl.bytes_allocated - t.last_epoch_bytes
-    in
-    if t.urgent || since >= epoch_alloc_bytes then begin
-      t.urgent <- false;
-      let failed = rc_epoch t ~defrag:(t.candidates <> []) in
-      if failed || Common.below_low_watermark rt then begin
-        if t.candidates = [] then run_trace t;
-        let failed2 = rc_epoch t ~defrag:true in
-        if failed2 || Common.below_low_watermark rt then
-          Common.full_gc_or_oom rt
-      end
+  let since = heap.Heap_impl.bytes_allocated - t.last_epoch_bytes in
+  if t.urgent || since >= epoch_alloc_bytes then begin
+    t.urgent <- false;
+    let failed = rc_epoch t ~defrag:(t.candidates <> []) in
+    if failed || Common.below_low_watermark rt then begin
+      if t.candidates = [] then run_trace t;
+      let failed2 = rc_epoch t ~defrag:true in
+      if failed2 || Common.below_low_watermark rt then
+        Common.full_gc_or_oom rt
     end
-    else if
-      t.candidates = []
-      && Heap_impl.occupancy heap >= trace_trigger_occupancy
-      && not t.marker.Common.Marker.active
-    then run_trace t
-    else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
-  done
+  end
+  else if
+    t.candidates = []
+    && Heap_impl.occupancy heap >= trace_trigger_occupancy
+    && not t.marker.Common.Marker.active
+  then run_trace t
+  else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
 
 let install rt =
   let heap = rt.RtM.heap in

@@ -206,19 +206,15 @@ let run_cycle t =
 
 let controller t () =
   let rt = t.rt in
-  let heap = rt.RtM.heap in
-  while true do
-    if t.urgent || Heap_impl.occupancy heap >= trigger_occupancy
-    then begin
-      t.urgent <- false;
-      run_cycle t;
-      (* Escalate if the cycle made no usable progress while mutators are
-         starving: full GC, then OOM. *)
-      if rt.RtM.stalled_mutators > 0 && Common.below_low_watermark rt then
-        Common.full_gc_or_oom rt
-    end
-    else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
-  done
+  if t.urgent || Heap_impl.occupancy rt.RtM.heap >= trigger_occupancy then begin
+    t.urgent <- false;
+    run_cycle t;
+    (* Escalate if the cycle made no usable progress while mutators are
+       starving: full GC, then OOM. *)
+    if rt.RtM.stalled_mutators > 0 && Common.below_low_watermark rt then
+      Common.full_gc_or_oom rt
+  end
+  else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
 
 let install rt =
   let t = create rt in

@@ -102,8 +102,13 @@ let run_cycle t =
         Common.Evac.evacuate_region rt ~after ~pick tk r;
         Util.Vec.iter
           (fun (o : Gobj.t) ->
-            if Gobj.is_forwarded o then
-              Forwarding.add fwd ~old_offset:(Gobj.offset o) o.Gobj.forward)
+            if Gobj.is_forwarded o then begin
+              Forwarding.add fwd ~old_offset:(Gobj.offset o) o.Gobj.forward;
+              (* Roots and heap slots keep naming the old copy until the
+                 next cycle's mark remaps them, so it stays out of the
+                 stub limbo as the table's copy does. *)
+              Gobj.set_flag o Gobj.flag_in_fwd_table
+            end)
           r.Region.objects;
         t.forwarding <- fwd :: t.forwarding;
         Metrics.add rt.RtM.metrics "zgc.reclaimed_bytes" r.Region.top;
@@ -125,16 +130,11 @@ let run_cycle t =
 
 let controller t () =
   let rt = t.rt in
-  while true do
-    if
-      t.urgent
-      || Heap_impl.occupancy rt.RtM.heap >= trigger_occupancy
-    then begin
-      t.urgent <- false;
-      run_cycle t
-    end
-    else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
-  done
+  if t.urgent || Heap_impl.occupancy rt.RtM.heap >= trigger_occupancy then begin
+    t.urgent <- false;
+    run_cycle t
+  end
+  else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
 
 let install rt =
   let t = create rt in

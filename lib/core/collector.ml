@@ -53,51 +53,47 @@ let old_trigger_occupancy = 0.45
 let young_controller t () =
   let rt = t.rt in
   let heap = rt.RtM.heap in
-  while true do
-    let budget =
-      max 4 (Heap_impl.num_regions heap / young_budget_fraction)
-    in
-    if t.full_requested then begin
-      if not t.old_gc.Old.cycle_running then begin
-        t.full_requested <- false;
-        full_gc t
-      end
-      else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
-    end
-    else if
-      t.young_urgent
-      || Common.young_count rt >= budget
-      (* Keep enough headroom that the next young evacuation still has
-         destination regions — critical on small heaps. *)
-      || Heap_impl.free_regions heap
-         <= max 4 (Heap_impl.num_regions heap / 8)
-         && Common.young_count rt > 0
-    then begin
-      t.young_urgent <- false;
-      let workers =
-        if t.config.chasing_mode && rt.RtM.stalled_mutators > 0 then
-          Sim.Engine.cores rt.RtM.engine
-        else t.config.young_workers
-      in
-      let ok = Young.collect t.young ~workers in
-      if ok && not (Common.below_low_watermark rt) then
-        t.young_failures <- 0
-      else begin
-        t.young_failures <- t.young_failures + 1;
-        (* Ask the old collector to hurry; consecutive starved collections
-           are the paper's full-GC trigger (§4.3). *)
-        t.old_urgent <- true;
-        if t.young_failures >= 3 then t.full_requested <- true
-      end
+  let budget = max 4 (Heap_impl.num_regions heap / young_budget_fraction) in
+  if t.full_requested then begin
+    if not t.old_gc.Old.cycle_running then begin
+      t.full_requested <- false;
+      full_gc t
     end
     else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
-  done
+  end
+  else if
+    t.young_urgent
+    || Common.young_count rt >= budget
+    (* Keep enough headroom that the next young evacuation still has
+       destination regions — critical on small heaps. *)
+    || Heap_impl.free_regions heap
+       <= max 4 (Heap_impl.num_regions heap / 8)
+       && Common.young_count rt > 0
+  then begin
+    t.young_urgent <- false;
+    let workers =
+      if t.config.chasing_mode && rt.RtM.stalled_mutators > 0 then
+        Sim.Engine.cores rt.RtM.engine
+      else t.config.young_workers
+    in
+    let ok = Young.collect t.young ~workers in
+    if ok && not (Common.below_low_watermark rt) then
+      t.young_failures <- 0
+    else begin
+      t.young_failures <- t.young_failures + 1;
+      (* Ask the old collector to hurry; consecutive starved collections
+         are the paper's full-GC trigger (§4.3). *)
+      t.old_urgent <- true;
+      if t.young_failures >= 3 then t.full_requested <- true
+    end
+  end
+  else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
 
-let old_controller t () =
-  let rt = t.rt in
-  let heap = rt.RtM.heap in
+let old_controller t =
   let last_cycle_bytes = ref 0 in
-  while true do
+  fun () ->
+    let rt = t.rt in
+    let heap = rt.RtM.heap in
     (* Proactive rule (as in generational ZGC): even without occupancy
        pressure, run an old cycle once a heap's worth of allocation has
        passed — it is what finds dead humongous regions and slow old
@@ -121,7 +117,6 @@ let old_controller t () =
       if not ok then t.full_requested <- true
     end
     else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
-  done
 
 let install ?(config = Jade_config.default) rt =
   let young = Young.create ~config rt in

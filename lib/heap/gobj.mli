@@ -17,7 +17,9 @@
     [fields] array (the payload moved; there is one logical set of slots).
 
     Dead records and field arrays are recycled through a {!Pool} owned by
-    {!Heap_impl.t} — see the ownership rules there and on {!Pool}.  The
+    {!Heap_impl.t}, and forwarded records (stubs) pass through a limbo
+    first, drained by {!Grace} — see the ownership rules on {!Pool} and
+    {!release_residents}.  The
     record is concrete: collectors read and mutate the reference-graph
     fields ([fields], [forward]) directly on their hot paths (every field
     is [mutable] so pooled records can be reinitialized in place).  The
@@ -166,6 +168,16 @@ val flag_satb_logged : int
     never cleared, so {!release_residents} never harvests a record such a
     queue may still hold. *)
 
+val flag_forward_target : int
+(** Set on a copy when {!set_forward} installs a forwarding pointer to
+    it, and cleared when that predecessor is reused after its grace
+    period ({!Pool.take_copy_record}).  While set, a stale reference
+    can still resolve through the predecessor to this record, so it is
+    not reused itself.  A predecessor that is never recycled (a stale heap
+    edge, a weak or forwarding-table flag, a region compacted in place
+    and never released, or a predecessor of its own still set) thus
+    keeps its whole chain of successors out of the pool. *)
+
 val no_fields : t array
 (** The shared empty field array (reference-free objects allocate none). *)
 
@@ -235,7 +247,8 @@ val is_forwarded : t -> bool
     call; this test guards every mutator load/store and root access. *)
 
 val set_forward : ?hooks:Access.hooks -> ?site:string -> t -> t -> unit
-(** Install the forwarding pointer of [t].  All relocation paths go
+(** Install the forwarding pointer of [t] and flag the copy
+    {!flag_forward_target}.  All relocation paths go
     through here so the race detector sees every install as a [Write] on
     the old copy's physical identity — two unordered installs on one
     record are a double relocation.  Evacuation loops pass their heap's
@@ -287,7 +300,8 @@ val iter_fields : (int -> t -> unit) -> t -> unit
 
 (** {2 Pooling} *)
 
-(** Freelists for dead records and their field arrays, owned by
+(** Freelists for dead records and their field arrays, and the queue of
+    stubs past their grace period, owned by
     run-threaded heap state ({!Heap_impl.t}) — no DLS on the hot path.
     [take_*] misses fall back to fresh host allocation, so a pool is
     only ever an allocation cache, never a semantic dependency.
@@ -313,8 +327,24 @@ module Pool : sig
 
   val put_record : t -> obj -> unit
 
+  val put_stubs : t -> obj Util.Vec.t -> unit
+  (** Queue a batch of stubs whose grace period has ended ({!Grace}),
+      in release order; the pool owns the vector from then on.  Batches
+      must arrive in release order too.  Nothing is tested yet. *)
+
   val take_record : t -> obj
-  (** A record to reinitialize, or {!null} when the pool is empty. *)
+  (** A dead record put by {!put_record} (the most recent first), or
+      {!null} when there is none. *)
+
+  val take_copy_record : t -> obj
+  (** A record for a relocation copy ({!remake}): the oldest stub from
+      {!put_stubs} that still has no {!inrefs} and no weak,
+      forwarding-table or {!flag_forward_target} flag (the others are
+      dropped on the way), else {!take_record}.  A stub taken clears
+      its copy's {!flag_forward_target} when the copy still has its
+      logical id.  Stubs back copies only: a copy is long-lived, while a
+      short-lived object in an old host record would pay the host GC's
+      write barrier on every later store of a young value into it. *)
 
   val stats : t -> int * int * int * int
   (** [(records_reused, arrays_reused, records_pooled, arrays_pooled)] *)
@@ -348,7 +378,8 @@ val harvest_all : int
 val harvest_none : int
 (** The [floor] of a release that harvests nothing (pooling off). *)
 
-val release_residents : Pool.t -> floor:int -> t Util.Vec.t -> unit
+val release_residents :
+  Pool.t -> floor:int -> limbo:t Util.Vec.t -> t Util.Vec.t -> unit
 (** Free the residents of a released region: each is flagged freed, and
     a dead one (unforwarded) gives its field array and, when nothing
     can name it again, its record to the pool.  While a mark runs,
@@ -359,4 +390,10 @@ val release_residents : Pool.t -> floor:int -> t Util.Vec.t -> unit
     queue holds is taken.  Outside marking [floor] is {!harvest_all};
     {!harvest_none} only flags.  A harvested holder's edges are retired
     ({!retire_edges}) before any record is tested, so a record whose
-    holders all die with it is recycled in the same release. *)
+    holders all die with it is recycled in the same release.
+
+    A forwarded resident (a stub) with no {!inrefs} and no weak or
+    forwarding-table flag is pushed onto [limbo] whatever the [floor]
+    (except {!harvest_none}), untouched but for its freed flag.
+    Something outside the heap may still name it, so it reaches the pool
+    ({!Pool.put_stubs}) only at the end of a grace period ({!Grace}). *)

@@ -28,8 +28,12 @@ let spawn_mutator rt ~name body =
 (* Run one request, bracketed by trace events when a tracer is on.
    [lat_from] is the instant latency is measured from — service start
    for closed/fixed loops, arrival for the open loop (queueing counts).
-   Returns the measured latency. *)
+   Returns the measured latency.  The request is also the mutator's
+   online section for grace periods: a request may keep heap
+   references in unrooted locals across safepoints, and between
+   requests it holds none. *)
 let traced_request rt ~lat_from ~request m =
+  Mutator.begin_request m;
   let traced = Rt.tracing rt in
   if traced then begin
     (* Reset the tax meter so Request_end carries this request's delta
@@ -42,6 +46,7 @@ let traced_request rt ~lat_from ~request m =
   if traced then
     Rt.trace rt
       (Tracepoint.Request_end { latency_ns = lat; tax_ns = Mutator.take_tax m });
+  Mutator.end_request m;
   lat
 
 let closed_loop rt ~request m =

@@ -24,6 +24,7 @@ type t = {
   mutable tax_ns : int;
       (** cumulative mutator-tax surcharge ({!taxed}); the request driver
           reads deltas per request for the trace ({!take_tax}) *)
+  grace : int;  (** participant index in the heap's grace periods *)
 }
 
 let poll_interval = 24
@@ -45,6 +46,7 @@ let create rt =
       ops = 0;
       pending_ns = 0;
       tax_ns = 0;
+      grace = Heap.Grace.register rt.Rt.heap.Heap.Heap_impl.grace;
     }
   in
   Safepoint.register rt.Rt.safepoint;
@@ -244,6 +246,15 @@ let get_root m i =
 (** Drop stack roots above index [n] (end-of-request cleanup). *)
 let truncate_roots m n = Util.Vec.truncate m.roots n
 
+(* Grace periods (stub recycling, see {!Heap.Grace}): a mutator is
+   online inside a request and offline between requests. *)
+let begin_request m =
+  Heap.Grace.online m.rt.Rt.heap.Heap.Heap_impl.grace m.grace
+
+let end_request m =
+  Heap.Grace.offline m.rt.Rt.heap.Heap.Heap_impl.grace m.grace
+
 let finish m =
   flush m;
-  Safepoint.deregister m.rt.Rt.safepoint
+  Safepoint.deregister m.rt.Rt.safepoint;
+  end_request m

@@ -24,15 +24,31 @@ type t = {
   mutable pending_ns : int;
   mutable tax_ns : int;
       (** cumulative mutator-tax surcharge; {!take_tax} reads deltas *)
+  grace : int;
+      (** this mutator's participant index in the heap's grace periods
+          ({!Heap.Grace}) *)
 }
 
 val create : Rt.t -> t
 (** Register a mutator: safepoint membership, a root set, a TLAB retire
-    hook.  Call from inside the mutator's own fiber. *)
+    hook, and an online grace-period participant.  Call from inside the
+    mutator's own fiber. *)
 
 val finish : t -> unit
-(** Deregister (flushes pending costs).  Must be called before the fiber
-    returns or safepoints would wait for it forever. *)
+(** Deregister (flushes pending costs) and go offline for grace periods.
+    Must be called before the fiber returns or safepoints would wait for
+    it forever. *)
+
+val begin_request : t -> unit
+(** From here on the mutator may hold heap references in OCaml locals
+    (a request keeps a few unrooted across safepoints), so a grace
+    period opened now waits for its {!end_request}. *)
+
+val end_request : t -> unit
+(** A quiescent point: between requests the mutator holds heap
+    references only in its roots, so it goes offline for grace periods
+    until the next {!begin_request}; a mutator parked in an open-loop
+    sleep thus holds no period up. *)
 
 val now : t -> int
 (** Virtual time (flushes the batched cost accumulator first). *)

@@ -90,6 +90,22 @@ dune exec bin/gcsim.exe -- check -c jade -w avrora \
 diff -u /tmp/ci_check_j1.txt /tmp/ci_check_j2.txt
 echo "check -j 2 output identical to -j 1"
 
+echo "== schedule-space check smoke that evacuates (stub recycling under the oracles) =="
+# The smoke above runs avrora at 4x, where no region is ever released.
+# At 1.5x every schedule collects, evacuates and releases regions, so
+# forwarded records pass through the grace-period limbo and the pool
+# while the fast verifier (including its check of every recycled batch)
+# and the race detector watch; and -j 2 must again print the same bytes.
+dune exec bin/gcsim.exe -- check -c jade -w avrora -m 1.5 \
+  --requests 400 --schedules 64 --depth 8 --strategy rand \
+  > /tmp/ci_check_evac_j1.txt
+cat /tmp/ci_check_evac_j1.txt
+dune exec bin/gcsim.exe -- check -c jade -w avrora -m 1.5 \
+  --requests 400 --schedules 64 --depth 8 --strategy rand -j 2 \
+  > /tmp/ci_check_evac_j2.txt
+diff -u /tmp/ci_check_evac_j1.txt /tmp/ci_check_evac_j2.txt
+echo "evacuating check -j 2 output identical to -j 1"
+
 echo "== lint-ast obs probe (lib/obs is part of the linted tree) =="
 # Same adversarial probe as above, planted in the observability library:
 # the tracing/analysis layer runs host-side but must stay deterministic

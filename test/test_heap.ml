@@ -170,6 +170,38 @@ let test_scan_card_allocates_nothing () =
   done;
   Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. w0)
 
+(* The free-region FIFO is a ring and claims hand back prebuilt options:
+   in steady state a release-then-claim cycle of a region whose only
+   resident stays out of the pool and the limbo (a stub a stale heap
+   edge still names) costs no host allocation. *)
+let test_release_claim_allocates_nothing () =
+  let heap = mk_heap () in
+  let home = claim_exn heap Region.Old in
+  let copy = alloc heap home ~size:64 ~nrefs:1 in
+  let stub =
+    Gobj.make ~id:(Gobj.id copy) ~size:64 ~nrefs:0 ~region:0 ~offset:0
+  in
+  Gobj.set_forward stub copy;
+  let holder = alloc heap home ~size:64 ~nrefs:1 in
+  Gobj.set_field holder 0 stub;
+  let cycle () =
+    let r = claim_exn heap Region.Young in
+    Heap_impl.push_relocated heap r stub;
+    Heap_impl.release_region heap r
+  in
+  (* Every region's object vector and block-offset table reach their
+     steady size on the first pass around the FIFO. *)
+  for _ = 1 to 2 * Heap_impl.num_regions heap do
+    cycle ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    cycle ()
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. w0);
+  Alcotest.(check int) "nothing in limbo" 0
+    (Grace.in_limbo heap.Heap_impl.grace)
+
 let test_dirty_cards () =
   let heap = mk_heap () in
   Heap_impl.dirty_card heap 7;
@@ -691,6 +723,132 @@ let test_pool_recycles_deterministically () =
   let fresh = alloc heap r2 ~size:64 ~nrefs:3 in
   Alcotest.(check bool) "pooling off never recycles" true (fresh != dead)
 
+(* A relocation as the evacuation kernel makes it: a copy of [o] at the
+   top of [dest], with [o]'s forwarding pointer installed. *)
+let relocate heap dest (o : Gobj.t) =
+  let copy =
+    Gobj.remake ~pool:heap.Heap_impl.pool ~uids:heap.Heap_impl.uids o ~age:1
+      ~region:dest.Region.rid ~offset:dest.Region.top
+  in
+  Heap_impl.push_relocated heap dest copy;
+  Gobj.set_forward o copy;
+  copy
+
+(* The records of the next [n] relocation copies, where recycled stubs
+   go. *)
+let next_copies heap n =
+  let src = claim_exn heap Region.Young and dest = claim_exn heap Region.Old in
+  List.init n (fun _ -> relocate heap dest (alloc heap src ~size:64 ~nrefs:1))
+
+(* A forwarded record (stub) with no incoming heap edge goes to limbo at
+   its region's release, untouched but for the freed flag, and is
+   reissued (as a relocation copy) only after every participant online
+   at the release has passed a quiescent point.  Its field array stays
+   with the copy. *)
+let test_stub_waits_for_grace () =
+  let heap = mk_heap () in
+  let grace = heap.Heap_impl.grace in
+  let mutator = Grace.register grace and controller = Grace.register grace in
+  let home = claim_exn heap Region.Old in
+  let r = claim_exn heap Region.Young in
+  let stub = alloc heap r ~size:64 ~nrefs:2 in
+  let child = alloc heap home ~size:64 ~nrefs:0 in
+  Gobj.set_field stub 1 child;
+  let fields = stub.Gobj.fields in
+  let copy = relocate heap home stub in
+  Heap_impl.release_region heap r;
+  let untouched what =
+    Alcotest.(check bool) (what ^ ": stub still forwards") true
+      (stub.Gobj.forward == copy && Gobj.is_freed stub);
+    Alcotest.(check bool) (what ^ ": array shared with the copy") true
+      (stub.Gobj.fields == fields && copy.Gobj.fields == fields
+      && Gobj.get_field copy 1 == child)
+  in
+  Alcotest.(check int) "in limbo" 1 (Grace.in_limbo grace);
+  untouched "released";
+  (* The controller's quiescent point opens a period that waits on the
+     mutator, still inside its request. *)
+  Grace.quiescent grace controller;
+  untouched "period open";
+  Alcotest.(check bool) "not reissued before the grace point" true
+    (List.for_all (fun o -> o != stub) (next_copies heap 4));
+  Grace.offline grace mutator;
+  Alcotest.(check int) "limbo drained" 0 (Grace.in_limbo grace);
+  (match next_copies heap 1 with
+  | [ o ] -> Alcotest.(check bool) "reissued after it" true (o == stub)
+  | _ -> assert false);
+  Alcotest.(check bool) "the copy keeps its array" true
+    (copy.Gobj.fields == fields && Gobj.get_field copy 1 == child
+    && stub.Gobj.fields != fields)
+
+(* A stub that something may still name never reaches the pool: a stale
+   heap edge, a weak registration, an off-heap forwarding table, or a
+   predecessor that was not recycled before it and can still resolve
+   through it.  With pooling off no stub enters limbo at all. *)
+let test_stub_exclusions () =
+  let heap = mk_heap () in
+  let grace = heap.Heap_impl.grace in
+  let p = Grace.register grace in
+  let home = claim_exn heap Region.Old in
+  let r = claim_exn heap Region.Young in
+  let stub () = alloc heap r ~size:64 ~nrefs:1 in
+  let named = stub () and weak = stub () and tabled = stub () in
+  let holder = alloc heap home ~size:64 ~nrefs:1 in
+  Gobj.set_field holder 0 named;
+  Heap_impl.register_weak heap weak ~callback:None;
+  List.iter (fun o -> ignore (relocate heap home o)) [ named; weak; tabled ];
+  Gobj.set_flag tabled Gobj.flag_in_fwd_table;
+  (* [named]'s copy moves on: its predecessor is never recycled, so it
+     is not either. *)
+  let second = claim_exn heap Region.Old in
+  let named' = named.Gobj.forward in
+  ignore (relocate heap second named');
+  let excluded = [ named; weak; tabled; named' ] in
+  Heap_impl.release_region heap r;
+  Heap_impl.release_region heap home;
+  Alcotest.(check int) "only the copy without an edge or flag in limbo" 1
+    (Grace.in_limbo grace);
+  Grace.offline grace p;
+  Alcotest.(check int) "limbo drained" 0 (Grace.in_limbo grace);
+  Alcotest.(check bool) "none reissued" true
+    (List.for_all (fun o -> not (List.memq o excluded)) (next_copies heap 8));
+  (* Each stub below has a copy that moved on again.  A copy released
+     after its predecessor is recycled once the predecessor has been;
+     one released before it never is. *)
+  Grace.online grace p;
+  let dest = claim_exn heap Region.Old in
+  let chain () =
+    let r1 = claim_exn heap Region.Young and r2 = claim_exn heap Region.Young in
+    let head = alloc heap r1 ~size:64 ~nrefs:1 in
+    let mid = relocate heap r2 head in
+    ignore (relocate heap dest mid);
+    (r1, r2, head, mid)
+  in
+  let early1, early2, early_head, early_mid = chain () in
+  let late1, late2, late_head, late_mid = chain () in
+  List.iter (Heap_impl.release_region heap) [ early2; early1; late1; late2 ];
+  Alcotest.(check int) "all four in limbo" 4 (Grace.in_limbo grace);
+  Grace.offline grace p;
+  let reissued = next_copies heap 8 in
+  Alcotest.(check (list bool)) "the copy released first stays out"
+    [ false; true; true; true ]
+    (List.map
+       (fun o -> List.memq o reissued)
+       [ early_mid; early_head; late_head; late_mid ]);
+  (* Pooling off: a stub with no edge stays out of limbo. *)
+  let heap = Heap_impl.create (Heap_impl.config ~pooling:false ()) in
+  let grace = heap.Heap_impl.grace in
+  let p = Grace.register grace in
+  let home = claim_exn heap Region.Old in
+  let r = claim_exn heap Region.Young in
+  let o = alloc heap r ~size:64 ~nrefs:1 in
+  ignore (relocate heap home o);
+  Heap_impl.release_region heap r;
+  Alcotest.(check int) "pooling off: no limbo" 0 (Grace.in_limbo grace);
+  Grace.offline grace p;
+  Alcotest.(check bool) "pooling off: never reissued" true
+    (List.for_all (fun x -> x != o) (next_copies heap 8))
+
 (* While a mark runs, region release harvests only a dead resident born
    after every active snapshot, fresh (age 0) and never SATB-queued: the
    marker never visits such an object, so nothing but [inrefs] can name
@@ -1023,6 +1181,8 @@ let () =
           Alcotest.test_case "scan card allocates nothing" `Quick
             test_scan_card_allocates_nothing;
           Alcotest.test_case "dirty cards" `Quick test_dirty_cards;
+          Alcotest.test_case "release then claim allocates nothing" `Quick
+            test_release_claim_allocates_nothing;
           Alcotest.test_case "release clears cards" `Quick
             test_release_clears_own_cards;
           Alcotest.test_case "release event order under detector" `Quick
@@ -1081,5 +1241,9 @@ let () =
             test_harvest_young_mark;
           Alcotest.test_case "harvest under both marks" `Quick
             test_harvest_both_marks;
+          Alcotest.test_case "stub waits for a grace period" `Quick
+            test_stub_waits_for_grace;
+          Alcotest.test_case "stubs something may name stay out" `Quick
+            test_stub_exclusions;
         ] );
     ]
