@@ -54,7 +54,7 @@ let test_remset_add =
   Test.make ~name:"table7/remset-add"
     (Staged.stage (fun () -> ignore (Heap.Remset.add rs (Util.Prng.int prng 65536))))
 
-(* Tables 1-4 lean on the live bitmap and card table. *)
+(* Tables 1-4 lean on the card table and remembered sets. *)
 let test_bitset =
   let b = Util.Bitset.create 65536 in
   let prng = Util.Prng.create 31 in

@@ -21,9 +21,8 @@
       snapshot, and Jade legitimately copies young objects while old
       marking runs.
     - [Mark_end] (full): SATB tri-color (no black→white edge into the
-      snapshot), livemap agreement (marked ⇒ live bit), marking-live
-      accounting, and CRDT agreement for the collector that registered
-      its table.
+      snapshot), marking-live accounting, and CRDT agreement for the
+      collector that registered its table.
     - [Young_mark_end] (full): the young-generation tri-color analog.
     - [Remset_scan] (full): old→young remembered-set coverage recomputed
       independently from the object graph, judged against the
@@ -279,41 +278,27 @@ let check_young_satb t =
           o)
 
 (* ------------------------------------------------------------------ *)
-(* Live bitmaps and marking accounting.                                 *)
+(* Marking accounting.                                                  *)
 
-(** Marked snapshot objects must have their region live bit set (the
-    bitmaps drive evacuation liveness), and a snapshot region's
-    marking-live accumulator can never exceed its bump pointer.  Fresh
-    regions (claimed during the cycle) hold evacuation copies that
-    inherit mark words without bitmap updates, so only snapshot regions
-    are judged. *)
-let check_livemap t =
+(** A snapshot old region's marking-live accumulator can never exceed its
+    bump pointer.  Fresh regions (claimed during the cycle) hold
+    evacuation copies that inherit mark words without being marked, so
+    only snapshot regions are judged. *)
+let check_marking_live t =
   let heap = t.rt.RtM.heap in
   let epoch = heap.H.mark_epoch in
-  let wm = t.mark_watermark in
   for rid = 0 to H.num_regions heap - 1 do
     let r = H.region heap rid in
-    if (not (Region.is_free r)) && r.Region.alloc_epoch < epoch then begin
-      if r.Region.kind = Region.Old && r.Region.marking_live > r.Region.top
-      then
-        emit t ~invariant:"marking-live-bound" ~region:rid
-          "region %d accumulated %d marked-live bytes but only %d are \
-           allocated"
-          rid r.Region.marking_live r.Region.top;
-      Util.Vec.iter
-        (fun (o : Gobj.t) ->
-          if
-            Gobj.mark o >= epoch
-            && Gobj.uid o < wm
-            && not (Region.livemap_is_marked r o)
-          then
-            emit t ~invariant:"livemap-agreement" ~region:rid
-              ~object_id:(Gobj.id o)
-              "object #%d (region %d offset %d) is marked in epoch %d but \
-               its region live bit is clear"
-              (Gobj.id o) rid (Gobj.offset o) epoch)
-        r.Region.objects
-    end
+    if
+      (not (Region.is_free r))
+      && r.Region.alloc_epoch < epoch
+      && r.Region.kind = Region.Old
+      && r.Region.marking_live > r.Region.top
+    then
+      emit t ~invariant:"marking-live-bound" ~region:rid
+        "region %d accumulated %d marked-live bytes but only %d are \
+         allocated"
+        rid r.Region.marking_live r.Region.top
   done
 
 (* ------------------------------------------------------------------ *)
@@ -550,7 +535,7 @@ let on_phase t ~collector phase =
     | Vhook.Mark_start -> t.mark_watermark <- Gobj.uid_watermark ()
     | Vhook.Mark_end ->
         check_satb t;
-        check_livemap t;
+        check_marking_live t;
         check_crdt t
     | Vhook.Young_mark_end -> check_young_satb t
     | Vhook.Remset_scan -> check_remset_coverage t

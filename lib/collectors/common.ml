@@ -98,15 +98,13 @@ let scan_roots rt (tk : Ticker.t) f =
 (* SATB concurrent marking.                                             *)
 
 module Marker = struct
-  type scope = All | Only of (Region.t -> bool)
-
   (** Which mark word the cycle uses; young and old cycles co-run and
-      must not alias each other's mark state. *)
+      must not alias each other's mark state.  A young mark traces young
+      regions only. *)
   type gen = Old_gen | Young_gen
 
   type t = {
     rt : RtM.t;
-    mutable scope : scope;
     gen : gen;
     remap : bool;  (** fix stale refs while tracing (ZGC-style remap) *)
     atomic_cost : bool;  (** bill a CAS per object (colored pointers) *)
@@ -116,11 +114,10 @@ module Marker = struct
     mutable active : bool;
   }
 
-  let create ?(scope = All) ?(gen = Old_gen) ?(remap = false)
-      ?(atomic_cost = false) ?crdt rt =
+  let create ?(gen = Old_gen) ?(remap = false) ?(atomic_cost = false) ?crdt
+      rt =
     {
       rt;
-      scope;
       gen;
       remap;
       atomic_cost;
@@ -131,9 +128,11 @@ module Marker = struct
     }
 
   let in_scope t (o : Gobj.t) =
-    match t.scope with
-    | All -> true
-    | Only pred -> pred t.rt.RtM.heap.Heap_impl.regions.(Gobj.region o)
+    match t.gen with
+    | Old_gen -> true
+    | Young_gen ->
+        t.rt.RtM.heap.Heap_impl.regions.(Gobj.region o).Region.kind
+        = Region.Young
 
   let mark t heap o =
     match t.gen with
@@ -240,33 +239,33 @@ module Marker = struct
           drain t tk
         done)
 
-  (** STW terminal drain (final mark / remark). *)
-  let final_drain t tk = drain t tk
-
-  (** One old-generation SATB mark cycle, as every concurrent-marking
-      collector runs it:
+  (** One SATB mark cycle of [t]'s generation, as every
+      concurrent-marking collector runs it:
       - an init-mark pause opens the mark (after retiring the TLABs when
-        [retire_tlabs]), runs [at_init ()], grays the roots and fires
-        [Mark_start];
+        [retire_tlabs]), runs [at_init ()], grays the roots, runs
+        [at_roots tk] and, for an old mark, fires [Mark_start];
       - [workers] fibers mark concurrently, timed as [phase] when given;
       - a [final] pause re-scans the roots (mutators may have stashed
         unmarked references in stack slots, which have no barrier),
         drains what is left, closes the mark, runs [at_final tk] and
-        fires [Mark_end]. *)
-  let cycle ?(retire_tlabs = false) ?phase ?(at_init = ignore) ~at_final
-      ~final ~workers t =
+        fires [Mark_end] ([Young_mark_end] for a young mark). *)
+  let cycle ?(retire_tlabs = false) ?phase ?(at_init = ignore)
+      ?(at_roots = ignore) ?(at_final = ignore) ~final ~workers t =
     let rt = t.rt in
     let heap = rt.RtM.heap in
     let metrics = rt.RtM.metrics in
     Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Init_mark (fun () ->
         if retire_tlabs then RtM.retire_all_tlabs rt;
-        ignore (Heap_impl.begin_mark heap);
+        (match t.gen with
+        | Old_gen -> ignore (Heap_impl.begin_mark heap)
+        | Young_gen -> ignore (Heap_impl.begin_young_mark heap));
         at_init ();
         t.active <- true;
         let tk = stw_ticker rt in
         scan_roots rt tk (gray t);
+        at_roots tk;
         Ticker.flush tk;
-        RtM.fire_phase rt Runtime.Vhook.Mark_start);
+        if t.gen = Old_gen then RtM.fire_phase rt Runtime.Vhook.Mark_start);
     let timed edge =
       match phase with
       | Some name -> edge metrics name ~now:(Sim.Engine.now rt.RtM.engine)
@@ -278,12 +277,17 @@ module Marker = struct
     Runtime.Safepoint.stw rt.RtM.safepoint final (fun () ->
         let tk = stw_ticker rt in
         scan_roots rt tk (gray t);
-        final_drain t tk;
+        drain t tk;
         t.active <- false;
-        Heap_impl.end_mark heap;
+        (match t.gen with
+        | Old_gen -> Heap_impl.end_mark heap
+        | Young_gen -> Heap_impl.end_young_mark heap);
         at_final tk;
         Ticker.flush tk;
-        RtM.fire_phase rt Runtime.Vhook.Mark_end)
+        RtM.fire_phase rt
+          (match t.gen with
+          | Old_gen -> Runtime.Vhook.Mark_end
+          | Young_gen -> Runtime.Vhook.Young_mark_end))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -322,7 +326,7 @@ module Evac = struct
         ~age:(Gobj.age o + 1) ~region:r.Region.rid ~offset:r.Region.top
     in
     Heap_impl.push_relocated heap r copy;
-    Gobj.set_forward_with ~hooks:heap.Heap_impl.hooks ~site o copy;
+    Gobj.set_forward ~hooks:heap.Heap_impl.hooks ~site o copy;
     Ticker.tick tk (Costs.copy_cost rt.RtM.costs (Gobj.size o));
     copy
 
@@ -542,7 +546,7 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
       let marker = Marker.create rt in
       marker.Marker.active <- true;
       scan_roots rt tk (Marker.gray marker);
-      Marker.final_drain marker tk;
+      Marker.drain marker tk;
       marker.Marker.active <- false;
       Heap_impl.end_mark heap;
       RtM.fire_phase ~collector:vname rt Runtime.Vhook.Mark_end;

@@ -243,11 +243,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                               child != Gobj.null
                               && Gobj.region (Gobj.resolve child)
                                  = r.Region.rid
-                            then begin
-                              ignore o;
-                              ignore i;
-                              referenced := true
-                            end))
+                            then referenced := true))
                       rs);
               if not !referenced then begin
                 Region_remsets.clear remsets r.Region.rid;

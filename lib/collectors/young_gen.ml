@@ -47,10 +47,7 @@ let create ?(atomic_cost = false) ~style rt =
       tenure = Common.Evac.tenure rt ~age:tenure_age;
       style;
       atomic_cost;
-      marker =
-        Common.Marker.create
-          ~scope:(Common.Marker.Only (fun r -> r.Region.kind = Region.Young))
-          ~gen:Common.Marker.Young_gen ~atomic_cost rt;
+      marker = Common.Marker.create ~gen:Common.Marker.Young_gen ~atomic_cost rt;
       young_cycle_active = false;
     }
   in
@@ -147,36 +144,20 @@ let collect t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
-  let marker = t.marker in
   let now () = Sim.Engine.now rt.RtM.engine in
   t.young_cycle_active <- true;
   t.tenure.survivors <- 0;
   Metrics.phase_begin metrics "young.cycle" ~now:(now ());
   let snapshot = ref [] in
-  (* Init (STW): roots + remembered set. *)
-  Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Init_mark (fun () ->
-      RtM.retire_all_tlabs rt;
-      ignore (Heap_impl.begin_young_mark heap);
+  (* Init (STW) snapshots the young regions and grays the roots and the
+     remembered set; the young mark then runs concurrently. *)
+  Common.Marker.cycle t.marker ~retire_tlabs:true ~phase:"young.mark"
+    ~at_init:(fun () ->
       snapshot := young_regions t;
       List.iter (fun (r : Region.t) -> r.Region.in_cset <- true) !snapshot;
-      marker.Common.Marker.active <- true;
-      RtM.fire_phase rt Runtime.Vhook.Remset_scan;
-      let tk = Common.stw_ticker rt in
-      Common.scan_roots rt tk (Common.Marker.gray marker);
-      scan_remset_roots t tk;
-      Common.Ticker.flush tk);
-  (* Concurrent young mark. *)
-  Metrics.phase_begin metrics "young.mark" ~now:(now ());
-  Common.Marker.concurrent_mark marker ~workers:Common.gc_threads;
-  Metrics.phase_end metrics "young.mark" ~now:(now ());
-  Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Final_mark (fun () ->
-      let tk = Common.stw_ticker rt in
-      Common.scan_roots rt tk (Common.Marker.gray marker);
-      Common.Marker.final_drain marker tk;
-      marker.Common.Marker.active <- false;
-      Heap_impl.end_young_mark heap;
-      Common.Ticker.flush tk;
-      RtM.fire_phase rt Runtime.Vhook.Young_mark_end);
+      RtM.fire_phase rt Runtime.Vhook.Remset_scan)
+    ~at_roots:(scan_remset_roots t) ~final:Metrics.Final_mark
+    ~workers:Common.gc_threads;
   (* Concurrent evacuation over the snapshot: survivors stay young,
      objects past the tenuring age are promoted. *)
   Metrics.phase_begin metrics "young.evac" ~now:(now ());

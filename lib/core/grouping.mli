@@ -23,10 +23,6 @@ val live_threshold : float
 (** Tracked-list filter of Algorithm 1: regions at or above 85 %
     liveness are not evacuated. *)
 
-val young_ratio : float
-(** Algorithm 2's reservation for the young generation's own activity:
-    85 % of free memory. *)
-
 val estimate_free_space :
   free_region_count:int ->
   region_bytes:int ->
@@ -35,8 +31,9 @@ val estimate_free_space :
   int
 (** Algorithm 2: bytes available as old-evacuation destinations — whole
     free regions, minus the promotion expected to land during the
-    remaining GC time ([promotion_rate] in bytes/s), scaled by
-    [1 - young_ratio].  Clamped at zero. *)
+    remaining GC time ([promotion_rate] in bytes/s), scaled by the 15 %
+    left after Algorithm 2's reservation of 85 % for the young
+    generation's own activity.  Clamped at zero. *)
 
 val build :
   config:Jade_config.t -> free_bytes:int -> Heap.Region.t list -> plan

@@ -74,10 +74,6 @@ let[@inline] enabled (h : hooks) =
 let[@inline] log_with (h : hooks) op res ~key ~site =
   match !h with None -> () | Some f -> f op res ~key ~site
 
-(** Uncached logging for cold paths and callers with no run state at
-    hand; pays the DLS lookup every call. *)
-let log op res ~key ~site = log_with (Domain.DLS.get hook_key) op res ~key ~site
-
 (** Remove any installed logger (every harness run starts from here so a
     detector left over from a previous in-process run cannot observe an
     unrelated heap). *)

@@ -66,10 +66,6 @@ val enabled : hooks -> bool
 
 val log_with : hooks -> op -> res -> key:int -> site:string -> unit
 
-val log : op -> res -> key:int -> site:string -> unit
-(** Uncached logging for cold paths and callers with no run state at
-    hand; pays the DLS lookup every call. *)
-
 val reset : unit -> unit
 (** Remove any installed logger (every harness run starts from here so a
     detector left over from a previous in-process run cannot observe an

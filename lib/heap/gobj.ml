@@ -287,20 +287,10 @@ let[@inline] is_forwarded t = t.forward != null
 (** Install the forwarding pointer of [t].  All relocation paths go
     through here so the race detector sees every install as a [Write] on
     the old copy's physical identity — two unordered installs on one
-    record are a double relocation.  Evacuation loops pass their heap's
-    cached [hooks] handle so a disabled detector costs one load+branch
-    per install instead of a DLS lookup. *)
-let set_forward ?hooks ?(site = "Gobj.set_forward") t copy =
-  (match hooks with
-  | Some h -> Access.log_with h Access.Write Access.Forward ~key:(uid t) ~site
-  | None -> Access.log Access.Write Access.Forward ~key:(uid t) ~site);
-  copy.meta <- copy.meta lor flag_forward_target;
-  t.forward <- copy
-
-(** [set_forward] for evacuation loops: the hooks handle is a plain
-    labeled argument, so the per-copy call does not box it in an option
-    the way [?hooks] would. *)
-let set_forward_with ~hooks ~site t copy =
+    record are a double relocation.  Callers pass their heap's cached
+    [hooks] handle so a disabled detector costs one load+branch per
+    install instead of a DLS lookup. *)
+let set_forward ~hooks ~site t copy =
   Access.log_with hooks Access.Write Access.Forward ~key:(uid t) ~site;
   copy.meta <- copy.meta lor flag_forward_target;
   t.forward <- copy

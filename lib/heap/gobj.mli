@@ -156,7 +156,6 @@ val slot_shift : int
 
 val flag_weak_referent : int
 val flag_humongous : int
-val flag_freed : int
 
 val flag_in_fwd_table : int
 (** Set when an off-heap forwarding table (ZGC-style) takes a reference
@@ -167,19 +166,6 @@ val flag_satb_logged : int
 (** Set when a marker's SATB queue takes a bare reference to the record;
     never cleared, so {!release_residents} never harvests a record such a
     queue may still hold. *)
-
-val flag_forward_target : int
-(** Set on a copy when {!set_forward} installs a forwarding pointer to
-    it, and cleared when that predecessor is reused after its grace
-    period ({!Pool.take_copy_record}).  While set, a stale reference
-    can still resolve through the predecessor to this record, so it is
-    not reused itself.  A predecessor that is never recycled (a stale heap
-    edge, a weak or forwarding-table flag, a region compacted in place
-    and never released, or a predecessor of its own still set) thus
-    keeps its whole chain of successors out of the pool. *)
-
-val no_fields : t array
-(** The shared empty field array (reference-free objects allocate none). *)
 
 (** {2 Physical identity (uids)}
 
@@ -246,19 +232,20 @@ val is_forwarded : t -> bool
 (** One physical comparison against {!null} — no option match, no C
     call; this test guards every mutator load/store and root access. *)
 
-val set_forward : ?hooks:Access.hooks -> ?site:string -> t -> t -> unit
-(** Install the forwarding pointer of [t] and flag the copy
-    {!flag_forward_target}.  All relocation paths go
-    through here so the race detector sees every install as a [Write] on
-    the old copy's physical identity — two unordered installs on one
-    record are a double relocation.  Evacuation loops pass their heap's
-    cached [hooks] handle so a disabled detector costs one load+branch
-    per install instead of a DLS lookup. *)
-
-val set_forward_with : hooks:Access.hooks -> site:string -> t -> t -> unit
-(** [set_forward] for evacuation loops: the hooks handle is a plain
-    labeled argument, so the per-copy call does not box it in an option
-    the way [?hooks] would. *)
+val set_forward : hooks:Access.hooks -> site:string -> t -> t -> unit
+(** Install the forwarding pointer of [t] and flag the copy as a
+    forwarding target.  All relocation paths go through here so the race
+    detector sees every install as a [Write] on the old copy's physical
+    identity, logged under [site] — two unordered installs on one record
+    are a double relocation.  The flag is cleared when [t] is reused
+    after its grace period ({!Pool.take_copy_record}); while set, a
+    stale reference can still resolve through [t] to the copy, so the
+    copy is not reused itself.  A predecessor that is never recycled (a
+    stale heap edge, a weak or forwarding-table flag, a region compacted
+    in place and never released, or a predecessor of its own still
+    flagged) thus keeps its whole chain of successors out of the pool.
+    Callers pass their heap's cached [hooks] handle, so a disabled
+    detector costs one load and one branch per install. *)
 
 val resolve : t -> t
 (** Newest copy of an object (identity: follows the forwarding chain).
@@ -339,9 +326,9 @@ module Pool : sig
   val take_copy_record : t -> obj
   (** A record for a relocation copy ({!remake}): the oldest stub from
       {!put_stubs} that still has no {!inrefs} and no weak,
-      forwarding-table or {!flag_forward_target} flag (the others are
-      dropped on the way), else {!take_record}.  A stub taken clears
-      its copy's {!flag_forward_target} when the copy still has its
+      forwarding-table or forwarding-target flag ({!set_forward}; the
+      others are dropped on the way), else {!take_record}.  A stub taken
+      clears its copy's forwarding-target flag when the copy still has its
       logical id.  Stubs back copies only: a copy is long-lived, while a
       short-lived object in an old host record would pay the host GC's
       write barrier on every later store of a young value into it. *)

@@ -85,8 +85,7 @@ type t = {
   grace : Grace.t;
       (** the limbo of released stubs and the grace periods that move
           them into [pool] *)
-  mutable weak_refs : (Gobj.t * (unit -> unit) option) Util.Vec.t;
-      (** registered weak references: referent + optional callback *)
+  weak_refs : Gobj.t Util.Vec.t;  (** referents of registered weak references *)
   mutable on_region_event : (Region.t -> claimed:bool -> unit) option;
       (** observability seam ([lib/obs]): fired after a claim takes
           effect and at the start of a release (while the region's kind
@@ -95,7 +94,7 @@ type t = {
           costs one load and one branch. *)
 }
 
-let create ?(costs = Costs.default) cfg =
+let create cfg =
   (* A fresh heap is a fresh simulated world: restart the uid space so
      runs are byte-reproducible within one process (replay needs it). *)
   Gobj.reset_uids ();
@@ -119,7 +118,7 @@ let create ?(costs = Costs.default) cfg =
   {
     cfg;
     cpr = cfg.region_bytes / card_bytes;
-    costs;
+    costs = Costs.default;
     uids = Gobj.uid_source ();
     hooks = Access.hooks ();
     regions;
@@ -138,7 +137,7 @@ let create ?(costs = Costs.default) cfg =
     used = 0;
     pool;
     grace = Grace.create pool;
-    weak_refs = Util.Vec.create (Gobj.null, None);
+    weak_refs = Util.Vec.create Gobj.null;
     on_region_event = None;
   }
 
@@ -332,11 +331,10 @@ let fresh_obj_id t =
   t.next_obj_id <- id + 1;
   id
 
-(** Allocate an object at [r]'s bump pointer.  The caller has checked
-    [Region.fits] and owns the region (mutator TLAB or GC destination).
-    When [id] is given the object is a relocated copy keeping its logical
-    identity; otherwise a fresh id is minted. *)
-let alloc_in t (r : Region.t) ?id ~size ~nrefs () =
+(** Allocate a fresh object at [r]'s bump pointer.  The caller has
+    checked [Region.fits] and owns the region (mutator TLAB or GC
+    destination). *)
+let alloc_in t (r : Region.t) ~size ~nrefs =
   if not (Region.fits r size) then
     failwith
       (Printf.sprintf
@@ -345,10 +343,9 @@ let alloc_in t (r : Region.t) ?id ~size ~nrefs () =
          size r.rid
          (Region.kind_to_string r.kind)
          r.top r.size);
-  let id = match id with Some id -> id | None -> fresh_obj_id t in
   let o =
-    Gobj.alloc_with ~pool:t.pool ~uids:t.uids ~id ~size ~nrefs ~region:r.rid
-      ~offset:r.top
+    Gobj.alloc_with ~pool:t.pool ~uids:t.uids ~id:(fresh_obj_id t) ~size
+      ~nrefs ~region:r.rid ~offset:r.top
   in
   if t.allocate_live then Gobj.set_mark o t.mark_epoch;
   if t.allocate_live_young then Gobj.set_ymark o t.young_epoch;
@@ -364,30 +361,21 @@ let object_size ~nrefs ~data_bytes =
 (* ------------------------------------------------------------------ *)
 (* Marking support.                                                     *)
 
-(** Start a marking cycle.  [scope] restricts which regions' liveness
-    accounting is reset and later published — a generational young
-    collection marks only young regions and must not clobber the old
-    generation's results from its own marking cycle. *)
-let begin_mark ?(scope = fun (_ : Region.t) -> true) t =
+(** Start an old/full marking cycle; returns the new epoch. *)
+let begin_mark t =
   Gobj.check_epoch (t.mark_epoch + 1);
   t.mark_epoch <- t.mark_epoch + 1;
   t.allocate_live <- true;
   t.mark_floor <- !(t.uids);
-  Array.iter
-    (fun (r : Region.t) ->
-      if scope r then begin
-        r.marking_live <- 0;
-        Region.livemap_clear r
-      end)
-    t.regions;
+  Array.iter (fun (r : Region.t) -> r.marking_live <- 0) t.regions;
   t.mark_epoch
 
-let end_mark ?(scope = fun (_ : Region.t) -> true) t =
+let end_mark t =
   t.allocate_live <- false;
   (* Publish marking results. *)
   Array.iter
     (fun (r : Region.t) ->
-      if (not (Region.is_free r)) && scope r then
+      if not (Region.is_free r) then
         r.live_bytes <-
           (if r.alloc_epoch >= t.mark_epoch then r.top (* born after snapshot *)
            else r.marking_live))
@@ -396,7 +384,8 @@ let end_mark ?(scope = fun (_ : Region.t) -> true) t =
 let is_marked t (o : Gobj.t) = Gobj.mark o >= t.mark_epoch
 
 (** Mark [o] in the current old epoch; returns false if it already was.
-    Also accounts region live bytes and sets the region's live bitmap. *)
+    The header's mark epoch is the only mark record; this also accounts
+    the region's live bytes. *)
 let mark_object t (o : Gobj.t) =
   if Gobj.mark o >= t.mark_epoch then false
   else begin
@@ -405,7 +394,6 @@ let mark_object t (o : Gobj.t) =
     Gobj.set_mark o t.mark_epoch;
     let r = t.regions.(Gobj.region o) in
     r.marking_live <- r.marking_live + Gobj.size o;
-    Region.livemap_mark r o;
     true
   end
 
@@ -441,29 +429,27 @@ let mark_object_young t (o : Gobj.t) =
 (* ------------------------------------------------------------------ *)
 (* Weak references.                                                     *)
 
-let register_weak t (o : Gobj.t) ~callback =
+let register_weak t (o : Gobj.t) =
   Gobj.set_flag o Gobj.flag_weak_referent;
-  Util.Vec.push t.weak_refs (o, callback)
+  Util.Vec.push t.weak_refs o
 
 (** Process registered weak references: referents judged dead by [alive]
-    are dropped (their callbacks run) and the rest survive.  Tracing
-    collectors pass a mark test; young-only collections pass a
-    freed-region test.  Returns (survivors, cleared). *)
+    are dropped and the rest survive, resolved to their newest copies and
+    compacted in place.  Tracing collectors pass a mark test; young-only
+    collections pass a freed-region test.  Returns (survivors, cleared). *)
 let process_weak_refs t ~alive =
-  let survivors = Util.Vec.create (Gobj.null, None) in
-  let cleared = ref 0 in
-  Util.Vec.iter
-    (fun (o, cb) ->
-      let o = Gobj.resolve o in
-      if Gobj.is_freed o || not (alive o) then begin
-        incr cleared;
-        match cb with Some f -> f () | None -> ()
-      end
-      else Util.Vec.push survivors (o, cb))
-    t.weak_refs;
-  let n = Util.Vec.length survivors in
-  t.weak_refs <- survivors;
-  (n, !cleared)
+  let refs = t.weak_refs in
+  let n = Util.Vec.length refs in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let o = Gobj.resolve (Util.Vec.get refs i) in
+    if (not (Gobj.is_freed o)) && alive o then begin
+      Util.Vec.set refs !kept o;
+      incr kept
+    end
+  done;
+  Util.Vec.truncate refs !kept;
+  (!kept, n - !kept)
 
 (** Weak processing against the current mark (old/full collections). *)
 let process_weak_refs_marked t = process_weak_refs t ~alive:(is_marked t)

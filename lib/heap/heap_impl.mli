@@ -84,8 +84,7 @@ type t = {
   grace : Grace.t;
       (** the limbo of released stubs and the grace periods that move
           them into [pool] *)
-  mutable weak_refs : (Gobj.t * (unit -> unit) option) Util.Vec.t;
-      (** registered weak references: referent + optional callback *)
+  weak_refs : Gobj.t Util.Vec.t;  (** referents of registered weak references *)
   mutable on_region_event : (Region.t -> claimed:bool -> unit) option;
       (** observability seam ([lib/obs]): fired after a claim takes
           effect and at the start of a release (while the region's kind
@@ -94,7 +93,7 @@ type t = {
           costs one load and one branch. *)
 }
 
-val create : ?costs:Costs.t -> config -> t
+val create : config -> t
 (** Build a fresh heap with every region free.  Restarts the uid space
     ({!Gobj.reset_uids}): a fresh heap is a fresh simulated world, and
     runs must be byte-reproducible within one process (replay needs it). *)
@@ -172,29 +171,31 @@ val set_region_observer : t -> (Region.t -> claimed:bool -> unit) option -> unit
 
 (** {2 Object allocation} *)
 
-val alloc_in : t -> Region.t -> ?id:int -> size:int -> nrefs:int -> unit -> Gobj.t
-(** Allocate an object at [r]'s bump pointer.  The caller has checked
-    [Region.fits] and owns the region (mutator TLAB or GC destination).
-    When [id] is given the object is a relocated copy keeping its logical
-    identity; otherwise a fresh id is minted. *)
+val alloc_in : t -> Region.t -> size:int -> nrefs:int -> Gobj.t
+(** Allocate a fresh object at [r]'s bump pointer.  The caller has
+    checked [Region.fits] and owns the region (mutator TLAB or GC
+    destination).  Relocated copies keep their id through
+    {!Gobj.remake} instead. *)
 
 val object_size : nrefs:int -> data_bytes:int -> int
 (** Round a requested payload size up to the slot grid, header included. *)
 
 (** {2 Marking support} *)
 
-val begin_mark : ?scope:(Region.t -> bool) -> t -> int
-(** Start a marking cycle; returns the new epoch.  [scope] restricts
-    which regions' liveness accounting is reset and later published — a
-    generational young collection marks only young regions and must not
-    clobber the old generation's results from its own marking cycle. *)
+val begin_mark : t -> int
+(** Start an old/full marking cycle; returns the new epoch.  Young
+    collections mark with {!begin_young_mark}, which leaves the old
+    generation's results alone. *)
 
-val end_mark : ?scope:(Region.t -> bool) -> t -> unit
+val end_mark : t -> unit
+(** Close the old mark and publish every claimed region's live bytes. *)
+
 val is_marked : t -> Gobj.t -> bool
 
 val mark_object : t -> Gobj.t -> bool
 (** Mark [o] in the current old epoch; returns false if it already was.
-    Also accounts region live bytes and sets the region's live bitmap. *)
+    The header's mark epoch is the only mark record; this also accounts
+    the region's live bytes. *)
 
 (** Young-generation marking: an independent mark word and epoch so a
     young cycle can overlap an old cycle without corrupting it. *)
@@ -206,12 +207,12 @@ val mark_object_young : t -> Gobj.t -> bool
 
 (** {2 Weak references} *)
 
-val register_weak : t -> Gobj.t -> callback:(unit -> unit) option -> unit
+val register_weak : t -> Gobj.t -> unit
 
 val process_weak_refs_marked : t -> int * int
 (** Process registered weak references against the current mark
-    (old/full collections): dead referents are dropped (their callbacks
-    run) and the rest survive.  Returns (survivors, cleared). *)
+    (old/full collections): dead referents are dropped and the rest
+    survive.  Returns (survivors, cleared). *)
 
 val process_weak_refs_freed_only : t -> int * int
 (** Weak processing for young-only collections: a referent is dead only

@@ -39,7 +39,6 @@ type t = {
           entries, and resets only refill the prefix. *)
   mutable live_bytes : int;  (** per last completed mark *)
   mutable marking_live : int;  (** accumulator of the in-progress mark *)
-  mutable livemap : Util.Bitset.t option;  (** one bit per 8 bytes, lazy *)
   mutable group : int;  (** Jade collection group, -1 when none *)
   mutable in_cset : bool;  (** selected for evacuation this cycle *)
   mutable alloc_epoch : int;  (** mark epoch current when first allocated *)
@@ -66,7 +65,6 @@ let make ?(card_bytes = 512) ~rid ~size () =
     bot_filled = 0;
     live_bytes = 0;
     marking_live = 0;
-    livemap = None;
     group = -1;
     in_cset = false;
     alloc_epoch = 0;
@@ -129,23 +127,6 @@ let clear_objects t =
   Array.fill t.bot 0 t.bot_filled (-1);
   t.bot_filled <- 0;
   t.top <- 0
-
-(** Live bitmap management (one bit per 8 bytes, as in the paper). *)
-let livemap_get t =
-  match t.livemap with
-  | Some m -> m
-  | None ->
-      let m = Util.Bitset.create (t.size / 8) in
-      t.livemap <- Some m;
-      m
-
-let livemap_mark t (o : Gobj.t) =
-  ignore (Util.Bitset.set (livemap_get t) (Gobj.offset o / 8))
-
-let livemap_is_marked t (o : Gobj.t) =
-  match t.livemap with None -> false | Some m -> Util.Bitset.get m (Gobj.offset o / 8)
-
-let livemap_clear t = match t.livemap with None -> () | Some m -> Util.Bitset.clear_all m
 
 (** First index in [objects] whose span reaches byte offset [off] or
     later (equivalently: first object with [offset + size > off] —
@@ -216,7 +197,6 @@ let reset t =
   t.top <- 0;
   t.live_bytes <- 0;
   t.marking_live <- 0;
-  livemap_clear t;
   t.group <- -1;
   t.in_cset <- false;
   t.humongous <- false

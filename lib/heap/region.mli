@@ -41,7 +41,6 @@ type t = {
           entries, and resets only refill the prefix. *)
   mutable live_bytes : int;  (** per last completed mark *)
   mutable marking_live : int;  (** accumulator of the in-progress mark *)
-  mutable livemap : Util.Bitset.t option;  (** one bit per 8 bytes, lazy *)
   mutable group : int;  (** Jade collection group, -1 when none *)
   mutable in_cset : bool;  (** selected for evacuation this cycle *)
   mutable alloc_epoch : int;  (** mark epoch current when first allocated *)
@@ -83,12 +82,6 @@ val clear_objects : t -> unit
     full-GC in-place slide empties the region and immediately re-pushes
     its survivors.  The BOT is invalidated with the object vector, as
     later card scans must not see indices of the pre-slide layout. *)
-
-(** {2 Live bitmap} (one bit per 8 bytes, as in the paper) *)
-
-val livemap_mark : t -> Gobj.t -> unit
-val livemap_is_marked : t -> Gobj.t -> bool
-val livemap_clear : t -> unit
 
 (** {2 Card scanning} *)
 

@@ -146,7 +146,7 @@ let rec alloc_slow m ~size ~nrefs ~humongous =
     end
   in
   match claimed with
-  | Some r -> Heap.Heap_impl.alloc_in rt.Rt.heap r ~size ~nrefs ()
+  | Some r -> Heap.Heap_impl.alloc_in rt.Rt.heap r ~size ~nrefs
   | None ->
       if rt.Rt.oom then
         raise (Rt.Out_of_memory "allocation failed after full collection");
@@ -179,7 +179,7 @@ let alloc m ~data_bytes ~nrefs =
   let o =
     match m.tlab with
     | Some r when (not humongous) && Heap.Region.fits r size ->
-        Heap.Heap_impl.alloc_in rt.Rt.heap r ~size ~nrefs ()
+        Heap.Heap_impl.alloc_in rt.Rt.heap r ~size ~nrefs
     | _ -> alloc_slow m ~size ~nrefs ~humongous
   in
   if humongous then Heap.Gobj.set_flag o Heap.Gobj.flag_humongous;

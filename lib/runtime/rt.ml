@@ -57,7 +57,7 @@ type t = {
       (** off-heap forwarding tables currently alive (ZGC-style) *)
   mutable crdt_source : (string * Heap.Crdt.t) option;
       (** (owning collector, table) — checked at that collector's
-          [Mark_end] against the region live bitmaps *)
+          [Mark_end] against the objects' mark epochs *)
   mutable verify_level : int;
       (** 0 = off, 1 = fast, 2 = full; written by the sanitizer so a
           second install request can be deduplicated *)

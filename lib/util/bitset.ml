@@ -1,14 +1,14 @@
 (** Dense bitset backed by an [int array] of 63-bit words.
 
-    Backs the live bitmaps (one bit per 8 heap bytes, §3.1 of the paper),
-    remembered sets and the old-to-young remembered set (one bit per 512-byte
-    card), mirroring the memory-overhead arithmetic the paper reports
-    (1.56 % for live bitmaps, 1/4096 of heap per group remembered set) —
-    {!byte_size} stays defined as [ceil(nbits/8)] regardless of the
-    backing representation so the accounting is unchanged.
+    Backs the card table, remembered sets and the old-to-young
+    remembered set (one bit per 512-byte card), mirroring the
+    memory-overhead arithmetic the paper reports (1/4096 of heap per group
+    remembered set) — {!byte_size} stays defined as [ceil(nbits/8)]
+    regardless of the backing representation so the accounting is
+    unchanged.
 
-    Scans dominate the simulator's dirty-card walks, remembered-set scans
-    and livemap traversals, so iteration works a word at a time: zero
+    Scans dominate the simulator's dirty-card walks and remembered-set
+    scans, so iteration works a word at a time: zero
     words cost one load, and set bits are extracted with lowest-set-bit
     arithmetic ([v land (-v)]) instead of testing all 63 positions.
 

@@ -1,9 +1,8 @@
 (** Dense bitset backed by an [int array] of 63-bit words.
 
-    Backs the live bitmaps (one bit per 8 heap bytes, §3.1), the card
-    table, remembered sets and the old-to-young remembered set (one bit
-    per 512-byte card), mirroring the paper's memory-overhead arithmetic
-    (1.56 % of the heap for live bitmaps, 1/4096 per remembered set);
+    Backs the card table, remembered sets and the old-to-young
+    remembered set (one bit per 512-byte card), mirroring the paper's
+    memory-overhead arithmetic (1/4096 of the heap per remembered set);
     {!byte_size} reports the logical [ceil(nbits/8)] so the accounting
     is representation-independent.
 

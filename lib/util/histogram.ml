@@ -69,16 +69,14 @@ let midpoint_of bucket =
 let own_buckets t =
   t.counts <- Array.make ((63 - sub_bits) * (1 lsl sub_bits)) 0
 
-let record ?(count = 1) t v =
-  if count > 0 then begin
-    if Array.length t.counts = 0 then own_buckets t;
-    let b = min (bucket_of v) (Array.length t.counts - 1) in
-    t.counts.(b) <- t.counts.(b) + count;
-    t.total <- t.total + count;
-    t.sum <- t.sum + (v * count);
-    if v > t.max_value then t.max_value <- v;
-    if v < t.min_value then t.min_value <- v
-  end
+let record t v =
+  if Array.length t.counts = 0 then own_buckets t;
+  let b = min (bucket_of v) (Array.length t.counts - 1) in
+  t.counts.(b) <- t.counts.(b) + 1;
+  t.total <- t.total + 1;
+  t.sum <- t.sum + v;
+  if v > t.max_value then t.max_value <- v;
+  if v < t.min_value then t.min_value <- v
 
 let total t = t.total
 let max_value t = t.max_value

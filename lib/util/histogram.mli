@@ -17,9 +17,8 @@ type t
 
 val create : unit -> t
 
-val record : ?count:int -> t -> int -> unit
-(** Record a value ([count] occurrences, default 1); negative values
-    clamp to 0. *)
+val record : t -> int -> unit
+(** Record one occurrence of a value; negative values clamp to 0. *)
 
 val total : t -> int
 val max_value : t -> int

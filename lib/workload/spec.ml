@@ -233,7 +233,6 @@ let request st rt (m : Runtime.Mutator.t) =
            if spec.weak_pct > 0. && Util.Prng.chance prng spec.weak_pct
            then
              Heap.Heap_impl.register_weak rt.Runtime.Rt.heap o
-               ~callback:None
          end);
         Runtime.Mutator.set_root m temp_root
           (Runtime.Mutator.get_root m aux_root);

@@ -39,7 +39,6 @@
 # Usage:
 #   scripts/lint_purity.sh               lint the real simulator core
 #   scripts/lint_purity.sh --self-test   run the analyzer's fixture tree
-#   scripts/lint_purity.sh --json        machine-readable diagnostics
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

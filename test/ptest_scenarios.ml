@@ -76,7 +76,7 @@ let fresh_old_holder rt =
   let heap = rt.Runtime.Rt.heap in
   match Heap.Heap_impl.claim_region heap Heap.Region.Old with
   | None -> Alcotest.fail "test heap has no free region"
-  | Some r -> Heap.Heap_impl.alloc_in heap r ~size:holder_size ~nrefs:1 ()
+  | Some r -> Heap.Heap_impl.alloc_in heap r ~size:holder_size ~nrefs:1
 
 (* Two old holders adjacent in one fresh region: same card, scanned in
    allocation order. *)
@@ -85,8 +85,8 @@ let two_old_holders rt =
   match Heap.Heap_impl.claim_region heap Heap.Region.Old with
   | None -> Alcotest.fail "test heap has no free region"
   | Some r ->
-      let h1 = Heap.Heap_impl.alloc_in heap r ~size:holder_size ~nrefs:1 () in
-      let h2 = Heap.Heap_impl.alloc_in heap r ~size:holder_size ~nrefs:1 () in
+      let h1 = Heap.Heap_impl.alloc_in heap r ~size:holder_size ~nrefs:1 in
+      let h2 = Heap.Heap_impl.alloc_in heap r ~size:holder_size ~nrefs:1 in
       (h1, h2)
 
 (* [y]'s copy costs about two quanta (1 ns/byte vs a 20 us quantum). *)

@@ -197,7 +197,7 @@ let fresh_old_holder rt =
   | Some r ->
       Heap.Heap_impl.alloc_in heap r
         ~size:(Heap.Heap_impl.object_size ~nrefs:1 ~data_bytes:0)
-        ~nrefs:1 ()
+        ~nrefs:1
 
 let test_planted_remset_bug_caught_by_verifier () =
   let reports = ref [] in

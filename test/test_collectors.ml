@@ -281,7 +281,7 @@ let test_heal_card_allocates_nothing () =
   let rt = Runtime.Rt.create ~seed:42 ~engine ~heap () in
   let claim () = Option.get (Heap.Heap_impl.claim_region heap Heap.Region.Old) in
   let holders_r = claim () and targets_r = claim () in
-  let alloc r ~nrefs = Heap.Heap_impl.alloc_in heap r ~size:64 ~nrefs () in
+  let alloc r ~nrefs = Heap.Heap_impl.alloc_in heap r ~size:64 ~nrefs in
   let stale = alloc targets_r ~nrefs:0 and fresh = alloc targets_r ~nrefs:0 in
   stale.Heap.Gobj.forward <- fresh;
   let holders = Array.init 8 (fun _ -> alloc holders_r ~nrefs:4) in

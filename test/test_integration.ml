@@ -96,29 +96,34 @@ let test_open_loop_latency_includes_pauses () =
     (s.Experiments.Harness.p99_latency >= s.Experiments.Harness.p50_latency);
   Alcotest.(check bool) "completed requests" true (s.Experiments.Harness.completed > 500)
 
-let test_weak_callbacks_fire_end_to_end () =
+let test_weak_refs_cleared_end_to_end () =
   let app = small_app 6 in
   let machine = machine 24 in
-  let fired = ref 0 in
+  let planted = ref None in
   let install rt =
     ignore (Jade.Collector.install rt);
-    (* Plant a weak reference with a callback on a short-lived object
-       allocated by a setup fiber. *)
+    (* Plant a weak reference to a short-lived object allocated by a
+       setup fiber. *)
     ignore
       (Sim.Engine.spawn rt.Runtime.Rt.engine ~name:"planter"
          ~kind:Sim.Engine.Mutator (fun () ->
            let m = Runtime.Mutator.create rt in
            let doomed = Runtime.Mutator.alloc m ~data_bytes:64 ~nrefs:0 in
-           Heap.Heap_impl.register_weak rt.Runtime.Rt.heap doomed
-             ~callback:(Some (fun () -> incr fired));
+           let heap = rt.Runtime.Rt.heap in
+           Heap.Heap_impl.register_weak heap doomed;
+           planted := Some (heap, Heap.Gobj.id doomed);
            Runtime.Mutator.finish m))
   in
-  let s =
-    Experiments.Harness.run_closed ~machine ~install ~collector:"jade"
-      ~warmup:(100 * ms) ~duration:(400 * ms) app
-  in
-  ignore s;
-  Alcotest.(check int) "doomed weak callback fired" 1 !fired
+  ignore
+    (Experiments.Harness.run_closed ~machine ~install ~collector:"jade"
+       ~warmup:(100 * ms) ~duration:(400 * ms) app);
+  match !planted with
+  | None -> Alcotest.fail "the planter never ran"
+  | Some (heap, id) ->
+      Alcotest.(check bool) "the doomed referent left the weak refs" false
+        (Util.Vec.exists
+           (fun o -> Heap.Gobj.id o = id)
+           heap.Heap.Heap_impl.weak_refs)
 
 let test_phase_accounting_consistent () =
   let app = small_app 6 in
@@ -179,8 +184,8 @@ let () =
             test_undersized_heap_reports_oom;
           Alcotest.test_case "open-loop latency" `Slow
             test_open_loop_latency_includes_pauses;
-          Alcotest.test_case "weak callbacks" `Slow
-            test_weak_callbacks_fire_end_to_end;
+          Alcotest.test_case "weak refs cleared" `Slow
+            test_weak_refs_cleared_end_to_end;
           Alcotest.test_case "phase accounting" `Slow test_phase_accounting_consistent;
           Alcotest.test_case "core scaling" `Slow test_throughput_scales_with_cores;
           Alcotest.test_case "heap-size sensitivity" `Slow test_heap_size_sensitivity;

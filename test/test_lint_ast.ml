@@ -193,22 +193,6 @@ let test_r5_negatives () =
     "let f (x : (Gobj.t option[@gcsim.allow \"test exemption\"])) = x\n"
 
 (* ------------------------------------------------------------------ *)
-(* JSON round-trip. *)
-
-let test_json_roundtrip () =
-  let diags =
-    Lint_core.run
-      [
-        src "let cell = ref 0\nlet f () = Random.int 3\n";
-        src ~file:"synth/sim/b.ml" ~modpath:[ "Sim"; "B" ]
-          "let h = Access.hooks ()\n";
-      ]
-  in
-  Alcotest.(check bool) "produced diagnostics" true (diags <> []);
-  let parsed = Lint_core.diags_of_json (Lint_core.diags_to_json diags) in
-  Alcotest.(check bool) "round-trips exactly" true (parsed = diags)
-
-(* ------------------------------------------------------------------ *)
 (* The fixture tree's own self-test (same entry CI uses). *)
 
 (* Under [dune runtest] the cwd is [_build/default/test]; under a direct
@@ -289,7 +273,6 @@ let () =
         ] );
       ( "plumbing",
         [
-          Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "fixture self-test" `Quick test_fixture_self_test;
         ] );
       ( "fence",

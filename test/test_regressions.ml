@@ -23,7 +23,7 @@ let test_card_scan_survives_region_reset () =
   let heap = mk_heap () in
   let r = claim_exn heap Region.Old in
   for _ = 1 to 20 do
-    ignore (Heap_impl.alloc_in heap r ~size:48 ~nrefs:2 ())
+    ignore (Heap_impl.alloc_in heap r ~size:48 ~nrefs:2)
   done;
   let visited = ref 0 in
   Heap_impl.scan_card heap
@@ -45,7 +45,7 @@ let test_card_scan_survives_region_reset () =
 let test_live_ratio_is_capacity_based () =
   let heap = mk_heap () in
   let r = claim_exn heap Region.Old in
-  let o = Heap_impl.alloc_in heap r ~size:(8 * kib) ~nrefs:0 () in
+  let o = Heap_impl.alloc_in heap r ~size:(8 * kib) ~nrefs:0 in
   ignore (Heap_impl.begin_mark heap);
   r.Region.alloc_epoch <- heap.Heap_impl.mark_epoch - 1;
   ignore (Heap_impl.mark_object heap o);
@@ -71,7 +71,7 @@ let test_full_compact_with_zero_free_regions () =
   for _ = 1 to n do
     let r = claim_exn heap Region.Old in
     for k = 1 to 8 do
-      let o = Heap_impl.alloc_in heap r ~size:(8 * kib) ~nrefs:0 () in
+      let o = Heap_impl.alloc_in heap r ~size:(8 * kib) ~nrefs:0 in
       if k mod 2 = 0 then live := o :: !live
     done
   done;

@@ -42,15 +42,14 @@ let build_old_to_young env (m : Runtime.Mutator.t) =
     | Some r -> r
     | None -> Alcotest.fail "no region"
   in
+  let heap = env.heap in
   let holder' =
-    Heap_impl.alloc_in env.heap old_r ~id:(Gobj.id holder) ~size:(Gobj.size holder)
-      ~nrefs:0 ()
+    Gobj.remake ~pool:heap.Heap_impl.pool ~uids:heap.Heap_impl.uids holder
+      ~age:(Gobj.age holder) ~region:old_r.Region.rid
+      ~offset:old_r.Region.top
   in
-  (* Share the slots, as relocation does. *)
-  holder'.Gobj.fields <- holder.Gobj.fields;
-  Util.Vec.set old_r.Region.objects (Util.Vec.length old_r.Region.objects - 1)
-    holder';
-  holder.Gobj.forward <- holder';
+  Heap_impl.push_relocated heap old_r holder';
+  Gobj.set_forward ~hooks:heap.Heap_impl.hooks ~site:"test" holder holder';
   let y2 = Runtime.Mutator.alloc m ~data_bytes:64 ~nrefs:1 in
   ignore (Runtime.Mutator.push_root m y2);
   let y1 = Runtime.Mutator.alloc m ~data_bytes:64 ~nrefs:1 in

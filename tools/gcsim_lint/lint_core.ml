@@ -54,7 +54,7 @@
     Files are classified {e linted} (R1–R4 enforced) or {e aux} (parsed
     only so the taint pass can see through them: [lib/util],
     [lib/runtime], [lib/experiments]).  Diagnostics are
-    [file:line:col [rule] message], or JSON with [--json]. *)
+    [file:line:col [rule] message]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics.                                                        *)
@@ -98,144 +98,6 @@ let diag_to_string d =
   in
   Printf.sprintf "%s:%d:%d [%s] %s%s" d.file d.line d.col
     (rule_to_string d.rule) d.message chain
-
-(* ------------------------------------------------------------------ *)
-(* JSON (emit + parse — only the shape we emit, for CI round-trips).   *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let diag_to_json d =
-  Printf.sprintf
-    {|{"file":"%s","line":%d,"col":%d,"rule":"%s","message":"%s","chain":[%s]}|}
-    (json_escape d.file) d.line d.col (rule_to_string d.rule)
-    (json_escape d.message)
-    (String.concat "," (List.map (fun c -> "\"" ^ json_escape c ^ "\"") d.chain))
-
-let diags_to_json ds =
-  "[" ^ String.concat ",\n " (List.map diag_to_json ds) ^ "]"
-
-exception Json_error of string
-
-(* A minimal recursive-descent reader for the subset of JSON that
-   [diags_to_json] emits (strings with escapes, ints, flat arrays of
-   objects).  Exists so CI consumers and the round-trip test need no
-   external dependency. *)
-let diags_of_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let error msg = raise (Json_error (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\255' in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\n' | '\t' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then error (Printf.sprintf "expected %c" c);
-    incr pos
-  in
-  let string_ () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then error "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          incr pos;
-          (match peek () with
-          | '"' -> Buffer.add_char b '"'; incr pos
-          | '\\' -> Buffer.add_char b '\\'; incr pos
-          | 'n' -> Buffer.add_char b '\n'; incr pos
-          | 't' -> Buffer.add_char b '\t'; incr pos
-          | 'u' ->
-              if !pos + 4 >= n then error "bad \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-              Buffer.add_char b (Char.chr (code land 0xff));
-              pos := !pos + 5
-          | c -> error (Printf.sprintf "bad escape \\%c" c));
-          go ()
-      | c -> Buffer.add_char b c; incr pos; go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let int_ () =
-    skip_ws ();
-    let start = !pos in
-    if peek () = '-' then incr pos;
-    while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do incr pos done;
-    if !pos = start then error "expected int";
-    int_of_string (String.sub s start (!pos - start))
-  in
-  let rec array_of f acc =
-    skip_ws ();
-    if peek () = ']' then (incr pos; List.rev acc)
-    else
-      let v = f () in
-      skip_ws ();
-      if peek () = ',' then (incr pos; array_of f (v :: acc))
-      else (expect ']'; List.rev (v :: acc))
-  in
-  let object_ () =
-    expect '{';
-    let fields = ref [] in
-    skip_ws ();
-    if peek () = '}' then incr pos
-    else begin
-      let rec go () =
-        let k = string_ () in
-        expect ':';
-        skip_ws ();
-        let v =
-          match peek () with
-          | '"' -> `S (string_ ())
-          | '[' ->
-              incr pos;
-              `L (array_of string_ [])
-          | _ -> `I (int_ ())
-        in
-        fields := (k, v) :: !fields;
-        skip_ws ();
-        if peek () = ',' then (incr pos; skip_ws (); go ()) else expect '}'
-      in
-      go ()
-    end;
-    let str k = match List.assoc_opt k !fields with Some (`S v) -> v | _ -> error ("missing " ^ k) in
-    let int k = match List.assoc_opt k !fields with Some (`I v) -> v | _ -> error ("missing " ^ k) in
-    let lst k = match List.assoc_opt k !fields with Some (`L v) -> v | _ -> [] in
-    let rule =
-      match rule_of_string (str "rule") with
-      | Some r -> r
-      | None -> error ("unknown rule " ^ str "rule")
-    in
-    {
-      file = str "file";
-      line = int "line";
-      col = int "col";
-      rule;
-      message = str "message";
-      chain = lst "chain";
-    }
-  in
-  expect '[';
-  skip_ws ();
-  if peek () = ']' then (incr pos; [])
-  else array_of object_ []
 
 (* ------------------------------------------------------------------ *)
 (* Rule tables.                                                        *)
@@ -1155,11 +1017,4 @@ let self_test ~fixtures_dir =
   in
   let n_bad = check_tree "bad" in
   let n_good = check_tree "good" in
-  (* The JSON encoding must round-trip: CI consumes it. *)
-  let bad_diags = run (load_fixture_tree (Filename.concat fixtures_dir "bad")) in
-  (match diags_of_json (diags_to_json bad_diags) with
-  | parsed ->
-      if parsed <> bad_diags then
-        errors := "JSON round-trip mismatch on fixture diagnostics" :: !errors
-  | exception Json_error m -> errors := ("JSON round-trip failed: " ^ m) :: !errors);
   match !errors with [] -> Ok (n_bad + n_good) | es -> Error (List.rev es)

@@ -1,7 +1,7 @@
 (* gcsim-lint command-line driver.
 
    Usage:
-     gcsim_lint [--json] [--aux DIR]... DIR...
+     gcsim_lint [--aux DIR]... DIR...
      gcsim_lint --self-test [--fixtures DIR]
 
    Positional directories are linted (R1-R4 enforced); --aux directories
@@ -11,16 +11,14 @@
 let () =
   let linted = ref [] in
   let aux = ref [] in
-  let json = ref false in
   let self_test = ref false in
   let fixtures = ref "tools/gcsim_lint/fixtures" in
   let usage =
-    "gcsim_lint [--json] [--aux DIR]... DIR...\n\
+    "gcsim_lint [--aux DIR]... DIR...\n\
      gcsim_lint --self-test [--fixtures DIR]"
   in
   let spec =
     [
-      ("--json", Arg.Set json, " emit diagnostics as a JSON array");
       ("--aux", Arg.String (fun d -> aux := d :: !aux),
        "DIR parse DIR for the taint pass without linting it");
       ("--self-test", Arg.Set self_test,
@@ -52,14 +50,9 @@ let () =
         prerr_endline msg;
         exit 2
     | diags, nfiles ->
-        if !json then print_endline (Lint_core.diags_to_json diags)
-        else begin
-          List.iter
-            (fun d -> print_endline (Lint_core.diag_to_string d))
-            diags;
-          if diags = [] then
-            Printf.printf "gcsim-lint OK (%d files, %d linted dirs, %d aux dirs)\n"
-              nfiles (List.length !linted) (List.length !aux)
-        end;
+        List.iter (fun d -> print_endline (Lint_core.diag_to_string d)) diags;
+        if diags = [] then
+          Printf.printf "gcsim-lint OK (%d files, %d linted dirs, %d aux dirs)\n"
+            nfiles (List.length !linted) (List.length !aux);
         exit (if diags = [] then 0 else 1)
   end
