@@ -334,7 +334,7 @@ let replay_cmd path ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
       Analysis.Explore.Rand
   in
   let* _ = meta "schedules" (int_at_least 1) 1 in
-  let* _ = meta "depth" (int_at_least 0) 0 in
+  let* _ = meta "depth" (int_at_least 1) 1 in
   let* scenario =
     check_scenario ~collector ~workload ~heap_mult ~cores ~seed ~region_kib
       ~requests ~bug
@@ -550,7 +550,7 @@ let schedules_arg =
 
 let depth_arg =
   Arg.(
-    value & opt (count 0) 8
+    value & opt (count 1) 8
     & info [ "depth" ] ~docv:"K"
         ~doc:
           "Search depth: choice-point horizon for $(b,bounded)/$(b,pruned), \

@@ -117,8 +117,7 @@ let prepare ?(machine = default_machine) ?verify
   (rt, fun m -> Workload.Spec.request st rt m)
 
 (* A summary for runs that died building the live set. *)
-let oom_summary ~machine ~collector (app : Workload.Apps.t) why : summary =
-  ignore machine;
+let oom_summary ~collector (app : Workload.Apps.t) why : summary =
   {
     collector;
     workload = app.Workload.Apps.name;
@@ -179,7 +178,7 @@ let summarize rt (app : Workload.Apps.t) ~collector
 let run_closed ?machine ?verify ?attach ?(warmup = 300 * Util.Units.ms)
     ?(duration = 1_500 * Util.Units.ms) ~install ~collector app =
   match prepare ?machine ?verify ?attach ~install app with
-  | exception Setup_oom why -> oom_summary ~machine ~collector app why
+  | exception Setup_oom why -> oom_summary ~collector app why
   | rt, request ->
       let r =
         Runtime.Driver.run rt
@@ -192,7 +191,7 @@ let run_closed ?machine ?verify ?attach ?(warmup = 300 * Util.Units.ms)
 let run_open ?machine ?verify ?attach ?(warmup = 300 * Util.Units.ms)
     ?(duration = 1_500 * Util.Units.ms) ~install ~collector ~qps app =
   match prepare ?machine ?verify ?attach ~install app with
-  | exception Setup_oom why -> oom_summary ~machine ~collector app why
+  | exception Setup_oom why -> oom_summary ~collector app why
   | rt, request ->
       let r =
         Runtime.Driver.run rt
@@ -204,7 +203,7 @@ let run_open ?machine ?verify ?attach ?(warmup = 300 * Util.Units.ms)
 (** Fixed-work run (DaCapo): the metric is execution time. *)
 let run_fixed ?machine ?verify ?attach ?requests ~install ~collector app =
   match prepare ?machine ?verify ?attach ~install app with
-  | exception Setup_oom why -> oom_summary ~machine ~collector app why
+  | exception Setup_oom why -> oom_summary ~collector app why
   | rt, request ->
       let n =
         match requests with

@@ -553,9 +553,10 @@ let[@inline] harvestable ~floor o =
      || (o.ids land uid_mask >= floor
         && o.meta land (age_field lor flag_satb_logged) = 0))
 
-(* Kept here rather than in [Heap_impl]: dune's dev profile compiles with
-   [-opaque], so only inside this module do the header tests and pool
-   pushes of the per-resident loops inline.  The loops index the vector
+(* Kept here, next to the header tests and pool pushes it runs per
+   resident, by choice: the workspace builds without [-opaque], so those
+   would inline into [Heap_impl] too, but a build with [--profile dev]
+   would make each of them a real call there.  The loops index the vector
    directly: a [Util.Vec.iter] closure over [floor] would cost a host
    allocation per release. *)
 let release_residents pool ~floor ~limbo (objs : t Util.Vec.t) =

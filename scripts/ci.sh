@@ -55,6 +55,30 @@ grep -q 'ci_probe_r5_deleteme.*R5' /tmp/ci_lint_r5_probe.txt || {
 }
 echo "lint-ast R5 probe OK (boxed slot rejected)"
 
+echo "== cross-module inlining (no simulator library is built with -opaque) =="
+# dune-workspace selects the release profile, so ocamlopt may inline
+# small accessors across modules (DESIGN.md §9).  Dune's dev profile
+# passes -opaque to every module and turns that off.  Ask dune for the
+# rule of one real module of each lib/* library and reject -opaque.
+for dir in lib/*/; do
+  dir=${dir%/}
+  lib=$(sed -n 's/^ *(name \([a-z_]*\)).*/\1/p' "$dir/dune" | head -n 1)
+  ml=$(ls "$dir"/*.ml | head -n 1)
+  ml=$(basename "$ml" .ml)
+  Ml=$(printf %s "$ml" | cut -c1 | tr a-z A-Z)$(printf %s "$ml" | cut -c2-)
+  cmx="_build/default/$dir/.$lib.objs/native/${lib}__$Ml.cmx"
+  dune rules "$cmx" > /tmp/ci_rules.txt
+  grep -q 'ocamlopt' /tmp/ci_rules.txt || {
+    echo "inlining check FAILED: dune printed no ocamlopt rule for $cmx" >&2
+    exit 1
+  }
+  if grep -q -- '-opaque' /tmp/ci_rules.txt; then
+    echo "inlining check FAILED: $cmx is compiled with -opaque" >&2
+    exit 1
+  fi
+done
+echo "no lib/* library is compiled with -opaque"
+
 echo "== dune build =="
 dune build
 

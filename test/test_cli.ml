@@ -98,6 +98,7 @@ let () =
           rejects "check --schedules=0" "'--schedules'";
           rejects "check --schedules=1.5" "'--schedules'";
           rejects "check --depth=-1" "'--depth'";
+          rejects "check --depth=0" "'--depth'";
           rejects "check --depth=x" "'--depth'";
           rejects_small_heap "check -w h2 -m 0.5" ~heap:"11.1MiB"
             ~live:"16.0MiB";
@@ -115,6 +116,7 @@ let () =
             ("strategy", "nope");
             ("schedules", "0");
             ("depth", "-1");
+            ("depth", "0");
           ] );
       ( "accepted",
         [
