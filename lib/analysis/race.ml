@@ -71,7 +71,7 @@ let create ~engine ~on_violation () =
     trace =
       Array.init trace_capacity (fun _ ->
           {
-            a_op = Heap.Access.Read;
+            a_op = Heap.Access.Atomic;
             a_res = Heap.Access.Card;
             a_key = 0;
             a_site = "";

@@ -2,8 +2,8 @@
 
     [Off] is free (no hooks installed anywhere).  [Fast] runs the O(#
     regions) accounting checks at every phase boundary.  [Full] adds the
-    object-graph passes (reachability, SATB, remset coverage, CRDT,
-    forwarding tables) and turns on the happens-before race detector —
+    object-graph passes (reachability, SATB, remset coverage, CRDT)
+    and turns on the happens-before race detector —
     engine scheduling trace plus heap metadata access logging.
 
     All hooks are host-side and never tick simulated time, so simulated
@@ -28,10 +28,40 @@ let none = { verifier = None; race = None }
 
 let default_on_violation r = raise (Report.Violation r)
 
-(* Every recycled batch of stubs is checked before the pool takes it. *)
-let watch_stubs rt verifier =
+(* The one wiring path behind both entry points, in hook order: the
+   verifier at phase boundaries and on every recycled batch of stubs
+   (before the pool takes it), safepoint-release fires, then, when
+   [race] carries extra observers, the race detector on the engine
+   tracer and the access hook with those observers composed after it. *)
+let wire ~verify_level ~full ~race ~on_violation rt =
+  rt.RtM.verify_level <- verify_level;
+  let verifier = Verifier.create ~full ~on_violation rt in
+  rt.RtM.phase_hook <- Some (Verifier.on_phase verifier);
   Heap.Grace.set_check rt.RtM.heap.Heap.Heap_impl.grace
-    (Some (Verifier.check_stubs verifier))
+    (Some (Verifier.check_stubs verifier));
+  Runtime.Safepoint.set_on_release rt.RtM.safepoint (fun () ->
+      RtM.fire_phase rt Vhook.Safepoint_release);
+  let race =
+    Option.map
+      (fun (on_access, on_trace) ->
+        let r = Race.create ~engine:rt.RtM.engine ~on_violation () in
+        Sim.Engine.set_tracer rt.RtM.engine
+          (Some
+             (fun ev ->
+               Race.on_trace r ev;
+               on_trace ev));
+        Heap.Access.set_hook
+          (Some
+             (fun op res ~key ~site ->
+               Race.on_access r op res ~key ~site;
+               on_access op res ~key ~site));
+        r)
+      race
+  in
+  { verifier = Some verifier; race }
+
+let no_access _ _ ~key:_ ~site:_ = ()
+let no_trace (_ : Sim.Engine.trace_event) = ()
 
 (** Install the sanitizer at [level].  Idempotent per runtime: a second
     install on the same [rt] is a no-op (the first one wins). *)
@@ -39,25 +69,11 @@ let install ?(on_violation = default_on_violation) ~level rt =
   match level with
   | Off -> none
   | Fast | Full when rt.RtM.verify_level > 0 -> none
-  | (Fast | Full) as level ->
-      rt.RtM.verify_level <- (match level with Full -> 2 | _ -> 1);
-      let verifier =
-        Verifier.create ~full:(level = Full) ~on_violation rt
-      in
-      rt.RtM.phase_hook <- Some (Verifier.on_phase verifier);
-      watch_stubs rt verifier;
-      Runtime.Safepoint.set_on_release rt.RtM.safepoint (fun () ->
-          RtM.fire_phase rt Vhook.Safepoint_release);
-      let race =
-        if level = Full then begin
-          let r = Race.create ~engine:rt.RtM.engine ~on_violation () in
-          Sim.Engine.set_tracer rt.RtM.engine (Some (Race.on_trace r));
-          Heap.Access.set_hook (Some (Race.on_access r));
-          Some r
-        end
-        else None
-      in
-      { verifier = Some verifier; race }
+  | Fast -> wire ~verify_level:1 ~full:false ~race:None ~on_violation rt
+  | Full ->
+      wire ~verify_level:2 ~full:true
+        ~race:(Some (no_access, no_trace))
+        ~on_violation rt
 
 (** Oracles for the schedule-space explorer ([gcsim check]): the fast
     (accounting) verifier at every phase boundary plus the full
@@ -70,29 +86,13 @@ let install ?(on_violation = default_on_violation) ~level rt =
     [on_access] and [on_trace] compose extra host-side observers onto
     the race detector's hooks — the explorer records per-thread access
     footprints this way for its equivalence pruning. *)
-let install_check_oracles ?(on_access = fun _ _ ~key:_ ~site:_ -> ())
-    ?(on_trace = fun (_ : Sim.Engine.trace_event) -> ()) ~on_violation rt =
+let install_check_oracles ?(on_access = no_access) ?(on_trace = no_trace)
+    ~on_violation rt =
   if rt.RtM.verify_level > 0 then none
-  else begin
-    rt.RtM.verify_level <- 2;
-    let verifier = Verifier.create ~full:false ~on_violation rt in
-    rt.RtM.phase_hook <- Some (Verifier.on_phase verifier);
-    watch_stubs rt verifier;
-    Runtime.Safepoint.set_on_release rt.RtM.safepoint (fun () ->
-        RtM.fire_phase rt Vhook.Safepoint_release);
-    let race = Race.create ~engine:rt.RtM.engine ~on_violation () in
-    Sim.Engine.set_tracer rt.RtM.engine
-      (Some
-         (fun ev ->
-           Race.on_trace race ev;
-           on_trace ev));
-    Heap.Access.set_hook
-      (Some
-         (fun op res ~key ~site ->
-           Race.on_access race op res ~key ~site;
-           on_access op res ~key ~site));
-    { verifier = Some verifier; race = Some race }
-  end
+  else
+    wire ~verify_level:2 ~full:false
+      ~race:(Some (on_access, on_trace))
+      ~on_violation rt
 
 let checks_run t =
   match t.verifier with Some v -> Verifier.checks_run v | None -> 0

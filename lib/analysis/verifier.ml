@@ -26,9 +26,7 @@
     - [Young_mark_end] (full): the young-generation tri-color analog.
     - [Remset_scan] (full): old→young remembered-set coverage recomputed
       independently from the object graph, judged against the
-      collector-registered providers.
-    - [Evac_end] (full): off-heap forwarding tables (ZGC-style) point to
-      live copies of identical logical identity and size. *)
+      collector-registered providers. *)
 
 module RtM = Runtime.Rt
 module Vhook = Runtime.Vhook
@@ -454,47 +452,6 @@ let check_remset_coverage t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Off-heap forwarding tables (ZGC-style).                              *)
-
-let check_fwd_tables t =
-  let heap = t.rt.RtM.heap in
-  List.iter
-    (fun source ->
-      List.iter
-        (fun tbl ->
-          Heap.Forwarding.iter
-            (fun ~old_offset (copy : Gobj.t) ->
-              match chase copy with
-              | None ->
-                  emit t ~invariant:"fwd-table-chain-bounded"
-                    ~object_id:(Gobj.id copy)
-                    "forwarding-table entry (old offset %d) chains past 64 \
-                     hops"
-                    old_offset
-              | Some rc ->
-                  if
-                    Gobj.id rc <> Gobj.id copy
-                    || Gobj.size rc <> Gobj.size copy
-                  then
-                    emit t ~invariant:"fwd-table-identity"
-                      ~object_id:(Gobj.id copy)
-                      "forwarding-table entry #%d(%dB) resolves to #%d(%dB)"
-                      (Gobj.id copy) (Gobj.size copy) (Gobj.id rc)
-                      (Gobj.size rc);
-                  if not (Gobj.is_freed rc) then begin
-                    let r = H.region heap (Gobj.region rc) in
-                    if Region.is_free r then
-                      emit t ~invariant:"fwd-table-live-copy"
-                        ~region:(Gobj.region rc) ~object_id:(Gobj.id rc)
-                        "forwarding-table entry resolves to #%d in region \
-                         %d, which is free"
-                        (Gobj.id rc) (Gobj.region rc)
-                  end)
-            tbl)
-        (source ()))
-    t.rt.RtM.fwd_table_sources
-
-(* ------------------------------------------------------------------ *)
 (* Stub recycling.                                                      *)
 
 (** Called by the heap's grace periods ({!Heap.Grace.set_check}) with
@@ -539,8 +496,7 @@ let on_phase t ~collector phase =
         check_crdt t
     | Vhook.Young_mark_end -> check_young_satb t
     | Vhook.Remset_scan -> check_remset_coverage t
-    | Vhook.Evac_end -> check_fwd_tables t
     | Vhook.Safepoint_release ->
         check_region_contents t;
         check_reachability t
-    | Vhook.Evac_start | Vhook.Cycle_end -> ()
+    | Vhook.Evac_start | Vhook.Evac_end | Vhook.Cycle_end -> ()

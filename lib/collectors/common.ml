@@ -665,8 +665,7 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
           end)
         heap.Heap_impl.regions;
       RtM.update_roots rt;
-      let survivors, cleared = Heap_impl.process_weak_refs_marked heap in
-      ignore survivors;
+      let cleared = Heap_impl.process_weak_refs_marked heap in
       Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
       Ticker.flush tk;
       Metrics.add metrics "full_gc_count" 1;

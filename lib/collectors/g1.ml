@@ -26,7 +26,6 @@ type t = {
   remsets : Region_remsets.t;
   marker : Common.Marker.t;
   mutable marking : bool;
-  mutable mark_requested : bool;
   mutable candidates : Region.t list;  (** mixed-collection victims *)
   mutable young_budget : int;  (** regions of eden before a young GC *)
   mutable urgent : bool;  (** an allocation failed; collect now *)
@@ -131,7 +130,7 @@ let run_mark_cycle t =
   Metrics.phase_begin metrics "g1.conc_mark" ~now:(Sim.Engine.now rt.RtM.engine);
   Common.Marker.cycle t.marker ~final:Metrics.Remark
     ~workers:Common.gc_threads ~at_final:(fun tk ->
-      let _, cleared = Heap_impl.process_weak_refs_marked heap in
+      let cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process));
   Metrics.phase_end metrics "g1.conc_mark" ~now:(Sim.Engine.now rt.RtM.engine);
   (* Concurrent remembered-set rebuild: scan every dirty card, record
@@ -232,12 +231,8 @@ let controller t () =
        && Common.young_count rt > 0
   then ensure_progress t
   else if
-    t.mark_requested
-    || ((not t.marking) && t.candidates = [] && Common.old_occupancy rt >= ihop_pct)
-  then begin
-    t.mark_requested <- false;
-    run_mark_cycle t
-  end
+    (not t.marking) && t.candidates = [] && Common.old_occupancy rt >= ihop_pct
+  then run_mark_cycle t
   else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
 
 (* ------------------------------------------------------------------ *)
@@ -252,7 +247,6 @@ let install ?(pause_target = 200 * Util.Units.ms) rt =
       remsets = Region_remsets.create heap;
       marker = Common.Marker.create rt;
       marking = false;
-      mark_requested = false;
       candidates = [];
       young_budget = max 4 (Heap_impl.num_regions heap / 4);
       urgent = false;

@@ -81,7 +81,7 @@ let run_trace t =
   let heap = rt.RtM.heap in
   Common.Marker.cycle t.marker ~final:Metrics.Remark
     ~workers:Common.gc_threads ~at_final:(fun tk ->
-      let _, cleared = Heap_impl.process_weak_refs_marked heap in
+      let cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
       ignore (Common.reclaim_dead_humongous rt tk));
   let cands = ref [] in

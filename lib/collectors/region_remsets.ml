@@ -9,18 +9,9 @@
 
 open Heap
 
-type t = {
-  heap : Heap_impl.t;
-  sets : Remset.t option array;
-  mutable insertions : int;
-}
+type t = { heap : Heap_impl.t; sets : Remset.t option array }
 
-let create heap =
-  {
-    heap;
-    sets = Array.make (Heap_impl.num_regions heap) None;
-    insertions = 0;
-  }
+let create heap = { heap; sets = Array.make (Heap_impl.num_regions heap) None }
 
 let get t rid = t.sets.(rid)
 
@@ -38,8 +29,7 @@ let get_or_create t rid =
 
 (** Record that [card] may hold a reference into region [target_rid]. *)
 let add t ~target_rid ~card =
-  if Remset.add (get_or_create t target_rid) card then
-    t.insertions <- t.insertions + 1
+  ignore (Remset.add (get_or_create t target_rid) card)
 
 let clear t rid =
   match t.sets.(rid) with None -> () | Some _ -> t.sets.(rid) <- None

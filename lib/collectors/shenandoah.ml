@@ -145,7 +145,7 @@ let run_cycle t =
   Common.Marker.cycle t.marker ~retire_tlabs:true ~phase:"shen.mark"
     ~final:Metrics.Final_mark ~workers:Common.gc_threads
     ~at_final:(fun tk ->
-      let _, cleared = Heap_impl.process_weak_refs_marked heap in
+      let cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
       cset := select_cset t;
       ignore (Common.reclaim_dead_humongous rt tk));

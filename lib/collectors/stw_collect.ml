@@ -251,7 +251,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
               end
             end)
           heap.Heap_impl.regions;
-        let _, cleared = Heap_impl.process_weak_refs_freed_only heap in
+        let cleared = Heap_impl.process_weak_refs_freed_only heap in
         Common.Ticker.tick tk (cleared * costs.Costs.weak_ref_process)
       end
       else

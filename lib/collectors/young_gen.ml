@@ -218,7 +218,7 @@ let collect t =
         Common.release_region rt tk r)
       !snapshot;
     Common.Ticker.flush tk;
-    let _, cleared = Heap_impl.process_weak_refs_freed_only heap in
+    let cleared = Heap_impl.process_weak_refs_freed_only heap in
     Metrics.add metrics "young.weak_cleared" cleared;
     Metrics.add metrics "young.collections" 1;
     RtM.notify_memory_freed rt;

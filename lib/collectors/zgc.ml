@@ -4,8 +4,10 @@
     phase (with colored-pointer costs: an atomic recolor per object and
     remapping of every stale reference it meets), then concurrent
     relocation where each region is released *immediately* after its live
-    objects are copied out — off-heap forwarding tables keep the
-    old-to-new mappings alive until the next cycle remaps.  There is no
+    objects are copied out — the forwarded from-space records keep the
+    old-to-new mappings alive until the next cycle remaps (ZGC keeps
+    them in off-heap forwarding tables, whose footprint is billed as
+    [zgc.forwarding_bytes]).  There is no
     degenerated mode: when allocation fails, the mutator stalls until
     relocation frees a region (§2.2 observed this "has the same effect as
     a pause").  Colored pointers enlarge the address space 16x and defeat
@@ -35,25 +37,17 @@ type t = {
   rt : RtM.t;
   config : config;
   marker : Common.Marker.t;
-  mutable forwarding : Forwarding.t list;  (** tables of the current cycle *)
   mutable urgent : bool;
 }
 
-(** A ZGC instance on [rt], without a controller (GenZ drives its own).
-    Registers the verifier's forwarding-table source: the off-heap tables
-    alive right now, checked against live copies at [Evac_end]. *)
+(** A ZGC instance on [rt], without a controller (GenZ drives its own). *)
 let create ?(config = default_config) rt =
-  let t =
-    {
-      rt;
-      config;
-      marker = Common.Marker.create ~remap:true ~atomic_cost:true rt;
-      forwarding = [];
-      urgent = false;
-    }
-  in
-  RtM.register_fwd_table_source rt (fun () -> t.forwarding);
-  t
+  {
+    rt;
+    config;
+    marker = Common.Marker.create ~remap:true ~atomic_cost:true rt;
+    urgent = false;
+  }
 
 let select_relocation_set t =
   let heap = t.rt.RtM.heap in
@@ -75,15 +69,15 @@ let run_cycle t =
   Metrics.phase_begin metrics "zgc.cycle" ~now:(now ());
   (* Pause Mark Start, concurrent mark, Pause Mark End.  The concurrent
      mark remaps every stale reference it encounters, so the previous
-     cycle's forwarding tables can be dropped afterwards. *)
+     cycle's forwarded records are named by nothing afterwards. *)
   Common.Marker.cycle t.marker ~retire_tlabs:true ~phase:"zgc.mark"
     ~final:Metrics.Final_mark ~workers:Common.gc_threads
     ~at_final:(fun tk ->
       RtM.update_roots rt;
-      let _, cleared = Heap_impl.process_weak_refs_marked heap in
+      let cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
       ignore (Common.reclaim_dead_humongous rt tk));
-  t.forwarding <- [];
+  let forwarding_bytes = ref 0 in
   (* Concurrent relocation: each region is freed the moment its live
      objects are out — this is the incremental reclamation G1/Shenandoah
      lack, and the reason ZGC stalls rather than degenerates. *)
@@ -96,21 +90,20 @@ let run_cycle t =
         fun _ -> dest)
       (Array.of_list (select_relocation_set t))
       (fun pick tk r ->
-        let fwd =
-          Forwarding.create ~rid:r.Region.rid ~expected:(Region.object_count r)
-        in
         Common.Evac.evacuate_region rt ~after ~pick tk r;
+        let entries = ref 0 in
         Util.Vec.iter
           (fun (o : Gobj.t) ->
             if Gobj.is_forwarded o then begin
-              Forwarding.add fwd ~old_offset:(Gobj.offset o) o.Gobj.forward;
+              incr entries;
               (* Roots and heap slots keep naming the old copy until the
-                 next cycle's mark remaps them, so it stays out of the
-                 stub limbo as the table's copy does. *)
-              Gobj.set_flag o Gobj.flag_in_fwd_table
+                 next cycle's mark remaps them. *)
+              Gobj.set_flag o Gobj.flag_unremapped
             end)
           r.Region.objects;
-        t.forwarding <- fwd :: t.forwarding;
+        (* ZGC's off-heap table for this region: a fixed header plus
+           one entry per forwarded object. *)
+        forwarding_bytes := !forwarding_bytes + 32 + (24 * !entries);
         Metrics.add rt.RtM.metrics "zgc.reclaimed_bytes" r.Region.top;
         Common.release_region rt tk r;
         Common.Ticker.flush tk;
@@ -120,8 +113,7 @@ let run_cycle t =
   Metrics.phase_end metrics "zgc.relocate" ~now:(now ());
   Metrics.phase_end metrics "zgc.cycle" ~now:(now ());
   Metrics.add metrics "zgc.cycles" 1;
-  Metrics.add metrics "zgc.forwarding_bytes"
-    (List.fold_left (fun a f -> a + Forwarding.byte_size f) 0 t.forwarding);
+  Metrics.add metrics "zgc.forwarding_bytes" !forwarding_bytes;
   (* Relocation wedged with no free destination: compact under STW and
      declare OOM if even that cannot free memory (ZGC would stall
      forever; we bound the simulation the way Table 4 reports OOMs). *)

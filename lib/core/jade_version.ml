@@ -1,2 +1,2 @@
-(** Placeholder until the Jade collector lands. *)
+(** The [gcsim --version] string. *)
 let version = "0.1.0"

@@ -100,7 +100,7 @@ let mark_phase t =
          concurrent variant (the paper's stated future work) is on, in
          which case only the discovery snapshot happens here. *)
       if not t.config.Jade_config.concurrent_weak_refs then begin
-        let _, cleared = Heap_impl.process_weak_refs_marked heap in
+        let cleared = Heap_impl.process_weak_refs_marked heap in
         Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
         Metrics.add metrics "jade.weak_stw_cleared" cleared
       end;
@@ -110,7 +110,7 @@ let mark_phase t =
        stable after final mark, referents are judged through resolve, and
        clearing only drops entries from the collector-private list. *)
     let tk = Common.Ticker.create () in
-    let _, cleared = Heap_impl.process_weak_refs_marked heap in
+    let cleared = Heap_impl.process_weak_refs_marked heap in
     Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
     Common.Ticker.flush tk;
     Metrics.add metrics "jade.weak_concurrent_cleared" cleared

@@ -311,7 +311,7 @@ let collect t ~workers =
             Metrics.add metrics "jade.young_reclaimed_bytes" r.Region.top;
             Common.release_region rt tk r)
           !snapshot;
-        let _, cleared = Heap_impl.process_weak_refs_freed_only heap in
+        let cleared = Heap_impl.process_weak_refs_freed_only heap in
         Common.Ticker.tick tk (cleared * costs.Costs.weak_ref_process);
         Metrics.add metrics "jade.young_collections" 1;
         Metrics.add metrics "jade.young_regions_reclaimed"

@@ -3,11 +3,11 @@
 
     Heap code reports reads/writes of the metadata classes a concurrent
     collector actually races on — forwarding installs, card-table bits,
-    mark words, remembered-set bits, off-heap forwarding tables and the
-    region free list — through a single domain-local hook.  The hook is
-    [None] by default and every call site passes only immediates
-    (constant constructors, ints, literal strings), so a disabled logger
-    costs one branch and zero allocation on the hot paths.
+    mark words, remembered-set bits and the region free list — through
+    a single domain-local hook.  The hook is [None] by default and every
+    call site passes only immediates (constant constructors, ints,
+    literal strings), so a disabled logger costs one branch and zero
+    allocation on the hot paths.
 
     The op taxonomy mirrors the detector's checking policy:
     - [Write] accesses are conflict-checked (two unordered writes to the
@@ -23,12 +23,14 @@
       claim/release through the free list): the releasing thread's clock
       is published to the resource and joined by the next claimer. *)
 
-type op = Read | Write | Atomic | Acquire | Release
+type op = Write | Atomic | Acquire | Release
 
 (** What kind of metadata the key identifies. *)
 type res =
   | Forward  (** in-header forwarding slot; key = object uid *)
-  | Fwd_table  (** off-heap forwarding table; key = region id *)
+  | Fwd_table
+      (** off-heap forwarding table: nothing emits it (ZGC's tables are
+          billed, not modelled); bench/perf's ledger still matches it *)
   | Card  (** global card table; key = global card index *)
   | Mark_bit  (** mark/ymark epoch word; key = object uid *)
   | Region_ctl  (** free-list claim/release; key = region id *)
@@ -40,12 +42,12 @@ type hooks = logger option ref
 (** A cached handle on this domain's hook slot.  [Domain.DLS.get] costs
     a handful of loads plus an initialization branch on {e every} call,
     which is pure waste on paths that fire per mark / card dirty /
-    remset touch: hot-path owners ({!Heap_impl.t}, remsets, forwarding
-    tables) resolve the handle once at creation time and log through it
-    with {!log_with} — one load and one branch when no detector is
-    installed.  The handle stays valid for the whole run because
-    {!set_hook} mutates the slot's {e contents}, never rebinds it, so a
-    detector installed after the heap was built is still observed.
+    remset touch: hot-path owners ({!Heap_impl.t}, remsets) resolve the
+    handle once at creation time and log through it with {!log_with} —
+    one load and one branch when no detector is installed.  The handle
+    stays valid for the whole run because {!set_hook} mutates the slot's
+    {e contents}, never rebinds it, so a detector installed after the
+    heap was built is still observed.
 
     The cached handle must live in run-threaded state (a field of the
     heap, a remset, ...) or in DLS itself — never in a toplevel mutable

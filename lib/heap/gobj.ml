@@ -25,8 +25,7 @@
       when nothing can reach it again: its [inrefs] count of incoming
       heap edges is zero (a dangling stale edge must keep finding the
       record [freed], never conflated with a new identity), and it is
-      neither a registered weak referent nor held by an off-heap
-      forwarding table;
+      not a registered weak referent;
     - a forwarded record (a stub: the live object was copied out) may
       still be named after its release by what the edge count does not
       see — an unrooted local of a request in flight, a gray stack, an
@@ -167,10 +166,10 @@ let flag_weak_referent = 1
 let flag_humongous = 2
 let flag_freed = 4
 
-let flag_in_fwd_table = 8
-(* set when an off-heap forwarding table (ZGC-style) takes a reference
-   to the record; never cleared, so such records are conservatively
-   excluded from recycling for the rest of the run. *)
+let flag_unremapped = 8
+(* set by ZGC on each record its relocation forwarded: roots and heap
+   slots keep naming it until the next cycle's mark remaps them, long
+   after any grace period ends, so it never enters the stub limbo. *)
 
 let flag_satb_logged = 16
 (* set when a marker's SATB queue takes a bare reference to the record;
@@ -363,11 +362,11 @@ let iter_fields f t =
 (* ------------------------------------------------------------------ *)
 (* Pooling.                                                             *)
 
-(* A stub that may be reused: no weak registration or off-heap
-   forwarding table names it, and no record that can still be named
-   forwards to it. *)
+(* A stub that may be reused: no weak registration or unremapped
+   reference names it, and no record that can still be named forwards
+   to it. *)
 let stub_flags =
-  flag_weak_referent lor flag_in_fwd_table lor flag_forward_target
+  flag_weak_referent lor flag_unremapped lor flag_forward_target
 
 (** Freelists for dead records and their field arrays, and the queue of
     stubs past their grace period, owned by
@@ -565,10 +564,10 @@ let release_residents pool ~floor ~limbo (objs : t Util.Vec.t) =
      recycled, so a record whose only holders die with it is free by
      the time the second pass tests it.  Field arrays of dead holders
      are always safe to take (dangling-edge guards test [is_freed]
-     before any field read); records only when no stale edge, weak
-     registration or off-heap forwarding table can still name them.
-     Stubs go to [limbo] under the same tests, untouched (see the
-     ownership rules above). *)
+     before any field read); records only when no stale edge or weak
+     registration can still name them.  Stubs that pass the same tests
+     and are not unremapped go to [limbo], untouched (see the ownership
+     rules above). *)
   let n = Util.Vec.length objs in
   if floor <> harvest_none then begin
     for i = 0 to n - 1 do
@@ -581,15 +580,13 @@ let release_residents pool ~floor ~limbo (objs : t Util.Vec.t) =
     if harvestable ~floor o then begin
       Pool.put_array pool o.fields;
       o.fields <- no_fields;
-      if
-        inrefs o = 0
-        && o.meta land (flag_weak_referent lor flag_in_fwd_table) = 0
-      then Pool.put_record pool o
+      if inrefs o = 0 && o.meta land flag_weak_referent = 0 then
+        Pool.put_record pool o
     end
     else if
       floor <> harvest_none && o.forward != null
       && inrefs o = 0
-      && o.meta land (flag_weak_referent lor flag_in_fwd_table) = 0
+      && o.meta land (flag_weak_referent lor flag_unremapped) = 0
     then Util.Vec.push limbo o;
     o.meta <- o.meta lor flag_freed
   done

@@ -157,10 +157,12 @@ val slot_shift : int
 val flag_weak_referent : int
 val flag_humongous : int
 
-val flag_in_fwd_table : int
-(** Set when an off-heap forwarding table (ZGC-style) takes a reference
-    to the record; never cleared, so such records are conservatively
-    excluded from recycling for the rest of the run. *)
+val flag_unremapped : int
+(** Set by ZGC on each record its relocation forwarded.  ZGC heals no
+    reference at relocation: roots and heap slots keep naming the stub
+    until the next cycle's mark remaps them, long after any grace period
+    ends.  Never cleared, so such a stub never enters the limbo and is
+    not recycled for the rest of the run. *)
 
 val flag_satb_logged : int
 (** Set when a marker's SATB queue takes a bare reference to the record;
@@ -241,7 +243,7 @@ val set_forward : hooks:Access.hooks -> site:string -> t -> t -> unit
     after its grace period ({!Pool.take_copy_record}); while set, a
     stale reference can still resolve through [t] to the copy, so the
     copy is not reused itself.  A predecessor that is never recycled (a
-    stale heap edge, a weak or forwarding-table flag, a region compacted
+    stale heap edge, a weak or unremapped flag, a region compacted
     in place and never released, or a predecessor of its own still
     flagged) thus keeps its whole chain of successors out of the pool.
     Callers pass their heap's cached [hooks] handle, so a disabled
@@ -326,7 +328,7 @@ module Pool : sig
   val take_copy_record : t -> obj
   (** A record for a relocation copy ({!remake}): the oldest stub from
       {!put_stubs} that still has no {!inrefs} and no weak,
-      forwarding-table or forwarding-target flag ({!set_forward}; the
+      unremapped or forwarding-target flag ({!set_forward}; the
       others are dropped on the way), else {!take_record}.  A stub taken
       clears its copy's forwarding-target flag when the copy still has its
       logical id.  Stubs back copies only: a copy is long-lived, while a
@@ -379,8 +381,9 @@ val release_residents :
     ({!retire_edges}) before any record is tested, so a record whose
     holders all die with it is recycled in the same release.
 
-    A forwarded resident (a stub) with no {!inrefs} and no weak or
-    forwarding-table flag is pushed onto [limbo] whatever the [floor]
-    (except {!harvest_none}), untouched but for its freed flag.
+    A forwarded resident (a stub) with no {!inrefs}, no weak
+    registration and no {!flag_unremapped} is pushed onto [limbo]
+    whatever the [floor] (except {!harvest_none}), untouched but for its
+    freed flag.
     Something outside the heap may still name it, so it reaches the pool
     ({!Pool.put_stubs}) only at the end of a grace period ({!Grace}). *)

@@ -436,7 +436,7 @@ let register_weak t (o : Gobj.t) =
 (** Process registered weak references: referents judged dead by [alive]
     are dropped and the rest survive, resolved to their newest copies and
     compacted in place.  Tracing collectors pass a mark test; young-only
-    collections pass a freed-region test.  Returns (survivors, cleared). *)
+    collections pass a freed-region test.  Returns the number cleared. *)
 let process_weak_refs t ~alive =
   let refs = t.weak_refs in
   let n = Util.Vec.length refs in
@@ -449,7 +449,7 @@ let process_weak_refs t ~alive =
     end
   done;
   Util.Vec.truncate refs !kept;
-  (!kept, n - !kept)
+  n - !kept
 
 (** Weak processing against the current mark (old/full collections). *)
 let process_weak_refs_marked t = process_weak_refs t ~alive:(is_marked t)

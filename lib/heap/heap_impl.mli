@@ -209,11 +209,12 @@ val mark_object_young : t -> Gobj.t -> bool
 
 val register_weak : t -> Gobj.t -> unit
 
-val process_weak_refs_marked : t -> int * int
+val process_weak_refs_marked : t -> int
 (** Process registered weak references against the current mark
     (old/full collections): dead referents are dropped and the rest
-    survive.  Returns (survivors, cleared). *)
+    survive, resolved to their newest copies.  Returns the number
+    cleared. *)
 
-val process_weak_refs_freed_only : t -> int * int
+val process_weak_refs_freed_only : t -> int
 (** Weak processing for young-only collections: a referent is dead only
     when its region was reclaimed (freed flag). *)

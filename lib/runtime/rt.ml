@@ -53,8 +53,6 @@ type t = {
       (** fired by collectors at phase boundaries via {!fire_phase} *)
   mutable remset_providers : Vhook.remset_provider list;
       (** collector-registered old→young coverage sources *)
-  mutable fwd_table_sources : (unit -> Heap.Forwarding.t list) list;
-      (** off-heap forwarding tables currently alive (ZGC-style) *)
   mutable crdt_source : (string * Heap.Crdt.t) option;
       (** (owning collector, table) — checked at that collector's
           [Mark_end] against the objects' mark epochs *)
@@ -99,7 +97,6 @@ let create ~seed ~engine ~heap () =
     prng = Util.Prng.create seed;
     phase_hook = None;
     remset_providers = [];
-    fwd_table_sources = [];
     crdt_source = None;
     verify_level = 0;
   }
@@ -138,9 +135,6 @@ let fire_phase ?collector t phase =
 
 let register_remset_provider t p =
   t.remset_providers <- p :: t.remset_providers
-
-let register_fwd_table_source t f =
-  t.fwd_table_sources <- f :: t.fwd_table_sources
 
 let register_crdt_source t ~collector crdt =
   t.crdt_source <- Some (collector, crdt)

@@ -55,7 +55,6 @@ type thread = {
   mutable enqueued : bool; (* membership flag for the run queue *)
   mutable body : (unit -> unit) option; (* set until first scheduled *)
   mutable on_finish : (unit -> unit) list;
-  mutable cpu_ns : int; (* total CPU consumed, for breakdowns *)
   mutable blocked_on : string; (* cond name, for diagnostics *)
 }
 
@@ -74,7 +73,6 @@ let dummy_thread =
     enqueued = false;
     body = None;
     on_finish = [];
-    cpu_ns = 0;
     blocked_on = "";
   }
 
@@ -205,7 +203,6 @@ let spawn t ?(daemon = false) ~name ~kind body =
       enqueued = false;
       body = Some body;
       on_finish = [];
-      cpu_ns = 0;
       blocked_on = "";
     }
   in
@@ -396,7 +393,6 @@ let run_thread t th budget =
   t.current <- saved_current;
   let consumed = t.run_offset in
   t.run_offset <- 0;
-  th.cpu_ns <- th.cpu_ns + consumed;
   t.busy_ns.(kind_index th.kind) <- t.busy_ns.(kind_index th.kind) + consumed;
   consumed
 

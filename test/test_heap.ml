@@ -1,5 +1,5 @@
 (* Tests for the heap substrate: regions, objects, cards, marking, weak
-   references, CRDT, remembered sets, forwarding tables. *)
+   references, CRDT, remembered sets. *)
 
 open Heap
 
@@ -471,8 +471,9 @@ let test_weak_refs_marked_judge () =
   r.Region.alloc_epoch <- heap.Heap_impl.mark_epoch - 1;
   ignore (Heap_impl.mark_object heap live);
   Heap_impl.end_mark heap;
-  let survivors, cleared = Heap_impl.process_weak_refs_marked heap in
-  Alcotest.(check int) "one survivor" 1 survivors;
+  let cleared = Heap_impl.process_weak_refs_marked heap in
+  Alcotest.(check int) "one survivor" 1
+    (Util.Vec.length heap.Heap_impl.weak_refs);
   Alcotest.(check int) "one cleared" 1 cleared;
   Alcotest.(check int) "one referent stays registered" 1
     (Util.Vec.length heap.Heap_impl.weak_refs);
@@ -489,8 +490,8 @@ let test_weak_refs_freed_judge () =
   Heap_impl.register_weak heap kept;
   Heap_impl.register_weak heap freed;
   Heap_impl.release_region heap r2;
-  let survivors, cleared = Heap_impl.process_weak_refs_freed_only heap in
-  Alcotest.(check int) "survivor" 1 survivors;
+  let cleared = Heap_impl.process_weak_refs_freed_only heap in
+  Alcotest.(check int) "survivor" 1 (Util.Vec.length heap.Heap_impl.weak_refs);
   Alcotest.(check int) "cleared" 1 cleared
 
 let test_weak_follows_forwarding () =
@@ -503,8 +504,9 @@ let test_weak_follows_forwarding () =
   Heap_impl.register_weak heap old_copy;
   Heap_impl.release_region heap r1;
   (* The referent moved before its region was freed: it survives. *)
-  let survivors, cleared = Heap_impl.process_weak_refs_freed_only heap in
-  Alcotest.(check int) "survivor via forwarding" 1 survivors;
+  let cleared = Heap_impl.process_weak_refs_freed_only heap in
+  Alcotest.(check int) "survivor via forwarding" 1
+    (Util.Vec.length heap.Heap_impl.weak_refs);
   Alcotest.(check int) "none cleared" 0 cleared
 
 (* ------------------------------------------------------------------ *)
@@ -587,7 +589,7 @@ let test_crdt_first_use () =
   raises "record past the end" (fun () -> Crdt.record c ~card:cards ~rid:3)
 
 (* ------------------------------------------------------------------ *)
-(* Remsets and forwarding tables *)
+(* Remsets *)
 
 let test_remset () =
   let rs = Remset.create ~name:"t" ~total_cards:128 in
@@ -602,16 +604,6 @@ let test_remset () =
   Alcotest.(check int) "cleared" 0 (Remset.cardinal rs);
   (* 1 bit per card -> heap/4096 bytes, the paper's arithmetic. *)
   Alcotest.(check int) "memory" 16 (Remset.byte_size rs)
-
-let test_forwarding_table () =
-  let heap = mk_heap () in
-  let r = claim_exn heap Region.Old in
-  let o = alloc heap r ~size:64 ~nrefs:0 in
-  let fwd = Forwarding.create ~rid:r.Region.rid ~expected:4 in
-  Forwarding.add fwd ~old_offset:0 o;
-  Alcotest.(check bool) "lookup hit" true (Forwarding.find fwd ~old_offset:0 == o);
-  Alcotest.(check bool) "lookup miss" true (Gobj.is_null (Forwarding.find fwd ~old_offset:64));
-  Alcotest.(check int) "entries" 1 (Forwarding.entries fwd)
 
 (* ------------------------------------------------------------------ *)
 (* Null sentinel + record pool. *)
@@ -793,7 +785,7 @@ let test_stub_waits_for_grace () =
     && stub.Gobj.fields != fields)
 
 (* A stub that something may still name never reaches the pool: a stale
-   heap edge, a weak registration, an off-heap forwarding table, or a
+   heap edge, a weak registration, an unremapped ZGC reference, or a
    predecessor that was not recycled before it and can still resolve
    through it.  With pooling off no stub enters limbo at all. *)
 let test_stub_exclusions () =
@@ -803,18 +795,18 @@ let test_stub_exclusions () =
   let home = claim_exn heap Region.Old in
   let r = claim_exn heap Region.Young in
   let stub () = alloc heap r ~size:64 ~nrefs:1 in
-  let named = stub () and weak = stub () and tabled = stub () in
+  let named = stub () and weak = stub () and unremapped = stub () in
   let holder = alloc heap home ~size:64 ~nrefs:1 in
   Gobj.set_field holder 0 named;
   Heap_impl.register_weak heap weak;
-  List.iter (fun o -> ignore (relocate heap home o)) [ named; weak; tabled ];
-  Gobj.set_flag tabled Gobj.flag_in_fwd_table;
+  List.iter (fun o -> ignore (relocate heap home o)) [ named; weak; unremapped ];
+  Gobj.set_flag unremapped Gobj.flag_unremapped;
   (* [named]'s copy moves on: its predecessor is never recycled, so it
      is not either. *)
   let second = claim_exn heap Region.Old in
   let named' = named.Gobj.forward in
   ignore (relocate heap second named');
-  let excluded = [ named; weak; tabled; named' ] in
+  let excluded = [ named; weak; unremapped; named' ] in
   Heap_impl.release_region heap r;
   Heap_impl.release_region heap home;
   Alcotest.(check int) "only the copy without an edge or flag in limbo" 1
@@ -1228,10 +1220,7 @@ let () =
             test_crdt_first_use;
         ] );
       ( "remset+forwarding",
-        [
-          Alcotest.test_case "remset" `Quick test_remset;
-          Alcotest.test_case "forwarding table" `Quick test_forwarding_table;
-        ] );
+        [ Alcotest.test_case "remset" `Quick test_remset ] );
       ( "packed header",
         [
           packed_header_roundtrip;
