@@ -11,7 +11,7 @@ module Metrics = Runtime.Metrics
 let ms = Util.Units.ms
 let pt = Util.Units.pp_time_ns
 
-let quick = ref false
+let quick = Bench_options.quick
 
 let jade name cfg = Registry.jade_with ~name cfg
 
@@ -20,17 +20,12 @@ let ablate_crdt () =
   let app = Workload.Apps.specjbb in
   let duration = if !quick then 1_500 * ms else 3_000 * ms in
   let run cfg =
-    Exp.at_qps ~warmup:(250 * ms) ~duration (jade "jade" cfg) app ~mult:2.0
-      ~qps:30_000.
+    Exp.run ~warmup:(250 * ms) ~duration (jade "jade" cfg) app ~mult:2.0
+      ~mode:(Runtime.Driver.Open 30_000.)
   in
   let on = run Jade.Jade_config.default in
   let off =
     run { Jade.Jade_config.default with Jade.Jade_config.use_crdt = false }
-  in
-  let t =
-    Util.Table.create ~title:"Ablation: CRDT piggyback (build phase, per cycle)"
-      ~headers:
-        [ "Config"; "Avg build"; "Cards scanned/cycle"; "p99 latency" ]
   in
   let row name (s : Harness.summary) =
     let m = s.Harness.metrics in
@@ -42,9 +37,9 @@ let ablate_crdt () =
       pt s.Harness.p99_latency;
     ]
   in
-  let t = Util.Table.add_row t (row "crdt on (default)" on) in
-  let t = Util.Table.add_row t (row "crdt off (scan all)" off) in
-  Util.Table.print t
+  Util.Table.print ~title:"Ablation: CRDT piggyback (build phase, per cycle)"
+    ~headers:[ "Config"; "Avg build"; "Cards scanned/cycle"; "p99 latency" ]
+    [ row "crdt on (default)" on; row "crdt off (scan all)" off ]
 
 (** Chasing mode on/off: stall time under a tight heap at peak load. *)
 let ablate_chasing () =
@@ -53,21 +48,12 @@ let ablate_chasing () =
   let run cfg =
     (* Tight enough that allocation outruns collection and mutators
        genuinely stall; chasing then turns idle cores into GC workers. *)
-    Harness.run_closed
-      ~machine:(Exp.machine_for app ~mult:1.15)
-      ~warmup:(250 * ms) ~duration
-      ~install:(jade "jade" cfg).Registry.install ~collector:"jade" app
+    Exp.run ~warmup:(250 * ms) ~duration (jade "jade" cfg) app ~mult:1.15
+      ~mode:Runtime.Driver.Closed
   in
   let on = run Jade.Jade_config.default in
   let off =
     run { Jade.Jade_config.default with Jade.Jade_config.chasing_mode = false }
-  in
-  let t =
-    Util.Table.create
-      ~title:"Ablation: chasing mode (tight heap, peak load, §4.3)"
-      ~headers:
-        [ "Config"; "Throughput"; "Cum. stalls"; "p99 pause"; "CPU util";
-          "Chased rounds" ]
   in
   let row name (s : Harness.summary) =
     [
@@ -79,9 +65,11 @@ let ablate_chasing () =
       string_of_int (Metrics.counter s.Harness.metrics "jade.chasing_rounds");
     ]
   in
-  let t = Util.Table.add_row t (row "chasing on (default)" on) in
-  let t = Util.Table.add_row t (row "chasing off" off) in
-  Util.Table.print t
+  Util.Table.print ~title:"Ablation: chasing mode (tight heap, peak load, §4.3)"
+    ~headers:
+      [ "Config"; "Throughput"; "Cum. stalls"; "p99 pause"; "CPU util";
+        "Chased rounds" ]
+    [ row "chasing on (default)" on; row "chasing off" off ]
 
 (** Weak references: STW processing (§4.4) vs the concurrent variant the
     paper leaves as future work, on a weak-heavy workload. *)
@@ -101,8 +89,8 @@ let ablate_weak_refs () =
   in
   let duration = if !quick then 1_000 * ms else 2_000 * ms in
   let run cfg =
-    Exp.at_qps ~warmup:(250 * ms) ~duration (jade "jade" cfg) app ~mult:2.0
-      ~qps:30_000.
+    Exp.run ~warmup:(250 * ms) ~duration (jade "jade" cfg) app ~mult:2.0
+      ~mode:(Runtime.Driver.Open 30_000.)
   in
   let stw = run Jade.Jade_config.default in
   let conc =
@@ -111,11 +99,6 @@ let ablate_weak_refs () =
         Jade.Jade_config.default with
         Jade.Jade_config.concurrent_weak_refs = true;
       }
-  in
-  let t =
-    Util.Table.create
-      ~title:"Ablation: weak-reference processing (STW vs concurrent, §4.4)"
-      ~headers:[ "Config"; "p99 pause"; "Max pause"; "Cum. pause" ]
   in
   let row name (s : Harness.summary) =
     let m = s.Harness.metrics in
@@ -127,12 +110,13 @@ let ablate_weak_refs () =
         + Metrics.counter m "jade.weak_concurrent_cleared");
     ]
   in
-  let t = Util.Table.add_row t (row "STW (paper)" stw) in
-  let t = Util.Table.add_row t (row "concurrent (future work)" conc) in
   (* The paper's own observation (4.4) holds here too: the discover list
      is small enough that STW processing is already trivial; the
      concurrent variant simply moves the same trivial work off-pause. *)
-  Util.Table.print t
+  Util.Table.print
+    ~title:"Ablation: weak-reference processing (STW vs concurrent, §4.4)"
+    ~headers:[ "Config"; "p99 pause"; "Max pause"; "Cum. pause" ]
+    [ row "STW (paper)" stw; row "concurrent (future work)" conc ]
 
 let all () =
   ablate_crdt ();

@@ -6,11 +6,10 @@
 open Bechamel
 open Toolkit
 
-(* --quick was silently ignored here: every test always ran its full
-   0.5 s sampling quota.  Quick mode now trims the quota/sample budget —
-   estimates get noisier, but a smoke run finishes in a fraction of the
-   time, which is what scripts/ci.sh wants. *)
-let quick = ref false
+(* Quick mode trims the quota/sample budget: estimates get noisier, but
+   a smoke run finishes in a fraction of the time, which is what
+   scripts/ci.sh wants. *)
+let quick = Bench_options.quick
 
 let kib = Util.Units.kib
 

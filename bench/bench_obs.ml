@@ -8,21 +8,12 @@
    host-speed measurement.  --quick traces the two headline collectors
    (jade, g1) instead of all eight. *)
 
-let quick = ref false
-let jobs = ref 1
-
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 let write_json ~path ~quick (rows : (string * Obs.Analyze.t) list) =
   let oc = open_out path in
   Printf.fprintf oc "{\n  \"experiment\": \"obs\",\n";
   Printf.fprintf oc "  \"quick\": %b,\n" quick;
   Printf.fprintf oc "  \"workload\": \"%s\",\n"
-    (json_escape Experiments.Trace_run.Golden.workload);
+    (Obs.Export.json_escape Experiments.Trace_run.Golden.workload);
   Printf.fprintf oc "  \"cores\": %d,\n" Experiments.Trace_run.Golden.cores;
   Printf.fprintf oc "  \"heap_mult\": %.2f,\n" Experiments.Trace_run.Golden.mult;
   Printf.fprintf oc "  \"seed\": %d,\n" Experiments.Trace_run.Golden.seed;
@@ -36,7 +27,7 @@ let write_json ~path ~quick (rows : (string * Obs.Analyze.t) list) =
         "    {\"collector\": \"%s\", \"pauses\": %d, \"p50_ns\": %d, \
          \"p95_ns\": %d, \"p99_ns\": %d, \"max_ns\": %d, \
          \"stall_ns\": %d, \"mmu\": ["
-        (json_escape name) s.Obs.Analyze.count s.Obs.Analyze.p50_ns
+        (Obs.Export.json_escape name) s.Obs.Analyze.count s.Obs.Analyze.p50_ns
         s.Obs.Analyze.p95_ns s.Obs.Analyze.p99_ns s.Obs.Analyze.max_ns
         a.Obs.Analyze.stalls.Obs.Analyze.total_ns;
       List.iteri
@@ -54,11 +45,11 @@ let write_json ~path ~quick (rows : (string * Obs.Analyze.t) list) =
 
 let all () =
   let entries =
-    if !quick then Experiments.Registry.find_list "jade,g1"
+    if !Bench_options.quick then Experiments.Registry.find_list "jade,g1"
     else Experiments.Registry.all
   in
   let rows =
-    Util.Dpool.map_list ~jobs:!jobs
+    Util.Dpool.map_list ~jobs:!Bench_options.jobs
       (fun (e : Experiments.Registry.entry) ->
         let r = Experiments.Trace_run.Golden.run e in
         ( e.Experiments.Registry.name,
@@ -71,5 +62,5 @@ let all () =
     Experiments.Trace_run.Golden.workload Experiments.Trace_run.Golden.mult
     Experiments.Trace_run.Golden.requests Experiments.Trace_run.Golden.seed;
   print_endline (Obs.Export.summary_table rows);
-  write_json ~path:"BENCH_obs.json" ~quick:!quick rows;
+  write_json ~path:"BENCH_obs.json" ~quick:!Bench_options.quick rows;
   Printf.printf "\nwrote BENCH_obs.json\n"

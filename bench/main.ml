@@ -47,18 +47,11 @@ let () =
     in
     go [] args
   in
-  Bench_tables.quick := quick;
-  Bench_figures.quick := quick;
-  Bench_ablations.quick := quick;
-  Bench_micro.quick := quick;
-  Bench_obs.quick := quick;
-  (match jobs with
-  | None -> ()
-  | Some n ->
-      let n = if n = 0 then Util.Dpool.default_jobs () else n in
-      Bench_tables.jobs := n;
-      Bench_figures.jobs := n;
-      Bench_obs.jobs := n);
+  Bench_options.quick := quick;
+  Option.iter
+    (fun n ->
+      Bench_options.jobs := if n = 0 then Util.Dpool.default_jobs () else n)
+    jobs;
   let selected =
     List.filter (fun a -> a <> "--quick" && a <> "all") args
   in

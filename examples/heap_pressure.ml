@@ -18,41 +18,36 @@ let () =
   in
   let app = Workload.Apps.specjbb in
   let mults = [ 4.0; 2.0; 1.5 ] in
-  let t =
-    Util.Table.create
-      ~title:"Peak throughput (req/s) and stall share as the heap shrinks"
-      ~headers:
-        ("Collector"
-        :: List.map (fun m -> Printf.sprintf "%.1fx min heap" m) mults)
-  in
-  let t =
-    List.fold_left
-      (fun t name ->
+  let rows =
+    List.map
+      (fun name ->
         let e = Registry.find name in
-        let cells =
-          List.map
-            (fun mult ->
-              Printf.printf "  running %s at %.1fx...\n%!" name mult;
-              let s = Exp.max_throughput e app ~mult in
-              match s.Harness.oom with
-              | Some _ -> "OOM"
-              | None ->
-                  (* Stall time is summed across all mutators: normalise
-                     to a per-mutator share of the window. *)
-                  let mutators =
-                    app.Workload.Apps.spec.Workload.Spec.mutators
-                  in
-                  let stall_share =
-                    Util.Units.to_sec s.Harness.cumulative_stall
-                    /. (float_of_int mutators
-                       *. Util.Units.to_sec (max 1 s.Harness.elapsed))
-                  in
-                  Printf.sprintf "%.0f (%.0f%% stalled)" s.Harness.throughput
-                    (100. *. stall_share))
-            mults
-        in
-        Util.Table.add_row t (name :: cells))
-      t names
+        name
+        :: List.map
+             (fun mult ->
+               Printf.printf "  running %s at %.1fx...\n%!" name mult;
+               let s = Exp.run e app ~mult ~mode:Runtime.Driver.Closed in
+               match s.Harness.oom with
+               | Some _ -> "OOM"
+               | None ->
+                   (* Stall time is summed across all mutators: normalise
+                      to a per-mutator share of the window. *)
+                   let mutators =
+                     app.Workload.Apps.spec.Workload.Spec.mutators
+                   in
+                   let stall_share =
+                     Util.Units.to_sec s.Harness.cumulative_stall
+                     /. (float_of_int mutators
+                        *. Util.Units.to_sec (max 1 s.Harness.elapsed))
+                   in
+                   Printf.sprintf "%.0f (%.0f%% stalled)" s.Harness.throughput
+                     (100. *. stall_share))
+             mults)
+      names
   in
   print_newline ();
-  Util.Table.print t
+  Util.Table.print
+    ~title:"Peak throughput (req/s) and stall share as the heap shrinks"
+    ~headers:
+      ("Collector" :: List.map (fun m -> Printf.sprintf "%.1fx min heap" m) mults)
+    rows

@@ -1,9 +1,10 @@
 (** Example: the paper's headline experiment in miniature (§2.2, Table 1).
 
-    Runs the H2/TPC-C workload at the same offered load on G1, ZGC,
-    Shenandoah and Jade, and prints the latency/pause comparison — the
-    observation that motivates Jade: concurrent copying collectors lose
-    throughput and still pause under heavy load, and Jade does not.
+    Runs the H2/TPC-C workload closed loop (each collector's peak
+    throughput) on G1, ZGC, Shenandoah and Jade, and prints one
+    throughput/latency/pause row per collector — the observation that
+    motivates Jade: concurrent copying collectors lose throughput and
+    still pause under heavy load, and Jade does not.
 
     Usage: [dune exec examples/latency_comparison.exe [-- <heap-mult>]]
     where <heap-mult> scales the heap as a multiple of the live set
@@ -23,31 +24,28 @@ let () =
   Printf.printf
     "H2/TPC-C at %.1fx the live set, closed loop (max throughput):\n\n%!"
     (mult *. 1.4);
-  let t =
-    Util.Table.create ~title:"Collector comparison"
-      ~headers:
-        [ "Collector"; "Max thru (req/s)"; "p99 latency"; "Cum. pause";
-          "p99 pause"; "GC CPU share" ]
-  in
-  let t =
-    List.fold_left
-      (fun t e ->
+  let rows =
+    List.map
+      (fun e ->
         Printf.printf "  running %s...\n%!" e.Registry.name;
-        let s = Exp.max_throughput e app ~mult in
+        let s = Exp.run e app ~mult ~mode:Runtime.Driver.Closed in
         let gc_share =
           float_of_int s.Harness.cpu_gc
           /. float_of_int (max 1 (s.Harness.cpu_gc + s.Harness.cpu_mutator))
         in
-        Util.Table.add_row t
-          [
-            e.Registry.name;
-            Printf.sprintf "%.0f" s.Harness.throughput;
-            Util.Units.pp_time_ns s.Harness.p99_latency;
-            Util.Units.pp_time_ns s.Harness.cumulative_pause;
-            Util.Units.pp_time_ns s.Harness.p99_pause;
-            Printf.sprintf "%.1f%%" (100. *. gc_share);
-          ])
-      t collectors
+        [
+          e.Registry.name;
+          Printf.sprintf "%.0f" s.Harness.throughput;
+          Util.Units.pp_time_ns s.Harness.p99_latency;
+          Util.Units.pp_time_ns s.Harness.cumulative_pause;
+          Util.Units.pp_time_ns s.Harness.p99_pause;
+          Printf.sprintf "%.1f%%" (100. *. gc_share);
+        ])
+      collectors
   in
   print_newline ();
-  Util.Table.print t
+  Util.Table.print ~title:"Collector comparison"
+    ~headers:
+      [ "Collector"; "Max thru (req/s)"; "p99 latency"; "Cum. pause";
+        "p99 pause"; "GC CPU share" ]
+    rows

@@ -29,7 +29,7 @@ let () =
   let app = Workload.Apps.specjbb in
   Printf.printf "Running %s on specjbb2015 at %.1fx heap, %.0f qps...\n%!"
     collector mult qps;
-  let s = Exp.at_qps e app ~mult ~qps in
+  let s = Exp.run e app ~mult ~mode:(Runtime.Driver.Open qps) in
   (match s.Harness.oom with
   | Some why ->
       Printf.printf "OUT OF MEMORY: %s\n" why;
@@ -50,28 +50,19 @@ let () =
       Hashtbl.replace by_kind p.Metrics.kind
         (total + p.Metrics.dur, count + 1, max worst p.Metrics.dur))
     m.Metrics.pauses;
-  let t =
-    Util.Table.create ~title:"Pause breakdown by kind"
-      ~headers:[ "Kind"; "Count"; "Total"; "Avg"; "Worst"; "Share" ]
-  in
   let cum = max 1 (Metrics.cumulative_pause m) in
-  let rows =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_kind []
+  Util.Table.print ~title:"Pause breakdown by kind"
+    ~headers:[ "Kind"; "Count"; "Total"; "Avg"; "Worst"; "Share" ]
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_kind []
     |> List.sort (fun (_, (a, _, _)) (_, (b, _, _)) -> compare b a)
-  in
-  let t =
-    List.fold_left
-      (fun t (kind, (total, count, worst)) ->
-        Util.Table.add_row t
-          [
-            Metrics.pause_kind_to_string kind;
-            string_of_int count;
-            Util.Units.pp_time_ns total;
-            Util.Units.pp_time_ns (total / max 1 count);
-            Util.Units.pp_time_ns worst;
-            Printf.sprintf "%.0f%%" (100. *. float_of_int total /. float_of_int cum);
-          ])
-      t rows
-  in
-  Util.Table.print t;
+    |> List.map (fun (kind, (total, count, worst)) ->
+           [
+             Metrics.pause_kind_to_string kind;
+             string_of_int count;
+             Util.Units.pp_time_ns total;
+             Util.Units.pp_time_ns (total / max 1 count);
+             Util.Units.pp_time_ns worst;
+             Printf.sprintf "%.0f%%"
+               (100. *. float_of_int total /. float_of_int cum);
+           ]));
   Harness.print_gc_report s

@@ -1,5 +1,10 @@
 (** Quickstart: run one workload on one collector and print a summary.
 
+    One call runs a simulation: [Exp.run e app ~mult ~mode] sizes the
+    heap at [mult] times the workload's minimum and drives it in a
+    {!Runtime.Driver.mode} — [Closed] here (peak throughput); [Open qps]
+    offers a fixed load and [Fixed n] times [n] requests.
+
     Usage: [dune exec examples/quickstart.exe [-- <collector> <workload>]]
     Defaults to Jade on the H2/TPC-C workload of the paper's §2.2.
     Collectors: jade, g1, g1-10ms, zgc, shenandoah, lxr, genz, genshen. *)
@@ -13,7 +18,7 @@ let () =
   let app = Workload.Apps.find workload in
   Printf.printf "Running %s on %s (closed loop, 8 cores, 4x heap)...\n%!"
     workload collector;
-  let s = Exp.max_throughput e app ~mult:4.0 in
+  let s = Exp.run e app ~mult:4.0 ~mode:Runtime.Driver.Closed in
   Printf.printf "throughput      : %.0f req/s\n" s.Harness.throughput;
   Printf.printf "p50 / p99 / max : %s / %s / %s\n"
     (Util.Units.pp_time_ns s.Harness.p50_latency)

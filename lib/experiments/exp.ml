@@ -1,14 +1,7 @@
 (** Experiment runners shared by the benchmark suite: heap sizing from a
-    minimum-heap anchor, peak-throughput measurement, critical-throughput
-    (throughput under a latency SLO) search, and latency/QPS sweeps. *)
-
-(** Fan a sweep's independent cells — one (collector x config) run each —
-    over [jobs] domains, results in cell order ({!Util.Dpool}).  Every
-    cell builds its own engine/heap/runtime and all simulator state is
-    domain-scoped, so the summaries (and any table rendered from them)
-    are byte-identical at any [jobs].  Cells must not print: a table
-    driver renders after the whole sweep returns. *)
-let sweep ?(jobs = 1) f cells = Util.Dpool.map_list ~jobs f cells
+    minimum-heap anchor, one run of a registered collector, and the
+    critical-throughput (throughput under a latency SLO) search.  A
+    sweep's independent cells fan out with {!Util.Dpool.map_list}. *)
 
 let mib = Util.Units.mib
 let ms = Util.Units.ms
@@ -31,8 +24,11 @@ let min_heap (app : Workload.Apps.t) =
   max (live * 7 / 5) (live + (4 * mib))
 
 let machine_for ?(cores = 8) (app : Workload.Apps.t) ~mult =
+  (* Saturate rather than overflow: a heap past [max_int] bytes is one
+     the layout check ({!Heap.Heap_impl.layout_error}) rejects. *)
   let heap_bytes =
-    max (4 * mib) (int_of_float (float_of_int (min_heap app) *. mult))
+    let x = float_of_int (min_heap app) *. mult in
+    max (4 * mib) (if x >= float_of_int max_int then max_int else int_of_float x)
   in
   (* Region granularity must track the heap: a 2,000-region production
      heap and a tiny DaCapo heap should both have enough regions for the
@@ -49,21 +45,15 @@ let machine_for ?(cores = 8) (app : Workload.Apps.t) ~mult =
   let heap_bytes = heap_bytes / region_bytes * region_bytes in
   { Harness.default_machine with Harness.heap_bytes; region_bytes; cores }
 
-(** Peak throughput: closed loop. *)
-let max_throughput ?cores ?(warmup = warmup) ?(duration = duration)
-    (e : Registry.entry) app ~mult =
-  Harness.run_closed
+(** One run of [e] on [app] at [mult] times its minimum heap, under
+    [mode] ({!Harness.run}), with this module's warmup and duration
+    windows by default. *)
+let run ?cores ?(warmup = warmup) ?(duration = duration) (e : Registry.entry)
+    app ~mult ~mode =
+  Harness.run
     ~machine:(machine_for ?cores app ~mult)
-    ~warmup ~duration ~install:e.Registry.install ~collector:e.Registry.name
-    app
-
-(** Throughput at a fixed offered load. *)
-let at_qps ?cores ?(warmup = warmup) ?(duration = duration)
-    (e : Registry.entry) app ~mult ~qps =
-  Harness.run_open
-    ~machine:(machine_for ?cores app ~mult)
-    ~warmup ~duration ~install:e.Registry.install ~collector:e.Registry.name
-    ~qps app
+    ~warmup ~duration ~mode ~install:e.Registry.install
+    ~collector:e.Registry.name app
 
 (** Critical throughput: the largest offered load whose p99 latency stays
     within [slo] (Specjbb2015's critical-jops metric).  Sweeps fractions
@@ -78,7 +68,10 @@ let critical_throughput ?cores (e : Registry.entry) app ~mult ~slo
       if qps > !best then begin
         (* A longer warmup lets the tight-heap configurations get past
            their startup promotion churn before measuring the SLO. *)
-        let s = at_qps ?cores ~warmup:(400 * ms) e app ~mult ~qps in
+        let s =
+          run ?cores ~warmup:(400 * ms) e app ~mult
+            ~mode:(Runtime.Driver.Open qps)
+        in
         if
           s.Harness.oom = None
           && s.Harness.p99_latency <= slo
@@ -88,9 +81,3 @@ let critical_throughput ?cores (e : Registry.entry) app ~mult ~slo
       end)
     fractions;
   !best
-
-(** Fixed-work execution time (DaCapo). *)
-let fixed_time ?cores ?requests (e : Registry.entry) app ~mult =
-  Harness.run_fixed
-    ~machine:(machine_for ?cores app ~mult)
-    ?requests ~install:e.Registry.install ~collector:e.Registry.name app

@@ -67,6 +67,16 @@ let verify_level ?verify () =
   [@@gcsim.allow
     "host-side harness: GCSIM_VERIFY env probe selects the sanitizer level"]
 
+(** The heap geometry {!prepare} builds for [machine]: the heap rounded
+    down to a whole number of regions, and at least 4 of them. *)
+let heap_config machine =
+  let heap_bytes =
+    max (4 * machine.region_bytes)
+      (machine.heap_bytes / machine.region_bytes * machine.region_bytes)
+  in
+  Heap.Heap_impl.config ~heap_bytes ~region_bytes:machine.region_bytes
+    ~pooling:machine.pooling ()
+
 (** Build engine+heap+runtime, install the collector, construct the
     workload's live set, and return the runtime plus a request closure.
     Raises {!Setup_oom} when the heap cannot even hold the live set.
@@ -77,17 +87,8 @@ let verify_level ?verify () =
     be on the engine before the first {!Sim.Engine.run}. *)
 let prepare ?(machine = default_machine) ?verify
     ?(attach = fun (_ : RtM.t) -> ()) ~install (app : Workload.Apps.t) =
-  (* Round the heap down to a whole number of regions (at least 4). *)
-  let heap_bytes =
-    max (4 * machine.region_bytes)
-      (machine.heap_bytes / machine.region_bytes * machine.region_bytes)
-  in
   let engine = Sim.Engine.create ~cores:machine.cores () in
-  let cfg =
-    Heap.Heap_impl.config ~heap_bytes ~region_bytes:machine.region_bytes
-      ~pooling:machine.pooling ()
-  in
-  let heap = Heap.Heap_impl.create cfg in
+  let heap = Heap.Heap_impl.create (heap_config machine) in
   let rt = RtM.create ~seed:machine.seed ~engine ~heap () in
   (* A detector left over from a previous in-process run must not observe
      this unrelated heap. *)
@@ -170,53 +171,26 @@ let summarize rt (app : Workload.Apps.t) ~collector
     metrics = m;
   }
 
-(** One closed-loop run: peak throughput.  [attach] observes the
-    runtime after collector+sanitizer install and before any simulation
-    (observability recorders, scheduling policies); an observer that
-    raises mid-run aborts the run loudly — the exception propagates out
-    of {!Sim.Engine.run} rather than silently corrupting metrics. *)
-let run_closed ?machine ?verify ?attach ?(warmup = 300 * Util.Units.ms)
-    ?(duration = 1_500 * Util.Units.ms) ~install ~collector app =
+(** One run of [app] under [mode]: [Closed] measures peak throughput,
+    [Open qps] a fixed offered load, and [Fixed n] the execution time of
+    [n] requests (DaCapo).  [Closed] and [Open] run [warmup] ns
+    unrecorded and then [duration] ns recorded; [Fixed] ignores both
+    ({!Runtime.Driver.run}).  [attach] observes the runtime after
+    collector+sanitizer install and before any simulation (observability
+    recorders, scheduling policies); an observer that raises mid-run
+    aborts the run loudly — the exception propagates out of
+    {!Sim.Engine.run} rather than silently corrupting metrics. *)
+let run ?machine ?verify ?attach ?(warmup = 300 * Util.Units.ms)
+    ?(duration = 1_500 * Util.Units.ms) ~mode ~install ~collector app =
   match prepare ?machine ?verify ?attach ~install app with
   | exception Setup_oom why -> oom_summary ~collector app why
   | rt, request ->
       let r =
         Runtime.Driver.run rt
-          ~n_mutators:app.Workload.Apps.spec.Workload.Spec.mutators
-          ~mode:Runtime.Driver.Closed ~warmup ~duration ~request ()
+          ~n_mutators:app.Workload.Apps.spec.Workload.Spec.mutators ~mode
+          ~warmup ~duration ~request ()
       in
       summarize rt app ~collector r
-
-(** One open-loop (throttled) run at a fixed QPS. *)
-let run_open ?machine ?verify ?attach ?(warmup = 300 * Util.Units.ms)
-    ?(duration = 1_500 * Util.Units.ms) ~install ~collector ~qps app =
-  match prepare ?machine ?verify ?attach ~install app with
-  | exception Setup_oom why -> oom_summary ~collector app why
-  | rt, request ->
-      let r =
-        Runtime.Driver.run rt
-          ~n_mutators:app.Workload.Apps.spec.Workload.Spec.mutators
-          ~mode:(Runtime.Driver.Open qps) ~warmup ~duration ~request ()
-      in
-      summarize rt app ~collector r
-
-(** Fixed-work run (DaCapo): the metric is execution time. *)
-let run_fixed ?machine ?verify ?attach ?requests ~install ~collector app =
-  match prepare ?machine ?verify ?attach ~install app with
-  | exception Setup_oom why -> oom_summary ~collector app why
-  | rt, request ->
-      let n =
-        match requests with
-        | Some n -> n
-        | None -> app.Workload.Apps.fixed_requests
-      in
-      let r =
-        Runtime.Driver.run rt
-          ~n_mutators:app.Workload.Apps.spec.Workload.Spec.mutators
-          ~mode:(Runtime.Driver.Fixed n) ~request ()
-      in
-      summarize rt app ~collector r
-
 
 (** Package a fixed-work run as a schedule-explorer scenario
     ({!Analysis.Explore.scenario}): each invocation rebuilds the whole

@@ -67,7 +67,7 @@ let find name =
 
 (** Parse a comma-separated collector list ("jade,g1,zgc") into entries,
     order preserved — the unit of fan-out for parallel sweeps
-    ({!Exp.sweep}) and [gcsim run -c a,b,c -j N]. *)
+    ({!Util.Dpool.map_list}) and [gcsim run -c a,b,c -j N]. *)
 let find_list names =
   String.split_on_char ',' names
   |> List.map String.trim

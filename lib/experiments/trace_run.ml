@@ -6,7 +6,7 @@
     event streams for the same parameters: the machine is derived with
     {!Exp.machine_for} (heap and region geometry from the workload), the
     seed overrides the default, and the run is fixed-work
-    ({!Harness.run_fixed}). *)
+    ([Harness.run ~mode:(Fixed requests)]). *)
 
 type result = {
   trace : Obs.Trace.t;
@@ -22,12 +22,13 @@ let machine_for ~cores ~mult ~seed (app : Workload.Apps.t) =
 let run ?verify ?(cores = 4) ?(mult = 1.5) ?(seed = 42) ?requests
     (entry : Registry.entry) (app : Workload.Apps.t) =
   let machine = machine_for ~cores ~mult ~seed app in
+  let requests = Option.value requests ~default:app.Workload.Apps.fixed_requests in
   let trace = ref None in
   let summary =
-    Harness.run_fixed ~machine ?verify
+    Harness.run ~machine ?verify
       ~attach:(fun rt -> trace := Some (Obs.Trace.attach rt))
-      ?requests ~install:entry.Registry.install ~collector:entry.Registry.name
-      app
+      ~mode:(Runtime.Driver.Fixed requests) ~install:entry.Registry.install
+      ~collector:entry.Registry.name app
   in
   match !trace with
   | Some trace -> { trace; summary; machine }

@@ -9,8 +9,8 @@
 type t = {
   (* Allocation *)
   alloc_fast : int;  (** TLAB bump allocation, per object *)
-  alloc_tlab_refill : int;  (** claim a new TLAB chunk (CAS + zeroing setup) *)
-  alloc_region_claim : int;  (** slow path: claim a fresh region *)
+  alloc_tlab_refill : int;
+      (** claim a fresh region as the mutator's TLAB (CAS + zeroing setup) *)
   (* Copying / marking *)
   copy_per_byte_x10 : int;  (** object copy, tenths of ns per byte *)
   mark_obj : int;  (** visit one object during marking *)
@@ -51,7 +51,6 @@ let default =
   {
     alloc_fast = 14;
     alloc_tlab_refill = 450;
-    alloc_region_claim = 900;
     copy_per_byte_x10 = 10; (* 1 ns/byte ~ 1 GB/s per thread *)
     mark_obj = 16;
     mark_per_byte_x10 = 20; (* 2 ns/byte: ~0.5 GB/s tracing per thread *)

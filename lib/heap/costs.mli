@@ -12,8 +12,8 @@
 type t = {
   (* Allocation *)
   alloc_fast : int;  (** TLAB bump allocation, per object *)
-  alloc_tlab_refill : int;  (** claim a new TLAB chunk (CAS + zeroing setup) *)
-  alloc_region_claim : int;  (** slow path: claim a fresh region *)
+  alloc_tlab_refill : int;
+      (** claim a fresh region as the mutator's TLAB (CAS + zeroing setup) *)
   (* Copying / marking *)
   copy_per_byte_x10 : int;  (** object copy, tenths of ns per byte *)
   mark_obj : int;  (** visit one object during marking *)

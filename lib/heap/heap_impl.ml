@@ -94,20 +94,35 @@ type t = {
           costs one load and one branch. *)
 }
 
+(* The packed object header ([Gobj.t]'s [loc] and [meta] words) holds
+   region ids, offsets and object sizes without a per-object test: ids
+   are bounded by the stricter CRDT limit, offsets and sizes by the
+   region size. *)
+let layout_error cfg =
+  let nregions = cfg.heap_bytes / cfg.region_bytes in
+  if nregions < 2 then Some (`Regions, "need at least two regions")
+  else if nregions > Crdt.max_region_id then
+    Some
+      ( `Regions,
+        Printf.sprintf "%d regions, more than the %d the CRDT encoding names"
+          nregions Crdt.max_region_id )
+  else if cfg.region_bytes > Gobj.max_region_bytes then
+    Some
+      ( `Region_bytes,
+        Printf.sprintf "%s regions, larger than the %s the object header \
+                        addresses"
+          (Util.Units.pp_bytes cfg.region_bytes)
+          (Util.Units.pp_bytes Gobj.max_region_bytes) )
+  else None
+
 let create cfg =
   (* A fresh heap is a fresh simulated world: restart the uid space so
      runs are byte-reproducible within one process (replay needs it). *)
   Gobj.reset_uids ();
+  Option.iter
+    (fun (_, why) -> invalid_arg ("Heap.create: " ^ why))
+    (layout_error cfg);
   let nregions = cfg.heap_bytes / cfg.region_bytes in
-  if nregions < 2 then invalid_arg "Heap.create: need at least two regions";
-  if nregions > Crdt.max_region_id then
-    invalid_arg "Heap.create: too many regions for CRDT encoding";
-  (* The packed object header ([Gobj.t]'s [loc] and [meta] words) holds
-     region ids, offsets and object sizes without a per-object test: ids
-     are bounded by the stricter CRDT limit above, offsets and sizes by
-     the region size. *)
-  if cfg.region_bytes > Gobj.max_region_bytes then
-    invalid_arg "Heap.create: region_bytes too large for the object header";
   let regions =
     Array.init nregions (fun rid ->
         Region.make ~card_bytes ~rid ~size:cfg.region_bytes ())

@@ -93,10 +93,17 @@ type t = {
           costs one load and one branch. *)
 }
 
+val layout_error : config -> ([ `Regions | `Region_bytes ] * string) option
+(** Why {!create} rejects [config]'s geometry, or [None] when it builds
+    it: [`Regions] when the region count is out of range (at least two,
+    at most what the CRDT encoding names), [`Region_bytes] when a region
+    is larger than the object header addresses. *)
+
 val create : config -> t
 (** Build a fresh heap with every region free.  Restarts the uid space
     ({!Gobj.reset_uids}): a fresh heap is a fresh simulated world, and
-    runs must be byte-reproducible within one process (replay needs it). *)
+    runs must be byte-reproducible within one process (replay needs it).
+    Raises [Invalid_argument] for a geometry {!layout_error} rejects. *)
 
 (** {2 Geometry and occupancy} *)
 

@@ -13,7 +13,6 @@ type pause_kind =
   | Rc_epoch  (** LXR reference-count processing pause *)
   | Degenerated  (** Shenandoah degenerated cycle *)
   | Full_gc
-  | Weak_refs
   | Alloc_stall  (** mutator stalled on allocation: same effect as a pause *)
 
 let pause_kind_to_string = function
@@ -25,7 +24,6 @@ let pause_kind_to_string = function
   | Rc_epoch -> "rc-epoch"
   | Degenerated -> "degenerated"
   | Full_gc -> "full-gc"
-  | Weak_refs -> "weak-refs"
   | Alloc_stall -> "alloc-stall"
 
 type pause = { at : int; dur : int; kind : pause_kind }

@@ -3,14 +3,7 @@
     Columns are sized to their widest cell; the first column is
     left-aligned, the rest right-aligned (numbers read better that way). *)
 
-type t = { title : string; headers : string list; rows : string list list }
-
-let create ~title ~headers = { title; headers; rows = [] }
-
-let add_row t row = { t with rows = t.rows @ [ row ] }
-
-let widths t =
-  let all = t.headers :: t.rows in
+let widths all =
   let ncols = List.fold_left (fun m r -> max m (List.length r)) 0 all in
   let w = Array.make ncols 0 in
   List.iter
@@ -35,8 +28,8 @@ let render_row w row =
   in
   "| " ^ String.concat " | " cells ^ " |"
 
-let render t =
-  let w = widths t in
+let render ~title ~headers rows =
+  let w = widths (headers :: rows) in
   let sep =
     "+"
     ^ String.concat "+"
@@ -44,12 +37,12 @@ let render t =
     ^ "+"
   in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf ("== " ^ t.title ^ " ==\n");
+  Buffer.add_string buf ("== " ^ title ^ " ==\n");
   Buffer.add_string buf (sep ^ "\n");
-  Buffer.add_string buf (render_row w t.headers ^ "\n");
+  Buffer.add_string buf (render_row w headers ^ "\n");
   Buffer.add_string buf (sep ^ "\n");
-  List.iter (fun r -> Buffer.add_string buf (render_row w r ^ "\n")) t.rows;
+  List.iter (fun r -> Buffer.add_string buf (render_row w r ^ "\n")) rows;
   Buffer.add_string buf (sep ^ "\n");
   Buffer.contents buf
 
-let print t = print_string (render t)
+let print ~title ~headers rows = print_string (render ~title ~headers rows)

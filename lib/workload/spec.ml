@@ -48,6 +48,20 @@ let num_slots t = max 1 (t.live_bytes / chain_bytes t)
 
 let seg_fanout t = (num_slots t + dir_fanout - 1) / dir_fanout
 
+(** The largest object the workload allocates, in bytes: a region must
+    hold it.  The directory, its segments, the store nodes, the
+    per-mutator survivor pool (when there are survivors) and the largest
+    temp. *)
+let largest_object t =
+  let refs_only nrefs = Heap.Heap_impl.object_size ~nrefs ~data_bytes:0 in
+  List.fold_left max (node_size t)
+    [
+      refs_only dir_fanout;
+      refs_only (seg_fanout t);
+      (if t.survivors > 0 then refs_only t.pool_slots else 0);
+      Heap.Heap_impl.object_size ~nrefs:1 ~data_bytes:t.temp_data_max;
+    ]
+
 (** Rough bytes allocated per request (for allocation-rate estimates). *)
 let alloc_bytes_per_request t =
   let temp_avg =

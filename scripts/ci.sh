@@ -179,6 +179,18 @@ diff -u BENCH_obs.json "$obs_dir/BENCH_obs.json"
 rm -rf "$obs_dir"
 echo "BENCH_obs.json reproduced"
 
+echo "== table1 fence (quick Table 1 reproduces BENCH_table1_quick.txt) =="
+# Quick Table 1 simulates four collectors on H2 in about ten seconds;
+# every number it prints is simulated, so the output is byte-identical
+# across hosts and -j N.  Only the host-time "done in" line is dropped.
+# A change that moves a Table 1 metric must re-bless the file:
+#   dune exec bench/main.exe -- --quick table1 \
+#     | grep -v '^<<< .* done in ' > BENCH_table1_quick.txt
+"$root/_build/default/bench/main.exe" --quick -j 2 table1 \
+  | grep -v '^<<< .* done in ' > /tmp/ci_table1_quick.txt
+diff -u BENCH_table1_quick.txt /tmp/ci_table1_quick.txt
+echo "BENCH_table1_quick.txt reproduced"
+
 echo "== benchmark fingerprint fence (bench/perf at seed 42) =="
 # One repetition of each bench/perf workload.  Each workload's
 # fingerprint digests exact integers of every simulation's end state

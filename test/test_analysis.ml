@@ -91,8 +91,10 @@ let test_verified_fixed_work_all_collectors () =
   List.iter
     (fun (name, install) ->
       let s =
-        Experiments.Harness.run_fixed ~machine:(machine 24)
-          ~verify:Analysis.Sanitizer.Full ~install ~collector:name app
+        Experiments.Harness.run ~machine:(machine 24)
+          ~verify:Analysis.Sanitizer.Full
+          ~mode:(Runtime.Driver.Fixed app.Workload.Apps.fixed_requests)
+          ~install ~collector:name app
       in
       Alcotest.(check bool)
         (name ^ " completed fixed work under full verification")
@@ -113,10 +115,11 @@ let test_verified_fixed_work_all_collectors () =
 let test_verified_open_loop () =
   let app = small_app 6 in
   let s =
-    Experiments.Harness.run_open ~machine:(machine 24)
+    Experiments.Harness.run ~machine:(machine 24)
       ~verify:Analysis.Sanitizer.Full
       ~install:(fun rt -> ignore (Collectors.G1.install rt))
-      ~collector:"g1" ~qps:5000. ~warmup:(100 * ms) ~duration:(400 * ms) app
+      ~collector:"g1" ~mode:(Runtime.Driver.Open 5000.) ~warmup:(100 * ms)
+      ~duration:(400 * ms) app
   in
   Alcotest.(check bool) "p99 >= p50" true
     (s.Experiments.Harness.p99_latency >= s.Experiments.Harness.p50_latency);
@@ -129,7 +132,7 @@ let test_sanitizer_does_not_perturb_metrics () =
      a run without it. *)
   let app = small_app 6 in
   let run verify =
-    Experiments.Harness.run_closed ~machine:(machine 20) ~verify
+    Experiments.Harness.run ~mode:Runtime.Driver.Closed ~machine:(machine 20) ~verify
       ~install:(fun rt -> ignore (Jade.Collector.install rt))
       ~collector:"jade" ~warmup:(100 * ms) ~duration:(400 * ms) app
   in
@@ -292,7 +295,7 @@ let test_planted_remset_bug_end_to_end () =
     { Jade.Jade_config.default with planted_bug = Jade.Jade_config.Skip_remset_insert }
   in
   match
-    Experiments.Harness.run_closed ~machine:(machine 20)
+    Experiments.Harness.run ~mode:Runtime.Driver.Closed ~machine:(machine 20)
       ~verify:Analysis.Sanitizer.Full
       ~install:(fun rt -> ignore (Jade.Collector.install ~config rt))
       ~collector:"jade" ~warmup:(100 * ms) ~duration:(600 * ms) app

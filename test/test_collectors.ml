@@ -95,7 +95,7 @@ let verify_free_accounting rt =
 
 let run_once ~heap_bytes ~seed install =
   let machine = { (machine heap_bytes) with Experiments.Harness.seed } in
-  Experiments.Harness.run_closed ~machine ~install ~collector:"x"
+  Experiments.Harness.run ~mode:Runtime.Driver.Closed ~machine ~install ~collector:"x"
     ~warmup:(100 * ms) ~duration:(300 * ms) test_app
 
 (* One test per collector: run under a comfortable heap, verify heap
@@ -396,7 +396,7 @@ let test_g1_pause_target_binds () =
   let machine = Experiments.Exp.machine_for ~cores:8 app ~mult:4.0 in
   let pauses name =
     let e = Experiments.Registry.find name in
-    (Experiments.Harness.run_closed ~machine ~warmup:(50 * ms)
+    (Experiments.Harness.run ~mode:Runtime.Driver.Closed ~machine ~warmup:(50 * ms)
        ~duration:(200 * ms) ~install:e.Experiments.Registry.install
        ~collector:name app)
       .Experiments.Harness.pause_count

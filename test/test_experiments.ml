@@ -90,7 +90,8 @@ let run_det ?(pooling = true) () =
     { Experiments.Harness.default_machine with
       Experiments.Harness.heap_bytes = 16 * mib; cores = 2; pooling }
   in
-  Experiments.Harness.run_fixed ~machine
+  Experiments.Harness.run ~machine
+    ~mode:(Runtime.Driver.Fixed det_app.Workload.Apps.fixed_requests)
     ~install:(fun rt -> ignore (Jade.Collector.install rt))
     ~collector:"jade" det_app
 
@@ -164,7 +165,7 @@ let run_cell (e : Experiments.Registry.entry) (app, mult, seed) ~pooling =
       Experiments.Harness.seed; pooling }
   in
   fingerprint
-    (Experiments.Harness.run_fixed ~machine ~requests:4_000
+    (Experiments.Harness.run ~machine ~mode:(Runtime.Driver.Fixed 4_000)
        ~install:e.Experiments.Registry.install
        ~collector:e.Experiments.Registry.name app)
 
@@ -204,11 +205,29 @@ let test_pooling_lxr_divergence () =
         (pooling_visible e cell))
     lxr_divergent
 
+(* Fixed work ignores the measurement windows: a [Fixed n] run gives
+   the same summary with and without [~warmup]/[~duration]. *)
+let test_fixed_mode_ignores_windows () =
+  let app = Workload.Apps.find "avrora" in
+  let run ?warmup ?duration () =
+    fingerprint
+      (Experiments.Harness.run
+         ~machine:(Experiments.Exp.machine_for ~cores:2 app ~mult:3.0)
+         ?warmup ?duration ~mode:(Runtime.Driver.Fixed 1_000)
+         ~install:Experiments.Registry.g1.Experiments.Registry.install
+         ~collector:"g1" app)
+  in
+  let plain = run () in
+  Alcotest.(check bool) "same summary with windows" true
+    (plain = run ~warmup:(50 * Util.Units.ms) ~duration:(20 * Util.Units.ms) ());
+  Alcotest.(check bool) "same summary with zero windows" true
+    (plain = run ~warmup:0 ~duration:0 ())
+
 let test_summary_cpu_split () =
   let app = Workload.Apps.find "avrora" in
   let s =
-    Experiments.Exp.fixed_time ~cores:2 ~requests:2_000 Experiments.Registry.g1
-      app ~mult:3.0
+    Experiments.Exp.run ~cores:2 Experiments.Registry.g1 app ~mult:3.0
+      ~mode:(Runtime.Driver.Fixed 2_000)
   in
   Alcotest.(check bool) "mutator cpu positive" true (s.Experiments.Harness.cpu_mutator > 0);
   Alcotest.(check bool) "cpu utilization sane" true
@@ -235,6 +254,8 @@ let () =
           Alcotest.test_case "deterministic summary" `Slow
             test_fixed_run_deterministic_summary;
           Alcotest.test_case "cpu split" `Slow test_summary_cpu_split;
+          Alcotest.test_case "fixed mode ignores windows" `Slow
+            test_fixed_mode_ignores_windows;
           Alcotest.test_case "pooling invisible" `Slow test_pooling_invisible;
           Alcotest.test_case "pooling visible to lxr (ROADMAP item 4)" `Slow
             test_pooling_lxr_divergence;

@@ -70,8 +70,8 @@ let small_machine =
 let test_zero_policy_is_bit_identical () =
   let app = Workload.Apps.find "avrora" in
   let run ?attach () =
-    Experiments.Harness.run_fixed ~machine:small_machine ?attach
-      ~requests:2_000
+    Experiments.Harness.run ~machine:small_machine ?attach
+      ~mode:(Runtime.Driver.Fixed 2_000)
       ~install:(fun rt -> ignore (Jade.Collector.install rt))
       ~collector:"jade" app
   in

@@ -47,8 +47,9 @@ let test_fixed_work_all_collectors () =
     List.map
       (fun (name, install) ->
         let s =
-          Experiments.Harness.run_fixed ~machine:(machine 24) ~install
-            ~collector:name app
+          Experiments.Harness.run ~machine:(machine 24)
+            ~mode:(Runtime.Driver.Fixed app.Workload.Apps.fixed_requests)
+            ~install ~collector:name app
         in
         Alcotest.(check bool) (name ^ " completed fixed work") true
           (s.Experiments.Harness.completed = app.Workload.Apps.fixed_requests);
@@ -79,8 +80,9 @@ let test_undersized_heap_reports_oom () =
      not a hang or a crash. *)
   let app = small_app 12 in
   let s =
-    Experiments.Harness.run_fixed ~machine:(machine 8) ~install:install_g1
-      ~collector:"g1" app
+    Experiments.Harness.run ~machine:(machine 8)
+      ~mode:(Runtime.Driver.Fixed app.Workload.Apps.fixed_requests)
+      ~install:install_g1 ~collector:"g1" app
   in
   Alcotest.(check bool) "OOM reported" true (s.Experiments.Harness.oom <> None)
 
@@ -89,8 +91,9 @@ let test_open_loop_latency_includes_pauses () =
      latency: p99 >= p50. *)
   let app = small_app 6 in
   let s =
-    Experiments.Harness.run_open ~machine:(machine 24) ~install:install_g1
-      ~collector:"g1" ~qps:5000. ~warmup:(100 * ms) ~duration:(500 * ms) app
+    Experiments.Harness.run ~machine:(machine 24) ~install:install_g1
+      ~collector:"g1" ~mode:(Runtime.Driver.Open 5000.) ~warmup:(100 * ms)
+      ~duration:(500 * ms) app
   in
   Alcotest.(check bool) "p99 >= p50" true
     (s.Experiments.Harness.p99_latency >= s.Experiments.Harness.p50_latency);
@@ -115,7 +118,7 @@ let test_weak_refs_cleared_end_to_end () =
            Runtime.Mutator.finish m))
   in
   ignore
-    (Experiments.Harness.run_closed ~machine ~install ~collector:"jade"
+    (Experiments.Harness.run ~mode:Runtime.Driver.Closed ~machine ~install ~collector:"jade"
        ~warmup:(100 * ms) ~duration:(400 * ms) app);
   match !planted with
   | None -> Alcotest.fail "the planter never ran"
@@ -128,7 +131,7 @@ let test_weak_refs_cleared_end_to_end () =
 let test_phase_accounting_consistent () =
   let app = small_app 6 in
   let s =
-    Experiments.Harness.run_closed ~machine:(machine 20) ~install:install_jade
+    Experiments.Harness.run ~mode:Runtime.Driver.Closed ~machine:(machine 20) ~install:install_jade
       ~collector:"jade" ~warmup:(100 * ms) ~duration:(400 * ms) app
   in
   let m = s.Experiments.Harness.metrics in
@@ -142,7 +145,7 @@ let test_phase_accounting_consistent () =
 let test_throughput_scales_with_cores () =
   let app = small_app 4 in
   let run cores =
-    (Experiments.Harness.run_closed
+    (Experiments.Harness.run ~mode:Runtime.Driver.Closed
        ~machine:(machine ~cores 24)
        ~install:install_g1 ~collector:"g1" ~warmup:(100 * ms)
        ~duration:(300 * ms) app)
@@ -160,7 +163,7 @@ let test_heap_size_sensitivity () =
   let app = small_app 6 in
   let run heap_mib =
     let s =
-      Experiments.Harness.run_closed ~machine:(machine heap_mib)
+      Experiments.Harness.run ~mode:Runtime.Driver.Closed ~machine:(machine heap_mib)
         ~install:install_jade ~collector:"jade" ~warmup:(100 * ms)
         ~duration:(400 * ms) app
     in

@@ -243,7 +243,7 @@ let test_zero_perturbation () =
           ~seed:TR.Golden.seed app
       in
       let untraced =
-        Harness.run_fixed ~machine ~requests:TR.Golden.requests
+        Harness.run ~machine ~mode:(Runtime.Driver.Fixed TR.Golden.requests)
           ~install:e.Registry.install ~collector:e.Registry.name app
       in
       let traced = (golden_run e).TR.summary in
@@ -273,7 +273,7 @@ let test_raising_observer_fails_loudly () =
            if !seen > 40 then failwith "observer exploded"))
   in
   match
-    Harness.run_fixed ~machine ~attach ~requests:TR.Golden.requests
+    Harness.run ~machine ~attach ~mode:(Runtime.Driver.Fixed TR.Golden.requests)
       ~install:e.Registry.install ~collector:e.Registry.name app
   with
   | exception Failure msg ->

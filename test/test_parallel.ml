@@ -115,33 +115,28 @@ let render_sweep ~jobs =
       entries
   in
   let summaries =
-    Experiments.Exp.sweep ~jobs
+    Util.Dpool.map_list ~jobs
       (fun ((e : Experiments.Registry.entry), heap_bytes) ->
-        Experiments.Harness.run_fixed
+        Experiments.Harness.run
           ~machine:{ sweep_machine with Experiments.Harness.heap_bytes }
-          ~requests:1_000 ~install:e.Experiments.Registry.install
+          ~mode:(Runtime.Driver.Fixed 1_000)
+          ~install:e.Experiments.Registry.install
           ~collector:e.Experiments.Registry.name app)
       cells
   in
-  let t =
-    Util.Table.create ~title:"parallel sweep fence"
-      ~headers:[ "Collector"; "Heap"; "Completed"; "Elapsed"; "p99" ]
-  in
-  let t =
-    List.fold_left2
-      (fun t ((e : Experiments.Registry.entry), h)
-           (s : Experiments.Harness.summary) ->
-        Util.Table.add_row t
-          [
-            e.Experiments.Registry.name;
-            string_of_int (h / mib);
-            string_of_int s.Experiments.Harness.completed;
-            string_of_int s.Experiments.Harness.elapsed;
-            string_of_int s.Experiments.Harness.p99_latency;
-          ])
-      t cells summaries
-  in
-  Util.Table.render t
+  Util.Table.render ~title:"parallel sweep fence"
+    ~headers:[ "Collector"; "Heap"; "Completed"; "Elapsed"; "p99" ]
+    (List.map2
+       (fun ((e : Experiments.Registry.entry), h)
+            (s : Experiments.Harness.summary) ->
+         [
+           e.Experiments.Registry.name;
+           string_of_int (h / mib);
+           string_of_int s.Experiments.Harness.completed;
+           string_of_int s.Experiments.Harness.elapsed;
+           string_of_int s.Experiments.Harness.p99_latency;
+         ])
+       cells summaries)
 
 let test_table_sweep_fence () =
   Alcotest.(check string) "rendered table identical at -j 1 / -j 3"
@@ -197,8 +192,8 @@ let fixed_run which =
   let e =
     if which = 0 then Experiments.Registry.jade else Experiments.Registry.g1
   in
-  Experiments.Harness.run_fixed ~machine:sweep_machine ~requests:1_500
-    ~install:e.Experiments.Registry.install
+  Experiments.Harness.run ~machine:sweep_machine
+    ~mode:(Runtime.Driver.Fixed 1_500) ~install:e.Experiments.Registry.install
     ~collector:e.Experiments.Registry.name app
 
 let check_summaries_equal name (a : Experiments.Harness.summary)

@@ -263,7 +263,7 @@ let test_tight_heap_ordering () =
       { (Experiments.Exp.machine_for ~cores:4 app ~mult:1.5) with
         Experiments.Harness.seed = 7 }
     in
-    (Experiments.Harness.run_closed ~machine ~install ~collector:"x"
+    (Experiments.Harness.run ~mode:Runtime.Driver.Closed ~machine ~install ~collector:"x"
        ~warmup:(300 * ms) ~duration:(700 * ms) app)
       .Experiments.Harness.throughput
   in

@@ -231,7 +231,7 @@ let test_same_seed_workload_determinism () =
   let entry = Experiments.Registry.jade in
   let run () =
     render_summary
-      (Experiments.Harness.run_closed ~machine ~warmup:(20 * ms)
+      (Experiments.Harness.run ~mode:Runtime.Driver.Closed ~machine ~warmup:(20 * ms)
          ~duration:(80 * ms) ~install:entry.Experiments.Registry.install
          ~collector:entry.Experiments.Registry.name app)
   in
