@@ -13,15 +13,12 @@ let quick = Bench_options.quick
 
 let kib = Util.Units.kib
 
-(* Synthetic old regions with a pseudo-random liveness profile.  One
-   card per region: the grouping benchmark reads liveness metadata only,
-   and default-granularity block-offset tables for 2048 synthetic
-   regions would put ~16 MB of live arrays on the host heap — pure
-   drag on the GC stabilization bechamel runs between samples. *)
+(* Synthetic old regions with a pseudo-random liveness profile.  No
+   object is pushed, so no region allocates its block-offset table. *)
 let make_regions n =
   let prng = Util.Prng.create 17 in
   List.init n (fun rid ->
-      let r = Heap.Region.make ~card_bytes:(512 * kib) ~rid ~size:(512 * kib) () in
+      let r = Heap.Region.make ~rid ~size:(512 * kib) in
       r.Heap.Region.kind <- Heap.Region.Old;
       r.Heap.Region.top <- 512 * kib;
       r.Heap.Region.live_bytes <- Util.Prng.int prng (512 * kib);

@@ -16,7 +16,7 @@ let () =
   let prng = Util.Prng.create 2024 in
   let regions =
     List.init nregions (fun rid ->
-        let r = Heap.Region.make ~rid ~size:region_bytes () in
+        let r = Heap.Region.make ~rid ~size:region_bytes in
         r.Heap.Region.kind <- Heap.Region.Old;
         r.Heap.Region.top <- region_bytes;
         (* A bimodal liveness profile: most regions churny, some dense. *)

@@ -120,8 +120,8 @@ let check_accounting t =
       (H.used_bytes heap) !sum;
   if !free <> H.free_regions heap then
     emit t ~invariant:"free-region-count"
-      "free_count=%d but %d regions are in state Free" (H.free_regions heap)
-      !free
+      "free list holds %d regions but %d are in state Free"
+      (H.free_regions heap) !free
 
 (* ------------------------------------------------------------------ *)
 (* Region layout and forwarding consistency.                            *)

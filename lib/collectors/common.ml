@@ -48,7 +48,7 @@ let stw_ticker rt = Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
 (** Return [r] to the free list, billing the region reset to [tk]. *)
 let release_region rt tk r =
   Heap_impl.release_region rt.RtM.heap r;
-  Ticker.tick tk rt.RtM.costs.Costs.region_reset
+  Ticker.tick tk Costs.region_reset
 
 (** Concurrent GC threads of every baseline collector. *)
 let gc_threads = 2
@@ -87,11 +87,10 @@ let run_workers rt ~n ~name f =
 (** Scan all root sets, calling [f] on each live root; bills root-scan
     cost to the calling fiber (used under STW or at init-mark). *)
 let scan_roots rt (tk : Ticker.t) f =
-  let costs = rt.RtM.costs in
   RtM.iter_roots rt (fun o ->
       (* Empty slots (the null sentinel) still bill a root-scan tick:
          the stack scan touches every slot either way. *)
-      Ticker.tick tk costs.Costs.root_scan;
+      Ticker.tick tk Costs.root_scan;
       if o != Gobj.null then f (Gobj.resolve o))
 
 (* ------------------------------------------------------------------ *)
@@ -161,9 +160,9 @@ module Marker = struct
   (** The SATB pre-write barrier over the markers [ms]: while any of them
       marks, bill one barrier and snapshot the overwritten value into
       every active queue. *)
-  let pre_write costs ms (old_v : Gobj.t) =
+  let pre_write ms (old_v : Gobj.t) =
     if List.exists is_active ms then begin
-      Sim.Engine.tick costs.Costs.satb_barrier;
+      Sim.Engine.tick Costs.satb_barrier;
       if old_v != Gobj.null then enqueue_all ms old_v
     end
 
@@ -173,28 +172,27 @@ module Marker = struct
      per-reference CAS and the compressed-oops tax apply (§2.4). *)
   let visit t (tk : Ticker.t) (o : Gobj.t) =
     let heap = t.rt.RtM.heap in
-    let costs = t.rt.RtM.costs in
-    let size_cost = Costs.mark_size_cost costs (Gobj.size o) in
+    let size_cost = Costs.mark_size_cost (Gobj.size o) in
     let size_cost =
       if t.atomic_cost then
-        size_cost * (100 + costs.Costs.compressed_oops_tax_pct) / 100
+        size_cost * (100 + Costs.compressed_oops_tax_pct) / 100
       else size_cost
     in
-    Ticker.tick tk (costs.Costs.mark_obj + size_cost);
+    Ticker.tick tk (Costs.mark_obj + size_cost);
     let nf = Gobj.num_fields o in
     for i = 0 to nf - 1 do
-      Ticker.tick tk costs.Costs.mark_ref;
-      if t.atomic_cost then Ticker.tick tk costs.Costs.mark_atomic;
+      Ticker.tick tk Costs.mark_ref;
+      if t.atomic_cost then Ticker.tick tk Costs.mark_atomic;
       let child = Gobj.get_field o i in
       if child != Gobj.null then begin
         let child' = Gobj.resolve child in
         if t.remap && child' != child then begin
-          Ticker.tick tk costs.Costs.heal;
+          Ticker.tick tk Costs.heal;
           Gobj.set_field o i child'
         end;
         (match t.crdt with
         | Some crdt when Gobj.region child' <> Gobj.region o ->
-            Ticker.tick tk costs.Costs.crdt_record;
+            Ticker.tick tk Costs.crdt_record;
             Crdt.record crdt ~card:(Heap_impl.card_of_field heap o i)
               ~rid:(Gobj.region child')
         | _ -> ());
@@ -327,7 +325,7 @@ module Evac = struct
     in
     Heap_impl.push_relocated heap r copy;
     Gobj.set_forward ~hooks:heap.Heap_impl.hooks ~site o copy;
-    Ticker.tick tk (Costs.copy_cost rt.RtM.costs (Gobj.size o));
+    Ticker.tick tk (Costs.copy_cost (Gobj.size o));
     copy
 
   (** Copy [o] to [d], installing the forwarding pointer; returns the new
@@ -456,7 +454,6 @@ let parallel_drain rt ~n ~name ?(stop = fun () -> false) ~init items f =
     Shenandoah's update-refs phase which walks the whole heap. *)
 let update_refs_in_region rt (tk : Ticker.t) (region : Region.t) =
   let heap = rt.RtM.heap in
-  let costs = rt.RtM.costs in
   Util.Vec.iter
     (fun (o : Gobj.t) ->
       if
@@ -464,38 +461,32 @@ let update_refs_in_region rt (tk : Ticker.t) (region : Region.t) =
         || region.Region.alloc_epoch >= heap.Heap_impl.mark_epoch
       then begin
         Ticker.tick tk
-          (costs.Costs.mark_obj + Costs.mark_size_cost costs (Gobj.size o));
+          (Costs.mark_obj + Costs.mark_size_cost (Gobj.size o));
         for i = 0 to Gobj.num_fields o - 1 do
-          Ticker.tick tk costs.Costs.mark_ref;
+          Ticker.tick tk Costs.mark_ref;
           let child = Gobj.get_field o i in
           if Gobj.is_forwarded child then begin
-            Ticker.tick tk costs.Costs.heal;
+            Ticker.tick tk Costs.heal;
             Gobj.set_field o i (Gobj.resolve child)
           end
         done
       end)
     region.Region.objects
 
-(** A card heal's per-worker context: the worker's ticker and the heal
-    cost, built once per worker so that {!update_refs_in_card} allocates
-    nothing per card. *)
-type healer = { heal_tk : Ticker.t; heal_cost : int }
-
-let healer rt tk = { heal_tk = tk; heal_cost = rt.RtM.costs.Costs.heal }
-
-let heal_slot h o i =
+let heal_slot tk o i =
   let child = Gobj.get_field o i in
   if Gobj.is_forwarded child then begin
-    Ticker.tick h.heal_tk h.heal_cost;
+    Ticker.tick tk Costs.heal;
     Gobj.set_field o i (Gobj.resolve child)
   end
 
 (** Scan one card, fixing stale references in the slots it covers; the
     remembered-set consumers (Young_gen's update-refs, Jade group
-    heals). *)
-let update_refs_in_card rt h card =
-  Ticker.tick h.heal_tk rt.RtM.costs.Costs.card_scan;
-  Heap_impl.scan_card rt.RtM.heap card h ~f:heal_slot
+    heals).  The worker's ticker is the scan's context, so a card
+    allocates nothing. *)
+let update_refs_in_card rt tk card =
+  Ticker.tick tk Costs.card_scan;
+  Heap_impl.scan_card rt.RtM.heap card tk ~f:heal_slot
 
 (** Release humongous regions whose object died per the just-completed
     mark (G1's "eager reclaim"; every collector needs it because
@@ -666,7 +657,7 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
         heap.Heap_impl.regions;
       RtM.update_roots rt;
       let cleared = Heap_impl.process_weak_refs_marked heap in
-      Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
+      Ticker.tick tk (cleared * Costs.weak_ref_process);
       Ticker.flush tk;
       Metrics.add metrics "full_gc_count" 1;
       RtM.notify_memory_freed rt;

@@ -38,7 +38,6 @@ type t = {
 (* Take mixed candidates while the predicted pause fits in the budget:
    copying cost plus remembered-set card scans (G1's pause prediction). *)
 let take_mixed_slice t =
-  let costs = t.rt.RtM.costs in
   let budget = ref (t.pause_target - t.last_pause_est) in
   let slice = ref [] and n = ref 0 in
   let continue_ = ref true in
@@ -51,9 +50,8 @@ let take_mixed_slice t =
            reference-fixing sweep, shared by the STW workers.  The 3x
            factor over raw copy cost matches measured mixed pauses. *)
         let est =
-          (3 * Costs.copy_cost costs r.Region.live_bytes)
-          + (Region_remsets.cardinal t.remsets r.Region.rid
-            * costs.Costs.card_scan)
+          (3 * Costs.copy_cost r.Region.live_bytes)
+          + (Region_remsets.cardinal t.remsets r.Region.rid * Costs.card_scan)
         in
         let est = est / max 1 stw_workers in
         if (!n > 0 && est > !budget) || r.Region.kind <> Region.Old then begin
@@ -131,7 +129,7 @@ let run_mark_cycle t =
   Common.Marker.cycle t.marker ~final:Metrics.Remark
     ~workers:Common.gc_threads ~at_final:(fun tk ->
       let cleared = Heap_impl.process_weak_refs_marked heap in
-      Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process));
+      Common.Ticker.tick tk (cleared * Costs.weak_ref_process));
   Metrics.phase_end metrics "g1.conc_mark" ~now:(Sim.Engine.now rt.RtM.engine);
   (* Concurrent remembered-set rebuild: scan every dirty card, record
      cross-region references, clean the card (Table 7's G1 "Build"). *)
@@ -151,7 +149,7 @@ let run_mark_cycle t =
       let lo = w * chunk and hi = min n ((w + 1) * chunk) in
       for idx = lo to hi - 1 do
         let card = cards.(idx) in
-        Common.Ticker.tick tk rt.RtM.costs.Costs.card_scan;
+        Common.Ticker.tick tk Costs.card_scan;
         let holder_rid = Heap_impl.card_to_region heap card in
         let holder_r = Heap_impl.region heap holder_rid in
         if remset_rebuild_wanted holder_r then
@@ -161,7 +159,7 @@ let run_mark_cycle t =
                 child != Gobj.null
                 && Gobj.region (Gobj.resolve child) <> Gobj.region o
               then begin
-                Common.Ticker.tick tk rt.RtM.costs.Costs.remset_insert;
+                Common.Ticker.tick tk Costs.remset_insert;
                 Region_remsets.add t.remsets
                   ~target_rid:(Gobj.region (Gobj.resolve child))
                   ~card
@@ -268,14 +266,13 @@ let install ?(pause_target = 200 * Util.Units.ms) rt =
               | None -> false)
               || Heap_impl.card_is_dirty heap card));
     };
-  let costs = rt.RtM.costs in
   let markers = [ t.marker ] in
   let store_barrier ~src ~field ~old_v ~new_v =
-    Common.Marker.pre_write costs markers old_v;
+    Common.Marker.pre_write markers old_v;
     if new_v != Gobj.null && Gobj.region new_v <> Gobj.region src then begin
       (* Post-write barrier: dirty the card; refinement inserts the
          remembered-set entry inline. *)
-      Sim.Engine.tick costs.Costs.card_barrier;
+      Sim.Engine.tick Costs.card_barrier;
       Heap_impl.dirty_card heap (Heap_impl.card_of_field heap src field);
       Stw_collect.barrier_insert rt t.remsets ~src ~field ~child:new_v
     end

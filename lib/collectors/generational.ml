@@ -126,17 +126,16 @@ let install variant rt =
   in
   let old = variant.old_gen rt ~copy_hook in
   let t = { rt; young; old; urgent = false } in
-  let costs = rt.RtM.costs in
   (* Old-generation SATB during old marking, young SATB during young
      marking; old-to-young remembering always. *)
   let markers = [ old.marker; young.Young_gen.marker ] in
   Common.install rt ~name:variant.name
     ~store_barrier:(fun ~src ~field ~old_v ~new_v ->
-      Common.Marker.pre_write costs markers old_v;
+      Common.Marker.pre_write markers old_v;
       Young_gen.barrier young ~src ~field ~new_v)
-    ~load_extra_cost:(if variant.colored then costs.Costs.colored_load_extra else 1)
+    ~load_extra_cost:(if variant.colored then Costs.colored_load_extra else 1)
     ~mutator_tax_pct:
-      (if variant.colored then costs.Costs.compressed_oops_tax_pct else 0)
+      (if variant.colored then Costs.compressed_oops_tax_pct else 0)
     ~on_alloc_failure:(fun () ->
       t.urgent <- true;
       old.on_alloc_failure ())

@@ -43,7 +43,6 @@ type t = {
    pause-target-bounded, which is why they grow with the live set). *)
 let rc_epoch t ~defrag =
   let rt = t.rt in
-  let costs = rt.RtM.costs in
   let old_cset =
     if defrag then begin
       (* Victims whose regions still qualify (garbage-first order). *)
@@ -71,7 +70,7 @@ let rc_epoch t ~defrag =
   (* The increment/decrement processing shares the same pause; bill it on
      the collector fiber inside... the pause has ended, so bill the log
      cost as part of epoch bookkeeping (small relative to copying). *)
-  Sim.Engine.tick (log * costs.Costs.rc_process_ref / max 1 (Sim.Engine.cores rt.RtM.engine));
+  Sim.Engine.tick (log * Costs.rc_process_ref / max 1 (Sim.Engine.cores rt.RtM.engine));
   Metrics.add rt.RtM.metrics "lxr.rc_log_processed" log;
   failed
 
@@ -82,7 +81,7 @@ let run_trace t =
   Common.Marker.cycle t.marker ~final:Metrics.Remark
     ~workers:Common.gc_threads ~at_final:(fun tk ->
       let cleared = Heap_impl.process_weak_refs_marked heap in
-      Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
+      Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
       ignore (Common.reclaim_dead_humongous rt tk));
   let cands = ref [] in
   Array.iter
@@ -150,11 +149,10 @@ let install rt =
               | Some rs -> Remset.mem rs card
               | None -> false));
     };
-  let costs = rt.RtM.costs in
   let store_barrier ~src ~field ~old_v ~new_v =
     (* Field-logging RC barrier on every reference store; it also feeds
        a running trace's SATB queue, at no extra cost. *)
-    Sim.Engine.tick costs.Costs.rc_barrier;
+    Sim.Engine.tick Costs.rc_barrier;
     t.rc_log <- t.rc_log + 1;
     if old_v != Gobj.null then Common.Marker.satb_enqueue t.marker old_v;
     if new_v != Gobj.null && Gobj.region new_v <> Gobj.region src then

@@ -146,7 +146,7 @@ let run_cycle t =
     ~final:Metrics.Final_mark ~workers:Common.gc_threads
     ~at_final:(fun tk ->
       let cleared = Heap_impl.process_weak_refs_marked heap in
-      Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
+      Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
       cset := select_cset t;
       ignore (Common.reclaim_dead_humongous rt tk));
   (* 4. Concurrent evacuation. *)
@@ -218,11 +218,10 @@ let controller t () =
 
 let install rt =
   let t = create rt in
-  let costs = rt.RtM.costs in
   let markers = [ t.marker ] in
   Common.install rt ~name:"shenandoah"
     ~store_barrier:(fun ~src:_ ~field:_ ~old_v ~new_v:_ ->
-      Common.Marker.pre_write costs markers old_v)
+      Common.Marker.pre_write markers old_v)
     ~load_extra_cost:1 ~mutator_tax_pct:0
     ~on_alloc_failure:(fun () ->
       t.urgent <- true;

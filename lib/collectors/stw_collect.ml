@@ -25,7 +25,7 @@ let barrier_insert rt remsets ~(src : Gobj.t) ~field ~(child : Gobj.t) =
   if Gobj.region child <> Gobj.region src then begin
     let src_r = Heap_impl.region heap (Gobj.region src) in
     if remember_from src_r then begin
-      Sim.Engine.tick rt.RtM.costs.Costs.remset_barrier;
+      Sim.Engine.tick Costs.remset_barrier;
       Region_remsets.add remsets ~target_rid:(Gobj.region child)
         ~card:(Heap_impl.card_of_field heap src field)
     end
@@ -38,7 +38,6 @@ let barrier_insert rt remsets ~(src : Gobj.t) ~field ~(child : Gobj.t) =
 let collect rt ~(remsets : Region_remsets.t) ~tenure_age
     ~(old_cset : Region.t list) ?(extra_roots = []) ~pause_kind () =
   let heap = rt.RtM.heap in
-  let costs = rt.RtM.costs in
   Runtime.Safepoint.stw rt.RtM.safepoint pause_kind (fun () ->
       RtM.retire_all_tlabs rt;
       (* STW pause work is shared by parallel GC workers on the idle
@@ -109,7 +108,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
       let fix_slot (holder : Gobj.t) i =
         let slot = Gobj.get_field holder i in
         if slot != Gobj.null then begin
-          Common.Ticker.tick tk costs.Costs.mark_ref;
+          Common.Ticker.tick tk Costs.mark_ref;
           let child = Gobj.resolve slot in
           note_humongous child;
           let child = if in_cset child then copy_out child else child in
@@ -118,7 +117,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
             Gobj.region child <> Gobj.region holder
             && remember_from (Heap_impl.region heap (Gobj.region holder))
           then begin
-            Common.Ticker.tick tk costs.Costs.remset_insert;
+            Common.Ticker.tick tk Costs.remset_insert;
             Region_remsets.add remsets ~target_rid:(Gobj.region child)
               ~card:(Heap_impl.card_of_field heap holder i)
           end
@@ -157,9 +156,9 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                      (* Cards inside the cset are traced anyway. *)
                      if not holder_r.Region.in_cset then begin
                        incr cards;
-                       Common.Ticker.tick tk costs.Costs.card_scan;
+                       Common.Ticker.tick tk Costs.card_scan;
                        Heap_impl.scan_card heap card () ~f:(fun () o i ->
-                           Common.Ticker.tick tk costs.Costs.mark_ref;
+                           Common.Ticker.tick tk Costs.mark_ref;
                            let stored = Gobj.get_field o i in
                            if stored != Gobj.null then begin
                              let child = Gobj.resolve stored in
@@ -175,7 +174,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                                Gobj.set_field o i child';
                                (* The holder stays outside the cset: its
                                   entry for the survivor's new region. *)
-                               Common.Ticker.tick tk costs.Costs.remset_insert;
+                               Common.Ticker.tick tk Costs.remset_insert;
                                Region_remsets.add remsets
                                  ~target_rid:(Gobj.region child')
                                  ~card:
@@ -190,8 +189,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                                Gobj.set_field o i child;
                                if Gobj.region child <> Gobj.region o
                                then begin
-                                 Common.Ticker.tick tk
-                                   costs.Costs.remset_insert;
+                                 Common.Ticker.tick tk Costs.remset_insert;
                                  Region_remsets.add remsets
                                    ~target_rid:(Gobj.region child)
                                    ~card:(Heap_impl.card_of_field heap o i)
@@ -204,7 +202,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
          (* Transitive closure over new copies. *)
          while not (Util.Vec.is_empty scan_list) do
            let o' = Util.Vec.pop_last scan_list in
-           Common.Ticker.tick tk costs.Costs.mark_obj;
+           Common.Ticker.tick tk Costs.mark_obj;
            for i = 0 to Gobj.num_fields o' - 1 do
              fix_slot o' i
            done
@@ -236,7 +234,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                   else
                     Remset.iter
                       (fun card ->
-                        Common.Ticker.tick tk costs.Costs.card_scan;
+                        Common.Ticker.tick tk Costs.card_scan;
                         Heap_impl.scan_card heap card () ~f:(fun () o i ->
                             let child = Gobj.get_field o i in
                             if
@@ -252,7 +250,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
             end)
           heap.Heap_impl.regions;
         let cleared = Heap_impl.process_weak_refs_freed_only heap in
-        Common.Ticker.tick tk (cleared * costs.Costs.weak_ref_process)
+        Common.Ticker.tick tk (cleared * Costs.weak_ref_process)
       end
       else
         (* Leave the heap consistent: forwarded copies stay, nothing is

@@ -74,7 +74,7 @@ let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
   let heap = t.rt.RtM.heap in
   (* Null first: the sentinel's region id (-1) must never be looked up. *)
   if new_v != Gobj.null && is_old heap src && is_young heap new_v then begin
-    Sim.Engine.tick t.rt.RtM.costs.Costs.card_barrier;
+    Sim.Engine.tick Costs.card_barrier;
     ignore (Remset.add t.remset (Heap_impl.card_of_field heap src field));
     if t.young_cycle_active then begin
       Gobj.set_flag new_v Gobj.flag_satb_logged;
@@ -92,11 +92,10 @@ let young_regions t =
    that no longer hold any old-to-young reference are pruned. *)
 let scan_remset_roots t tk =
   let heap = t.rt.RtM.heap in
-  let costs = t.rt.RtM.costs in
   let prune = ref [] in
   Remset.iter
     (fun card ->
-      Common.Ticker.tick tk costs.Costs.card_scan;
+      Common.Ticker.tick tk Costs.card_scan;
       let holder_r = Heap_impl.region heap (Heap_impl.card_to_region heap card) in
       if holder_r.Region.kind <> Region.Old then prune := card :: !prune
       else begin
@@ -132,7 +131,7 @@ let after_copy t tk (o : Gobj.t) (o' : Gobj.t) =
       (fun i child ->
         let child = Gobj.resolve child in
         if is_young heap child then begin
-          Common.Ticker.tick tk t.rt.RtM.costs.Costs.remset_insert;
+          Common.Ticker.tick tk Costs.remset_insert;
           ignore (Remset.add t.remset (Heap_impl.card_of_field heap o' i))
         end)
       o'
@@ -196,11 +195,9 @@ let collect t =
         in
         Common.run_workers rt ~n:Common.gc_threads ~name:"young-update" (fun w tk ->
             (* Fix the remembered cards and the survivor regions. *)
-            if w = 0 then begin
-              let h = Common.healer rt tk in
-              Remset.iter (fun card -> Common.update_refs_in_card rt h card)
+            if w = 0 then
+              Remset.iter (fun card -> Common.update_refs_in_card rt tk card)
                 t.remset
-            end
             else if w = 1 then
               List.iter
                 (fun (r : Region.t) ->

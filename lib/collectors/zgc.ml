@@ -75,7 +75,7 @@ let run_cycle t =
     ~at_final:(fun tk ->
       RtM.update_roots rt;
       let cleared = Heap_impl.process_weak_refs_marked heap in
-      Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
+      Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
       ignore (Common.reclaim_dead_humongous rt tk));
   let forwarding_bytes = ref 0 in
   (* Concurrent relocation: each region is freed the moment its live
@@ -130,13 +130,12 @@ let controller t () =
 
 let install rt =
   let t = create rt in
-  let costs = rt.RtM.costs in
   let markers = [ t.marker ] in
   Common.install rt ~name:"zgc"
     ~store_barrier:(fun ~src:_ ~field:_ ~old_v ~new_v:_ ->
-      Common.Marker.pre_write costs markers old_v)
-    ~load_extra_cost:costs.Costs.colored_load_extra
-    ~mutator_tax_pct:costs.Costs.compressed_oops_tax_pct
+      Common.Marker.pre_write markers old_v)
+    ~load_extra_cost:Costs.colored_load_extra
+    ~mutator_tax_pct:Costs.compressed_oops_tax_pct
     ~on_alloc_failure:(fun () ->
       (* No degenerated mode: stall until relocation frees something. *)
       t.urgent <- true)

@@ -164,17 +164,16 @@ let install ?(config = Jade_config.default) rt =
       young_failures = 0;
     }
   in
-  let costs = rt.RtM.costs in
   let markers = [ old_gc.Old.marker ] in
   Common.install rt ~name:"jade"
     ~store_barrier:(fun ~src ~field ~old_v ~new_v ->
-      Common.Marker.pre_write costs markers old_v;
+      Common.Marker.pre_write markers old_v;
       Young.barrier young ~src ~field ~new_v;
       Old.barrier old_gc ~src ~field ~new_v)
     ~load_extra_cost:1
     ~mutator_tax_pct:
       (if config.compressed_oops then 0
-       else costs.Costs.compressed_oops_tax_pct)
+       else Costs.compressed_oops_tax_pct)
     ~on_alloc_failure:(fun () -> t.young_urgent <- true)
     [
       ("jade-young-controller", young_controller t);

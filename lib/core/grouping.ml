@@ -15,7 +15,6 @@ type plan = {
   groups : Region.t list array;  (** groups.(i) collected in round i *)
   tracked : int;  (** regions that passed the liveness filter *)
   skipped : int;  (** tracked regions left out by the MAX_GROUP cap *)
-  estimated_free_bytes : int;
 }
 
 (** Tracked-list filter (85 %): regions at or above this liveness are
@@ -107,7 +106,6 @@ let build ~(config : Jade_config.t) ~free_bytes candidates =
     groups = Array.of_list (List.rev !groups);
     tracked;
     skipped = List.length !rest;
-    estimated_free_bytes = free_bytes;
   }
 
 let num_groups plan = Array.length plan.groups

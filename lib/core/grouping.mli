@@ -16,7 +16,6 @@ type plan = {
       (** [groups.(i)] is collected and released in round [i] *)
   tracked : int;  (** regions that passed the liveness filter (line 1-6) *)
   skipped : int;  (** tracked regions dropped by the MAX_GROUP cap *)
-  estimated_free_bytes : int;  (** the Algorithm 2 output used *)
 }
 
 val live_threshold : float

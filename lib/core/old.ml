@@ -60,7 +60,7 @@ let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
   (* Null first: the sentinel's region id (-1) must never be looked up. *)
   if new_v != Gobj.null && Gobj.region new_v <> Gobj.region src then begin
     let child = new_v in
-    Sim.Engine.tick t.rt.RtM.costs.Costs.card_barrier;
+    Sim.Engine.tick Costs.card_barrier;
     let card = Heap_impl.card_of_field heap src field in
     let child_is_young =
       (Heap_impl.region heap (Gobj.region child)).Region.kind = Region.Young
@@ -76,7 +76,7 @@ let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
     if t.current_group >= 0 then begin
       let g = (Heap_impl.region heap (Gobj.region child)).Region.group in
       if g >= t.current_group then begin
-        Sim.Engine.tick t.rt.RtM.costs.Costs.remset_barrier;
+        Sim.Engine.tick Costs.remset_barrier;
         ignore (Remset.add t.group_remsets.(g) card)
       end
     end
@@ -101,7 +101,7 @@ let mark_phase t =
          which case only the discovery snapshot happens here. *)
       if not t.config.Jade_config.concurrent_weak_refs then begin
         let cleared = Heap_impl.process_weak_refs_marked heap in
-        Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
+        Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
         Metrics.add metrics "jade.weak_stw_cleared" cleared
       end;
       ignore (Common.reclaim_dead_humongous rt tk));
@@ -111,7 +111,7 @@ let mark_phase t =
        clearing only drops entries from the collector-private list. *)
     let tk = Common.Ticker.create () in
     let cleared = Heap_impl.process_weak_refs_marked heap in
-    Common.Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
+    Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
     Common.Ticker.flush tk;
     Metrics.add metrics "jade.weak_concurrent_cleared" cleared
   end
@@ -161,7 +161,6 @@ let build_remsets t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
-  let costs = rt.RtM.costs in
   let now () = Sim.Engine.now rt.RtM.engine in
   Metrics.phase_begin metrics "jade.build" ~now:(now ());
   let scanned = ref 0 and via_crdt = ref 0 in
@@ -172,13 +171,13 @@ let build_remsets t =
     (* Regions of the same group are released together: intra-group
        references need no memorization (§3.3). *)
     if g >= 0 && g <> own_group then begin
-      Common.Ticker.tick tk costs.Costs.remset_insert;
+      Common.Ticker.tick tk Costs.remset_insert;
       ignore (Remset.add t.group_remsets.(g) card)
     end
   in
   let scan_card_for_targets tk card =
     incr scanned;
-    Common.Ticker.tick tk costs.Costs.card_scan;
+    Common.Ticker.tick tk Costs.card_scan;
     Heap_impl.scan_card heap card () ~f:(fun () o i ->
         let slot = Gobj.get_field o i in
         if slot != Gobj.null then begin
@@ -246,14 +245,13 @@ let build_remsets t =
 
 let evacuate_object_fields t tk (o' : Gobj.t) ~group =
   let heap = t.rt.RtM.heap in
-  let costs = t.rt.RtM.costs in
   for i = 0 to Gobj.num_fields o' - 1 do
     let child = Gobj.get_field o' i in
     if child != Gobj.null then begin
       let child_r = Heap_impl.region heap (Gobj.region child) in
       match child_r.Region.kind with
       | Region.Young ->
-          Common.Ticker.tick tk costs.Costs.remset_insert;
+          Common.Ticker.tick tk Costs.remset_insert;
           ignore
             (Remset.add t.young.Young.remset
                (Heap_impl.card_of_field heap o' i))
@@ -262,14 +260,14 @@ let evacuate_object_fields t tk (o' : Gobj.t) ~group =
           if g >= group then begin
             (* Hand-over-hand: the new location's reference into a
                pending (or this) group goes to that group's remset. *)
-            Common.Ticker.tick tk costs.Costs.remset_insert;
+            Common.Ticker.tick tk Costs.remset_insert;
             ignore
               (Remset.add t.group_remsets.(g)
                  (Heap_impl.card_of_field heap o' i))
           end
           else if Gobj.is_forwarded child then begin
             (* Earlier group, already moved: heal on the spot. *)
-            Common.Ticker.tick tk costs.Costs.heal;
+            Common.Ticker.tick tk Costs.heal;
             Gobj.set_field o' i (Gobj.resolve child)
           end
     end
@@ -309,8 +307,8 @@ let evacuate_group t ~group (regions : Region.t list) =
     let cards = Array.init nc (fun i -> Util.Vec.get cardv (nc - 1 - i)) in
     ignore
       (Common.parallel_drain rt ~n:workers ~name:"jade-heal"
-         ~init:(Common.healer rt) cards
-         (fun h _ card -> Common.update_refs_in_card rt h card));
+         ~init:Fun.id cards
+         (fun tk _ card -> Common.update_refs_in_card rt tk card));
     Remset.clear t.group_remsets.(group);
     let tk = Common.Ticker.create () in
     List.iter

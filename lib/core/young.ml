@@ -84,7 +84,7 @@ let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
   (* The null test must come first: the sentinel's region id is -1. *)
   if new_v != Gobj.null && is_young heap new_v then begin
     if is_old heap src then begin
-      Sim.Engine.tick t.rt.RtM.costs.Costs.card_barrier;
+      Sim.Engine.tick Costs.card_barrier;
       if t.config.planted_bug <> Jade_config.Skip_remset_insert then
         ignore (Remset.add t.remset (Heap_impl.card_of_field heap src field))
     end;
@@ -97,7 +97,7 @@ let copy_out t (dests : Common.Evac.dest * Common.Evac.dest) tk (o : Gobj.t) =
   if Gobj.is_forwarded o then Gobj.resolve o
   else begin
       let dest_young, dest_old = dests in
-      Common.Ticker.tick tk t.rt.RtM.costs.Costs.mark_atomic;
+      Common.Ticker.tick tk Costs.mark_atomic;
       let promote = Common.Evac.promotes t.tenure o in
       let dest = if promote then dest_old else dest_young in
       (* The option itself, a constant [Some true] or [None]: passing
@@ -126,10 +126,9 @@ let copy_out t (dests : Common.Evac.dest * Common.Evac.dest) tk (o : Gobj.t) =
    the slot in place, maintain remembered sets, help the old marker. *)
 let scan_copy t dests tk (o' : Gobj.t) =
   let heap = t.rt.RtM.heap in
-  let costs = t.rt.RtM.costs in
-  Common.Ticker.tick tk costs.Costs.mark_obj;
+  Common.Ticker.tick tk Costs.mark_obj;
   for i = 0 to Gobj.num_fields o' - 1 do
-    Common.Ticker.tick tk costs.Costs.mark_ref;
+    Common.Ticker.tick tk Costs.mark_ref;
     let slot = Gobj.get_field o' i in
     if slot != Gobj.null then begin
       let child = Gobj.resolve slot in
@@ -138,7 +137,7 @@ let scan_copy t dests tk (o' : Gobj.t) =
       in
       Gobj.set_field o' i child;
       if is_old heap o' && is_young heap child then begin
-        Common.Ticker.tick tk costs.Costs.remset_insert;
+        Common.Ticker.tick tk Costs.remset_insert;
         ignore (Remset.add t.remset (Heap_impl.card_of_field heap o' i))
       end;
       (* Young-to-old references feed a co-running old mark (§5.6). *)
@@ -175,8 +174,7 @@ let drain t dests tk =
    Returns true when the card still holds old-to-young references. *)
 let scan_remset_card t dests tk card =
   let heap = t.rt.RtM.heap in
-  let costs = t.rt.RtM.costs in
-  Common.Ticker.tick tk costs.Costs.card_scan;
+  Common.Ticker.tick tk Costs.card_scan;
   let holder_r = Heap_impl.region heap (Heap_impl.card_to_region heap card) in
   if holder_r.Region.kind <> Region.Old then false
   else begin
@@ -208,7 +206,6 @@ let collect t ~workers =
   let rt = t.rt in
   let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
-  let costs = rt.RtM.costs in
   let now () = Sim.Engine.now rt.RtM.engine in
   Metrics.phase_begin metrics "jade.young" ~now:(now ());
   t.tenure.survivors <- 0;
@@ -312,7 +309,7 @@ let collect t ~workers =
             Common.release_region rt tk r)
           !snapshot;
         let cleared = Heap_impl.process_weak_refs_freed_only heap in
-        Common.Ticker.tick tk (cleared * costs.Costs.weak_ref_process);
+        Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
         Metrics.add metrics "jade.young_collections" 1;
         Metrics.add metrics "jade.young_regions_reclaimed"
           (List.length !snapshot);

@@ -19,7 +19,7 @@ type config = {
 }
 
 (** Card granularity of the card table, remembered sets and CRDT. *)
-let card_bytes = 512
+let card_bytes = Region.card_bytes
 
 let default_config =
   {
@@ -43,7 +43,6 @@ type t = {
       (** [cfg.region_bytes / card_bytes], cached: card addressing
           (every barrier's dirty_card goes through {!card_of}) must not
           pay a division just to recover a config-constant ratio *)
-  costs : Costs.t;
   uids : Gobj.uids;
       (** this domain's uid counter, resolved once at creation — object
           allocation and evacuation copies mint uids per object, and the
@@ -60,7 +59,6 @@ type t = {
       (** [Some r] per region, built once: {!claim_region} hands these
           back, so a claim allocates nothing *)
   free_q : int Util.Ring.t;  (** free region ids, claimed in FIFO order *)
-  mutable free_count : int;
   card_dirty : Util.Bitset.t;  (** global card table: dirtied by stores *)
   mutable next_obj_id : int;
   mutable mark_epoch : int;  (** current/most recent old/full marking id *)
@@ -125,7 +123,7 @@ let create cfg =
   let nregions = cfg.heap_bytes / cfg.region_bytes in
   let regions =
     Array.init nregions (fun rid ->
-        Region.make ~card_bytes ~rid ~size:cfg.region_bytes ())
+        Region.make ~rid ~size:cfg.region_bytes)
   in
   let free_q = Util.Ring.create (-1) in
   Array.iter (fun (r : Region.t) -> Util.Ring.push free_q r.rid) regions;
@@ -133,13 +131,11 @@ let create cfg =
   {
     cfg;
     cpr = cfg.region_bytes / card_bytes;
-    costs = Costs.default;
     uids = Gobj.uid_source ();
     hooks = Access.hooks ();
     regions;
     claimed = Array.map (fun r -> Some r) regions;
     free_q;
-    free_count = nregions;
     card_dirty = Util.Bitset.create (cfg.heap_bytes / card_bytes);
     next_obj_id = 0;
     mark_epoch = 0;
@@ -158,8 +154,8 @@ let create cfg =
 
 let num_regions t = Array.length t.regions
 let region t rid = t.regions.(rid)
-let free_regions t = t.free_count
-let used_regions t = num_regions t - t.free_count
+let free_regions t = Util.Ring.length t.free_q
+let used_regions t = num_regions t - free_regions t
 let total_cards t = t.cfg.heap_bytes / card_bytes
 let cards_per_region t = t.cpr
 
@@ -261,7 +257,6 @@ let claim_region t kind =
   if Util.Ring.is_empty t.free_q then None
   else begin
     let rid = Util.Ring.pop_exn t.free_q in
-    t.free_count <- t.free_count - 1;
     let r = t.regions.(rid) in
     if not (Region.is_free r) then
       failwith
@@ -334,8 +329,7 @@ let release_region t (r : Region.t) =
     r.Region.objects;
   t.used <- t.used - r.top;
   Region.reset r;
-  Util.Ring.push t.free_q r.rid;
-  t.free_count <- t.free_count + 1
+  Util.Ring.push t.free_q r.rid
 
 (* ------------------------------------------------------------------ *)
 (* Object allocation (bump within a region the caller owns).            *)

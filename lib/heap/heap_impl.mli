@@ -19,7 +19,8 @@ type config = {
 }
 
 val card_bytes : int
-(** Card granularity of the card table, remembered sets and CRDT: 512. *)
+(** Card granularity of the card table, remembered sets and CRDT:
+    {!Region.card_bytes}. *)
 
 val default_config : config
 
@@ -40,7 +41,6 @@ type t = {
       (** [cfg.region_bytes / card_bytes], cached: card addressing
           (every barrier's dirty_card goes through {!card_of}) must not
           pay a division just to recover a config-constant ratio *)
-  costs : Costs.t;
   uids : Gobj.uids;
       (** this domain's uid counter, resolved once at creation — object
           allocation and evacuation copies mint uids per object, and the
@@ -59,7 +59,6 @@ type t = {
   free_q : int Util.Ring.t;
       (** free region ids, claimed in FIFO order; a ring, so a release
           allocates nothing *)
-  mutable free_count : int;
   card_dirty : Util.Bitset.t;  (** global card table: dirtied by stores *)
   mutable next_obj_id : int;
   mutable mark_epoch : int;  (** current/most recent old/full marking id *)

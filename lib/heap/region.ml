@@ -17,13 +17,13 @@ type kind = Free | Young | Old
 
 let kind_to_string = function Free -> "free" | Young -> "young" | Old -> "old"
 
+(** Card granularity of [bot], and of the heap's card table, remembered
+    sets and CRDT. *)
+let card_bytes = 512
+
 type t = {
   rid : int;
   size : int;
-  card_bytes : int;  (** card granularity of [bot]; the heap's card size *)
-  card_shift : int;
-      (** log2 of [card_bytes] when it is a power of two, else -1; lets
-          the per-allocation BOT update shift instead of divide *)
   mutable kind : kind;
   mutable top : int;  (** bump pointer: bytes used *)
   objects : Gobj.t Util.Vec.t;
@@ -45,19 +45,10 @@ type t = {
   mutable humongous : bool;
 }
 
-let make ?(card_bytes = 512) ~rid ~size () =
-  if card_bytes < 1 then invalid_arg "Region.make: card_bytes";
-  let card_shift =
-    let rec log2 n k =
-      if n = 1 then k else if n land 1 = 1 then -1 else log2 (n lsr 1) (k + 1)
-    in
-    log2 card_bytes 0
-  in
+let make ~rid ~size =
   {
     rid;
     size;
-    card_bytes;
-    card_shift;
     kind = Free;
     top = 0;
     objects = Util.Vec.create ~capacity:64 Gobj.null;
@@ -89,10 +80,9 @@ let garbage_bytes t = t.size - t.live_bytes
 (** Can [size] more bytes be bump-allocated here? *)
 let fits t size = t.top + size <= t.size
 
-(** Card index of byte offset [off]: a shift in the common power-of-two
-    configuration, a division otherwise. *)
-let[@inline] card_index t off =
-  if t.card_shift >= 0 then off lsr t.card_shift else off / t.card_bytes
+(** Card index of byte offset [off]; a shift, as [card_bytes] is a
+    constant power of two. *)
+let[@inline] card_index off = off / card_bytes
 
 (** Append an already-constructed object at the current top. The caller
     guarantees [fits].  Maintains the block-offset table: allocation is
@@ -108,9 +98,9 @@ let push_obj t (o : Gobj.t) =
   Util.Vec.push t.objects o;
   let size = Gobj.size o in
   if size > 0 then begin
-    let c1 = card_index t (t.top + size - 1) in
+    let c1 = card_index (t.top + size - 1) in
     if t.bot_filled <= c1 && Array.length t.bot = 0 then
-      t.bot <- Array.make ((t.size + t.card_bytes - 1) / t.card_bytes) (-1);
+      t.bot <- Array.make ((t.size + card_bytes - 1) / card_bytes) (-1);
     while t.bot_filled <= c1 do
       Array.unsafe_set t.bot t.bot_filled idx;
       t.bot_filled <- t.bot_filled + 1
@@ -140,7 +130,7 @@ let first_object_at t ~off =
   let n = Util.Vec.length t.objects in
   if off >= t.top then n
   else begin
-    let c = card_index t off in
+    let c = card_index off in
     let b = if c < Array.length t.bot then Array.unsafe_get t.bot c else -1 in
     if b >= 0 then begin
       let i = ref b in

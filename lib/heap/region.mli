@@ -19,13 +19,13 @@ type kind = Free | Young | Old
 
 val kind_to_string : kind -> string
 
+val card_bytes : int
+(** Card granularity of [bot], and of the heap's card table, remembered
+    sets and CRDT: 512 bytes. *)
+
 type t = {
   rid : int;
   size : int;
-  card_bytes : int;  (** card granularity of [bot]; the heap's card size *)
-  card_shift : int;
-      (** log2 of [card_bytes] when it is a power of two, else -1; lets
-          the per-allocation BOT update shift instead of divide *)
   mutable kind : kind;
   mutable top : int;  (** bump pointer: bytes used *)
   objects : Gobj.t Util.Vec.t;
@@ -47,7 +47,7 @@ type t = {
   mutable humongous : bool;
 }
 
-val make : ?card_bytes:int -> rid:int -> size:int -> unit -> t
+val make : rid:int -> size:int -> t
 
 (** {2 Occupancy} *)
 

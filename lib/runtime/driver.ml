@@ -147,7 +147,7 @@ let run rt ~n_mutators ~mode ?(warmup = 0) ?(duration = 0) ~request () =
       ~busy:(Sim.Engine.total_busy_ns engine)
       ~now:(Sim.Engine.now engine) false;
   {
-    completed = metrics.Metrics.requests_completed;
+    completed = Metrics.requests_completed metrics;
     elapsed_ns = Metrics.window_ns metrics;
     oom = !oom;
   }

@@ -49,7 +49,6 @@ type t = {
   pauses : pause Util.Vec.t;  (** the one record of pauses and stalls *)
   phases : (string, phase) Hashtbl.t;
   counters : (string, int) Hashtbl.t;
-  mutable requests_completed : int;
 }
 
 let create () =
@@ -64,7 +63,6 @@ let create () =
     pauses = Util.Vec.create { at = 0; dur = 0; kind = Full_gc };
     phases = Hashtbl.create 16;
     counters = Hashtbl.create 16;
-    requests_completed = 0;
   }
 
 let set_tracer t sink = t.tracer <- sink
@@ -93,8 +91,7 @@ let cpu_utilization t ~cores =
 
 let record_latency t ns =
   if t.recording then begin
-    Util.Histogram.record t.latency ns;
-    t.requests_completed <- t.requests_completed + 1
+    Util.Histogram.record t.latency ns
   end
 
 (** Pauses affect every mutator; stalls hit one mutator but have the same
@@ -191,10 +188,13 @@ let p50_latency t = Util.Histogram.percentile t.latency 50.
 let p999_latency t = Util.Histogram.percentile t.latency 99.9
 let max_latency t = Util.Histogram.max_value t.latency
 
+(** Requests completed while recording: each one recorded its latency. *)
+let requests_completed t = Util.Histogram.total t.latency
+
 (** Completed requests per second over the recording window. *)
 let throughput t =
   let window = t.window_end - t.window_start in
   if window <= 0 then 0.
-  else float_of_int t.requests_completed /. Util.Units.to_sec window
+  else float_of_int (requests_completed t) /. Util.Units.to_sec window
 
 let window_ns t = t.window_end - t.window_start

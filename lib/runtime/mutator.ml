@@ -139,7 +139,7 @@ let rec alloc_slow m ~size ~nrefs ~humongous =
       | None ->
           let r = Rt.claim_tlab_region rt in
           (match r with
-          | Some _ -> tick m rt.Rt.costs.alloc_tlab_refill
+          | Some _ -> tick m Heap.Costs.alloc_tlab_refill
           | None -> ());
           m.tlab <- r;
           r
@@ -175,7 +175,7 @@ let alloc m ~data_bytes ~nrefs =
   if size > region_size then
     invalid_arg "Mutator.alloc: object larger than a region";
   let humongous = size > region_size / 2 in
-  tick m rt.Rt.costs.alloc_fast;
+  tick m Heap.Costs.alloc_fast;
   let o =
     match m.tlab with
     | Some r when (not humongous) && Heap.Region.fits r size ->
@@ -192,7 +192,7 @@ let alloc m ~data_bytes ~nrefs =
    holding slot when the collector runs concurrent evacuation. *)
 let heal_load m (holder : Heap.Gobj.t) i (v : Heap.Gobj.t) =
   if Heap.Gobj.is_forwarded v then begin
-    tick m m.rt.Rt.costs.heal;
+    tick m Heap.Costs.heal;
     let v' = Heap.Gobj.resolve v in
     Heap.Gobj.set_field holder i v';
     v'
@@ -204,7 +204,7 @@ let heal_load m (holder : Heap.Gobj.t) i (v : Heap.Gobj.t) =
 let read m (o : Heap.Gobj.t) i =
   maybe_check m;
   let rt = m.rt in
-  tick m (rt.Rt.costs.load_barrier + rt.Rt.collector.load_extra_cost);
+  tick m (Heap.Costs.load_barrier + rt.Rt.collector.load_extra_cost);
   let o = Heap.Gobj.resolve o in
   (* The slot value flows straight through: empty slots hold the null
      sentinel (never forwarded), so the hot path is one load, one

@@ -27,7 +27,6 @@ exception Out_of_memory of string
 type t = {
   engine : Sim.Engine.t;
   heap : Heap.Heap_impl.t;
-  costs : Heap.Costs.t;
   metrics : Metrics.t;
   safepoint : Safepoint.t;
   mem_freed : Sim.Engine.cond;  (** broadcast whenever regions are released *)
@@ -76,15 +75,13 @@ let null_collector : collector =
    must trace back to an explicit seed (no ambient randomness), so a
    run's configuration is visible at its construction site. *)
 let create ~seed ~engine ~heap () =
-  let costs = heap.Heap.Heap_impl.costs in
   let metrics = Metrics.create () in
   let globals = Util.Vec.create Heap.Gobj.null in
   {
     engine;
     heap;
-    costs;
     metrics;
-    safepoint = Safepoint.create engine metrics costs;
+    safepoint = Safepoint.create engine metrics;
     mem_freed = Sim.Engine.cond "rt.mem_freed";
     globals;
     root_sets = [ globals ];

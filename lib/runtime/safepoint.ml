@@ -10,7 +10,6 @@
 type t = {
   engine : Sim.Engine.t;
   metrics : Metrics.t;
-  costs : Heap.Costs.t;
   mutable stop_requested : bool;
   mutable in_stw : bool;
   mutable registered : int;  (** live mutators *)
@@ -24,11 +23,10 @@ type t = {
           suspension point), mutators resume only at the next round *)
 }
 
-let create engine metrics costs =
+let create engine metrics =
   {
     engine;
     metrics;
-    costs;
     stop_requested = false;
     in_stw = false;
     registered = 0;
@@ -88,7 +86,7 @@ let stw t kind f =
   while t.stopped < t.registered do
     Sim.Engine.wait t.all_stopped
   done;
-  Sim.Engine.tick t.costs.Heap.Costs.safepoint_sync;
+  Sim.Engine.tick Heap.Costs.safepoint_sync;
   let finish result =
     t.stop_requested <- false;
     t.in_stw <- false;

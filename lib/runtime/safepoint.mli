@@ -11,7 +11,7 @@
 
 type t
 
-val create : Sim.Engine.t -> Metrics.t -> Heap.Costs.t -> t
+val create : Sim.Engine.t -> Metrics.t -> t
 
 val register : t -> unit
 (** A mutator joins the protocol (done by [Mutator.create]). *)

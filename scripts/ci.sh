@@ -7,6 +7,27 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# lint_probe LABEL PATH SOURCE RULE MISSED OK: plant SOURCE (printf %b
+# escapes) at PATH in the real tree, assert scripts/lint_purity.sh
+# rejects it and names the file and RULE, then remove the plant.
+lint_probe() {
+  label=$1 probe=$2 rule=$4
+  printf '%b' "$3" > "$probe"
+  if bash scripts/lint_purity.sh > /tmp/ci_lint_probe.txt 2>&1; then
+    rm -f "$probe"
+    echo "$label FAILED: $5 was not caught" >&2
+    cat /tmp/ci_lint_probe.txt >&2
+    exit 1
+  fi
+  rm -f "$probe"
+  grep -q "$(basename "$probe" .ml).*$rule" /tmp/ci_lint_probe.txt || {
+    echo "$label FAILED: rejection did not name the probe/$rule" >&2
+    cat /tmp/ci_lint_probe.txt >&2
+    exit 1
+  }
+  echo "$label OK ($6)"
+}
+
 echo "== lint-ast (simulator core must stay deterministic) =="
 # Build the analyzer, prove it still catches planted violations of each
 # rule, then hold the real tree to it (R1-R4, see DESIGN.md §10).
@@ -19,41 +40,17 @@ echo "== lint-ast adversarial probe (a planted violation must fail) =="
 # real tree — an aliased module hiding host randomness — and asserts the
 # lint rejects it.  Guards against the analyzer silently linting the
 # wrong directories or losing its alias resolution.
-probe=lib/sim/ci_probe_deleteme.ml
-printf 'module R = Random\nlet x = R.int 3\n' > "$probe"
-if bash scripts/lint_purity.sh > /tmp/ci_lint_probe.txt 2>&1; then
-  rm -f "$probe"
-  echo "lint-ast probe FAILED: planted R1 violation was not caught" >&2
-  cat /tmp/ci_lint_probe.txt >&2
-  exit 1
-fi
-rm -f "$probe"
-grep -q 'ci_probe_deleteme.*R1' /tmp/ci_lint_probe.txt || {
-  echo "lint-ast probe FAILED: rejection did not name the probe/R1" >&2
-  cat /tmp/ci_lint_probe.txt >&2
-  exit 1
-}
-echo "lint-ast probe OK (planted violation rejected)"
+lint_probe "lint-ast probe" lib/sim/ci_probe_deleteme.ml \
+  'module R = Random\nlet x = R.int 3\n' R1 \
+  "planted R1 violation" "planted violation rejected"
 
 echo "== lint-ast R5 probe (a boxed reference slot must fail) =="
 # Plant a Gobj.t option in the sentinel-only tree: the allocation-free
 # object graph bans the boxed spelling from lib/{heap,collectors}
 # (DESIGN.md §12), and this asserts the ban actually bites.
-probe=lib/heap/ci_probe_r5_deleteme.ml
-printf 'type cell = { mutable slot : Gobj.t option }\n' > "$probe"
-if bash scripts/lint_purity.sh > /tmp/ci_lint_r5_probe.txt 2>&1; then
-  rm -f "$probe"
-  echo "lint-ast R5 probe FAILED: planted Gobj.t option was not caught" >&2
-  cat /tmp/ci_lint_r5_probe.txt >&2
-  exit 1
-fi
-rm -f "$probe"
-grep -q 'ci_probe_r5_deleteme.*R5' /tmp/ci_lint_r5_probe.txt || {
-  echo "lint-ast R5 probe FAILED: rejection did not name the probe/R5" >&2
-  cat /tmp/ci_lint_r5_probe.txt >&2
-  exit 1
-}
-echo "lint-ast R5 probe OK (boxed slot rejected)"
+lint_probe "lint-ast R5 probe" lib/heap/ci_probe_r5_deleteme.ml \
+  'type cell = { mutable slot : Gobj.t option }\n' R5 \
+  "planted Gobj.t option" "boxed slot rejected"
 
 echo "== cross-module inlining (no simulator library is built with -opaque) =="
 # dune-workspace selects the release profile, so ocamlopt may inline
@@ -134,21 +131,9 @@ echo "== lint-ast obs probe (lib/obs is part of the linted tree) =="
 # Same adversarial probe as above, planted in the observability library:
 # the tracing/analysis layer runs host-side but must stay deterministic
 # (its output is golden-tested byte-for-byte), so it is linted too.
-probe=lib/obs/ci_probe_deleteme.ml
-printf 'module R = Random\nlet x = R.int 3\n' > "$probe"
-if bash scripts/lint_purity.sh > /tmp/ci_lint_obs_probe.txt 2>&1; then
-  rm -f "$probe"
-  echo "lint-ast obs probe FAILED: planted R1 violation was not caught" >&2
-  cat /tmp/ci_lint_obs_probe.txt >&2
-  exit 1
-fi
-rm -f "$probe"
-grep -q 'ci_probe_deleteme.*R1' /tmp/ci_lint_obs_probe.txt || {
-  echo "lint-ast obs probe FAILED: rejection did not name the probe/R1" >&2
-  cat /tmp/ci_lint_obs_probe.txt >&2
-  exit 1
-}
-echo "lint-ast obs probe OK (planted violation rejected)"
+lint_probe "lint-ast obs probe" lib/obs/ci_probe_deleteme.ml \
+  'module R = Random\nlet x = R.int 3\n' R1 \
+  "planted R1 violation" "planted violation rejected"
 
 echo "== golden-trace fence (gcsim trace reproduces committed goldens) =="
 # `gcsim trace` defaults are the golden scenario (lusearch, 4 cores,

@@ -313,6 +313,50 @@ let test_planted_remset_bug_end_to_end () =
         (List.mem r.Analysis.Report.invariant
            [ "remset-coverage"; "no-dangling-reference" ])
 
+(* ------------------------------------------------------------------ *)
+(* The fast verifier's accounting checks, each shown to fire.           *)
+
+(* Plant [fault] on a small heap holding one claimed region with one
+   object, fire a phase at the fast level, and return the invariants
+   reported. *)
+let accounting_reports fault =
+  let engine = Sim.Engine.create () in
+  let heap =
+    Heap.Heap_impl.create
+      (Heap.Heap_impl.config ~heap_bytes:(4 * mib)
+         ~region_bytes:(256 * Util.Units.kib) ())
+  in
+  let rt = Runtime.Rt.create ~seed:7 ~engine ~heap () in
+  let r = Option.get (Heap.Heap_impl.claim_region heap Heap.Region.Old) in
+  ignore (Heap.Heap_impl.alloc_in heap r ~size:64 ~nrefs:0);
+  fault heap r;
+  let reports = ref [] in
+  let v =
+    Analysis.Verifier.create ~full:false
+      ~on_violation:(fun (r : Analysis.Report.t) ->
+        reports := r.invariant :: !reports)
+      rt
+  in
+  Analysis.Verifier.on_phase v ~collector:"test" Runtime.Vhook.Cycle_end;
+  !reports
+
+let test_accounting_faults_reported () =
+  Alcotest.(check (list string)) "clean heap" []
+    (accounting_reports (fun _ _ -> ()));
+  let fires invariant fault =
+    Alcotest.(check bool) invariant true
+      (List.mem invariant (accounting_reports fault))
+  in
+  fires "free-region-empty" (fun heap _ ->
+      (Heap.Heap_impl.region heap (Heap.Heap_impl.num_regions heap - 1))
+        .Heap.Region.top <- 64);
+  fires "region-bump-bound" (fun _ r ->
+      r.Heap.Region.top <- r.Heap.Region.size + 1);
+  fires "used-bytes-accounting" (fun heap _ ->
+      heap.Heap.Heap_impl.used <- heap.Heap.Heap_impl.used + 1);
+  fires "free-region-count" (fun heap r ->
+      Util.Ring.push heap.Heap.Heap_impl.free_q r.Heap.Region.rid)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -340,5 +384,10 @@ let () =
             test_planted_race_caught_by_detector;
           Alcotest.test_case "skipped remset insert, end to end" `Slow
             test_planted_remset_bug_end_to_end;
+        ] );
+      ( "verifier-accounting",
+        [
+          Alcotest.test_case "each planted fault is reported" `Quick
+            test_accounting_faults_reported;
         ] );
     ]

@@ -269,8 +269,8 @@ let test_claim_stop_flag () =
 (* Card heal (Common.update_refs_in_card).                              *)
 
 (* Jade's group heal and Young_gen's update-refs scan a card per call;
-   with the worker's healer built once, a card costs no host allocation,
-   stale slots included. *)
+   with the worker's ticker as the scan's context, a card costs no host
+   allocation, stale slots included. *)
 let test_heal_card_allocates_nothing () =
   let engine = Sim.Engine.create () in
   let heap =
@@ -294,15 +294,14 @@ let test_heal_card_allocates_nothing () =
   (* The engine is not running: a ticker that never reaches its flush
      batch keeps the scan from suspending. *)
   let tk = Collectors.Common.Ticker.create ~workers:1_000_000 () in
-  let h = Collectors.Common.healer rt tk in
   make_stale ();
-  Collectors.Common.update_refs_in_card rt h card;
+  Collectors.Common.update_refs_in_card rt tk card;
   Alcotest.(check bool) "stale slot healed" true
     (Heap.Gobj.get_field holders.(0) 1 == fresh);
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
     make_stale ();
-    Collectors.Common.update_refs_in_card rt h card
+    Collectors.Common.update_refs_in_card rt tk card
   done;
   Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. w0)
 

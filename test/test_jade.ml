@@ -12,7 +12,7 @@ let config = Jade.Jade_config.default
 
 (* Fabricate an old region with given live/top bytes for grouping tests. *)
 let fake_region ~rid ~top ~live =
-  let r = Region.make ~rid ~size:(512 * kib) () in
+  let r = Region.make ~rid ~size:(512 * kib) in
   r.Region.kind <- Region.Old;
   r.Region.top <- top;
   r.Region.live_bytes <- live;

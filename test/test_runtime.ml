@@ -32,12 +32,12 @@ let test_metrics_recording_gate () =
   let m = Metrics.create () in
   Metrics.set_recording m ~now:0 false;
   Metrics.record_latency m 100;
-  Alcotest.(check int) "gated" 0 m.Metrics.requests_completed;
+  Alcotest.(check int) "gated" 0 (Metrics.requests_completed m);
   Metrics.set_recording m ~now:50 true;
   Metrics.record_latency m 100;
   Metrics.record_pause m ~at:60 ~dur:5 Metrics.Young_stw;
   Metrics.set_recording m ~now:150 false;
-  Alcotest.(check int) "counted" 1 m.Metrics.requests_completed;
+  Alcotest.(check int) "counted" 1 (Metrics.requests_completed m);
   Alcotest.(check int) "pause recorded" 5 (Metrics.cumulative_pause m);
   Alcotest.(check int) "window" 100 (Metrics.window_ns m)
 
