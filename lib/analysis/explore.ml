@@ -72,7 +72,13 @@ type config = {
 type scenario = attach:(RtM.t -> unit) -> unit
 (** One full simulation: build a fresh engine/heap/runtime, call
     [attach rt] {e before} running (it installs the policy and oracles),
-    then drive the run to completion.  Called once per schedule. *)
+    then drive the run to completion.  Called once per schedule.
+
+    The runtime must not be used after the scenario returns: the
+    explorer then retires its heap ({!Heap.Heap_impl.retire}), and the
+    next schedule's {!Heap.Heap_impl.create} in the same domain rebuilds
+    on its storage.  Read whatever the schedule should report before
+    returning. *)
 
 type violation = {
   report : Report.t;  (** from replaying the minimized schedule *)
@@ -151,11 +157,13 @@ let run_schedule (scenario : scenario) ~horizon
   let cores = ref 0 in
   let foot : footprints = Hashtbl.create 32 in
   let report = ref None in
+  let attached = ref None in
   let violation r =
     if !report = None then report := Some r;
     raise (Report.Violation r)
   in
   let attach rt =
+    attached := Some rt;
     let engine = rt.RtM.engine in
     cores := Sim.Engine.cores engine;
     Sim.Engine.set_policy engine
@@ -191,7 +199,15 @@ let run_schedule (scenario : scenario) ~horizon
   Fun.protect
     ~finally:(fun () -> Heap.Access.reset ())
     (fun () ->
-      try scenario ~attach with
+      try
+        scenario ~attach;
+        (* Only a run that finished hands its heap on.  One cut short
+           may hold a copy whose forwarding pointer was never installed
+           (the detector raises on the second of two racing installs),
+           and its field array is also its source's: recycling would
+           pool that array twice. *)
+        Option.iter (fun rt -> Heap.Heap_impl.retire rt.RtM.heap) !attached
+      with
       | Report.Violation _ -> ()
       | Sim.Engine.Deadlock msg ->
           report :=
@@ -233,10 +249,12 @@ let forced_of_choices choices =
   fun ~ordinal ~arity:_ ->
     match Hashtbl.find_opt tbl ordinal with Some r -> r | None -> 0
 
-(** Replay a schedule once; [Some report] if it violates an oracle. *)
+(** Replay a schedule once; [Some report] if it violates an oracle.
+    The heap it leaves for recycling is dropped on return. *)
 let replay scenario choices =
-  (run_schedule scenario ~horizon:0 ~forced:(forced_of_choices choices))
-    .rr_report
+  Fun.protect ~finally:Heap.Heap_impl.drop_retired (fun () ->
+      (run_schedule scenario ~horizon:0 ~forced:(forced_of_choices choices))
+        .rr_report)
 
 (* ------------------------------------------------------------------ *)
 (* Delta-debugging minimizer.                                           *)
@@ -461,6 +479,10 @@ let run scenario cfg =
   if cfg.schedules < 1 then invalid_arg "Explore.run: schedules";
   if cfg.depth < 1 then invalid_arg "Explore.run: depth";
   if cfg.jobs < 1 then invalid_arg "Explore.run: jobs";
+  (* Each schedule's heap is recycled into the next one its domain runs;
+     the last one is let go here.  Pool domains end with their batch and
+     take their slots with them. *)
+  Fun.protect ~finally:Heap.Heap_impl.drop_retired @@ fun () ->
   let horizon =
     match cfg.strategy with Rand -> 0 | Bounded | Pruned -> cfg.depth
   in

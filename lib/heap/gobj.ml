@@ -488,6 +488,21 @@ module Pool = struct
 
   let stats p =
     (p.records_reused, p.arrays_reused, p.records_pooled, p.arrays_pooled)
+
+  (* A recycled heap's pool starts a new run ({!Heap_impl.create}): its
+     stubs were named by the old run's roots and worklists, so they are
+     dropped, and the counters restart because each run reports its own
+     reuse.  The freelists stay; they are the point of recycling. *)
+  let restart p =
+    p.stubs <- Util.Vec.create null;
+    p.stub_next <- 0;
+    while not (Util.Ring.is_empty p.stub_batches) do
+      ignore (Util.Ring.pop_exn p.stub_batches)
+    done;
+    p.records_reused <- 0;
+    p.arrays_reused <- 0;
+    p.records_pooled <- 0;
+    p.arrays_pooled <- 0
 end
 
 (** Pool-aware allocation: the fast path.  A recycled
@@ -589,4 +604,25 @@ let release_residents pool ~floor ~limbo (objs : t Util.Vec.t) =
       && o.meta land (flag_weak_referent lor flag_unremapped) = 0
     then Util.Vec.push limbo o;
     o.meta <- o.meta lor flag_freed
+  done
+
+(* Hand the residents of a retired heap's region to [pool]
+   ({!Heap_impl.create} recycling it).  Nothing of the old run can name
+   a record any more, so every resident goes, but exactly once: only
+   from the region its [loc] names, and not when already flagged freed
+   (the flag is set here, as at a release).  A stub's array belongs to
+   its copy, which gives it up, so only unforwarded residents give an
+   array.  No edge is retired: a reissued record starts from a zero
+   header, and its array is cleared on the way into the pool.  A pooled
+   record keeps its stale [fields] pointer: nothing reads a pooled
+   record, reissue overwrites it, and not storing [no_fields] spares
+   the pass a write barrier per record. *)
+let reclaim_residents pool ~region (objs : t Util.Vec.t) =
+  for i = 0 to Util.Vec.length objs - 1 do
+    let o = Util.Vec.get objs i in
+    if o.loc asr offset_bits = region && o.meta land flag_freed = 0 then begin
+      o.meta <- o.meta lor flag_freed;
+      if o.forward == null then Pool.put_array pool o.fields;
+      Pool.put_record pool o
+    end
   done

@@ -337,6 +337,11 @@ module Pool : sig
 
   val stats : t -> int * int * int * int
   (** [(records_reused, arrays_reused, records_pooled, arrays_pooled)] *)
+
+  val restart : t -> unit
+  (** Start a new run on this pool ({!Heap_impl.create} recycling a
+      retired heap): queued stubs are dropped and {!stats} restarts at
+      zero; the record and array freelists stay. *)
 end
 
 val alloc_with :
@@ -387,3 +392,12 @@ val release_residents :
     freed flag.
     Something outside the heap may still name it, so it reaches the pool
     ({!Pool.put_stubs}) only at the end of a grace period ({!Grace}). *)
+
+val reclaim_residents : Pool.t -> region:int -> t Util.Vec.t -> unit
+(** Give the residents of region [region] of a retired heap to the pool
+    ({!Heap_impl.create}): each record whose [loc] names [region] and
+    that is not yet {!is_freed} is flagged freed and pooled, so a record
+    listed twice enters once; an unforwarded one also gives its field
+    array (a stub's array is its copy's).  Records of the old run are
+    unreachable from the new one until reissued with a fresh uid and
+    cleared fields. *)

@@ -113,30 +113,69 @@ let layout_error cfg =
           (Util.Units.pp_bytes Gobj.max_region_bytes) )
   else None
 
+(* The heap a finished run parked for the next {!create} in this domain
+   ({!retire}).  Domain-local, like the uid counter: each [Util.Dpool]
+   domain recycles its own chain of heaps, so no two runs share one. *)
+let retired_key : t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let retire t = if t.cfg.pooling then Domain.DLS.get retired_key := Some t
+let drop_retired () = Domain.DLS.get retired_key := None
+
+(* Empty a retired heap in place: every resident goes to its pool
+   ({!Gobj.reclaim_residents}), every region to its initial state, the
+   card table is cleared and the pool starts a new run. *)
+let reclaim t =
+  Array.iter
+    (fun (r : Region.t) ->
+      if not (Region.is_free r) then
+        Gobj.reclaim_residents t.pool ~region:r.rid r.Region.objects;
+      Region.reset r;
+      r.alloc_epoch <- 0)
+    t.regions;
+  Util.Bitset.clear_all t.card_dirty;
+  Gobj.Pool.restart t.pool
+
 let create cfg =
-  (* A fresh heap is a fresh simulated world: restart the uid space so
-     runs are byte-reproducible within one process (replay needs it). *)
-  Gobj.reset_uids ();
   Option.iter
     (fun (_, why) -> invalid_arg ("Heap.create: " ^ why))
     (layout_error cfg);
-  let nregions = cfg.heap_bytes / cfg.region_bytes in
-  let regions =
-    Array.init nregions (fun rid ->
-        Region.make ~rid ~size:cfg.region_bytes)
+  (* A fresh heap is a fresh simulated world: restart the uid space so
+     runs are byte-reproducible within one process (replay needs it).
+     Only after validation: a rejected create leaves a live heap's uid
+     stream alone. *)
+  Gobj.reset_uids ();
+  let slot = Domain.DLS.get retired_key in
+  let retired = !slot in
+  slot := None;
+  (* The storage: a retired heap of the same geometry, emptied, or new.
+     Everything else below is built afresh either way. *)
+  let regions, claimed, card_dirty, pool =
+    match retired with
+    | Some h when h.cfg = cfg ->
+        reclaim h;
+        (h.regions, h.claimed, h.card_dirty, h.pool)
+    | _ ->
+        let regions =
+          Array.init (cfg.heap_bytes / cfg.region_bytes) (fun rid ->
+              Region.make ~rid ~size:cfg.region_bytes)
+        in
+        ( regions,
+          Array.map (fun r -> Some r) regions,
+          Util.Bitset.create (cfg.heap_bytes / card_bytes),
+          Gobj.Pool.create () )
   in
   let free_q = Util.Ring.create (-1) in
   Array.iter (fun (r : Region.t) -> Util.Ring.push free_q r.rid) regions;
-  let pool = Gobj.Pool.create () in
   {
     cfg;
     cpr = cfg.region_bytes / card_bytes;
     uids = Gobj.uid_source ();
     hooks = Access.hooks ();
     regions;
-    claimed = Array.map (fun r -> Some r) regions;
+    claimed;
     free_q;
-    card_dirty = Util.Bitset.create (cfg.heap_bytes / card_bytes);
+    card_dirty;
     next_obj_id = 0;
     mark_epoch = 0;
     young_epoch = 0;

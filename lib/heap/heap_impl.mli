@@ -13,9 +13,11 @@ type config = {
   region_bytes : int;
   pooling : bool;
       (** recycle dead records and field arrays, and forwarded records
-          after their grace period, through the heap's {!Gobj.Pool}
-          (host-side only; simulated state is identical either way —
-          the flag exists for A/B allocation measurements) *)
+          after their grace period, through the heap's {!Gobj.Pool}, and
+          let a finished heap be recycled into the next one ({!retire});
+          off disables both (host-side only; simulated state is
+          identical either way — the flag exists for A/B allocation
+          measurements) *)
 }
 
 val card_bytes : int
@@ -33,7 +35,8 @@ val config :
 (** Validated constructor: [heap_bytes] must be a multiple of
     [region_bytes], which must be a multiple of [card_bytes].
     [pooling] (default on) recycles dead records/arrays at region
-    release — host allocation behavior only, never simulated state. *)
+    release and finished heaps at {!create} — host allocation behavior
+    only, never simulated state. *)
 
 type t = {
   cfg : config;
@@ -99,10 +102,35 @@ val layout_error : config -> ([ `Regions | `Region_bytes ] * string) option
     is larger than the object header addresses. *)
 
 val create : config -> t
-(** Build a fresh heap with every region free.  Restarts the uid space
+(** Build a fresh heap with every region free.  Raises
+    [Invalid_argument] for a geometry {!layout_error} rejects, before
+    touching anything else.  Then restarts the uid space
     ({!Gobj.reset_uids}): a fresh heap is a fresh simulated world, and
     runs must be byte-reproducible within one process (replay needs it).
-    Raises [Invalid_argument] for a geometry {!layout_error} rejects. *)
+
+    Then it empties this domain's {!retire} slot.  When the slot held a
+    heap with an equal [config], the new heap is built on that heap's
+    storage: its regions (reset, free list rebuilt in id order), its
+    card table (cleared) and its pool, which takes every resident record
+    once and every unforwarded resident's field array
+    ({!Gobj.reclaim_residents}) and drops the queued stubs
+    ({!Gobj.Pool.restart}).  Epochs, floors, counters and pool
+    statistics start at zero, and the grace state, weak references,
+    observer and uid and hook handles are new, exactly as for a heap
+    built from nothing.  A record of the old run is unreachable from the
+    new one until it is reissued with a fresh uid, and the pool is LIFO,
+    so the new run reissues its own freed records exactly as on a fresh
+    pooled heap: recycling never shows in simulated state. *)
+
+val retire : t -> unit
+(** Park a finished heap in this domain's slot for the next {!create}
+    to recycle; a no-op without [cfg.pooling].  Nothing may use the heap
+    (or anything holding it) afterwards.  One heap per domain: a second
+    retire replaces the first. *)
+
+val drop_retired : unit -> unit
+(** Empty this domain's slot, so the next {!create} builds fresh
+    storage and the parked heap can be collected. *)
 
 (** {2 Geometry and occupancy} *)
 

@@ -127,6 +127,22 @@ dune exec bin/gcsim.exe -- check -c jade -w avrora -m 1.5 \
 diff -u /tmp/ci_check_evac_j1.txt /tmp/ci_check_evac_j2.txt
 echo "evacuating check -j 2 output identical to -j 1"
 
+echo "== heap-recycling fence (-j 2 byte-identical to -j 1 on a pooling-visible cell) =="
+# Each schedule's heap is rebuilt on the storage of the one its domain
+# ran before (DESIGN.md §12), and at -j 2 the two domains recycle
+# different chains of heaps.  LXR on pmd at 2.0x is a cell where pooling
+# shows in simulated state (ROADMAP item 4), so any pool state that
+# leaks from one schedule into the next prints different bytes here.
+dune exec bin/gcsim.exe -- check -c lxr -w pmd -m 2.0 \
+  --requests 300 --schedules 32 --depth 8 --strategy rand \
+  > /tmp/ci_check_recycle_j1.txt
+cat /tmp/ci_check_recycle_j1.txt
+dune exec bin/gcsim.exe -- check -c lxr -w pmd -m 2.0 \
+  --requests 300 --schedules 32 --depth 8 --strategy rand -j 2 \
+  > /tmp/ci_check_recycle_j2.txt
+diff -u /tmp/ci_check_recycle_j1.txt /tmp/ci_check_recycle_j2.txt
+echo "recycling check -j 2 output identical to -j 1"
+
 echo "== lint-ast obs probe (lib/obs is part of the linted tree) =="
 # Same adversarial probe as above, planted in the observability library:
 # the tracing/analysis layer runs host-side but must stay deterministic

@@ -1095,6 +1095,162 @@ let test_packed_header_minting () =
       raises "uid minting past max in a heap" (fun () ->
           alloc heap r ~size:64 ~nrefs:0))
 
+(* A rejected [create] is rejected before it restarts the uid space, so
+   a heap still in use keeps minting where it was. *)
+let test_rejected_create_keeps_uids () =
+  let heap = mk_heap () in
+  let r = claim_exn heap Region.Old in
+  let k = 5 in
+  for _ = 1 to k do
+    ignore (alloc heap r ~size:64 ~nrefs:0)
+  done;
+  let region_bytes = 2 * Gobj.max_region_bytes in
+  (match
+     Heap_impl.create
+       (Heap_impl.config ~heap_bytes:(2 * region_bytes) ~region_bytes ())
+   with
+  | _ -> Alcotest.fail "oversized regions were accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "next uid continues" k
+    (Gobj.uid (alloc heap r ~size:64 ~nrefs:0))
+
+(* ------------------------------------------------------------------ *)
+(* Recycling a retired heap into the next [create]. *)
+
+(* Records the pool hands out until it has none, and the arrays of
+   length [n] it hands out until it has none: physically distinct if
+   nothing was pooled twice. *)
+let drain_pool (pool : Gobj.Pool.t) ~nrefs =
+  let records = ref [] in
+  let rec take () =
+    let o = Gobj.Pool.take_record pool in
+    if not (Gobj.is_null o) then begin
+      records := o :: !records;
+      take ()
+    end
+  in
+  take ();
+  let arrays = ref [] in
+  let rec take_arrays () =
+    let _, before, _, _ = Gobj.Pool.stats pool in
+    let a = Gobj.Pool.take_array pool nrefs in
+    let _, after, _, _ = Gobj.Pool.stats pool in
+    if after > before then begin
+      arrays := a :: !arrays;
+      take_arrays ()
+    end
+  in
+  take_arrays ();
+  (!records, !arrays)
+
+let rec distinct = function
+  | [] -> true
+  | x :: rest -> (not (List.memq x rest)) && distinct rest
+
+let test_retire_hands_storage_on () =
+  Fun.protect ~finally:Heap_impl.drop_retired @@ fun () ->
+  let cfg = Heap_impl.config ~heap_bytes:(4 * mib) ~region_bytes:(256 * kib) () in
+  let a = Heap_impl.create cfg in
+  Heap_impl.retire a;
+  let b = Heap_impl.create cfg in
+  Alcotest.(check bool) "equal config: the retired heap's regions" true
+    (b.Heap_impl.regions == a.Heap_impl.regions);
+  Alcotest.(check bool) "and its pool" true (b.Heap_impl.pool == a.Heap_impl.pool);
+  let c = Heap_impl.create cfg in
+  Alcotest.(check bool) "a second create builds fresh storage" true
+    (c.Heap_impl.regions != b.Heap_impl.regions);
+  (* A different geometry, or pooling off, builds fresh and empties the
+     slot: the parked heap is not there for the create after it. *)
+  let other = Heap_impl.config ~heap_bytes:(8 * mib) ~region_bytes:(256 * kib) () in
+  let unpooled =
+    Heap_impl.config ~heap_bytes:(4 * mib) ~region_bytes:(256 * kib) ~pooling:false ()
+  in
+  List.iter
+    (fun (what, cfg') ->
+      Heap_impl.retire c;
+      let d = Heap_impl.create cfg' in
+      Alcotest.(check bool) (what ^ ": fresh storage") true
+        (d.Heap_impl.regions != c.Heap_impl.regions);
+      let e = Heap_impl.create cfg in
+      Alcotest.(check bool) (what ^ ": slot emptied") true
+        (e.Heap_impl.regions != c.Heap_impl.regions))
+    [ ("mismatched config", other); ("pooling off", unpooled) ];
+  (* An unpooled heap is never parked. *)
+  let u = Heap_impl.create unpooled in
+  Heap_impl.retire u;
+  Alcotest.(check bool) "retiring an unpooled heap parks nothing" true
+    ((Heap_impl.create unpooled).Heap_impl.regions != u.Heap_impl.regions)
+
+(* A heap recycled from a used one starts exactly as a fresh one: every
+   region free and claimed in id order, nothing used, no dirty card,
+   zero pool statistics and epochs; its pool holds each old resident
+   record once and each unforwarded resident's array once. *)
+let test_recycled_heap_starts_empty () =
+  Fun.protect ~finally:Heap_impl.drop_retired @@ fun () ->
+  let cfg = Heap_impl.config ~heap_bytes:(4 * mib) ~region_bytes:(256 * kib) () in
+  let a = Heap_impl.create cfg in
+  let young = claim_exn a Region.Young and old = claim_exn a Region.Old in
+  let objs = List.init 6 (fun _ -> alloc a young ~size:64 ~nrefs:2) in
+  List.iteri
+    (fun i o -> Gobj.set_field o 0 (List.nth objs ((i + 1) mod 6)))
+    objs;
+  (* One stub: its copy shares its array. *)
+  let copy = relocate a old (List.hd objs) in
+  (* One record listed by a second region too: only the region its
+     [loc] names hands it on. *)
+  let twice = alloc a young ~size:64 ~nrefs:2 in
+  let third = claim_exn a Region.Old in
+  Region.push_obj third twice;
+  (* A stub past its grace period, queued in the pool for reuse: named
+     by the old run's worklists, so the recycled pool drops it. *)
+  let grace = a.Heap_impl.grace in
+  let p = Grace.register grace in
+  let gone = claim_exn a Region.Young in
+  let queued = relocate a old (alloc a gone ~size:64 ~nrefs:1) in
+  Heap_impl.release_region a gone;
+  Grace.offline grace p;
+  (* A released region puts its dead record in the pool before retiring. *)
+  let doomed = claim_exn a Region.Young in
+  let dead = alloc a doomed ~size:64 ~nrefs:2 in
+  Heap_impl.release_region a doomed;
+  Heap_impl.dirty_card a (Heap_impl.card_of_field a copy 0);
+  ignore (Heap_impl.begin_mark a);
+  Heap_impl.retire a;
+  let b = Heap_impl.create cfg in
+  Alcotest.(check bool) "recycled" true (b.Heap_impl.regions == a.Heap_impl.regions);
+  let n = Heap_impl.num_regions b in
+  Alcotest.(check int) "every region free" n (Heap_impl.free_regions b);
+  Alcotest.(check int) "used" 0 (Heap_impl.used_bytes b);
+  Alcotest.(check int) "dirty cards" 0 (Util.Bitset.cardinal b.Heap_impl.card_dirty);
+  Alcotest.(check (list int)) "epochs and floors" [ 0; 0; 0; 0 ]
+    [ b.Heap_impl.mark_epoch; b.Heap_impl.young_epoch; b.Heap_impl.mark_floor;
+      b.Heap_impl.young_floor ];
+  Alcotest.(check bool) "regions reset" true
+    (Array.for_all
+       (fun (r : Region.t) ->
+         Region.is_free r && r.Region.top = 0 && Region.object_count r = 0
+         && r.Region.alloc_epoch = 0)
+       b.Heap_impl.regions);
+  Alcotest.(check (list int)) "pool statistics" [ 0; 0; 0; 0 ]
+    (let w, x, y, z = Gobj.Pool.stats b.Heap_impl.pool in [ w; x; y; z ]);
+  let claims = List.init n (fun _ -> (claim_exn b Region.Old).Region.rid) in
+  Alcotest.(check (list int)) "claimed in id order" (List.init n Fun.id) claims;
+  let records, arrays = drain_pool b.Heap_impl.pool ~nrefs:2 in
+  (* 6 objects, their copy, [twice], [dead] and [queued]. *)
+  Alcotest.(check int) "each record pooled once" 10 (List.length records);
+  Alcotest.(check bool) "no record pooled twice" true (distinct records);
+  Alcotest.(check bool) "the released one among them" true (List.memq dead records);
+  Alcotest.(check bool) "the copy of the queued stub among them" true
+    (List.memq queued records);
+  Alcotest.(check bool) "queued stubs dropped" true
+    (Gobj.is_null (Gobj.Pool.take_copy_record b.Heap_impl.pool));
+  (* 5 unforwarded objects, the copy (the stub's array), [twice] and
+     [dead]. *)
+  Alcotest.(check int) "each array pooled once" 8 (List.length arrays);
+  Alcotest.(check bool) "no array pooled twice" true (distinct arrays);
+  Alcotest.(check bool) "arrays cleared" true
+    (List.for_all (Array.for_all Gobj.is_null) arrays)
+
 (* [inrefs] counts up to its maximum with both epochs intact; the store
    past it raises and writes nothing.  Every fresh one-slot array stands
    for another holder, so the count climbs without a decrement. *)
@@ -1247,5 +1403,14 @@ let () =
             test_stub_waits_for_grace;
           Alcotest.test_case "stubs something may name stay out" `Quick
             test_stub_exclusions;
+        ] );
+      ( "recycling",
+        [
+          Alcotest.test_case "a rejected create keeps the uid stream" `Quick
+            test_rejected_create_keeps_uids;
+          Alcotest.test_case "retire hands the storage on" `Quick
+            test_retire_hands_storage_on;
+          Alcotest.test_case "a recycled heap starts empty" `Quick
+            test_recycled_heap_starts_empty;
         ] );
     ]
