@@ -25,7 +25,16 @@
       rotation that only reorders threads whose runs touched disjoint
       metadata (per the race detector's access footprints, including
       condition-variable and spawn edges) is equivalent to its parent
-      and skipped.
+      and skipped.  Only this strategy records footprints and the
+      candidate tids they are compared by; the others, replays and the
+      minimizer record nothing beside the oracles, so their scheduling
+      rounds allocate no host memory and their oracle hooks allocate
+      only for what the race detector keeps (a forwarding install, a
+      released region's clock, a scheduling event).
+
+    Every schedule counted in [explored] also folds its simulated end
+    state into {!result}'s [end_digest], so simulated state no oracle
+    checks still shows in the output.
 
     A violating schedule is shrunk by delta debugging to a minimal set
     of forced rotations that still reproduces the same broken invariant,
@@ -92,6 +101,13 @@ type result = {
   shrink_runs : int;  (** extra schedules run by the minimizer *)
   pruned : int;  (** children skipped as footprint-equivalent *)
   baseline_choice_points : int;
+  end_digest : string;
+      (** MD5 chain, in task order, over the simulated end state of every
+          schedule counted in [explored]: the same integers bench/perf
+          fingerprints a run with (virtual time, requests completed,
+          pauses and pause time, busy time per thread kind, bytes
+          allocated, uid watermark), read before the heap is retired.
+          Like every other field it is byte-identical at any [jobs]. *)
   violation : violation option;
 }
 
@@ -138,24 +154,47 @@ type run_record = {
   rr_choice_points : int;  (** choice points encountered *)
   rr_applied : (int * int) list;  (** non-zero rotations applied, ascending *)
   rr_arity : int array;  (** candidates per choice point, first [horizon] *)
-  rr_cands : int array array;  (** candidate tids per choice point *)
+  rr_cands : int array array;
+      (** candidate tids per choice point, first [horizon]; recorded
+          with the footprints only *)
   rr_cores : int;
-  rr_foot : footprints;
+  rr_foot : footprints option;  (** [Pruned] only *)
+  rr_end : string;  (** simulated end state, folded into the digest *)
 }
+
+(* The simulated end state of a run, from the integers bench/perf
+   fingerprints a run with.  Requests completed are the ones the
+   metrics recorded, which is what [Runtime.Driver.run] reports. *)
+let end_state rt =
+  let engine = rt.RtM.engine and m = rt.RtM.metrics in
+  let busy = Sim.Engine.busy_ns engine in
+  Printf.sprintf
+    "now=%d completed=%d pauses=%d pause_ns=%d busy=%d/%d/%d alloc=%d uids=%d"
+    (Sim.Engine.now engine)
+    (Runtime.Metrics.requests_completed m)
+    (Runtime.Metrics.pause_count m)
+    (Runtime.Metrics.cumulative_pause m)
+    (busy Sim.Engine.Mutator) (busy Sim.Engine.Gc) (busy Sim.Engine.Aux)
+    rt.RtM.heap.Heap.Heap_impl.bytes_allocated (Heap.Gobj.uid_watermark ())
 
 (** Run the scenario once.  [forced ~ordinal ~arity] names the rotation
     to apply at each choice point (out-of-range rotations fall back to
     0, which keeps replays of stale files well-defined); [horizon] caps
-    how many choice points record their arity/candidates for the
-    exhaustive strategies. *)
-let run_schedule (scenario : scenario) ~horizon
+    how many choice points record their arity for the exhaustive
+    strategies.  With [footprints] (the pruned strategy only) those
+    choice points also record their candidates, and every thread's
+    metadata accesses and synchronization edges are collected for
+    {!footprint_prune}; without it the oracle hooks record nothing. *)
+let run_schedule (scenario : scenario) ~horizon ~footprints
     ~(forced : ordinal:int -> arity:int -> int) : run_record =
   let ordinal = ref 0 in
   let applied = ref [] in
   let arity = Array.make (max horizon 1) 0 in
   let cands = Array.make (max horizon 1) [||] in
   let cores = ref 0 in
-  let foot : footprints = Hashtbl.create 32 in
+  let foot : footprints option =
+    if footprints then Some (Hashtbl.create 32) else None
+  in
   let report = ref None in
   let attached = ref None in
   let violation r =
@@ -168,46 +207,45 @@ let run_schedule (scenario : scenario) ~horizon
     cores := Sim.Engine.cores engine;
     Sim.Engine.set_policy engine
       (Some
-         (fun cs ->
+         (fun n ->
            let j = !ordinal in
            incr ordinal;
-           let n = Array.length cs in
            if j < horizon then begin
              arity.(j) <- n;
-             cands.(j) <- Array.map (fun c -> c.Sim.Engine.c_tid) cs
+             if footprints then
+               cands.(j) <- Array.init n (Sim.Engine.candidate_tid engine)
            end;
            let r = forced ~ordinal:j ~arity:n in
            let r = if r >= 0 && r < n then r else 0 in
            if r <> 0 then applied := (j, r) :: !applied;
            r));
     ignore
-      (Sanitizer.install_check_oracles
-         ~on_access:(fun _op res ~key ~site:_ ->
-           foot_add foot (Sim.Engine.current_tid engine) (res_tag res, key))
-         ~on_trace:(fun ev ->
-           match ev with
-           | Sim.Engine.Spawned { parent; child; _ } ->
-               let item = (spawn_tag, child) in
-               foot_add foot parent item;
-               foot_add foot child item
-           | Sim.Engine.Woken { waker; woken; cond } ->
-               let item = (cond_tag, Hashtbl.hash cond) in
-               foot_add foot waker item;
-               foot_add foot woken item)
-         ~on_violation:violation rt)
+      (match foot with
+      | None -> Sanitizer.install_check_oracles ~on_violation:violation rt
+      | Some foot ->
+          Sanitizer.install_check_oracles
+            ~on_access:(fun _op res ~key ~site:_ ->
+              foot_add foot (Sim.Engine.current_tid engine) (res_tag res, key))
+            ~on_trace:(fun ev ->
+              match ev with
+              | Sim.Engine.Spawned { parent; child; _ } ->
+                  let item = (spawn_tag, child) in
+                  foot_add foot parent item;
+                  foot_add foot child item
+              | Sim.Engine.Woken { waker; woken; cond } ->
+                  let item = (cond_tag, Hashtbl.hash cond) in
+                  foot_add foot waker item;
+                  foot_add foot woken item)
+            ~on_violation:violation rt)
   in
+  let finished = ref false and end_ = ref "" in
   Fun.protect
     ~finally:(fun () -> Heap.Access.reset ())
     (fun () ->
-      try
-        scenario ~attach;
-        (* Only a run that finished hands its heap on.  One cut short
-           may hold a copy whose forwarding pointer was never installed
-           (the detector raises on the second of two racing installs),
-           and its field array is also its source's: recycling would
-           pool that array twice. *)
-        Option.iter (fun rt -> Heap.Heap_impl.retire rt.RtM.heap) !attached
-      with
+      (try
+         scenario ~attach;
+         finished := true
+       with
       | Report.Violation _ -> ()
       | Sim.Engine.Deadlock msg ->
           report :=
@@ -233,6 +271,16 @@ let run_schedule (scenario : scenario) ~horizon
                 object_id = None;
                 detail = Printexc.to_string e;
               });
+      Option.iter
+        (fun rt ->
+          end_ := end_state rt;
+          (* Only a run that finished hands its heap on.  One cut short
+             may hold a copy whose forwarding pointer was never installed
+             (the detector raises on the second of two racing installs),
+             and its field array is also its source's: recycling would
+             pool that array twice. *)
+          if !finished then Heap.Heap_impl.retire rt.RtM.heap)
+        !attached);
   {
     rr_report = !report;
     rr_choice_points = !ordinal;
@@ -241,6 +289,7 @@ let run_schedule (scenario : scenario) ~horizon
     rr_cands = cands;
     rr_cores = !cores;
     rr_foot = foot;
+    rr_end = !end_;
   }
 
 let forced_of_choices choices =
@@ -253,7 +302,8 @@ let forced_of_choices choices =
     The heap it leaves for recycling is dropped on return. *)
 let replay scenario choices =
   Fun.protect ~finally:Heap.Heap_impl.drop_retired (fun () ->
-      (run_schedule scenario ~horizon:0 ~forced:(forced_of_choices choices))
+      (run_schedule scenario ~horizon:0 ~footprints:false
+         ~forced:(forced_of_choices choices))
         .rr_report)
 
 (* ------------------------------------------------------------------ *)
@@ -356,6 +406,14 @@ let found scenario first_record first_report =
 let run_batch cfg (tasks : (unit -> run_record) array) =
   Util.Dpool.map ~jobs:cfg.jobs (Array.length tasks) (fun k -> tasks.(k) ())
 
+(* The schedules counted so far, in task order, and the digest of their
+   end states. *)
+type tally = { mutable counted : int; mutable digest : string }
+
+let count tally (rec_ : run_record) =
+  tally.counted <- tally.counted + 1;
+  tally.digest <- Digest.to_hex (Digest.string (tally.digest ^ rec_.rr_end))
+
 (* Seeded random walk: each schedule forces at most [depth] rotations at
    ordinals sampled uniformly over the baseline's choice points.  The
    schedule at index [i] is a pure function of [(cfg.seed, i)], which is
@@ -374,11 +432,10 @@ let rand_schedule scenario cfg ~total i () =
     | Some salt when arity >= 2 -> 1 + (salt mod (arity - 1))
     | _ -> 0
   in
-  run_schedule scenario ~horizon:0 ~forced
+  run_schedule scenario ~horizon:0 ~footprints:false ~forced
 
-let explore_rand scenario cfg ~(baseline : run_record) =
+let explore_rand scenario cfg ~tally ~(baseline : run_record) =
   let total = max 1 baseline.rr_choice_points in
-  let explored = ref 1 in
   let result = ref None in
   let i = ref 1 in
   while !result = None && !i < cfg.schedules do
@@ -390,7 +447,7 @@ let explore_rand scenario cfg ~(baseline : run_record) =
     Array.iter
       (fun rec_ ->
         if !result = None then begin
-          incr explored;
+          count tally rec_;
           (match rec_.rr_report with
           | Some r -> result := Some (rec_, r)
           | None -> ());
@@ -398,13 +455,12 @@ let explore_rand scenario cfg ~(baseline : run_record) =
         end)
       recs
   done;
-  (!explored, !result)
+  !result
 
 (* Breadth-first exhaustive search over rotation vectors for the first
    [depth] choice points; [prune] may veto a child before it runs. *)
-let explore_bounded scenario cfg
+let explore_bounded scenario cfg ~tally
     ~(prune : run_record -> int -> int -> bool) ~(baseline : run_record) =
-  let explored = ref 1 in
   let pruned = ref 0 in
   let result = ref None in
   let queue = Queue.create () in
@@ -428,52 +484,59 @@ let explore_bounded scenario cfg
     let forced ~ordinal ~arity:_ =
       if ordinal < Array.length v then v.(ordinal) else 0
     in
-    run_schedule scenario ~horizon:cfg.depth ~forced
+    run_schedule scenario ~horizon:cfg.depth
+      ~footprints:(cfg.strategy = Pruned) ~forced
   in
   push_children [||] baseline;
   while
-    !result = None && not (Queue.is_empty queue) && !explored < cfg.schedules
+    !result = None
+    && (not (Queue.is_empty queue))
+    && tally.counted < cfg.schedules
   do
     (* A batch never outruns the budget, and FIFO order is undisturbed:
        the popped vectors all predate any child they generate, so
        processing the batch in pop order pushes children exactly where
        the sequential loop would have. *)
     let batch =
-      min (Queue.length queue) (min cfg.jobs (cfg.schedules - !explored))
+      min (Queue.length queue) (min cfg.jobs (cfg.schedules - tally.counted))
     in
     let vs = Array.init batch (fun _ -> Queue.pop queue) in
     let recs = run_batch cfg (Array.map run_vector vs) in
     Array.iteri
       (fun k rec_ ->
         if !result = None then begin
-          incr explored;
+          count tally rec_;
           match rec_.rr_report with
           | Some r -> result := Some (rec_, r)
           | None -> push_children vs.(k) rec_
         end)
       recs
   done;
-  (!explored, !pruned, !result)
+  (!pruned, !result)
 
 (* Sleep-set-style equivalence: rotating candidates [r..] ahead of
    [0..r-1] only permutes the round's host order when everyone is served
    anyway (n <= cores); if additionally every reordered pair touched
    disjoint metadata and shares no synchronization edge, the child
-   schedule is observably equal to its parent and need not run. *)
+   schedule is observably equal to its parent and need not run.  A run
+   that recorded no footprints prunes nothing. *)
 let footprint_prune (rec_ : run_record) j r =
   let n = rec_.rr_arity.(j) in
   let cands = rec_.rr_cands.(j) in
-  n <= rec_.rr_cores
-  && begin
-       let disjoint = ref true in
-       for i = 0 to r - 1 do
-         for l = r to n - 1 do
-           if !disjoint && not (foot_disjoint rec_.rr_foot cands.(i) cands.(l))
-           then disjoint := false
-         done
-       done;
-       !disjoint
-     end
+  match rec_.rr_foot with
+  | None -> false
+  | Some foot ->
+      n <= rec_.rr_cores
+      && begin
+           let disjoint = ref true in
+           for i = 0 to r - 1 do
+             for l = r to n - 1 do
+               if !disjoint && not (foot_disjoint foot cands.(i) cands.(l))
+               then disjoint := false
+             done
+           done;
+           !disjoint
+         end
 
 let run scenario cfg =
   if cfg.schedules < 1 then invalid_arg "Explore.run: schedules";
@@ -487,8 +550,11 @@ let run scenario cfg =
     match cfg.strategy with Rand -> 0 | Bounded | Pruned -> cfg.depth
   in
   let baseline =
-    run_schedule scenario ~horizon ~forced:(fun ~ordinal:_ ~arity:_ -> 0)
+    run_schedule scenario ~horizon ~footprints:(cfg.strategy = Pruned)
+      ~forced:(fun ~ordinal:_ ~arity:_ -> 0)
   in
+  let tally = { counted = 0; digest = "" } in
+  count tally baseline;
   match baseline.rr_report with
   | Some r ->
       (* The default schedule already violates: nothing to search or
@@ -498,6 +564,7 @@ let run scenario cfg =
         shrink_runs = 0;
         pruned = 0;
         baseline_choice_points = baseline.rr_choice_points;
+        end_digest = tally.digest;
         violation =
           Some
             {
@@ -508,16 +575,15 @@ let run scenario cfg =
             };
       }
   | None ->
-      let explored, pruned, hit =
+      let pruned, hit =
         match cfg.strategy with
-        | Rand ->
-            let explored, hit = explore_rand scenario cfg ~baseline in
-            (explored, 0, hit)
+        | Rand -> (0, explore_rand scenario cfg ~tally ~baseline)
         | Bounded ->
-            explore_bounded scenario cfg
+            explore_bounded scenario cfg ~tally
               ~prune:(fun _ _ _ -> false)
               ~baseline
-        | Pruned -> explore_bounded scenario cfg ~prune:footprint_prune ~baseline
+        | Pruned ->
+            explore_bounded scenario cfg ~tally ~prune:footprint_prune ~baseline
       in
       let violation, shrink_runs =
         match hit with
@@ -527,9 +593,10 @@ let run scenario cfg =
             (Some v, shrink_runs)
       in
       {
-        explored;
+        explored = tally.counted;
         shrink_runs;
         pruned;
         baseline_choice_points = baseline.rr_choice_points;
+        end_digest = tally.digest;
         violation;
       }

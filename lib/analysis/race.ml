@@ -91,10 +91,12 @@ let thread_name t tid =
     | Some n -> Printf.sprintf "%s(tid %d)" n tid
     | None -> Printf.sprintf "tid %d" tid
 
+(* [Hashtbl.find], not [find_opt]: a hit, the common case on every
+   edge, then allocates no option. *)
 let clock_of t tid =
-  match Hashtbl.find_opt t.clocks tid with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find t.clocks tid with
+  | c -> c
+  | exception Not_found ->
       let c = Vclock.create () in
       Vclock.set c ~tid 1;
       Hashtbl.replace t.clocks tid c;
@@ -186,9 +188,9 @@ let on_access t op res ~key ~site =
   record t op res ~key ~site ~tid ~time:(Sim.Engine.now t.engine);
   match (op, res) with
   | Heap.Access.Acquire, Heap.Access.Region_ctl -> (
-      match Hashtbl.find_opt t.region_clocks key with
-      | Some rc -> Vclock.merge (clock_of t tid) rc
-      | None -> ())
+      match Hashtbl.find t.region_clocks key with
+      | rc -> Vclock.merge (clock_of t tid) rc
+      | exception Not_found -> ())
   | Heap.Access.Release, Heap.Access.Region_ctl ->
       let c = clock_of t tid in
       Hashtbl.replace t.region_clocks key (Vclock.copy c);

@@ -47,10 +47,12 @@ let copy t = { stamps = Array.copy t.stamps }
 
 (** [merge dst src] joins [src] into [dst] (pointwise max). *)
 let merge dst src =
-  ensure dst (Array.length src.stamps - 1);
-  Array.iteri
-    (fun i v -> if v > dst.stamps.(i) then dst.stamps.(i) <- v)
-    src.stamps
+  let n = Array.length src.stamps in
+  ensure dst (n - 1);
+  let d = dst.stamps and s = src.stamps in
+  for i = 0 to n - 1 do
+    if s.(i) > d.(i) then d.(i) <- s.(i)
+  done
 
 (** Pointwise [a <= b]: everything [a] has seen, [b] has seen too. *)
 let leq a b =

@@ -87,13 +87,9 @@ type trace_event =
   | Spawned of { parent : int; child : int; name : string }
   | Woken of { waker : int; woken : int; cond : string }
 
-(** A runnable thread as shown to a scheduling {!policy} at a choice
-    point.  [c_debt] is the virtual CPU the thread still owes before its
-    code resumes; a thread with [c_debt <= quantum] will execute code
-    within the coming round. *)
-type candidate = { c_tid : int; c_name : string; c_kind : kind; c_debt : int }
-
-type policy = candidate array -> int
+(* Called with the number of candidates at a choice point; it reads
+   their tids through {!candidate_tid} and returns a left-rotation. *)
+type policy = int -> int
 
 type t = {
   cores : int;
@@ -111,6 +107,10 @@ type t = {
   mutable current : thread; (* thread being driven; [dummy_thread] outside *)
   mutable tracer : (trace_event -> unit) option;
   mutable policy : policy option;
+  mutable cands : thread array;
+      (* a policy round drains the run queue here; [[||]] until a policy
+         is installed, [dummy_thread] outside a round *)
+  mutable n_cands : int; (* candidates shown to the policy; 0 outside it *)
   mutable choice_points : int; (* choice points presented to the policy *)
   mutable self : t option;
       (* [Some] of this engine, built once: {!run_thread} installs it in
@@ -145,6 +145,8 @@ let create ?(cores = 8) ?(quantum = 20_000) () =
       current = dummy_thread;
       tracer = None;
       policy = None;
+      cands = [||];
+      n_cands = 0;
       choice_points = 0;
       self = None;
     }
@@ -176,8 +178,24 @@ let thread_info t =
 let set_tracer t f = t.tracer <- f
 
 (** Install (or remove) the scheduling policy.  [None] — the default —
-    keeps the allocation-free FIFO fast path. *)
-let set_policy t p = t.policy <- p
+    keeps the FIFO fast path.  The first install sizes the candidate
+    buffer, so an engine that never has a policy never builds one. *)
+let set_policy t p =
+  t.policy <- p;
+  match p with
+  | Some _ when Array.length t.cands = 0 ->
+      t.cands <- Array.make (2 * t.cores) dummy_thread
+  | _ -> ()
+
+(** Tid of candidate [i] at the choice point being presented. *)
+let candidate_tid t i =
+  if i < 0 || i >= t.n_cands then
+    invalid_arg
+      (Printf.sprintf
+         "Sim.Engine.candidate_tid: candidate %d of %d (only a policy, \
+          while it is called, sees candidates)"
+         i t.n_cands);
+  t.cands.(i).tid
 
 (** Choice points presented to the installed policy so far. *)
 let choice_points t = t.choice_points
@@ -490,7 +508,10 @@ let run ?until t =
                 actually execute this round (their host order decides who
                 observes whose effects at equal virtual time). *)
              let m = Util.Ring.length t.runq in
-             let cands = Array.make m dummy_thread in
+             if m > Array.length t.cands then
+               t.cands <-
+                 Array.make (max m (2 * Array.length t.cands)) dummy_thread;
+             let cands = t.cands in
              for i = 0 to m - 1 do
                let th = Util.Ring.pop_exn t.runq in
                th.enqueued <- false;
@@ -503,18 +524,9 @@ let run ?until t =
              let r =
                if m >= 2 && (m > t.cores || !will_resume >= 2) then begin
                  t.choice_points <- t.choice_points + 1;
-                 let view =
-                   Array.map
-                     (fun th ->
-                       {
-                         c_tid = th.tid;
-                         c_name = th.name;
-                         c_kind = th.kind;
-                         c_debt = th.debt;
-                       })
-                     cands
-                 in
-                 let r = pick view in
+                 t.n_cands <- m;
+                 let r = pick m in
+                 t.n_cands <- 0;
                  if r < 0 || r >= m then
                    invalid_arg
                      (Printf.sprintf
@@ -532,6 +544,7 @@ let run ?until t =
              for i = served to m - 1 do
                enqueue t cands.((i + r) mod m)
              done;
+             Array.fill cands 0 m dummy_thread;
              n := served);
          (* Baseline step: one quantum, clamped so sleepers wake on time. *)
          let step =

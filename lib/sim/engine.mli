@@ -154,21 +154,29 @@ val set_tracer : t -> (trace_event -> unit) option -> unit
     equal virtual time).  Rounds that are pure debt bookkeeping are not
     choice points and are never presented. *)
 
-(** One runnable thread as presented to a policy, in current run-queue
-    order.  [c_debt] is the virtual CPU still owed before the thread's
-    code resumes. *)
-type candidate = { c_tid : int; c_name : string; c_kind : kind; c_debt : int }
-
-type policy = candidate array -> int
-(** A policy returns a left-rotation [r] of the presented candidates
+type policy = int -> int
+(** A policy is called with the number [n] of runnable threads, the
+    {e candidates}, and returns a left-rotation [r] of them
     ([0 <= r < n]): the scheduler serves the first [cores] threads of
     the rotated order this round and requeues the rest, preserving the
     rotated order.  Rotation [0] reproduces the default FIFO round-robin
-    bit-identically.  Out-of-range rotations raise [Invalid_argument]. *)
+    bit-identically.  Out-of-range rotations raise [Invalid_argument].
+    A policy that needs to know who the candidates are reads their tids
+    with {!candidate_tid}, in run-queue order. *)
 
 val set_policy : t -> policy option -> unit
 (** Install or remove the scheduling policy.  [None] (the default)
-    keeps the allocation-free FIFO fast path. *)
+    keeps the FIFO fast path.  The first install allocates the buffer
+    policy rounds drain the run queue into.  After that a policy round,
+    choice point or not, allocates nothing, unless more threads are
+    runnable than the buffer holds: it then grows, at least doubling. *)
+
+val candidate_tid : t -> int -> int
+(** [candidate_tid t i] is the tid of candidate [i] ([0 <= i < n]) at
+    the choice point being presented.  The candidates live in a buffer
+    the engine reuses every round, so they can be read only while the
+    policy is being called: a policy must copy the tids it wants to
+    keep, and any other call raises [Invalid_argument]. *)
 
 val choice_points : t -> int
 (** Number of choice points presented to the installed policy so far

@@ -132,7 +132,8 @@ echo "== heap-recycling fence (-j 2 byte-identical to -j 1 on a pooling-visible 
 # ran before (DESIGN.md §12), and at -j 2 the two domains recycle
 # different chains of heaps.  LXR on pmd at 2.0x is a cell where pooling
 # shows in simulated state (ROADMAP item 4), so any pool state that
-# leaks from one schedule into the next prints different bytes here.
+# leaks from one schedule into the next prints different bytes here,
+# in the end-state digest if no oracle trips.
 dune exec bin/gcsim.exe -- check -c lxr -w pmd -m 2.0 \
   --requests 300 --schedules 32 --depth 8 --strategy rand \
   > /tmp/ci_check_recycle_j1.txt
@@ -142,6 +143,22 @@ dune exec bin/gcsim.exe -- check -c lxr -w pmd -m 2.0 \
   > /tmp/ci_check_recycle_j2.txt
 diff -u /tmp/ci_check_recycle_j1.txt /tmp/ci_check_recycle_j2.txt
 echo "recycling check -j 2 output identical to -j 1"
+
+echo "== pruned-strategy fence (-j 2 byte-identical to -j 1 with footprints recorded) =="
+# Only --strategy pruned records per-thread access footprints and the
+# candidates they are compared by (DESIGN.md §7); the fences above all
+# run rand.  At 1.5x every schedule evacuates, so the footprints hold
+# forwarding installs as well as cards, marks and region claims, and
+# the pruned count and end-state digest must not depend on -j.
+dune exec bin/gcsim.exe -- check -c jade -w avrora -m 1.5 \
+  --requests 400 --schedules 32 --depth 8 --strategy pruned \
+  > /tmp/ci_check_pruned_j1.txt
+cat /tmp/ci_check_pruned_j1.txt
+dune exec bin/gcsim.exe -- check -c jade -w avrora -m 1.5 \
+  --requests 400 --schedules 32 --depth 8 --strategy pruned -j 2 \
+  > /tmp/ci_check_pruned_j2.txt
+diff -u /tmp/ci_check_pruned_j1.txt /tmp/ci_check_pruned_j2.txt
+echo "pruned check -j 2 output identical to -j 1"
 
 echo "== lint-ast obs probe (lib/obs is part of the linted tree) =="
 # Same adversarial probe as above, planted in the observability library:

@@ -233,16 +233,17 @@ let test_pruning_skips_equivalent_schedules () =
     (bounded.Analysis.Explore.violation = None);
   Alcotest.(check bool) "pruned finds nothing" true
     (pruned.Analysis.Explore.violation = None);
-  Alcotest.(check bool)
-    (Printf.sprintf "pruning skipped schedules (%d pruned)"
-       pruned.Analysis.Explore.pruned)
-    true
-    (pruned.Analysis.Explore.pruned > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "pruned explored fewer schedules (%d vs %d)"
-       pruned.Analysis.Explore.explored bounded.Analysis.Explore.explored)
-    true
-    (pruned.Analysis.Explore.explored < bounded.Analysis.Explore.explored)
+  (* Exact counts: the baseline has one two-way choice point within the
+     horizon whose threads touch disjoint metadata, so bounded runs its
+     one child and pruned skips it.  A change to what the footprints
+     record, or to when they are recorded, moves these. *)
+  let counts (r : Analysis.Explore.result) =
+    (r.Analysis.Explore.explored, r.Analysis.Explore.pruned)
+  in
+  Alcotest.(check (pair int int)) "bounded explored, pruned" (2, 0)
+    (counts bounded);
+  Alcotest.(check (pair int int)) "pruned explored, pruned" (1, 1)
+    (counts pruned)
 
 (* ------------------------------------------------------------------ *)
 (* Heap recycling: each schedule's heap is rebuilt from the previous
@@ -261,7 +262,8 @@ let recycle_cells =
 
 (* Explore [schedules] rand schedules of a cell and return each run's
    end state, in schedule order, with the number of runs whose heap
-   reused the previous run's regions.  [fresh] drops the parked heap
+   reused the previous run's regions and the explorer's end-state
+   digest.  [fresh] drops the parked heap
    before each run, so every run builds its heap from nothing. *)
 let explore_fingerprints ~fresh ~schedules
     ((entry : Experiments.Registry.entry), app, mult, seed, requests) =
@@ -302,7 +304,7 @@ let explore_fingerprints ~fresh ~schedules
         seed; jobs = 1 }
   in
   Alcotest.(check bool) "no violation" true (res.Analysis.Explore.violation = None);
-  (List.rev !prints, !reused)
+  (List.rev !prints, !reused, res.Analysis.Explore.end_digest)
 
 let test_recycled_equals_fresh () =
   let schedules = 4 in
@@ -311,15 +313,21 @@ let test_recycled_equals_fresh () =
       let name =
         Printf.sprintf "%s %s %.1fx seed %d" entry.Experiments.Registry.name app mult seed
       in
-      let recycled, reused = explore_fingerprints ~fresh:false ~schedules cell in
-      let fresh, reused_fresh = explore_fingerprints ~fresh:true ~schedules cell in
+      let recycled, reused, recycled_digest =
+        explore_fingerprints ~fresh:false ~schedules cell
+      in
+      let fresh, reused_fresh, fresh_digest =
+        explore_fingerprints ~fresh:true ~schedules cell
+      in
       Alcotest.(check int) (name ^ ": every later schedule recycled") (schedules - 1) reused;
       Alcotest.(check int) (name ^ ": dropped slot builds fresh") 0 reused_fresh;
       let gc_busy fp = List.nth fp 5 in
       Alcotest.(check bool) (name ^ ": collects") true
         (List.for_all (fun fp -> gc_busy fp > 0) recycled);
       Alcotest.(check (list (list int))) (name ^ ": per-schedule end states") fresh
-        recycled)
+        recycled;
+      Alcotest.(check string) (name ^ ": end-state digest") fresh_digest
+        recycled_digest)
     recycle_cells
 
 let () =

@@ -9,8 +9,9 @@ let kib = Util.Units.kib
 
 (* ------------------------------------------------------------------ *)
 (* Fence 1: gcsim check.  The same search fanned over 4 domains must
-   report the same explored/pruned counts, the same violation, the same
-   minimized schedule, and a byte-identical report. *)
+   report the same explored/pruned counts, the same end-state digest,
+   the same violation, the same minimized schedule, and a
+   byte-identical report. *)
 
 let explore ~cfg ~jobs ~plant =
   Analysis.Explore.run
@@ -29,6 +30,9 @@ let check_results_equal name (a : Analysis.Explore.result)
     (name ^ ": baseline choice points")
     a.Analysis.Explore.baseline_choice_points
     b.Analysis.Explore.baseline_choice_points;
+  Alcotest.(check string)
+    (name ^ ": end-state digest")
+    a.Analysis.Explore.end_digest b.Analysis.Explore.end_digest;
   match (a.Analysis.Explore.violation, b.Analysis.Explore.violation) with
   | None, None -> ()
   | Some va, Some vb ->

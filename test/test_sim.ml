@@ -288,6 +288,63 @@ let test_suspensions_allocate_little () =
          Engine.signal e ping;
          Engine.wait pong))
 
+(* Under a policy every round drains the run queue into the engine's
+   candidate buffer and, at a choice point, calls the policy; none of
+   that may allocate, so a suspension still costs at most 4 words.  Each
+   repetition is one [yield] of the measured thread and one of its
+   partner, so two suspensions; the rotation-0 policy reads every
+   candidate's tid and makes each round a choice point: one core with
+   two runnable threads (the policy picks who waits), then two cores
+   with both about to run code (it picks their order). *)
+let test_policy_rounds_allocate_little () =
+  List.iter
+    (fun (what, cores) ->
+      let e = Engine.create ~cores () in
+      let seen = ref 0 in
+      Engine.set_policy e
+        (Some
+           (fun n ->
+             for i = 0 to n - 1 do
+               seen := !seen + Engine.candidate_tid e i
+             done;
+             0));
+      ignore
+        (Engine.spawn e ~daemon:true ~name:"partner" ~kind:Engine.Mutator
+           (fun () ->
+             while true do
+               Engine.yield ()
+             done));
+      let words = words_per_suspension ~per_rep:2 e Engine.yield in
+      if words > 4. then
+        Alcotest.failf "%s: %.2f minor words per suspension (want <= 4)" what
+          words;
+      (* At least one choice point for each of the 10,000 measured
+         repetitions. *)
+      if Engine.choice_points e < 10_000 then
+        Alcotest.failf "%s: only %d choice points" what (Engine.choice_points e))
+    [ ("one core, two threads", 1); ("two cores, two threads", 2) ]
+
+(* The policy reads its candidates, in run-queue order, only while it is
+   called; the buffer they live in is the engine's to reuse. *)
+let test_candidates_only_inside_policy () =
+  let e = Engine.create ~cores:1 () in
+  let first = ref [] in
+  Engine.set_policy e
+    (Some
+       (fun n ->
+         if !first = [] then first := List.init n (Engine.candidate_tid e);
+         0));
+  for i = 0 to 2 do
+    ignore
+      (Engine.spawn e ~name:(Printf.sprintf "t%d" i) ~kind:Engine.Mutator
+         (fun () -> Engine.tick (50 * us)))
+  done;
+  Engine.run e;
+  Alcotest.(check (list int)) "spawn order" [ 0; 1; 2 ] !first;
+  match Engine.candidate_tid e 0 with
+  | _ -> Alcotest.fail "candidate_tid outside the policy returned"
+  | exception Invalid_argument _ -> ()
+
 (* The suspending operations record their operand on the calling
    thread; with no thread to record it on they must fail, never drop
    the operation. *)
@@ -376,6 +433,10 @@ let () =
           cpu_conservation;
           Alcotest.test_case "suspensions allocate at most 4 words" `Quick
             test_suspensions_allocate_little;
+          Alcotest.test_case "policy rounds allocate at most 4 words a suspension"
+            `Quick test_policy_rounds_allocate_little;
+          Alcotest.test_case "candidates visible only inside the policy" `Quick
+            test_candidates_only_inside_policy;
           Alcotest.test_case "suspending outside a thread raises" `Quick
             test_outside_thread_raises;
         ] );
