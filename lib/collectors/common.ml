@@ -513,13 +513,18 @@ let reclaim_dead_humongous rt (tk : Ticker.t) =
 (* ------------------------------------------------------------------ *)
 (* Full STW compaction: everyone's last resort.                         *)
 
+(** The [on_live_ref] of a collector that keeps no remembered set across
+    a compaction. *)
+let nothing_to_rebuild (_ : Gobj.t) (_ : int) (_ : Gobj.t) = ()
+
 (** Stop the world, mark everything reachable, compact, update every
     reference and release the emptied regions.  Returns reclaimed
     regions.  [on_live_ref holder i child] is called for every surviving
     cross-object reference during the update sweep, letting collectors
     rebuild their remembered sets (every pre-compaction entry is stale
-    once objects move). *)
-let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
+    once objects move).  It is required: a collector with nothing to
+    rebuild passes {!nothing_to_rebuild}. *)
+let stw_full_compact ~on_live_ref rt =
   let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
   (* Phase fires carry a suffixed collector name: collector-specific
@@ -678,8 +683,8 @@ let below_low_watermark rt =
 (** The last rung of every collector's escalation ladder: a full
     compaction ([on_live_ref] as in {!stw_full_compact}), then
     out-of-memory if even that left the heap below the low watermark. *)
-let full_gc_or_oom ?on_live_ref rt =
-  ignore (stw_full_compact ?on_live_ref rt);
+let full_gc_or_oom ~on_live_ref rt =
+  ignore (stw_full_compact ~on_live_ref rt);
   if below_low_watermark rt then begin
     rt.RtM.oom <- true;
     RtM.notify_memory_freed rt

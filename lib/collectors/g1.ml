@@ -17,9 +17,6 @@ let ihop_pct = 0.45
 (** Young collections an object survives before promotion. *)
 let tenure_age = 2
 
-(** Only regions below this liveness join mixed csets. *)
-let cset_live_threshold = 0.85
-
 type t = {
   rt : RtM.t;
   pause_target : int;  (** soft pause limit, ns *)
@@ -95,31 +92,16 @@ let collect t ~mixed =
   Metrics.add t.rt.RtM.metrics "g1.young_collections" 1;
   failed
 
-(* Full GC: every remembered set goes stale when the heap compacts, so
-   drop them all and rebuild from the surviving references. *)
 let full_gc t =
-  let heap = t.rt.RtM.heap in
-  Array.iter
-    (fun (r : Region.t) -> Region_remsets.clear t.remsets r.Region.rid)
-    heap.Heap_impl.regions;
   t.candidates <- [];
-  let on_live_ref (holder : Gobj.t) i (child : Gobj.t) =
-    let child = Gobj.resolve child in
-    if
-      Gobj.region child <> Gobj.region holder
-      && Stw_collect.remember_from (Heap_impl.region heap (Gobj.region holder))
-    then
-      Region_remsets.add t.remsets ~target_rid:(Gobj.region child)
-        ~card:(Heap_impl.card_of_field heap holder i)
-  in
-  Common.full_gc_or_oom ~on_live_ref t.rt
+  Stw_collect.full_gc t.rt t.remsets
 
 let remset_rebuild_wanted (r : Region.t) =
   (not (Region.is_free r)) && Stw_collect.remember_from r
 
 (* One full concurrent marking cycle: STW init, concurrent trace, STW
    remark (weak refs), concurrent remembered-set rebuild from the dirty
-   card table, then candidate selection. *)
+   card table, eager humongous reclaim, then candidate selection. *)
 let run_mark_cycle t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
@@ -167,17 +149,9 @@ let run_mark_cycle t =
         Heap_impl.clean_card heap card
       done);
   Metrics.phase_end metrics "g1.remset_build" ~now:(Sim.Engine.now rt.RtM.engine);
-  (* Candidate selection: garbage-first order. *)
-  let cands = ref [] in
+  (* Eager reclaim of dead humongous regions. *)
   Array.iter
     (fun (r : Region.t) ->
-      if
-        r.Region.kind = Region.Old
-        && (not r.Region.humongous)
-        && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-        && Region.live_ratio r < cset_live_threshold
-      then cands := r :: !cands;
-      (* Eager reclaim of dead humongous regions. *)
       if
         (not (Region.is_free r))
         && r.Region.humongous
@@ -188,11 +162,7 @@ let run_mark_cycle t =
         RtM.notify_memory_freed rt
       end)
     heap.Heap_impl.regions;
-  t.candidates <-
-    List.sort
-      (fun (a : Region.t) b ->
-        compare (Region.garbage_bytes b) (Region.garbage_bytes a))
-      !cands;
+  t.candidates <- Stw_collect.old_candidates heap;
   t.marking <- false;
   RtM.fire_phase rt Runtime.Vhook.Cycle_end
 

@@ -85,7 +85,8 @@ type t = {
 let escalate t =
   if Common.below_low_watermark t.rt then begin
     t.old.run_cycle ();
-    if Common.below_low_watermark t.rt then Common.full_gc_or_oom t.rt
+    if Common.below_low_watermark t.rt then
+      Common.full_gc_or_oom ~on_live_ref:Common.nothing_to_rebuild t.rt
   end
 
 let controller t () =

@@ -24,9 +24,6 @@ let tenure_age = 1
 (** Start a concurrent trace above this heap occupancy. *)
 let trace_trigger_occupancy = 0.55
 
-(** Only old regions below this liveness become defrag candidates. *)
-let defrag_live_threshold = 0.85
-
 type t = {
   rt : RtM.t;
   remsets : Region_remsets.t;
@@ -83,21 +80,7 @@ let run_trace t =
       let cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
       ignore (Common.reclaim_dead_humongous rt tk));
-  let cands = ref [] in
-  Array.iter
-    (fun (r : Region.t) ->
-      if
-        r.Region.kind = Region.Old
-        && (not r.Region.humongous)
-        && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-        && Region.live_ratio r < defrag_live_threshold
-      then cands := r :: !cands)
-    heap.Heap_impl.regions;
-  t.candidates <-
-    List.sort
-      (fun (a : Region.t) b ->
-        compare (Region.garbage_bytes b) (Region.garbage_bytes a))
-      !cands;
+  t.candidates <- Stw_collect.old_candidates heap;
   Metrics.add rt.RtM.metrics "lxr.traces" 1;
   RtM.fire_phase rt Runtime.Vhook.Cycle_end
 
@@ -112,7 +95,7 @@ let controller t () =
       if t.candidates = [] then run_trace t;
       let failed2 = rc_epoch t ~defrag:true in
       if failed2 || Common.below_low_watermark rt then
-        Common.full_gc_or_oom rt
+        Stw_collect.full_gc rt t.remsets
     end
   end
   else if

@@ -164,7 +164,8 @@ let run_cycle t =
   let finish_ok =
     if evac_failed || t.degen_requested then begin
       let failed = degenerate t ~evac_rest ~update_rest:all_regions ~cset:!cset in
-      if failed then Common.full_gc_or_oom rt;
+      if failed then
+        Common.full_gc_or_oom ~on_live_ref:Common.nothing_to_rebuild rt;
       false
     end
     else begin
@@ -182,7 +183,10 @@ let run_cycle t =
         let failed =
           degenerate t ~evac_rest:[] ~update_rest ~cset:!cset
         in
-        if failed then ignore (Common.stw_full_compact rt);
+        if failed then
+          ignore
+            (Common.stw_full_compact ~on_live_ref:Common.nothing_to_rebuild
+               rt);
         false
       end
       else true
@@ -212,7 +216,7 @@ let controller t () =
     (* Escalate if the cycle made no usable progress while mutators are
        starving: full GC, then OOM. *)
     if rt.RtM.stalled_mutators > 0 && Common.below_low_watermark rt then
-      Common.full_gc_or_oom rt
+      Common.full_gc_or_oom ~on_live_ref:Common.nothing_to_rebuild rt
   end
   else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
 

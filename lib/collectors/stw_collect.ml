@@ -1,7 +1,9 @@
-(** Stop-the-world evacuating collection (the G1/LXR pause).
+(** What G1 and LXR share: the stop-the-world evacuating pause, the
+    remembered-set insertion rule, the garbage-first old candidates and
+    the full GC that rebuilds the region remembered sets.
 
-    Collects a *collection set* — every young region plus an optional
-    slice of old regions — in a single pause: trace from the roots and
+    A pause collects a *collection set* — every young region plus an
+    optional slice of old regions: trace from the roots and
     from the cset regions' remembered sets, copying each reachable cset
     object on first visit (young survivors to survivor regions or, past
     the tenuring age, to old; old cset objects to old), fixing references
@@ -266,3 +268,44 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
       Metrics.add rt.RtM.metrics "cards_scanned" !cards;
       RtM.notify_memory_freed rt;
       !failed)
+
+(** Only old regions below this liveness become collection candidates. *)
+let cset_live_threshold = 0.85
+
+(** Garbage-first candidates after a marking cycle: the old,
+    non-humongous regions allocated before its snapshot whose live ratio
+    is below {!cset_live_threshold}, most garbage first. *)
+let old_candidates (heap : Heap_impl.t) =
+  let cands = ref [] in
+  Array.iter
+    (fun (r : Region.t) ->
+      if
+        r.Region.kind = Region.Old
+        && (not r.Region.humongous)
+        && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
+        && Region.live_ratio r < cset_live_threshold
+      then cands := r :: !cands)
+    heap.Heap_impl.regions;
+  List.sort
+    (fun (a : Region.t) b ->
+      compare (Region.garbage_bytes b) (Region.garbage_bytes a))
+    !cands
+
+(** Full GC: every remembered set goes stale when the heap compacts, so
+    drop them all and rebuild them from the surviving references, then
+    compact ({!Common.full_gc_or_oom}). *)
+let full_gc rt (remsets : Region_remsets.t) =
+  let heap = rt.RtM.heap in
+  Array.iter
+    (fun (r : Region.t) -> Region_remsets.clear remsets r.Region.rid)
+    heap.Heap_impl.regions;
+  let on_live_ref (holder : Gobj.t) i (child : Gobj.t) =
+    let child = Gobj.resolve child in
+    if
+      Gobj.region child <> Gobj.region holder
+      && remember_from (Heap_impl.region heap (Gobj.region holder))
+    then
+      Region_remsets.add remsets ~target_rid:(Gobj.region child)
+        ~card:(Heap_impl.card_of_field heap holder i)
+  in
+  Common.full_gc_or_oom ~on_live_ref rt

@@ -117,7 +117,8 @@ let run_cycle t =
   (* Relocation wedged with no free destination: compact under STW and
      declare OOM if even that cannot free memory (ZGC would stall
      forever; we bound the simulation the way Table 4 reports OOMs). *)
-  if out_of_space then Common.full_gc_or_oom rt;
+  if out_of_space then
+    Common.full_gc_or_oom ~on_live_ref:Common.nothing_to_rebuild rt;
   RtM.fire_phase rt Runtime.Vhook.Cycle_end
 
 let controller t () =

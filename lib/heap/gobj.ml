@@ -41,8 +41,10 @@
       ({!flag_forward_target});
     - a [fields] array may be recycled from any dead unforwarded
       resident: dead holders are unreachable, and every guard on
-      dangling edges ([is_freed]) fires before a field read; a stub's
-      array belongs to its live copy and is never taken;
+      dangling edges ([is_freed]) fires before a field read, so nothing
+      reads the detached holder's slots and field access is strict (an
+      index out of range raises); a stub's array belongs to its live
+      copy and is never taken;
     - while a mark runs, only a resident born after every active
       snapshot is harvested, and only a fresh one (age 0) that no SATB
       queue took: the marker never visits an object born marked, but a
@@ -310,15 +312,11 @@ let num_fields t = Array.length t.fields
 (** Byte offset of field slot [i] inside the object's region. *)
 let field_offset t i = offset t + header_bytes + (i * slot_bytes)
 
-(* Reads past the end of [fields] return the sentinel instead of
-   raising: a region release can detach a dead resident's field array
-   into the pool while a card scan of that object is still walking a
-   field window captured before the release (the scan then observes an
-   empty object and stops finding children, which is exactly what the
-   freed object holds). *)
-let get_field t i =
-  let fs = t.fields in
-  if i < Array.length fs then Array.unsafe_get fs i else null
+(* Field access is strict: a dead holder gives its array to the pool
+   only when its region is released, and nothing reads or writes the
+   slots of a released region's residents, so an index out of range is
+   a simulator bug and raises [Invalid_argument]. *)
+let get_field t i = t.fields.(i)
 
 (* The single choke point for edge accounting: every reference install
    and overwrite (mutator stores, healing rewrites, evacuation scans)
@@ -328,20 +326,18 @@ let get_field t i =
    one compare (made before anything is written) keeps it in its width. *)
 let set_field t i v =
   let fs = t.fields in
-  (* Same detached-array tolerance as [get_field]: a heal racing a
-     region release would otherwise write into a recycled array. *)
-  if i < Array.length fs then begin
-    let old = Array.unsafe_get fs i in
-    if old != v then begin
-      if v != null then begin
-        let m = v.marks in
-        if m >= inrefs_full then
-          check_range "inrefs" (inrefs v + 1) ~max:max_inrefs;
-        v.marks <- m + inref_one
-      end;
-      if old != null then old.marks <- old.marks - inref_one;
-      Array.unsafe_set fs i v
-    end
+  (* Bounds-checked: an index out of range raises before anything is
+     written. *)
+  let old = fs.(i) in
+  if old != v then begin
+    if v != null then begin
+      let m = v.marks in
+      if m >= inrefs_full then
+        check_range "inrefs" (inrefs v + 1) ~max:max_inrefs;
+      v.marks <- m + inref_one
+    end;
+    if old != null then old.marks <- old.marks - inref_one;
+    Array.unsafe_set fs i v
   end
 
 (* Region release's decrement pass: a dying holder's slots stop counting

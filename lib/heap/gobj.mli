@@ -266,18 +266,17 @@ val field_offset : t -> int -> int
 
 val get_field : t -> int -> t
 (** The raw slot value: {!null} when empty, possibly a stale (forwarded)
-    record otherwise — callers resolve as needed.  Out-of-range indices
-    return {!null} rather than raising: pooling may detach a freed
-    object's field array mid card-scan, and the scan's remaining window
-    then reads an empty object. *)
+    record otherwise — callers resolve as needed.  Raises
+    [Invalid_argument] when [i] is out of range: nothing reads a
+    released dead holder, whose array the pool took, so such a read is
+    a simulator bug. *)
 
 val set_field : t -> int -> t -> unit
 (** Store [v] ({!null} clears the slot).  The single choke point for
     edge accounting: maintains the old and new referents' {!inrefs} so
     each live slot is counted exactly once.  Raises [Invalid_argument],
-    storing nothing, when [v]'s count is already {!max_inrefs}.
-    Out-of-range stores are dropped (same detached-array tolerance as
-    {!get_field}). *)
+    storing nothing, when [v]'s count is already {!max_inrefs} or when
+    [i] is out of range (as {!get_field}). *)
 
 val retire_edges : t -> unit
 (** Decrement the {!inrefs} of every non-{!null} referent in [t]'s
@@ -301,20 +300,11 @@ module Pool : sig
 
   type t
 
-  val max_bucketed_nrefs : int
-  (** Field arrays longer than this are left to the host GC. *)
-
   val create : unit -> t
-
-  val put_array : t -> obj array -> unit
-  (** Detach a dead holder's array into its exact-length bucket,
-      clearing it to {!null} (no dead references retained). *)
 
   val take_array : t -> int -> obj array
   (** An all-{!null} array of exactly [n] slots: recycled when the
       bucket has one, freshly allocated otherwise. *)
-
-  val put_record : t -> obj -> unit
 
   val put_stubs : t -> obj Util.Vec.t -> unit
   (** Queue a batch of stubs whose grace period has ended ({!Grace}),
@@ -322,8 +312,9 @@ module Pool : sig
       must arrive in release order too.  Nothing is tested yet. *)
 
   val take_record : t -> obj
-  (** A dead record put by {!put_record} (the most recent first), or
-      {!null} when there is none. *)
+  (** A dead record harvested at a region release or reclaimed from a
+      retired heap (the most recent first), or {!null} when there is
+      none. *)
 
   val take_copy_record : t -> obj
   (** A record for a relocation copy ({!remake}): the oldest stub from

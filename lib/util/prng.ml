@@ -71,11 +71,6 @@ let exponential t ~mean =
   let u = if u <= 0. then epsilon_float else u in
   -.mean *. log u
 
-(** [choose t arr] picks a uniformly random element of a non-empty array. *)
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Prng.choose: empty array";
-  arr.(int t (Array.length arr))
-
 (** Fisher-Yates shuffle in place. *)
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -32,8 +32,5 @@ val chance : t -> float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed (Poisson interarrival times). *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** Fisher-Yates, in place. *)

@@ -127,18 +127,19 @@ dune exec bin/gcsim.exe -- check -c jade -w avrora -m 1.5 \
 diff -u /tmp/ci_check_evac_j1.txt /tmp/ci_check_evac_j2.txt
 echo "evacuating check -j 2 output identical to -j 1"
 
-echo "== heap-recycling fence (-j 2 byte-identical to -j 1 on a pooling-visible cell) =="
+echo "== heap-recycling fence (-j 2 byte-identical to -j 1 on a card-scanning cell) =="
 # Each schedule's heap is rebuilt on the storage of the one its domain
 # ran before (DESIGN.md §12), and at -j 2 the two domains recycle
-# different chains of heaps.  LXR on pmd at 2.0x is a cell where pooling
-# shows in simulated state (ROADMAP item 4), so any pool state that
-# leaks from one schedule into the next prints different bytes here,
-# in the end-state digest if no oracle trips.
-dune exec bin/gcsim.exe -- check -c lxr -w pmd -m 2.0 \
+# different chains of heaps.  Jade on lusearch at 1.5x scans cards in
+# its schedules, so heap state that leaks from one schedule into the
+# next prints different bytes here, in the end-state digest if no
+# oracle trips: a build whose Heap_impl.reclaim leaves the card table
+# dirty prints different digests at -j 1 and -j 2.
+dune exec bin/gcsim.exe -- check -c jade -w lusearch -m 1.5 \
   --requests 300 --schedules 32 --depth 8 --strategy rand \
   > /tmp/ci_check_recycle_j1.txt
 cat /tmp/ci_check_recycle_j1.txt
-dune exec bin/gcsim.exe -- check -c lxr -w pmd -m 2.0 \
+dune exec bin/gcsim.exe -- check -c jade -w lusearch -m 1.5 \
   --requests 300 --schedules 32 --depth 8 --strategy rand -j 2 \
   > /tmp/ci_check_recycle_j2.txt
 diff -u /tmp/ci_check_recycle_j1.txt /tmp/ci_check_recycle_j2.txt

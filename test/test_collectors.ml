@@ -385,6 +385,69 @@ let test_verifier_metadata () =
     Experiments.Registry.all
 
 (* ------------------------------------------------------------------ *)
+(* Region remembered sets across a full GC.                             *)
+
+(* A full compaction moves the survivors, so every region remembered set
+   must be rebuilt from the surviving references.  Checked at each
+   compaction's cycle-end boundary, still inside its pause: every
+   cross-region reference out of a live old or humongous holder is in
+   the remembered set of the region it points into. *)
+let uncovered_refs rt (remsets : Collectors.Region_remsets.t) =
+  let heap = rt.Runtime.Rt.heap in
+  let missing = ref 0 in
+  Array.iter
+    (fun (r : Heap.Region.t) ->
+      if
+        (not (Heap.Region.is_free r)) && Collectors.Stw_collect.remember_from r
+      then
+        Util.Vec.iter
+          (fun (o : Heap.Gobj.t) ->
+            if Heap.Heap_impl.is_marked heap o && not (Heap.Gobj.is_forwarded o)
+            then
+              Heap.Gobj.iter_fields
+                (fun i child ->
+                  let target_rid = Heap.Gobj.region (Heap.Gobj.resolve child) in
+                  let card = Heap.Heap_impl.card_of_field heap o i in
+                  if
+                    target_rid <> Heap.Gobj.region o
+                    &&
+                    match Collectors.Region_remsets.get remsets target_rid with
+                    | Some rs -> not (Heap.Remset.mem rs card)
+                    | None -> true
+                  then incr missing)
+                o)
+          r.Heap.Region.objects)
+    heap.Heap.Heap_impl.regions;
+  !missing
+
+let test_full_gc_rebuilds_remsets (name, install) () =
+  let remsets = ref None and full_gcs = ref 0 and missing = ref 0 in
+  let rt, request =
+    Experiments.Harness.prepare ~machine:(machine (16 * mib))
+      ~install:(fun rt -> remsets := Some (install rt))
+      ~attach:(fun rt ->
+        rt.Runtime.Rt.phase_hook <-
+          Some
+            (fun ~collector phase ->
+              if
+                phase = Runtime.Vhook.Cycle_end
+                && String.ends_with ~suffix:"+full-compact" collector
+              then begin
+                incr full_gcs;
+                missing := !missing + uncovered_refs rt (Option.get !remsets)
+              end))
+      test_app
+  in
+  ignore
+    (Runtime.Driver.run rt ~n_mutators:4 ~mode:Runtime.Driver.Closed
+       ~warmup:(50 * ms) ~duration:(200 * ms) ~request ());
+  Alcotest.(check bool)
+    (Printf.sprintf "%s ran a full GC (%d)" name !full_gcs)
+    true (!full_gcs > 0);
+  Alcotest.(check int) (name ^ " references missing from remembered sets") 0
+    !missing
+
+(* ------------------------------------------------------------------ *)
 (* Variants.                                                            *)
 
 (* G1-10ms is G1 with a 10 ms soft pause target.  On a scenario with
@@ -439,6 +502,15 @@ let () =
            Alcotest.test_case "flags the stub, not its copy" `Slow
              test_zgc_flags_stub_not_copy;
          ] );
+       ( "full gc",
+         List.map
+           (fun (name, install) ->
+             Alcotest.test_case (name ^ " rebuilds region remsets") `Slow
+               (test_full_gc_rebuilds_remsets (name, install)))
+           [
+             ("g1", fun rt -> (Collectors.G1.install rt).Collectors.G1.remsets);
+             ("lxr", fun rt -> (Collectors.Lxr.install rt).Collectors.Lxr.remsets);
+           ] );
        ( "verifier metadata",
          [ Alcotest.test_case "registrations" `Quick test_verifier_metadata ] );
        ( "variants",

@@ -139,8 +139,10 @@ let fingerprint (s : Experiments.Harness.summary) =
 
 (* Pooled vs unpooled over all eight collectors: one 4,000-request run
    on 4 cores per cell.  lusearch 2.0x seed 3 once let GenZ resurrect a
-   freed object through a dead remset holder; pmd and h2 run young and
-   old marks side by side, so dead records are harvested mid-mark.  h2
+   freed object through a dead remset holder; on pmd 2.0x seeds 2 and 3
+   LXR's pauses once traced through remembered sets a full GC had left
+   stale and reached freed records; pmd and h2 run young and old marks
+   side by side, so dead records are harvested mid-mark.  h2
    at 2.0x seed 42 is the benchmark's jade-h2-closed geometry, where
    Jade's back-to-back old cycles recycle most forwarded records after
    their grace periods. *)
@@ -152,11 +154,6 @@ let pooling_cells =
     ("h2", 1.5, 1);
     ("h2", 2.0, 42);
   ]
-
-(* LXR's pooled and unpooled runs part on these cells (ROADMAP item 4:
-   its concurrent marker visits freed objects, and a workload read walks
-   a store chain through an unrooted cursor across safepoints). *)
-let lxr_divergent = [ ("pmd", 2.0, 2); ("pmd", 2.0, 3) ]
 
 let run_cell (e : Experiments.Registry.entry) (app, mult, seed) ~pooling =
   let app = Workload.Apps.find app in
@@ -189,21 +186,9 @@ let test_pooling_invisible () =
     (fun (e : Experiments.Registry.entry) ->
       List.iter
         (fun cell ->
-          if not (e.Experiments.Registry.name = "lxr" && List.mem cell lxr_divergent)
-          then
-            Alcotest.(check bool) (cell_name e cell) false (pooling_visible e cell))
+          Alcotest.(check bool) (cell_name e cell) false (pooling_visible e cell))
         pooling_cells)
     Experiments.Registry.all
-
-(* Known defect, kept visible: this case fails the day ROADMAP item 4
-   is fixed, and the cells then move into [test_pooling_invisible]. *)
-let test_pooling_lxr_divergence () =
-  List.iter
-    (fun cell ->
-      let e = Experiments.Registry.lxr in
-      Alcotest.(check bool) (cell_name e cell ^ " still diverges") true
-        (pooling_visible e cell))
-    lxr_divergent
 
 (* Fixed work ignores the measurement windows: a [Fixed n] run gives
    the same summary with and without [~warmup]/[~duration]. *)
@@ -257,7 +242,5 @@ let () =
           Alcotest.test_case "fixed mode ignores windows" `Slow
             test_fixed_mode_ignores_windows;
           Alcotest.test_case "pooling invisible" `Slow test_pooling_invisible;
-          Alcotest.test_case "pooling visible to lxr (ROADMAP item 4)" `Slow
-            test_pooling_lxr_divergence;
         ] );
     ]

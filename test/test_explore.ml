@@ -254,8 +254,8 @@ let test_pruning_skips_equivalent_schedules () =
    under them in the pool. *)
 
 (* One cell per collector at the golden-trace geometry, plus lxr pmd
-   2.0x seed 2, where pooled and unpooled runs part (test_experiments'
-   "pooling visible to lxr"). *)
+   2.0x seed 2, where pooled and unpooled runs parted while LXR left
+   its remembered sets stale across full GCs. *)
 let recycle_cells =
   List.map (fun e -> (e, "lusearch", 1.5, 42, 300)) Experiments.Registry.all
   @ [ (Experiments.Registry.lxr, "pmd", 2.0, 2, 300) ]

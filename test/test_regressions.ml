@@ -80,7 +80,10 @@ let test_full_compact_with_zero_free_regions () =
   let reclaimed = ref (-1) in
   ignore
     (Sim.Engine.spawn engine ~daemon:true ~name:"gc" ~kind:Sim.Engine.Gc
-       (fun () -> reclaimed := Collectors.Common.stw_full_compact rt));
+       (fun () ->
+         reclaimed :=
+           Collectors.Common.stw_full_compact
+             ~on_live_ref:Collectors.Common.nothing_to_rebuild rt));
   ignore
     (Sim.Engine.spawn engine ~name:"mut" ~kind:Sim.Engine.Mutator (fun () ->
          let m = Runtime.Mutator.create rt in
