@@ -46,10 +46,16 @@
       index out of range raises); a stub's array belongs to its live
       copy and is never taken;
     - while a mark runs, only a resident born after every active
-      snapshot is harvested, and only a fresh one (age 0) that no SATB
-      queue took: the marker never visits an object born marked, but a
-      copy shares a pre-snapshot array and a queued record may still be
-      popped ({!release_residents});
+      snapshot is harvested at its release, and only a fresh one (age
+      0) that no SATB queue took: the marker never visits an object born
+      marked, but a copy shares a pre-snapshot array and a queued record
+      may still be popped ({!release_residents});
+    - every other dead resident released while a mark runs is deferred:
+      flagged freed, its edges and array left alone, it waits in the
+      pool's deferred vector until the last active mark ends, whose
+      final pause has drained every gray stack and SATB queue, and then
+      goes through the same harvest as a release outside marking
+      ({!Heap_impl.end_mark});
     - [inrefs] is maintained at the {!set_field} choke point (install /
       overwrite) plus one decrement pass over dying holders at region
       release, so each logical edge is counted exactly once no matter
@@ -384,6 +390,9 @@ module Pool = struct
     stub_batches : obj Util.Vec.t Util.Ring.t;
         (** batches whose grace period has ended, queued behind [stubs] *)
     arrays : obj array Util.Vec.t array;  (** index = exact array length *)
+    deferred : obj Util.Vec.t;
+        (** dead residents released while a mark runs that the floor
+            rule kept back, harvested when the last mark ends *)
     mutable records_reused : int;
     mutable arrays_reused : int;
     mutable records_pooled : int;
@@ -397,6 +406,7 @@ module Pool = struct
       stub_next = 0;
       stub_batches = Util.Ring.create (Util.Vec.create null);
       arrays = Array.init (max_bucketed_nrefs + 1) (fun _ -> Util.Vec.create no_fields);
+      deferred = Util.Vec.create null;
       records_reused = 0;
       arrays_reused = 0;
       records_pooled = 0;
@@ -485,11 +495,24 @@ module Pool = struct
   let stats p =
     (p.records_reused, p.arrays_reused, p.records_pooled, p.arrays_pooled)
 
+  let deferred p = p.deferred
+
   (* A recycled heap's pool starts a new run ({!Heap_impl.create}): its
      stubs were named by the old run's roots and worklists, so they are
      dropped, and the counters restart because each run reports its own
-     reuse.  The freelists stay; they are the point of recycling. *)
+     reuse.  The freelists stay; they are the point of recycling.
+     Records a mark of the old run still held back join them with their
+     arrays: nothing of the old run can name them, and they are in no
+     region's resident list ({!reclaim_residents}) nor anywhere else in
+     the pool, so each enters once. *)
   let restart p =
+    let d = p.deferred in
+    for i = 0 to Util.Vec.length d - 1 do
+      let o = Util.Vec.get d i in
+      put_array p o.fields;
+      put_record p o
+    done;
+    Util.Vec.clear d;
     p.stubs <- Util.Vec.create null;
     p.stub_next <- 0;
     while not (Util.Ring.is_empty p.stub_batches) do
@@ -551,11 +574,11 @@ let remake ~pool ~uids (o : t) ~age ~region ~offset =
 let harvest_none = max_int
 let harvest_all = -1
 
-(* A dead resident whose storage may go to the pool: unforwarded (live
-   objects were copied out and carry a forwarding pointer) and, while a
-   mark runs ([floor >= 0]), born after every active snapshot, fresh
-   (age 0: a copy shares its source's pre-snapshot array) and never
-   taken by an SATB queue.  [harvest_none] fails the uid test for
+(* A dead resident whose storage may go to the pool now: unforwarded
+   (live objects were copied out and carry a forwarding pointer) and,
+   while a mark runs ([floor >= 0]), born after every active snapshot,
+   fresh (age 0: a copy shares its source's pre-snapshot array) and
+   never taken by an SATB queue.  [harvest_none] fails the uid test for
    every record. *)
 let[@inline] harvestable ~floor o =
   o.forward == null
@@ -577,8 +600,9 @@ let release_residents pool ~floor ~limbo (objs : t Util.Vec.t) =
      are always safe to take (dangling-edge guards test [is_freed]
      before any field read); records only when no stale edge or weak
      registration can still name them.  Stubs that pass the same tests
-     and are not unremapped go to [limbo], untouched (see the ownership
-     rules above). *)
+     and are not unremapped go to [limbo], and dead residents a running
+     mark keeps back go to the pool's deferred vector, both untouched
+     (see the ownership rules above). *)
   let n = Util.Vec.length objs in
   if floor <> harvest_none then begin
     for i = 0 to n - 1 do
@@ -594,11 +618,13 @@ let release_residents pool ~floor ~limbo (objs : t Util.Vec.t) =
       if inrefs o = 0 && o.meta land flag_weak_referent = 0 then
         Pool.put_record pool o
     end
-    else if
-      floor <> harvest_none && o.forward != null
-      && inrefs o = 0
-      && o.meta land (flag_weak_referent lor flag_unremapped) = 0
-    then Util.Vec.push limbo o;
+    else if floor <> harvest_none then begin
+      if o.forward == null then Util.Vec.push pool.Pool.deferred o
+      else if
+        inrefs o = 0
+        && o.meta land (flag_weak_referent lor flag_unremapped) = 0
+      then Util.Vec.push limbo o
+    end;
     o.meta <- o.meta lor flag_freed
   done
 

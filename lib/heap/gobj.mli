@@ -329,10 +329,17 @@ module Pool : sig
   val stats : t -> int * int * int * int
   (** [(records_reused, arrays_reused, records_pooled, arrays_pooled)] *)
 
+  val deferred : t -> obj Util.Vec.t
+  (** The dead residents released while a mark runs that its floor kept
+      back ({!release_residents}), in release order, until the last
+      active mark ends and {!Heap_impl.end_mark} or
+      {!Heap_impl.end_young_mark} harvests them. *)
+
   val restart : t -> unit
   (** Start a new run on this pool ({!Heap_impl.create} recycling a
-      retired heap): queued stubs are dropped and {!stats} restarts at
-      zero; the record and array freelists stay. *)
+      retired heap): queued stubs are dropped, deferred records and
+      their arrays join the freelists, and {!stats} restarts at zero;
+      the record and array freelists stay. *)
 end
 
 val alloc_with :
@@ -376,6 +383,11 @@ val release_residents :
     {!harvest_none} only flags.  A harvested holder's edges are retired
     ({!retire_edges}) before any record is tested, so a record whose
     holders all die with it is recycled in the same release.
+
+    A dead resident that fails the [floor] test is not dropped: it goes
+    onto the pool's deferred vector ({!Pool.deferred}), flagged freed
+    but with its edges and array untouched, until the last active mark
+    ends; that vector is then passed here with {!harvest_all}.
 
     A forwarded resident (a stub) with no {!inrefs}, no weak
     registration and no {!flag_unremapped} is pushed onto [limbo]

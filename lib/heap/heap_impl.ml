@@ -84,6 +84,9 @@ type t = {
       (** the limbo of released stubs and the grace periods that move
           them into [pool] *)
   weak_refs : Gobj.t Util.Vec.t;  (** referents of registered weak references *)
+  mutable deferred_check : (Gobj.t Util.Vec.t -> unit) option;
+      (** called with the deferred residents just before the last active
+          mark's end harvests them ({!harvest_deferred}) *)
   mutable on_region_event : (Region.t -> claimed:bool -> unit) option;
       (** observability seam ([lib/obs]): fired after a claim takes
           effect and at the start of a release (while the region's kind
@@ -124,7 +127,8 @@ let drop_retired () = Domain.DLS.get retired_key := None
 
 (* Empty a retired heap in place: every resident goes to its pool
    ({!Gobj.reclaim_residents}), every region to its initial state, the
-   card table is cleared and the pool starts a new run. *)
+   card table is cleared and the pool starts a new run, taking what a
+   mark still held back. *)
 let reclaim t =
   Array.iter
     (fun (r : Region.t) ->
@@ -188,6 +192,7 @@ let create cfg =
     pool;
     grace = Grace.create pool;
     weak_refs = Util.Vec.create Gobj.null;
+    deferred_check = None;
     on_region_event = None;
   }
 
@@ -352,8 +357,10 @@ let release_region t (r : Region.t) =
      every live (marked or born-during-cycle) object was copied out
      before its region is released, so it carries a forwarding pointer.
      While any marking runs, SATB queues and mark stacks may hold bare
-     references that bypass [inrefs], so only objects born after every
-     active snapshot qualify (see {!Gobj.release_residents}).  The
+     references that bypass [inrefs], so only fresh objects born after
+     every active snapshot are harvested now; the other dead ones wait
+     in the pool's deferred vector until the last mark ends
+     ({!harvest_deferred}; see {!Gobj.release_residents}).  The
      forwarded ones (stubs) go to the grace-period limbo instead.
      Host-side only — no events, no ticks, no simulated state. *)
   let floor =
@@ -409,6 +416,22 @@ let object_size ~nrefs ~data_bytes =
 (* ------------------------------------------------------------------ *)
 (* Marking support.                                                     *)
 
+(* The last active mark has ended, inside its final pause: every gray
+   stack and SATB queue is drained, so the dead residents the marks kept
+   back go through the harvest of a release outside marking.  Nothing
+   relocates a freed record, so none is forwarded and the limbo gets
+   none of them.  Empty unless pooling is on. *)
+let harvest_deferred t =
+  let d = Gobj.Pool.deferred t.pool in
+  if not (Util.Vec.is_empty d) then begin
+    (match t.deferred_check with Some f -> f d | None -> ());
+    Gobj.release_residents t.pool ~floor:Gobj.harvest_all
+      ~limbo:(Grace.limbo t.grace) d;
+    Util.Vec.clear d
+  end
+
+let set_deferred_check t f = t.deferred_check <- f
+
 (** Start an old/full marking cycle; returns the new epoch. *)
 let begin_mark t =
   Gobj.check_epoch (t.mark_epoch + 1);
@@ -427,7 +450,8 @@ let end_mark t =
         r.live_bytes <-
           (if r.alloc_epoch >= t.mark_epoch then r.top (* born after snapshot *)
            else r.marking_live))
-    t.regions
+    t.regions;
+  if not t.allocate_live_young then harvest_deferred t
 
 let is_marked t (o : Gobj.t) = Gobj.mark o >= t.mark_epoch
 
@@ -459,7 +483,9 @@ let begin_young_mark t =
     t.regions;
   t.young_epoch
 
-let end_young_mark t = t.allocate_live_young <- false
+let end_young_mark t =
+  t.allocate_live_young <- false;
+  if not t.allocate_live then harvest_deferred t
 
 let is_marked_young t (o : Gobj.t) = Gobj.ymark o >= t.young_epoch
 

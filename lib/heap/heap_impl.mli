@@ -87,6 +87,9 @@ type t = {
       (** the limbo of released stubs and the grace periods that move
           them into [pool] *)
   weak_refs : Gobj.t Util.Vec.t;  (** referents of registered weak references *)
+  mutable deferred_check : (Gobj.t Util.Vec.t -> unit) option;
+      (** called with the deferred residents just before the last active
+          mark's end harvests them; see {!set_deferred_check} *)
   mutable on_region_event : (Region.t -> claimed:bool -> unit) option;
       (** observability seam ([lib/obs]): fired after a claim takes
           effect and at the start of a release (while the region's kind
@@ -113,14 +116,16 @@ val create : config -> t
     storage: its regions (reset, free list rebuilt in id order), its
     card table (cleared) and its pool, which takes every resident record
     once and every unforwarded resident's field array
-    ({!Gobj.reclaim_residents}) and drops the queued stubs
+    ({!Gobj.reclaim_residents}), drops the queued stubs and takes the
+    residents a mark still held back, with their arrays
     ({!Gobj.Pool.restart}).  Epochs, floors, counters and pool
     statistics start at zero, and the grace state, weak references,
-    observer and uid and hook handles are new, exactly as for a heap
-    built from nothing.  A record of the old run is unreachable from the
-    new one until it is reissued with a fresh uid, and the pool is LIFO,
-    so the new run reissues its own freed records exactly as on a fresh
-    pooled heap: recycling never shows in simulated state. *)
+    deferred-harvest check, observer and uid and hook handles are new,
+    exactly as for a heap built from nothing.  A record of the old run
+    is unreachable from the new one until it is reissued with a fresh
+    uid, and the pool is LIFO, so the new run reissues its own freed
+    records exactly as on a fresh pooled heap: recycling never shows in
+    simulated state. *)
 
 val retire : t -> unit
 (** Park a finished heap in this domain's slot for the next {!create}
@@ -194,7 +199,9 @@ val release_region : t -> Region.t -> unit
     rules).  While any marking co-runs, SATB queues and mark stacks may
     hold bare references that bypass the edge counts, so only fresh,
     never-queued objects born after every active snapshot are harvested
-    ({!Gobj.release_residents}).  Forwarded residents (stubs) may still
+    at once ({!Gobj.release_residents}); the other dead residents are
+    harvested when the last active mark ends ({!end_mark},
+    {!end_young_mark}).  Forwarded residents (stubs) may still
     be named from outside the heap, so they go to [grace]'s limbo and
     reach the pool only after a grace period ({!Grace}).  With no
     observer, no detector and nothing to harvest, a release allocates
@@ -222,7 +229,11 @@ val begin_mark : t -> int
     generation's results alone. *)
 
 val end_mark : t -> unit
-(** Close the old mark and publish every claimed region's live bytes. *)
+(** Close the old mark and publish every claimed region's live bytes.
+    Called in the mark's final pause, after the last SATB drain.  When
+    no young mark is open either, the dead residents that releases
+    during the marks kept back ({!Gobj.Pool.deferred}) are harvested
+    into the pool, after the {!set_deferred_check} hook has seen them. *)
 
 val is_marked : t -> Gobj.t -> bool
 
@@ -235,7 +246,16 @@ val mark_object : t -> Gobj.t -> bool
     young cycle can overlap an old cycle without corrupting it. *)
 
 val begin_young_mark : t -> int
+
 val end_young_mark : t -> unit
+(** Close the young mark; with no old mark open, harvest the deferred
+    residents as {!end_mark} does. *)
+
+val set_deferred_check : t -> (Gobj.t Util.Vec.t -> unit) option -> unit
+(** Called with each batch of deferred residents just before the pool
+    takes it; the sanitizer asserts there that no root slot names a
+    batch record and that none is forwarded. *)
+
 val is_marked_young : t -> Gobj.t -> bool
 val mark_object_young : t -> Gobj.t -> bool
 

@@ -90,6 +90,13 @@ for c in jade g1 g1-10ms lxr zgc shenandoah genz genshen; do
       -d 0.25 --warmup 0.1 --verify=full > /dev/null
   done
 done
+# The benchmark's jade-h2-closed geometry (2x heap): Jade's old marks
+# overlap most region releases there, so the verifier checks many
+# batches of the dead records a mark holds back before the pool takes
+# them at its end (DESIGN.md §12).
+echo "-- jade / h2-tpcc -m 2.0 --verify=full --"
+dune exec bin/gcsim.exe -- run -c jade -w h2-tpcc -m 2.0 \
+  -d 0.25 --warmup 0.1 --verify=full > /dev/null
 
 echo "== schedule-space check smoke (explorer oracles stay clean) =="
 # 64 random schedules at depth 8 over a small fixed workload: every

@@ -357,6 +357,48 @@ let test_accounting_faults_reported () =
   fires "free-region-count" (fun heap r ->
       Util.Ring.push heap.Heap.Heap_impl.free_q r.Heap.Region.rid)
 
+(* ------------------------------------------------------------------ *)
+(* The deferred-harvest check.                                          *)
+
+(* Release a region while an old mark runs, so its dead resident is
+   deferred, then end the mark with the sanitizer installed at [level].
+   When [rooted], a global root names the resident: the check must
+   report it before the pool takes it.  Returns the invariants
+   reported. *)
+let deferred_harvest_reports ~level ~rooted =
+  let engine = Sim.Engine.create () in
+  let heap =
+    Heap.Heap_impl.create
+      (Heap.Heap_impl.config ~heap_bytes:(4 * mib)
+         ~region_bytes:(256 * Util.Units.kib) ())
+  in
+  let rt = Runtime.Rt.create ~seed:7 ~engine ~heap () in
+  let reports = ref [] in
+  ignore
+    (Analysis.Sanitizer.install
+       ~on_violation:(fun (r : Analysis.Report.t) ->
+         reports := r.invariant :: !reports)
+       ~level rt);
+  let r = Option.get (Heap.Heap_impl.claim_region heap Heap.Region.Young) in
+  let o = Heap.Heap_impl.alloc_in heap r ~size:64 ~nrefs:1 in
+  if rooted then ignore (Runtime.Rt.add_global rt o);
+  ignore (Heap.Heap_impl.begin_mark heap);
+  Heap.Heap_impl.release_region heap r;
+  Heap.Heap_impl.end_mark heap;
+  Heap.Access.reset ();
+  !reports
+
+let test_deferred_harvest_check () =
+  List.iter
+    (fun level ->
+      let name = Analysis.Sanitizer.level_to_string level in
+      Alcotest.(check (list string)) (name ^ ": rooted record reported")
+        [ "deferred-harvest" ]
+        (deferred_harvest_reports ~level ~rooted:true);
+      Alcotest.(check (list string)) (name ^ ": unrooted record passes") []
+        (deferred_harvest_reports ~level ~rooted:false))
+    [ Analysis.Sanitizer.Fast; Analysis.Sanitizer.Full ]
+
 let () =
   Alcotest.run "analysis"
     [
@@ -389,5 +431,7 @@ let () =
         [
           Alcotest.test_case "each planted fault is reported" `Quick
             test_accounting_faults_reported;
+          Alcotest.test_case "rooted deferred record is reported" `Quick
+            test_deferred_harvest_check;
         ] );
     ]

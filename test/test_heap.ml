@@ -852,6 +852,36 @@ let test_stub_exclusions () =
   Alcotest.(check bool) "pooling off: never reissued" true
     (List.for_all (fun x -> x != o) (next_copies heap 8))
 
+(* Records the pool hands out until it has none, and the arrays of
+   length [n] it hands out until it has none: physically distinct if
+   nothing was pooled twice. *)
+let drain_pool (pool : Gobj.Pool.t) ~nrefs =
+  let records = ref [] in
+  let rec take () =
+    let o = Gobj.Pool.take_record pool in
+    if not (Gobj.is_null o) then begin
+      records := o :: !records;
+      take ()
+    end
+  in
+  take ();
+  let arrays = ref [] in
+  let rec take_arrays () =
+    let _, before, _, _ = Gobj.Pool.stats pool in
+    let a = Gobj.Pool.take_array pool nrefs in
+    let _, after, _, _ = Gobj.Pool.stats pool in
+    if after > before then begin
+      arrays := a :: !arrays;
+      take_arrays ()
+    end
+  in
+  take_arrays ();
+  (!records, !arrays)
+
+let rec distinct = function
+  | [] -> true
+  | x :: rest -> (not (List.memq x rest)) && distinct rest
+
 (* While a mark runs, region release harvests only a dead resident born
    after every active snapshot, fresh (age 0) and never SATB-queued: the
    marker never visits such an object, so nothing but [inrefs] can name
@@ -932,6 +962,131 @@ let test_harvest_both_marks () =
   Heap_impl.release_region heap r;
   Alcotest.(check int) "born between the snapshots: array kept" 2
     (Gobj.num_fields between)
+
+(* When the last active mark ends, the dead residents its floor kept
+   back at their release (pre-snapshot, copy, SATB-logged) are harvested
+   as outside marking: every holder's edges retired, each record and
+   array pooled exactly once.  [start] and [stop] open and close the
+   mark under test. *)
+let check_deferred_harvest ~start ~stop () =
+  let heap = mk_heap () in
+  let pool = heap.Heap_impl.pool in
+  let home = claim_exn heap Region.Old in
+  let r = claim_exn heap Region.Young in
+  let target () = alloc heap home ~size:64 ~nrefs:0 in
+  let pre = alloc heap r ~size:64 ~nrefs:2 in
+  let src = alloc heap home ~size:64 ~nrefs:2 in
+  start heap;
+  let copy = relocate heap r src in
+  let logged = alloc heap r ~size:64 ~nrefs:2 in
+  Gobj.set_flag logged Gobj.flag_satb_logged;
+  let deferred = [ pre; copy; logged ] in
+  let arrays = List.map (fun (o : Gobj.t) -> o.Gobj.fields) deferred in
+  let targets =
+    List.map
+      (fun o ->
+        let x = target () in
+        Gobj.set_field o 0 x;
+        x)
+      deferred
+  in
+  Heap_impl.release_region heap r;
+  Alcotest.(check int) "three deferred" 3
+    (Util.Vec.length (Gobj.Pool.deferred pool));
+  Alcotest.(check (list int)) "nothing pooled while the mark runs" [ 0; 0 ]
+    (let _, _, records, arrays = Gobj.Pool.stats pool in [ records; arrays ]);
+  Alcotest.(check (list int)) "edges kept while the mark runs" [ 1; 1; 1 ]
+    (List.map Gobj.inrefs targets);
+  stop heap;
+  Alcotest.(check int) "deferred vector emptied" 0
+    (Util.Vec.length (Gobj.Pool.deferred pool));
+  Alcotest.(check (list int)) "edges retired" [ 0; 0; 0 ]
+    (List.map Gobj.inrefs targets);
+  let records, pooled_arrays = drain_pool pool ~nrefs:2 in
+  Alcotest.(check int) "each record pooled once" 3 (List.length records);
+  Alcotest.(check bool) "the deferred records" true
+    (distinct records && List.for_all (fun o -> List.memq o records) deferred);
+  Alcotest.(check int) "each array pooled once" 3 (List.length pooled_arrays);
+  Alcotest.(check bool) "the deferred arrays" true
+    (distinct pooled_arrays
+    && List.for_all (fun a -> List.memq a pooled_arrays) arrays)
+
+let test_deferred_old_mark () =
+  check_deferred_harvest
+    ~start:(fun h -> ignore (Heap_impl.begin_mark h))
+    ~stop:Heap_impl.end_mark ()
+
+let test_deferred_young_mark () =
+  check_deferred_harvest
+    ~start:(fun h -> ignore (Heap_impl.begin_young_mark h))
+    ~stop:Heap_impl.end_young_mark ()
+
+(* With both marks open, whichever ends first harvests nothing: the
+   other may still hold the records. *)
+let test_deferred_both_marks () =
+  List.iter
+    (fun (what, first, second) ->
+      let heap = mk_heap () in
+      let pool = heap.Heap_impl.pool in
+      let r = claim_exn heap Region.Young in
+      let dead = alloc heap r ~size:64 ~nrefs:2 in
+      ignore (Heap_impl.begin_mark heap);
+      ignore (Heap_impl.begin_young_mark heap);
+      Heap_impl.release_region heap r;
+      first heap;
+      Alcotest.(check (pair int int)) (what ^ " ends first: nothing pooled")
+        (0, 1)
+        (let _, _, records, _ = Gobj.Pool.stats pool in
+         (records, Util.Vec.length (Gobj.Pool.deferred pool)));
+      Alcotest.(check int) (what ^ " ends first: array kept") 2
+        (Gobj.num_fields dead);
+      second heap;
+      Alcotest.(check bool) (what ^ " ends first: pooled at the second end")
+        true
+        (Gobj.Pool.take_record pool == dead && Gobj.num_fields dead = 0))
+    [
+      ("old", Heap_impl.end_mark, Heap_impl.end_young_mark);
+      ("young", Heap_impl.end_young_mark, Heap_impl.end_mark);
+    ]
+
+(* A deferred record that a heap edge or a weak registration can still
+   name gives its array at mark end, never its record. *)
+let test_deferred_named_records_stay () =
+  let heap = mk_heap () in
+  let pool = heap.Heap_impl.pool in
+  let home = claim_exn heap Region.Old in
+  let r = claim_exn heap Region.Young in
+  let held = alloc heap r ~size:64 ~nrefs:2 in
+  let weak = alloc heap r ~size:64 ~nrefs:2 in
+  Gobj.set_field (alloc heap home ~size:64 ~nrefs:1) 0 held;
+  Heap_impl.register_weak heap weak;
+  ignore (Heap_impl.begin_mark heap);
+  Heap_impl.release_region heap r;
+  Heap_impl.end_mark heap;
+  let records, arrays = drain_pool pool ~nrefs:2 in
+  Alcotest.(check int) "no record" 0 (List.length records);
+  Alcotest.(check int) "both arrays" 2 (List.length arrays);
+  Alcotest.(check (pair int int)) "arrays detached" (0, 0)
+    (Gobj.num_fields held, Gobj.num_fields weak)
+
+let test_deferred_pooling_off () =
+  let heap =
+    Heap_impl.create
+      (Heap_impl.config ~heap_bytes:(4 * mib) ~region_bytes:(256 * kib)
+         ~pooling:false ())
+  in
+  let pool = heap.Heap_impl.pool in
+  let r = claim_exn heap Region.Young in
+  let dead = alloc heap r ~size:64 ~nrefs:2 in
+  ignore (Heap_impl.begin_mark heap);
+  Heap_impl.release_region heap r;
+  Alcotest.(check int) "nothing deferred" 0
+    (Util.Vec.length (Gobj.Pool.deferred pool));
+  Heap_impl.end_mark heap;
+  Alcotest.(check (list int)) "nothing pooled" [ 0; 0 ]
+    (let _, _, records, arrays = Gobj.Pool.stats pool in [ records; arrays ]);
+  Alcotest.(check bool) "freed, array kept" true
+    (Gobj.is_freed dead && Gobj.num_fields dead = 2)
 
 (* ------------------------------------------------------------------ *)
 (* Packed object header. *)
@@ -1117,36 +1272,6 @@ let test_rejected_create_keeps_uids () =
 (* ------------------------------------------------------------------ *)
 (* Recycling a retired heap into the next [create]. *)
 
-(* Records the pool hands out until it has none, and the arrays of
-   length [n] it hands out until it has none: physically distinct if
-   nothing was pooled twice. *)
-let drain_pool (pool : Gobj.Pool.t) ~nrefs =
-  let records = ref [] in
-  let rec take () =
-    let o = Gobj.Pool.take_record pool in
-    if not (Gobj.is_null o) then begin
-      records := o :: !records;
-      take ()
-    end
-  in
-  take ();
-  let arrays = ref [] in
-  let rec take_arrays () =
-    let _, before, _, _ = Gobj.Pool.stats pool in
-    let a = Gobj.Pool.take_array pool nrefs in
-    let _, after, _, _ = Gobj.Pool.stats pool in
-    if after > before then begin
-      arrays := a :: !arrays;
-      take_arrays ()
-    end
-  in
-  take_arrays ();
-  (!records, !arrays)
-
-let rec distinct = function
-  | [] -> true
-  | x :: rest -> (not (List.memq x rest)) && distinct rest
-
 let test_retire_hands_storage_on () =
   Fun.protect ~finally:Heap_impl.drop_retired @@ fun () ->
   let cfg = Heap_impl.config ~heap_bytes:(4 * mib) ~region_bytes:(256 * kib) () in
@@ -1247,6 +1372,40 @@ let test_recycled_heap_starts_empty () =
   (* 5 unforwarded objects, the copy (the stub's array), [twice] and
      [dead]. *)
   Alcotest.(check int) "each array pooled once" 8 (List.length arrays);
+  Alcotest.(check bool) "no array pooled twice" true (distinct arrays);
+  Alcotest.(check bool) "arrays cleared" true
+    (List.for_all (Array.for_all Gobj.is_null) arrays)
+
+(* A heap retired while a mark holds dead residents back gives them to
+   the next heap's pool once each, with their arrays, and the new run's
+   first mark end pools nothing of the old run again. *)
+let test_recycled_heap_takes_deferred () =
+  Fun.protect ~finally:Heap_impl.drop_retired @@ fun () ->
+  let cfg = Heap_impl.config ~heap_bytes:(4 * mib) ~region_bytes:(256 * kib) () in
+  let a = Heap_impl.create cfg in
+  let keep = claim_exn a Region.Old and r = claim_exn a Region.Young in
+  let kept = List.init 2 (fun _ -> alloc a keep ~size:64 ~nrefs:2) in
+  let pre = List.init 2 (fun _ -> alloc a r ~size:64 ~nrefs:2) in
+  Gobj.set_field (List.hd pre) 0 (List.nth pre 1);
+  ignore (Heap_impl.begin_mark a);
+  let post = alloc a r ~size:64 ~nrefs:2 in
+  Heap_impl.release_region a r;
+  Alcotest.(check int) "two deferred" 2
+    (Util.Vec.length (Gobj.Pool.deferred a.Heap_impl.pool));
+  Heap_impl.retire a;
+  let b = Heap_impl.create cfg in
+  Alcotest.(check bool) "recycled" true (b.Heap_impl.pool == a.Heap_impl.pool);
+  Alcotest.(check int) "deferred vector emptied" 0
+    (Util.Vec.length (Gobj.Pool.deferred b.Heap_impl.pool));
+  ignore (Heap_impl.begin_mark b);
+  Heap_impl.end_mark b;
+  let records, arrays = drain_pool b.Heap_impl.pool ~nrefs:2 in
+  let all = kept @ pre @ [ post ] in
+  Alcotest.(check int) "each record pooled once" 5 (List.length records);
+  Alcotest.(check bool) "no record pooled twice" true (distinct records);
+  Alcotest.(check bool) "resident, deferred and harvested records" true
+    (List.for_all (fun o -> List.memq o records) all);
+  Alcotest.(check int) "each array pooled once" 5 (List.length arrays);
   Alcotest.(check bool) "no array pooled twice" true (distinct arrays);
   Alcotest.(check bool) "arrays cleared" true
     (List.for_all (Array.for_all Gobj.is_null) arrays)
@@ -1399,6 +1558,16 @@ let () =
             test_harvest_young_mark;
           Alcotest.test_case "harvest under both marks" `Quick
             test_harvest_both_marks;
+          Alcotest.test_case "deferred harvest at an old mark's end" `Quick
+            test_deferred_old_mark;
+          Alcotest.test_case "deferred harvest at a young mark's end" `Quick
+            test_deferred_young_mark;
+          Alcotest.test_case "deferred harvest waits for the last mark" `Quick
+            test_deferred_both_marks;
+          Alcotest.test_case "deferred records something names stay out"
+            `Quick test_deferred_named_records_stay;
+          Alcotest.test_case "pooling off defers nothing" `Quick
+            test_deferred_pooling_off;
           Alcotest.test_case "stub waits for a grace period" `Quick
             test_stub_waits_for_grace;
           Alcotest.test_case "stubs something may name stay out" `Quick
@@ -1412,5 +1581,7 @@ let () =
             test_retire_hands_storage_on;
           Alcotest.test_case "a recycled heap starts empty" `Quick
             test_recycled_heap_starts_empty;
+          Alcotest.test_case "a recycled heap takes the deferred records"
+            `Quick test_recycled_heap_takes_deferred;
         ] );
     ]
