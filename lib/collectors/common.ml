@@ -563,7 +563,8 @@ let stw_full_compact ~on_live_ref rt =
         heap.Heap_impl.regions;
       let victims =
         List.sort
-          (fun (a : Region.t) b -> compare a.Region.live_bytes b.Region.live_bytes)
+          (fun (a : Region.t) b ->
+            Int.compare a.Region.live_bytes b.Region.live_bytes)
           !victims
       in
       let dest_pool : Region.t Queue.t = Queue.create () in
@@ -674,7 +675,7 @@ let stw_full_compact ~on_live_ref rt =
 (* Escalation.                                                          *)
 
 (** Free regions below which a collection has made no usable progress. *)
-let low_watermark heap = max 2 (Heap_impl.num_regions heap / 50)
+let low_watermark heap = Int.max 2 (Heap_impl.num_regions heap / 50)
 
 let below_low_watermark rt =
   let heap = rt.RtM.heap in

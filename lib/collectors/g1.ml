@@ -50,7 +50,7 @@ let take_mixed_slice t =
           (3 * Costs.copy_cost r.Region.live_bytes)
           + (Region_remsets.cardinal t.remsets r.Region.rid * Costs.card_scan)
         in
-        let est = est / max 1 stw_workers in
+        let est = est / Int.max 1 stw_workers in
         if (!n > 0 && est > !budget) || r.Region.kind <> Region.Old then begin
           if r.Region.kind <> Region.Old then t.candidates <- rest
           else continue_ := false
@@ -67,11 +67,11 @@ let take_mixed_slice t =
 let adapt_young_budget t ~pause =
   let target = t.pause_target in
   t.last_pause_est <- (t.last_pause_est + pause) / 2;
-  let ratio = float_of_int target /. float_of_int (max pause 1) in
+  let ratio = float_of_int target /. float_of_int (Int.max pause 1) in
   let ratio = Float.min 2.0 (Float.max 0.5 ratio) in
   let heap_regions = Heap_impl.num_regions t.rt.RtM.heap in
   let proposed = int_of_float (float_of_int t.young_budget *. ratio) in
-  t.young_budget <- max 2 (min proposed (heap_regions * 6 / 10))
+  t.young_budget <- Int.max 2 (Int.min proposed (heap_regions * 6 / 10))
 
 (* ------------------------------------------------------------------ *)
 (* Pauses and concurrent cycle.                                         *)
@@ -98,6 +98,30 @@ let full_gc t =
 
 let remset_rebuild_wanted (r : Region.t) =
   (not (Region.is_free r)) && Stw_collect.remember_from r
+
+(** One remset-rebuild worker's share, [cards.(lo)] to [cards.(hi - 1)]:
+    record each scanned card's cross-region references, then clean it.
+    The slot visitor is built once per call and the card is the scan's
+    context, so a card allocates nothing. *)
+let rebuild_remset_cards heap remsets tk cards ~lo ~hi =
+  let rebuild_slot card o i =
+    let child = Gobj.get_field o i in
+    if child != Gobj.null && Gobj.region (Gobj.resolve child) <> Gobj.region o
+    then begin
+      Common.Ticker.tick tk Costs.remset_insert;
+      Region_remsets.add remsets
+        ~target_rid:(Gobj.region (Gobj.resolve child))
+        ~card
+    end
+  in
+  for idx = lo to hi - 1 do
+    let card = cards.(idx) in
+    Common.Ticker.tick tk Costs.card_scan;
+    let holder_r = Heap_impl.region heap (Heap_impl.card_to_region heap card) in
+    if remset_rebuild_wanted holder_r then
+      Heap_impl.scan_card heap card card ~f:rebuild_slot;
+    Heap_impl.clean_card heap card
+  done
 
 (* One full concurrent marking cycle: STW init, concurrent trace, STW
    remark (weak refs), concurrent remembered-set rebuild from the dirty
@@ -128,26 +152,8 @@ let run_mark_cycle t =
   Common.run_workers rt ~n:Common.gc_threads ~name:"g1-rebuild" (fun w tk ->
       let n = Array.length cards in
       let chunk = (n + Common.gc_threads - 1) / Common.gc_threads in
-      let lo = w * chunk and hi = min n ((w + 1) * chunk) in
-      for idx = lo to hi - 1 do
-        let card = cards.(idx) in
-        Common.Ticker.tick tk Costs.card_scan;
-        let holder_rid = Heap_impl.card_to_region heap card in
-        let holder_r = Heap_impl.region heap holder_rid in
-        if remset_rebuild_wanted holder_r then
-          Heap_impl.scan_card heap card () ~f:(fun () o i ->
-              let child = Gobj.get_field o i in
-              if
-                child != Gobj.null
-                && Gobj.region (Gobj.resolve child) <> Gobj.region o
-              then begin
-                Common.Ticker.tick tk Costs.remset_insert;
-                Region_remsets.add t.remsets
-                  ~target_rid:(Gobj.region (Gobj.resolve child))
-                  ~card
-              end);
-        Heap_impl.clean_card heap card
-      done);
+      rebuild_remset_cards heap t.remsets tk cards ~lo:(w * chunk)
+        ~hi:(Int.min n ((w + 1) * chunk)));
   Metrics.phase_end metrics "g1.remset_build" ~now:(Sim.Engine.now rt.RtM.engine);
   (* Eager reclaim of dead humongous regions. *)
   Array.iter
@@ -195,7 +201,7 @@ let controller t () =
   else if
     Common.young_count rt >= t.young_budget
     || Heap_impl.free_regions rt.RtM.heap
-       <= max 2 (Heap_impl.num_regions rt.RtM.heap / 16)
+       <= Int.max 2 (Heap_impl.num_regions rt.RtM.heap / 16)
        && Common.young_count rt > 0
   then ensure_progress t
   else if
@@ -216,7 +222,7 @@ let install ?(pause_target = 200 * Util.Units.ms) rt =
       marker = Common.Marker.create rt;
       marking = false;
       candidates = [];
-      young_budget = max 4 (Heap_impl.num_regions heap / 4);
+      young_budget = Int.max 4 (Heap_impl.num_regions heap / 4);
       urgent = false;
       last_pause_est = Util.Units.ms;
     }

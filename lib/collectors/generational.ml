@@ -92,11 +92,12 @@ let escalate t =
 let controller t () =
   let rt = t.rt in
   let heap = rt.RtM.heap in
-  let budget = max 4 (Heap_impl.num_regions heap / young_budget_fraction) in
+  let budget = Int.max 4 (Heap_impl.num_regions heap / young_budget_fraction) in
   if
     t.urgent
     || Common.young_count rt >= budget
-    || Heap_impl.free_regions heap <= max 2 (Heap_impl.num_regions heap / 16)
+    || Heap_impl.free_regions heap
+       <= Int.max 2 (Heap_impl.num_regions heap / 16)
        && Common.young_count rt > 0
   then begin
     t.urgent <- false;

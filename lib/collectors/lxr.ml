@@ -67,7 +67,8 @@ let rc_epoch t ~defrag =
   (* The increment/decrement processing shares the same pause; bill it on
      the collector fiber inside... the pause has ended, so bill the log
      cost as part of epoch bookkeeping (small relative to copying). *)
-  Sim.Engine.tick (log * Costs.rc_process_ref / max 1 (Sim.Engine.cores rt.RtM.engine));
+  Sim.Engine.tick
+    (log * Costs.rc_process_ref / Int.max 1 (Sim.Engine.cores rt.RtM.engine));
   Metrics.add rt.RtM.metrics "lxr.rc_log_processed" log;
   failed
 

@@ -76,7 +76,7 @@ let select_cset t =
            && Region.live_ratio r < cset_live_threshold
            && t.config.cset_filter r)
     |> List.sort (fun (a : Region.t) b ->
-           compare a.Region.live_bytes b.Region.live_bytes)
+           Int.compare a.Region.live_bytes b.Region.live_bytes)
   in
   List.iter
     (fun (r : Region.t) ->

@@ -144,7 +144,42 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                  Util.Vec.set vec i o)
                vec)
            extra_roots;
-         (* Remembered sets of every cset region. *)
+         (* Remembered sets of every cset region.  The slot visitor is
+            built once per pause, not per card. *)
+         let remset_slot () o i =
+           Common.Ticker.tick tk Costs.mark_ref;
+           let stored = Gobj.get_field o i in
+           if stored != Gobj.null then begin
+             let child = Gobj.resolve stored in
+             (* Dead holders on this card can hold dangling references
+                into regions reclaimed by earlier pauses; the target
+                region id may since have been recycled into this cset,
+                so the membership test alone would resurrect freed
+                garbage. *)
+             if Gobj.is_freed child then ()
+             else if in_cset child then begin
+               let child' = copy_out child in
+               Gobj.set_field o i child';
+               (* The holder stays outside the cset: its entry for the
+                  survivor's new region. *)
+               Common.Ticker.tick tk Costs.remset_insert;
+               Region_remsets.add remsets ~target_rid:(Gobj.region child')
+                 ~card:(Heap_impl.card_of_field heap o i)
+             end
+             else if child != stored then begin
+               (* Already evacuated via another path this pause: healing
+                  alone would lose the edge when the cset region's
+                  remembered set is cleared on release — the new
+                  location needs this holder card too. *)
+               Gobj.set_field o i child;
+               if Gobj.region child <> Gobj.region o then begin
+                 Common.Ticker.tick tk Costs.remset_insert;
+                 Region_remsets.add remsets ~target_rid:(Gobj.region child)
+                   ~card:(Heap_impl.card_of_field heap o i)
+               end
+             end
+           end
+         in
          List.iter
            (fun (r : Region.t) ->
              match Region_remsets.get remsets r.Region.rid with
@@ -159,45 +194,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                      if not holder_r.Region.in_cset then begin
                        incr cards;
                        Common.Ticker.tick tk Costs.card_scan;
-                       Heap_impl.scan_card heap card () ~f:(fun () o i ->
-                           Common.Ticker.tick tk Costs.mark_ref;
-                           let stored = Gobj.get_field o i in
-                           if stored != Gobj.null then begin
-                             let child = Gobj.resolve stored in
-                             (* Dead holders on this card can hold
-                                dangling references into regions
-                                reclaimed by earlier pauses; the target
-                                region id may since have been recycled
-                                into this cset, so the membership test
-                                alone would resurrect freed garbage. *)
-                             if Gobj.is_freed child then ()
-                             else if in_cset child then begin
-                               let child' = copy_out child in
-                               Gobj.set_field o i child';
-                               (* The holder stays outside the cset: its
-                                  entry for the survivor's new region. *)
-                               Common.Ticker.tick tk Costs.remset_insert;
-                               Region_remsets.add remsets
-                                 ~target_rid:(Gobj.region child')
-                                 ~card:
-                                   (Heap_impl.card_of_field heap o i)
-                             end
-                             else if child != stored then begin
-                               (* Already evacuated via another path this
-                                  pause: healing alone would lose the
-                                  edge when the cset region's remembered
-                                  set is cleared on release — the new
-                                  location needs this holder card too. *)
-                               Gobj.set_field o i child;
-                               if Gobj.region child <> Gobj.region o
-                               then begin
-                                 Common.Ticker.tick tk Costs.remset_insert;
-                                 Region_remsets.add remsets
-                                   ~target_rid:(Gobj.region child)
-                                   ~card:(Heap_impl.card_of_field heap o i)
-                               end
-                             end
-                           end)
+                       Heap_impl.scan_card heap card () ~f:remset_slot
                      end)
                    rs)
            !cset;
@@ -221,6 +218,13 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
            actual incoming reference is dead — old holders would have
            inserted entries at store time, and young holders were all
            traced just now. *)
+        (* Built once per pause; the region id is the scan's context. *)
+        let referenced = ref false in
+        let reference_slot rid o i =
+          let child = Gobj.get_field o i in
+          if child != Gobj.null && Gobj.region (Gobj.resolve child) = rid then
+            referenced := true
+        in
         Array.iter
           (fun (r : Region.t) ->
             if
@@ -228,7 +232,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
               && r.Region.humongous
               && not (Hashtbl.mem humongous_reached r.Region.rid)
             then begin
-              let referenced = ref false in
+              referenced := false;
               (match Region_remsets.get remsets r.Region.rid with
               | None -> ()
               | Some rs ->
@@ -237,13 +241,8 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                     Remset.iter
                       (fun card ->
                         Common.Ticker.tick tk Costs.card_scan;
-                        Heap_impl.scan_card heap card () ~f:(fun () o i ->
-                            let child = Gobj.get_field o i in
-                            if
-                              child != Gobj.null
-                              && Gobj.region (Gobj.resolve child)
-                                 = r.Region.rid
-                            then referenced := true))
+                        Heap_impl.scan_card heap card r.Region.rid
+                          ~f:reference_slot)
                       rs);
               if not !referenced then begin
                 Region_remsets.clear remsets r.Region.rid;
@@ -288,7 +287,7 @@ let old_candidates (heap : Heap_impl.t) =
     heap.Heap_impl.regions;
   List.sort
     (fun (a : Region.t) b ->
-      compare (Region.garbage_bytes b) (Region.garbage_bytes a))
+      Int.compare (Region.garbage_bytes b) (Region.garbage_bytes a))
     !cands
 
 (** Full GC: every remembered set goes stale when the heap compacts, so

@@ -93,25 +93,29 @@ let young_regions t =
 let scan_remset_roots t tk =
   let heap = t.rt.RtM.heap in
   let prune = ref [] in
+  (* Built once per scan, not per card. *)
+  let found = ref false in
+  let gray_slot () o i =
+    let slot = Gobj.get_field o i in
+    if slot != Gobj.null then begin
+      let child = Gobj.resolve slot in
+      (* A dead holder can carry a dangling reference whose region id
+         was recycled into the young snapshot: graying it would mark and
+         visit a freed object. *)
+      if (not (Gobj.is_freed child)) && is_young heap child then begin
+        found := true;
+        Common.Marker.gray t.marker child
+      end
+    end
+  in
   Remset.iter
     (fun card ->
       Common.Ticker.tick tk Costs.card_scan;
       let holder_r = Heap_impl.region heap (Heap_impl.card_to_region heap card) in
       if holder_r.Region.kind <> Region.Old then prune := card :: !prune
       else begin
-        let found = ref false in
-        Heap_impl.scan_card heap card () ~f:(fun () o i ->
-            let slot = Gobj.get_field o i in
-            if slot != Gobj.null then begin
-              let child = Gobj.resolve slot in
-              (* A dead holder can carry a dangling reference whose
-                 region id was recycled into the young snapshot: graying
-                 it would mark and visit a freed object. *)
-              if (not (Gobj.is_freed child)) && is_young heap child then begin
-                found := true;
-                Common.Marker.gray t.marker child
-              end
-            end);
+        found := false;
+        Heap_impl.scan_card heap card () ~f:gray_slot;
         if not !found then prune := card :: !prune
       end)
     t.remset;

@@ -59,7 +59,7 @@ let select_relocation_set t =
          && Region.live_ratio r < relocation_live_threshold
          && t.config.cset_filter r)
   |> List.sort (fun (a : Region.t) b ->
-         compare a.Region.live_bytes b.Region.live_bytes)
+         Int.compare a.Region.live_bytes b.Region.live_bytes)
 
 let run_cycle t =
   let rt = t.rt in

@@ -53,7 +53,7 @@ let old_trigger_occupancy = 0.45
 let young_controller t () =
   let rt = t.rt in
   let heap = rt.RtM.heap in
-  let budget = max 4 (Heap_impl.num_regions heap / young_budget_fraction) in
+  let budget = Int.max 4 (Heap_impl.num_regions heap / young_budget_fraction) in
   if t.full_requested then begin
     if not t.old_gc.Old.cycle_running then begin
       t.full_requested <- false;
@@ -67,7 +67,7 @@ let young_controller t () =
     (* Keep enough headroom that the next young evacuation still has
        destination regions — critical on small heaps. *)
     || Heap_impl.free_regions heap
-       <= max 4 (Heap_impl.num_regions heap / 8)
+       <= Int.max 4 (Heap_impl.num_regions heap / 8)
        && Common.young_count rt > 0
   then begin
     t.young_urgent <- false;
@@ -107,7 +107,8 @@ let old_controller t =
       (t.old_urgent
       || Common.old_occupancy rt >= old_trigger_occupancy
       || proactive
-      || Heap_impl.free_regions heap <= max 4 (Heap_impl.num_regions heap / 8)
+      || Heap_impl.free_regions heap
+         <= Int.max 4 (Heap_impl.num_regions heap / 8)
          && Common.old_occupancy rt > 0.2)
       && not t.full_requested
     then begin

@@ -35,7 +35,7 @@ let estimate_free_space ~free_region_count ~region_bytes ~promotion_rate
     int_of_float
       (promotion_rate *. (float_of_int estimated_gc_time_ns /. 1e9))
   in
-  let free_space = max 0 (free_space - promoted) in
+  let free_space = Int.max 0 (free_space - promoted) in
   int_of_float (float_of_int free_space *. (1. -. young_ratio))
 
 (** Algorithm 1.  [candidates] are the old regions eligible this cycle
@@ -53,7 +53,8 @@ let build ~(config : Jade_config.t) ~free_bytes candidates =
      (most garbage per copied byte). *)
   let tracked_list =
     List.sort
-      (fun (a : Region.t) b -> compare a.Region.live_bytes b.Region.live_bytes)
+      (fun (a : Region.t) b ->
+        Int.compare a.Region.live_bytes b.Region.live_bytes)
       tracked_list
   in
   (* Lines 10-33: split into groups. *)

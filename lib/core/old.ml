@@ -149,7 +149,7 @@ let group_phase t =
   Array.iter Remset.clear t.group_remsets;
   (* The grouping itself is a simulation over region metadata: bill a few
      tens of ns per tracked region (sort + scan), microseconds total. *)
-  Sim.Engine.tick (60 * max 1 plan.Grouping.tracked);
+  Sim.Engine.tick (60 * Int.max 1 plan.Grouping.tracked);
   Metrics.phase_end metrics "jade.group" ~now:(now ());
   Metrics.add metrics "jade.groups_built" (Grouping.num_groups plan);
   plan
@@ -175,34 +175,35 @@ let build_remsets t =
       ignore (Remset.add t.group_remsets.(g) card)
     end
   in
-  let scan_card_for_targets tk card =
+  (* A worker's slot visitor, built once per worker over its ticker; the
+     card is the scan's context, so a card allocates nothing. *)
+  let target_slot tk card o i =
+    let slot = Gobj.get_field o i in
+    if slot != Gobj.null then begin
+      let child = Gobj.resolve slot in
+      (* A dead holder's dangling reference into a reclaimed region
+         must not mint remset entries for whatever region id now
+         occupies that slot. *)
+      if (not (Gobj.is_freed child)) && Gobj.region child <> Gobj.region o
+      then begin
+        (* This scan is followed by [clean_card]; if the card still
+           covers an old→young edge whose remset insert the young
+           collector pruned against a half-completed store, the dirty
+           bit is the last record of that edge — re-publish it before
+           erasing the backup.  Unbilled: an idempotent bitset insert
+           the mutator already paid for once. *)
+        (let cr = Heap_impl.region heap (Gobj.region child) in
+         let hr = Heap_impl.region heap (Gobj.region o) in
+         if cr.Region.kind = Region.Young && hr.Region.kind = Region.Old then
+           ignore (Remset.add t.young.Young.remset card));
+        insert_for_target tk ~card ~target_rid:(Gobj.region child)
+      end
+    end
+  in
+  let scan_card_for_targets tk slot card =
     incr scanned;
     Common.Ticker.tick tk Costs.card_scan;
-    Heap_impl.scan_card heap card () ~f:(fun () o i ->
-        let slot = Gobj.get_field o i in
-        if slot != Gobj.null then begin
-            let child = Gobj.resolve slot in
-            (* A dead holder's dangling reference into a reclaimed region
-               must not mint remset entries for whatever region id now
-               occupies that slot. *)
-            if
-              (not (Gobj.is_freed child))
-              && Gobj.region child <> Gobj.region o
-            then begin
-              (* This scan is followed by [clean_card]; if the card still
-                 covers an old→young edge whose remset insert the young
-                 collector pruned against a half-completed store, the
-                 dirty bit is the last record of that edge — re-publish
-                 it before erasing the backup.  Unbilled: an idempotent
-                 bitset insert the mutator already paid for once. *)
-              (let cr = Heap_impl.region heap (Gobj.region child) in
-               let hr = Heap_impl.region heap (Gobj.region o) in
-               if
-                 cr.Region.kind = Region.Young && hr.Region.kind = Region.Old
-               then ignore (Remset.add t.young.Young.remset card));
-              insert_for_target tk ~card ~target_rid:(Gobj.region child)
-            end
-        end)
+    Heap_impl.scan_card heap card card ~f:slot
   in
   (* Work list: cards known to the CRDT (live cross-region refs found by
      marking) plus cards dirtied by mutators that the CRDT knows nothing
@@ -220,11 +221,11 @@ let build_remsets t =
   in
   ignore
     (Common.parallel_drain rt ~n:t.config.old_workers ~name:"jade-build"
-       ~init:ignore (Util.Vec.to_array work) (fun () tk card ->
+       ~init:target_slot (Util.Vec.to_array work) (fun slot tk card ->
          (match crdt_get card with
          | Crdt.Empty ->
              (* Dirtied after the marking snapshot: conservative scan. *)
-             scan_card_for_targets tk card
+             scan_card_for_targets tk slot card
          | Crdt.One r1 ->
              incr via_crdt;
              insert_for_target tk ~card ~target_rid:r1
@@ -234,7 +235,7 @@ let build_remsets t =
              insert_for_target tk ~card ~target_rid:r2
          | Crdt.Overflow ->
              (* Three or more referenced regions: rescan (§3.3). *)
-             scan_card_for_targets tk card);
+             scan_card_for_targets tk slot card);
          Heap_impl.clean_card heap card));
   Metrics.add metrics "jade.build_cards_scanned" !scanned;
   Metrics.add metrics "jade.build_cards_via_crdt" !via_crdt;

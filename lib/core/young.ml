@@ -170,34 +170,48 @@ let drain t dests tk =
     if Util.Vec.length t.scan_stack land 127 = 0 then Common.Ticker.flush tk
   done
 
+(* A young-collection worker's remembered-set scan state, built once per
+   worker: [remset_slot] is closed over nothing and gets this as the
+   scan's context, so a card allocates nothing. *)
+type card_scan = {
+  cs_young : t;
+  cs_dests : Common.Evac.dest * Common.Evac.dest;
+  cs_tk : Common.Ticker.t;
+  mutable cs_keep : bool;  (** the card still holds an old-to-young ref *)
+}
+
+let remset_slot cs o i =
+  let slot = Gobj.get_field o i in
+  if slot != Gobj.null then begin
+    let t = cs.cs_young in
+    let heap = t.rt.RtM.heap in
+    let child = Gobj.resolve slot in
+    (* A dead holder on this card can carry a dangling reference to an
+       object reclaimed cycles ago.  Its region id may have been
+       recycled into the current snapshot, so the membership test alone
+       would resurrect freed garbage — a dangling edge is never copied
+       or healed. *)
+    if not (Gobj.is_freed child) then begin
+      let child =
+        if in_snapshot heap child then copy_out t cs.cs_dests cs.cs_tk child
+        else child
+      in
+      Gobj.set_field o i child;
+      if is_young heap child then cs.cs_keep <- true
+    end
+  end
+
 (* Scan one old-to-young remembered card: copy-and-heal young targets.
    Returns true when the card still holds old-to-young references. *)
-let scan_remset_card t dests tk card =
-  let heap = t.rt.RtM.heap in
-  Common.Ticker.tick tk Costs.card_scan;
+let scan_remset_card cs card =
+  let heap = cs.cs_young.rt.RtM.heap in
+  Common.Ticker.tick cs.cs_tk Costs.card_scan;
   let holder_r = Heap_impl.region heap (Heap_impl.card_to_region heap card) in
   if holder_r.Region.kind <> Region.Old then false
   else begin
-    let keep = ref false in
-    Heap_impl.scan_card heap card () ~f:(fun () o i ->
-        let slot = Gobj.get_field o i in
-        if slot != Gobj.null then begin
-          let child = Gobj.resolve slot in
-          (* A dead holder on this card can carry a dangling reference
-             to an object reclaimed cycles ago.  Its region id may have
-             been recycled into the current snapshot, so the membership
-             test alone would resurrect freed garbage — a dangling edge
-             is never copied or healed. *)
-          if not (Gobj.is_freed child) then begin
-            let child =
-              if in_snapshot heap child then copy_out t dests tk child
-              else child
-            in
-            Gobj.set_field o i child;
-            if is_young heap child then keep := true
-          end
-        end);
-    !keep
+    cs.cs_keep <- false;
+    Heap_impl.scan_card heap card cs ~f:remset_slot;
+    cs.cs_keep
   end
 
 (** Run one single-phase young collection; returns false on evacuation
@@ -257,6 +271,9 @@ let collect t ~workers =
           ( Common.Evac.make_dest rt Region.Young,
             Common.Evac.make_dest rt Region.Old )
         in
+        let cs =
+          { cs_young = t; cs_dests = dests; cs_tk = tk; cs_keep = false }
+        in
         try
           let continue_ = ref true in
           while !continue_ do
@@ -264,7 +281,7 @@ let collect t ~workers =
             else if !next_card < Array.length card_arr then begin
               let c = !next_card in
               incr next_card;
-              let keep = scan_remset_card t dests tk card_arr.(c) in
+              let keep = scan_remset_card cs card_arr.(c) in
               (* Prune only while no old cycle runs: the scan may have
                  raced a mutator's half-completed store (remset insert
                  published, field write pending), which leaves the card
@@ -324,7 +341,7 @@ let collect t ~workers =
   RtM.notify_memory_freed rt;
   (* Promotion-rate EMA for Algorithm 2. *)
   let promoted = Metrics.counter metrics "jade.promoted_bytes" in
-  let dt = max 1 (now () - t.last_gc_end) in
+  let dt = Int.max 1 (now () - t.last_gc_end) in
   t.last_gc_end <- now ();
   let inst =
     float_of_int (promoted - t.promoted_prev) /. (float_of_int dt /. 1e9)

@@ -45,7 +45,7 @@ let create pool =
 let register t =
   let p = t.participants in
   if p = Array.length t.state then begin
-    let s = Array.make (max 8 (2 * p)) offline_ in
+    let s = Array.make (Int.max 8 (2 * p)) offline_ in
     Array.blit t.state 0 s 0 p;
     t.state <- s
   end;

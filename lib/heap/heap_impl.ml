@@ -283,7 +283,9 @@ let scan_card t card ctx ~f =
         in
         let hi =
           if stop <= base then 0
-          else min nf ((stop - base + Gobj.slot_bytes - 1) lsr Gobj.slot_shift)
+          else
+            Int.min nf
+              ((stop - base + Gobj.slot_bytes - 1) lsr Gobj.slot_shift)
         in
         for i = lo to hi - 1 do
           f ctx o i
@@ -366,7 +368,7 @@ let release_region t (r : Region.t) =
   let floor =
     if not t.cfg.pooling then Gobj.harvest_none
     else if t.allocate_live then
-      if t.allocate_live_young then max t.mark_floor t.young_floor
+      if t.allocate_live_young then Int.max t.mark_floor t.young_floor
       else t.mark_floor
     else if t.allocate_live_young then t.young_floor
     else Gobj.harvest_all

@@ -103,7 +103,7 @@ let work m ns =
   flush m;
   let remaining = ref (taxed m ns) in
   while !remaining > 0 do
-    let c = min !remaining work_chunk_ns in
+    let c = Int.min !remaining work_chunk_ns in
     Sim.Engine.tick c;
     remaining := !remaining - c;
     Safepoint.check m.rt.Rt.safepoint

@@ -40,8 +40,6 @@ type state =
   | Sleeping (* until [wake_at] *)
   | Finished
 
-type cont = No_cont | K : (unit, unit) Effect.Deep.continuation -> cont
-
 type thread = {
   tid : int;
   name : string;
@@ -50,13 +48,42 @@ type thread = {
   mutable state : state;
   mutable wake_at : int; (* absolute wake time while [Sleeping] *)
   mutable debt : int; (* virtual ns still to pay before resuming *)
-  mutable cont : cont; (* [No_cont] unless suspended *)
+  mutable cont : (unit, unit) Effect.Deep.continuation;
+      (* [no_cont] unless suspended *)
   mutable yielded : bool;
   mutable enqueued : bool; (* membership flag for the run queue *)
   mutable body : (unit -> unit) option; (* set until first scheduled *)
   mutable on_finish : (unit -> unit) list;
   mutable blocked_on : string; (* cond name, for diagnostics *)
 }
+
+(* The one effect.  Every suspending operation first records its operand
+   on the calling thread (debt, yielded flag, waiter-queue or sleeper-heap
+   entry), then performs this constant, so a suspension allocates only
+   the continuation, which [thread.cont] keeps unboxed. *)
+type _ Effect.t += Suspend : unit Effect.t
+
+(* "Not suspended": a continuation no thread ever holds, compared by
+   address and never resumed.  It is captured once, by performing
+   [Suspend] under a handler that raises the continuation straight out,
+   so [thread.cont] needs no option or box around the real ones. *)
+let no_cont : (unit, unit) Effect.Deep.continuation =
+  let exception Captured of (unit, unit) Effect.Deep.continuation in
+  match
+    Effect.Deep.match_with Effect.perform Suspend
+      {
+        retc = Fun.id;
+        exnc = raise;
+        effc =
+          (fun (type a) (eff : a Effect.t) :
+               ((a, unit) Effect.Deep.continuation -> unit) option ->
+            match eff with
+            | Suspend -> Some (fun k -> raise (Captured k))
+            | _ -> None);
+      }
+  with
+  | () -> invalid_arg "Sim.Engine.no_cont: Suspend was not performed"
+  | exception Captured k -> k
 
 (* Fills core slots and heap slots so they never retain a real thread. *)
 let dummy_thread =
@@ -68,7 +95,7 @@ let dummy_thread =
     state = Finished;
     wake_at = 0;
     debt = 0;
-    cont = No_cont;
+    cont = no_cont;
     yielded = false;
     enqueued = false;
     body = None;
@@ -118,12 +145,6 @@ type t = {
 }
 
 exception Deadlock of string
-
-(* The one effect.  Every suspending operation first records its operand
-   on the calling thread (debt, yielded flag, waiter-queue or sleeper-heap
-   entry), then performs this constant, so a suspension allocates only
-   the continuation and its [K] box. *)
-type _ Effect.t += Suspend : unit Effect.t
 
 let create ?(cores = 8) ?(quantum = 20_000) () =
   if cores < 1 then invalid_arg "Engine.create: cores";
@@ -216,7 +237,7 @@ let spawn t ?(daemon = false) ~name ~kind body =
       state = Runnable;
       wake_at = 0;
       debt = 0;
-      cont = No_cont;
+      cont = no_cont;
       yielded = false;
       enqueued = false;
       body = Some body;
@@ -302,7 +323,7 @@ let sleep_until _t wake =
   end
 
 (** Sleep without consuming CPU. *)
-let sleep t n = sleep_until t (now t + max n 0)
+let sleep t n = sleep_until t (now t + Int.max n 0)
 
 (* Signalling does not suspend the caller, so these are plain functions. *)
 
@@ -334,7 +355,7 @@ let on_finish th f = th.on_finish <- f :: th.on_finish
 
 let finish_thread t th =
   th.state <- Finished;
-  th.cont <- No_cont;
+  th.cont <- no_cont;
   if not th.daemon then t.live_nondaemon <- t.live_nondaemon - 1;
   List.iter (fun f -> f ()) th.on_finish;
   th.on_finish <- []
@@ -342,8 +363,8 @@ let finish_thread t th =
 let handler t th : (unit, unit) Effect.Deep.handler =
   (* Built once per thread: the operation stored its operand before
      performing [Suspend], so all that is left is keeping the
-     continuation. *)
-  let capture = Some (fun k -> th.cont <- K k) in
+     continuation, stored as it is. *)
+  let capture = Some (fun k -> th.cont <- k) in
   {
     retc = (fun () -> finish_thread t th);
     exnc =
@@ -356,26 +377,30 @@ let handler t th : (unit, unit) Effect.Deep.handler =
         match eff with Suspend -> capture | _ -> None);
   }
 
+(* A thread is suspended exactly when its [cont] is not the sentinel. *)
 let resume t th =
-  match th.cont, th.body with
-  | K k, _ ->
-      th.cont <- No_cont;
-      Effect.Deep.continue k ()
-  | No_cont, Some body ->
-      th.body <- None;
-      Effect.Deep.match_with body () (handler t th)
-  | No_cont, None ->
-      failwith
-        (Printf.sprintf
-           "Sim.Engine.resume: thread %S (tid %d, state %s) has neither a \
-            continuation nor a body — a finished thread was driven by the \
-            scheduler"
-           th.name th.tid
-           (match th.state with
-           | Runnable -> "runnable"
-           | Blocked -> "blocked on " ^ th.blocked_on
-           | Sleeping -> Printf.sprintf "sleeping until %dns" th.wake_at
-           | Finished -> "finished"))
+  let k = th.cont in
+  if k != no_cont then begin
+    th.cont <- no_cont;
+    Effect.Deep.continue k ()
+  end
+  else
+    match th.body with
+    | Some body ->
+        th.body <- None;
+        Effect.Deep.match_with body () (handler t th)
+    | None ->
+        failwith
+          (Printf.sprintf
+             "Sim.Engine.resume: thread %S (tid %d, state %s) has neither \
+              a continuation nor a body — a finished thread was driven by \
+              the scheduler"
+             th.name th.tid
+             (match th.state with
+             | Runnable -> "runnable"
+             | Blocked -> "blocked on " ^ th.blocked_on
+             | Sleeping -> Printf.sprintf "sleeping until %dns" th.wake_at
+             | Finished -> "finished"))
 
 (* Drive [th] for at most [budget] ns; returns consumed CPU.
    [t.run_offset] doubles as the consumed-so-far counter: it advances
@@ -395,7 +420,7 @@ let run_thread t th budget =
     else if th.debt > 0 then
       if t.run_offset >= budget then continue_loop := false (* budget spent *)
       else begin
-        let d = min th.debt (budget - t.run_offset) in
+        let d = Int.min th.debt (budget - t.run_offset) in
         th.debt <- th.debt - d;
         t.run_offset <- t.run_offset + d
       end
@@ -468,7 +493,7 @@ let run ?until t =
          let w = next_wake_ns t in
          if w < max_int then
            (* Idle: jump the clock straight to the next event. *)
-           t.clock <- max t.clock (min w limit)
+           t.clock <- Int.max t.clock (Int.min w limit)
          else begin
            let blocked =
              List.filter_map
@@ -510,7 +535,7 @@ let run ?until t =
              let m = Util.Ring.length t.runq in
              if m > Array.length t.cands then
                t.cands <-
-                 Array.make (max m (2 * Array.length t.cands)) dummy_thread;
+                 Array.make (Int.max m (2 * Array.length t.cands)) dummy_thread;
              let cands = t.cands in
              for i = 0 to m - 1 do
                let th = Util.Ring.pop_exn t.runq in
@@ -537,7 +562,7 @@ let run ?until t =
                end
                else 0
              in
-             let served = min t.cores m in
+             let served = Int.min t.cores m in
              for i = 0 to served - 1 do
                scratch.(i) <- cands.((i + r) mod m)
              done;
@@ -548,7 +573,8 @@ let run ?until t =
              n := served);
          (* Baseline step: one quantum, clamped so sleepers wake on time. *)
          let step =
-           if wake > t.clock then min t.quantum (wake - t.clock) else t.quantum
+           if wake > t.clock then Int.min t.quantum (wake - t.clock)
+           else t.quantum
          in
          (* Event-driven fast path.  When every runnable thread holds a
             core and all are mid-[tick] with more than a quantum of debt,
@@ -567,7 +593,7 @@ let run ?until t =
              done;
              if !min_debt > t.quantum then begin
                let horizon =
-                 min !min_debt (min (wake - t.clock) (limit - t.clock))
+                 Int.min !min_debt (Int.min (wake - t.clock) (limit - t.clock))
                in
                let jump = horizon / t.quantum * t.quantum in
                if jump > t.quantum then jump else step

@@ -30,8 +30,10 @@
     condition's waiter queue or in the sleeper heap) and then perform a
     single constant [Suspend] effect; the thread's handler, built once
     at spawn, only keeps the continuation.  The run queue and the waiter
-    queues are {!Util.Ring}s, so a suspension costs the host the
-    continuation and its box (4 minor words) and nothing else.  With no
+    queues are {!Util.Ring}s, and the thread keeps the continuation
+    itself (a sentinel continuation, never resumed, marks a thread that
+    is not suspended), so a suspension costs the host the continuation
+    (2 minor words) and nothing else.  With no
     spawned thread to record the operand on, these operations raise
     [Invalid_argument] rather than drop the call.
 

@@ -96,7 +96,7 @@ let word_mask ~w ~lo ~hi =
     exactly — the batched replacement for per-bit {!clear} loops
     (region release cleaning its cards, remset rebuilds). *)
 let clear_range t ~lo ~hi =
-  let lo = max 0 lo and hi = min t.nbits hi in
+  let lo = Int.max 0 lo and hi = Int.min t.nbits hi in
   if lo < hi then begin
     let w0 = lo / bits_per_word and w1 = (hi - 1) / bits_per_word in
     for w = w0 to w1 do
@@ -113,7 +113,7 @@ let clear_range t ~lo ~hi =
 
 (** Number of set bits in [lo, hi), word-wise (zero words cost one load). *)
 let count_range t ~lo ~hi =
-  let lo = max 0 lo and hi = min t.nbits hi in
+  let lo = Int.max 0 lo and hi = Int.min t.nbits hi in
   if lo >= hi then 0
   else begin
     let w0 = lo / bits_per_word and w1 = (hi - 1) / bits_per_word in
@@ -173,7 +173,7 @@ let iter_set f t =
 (** Iterate set bits within [lo, hi) only: whole words in the interior,
     masked head and tail words at the boundaries. *)
 let iter_set_range f t ~lo ~hi =
-  let lo = max 0 lo and hi = min t.nbits hi in
+  let lo = Int.max 0 lo and hi = Int.min t.nbits hi in
   if lo < hi then begin
     let w0 = lo / bits_per_word and w1 = (hi - 1) / bits_per_word in
     for w = w0 to w1 do

@@ -47,7 +47,7 @@ let msb_position v =
    indexed by (exponent, mantissa) where exponent = msb - sub_bits + 1 >= 1
    and mantissa is the sub_bits bits below the most significant bit. *)
 let bucket_of v =
-  let v = max v 0 in
+  let v = Int.max v 0 in
   if v < 1 lsl sub_bits then v
   else begin
     let exponent = msb_position v - sub_bits + 1 in
@@ -71,7 +71,7 @@ let own_buckets t =
 
 let record t v =
   if Array.length t.counts = 0 then own_buckets t;
-  let b = min (bucket_of v) (Array.length t.counts - 1) in
+  let b = Int.min (bucket_of v) (Array.length t.counts - 1) in
   t.counts.(b) <- t.counts.(b) + 1;
   t.total <- t.total + 1;
   t.sum <- t.sum + v;

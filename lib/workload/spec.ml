@@ -44,7 +44,7 @@ let node_size t = Heap.Heap_impl.object_size ~nrefs:node_refs ~data_bytes:t.node
 
 let chain_bytes t = t.chain_len * node_size t
 
-let num_slots t = max 1 (t.live_bytes / chain_bytes t)
+let num_slots t = Int.max 1 (t.live_bytes / chain_bytes t)
 
 let seg_fanout t = (num_slots t + dir_fanout - 1) / dir_fanout
 
@@ -54,7 +54,7 @@ let seg_fanout t = (num_slots t + dir_fanout - 1) / dir_fanout
     temp. *)
 let largest_object t =
   let refs_only nrefs = Heap.Heap_impl.object_size ~nrefs ~data_bytes:0 in
-  List.fold_left max (node_size t)
+  List.fold_left Int.max (node_size t)
     [
       refs_only dir_fanout;
       refs_only (seg_fanout t);
@@ -224,7 +224,7 @@ let request st rt (m : Runtime.Mutator.t) =
     (* Interleave store reads with allocation, as real requests do. *)
     if
       spec.store_reads > 0
-      && k mod (max 1 (spec.temp_objs / max 1 spec.store_reads)) = 0
+      && k mod (Int.max 1 (spec.temp_objs / Int.max 1 spec.store_reads)) = 0
     then read_slot st rt m (Util.Prng.int prng st.slots)
   done;
   (* Medium-lived survivors: the newest [survivors] temps go to the pool,

@@ -28,7 +28,11 @@
 #   R5  allocation-free object graph: the type "Gobj.t option" may not
 #       appear in lib/heap or lib/collectors — reference slots use the
 #       unboxed Gobj.null sentinel, so the simulated heap's hot path
-#       never boxes a reference on the host minor heap.
+#       never boxes a reference on the host minor heap;
+#   R6  no polymorphic comparison on hot paths: Stdlib's min, max and
+#       compare may not appear in lib/{sim,core,heap,collectors,runtime,
+#       workload} (aux trees included) — each call goes through the
+#       runtime's compare_val; use Int.min, Float.max, String.compare.
 #
 # Deliberate exemptions are annotated in-source with
 #   [@gcsim.allow "reason"]   (expressions)
@@ -43,7 +47,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 LINTED="lib/sim lib/core lib/heap lib/collectors lib/obs"
-AUX="--aux lib/util --aux lib/runtime --aux lib/experiments"
+AUX="--aux lib/util --aux lib/runtime --aux lib/experiments --aux lib/workload"
 
 dune build tools/gcsim_lint/main.exe 2>&1
 

@@ -306,6 +306,93 @@ let test_heal_card_allocates_nothing () =
   Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. w0)
 
 (* ------------------------------------------------------------------ *)
+(* Per-card closures (Jade's young remembered-set scan, G1's rebuild).  *)
+
+(* An old region full of holders, each slot pointing into a young
+   region outside any collection set (so no target needs a copy), and
+   the holders' distinct cards in address order. *)
+let card_scan_fixture () =
+  let engine = Sim.Engine.create () in
+  let heap =
+    Heap.Heap_impl.create
+      (Heap.Heap_impl.config ~heap_bytes:(4 * mib)
+         ~region_bytes:(256 * Util.Units.kib) ())
+  in
+  let rt = Runtime.Rt.create ~seed:42 ~engine ~heap () in
+  let claim kind = Option.get (Heap.Heap_impl.claim_region heap kind) in
+  let holders_r = claim Heap.Region.Old and targets_r = claim Heap.Region.Young in
+  let target = Heap.Heap_impl.alloc_in heap targets_r ~size:64 ~nrefs:0 in
+  let cards = Util.Vec.create 0 in
+  for _ = 1 to 1024 do
+    let o = Heap.Heap_impl.alloc_in heap holders_r ~size:64 ~nrefs:4 in
+    for i = 0 to 3 do
+      Heap.Gobj.set_field o i target
+    done;
+    let card = Heap.Heap_impl.card_of_field heap o 0 in
+    let n = Util.Vec.length cards in
+    if n = 0 || Util.Vec.get cards (n - 1) <> card then
+      Util.Vec.push cards card
+  done;
+  (rt, Util.Vec.to_array cards, target)
+
+(* Host minor words a scan of [n] more cards costs: [scan cards n] scans
+   the first [n] cards, and what it allocates once per call cancels out
+   of the difference between [2n] and [n] cards. *)
+let words_per_card scan cards =
+  let n = Array.length cards / 2 in
+  scan cards (2 * n) (* warm-up: first-use allocations, lazy remsets *);
+  let words k =
+    let w0 = Gc.minor_words () in
+    scan cards k;
+    Gc.minor_words () -. w0
+  in
+  let w1 = words n in
+  let w2 = words (2 * n) in
+  (w2 -. w1) /. float_of_int n
+
+(* The engine is not running: a ticker that never reaches its flush
+   batch keeps the scans from suspending. *)
+let idle_ticker () = Collectors.Common.Ticker.create ~workers:1_000_000 ()
+
+let test_jade_remset_scan_allocates_nothing () =
+  let rt, cards, _ = card_scan_fixture () in
+  Alcotest.(check bool) "at least 16 cards" true (Array.length cards >= 16);
+  let young = Jade.Young.create ~config:Jade.Jade_config.default rt in
+  let cs =
+    {
+      Jade.Young.cs_young = young;
+      cs_dests =
+        ( Collectors.Common.Evac.make_dest rt Heap.Region.Young,
+          Collectors.Common.Evac.make_dest rt Heap.Region.Old );
+      cs_tk = idle_ticker ();
+      cs_keep = false;
+    }
+  in
+  Alcotest.(check bool) "card keeps its old-to-young ref" true
+    (Jade.Young.scan_remset_card cs cards.(0));
+  let scan cards n =
+    for c = 0 to n - 1 do
+      ignore (Jade.Young.scan_remset_card cs cards.(c))
+    done
+  in
+  Alcotest.(check (float 0.)) "minor words per card" 0.
+    (words_per_card scan cards)
+
+let test_g1_rebuild_allocates_nothing () =
+  let rt, cards, target = card_scan_fixture () in
+  let heap = rt.Runtime.Rt.heap in
+  let remsets = Collectors.Region_remsets.create heap in
+  let tk = idle_ticker () in
+  let scan cards n =
+    Collectors.G1.rebuild_remset_cards heap remsets tk cards ~lo:0 ~hi:n
+  in
+  scan cards 1;
+  Alcotest.(check int) "rebuild recorded the card" 1
+    (Collectors.Region_remsets.cardinal remsets (Heap.Gobj.region target));
+  Alcotest.(check (float 0.)) "minor words per card" 0.
+    (words_per_card scan cards)
+
+(* ------------------------------------------------------------------ *)
 (* ZGC's unremapped stubs.                                              *)
 
 (* ZGC heals no reference at relocation, so each forwarded from-space
@@ -496,6 +583,13 @@ let () =
          [
            Alcotest.test_case "allocates nothing per card" `Quick
              test_heal_card_allocates_nothing;
+         ] );
+       ( "card scans",
+         [
+           Alcotest.test_case "jade young remset scan allocates nothing per card"
+             `Quick test_jade_remset_scan_allocates_nothing;
+           Alcotest.test_case "g1 remset rebuild allocates nothing per card"
+             `Quick test_g1_rebuild_allocates_nothing;
          ] );
        ( "zgc relocation",
          [

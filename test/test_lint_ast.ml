@@ -4,7 +4,7 @@
    These tests drive [Lint_core] in-process (no child dune invocation —
    nested [dune exec] under [dune runtest] deadlocks on the build lock):
 
-   - each rule R1-R4 fires on a minimal synthetic source;
+   - each rule R1-R6 fires on a minimal synthetic source;
    - the tricky negatives (aliased modules, shadowed [Random], DLS-wrapped
      cells, allow attributes) stay silent;
    - the planted-violation fixture tree under tools/gcsim_lint passes the
@@ -14,9 +14,9 @@
      fence that keeps future sessions honest. *)
 
 let src ?(file = "synth/sim/probe.ml") ?(modpath = [ "Sim"; "Probe" ])
-    ?(linted = true) ?(r5 = false) text =
+    ?(linted = true) ?(r5 = false) ?(r6 = false) text =
   Lint_core.{ src_file = file; src_text = text; src_modpath = modpath;
-              src_linted = linted; src_r5 = r5 }
+              src_linted = linted; src_r5 = r5; src_r6 = r6 }
 
 let rules diags =
   List.map (fun d -> Lint_core.rule_to_string d.Lint_core.rule) diags
@@ -193,6 +193,65 @@ let test_r5_negatives () =
     "let f (x : (Gobj.t option[@gcsim.allow \"test exemption\"])) = x\n"
 
 (* ------------------------------------------------------------------ *)
+(* R6: Stdlib's polymorphic min/max/compare banned from the hot paths. *)
+
+let check_r6 ?(linted = true) name expected text =
+  Alcotest.(check (list string))
+    name expected
+    (rules
+       (Lint_core.run
+          [
+            src ~file:"synth/runtime/probe.ml" ~modpath:[ "Runtime"; "Probe" ]
+              ~linted ~r6:true text;
+          ]))
+
+let test_r6_poly_compare () =
+  check_r6 "bare max" [ "R6" ] "let f a b = max a b
+";
+  check_r6 "Stdlib.min" [ "R6" ] "let f a b = Stdlib.min a b
+";
+  check_r6 "compare as a value" [ "R6" ] "let f xs = List.sort compare xs
+";
+  (* lib/runtime and lib/workload are parsed as aux; R6 still applies. *)
+  check_r6 ~linted:false "aux file" [ "R6" ] "let f n = max n 0
+"
+
+let test_r6_negatives () =
+  check_r6 "Int and Float versions" []
+    "let f a b = Int.max a b
+let g x = Float.min x 1.
+     let h xs = List.sort Int.compare xs
+";
+  check_r6 "labelled parameter" [] "let f v ~max = v <= max
+";
+  check_r6 "local binding" []
+    "let f xs = let min = List.hd xs in List.map (fun x -> x - min) xs
+";
+  check_r6 "pattern variable" []
+    "let f = function (max, _) :: _ -> max | [] -> 0
+";
+  check_r6 "toplevel shadow" [] "let max a b = a + b
+let f x = max x 1
+";
+  check_r6 "local open of Int" [] "let f a b = Int.(max a b)
+";
+  (* The binding's own right-hand side still sees Stdlib's [max]. *)
+  check_r6 "non-recursive let" [ "R6" ] "let f a = let max = max a 0 in max
+";
+  check_r6 "allow suppresses R6" []
+    "let f a b = (max [@gcsim.allow \"test exemption\"]) a b
+";
+  Alcotest.(check (list string))
+    "outside r6 dirs" []
+    (rules
+       (Lint_core.run
+          [
+            src ~file:"synth/analysis/race.ml" ~modpath:[ "Analysis"; "Race" ]
+              "let f a b = max a b
+";
+          ]))
+
+(* ------------------------------------------------------------------ *)
 (* The fixture tree's own self-test (same entry CI uses). *)
 
 (* Under [dune runtest] the cwd is [_build/default/test]; under a direct
@@ -221,7 +280,7 @@ let test_real_tree_clean () =
     Lint_core.run_dirs
       ~linted_dirs:
         [ lib "sim"; lib "core"; lib "heap"; lib "collectors"; lib "obs" ]
-      ~aux_dirs:[ lib "util"; lib "runtime"; lib "experiments" ]
+      ~aux_dirs:[ lib "util"; lib "runtime"; lib "experiments"; lib "workload" ]
   in
   Alcotest.(check bool) "saw the whole tree (>= 30 files)" true (nfiles >= 30);
   match diags with
@@ -265,6 +324,12 @@ let () =
           Alcotest.test_case "bare t inside Gobj" `Quick
             test_r5_bare_t_inside_gobj;
           Alcotest.test_case "negatives" `Quick test_r5_negatives;
+        ] );
+      ( "r6-monomorphic-compare",
+        [
+          Alcotest.test_case "polymorphic uses flagged" `Quick
+            test_r6_poly_compare;
+          Alcotest.test_case "negatives" `Quick test_r6_negatives;
         ] );
       ( "r4-dls-handles",
         [

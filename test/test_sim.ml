@@ -255,22 +255,22 @@ let words_per_suspension ?(per_rep = 1) e body =
   Engine.run e;
   !words
 
-(* A suspension allocates at most its continuation (2 words) and the
-   box that keeps it (2 words): operands live on the thread record, the
+(* A suspension allocates at most its continuation (2 words), which the
+   thread record keeps unboxed: operands live on the thread record, the
    effect is a constant and the run queue is a ring. *)
 let test_suspensions_allocate_little () =
-  let at_most_4 what words =
-    if words > 4. then
-      Alcotest.failf "%s: %.2f minor words per suspension (want <= 4)" what
+  let at_most_2 what words =
+    if words > 2. then
+      Alcotest.failf "%s: %.2f minor words per suspension (want <= 2)" what
         words
   in
   let e = Engine.create ~cores:1 ~quantum:(10 * us) () in
-  at_most_4 "tick past budget"
+  at_most_2 "tick past budget"
     (words_per_suspension e (fun () -> Engine.tick (25 * us)));
   let e = Engine.create ~cores:1 () in
-  at_most_4 "yield" (words_per_suspension e Engine.yield);
+  at_most_2 "yield" (words_per_suspension e Engine.yield);
   let e = Engine.create ~cores:1 () in
-  at_most_4 "sleep_until"
+  at_most_2 "sleep_until"
     (words_per_suspension e (fun () ->
          Engine.sleep_until e (Engine.now e + us)));
   (* Ping-pong: each repetition is one [wait] and one [signal] in each
@@ -283,19 +283,19 @@ let test_suspensions_allocate_little () =
            Engine.wait ping;
            Engine.signal e pong
          done));
-  at_most_4 "wait plus signal"
+  at_most_2 "wait plus signal"
     (words_per_suspension ~per_rep:2 e (fun () ->
          Engine.signal e ping;
          Engine.wait pong))
 
 (* Under a policy every round drains the run queue into the engine's
    candidate buffer and, at a choice point, calls the policy; none of
-   that may allocate, so a suspension still costs at most 4 words.  Each
-   repetition is one [yield] of the measured thread and one of its
-   partner, so two suspensions; the rotation-0 policy reads every
-   candidate's tid and makes each round a choice point: one core with
-   two runnable threads (the policy picks who waits), then two cores
-   with both about to run code (it picks their order). *)
+   that may allocate, so a suspension still costs at most its 2-word
+   continuation.  Each repetition is one [yield] of the measured thread
+   and one of its partner, so two suspensions; the rotation-0 policy
+   reads every candidate's tid and makes each round a choice point: one
+   core with two runnable threads (the policy picks who waits), then two
+   cores with both about to run code (it picks their order). *)
 let test_policy_rounds_allocate_little () =
   List.iter
     (fun (what, cores) ->
@@ -315,8 +315,8 @@ let test_policy_rounds_allocate_little () =
                Engine.yield ()
              done));
       let words = words_per_suspension ~per_rep:2 e Engine.yield in
-      if words > 4. then
-        Alcotest.failf "%s: %.2f minor words per suspension (want <= 4)" what
+      if words > 2. then
+        Alcotest.failf "%s: %.2f minor words per suspension (want <= 2)" what
           words;
       (* At least one choice point for each of the 10,000 measured
          repetitions. *)
@@ -431,9 +431,9 @@ let () =
             test_same_seed_workload_determinism;
           Alcotest.test_case "quantum fairness" `Quick test_quantum_fairness;
           cpu_conservation;
-          Alcotest.test_case "suspensions allocate at most 4 words" `Quick
+          Alcotest.test_case "suspensions allocate at most 2 words" `Quick
             test_suspensions_allocate_little;
-          Alcotest.test_case "policy rounds allocate at most 4 words a suspension"
+          Alcotest.test_case "policy rounds allocate at most 2 words a suspension"
             `Quick test_policy_rounds_allocate_little;
           Alcotest.test_case "candidates visible only inside the policy" `Quick
             test_candidates_only_inside_policy;
