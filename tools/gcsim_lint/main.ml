@@ -6,7 +6,8 @@
 
    Positional directories are linted (R1-R4 enforced); --aux directories
    are parsed only so the R3 taint pass can see through helpers the core
-   calls into.  Exit status: 0 clean, 1 diagnostics, 2 usage error. *)
+   calls into, and R6 checks both by directory name.  Exit status: 0
+   clean, 1 diagnostics, 2 usage error. *)
 
 let () =
   let linted = ref [] in
