@@ -161,7 +161,7 @@ let print_summary ~gc_report (s : Harness.summary) =
   Printf.printf "cpu             : mutator %s, gc %s, utilization %.0f%%\n"
     (pt s.Harness.cpu_mutator) (pt s.Harness.cpu_gc)
     (100. *. s.Harness.cpu_utilization);
-  if gc_report then Harness.print_gc_report s;
+  if gc_report then print_string (Harness.gc_report s);
   match s.Harness.oom with
   | Some why ->
       Printf.printf "OUT OF MEMORY   : %s\n" why;

@@ -65,4 +65,4 @@ let () =
              Printf.sprintf "%.0f%%"
                (100. *. float_of_int total /. float_of_int cum);
            ]));
-  Harness.print_gc_report s
+  print_string (Harness.gc_report s)

@@ -29,19 +29,17 @@ let none = { verifier = None; race = None }
 let default_on_violation r = raise (Report.Violation r)
 
 (* The one wiring path behind both entry points, in hook order: the
-   verifier at phase boundaries, on every recycled batch of stubs and
-   on every batch of deferred residents (each before the pool takes
-   it), safepoint-release fires, then, when [race] carries extra
-   observers, the race detector on the engine tracer and the access
-   hook with those observers composed after it. *)
+   verifier at phase boundaries, at the end of every grace period
+   (before the pool takes what it frees), safepoint-release fires,
+   then, when [race] carries extra observers, the race detector on the
+   engine tracer and the access hook with those observers composed
+   after it. *)
 let wire ~verify_level ~full ~race ~on_violation rt =
   rt.RtM.verify_level <- verify_level;
   let verifier = Verifier.create ~full ~on_violation rt in
   rt.RtM.phase_hook <- Some (Verifier.on_phase verifier);
   Heap.Grace.set_check rt.RtM.heap.Heap.Heap_impl.grace
-    (Some (Verifier.check_stubs verifier));
-  Heap.Heap_impl.set_deferred_check rt.RtM.heap
-    (Some (Verifier.check_deferred verifier));
+    (Some (Verifier.check_grace verifier));
   Runtime.Safepoint.set_on_release rt.RtM.safepoint (fun () ->
       RtM.fire_phase rt Vhook.Safepoint_release);
   let race =

@@ -9,9 +9,10 @@
     - every phase fire (fast + full): incremental accounting —
       [Heap_impl.used_bytes] against an independent region sum, the
       free-region count, per-region bump-pointer sanity.
-    - every batch the pool is about to take (fast + full): stubs whose
-      grace period ended ({!check_stubs}) and the dead residents a mark
-      held back ({!check_deferred}); no root slot may name one.
+    - every grace period's end (fast + full), before the pool takes
+      what it frees ({!check_grace}): no root slot may name a stub or a
+      held record, a stub may have no incoming heap edge and a held
+      record may not be forwarded.
     - [Safepoint_release] (full): region layout (offset-contiguous
       residents summing to the bump pointer), forwarding-chain sanity
       (bounded, identity/size-preserving), and a resolve-based
@@ -455,24 +456,22 @@ let check_remset_coverage t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Stub recycling.                                                      *)
+(* Grace periods.                                                       *)
 
 (** Called by the heap's grace periods ({!Heap.Grace.set_check}) with
-    each batch of stubs about to be recycled: once the period has ended
-    nothing may name them, so no root slot may hold one and each must
-    still have no incoming heap edge.  Runs at both levels (it costs one
-    pass over the roots and the batch per period). *)
-(* The uids every root slot names, for the batch checks below. *)
-let rooted_uids t =
+    the stubs and the held records (dead residents a mark kept back at
+    their release) that a period frees, just before the pool takes
+    them.  Once the period has ended nothing may name either: no root
+    slot may hold one, each stub must still have no incoming heap edge,
+    and a forwarded held record would be a live object about to lose
+    its storage.  Runs at both levels (one pass over the roots and the
+    batch per period). *)
+let check_grace t ~(stubs : Gobj.t Util.Vec.t) ~(held : Gobj.t Util.Vec.t) =
+  t.checks <- t.checks + 1;
+  t.phase <- "grace-end";
   let rooted = Hashtbl.create 64 in
   RtM.iter_roots t.rt (fun o ->
       if o != Gobj.null then Hashtbl.replace rooted (Gobj.uid o) ());
-  rooted
-
-let check_stubs t (batch : Gobj.t Util.Vec.t) =
-  t.checks <- t.checks + 1;
-  t.phase <- "stub-recycle";
-  let rooted = rooted_uids t in
   Util.Vec.iter
     (fun (o : Gobj.t) ->
       if Hashtbl.mem rooted (Gobj.uid o) then
@@ -485,33 +484,21 @@ let check_stubs t (batch : Gobj.t Util.Vec.t) =
           "forwarded record uid %d has %d incoming heap edges when its \
            grace period ends and it is about to be recycled"
           (Gobj.uid o) (Gobj.inrefs o))
-    batch
-
-(** Called by the heap ({!Heap.Heap_impl.set_deferred_check}) with the
-    dead residents that releases during a mark kept back, just before
-    the last active mark's end hands them to the pool: the final pause
-    has drained every worklist, so no root slot may name one, and a
-    forwarded one would be a live object about to lose its storage.
-    Runs at both levels (one pass over the roots and the batch per
-    mark end). *)
-let check_deferred t (batch : Gobj.t Util.Vec.t) =
-  t.checks <- t.checks + 1;
-  t.phase <- "deferred-harvest";
-  let rooted = rooted_uids t in
+    stubs;
   Util.Vec.iter
     (fun (o : Gobj.t) ->
       if Hashtbl.mem rooted (Gobj.uid o) then
         emit t ~invariant:"deferred-harvest" ~object_id:(Gobj.id o)
-          "a root slot names dead record uid %d when the mark ends and its \
-           deferred harvest is about to recycle it"
+          "a root slot names held record uid %d when its grace period ends \
+           and it is about to be harvested"
           (Gobj.uid o)
       else if Gobj.is_forwarded o then
         emit t ~invariant:"deferred-harvest" ~object_id:(Gobj.id o)
-          "deferred record uid %d is forwarded (to uid %d) when the mark \
-           ends and its deferred harvest is about to recycle it"
+          "held record uid %d is forwarded (to uid %d) when its grace \
+           period ends and it is about to be harvested"
           (Gobj.uid o)
           (Gobj.uid o.Gobj.forward))
-    batch
+    held
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch.                                                            *)

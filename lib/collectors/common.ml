@@ -708,6 +708,40 @@ let old_occupancy rt =
   /. float_of_int (Heap_impl.num_regions heap)
 
 (* ------------------------------------------------------------------ *)
+(* Old cycles of ZGC and Shenandoah.                                    *)
+
+(** What the generational modes (GenZ, GenShen) change in a ZGC or
+    Shenandoah cycle. *)
+type old_config = {
+  cset_filter : Region.t -> bool;
+      (** extra victim filter (the generational modes keep old regions) *)
+  copy_hook : Gobj.t -> unit;
+      (** fires on every relocated copy (the generational modes rebuild
+          old-to-young remembered-set entries for relocated holders) *)
+}
+
+let whole_heap = { cset_filter = (fun _ -> true); copy_hook = ignore }
+
+(** Only regions below this liveness are relocation candidates. *)
+let candidate_live_threshold = 0.85
+
+(** Relocation candidates after a mark: the claimed, non-humongous
+    regions allocated before its snapshot, below
+    {!candidate_live_threshold} and admitted by [config], least live
+    first (a stable sort, so ties keep region order). *)
+let relocation_candidates rt config =
+  let heap = rt.RtM.heap in
+  Array.to_list heap.Heap_impl.regions
+  |> List.filter (fun (r : Region.t) ->
+         (not (Region.is_free r))
+         && (not r.Region.humongous)
+         && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
+         && Region.live_ratio r < candidate_live_threshold
+         && config.cset_filter r)
+  |> List.sort (fun (a : Region.t) b ->
+         Int.compare a.Region.live_bytes b.Region.live_bytes)
+
+(* ------------------------------------------------------------------ *)
 (* Installation.                                                        *)
 
 (** Plug a collector into [rt] and start its controllers.  On allocation
@@ -718,8 +752,9 @@ let old_occupancy rt =
     forever: one step decides on, and runs, at most one collection (or
     sleeps {!poll_interval}).  Between steps the controller holds no
     collection state, so each one starts at a quiescent point of the
-    heap's grace periods ({!Heap.Grace}): a stub released while a cycle
-    runs is not recycled before that cycle has ended. *)
+    heap's grace periods ({!Heap.Grace}): a stub, or a dead record a
+    mark held back, released while a cycle runs is not recycled before
+    that cycle, and any mark it runs, has ended. *)
 let install rt ~name ~store_barrier ~load_extra_cost ~mutator_tax_pct
     ~on_alloc_failure controllers =
   let alloc_failure () =

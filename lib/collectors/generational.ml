@@ -36,10 +36,8 @@ type variant = {
   colored : bool;
       (** colored pointers: atomic young marking, a per-load color check
           and the compressed-oops tax *)
-  old_gen : RtM.t -> copy_hook:(Gobj.t -> unit) -> old_cycle;
+  old_gen : RtM.t -> Common.old_config -> old_cycle;
 }
-
-let old_only (r : Region.t) = r.Region.kind = Region.Old
 
 let genz =
   {
@@ -47,8 +45,8 @@ let genz =
     style = Young_gen.Lazy_healing;
     colored = true;
     old_gen =
-      (fun rt ~copy_hook ->
-        let z = Zgc.create ~config:{ cset_filter = old_only; copy_hook } rt in
+      (fun rt config ->
+        let z = Zgc.create ~config rt in
         {
           run_cycle = (fun () -> Zgc.run_cycle z);
           marker = z.Zgc.marker;
@@ -62,10 +60,8 @@ let genshen =
     style = Young_gen.Update_refs_phase;
     colored = false;
     old_gen =
-      (fun rt ~copy_hook ->
-        let s =
-          Shenandoah.create ~config:{ cset_filter = old_only; copy_hook } rt
-        in
+      (fun rt config ->
+        let s = Shenandoah.create ~config rt in
         {
           run_cycle = (fun () -> Shenandoah.run_cycle s);
           marker = s.Shenandoah.marker;
@@ -126,7 +122,13 @@ let install variant rt =
                (Heap_impl.card_of_field heap o' i)))
       o'
   in
-  let old = variant.old_gen rt ~copy_hook in
+  let old =
+    variant.old_gen rt
+      {
+        Common.cset_filter = (fun (r : Region.t) -> r.Region.kind = Region.Old);
+        copy_hook;
+      }
+  in
   let t = { rt; young; old; urgent = false } in
   (* Old-generation SATB during old marking, young SATB during young
      marking; old-to-young remembering always. *)

@@ -14,25 +14,12 @@ open Heap
 module RtM = Runtime.Rt
 module Metrics = Runtime.Metrics
 
-type config = {
-  cset_filter : Region.t -> bool;
-      (** extra victim filter (GenShen restricts old cycles to old regions) *)
-  copy_hook : Gobj.t -> unit;
-      (** fires on every evacuated copy (GenShen rebuilds old-to-young
-          remembered-set entries for relocated holders) *)
-}
-
-let default_config = { cset_filter = (fun _ -> true); copy_hook = ignore }
-
 (** Start a cycle above this heap occupancy. *)
 let trigger_occupancy = 0.55
 
-(** Only regions below this liveness join the collection set. *)
-let cset_live_threshold = 0.85
-
 type t = {
   rt : RtM.t;
-  config : config;
+  config : Common.old_config;
   marker : Common.Marker.t;
   mutable cycle_running : bool;
   mutable degen_requested : bool;
@@ -41,7 +28,7 @@ type t = {
 
 (** A Shenandoah instance on [rt], without a controller (GenShen drives
     its own). *)
-let create ?(config = default_config) rt =
+let create ?(config = Common.whole_heap) rt =
   {
     rt;
     config;
@@ -67,17 +54,6 @@ let select_cset t =
   let budget =
     ref (Heap_impl.free_regions heap * heap.Heap_impl.cfg.region_bytes * 9 / 10)
   in
-  let candidates =
-    Array.to_list heap.Heap_impl.regions
-    |> List.filter (fun (r : Region.t) ->
-           (not (Region.is_free r))
-           && (not r.Region.humongous)
-           && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-           && Region.live_ratio r < cset_live_threshold
-           && t.config.cset_filter r)
-    |> List.sort (fun (a : Region.t) b ->
-           Int.compare a.Region.live_bytes b.Region.live_bytes)
-  in
   List.iter
     (fun (r : Region.t) ->
       if r.Region.live_bytes <= !budget then begin
@@ -85,7 +61,7 @@ let select_cset t =
         r.Region.in_cset <- true;
         cset := r :: !cset
       end)
-    candidates;
+    (Common.relocation_candidates t.rt t.config);
   !cset
 
 (* ------------------------------------------------------------------ *)
@@ -96,7 +72,7 @@ let release_cset t tk cset =
   Metrics.add t.rt.RtM.metrics "shen.regions_reclaimed" (List.length cset);
   RtM.notify_memory_freed t.rt
 
-let evac_hook t _ _ copy = t.config.copy_hook copy
+let evac_hook t _ _ copy = t.config.Common.copy_hook copy
 
 (* Finish the rest of a degenerated cycle inside one STW pause; returns
    true when even the degenerated evacuation failed (full GC needed). *)

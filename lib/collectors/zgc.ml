@@ -17,49 +17,24 @@ open Heap
 module RtM = Runtime.Rt
 module Metrics = Runtime.Metrics
 
-type config = {
-  cset_filter : Region.t -> bool;
-      (** extra victim filter (GenZ restricts old cycles to old regions) *)
-  copy_hook : Gobj.t -> unit;
-      (** fires on every relocated copy (GenZ rebuilds old-to-young
-          remembered-set entries for relocated holders) *)
-}
-
-let default_config = { cset_filter = (fun _ -> true); copy_hook = ignore }
-
 (** Start a cycle above this heap occupancy. *)
 let trigger_occupancy = 0.50
 
-(** Only regions below this liveness are relocated. *)
-let relocation_live_threshold = 0.85
-
 type t = {
   rt : RtM.t;
-  config : config;
+  config : Common.old_config;
   marker : Common.Marker.t;
   mutable urgent : bool;
 }
 
 (** A ZGC instance on [rt], without a controller (GenZ drives its own). *)
-let create ?(config = default_config) rt =
+let create ?(config = Common.whole_heap) rt =
   {
     rt;
     config;
     marker = Common.Marker.create ~remap:true ~atomic_cost:true rt;
     urgent = false;
   }
-
-let select_relocation_set t =
-  let heap = t.rt.RtM.heap in
-  Array.to_list heap.Heap_impl.regions
-  |> List.filter (fun (r : Region.t) ->
-         (not (Region.is_free r))
-         && (not r.Region.humongous)
-         && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-         && Region.live_ratio r < relocation_live_threshold
-         && t.config.cset_filter r)
-  |> List.sort (fun (a : Region.t) b ->
-         Int.compare a.Region.live_bytes b.Region.live_bytes)
 
 let run_cycle t =
   let rt = t.rt in
@@ -82,13 +57,13 @@ let run_cycle t =
      objects are out — this is the incremental reclamation G1/Shenandoah
      lack, and the reason ZGC stalls rather than degenerates. *)
   Metrics.phase_begin metrics "zgc.relocate" ~now:(now ());
-  let after _ _ copy = t.config.copy_hook copy in
+  let after _ _ copy = t.config.Common.copy_hook copy in
   let _, out_of_space =
     Common.parallel_drain rt ~n:Common.gc_threads ~name:"zgc-relocate"
       ~init:(fun _ ->
         let dest = Common.Evac.make_dest rt Region.Old in
         fun _ -> dest)
-      (Array.of_list (select_relocation_set t))
+      (Array.of_list (Common.relocation_candidates rt t.config))
       (fun pick tk r ->
         Common.Evac.evacuate_region rt ~after ~pick tk r;
         let entries = ref 0 in

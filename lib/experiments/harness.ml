@@ -224,21 +224,23 @@ let check_scenario ?machine ?requests ?(on_run = fun (_ : Runtime.Driver.result)
 (* ------------------------------------------------------------------ *)
 (* Reporting.                                                           *)
 
-(** Print a per-phase / per-counter GC report for a finished run (the
-    CLI's [--gc-report]; the moral equivalent of verbose GC logging). *)
-let print_gc_report (s : summary) =
+(** The per-phase / per-counter GC report of a finished run (the CLI's
+    [--gc-report]; the moral equivalent of verbose GC logging), for the
+    caller to print. *)
+let gc_report (s : summary) =
   let m = s.metrics in
-  Printf.printf "\nGC report (%s on %s):\n" s.collector s.workload;
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "\nGC report (%s on %s):\n" s.collector s.workload;
   let phases =
     Hashtbl.fold (fun name p acc -> (name, p) :: acc) m.Metrics.phases []
     |> List.sort compare
   in
   if phases <> [] then begin
-    Printf.printf "  %-24s %10s %8s %12s\n" "phase" "total" "count" "avg";
+    Printf.bprintf b "  %-24s %10s %8s %12s\n" "phase" "total" "count" "avg";
     List.iter
       (fun (name, (p : Metrics.phase)) ->
         if p.Metrics.count > 0 then
-          Printf.printf "  %-24s %10s %8d %12s\n" name
+          Printf.bprintf b "  %-24s %10s %8d %12s\n" name
             (Util.Units.pp_time_ns p.Metrics.total_ns)
             p.Metrics.count
             (Util.Units.pp_time_ns (p.Metrics.total_ns / p.Metrics.count)))
@@ -249,9 +251,9 @@ let print_gc_report (s : summary) =
     |> List.sort compare
   in
   if counters <> [] then begin
-    Printf.printf "  %-34s %14s\n" "counter" "value";
+    Printf.bprintf b "  %-34s %14s\n" "counter" "value";
     List.iter
-      (fun (name, v) -> Printf.printf "  %-34s %14d\n" name v)
+      (fun (name, v) -> Printf.bprintf b "  %-34s %14d\n" name v)
       counters
-  end
-  [@@gcsim.allow "host-side harness: CLI report printing on stdout"]
+  end;
+  Buffer.contents b

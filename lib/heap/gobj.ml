@@ -50,12 +50,13 @@
       0) that no SATB queue took: the marker never visits an object born
       marked, but a copy shares a pre-snapshot array and a queued record
       may still be popped ({!release_residents});
-    - every other dead resident released while a mark runs is deferred:
-      flagged freed, its edges and array left alone, it waits in the
-      pool's deferred vector until the last active mark ends, whose
-      final pause has drained every gray stack and SATB queue, and then
-      goes through the same harvest as a release outside marking
-      ({!Heap_impl.end_mark});
+    - every other dead resident released while a mark runs is held
+      back: flagged freed, its edges and array left alone, it waits in
+      a second limbo beside the stubs.  Every mark runs inside one
+      controller step, so when its grace period ends the marks running
+      at the release have ended too, their final pauses having drained
+      every gray stack and SATB queue, and it goes through the same
+      harvest as a release outside marking;
     - [inrefs] is maintained at the {!set_field} choke point (install /
       overwrite) plus one decrement pass over dying holders at region
       release, so each logical edge is counted exactly once no matter
@@ -390,9 +391,6 @@ module Pool = struct
     stub_batches : obj Util.Vec.t Util.Ring.t;
         (** batches whose grace period has ended, queued behind [stubs] *)
     arrays : obj array Util.Vec.t array;  (** index = exact array length *)
-    deferred : obj Util.Vec.t;
-        (** dead residents released while a mark runs that the floor
-            rule kept back, harvested when the last mark ends *)
     mutable records_reused : int;
     mutable arrays_reused : int;
     mutable records_pooled : int;
@@ -406,7 +404,6 @@ module Pool = struct
       stub_next = 0;
       stub_batches = Util.Ring.create (Util.Vec.create null);
       arrays = Array.init (max_bucketed_nrefs + 1) (fun _ -> Util.Vec.create no_fields);
-      deferred = Util.Vec.create null;
       records_reused = 0;
       arrays_reused = 0;
       records_pooled = 0;
@@ -495,24 +492,11 @@ module Pool = struct
   let stats p =
     (p.records_reused, p.arrays_reused, p.records_pooled, p.arrays_pooled)
 
-  let deferred p = p.deferred
-
   (* A recycled heap's pool starts a new run ({!Heap_impl.create}): its
      stubs were named by the old run's roots and worklists, so they are
      dropped, and the counters restart because each run reports its own
-     reuse.  The freelists stay; they are the point of recycling.
-     Records a mark of the old run still held back join them with their
-     arrays: nothing of the old run can name them, and they are in no
-     region's resident list ({!reclaim_residents}) nor anywhere else in
-     the pool, so each enters once. *)
+     reuse.  The freelists stay; they are the point of recycling. *)
   let restart p =
-    let d = p.deferred in
-    for i = 0 to Util.Vec.length d - 1 do
-      let o = Util.Vec.get d i in
-      put_array p o.fields;
-      put_record p o
-    done;
-    Util.Vec.clear d;
     p.stubs <- Util.Vec.create null;
     p.stub_next <- 0;
     while not (Util.Ring.is_empty p.stub_batches) do
@@ -592,7 +576,7 @@ let[@inline] harvestable ~floor o =
    would make each of them a real call there.  The loops index the vector
    directly: a [Util.Vec.iter] closure over [floor] would cost a host
    allocation per release. *)
-let release_residents pool ~floor ~limbo (objs : t Util.Vec.t) =
+let release_residents pool ~floor ~stubs ~held (objs : t Util.Vec.t) =
   (* Two passes keep the edge accounting exactly once: first every
      harvested holder retires its outgoing edges, then storage is
      recycled, so a record whose only holders die with it is free by
@@ -600,9 +584,9 @@ let release_residents pool ~floor ~limbo (objs : t Util.Vec.t) =
      are always safe to take (dangling-edge guards test [is_freed]
      before any field read); records only when no stale edge or weak
      registration can still name them.  Stubs that pass the same tests
-     and are not unremapped go to [limbo], and dead residents a running
-     mark keeps back go to the pool's deferred vector, both untouched
-     (see the ownership rules above). *)
+     and are not unremapped go to [stubs], and dead residents a running
+     mark keeps back go to [held], both untouched (see the ownership
+     rules above). *)
   let n = Util.Vec.length objs in
   if floor <> harvest_none then begin
     for i = 0 to n - 1 do
@@ -619,11 +603,11 @@ let release_residents pool ~floor ~limbo (objs : t Util.Vec.t) =
         Pool.put_record pool o
     end
     else if floor <> harvest_none then begin
-      if o.forward == null then Util.Vec.push pool.Pool.deferred o
+      if o.forward == null then Util.Vec.push held o
       else if
         inrefs o = 0
         && o.meta land (flag_weak_referent lor flag_unremapped) = 0
-      then Util.Vec.push limbo o
+      then Util.Vec.push stubs o
     end;
     o.meta <- o.meta lor flag_freed
   done

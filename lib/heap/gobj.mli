@@ -17,7 +17,8 @@
     [fields] array (the payload moved; there is one logical set of slots).
 
     Dead records and field arrays are recycled through a {!Pool} owned by
-    {!Heap_impl.t}, and forwarded records (stubs) pass through a limbo
+    {!Heap_impl.t}; forwarded records (stubs), and dead records released
+    while a mark runs that it may still visit, pass through a limbo
     first, drained by {!Grace} — see the ownership rules on {!Pool} and
     {!release_residents}.  The
     record is concrete: collectors read and mutate the reference-graph
@@ -329,17 +330,10 @@ module Pool : sig
   val stats : t -> int * int * int * int
   (** [(records_reused, arrays_reused, records_pooled, arrays_pooled)] *)
 
-  val deferred : t -> obj Util.Vec.t
-  (** The dead residents released while a mark runs that its floor kept
-      back ({!release_residents}), in release order, until the last
-      active mark ends and {!Heap_impl.end_mark} or
-      {!Heap_impl.end_young_mark} harvests them. *)
-
   val restart : t -> unit
   (** Start a new run on this pool ({!Heap_impl.create} recycling a
-      retired heap): queued stubs are dropped, deferred records and
-      their arrays join the freelists, and {!stats} restarts at zero;
-      the record and array freelists stay. *)
+      retired heap): queued stubs are dropped and {!stats} restarts at
+      zero; the record and array freelists stay. *)
 end
 
 val alloc_with :
@@ -371,7 +365,12 @@ val harvest_none : int
 (** The [floor] of a release that harvests nothing (pooling off). *)
 
 val release_residents :
-  Pool.t -> floor:int -> limbo:t Util.Vec.t -> t Util.Vec.t -> unit
+  Pool.t ->
+  floor:int ->
+  stubs:t Util.Vec.t ->
+  held:t Util.Vec.t ->
+  t Util.Vec.t ->
+  unit
 (** Free the residents of a released region: each is flagged freed, and
     a dead one (unforwarded) gives its field array and, when nothing
     can name it again, its record to the pool.  While a mark runs,
@@ -384,13 +383,14 @@ val release_residents :
     ({!retire_edges}) before any record is tested, so a record whose
     holders all die with it is recycled in the same release.
 
-    A dead resident that fails the [floor] test is not dropped: it goes
-    onto the pool's deferred vector ({!Pool.deferred}), flagged freed
-    but with its edges and array untouched, until the last active mark
-    ends; that vector is then passed here with {!harvest_all}.
+    A dead resident that fails the [floor] test is not dropped: it is
+    pushed onto [held], flagged freed but with its edges and array
+    untouched, until a grace period ({!Grace}) has outlasted every mark
+    running at the release; [held] is then passed here with
+    {!harvest_all}.
 
     A forwarded resident (a stub) with no {!inrefs}, no weak
-    registration and no {!flag_unremapped} is pushed onto [limbo]
+    registration and no {!flag_unremapped} is pushed onto [stubs]
     whatever the [floor] (except {!harvest_none}), untouched but for its
     freed flag.
     Something outside the heap may still name it, so it reaches the pool

@@ -1,4 +1,4 @@
-(** Grace periods for forwarded records: quiescent-state-based
+(** Grace periods for released records: quiescent-state-based
     reclamation over the run's mutators and collector controllers.
 
     A participant is online while it may hold a heap reference outside
@@ -7,11 +7,10 @@
     declares a quiescent point where it holds none.  A grace period
     waits on every participant online when it opens, except the one
     opening it, and ends once each of them has passed a quiescent point
-    or gone offline.  Stubs released before a period opens
-    ({!Gobj.release_residents} pushes them onto {!limbo}) go to the
-    pool ({!Gobj.Pool.put_stubs}) when it ends.  Periods open and end
-    only inside {!quiescent} and {!offline}, never inside a region
-    release. *)
+    or gone offline.  What a release put in limbo before a period opens
+    ({!release}: stubs, and dead residents a running mark kept back)
+    goes to the pool when it ends.  Periods open and end only inside
+    {!quiescent} and {!offline}, never inside a region release. *)
 
 (* Participant states. *)
 let offline_ = 0
@@ -26,8 +25,14 @@ type t = {
   mutable running : bool;
   mutable released : Gobj.t Util.Vec.t;
       (** stubs released since the running period opened *)
+  mutable held : Gobj.t Util.Vec.t;
+      (** dead residents a running mark kept back, released since the
+          running period opened *)
   mutable due : Gobj.t Util.Vec.t;  (** stubs the running period frees *)
-  mutable check : (Gobj.t Util.Vec.t -> unit) option;
+  mutable held_due : Gobj.t Util.Vec.t;
+      (** held records the running period frees *)
+  mutable check :
+    (stubs:Gobj.t Util.Vec.t -> held:Gobj.t Util.Vec.t -> unit) option;
 }
 
 let create pool =
@@ -38,7 +43,9 @@ let create pool =
     awaited = 0;
     running = false;
     released = Util.Vec.create Gobj.null;
+    held = Util.Vec.create Gobj.null;
     due = Util.Vec.create Gobj.null;
+    held_due = Util.Vec.create Gobj.null;
     check = None;
   }
 
@@ -53,16 +60,23 @@ let register t =
   t.participants <- p + 1;
   p
 
-let limbo t = t.released
-let set_check t f = t.check <- f
-let in_limbo t = Util.Vec.length t.released + Util.Vec.length t.due
+let release t ~floor objs =
+  Gobj.release_residents t.pool ~floor ~stubs:t.released ~held:t.held objs
 
-(* Open a period over every stub released so far.  [self] is at a
+let set_check t f = t.check <- f
+
+let in_limbo t =
+  Util.Vec.length t.released + Util.Vec.length t.held + Util.Vec.length t.due
+  + Util.Vec.length t.held_due
+
+(* Open a period over every record released so far.  [self] is at a
    quiescent point, so the period does not wait on it. *)
 let open_period t ~self =
-  let r = t.released in
+  let r = t.released and h = t.held in
   t.released <- t.due;
   t.due <- r;
+  t.held <- t.held_due;
+  t.held_due <- h;
   t.running <- true;
   t.awaited <- 0;
   for q = 0 to t.participants - 1 do
@@ -72,10 +86,18 @@ let open_period t ~self =
     end
   done
 
+(* Every mark runs inside one controller step, so a mark that was
+   running at a held record's release has ended by now, its final pause
+   having drained every gray stack and SATB queue: the held records go
+   through the harvest of a release outside marking.  Nothing relocates
+   a freed record, so none is forwarded and [released] gets none. *)
 let close_period t =
-  (match t.check with Some f -> f t.due | None -> ());
+  (match t.check with Some f -> f ~stubs:t.due ~held:t.held_due | None -> ());
   Gobj.Pool.put_stubs t.pool t.due;
   t.due <- Util.Vec.create Gobj.null;
+  Gobj.release_residents t.pool ~floor:Gobj.harvest_all ~stubs:t.released
+    ~held:t.held t.held_due;
+  Util.Vec.clear t.held_due;
   t.running <- false
 
 let rec advance t ~self =
@@ -85,7 +107,8 @@ let rec advance t ~self =
       advance t ~self
     end
   end
-  else if not (Util.Vec.is_empty t.released) then begin
+  else if not (Util.Vec.is_empty t.released && Util.Vec.is_empty t.held)
+  then begin
     open_period t ~self;
     advance t ~self
   end

@@ -1,14 +1,23 @@
-(** Grace periods for forwarded records (stubs): quiescent-state-based
+(** Grace periods for released records: quiescent-state-based
     reclamation over a run's mutators and collector controllers.
 
-    A stub left behind by an evacuation is named by nothing the heap
-    counts once its [inrefs] is 0, but something outside the heap may
-    still hold it: an unrooted local of a request in flight, a gray
-    stack, an SATB queue, an evacuation worklist, or a root that a
-    cycle heals only in its epilogue.  So region release only puts it
-    in limbo ({!Gobj.release_residents}), and it reaches the pool
-    ({!Gobj.Pool.put_stubs}) after a grace period in which every
-    participant online at the release has passed a quiescent point.
+    Region release puts two kinds of dead resident in limbo instead of
+    the pool ({!Gobj.release_residents}):
+    - a stub (forwarded record) left behind by an evacuation.  The heap
+      counts nothing naming it once its [inrefs] is 0, but something
+      outside the heap may still hold it: an unrooted local of a request
+      in flight, a gray stack, an SATB queue, an evacuation worklist, or
+      a root that a cycle heals only in its epilogue;
+    - an unforwarded record released while a mark runs that the floor
+      rule keeps back (a held record): that mark's gray stacks and SATB
+      queues may still hold it.
+
+    Both reach the pool after a grace period in which every participant
+    online at the release has passed a quiescent point: stubs through
+    {!Gobj.Pool.put_stubs}, held records through the harvest of a
+    release outside marking.  Every mark runs inside one controller
+    step, between two of that controller's quiescent points, so a mark
+    that was running at the release has ended by then.
 
     Participants are online while they may hold such a reference: a
     mutator inside a request ({!Runtime.Driver} brackets each one;
@@ -33,7 +42,7 @@ val register : t -> int
 val quiescent : t -> int -> unit
 (** Participant [p] holds no reference outside the roots and the heap
     slots right now.  Ends the running period if it waited on [p] last,
-    and opens the next one over the stubs released since. *)
+    and opens the next one over the records released since. *)
 
 val offline : t -> int -> unit
 (** {!quiescent}, then [p] stays quiescent until {!online}: a mutator
@@ -44,14 +53,20 @@ val online : t -> int -> unit
     period already open does not wait on it: whatever it picks up now
     it reads from the roots or the heap. *)
 
-val limbo : t -> Gobj.t Util.Vec.t
-(** Where {!Gobj.release_residents} pushes the stubs of a release; the
-    next period to open takes them. *)
+val release : t -> floor:int -> Gobj.t Util.Vec.t -> unit
+(** Free a released region's residents
+    ({!Gobj.release_residents} with this pool): harvest what [floor]
+    allows now and put stubs and held records in limbo, for the next
+    period to open. *)
 
-val set_check : t -> (Gobj.t Util.Vec.t -> unit) option -> unit
-(** Called with each batch just before it goes to the pool; the
-    sanitizer asserts there that no root names a batch record and that
-    each still has no incoming heap edge. *)
+val set_check :
+  t -> (stubs:Gobj.t Util.Vec.t -> held:Gobj.t Util.Vec.t -> unit) option ->
+  unit
+(** Called with each period's stubs and held records just before they
+    go to the pool; the sanitizer asserts there that no root names one,
+    that each stub still has no incoming heap edge and that no held
+    record is forwarded. *)
 
 val in_limbo : t -> int
-(** Stubs released whose grace period has not ended yet. *)
+(** Stubs and held records released whose grace period has not ended
+    yet. *)

@@ -81,12 +81,9 @@ type t = {
           copies — run-threaded like [uids] and [hooks], so the hot
           path never touches DLS *)
   grace : Grace.t;
-      (** the limbo of released stubs and the grace periods that move
-          them into [pool] *)
+      (** the limbo of released stubs and held records and the grace
+          periods that move them into [pool] *)
   weak_refs : Gobj.t Util.Vec.t;  (** referents of registered weak references *)
-  mutable deferred_check : (Gobj.t Util.Vec.t -> unit) option;
-      (** called with the deferred residents just before the last active
-          mark's end harvests them ({!harvest_deferred}) *)
   mutable on_region_event : (Region.t -> claimed:bool -> unit) option;
       (** observability seam ([lib/obs]): fired after a claim takes
           effect and at the start of a release (while the region's kind
@@ -127,8 +124,8 @@ let drop_retired () = Domain.DLS.get retired_key := None
 
 (* Empty a retired heap in place: every resident goes to its pool
    ({!Gobj.reclaim_residents}), every region to its initial state, the
-   card table is cleared and the pool starts a new run, taking what a
-   mark still held back. *)
+   card table is cleared and the pool starts a new run.  What the old
+   run's grace periods still held is dropped with its {!Grace}. *)
 let reclaim t =
   Array.iter
     (fun (r : Region.t) ->
@@ -192,7 +189,6 @@ let create cfg =
     pool;
     grace = Grace.create pool;
     weak_refs = Util.Vec.create Gobj.null;
-    deferred_check = None;
     on_region_event = None;
   }
 
@@ -360,10 +356,9 @@ let release_region t (r : Region.t) =
      before its region is released, so it carries a forwarding pointer.
      While any marking runs, SATB queues and mark stacks may hold bare
      references that bypass [inrefs], so only fresh objects born after
-     every active snapshot are harvested now; the other dead ones wait
-     in the pool's deferred vector until the last mark ends
-     ({!harvest_deferred}; see {!Gobj.release_residents}).  The
-     forwarded ones (stubs) go to the grace-period limbo instead.
+     every active snapshot are harvested now; the other dead ones are
+     held in the grace-period limbo until the marks have ended (see
+     {!Gobj.release_residents}), and so are the forwarded ones (stubs).
      Host-side only — no events, no ticks, no simulated state. *)
   let floor =
     if not t.cfg.pooling then Gobj.harvest_none
@@ -373,8 +368,7 @@ let release_region t (r : Region.t) =
     else if t.allocate_live_young then t.young_floor
     else Gobj.harvest_all
   in
-  Gobj.release_residents t.pool ~floor ~limbo:(Grace.limbo t.grace)
-    r.Region.objects;
+  Grace.release t.grace ~floor r.Region.objects;
   t.used <- t.used - r.top;
   Region.reset r;
   Util.Ring.push t.free_q r.rid
@@ -418,22 +412,6 @@ let object_size ~nrefs ~data_bytes =
 (* ------------------------------------------------------------------ *)
 (* Marking support.                                                     *)
 
-(* The last active mark has ended, inside its final pause: every gray
-   stack and SATB queue is drained, so the dead residents the marks kept
-   back go through the harvest of a release outside marking.  Nothing
-   relocates a freed record, so none is forwarded and the limbo gets
-   none of them.  Empty unless pooling is on. *)
-let harvest_deferred t =
-  let d = Gobj.Pool.deferred t.pool in
-  if not (Util.Vec.is_empty d) then begin
-    (match t.deferred_check with Some f -> f d | None -> ());
-    Gobj.release_residents t.pool ~floor:Gobj.harvest_all
-      ~limbo:(Grace.limbo t.grace) d;
-    Util.Vec.clear d
-  end
-
-let set_deferred_check t f = t.deferred_check <- f
-
 (** Start an old/full marking cycle; returns the new epoch. *)
 let begin_mark t =
   Gobj.check_epoch (t.mark_epoch + 1);
@@ -452,8 +430,7 @@ let end_mark t =
         r.live_bytes <-
           (if r.alloc_epoch >= t.mark_epoch then r.top (* born after snapshot *)
            else r.marking_live))
-    t.regions;
-  if not t.allocate_live_young then harvest_deferred t
+    t.regions
 
 let is_marked t (o : Gobj.t) = Gobj.mark o >= t.mark_epoch
 
@@ -485,9 +462,7 @@ let begin_young_mark t =
     t.regions;
   t.young_epoch
 
-let end_young_mark t =
-  t.allocate_live_young <- false;
-  if not t.allocate_live then harvest_deferred t
+let end_young_mark t = t.allocate_live_young <- false
 
 let is_marked_young t (o : Gobj.t) = Gobj.ymark o >= t.young_epoch
 

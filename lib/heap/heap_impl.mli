@@ -84,12 +84,9 @@ type t = {
           copies — run-threaded like [uids] and [hooks], so the hot
           path never touches DLS *)
   grace : Grace.t;
-      (** the limbo of released stubs and the grace periods that move
-          them into [pool] *)
+      (** the limbo of released stubs and held records and the grace
+          periods that move them into [pool] *)
   weak_refs : Gobj.t Util.Vec.t;  (** referents of registered weak references *)
-  mutable deferred_check : (Gobj.t Util.Vec.t -> unit) option;
-      (** called with the deferred residents just before the last active
-          mark's end harvests them; see {!set_deferred_check} *)
   mutable on_region_event : (Region.t -> claimed:bool -> unit) option;
       (** observability seam ([lib/obs]): fired after a claim takes
           effect and at the start of a release (while the region's kind
@@ -116,11 +113,12 @@ val create : config -> t
     storage: its regions (reset, free list rebuilt in id order), its
     card table (cleared) and its pool, which takes every resident record
     once and every unforwarded resident's field array
-    ({!Gobj.reclaim_residents}), drops the queued stubs and takes the
-    residents a mark still held back, with their arrays
-    ({!Gobj.Pool.restart}).  Epochs, floors, counters and pool
-    statistics start at zero, and the grace state, weak references,
-    deferred-harvest check, observer and uid and hook handles are new,
+    ({!Gobj.reclaim_residents}) and drops the queued stubs
+    ({!Gobj.Pool.restart}).  What the old heap's grace periods still
+    held, stubs and held records alike, is dropped with its {!Grace}.
+    Epochs, floors, counters and pool statistics start at zero, and the
+    grace state, weak references, observer and uid and hook handles are
+    new,
     exactly as for a heap built from nothing.  A record of the old run
     is unreachable from the new one until it is reissued with a fresh
     uid, and the pool is LIFO, so the new run reissues its own freed
@@ -200,10 +198,10 @@ val release_region : t -> Region.t -> unit
     hold bare references that bypass the edge counts, so only fresh,
     never-queued objects born after every active snapshot are harvested
     at once ({!Gobj.release_residents}); the other dead residents are
-    harvested when the last active mark ends ({!end_mark},
-    {!end_young_mark}).  Forwarded residents (stubs) may still
-    be named from outside the heap, so they go to [grace]'s limbo and
-    reach the pool only after a grace period ({!Grace}).  With no
+    held in [grace]'s limbo.  Forwarded residents (stubs) may still be
+    named from outside the heap, so they go there too.  Both reach the
+    pool only after a grace period ({!Grace}), which outlasts every mark
+    running at the release.  With no
     observer, no detector and nothing to harvest, a release allocates
     nothing. *)
 
@@ -230,10 +228,9 @@ val begin_mark : t -> int
 
 val end_mark : t -> unit
 (** Close the old mark and publish every claimed region's live bytes.
-    Called in the mark's final pause, after the last SATB drain.  When
-    no young mark is open either, the dead residents that releases
-    during the marks kept back ({!Gobj.Pool.deferred}) are harvested
-    into the pool, after the {!set_deferred_check} hook has seen them. *)
+    Called in the mark's final pause, after the last SATB drain.  It
+    touches no pool: the dead residents that releases during the mark
+    held back reach the pool when their grace period ends ({!Grace}). *)
 
 val is_marked : t -> Gobj.t -> bool
 
@@ -248,13 +245,7 @@ val mark_object : t -> Gobj.t -> bool
 val begin_young_mark : t -> int
 
 val end_young_mark : t -> unit
-(** Close the young mark; with no old mark open, harvest the deferred
-    residents as {!end_mark} does. *)
-
-val set_deferred_check : t -> (Gobj.t Util.Vec.t -> unit) option -> unit
-(** Called with each batch of deferred residents just before the pool
-    takes it; the sanitizer asserts there that no root slot names a
-    batch record and that none is forwarded. *)
+(** Close the young mark.  Like {!end_mark}, it touches no pool. *)
 
 val is_marked_young : t -> Gobj.t -> bool
 val mark_object_young : t -> Gobj.t -> bool

@@ -109,14 +109,6 @@ let work m ns =
     Safepoint.check m.rt.Rt.safepoint
   done
 
-(** Park-aware blocking: the mutator counts as stopped for safepoints
-    while waiting, and waits out any STW before resuming. *)
-let safe_wait m cond =
-  flush m;
-  Safepoint.park m.rt.Rt.safepoint;
-  Sim.Engine.wait cond;
-  Safepoint.unpark m.rt.Rt.safepoint
-
 let safe_sleep_until m wake =
   flush m;
   Safepoint.park m.rt.Rt.safepoint;
@@ -246,8 +238,9 @@ let get_root m i =
 (** Drop stack roots above index [n] (end-of-request cleanup). *)
 let truncate_roots m n = Util.Vec.truncate m.roots n
 
-(* Grace periods (stub recycling, see {!Heap.Grace}): a mutator is
-   online inside a request and offline between requests. *)
+(* Grace periods (recycling of stubs and held records, see
+   {!Heap.Grace}): a mutator is online inside a request and offline
+   between requests. *)
 let begin_request m =
   Heap.Grace.online m.rt.Rt.heap.Heap.Heap_impl.grace m.grace
 

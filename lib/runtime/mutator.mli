@@ -95,9 +95,6 @@ val truncate_roots : t -> int -> unit
 
 (** {2 Blocking helpers (safepoint-safe)} *)
 
-val safe_wait : t -> Sim.Engine.cond -> unit
-(** Wait on a condition while counting as stopped for safepoints. *)
-
 val safe_sleep_until : t -> int -> unit
 
 (** {2 Low-level} *)

@@ -111,20 +111,6 @@ let clear_range t ~lo ~hi =
     done
   end
 
-(** Number of set bits in [lo, hi), word-wise (zero words cost one load). *)
-let count_range t ~lo ~hi =
-  let lo = Int.max 0 lo and hi = Int.min t.nbits hi in
-  if lo >= hi then 0
-  else begin
-    let w0 = lo / bits_per_word and w1 = (hi - 1) / bits_per_word in
-    let n = ref 0 in
-    for w = w0 to w1 do
-      let v = Array.unsafe_get t.words w in
-      if v <> 0 then n := !n + popcount (v land word_mask ~w ~lo ~hi)
-    done;
-    !n
-  end
-
 (* Number of trailing zeros of [b], a value with exactly one bit set
    (possibly the sign bit).  Branchy binary search — six tests. *)
 let ntz b =
@@ -169,26 +155,6 @@ let iter_set f t =
     let v = Array.unsafe_get words w in
     if v <> 0 then iter_word f (w * bits_per_word) v
   done
-
-(** Iterate set bits within [lo, hi) only: whole words in the interior,
-    masked head and tail words at the boundaries. *)
-let iter_set_range f t ~lo ~hi =
-  let lo = Int.max 0 lo and hi = Int.min t.nbits hi in
-  if lo < hi then begin
-    let w0 = lo / bits_per_word and w1 = (hi - 1) / bits_per_word in
-    for w = w0 to w1 do
-      let v = Array.unsafe_get t.words w in
-      let v = if w = w0 then v land ((-1) lsl (lo mod bits_per_word)) else v in
-      let v =
-        if w = w1 then begin
-          let top = hi - (w * bits_per_word) in
-          if top >= bits_per_word then v else v land ((1 lsl top) - 1)
-        end
-        else v
-      in
-      if v <> 0 then iter_word f (w * bits_per_word) v
-    done
-  end
 
 let to_list t =
   let acc = ref [] in

@@ -35,13 +35,7 @@ val clear_range : t -> lo:int -> hi:int -> unit
     replacement for per-bit {!clear} loops on the hot paths — a region
     release cleaning its whole card span, remset rebuilds. *)
 
-val count_range : t -> lo:int -> hi:int -> int
-(** Number of set bits in [lo, hi), counted word-wise. *)
-
 val iter_set : (int -> unit) -> t -> unit
 (** Visit set bits in increasing order (zero words are skipped). *)
-
-val iter_set_range : (int -> unit) -> t -> lo:int -> hi:int -> unit
-(** Visit set bits within [lo, hi). *)
 
 val to_list : t -> int list

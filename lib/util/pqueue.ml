@@ -103,8 +103,6 @@ let min_elt_exn t =
   if t.len = 0 then invalid_arg "Pqueue.min_elt_exn: empty";
   t.elts.(0)
 
-let min_key t = if t.len = 0 then None else Some t.keys.(0)
-
 (* The engine pops a sleeper per wake, so the primitive returns the
    element unboxed and [pop] wraps it. *)
 let pop_exn t =

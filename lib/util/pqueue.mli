@@ -25,9 +25,6 @@ val push : 'a t -> key:int -> tie:int -> 'a -> unit
 (** O(log n).  The same element may be pushed more than once; callers
     that need at-most-once semantics handle staleness on [pop]. *)
 
-val min_key : 'a t -> int option
-(** Smallest key, or [None] when empty. *)
-
 val min_key_exn : 'a t -> int
 (** O(1), allocation-free; raises [Invalid_argument] when empty. *)
 

@@ -70,12 +70,3 @@ let exponential t ~mean =
   (* Guard against log 0. *)
   let u = if u <= 0. then epsilon_float else u in
   -.mean *. log u
-
-(** Fisher-Yates shuffle in place. *)
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

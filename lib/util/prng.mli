@@ -31,6 +31,3 @@ val chance : t -> float -> bool
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed (Poisson interarrival times). *)
-
-val shuffle : t -> 'a array -> unit
-(** Fisher-Yates, in place. *)

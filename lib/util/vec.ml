@@ -60,14 +60,6 @@ let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Vec.set: index out of bounds";
   t.data.(i) <- x
 
-(** O(1) unordered removal: swaps the last element into slot [i]. *)
-let swap_remove t i =
-  if i < 0 || i >= t.len then invalid_arg "Vec.swap_remove";
-  let x = t.data.(i) in
-  t.len <- t.len - 1;
-  t.data.(i) <- t.data.(t.len);
-  t.data.(t.len) <- t.dummy;
-  x
 
 let iter f t =
   for i = 0 to t.len - 1 do

@@ -2,7 +2,7 @@
 
     Used pervasively: region object lists, GC mark stacks, SATB buffers,
     root sets.  Amortized O(1) push; indices are stable until
-    {!pop_last}, {!truncate}, {!swap_remove} or {!clear}. *)
+    {!pop_last}, {!truncate} or {!clear}. *)
 
 type 'a t
 
@@ -30,9 +30,6 @@ val truncate : 'a t -> int -> unit
 
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
-
-val swap_remove : 'a t -> int -> 'a
-(** O(1) unordered removal: swaps the last element into slot [i]. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

@@ -360,11 +360,12 @@ let test_accounting_faults_reported () =
 (* ------------------------------------------------------------------ *)
 (* The deferred-harvest check.                                          *)
 
-(* Release a region while an old mark runs, so its dead resident is
-   deferred, then end the mark with the sanitizer installed at [level].
-   When [rooted], a global root names the resident: the check must
-   report it before the pool takes it.  Returns the invariants
-   reported. *)
+(* Release a region while an old mark runs inside a controller's step,
+   so its dead resident is held back, then end the mark and the step
+   with the sanitizer installed at [level]: the controller's quiescent
+   point ends the grace period over the record.  When [rooted], a global
+   root names the resident: the check must report it before the pool
+   takes it.  Returns the invariants reported. *)
 let deferred_harvest_reports ~level ~rooted =
   let engine = Sim.Engine.create () in
   let heap =
@@ -379,12 +380,15 @@ let deferred_harvest_reports ~level ~rooted =
        ~on_violation:(fun (r : Analysis.Report.t) ->
          reports := r.invariant :: !reports)
        ~level rt);
+  let grace = heap.Heap.Heap_impl.grace in
+  let controller = Heap.Grace.register grace in
   let r = Option.get (Heap.Heap_impl.claim_region heap Heap.Region.Young) in
   let o = Heap.Heap_impl.alloc_in heap r ~size:64 ~nrefs:1 in
   if rooted then ignore (Runtime.Rt.add_global rt o);
   ignore (Heap.Heap_impl.begin_mark heap);
   Heap.Heap_impl.release_region heap r;
   Heap.Heap_impl.end_mark heap;
+  Heap.Grace.quiescent grace controller;
   Heap.Access.reset ();
   !reports
 

@@ -963,14 +963,18 @@ let test_harvest_both_marks () =
   Alcotest.(check int) "born between the snapshots: array kept" 2
     (Gobj.num_fields between)
 
-(* When the last active mark ends, the dead residents its floor kept
-   back at their release (pre-snapshot, copy, SATB-logged) are harvested
-   as outside marking: every holder's edges retired, each record and
-   array pooled exactly once.  [start] and [stop] open and close the
-   mark under test. *)
+(* The dead residents a running mark's floor kept back at their release
+   (pre-snapshot, copy, SATB-logged) are held in the grace limbo past
+   the mark's end, their edges and arrays untouched, until a grace
+   period over them ends.  Then they are harvested as outside marking:
+   every holder's edges retired, each record and array pooled exactly
+   once.  [start] and [stop] open and close the mark under test inside
+   one step of the only controller, whose next quiescent point ends the
+   period. *)
 let check_deferred_harvest ~start ~stop () =
   let heap = mk_heap () in
-  let pool = heap.Heap_impl.pool in
+  let pool = heap.Heap_impl.pool and grace = heap.Heap_impl.grace in
+  let controller = Grace.register grace in
   let home = claim_exn heap Region.Old in
   let r = claim_exn heap Region.Young in
   let target () = alloc heap home ~size:64 ~nrefs:0 in
@@ -991,23 +995,28 @@ let check_deferred_harvest ~start ~stop () =
       deferred
   in
   Heap_impl.release_region heap r;
-  Alcotest.(check int) "three deferred" 3
-    (Util.Vec.length (Gobj.Pool.deferred pool));
-  Alcotest.(check (list int)) "nothing pooled while the mark runs" [ 0; 0 ]
-    (let _, _, records, arrays = Gobj.Pool.stats pool in [ records; arrays ]);
-  Alcotest.(check (list int)) "edges kept while the mark runs" [ 1; 1; 1 ]
-    (List.map Gobj.inrefs targets);
+  Alcotest.(check int) "three held" 3 (Grace.in_limbo grace);
+  let nothing_pooled what =
+    Alcotest.(check (list int)) ("nothing pooled " ^ what) [ 0; 0 ]
+      (let _, _, records, arrays = Gobj.Pool.stats pool in [ records; arrays ]);
+    Alcotest.(check (list int)) ("edges kept " ^ what) [ 1; 1; 1 ]
+      (List.map Gobj.inrefs targets)
+  in
+  nothing_pooled "while the mark runs";
   stop heap;
-  Alcotest.(check int) "deferred vector emptied" 0
-    (Util.Vec.length (Gobj.Pool.deferred pool));
+  Alcotest.(check int) "still held after the mark's end" 3
+    (Grace.in_limbo grace);
+  nothing_pooled "at the mark's end";
+  Grace.quiescent grace controller;
+  Alcotest.(check int) "limbo drained" 0 (Grace.in_limbo grace);
   Alcotest.(check (list int)) "edges retired" [ 0; 0; 0 ]
     (List.map Gobj.inrefs targets);
   let records, pooled_arrays = drain_pool pool ~nrefs:2 in
   Alcotest.(check int) "each record pooled once" 3 (List.length records);
-  Alcotest.(check bool) "the deferred records" true
+  Alcotest.(check bool) "the held records" true
     (distinct records && List.for_all (fun o -> List.memq o records) deferred);
   Alcotest.(check int) "each array pooled once" 3 (List.length pooled_arrays);
-  Alcotest.(check bool) "the deferred arrays" true
+  Alcotest.(check bool) "the held arrays" true
     (distinct pooled_arrays
     && List.for_all (fun a -> List.memq a pooled_arrays) arrays)
 
@@ -1021,39 +1030,47 @@ let test_deferred_young_mark () =
     ~start:(fun h -> ignore (Heap_impl.begin_young_mark h))
     ~stop:Heap_impl.end_young_mark ()
 
-(* With both marks open, whichever ends first harvests nothing: the
-   other may still hold the records. *)
+(* With an old and a young mark open in the steps of two controllers,
+   the period over a record released under both ends only when both
+   controllers have passed a quiescent point: the first one to finish
+   its step opens it and it waits on the other. *)
 let test_deferred_both_marks () =
   List.iter
     (fun (what, first, second) ->
       let heap = mk_heap () in
-      let pool = heap.Heap_impl.pool in
+      let pool = heap.Heap_impl.pool and grace = heap.Heap_impl.grace in
+      let old_ctl = Grace.register grace and young_ctl = Grace.register grace in
+      let ctl = function `Old -> old_ctl | `Young -> young_ctl in
+      let stop = function
+        | `Old -> Heap_impl.end_mark
+        | `Young -> Heap_impl.end_young_mark
+      in
       let r = claim_exn heap Region.Young in
       let dead = alloc heap r ~size:64 ~nrefs:2 in
       ignore (Heap_impl.begin_mark heap);
       ignore (Heap_impl.begin_young_mark heap);
       Heap_impl.release_region heap r;
-      first heap;
+      stop first heap;
+      Grace.quiescent grace (ctl first);
       Alcotest.(check (pair int int)) (what ^ " ends first: nothing pooled")
         (0, 1)
         (let _, _, records, _ = Gobj.Pool.stats pool in
-         (records, Util.Vec.length (Gobj.Pool.deferred pool)));
+         (records, Grace.in_limbo grace));
       Alcotest.(check int) (what ^ " ends first: array kept") 2
         (Gobj.num_fields dead);
-      second heap;
-      Alcotest.(check bool) (what ^ " ends first: pooled at the second end")
+      stop second heap;
+      Grace.quiescent grace (ctl second);
+      Alcotest.(check bool) (what ^ " ends first: pooled after the second")
         true
         (Gobj.Pool.take_record pool == dead && Gobj.num_fields dead = 0))
-    [
-      ("old", Heap_impl.end_mark, Heap_impl.end_young_mark);
-      ("young", Heap_impl.end_young_mark, Heap_impl.end_mark);
-    ]
+    [ ("old", `Old, `Young); ("young", `Young, `Old) ]
 
-(* A deferred record that a heap edge or a weak registration can still
-   name gives its array at mark end, never its record. *)
+(* A held record that a heap edge or a weak registration can still name
+   gives its array when its grace period ends, never its record. *)
 let test_deferred_named_records_stay () =
   let heap = mk_heap () in
-  let pool = heap.Heap_impl.pool in
+  let pool = heap.Heap_impl.pool and grace = heap.Heap_impl.grace in
+  let controller = Grace.register grace in
   let home = claim_exn heap Region.Old in
   let r = claim_exn heap Region.Young in
   let held = alloc heap r ~size:64 ~nrefs:2 in
@@ -1063,11 +1080,33 @@ let test_deferred_named_records_stay () =
   ignore (Heap_impl.begin_mark heap);
   Heap_impl.release_region heap r;
   Heap_impl.end_mark heap;
+  Grace.quiescent grace controller;
   let records, arrays = drain_pool pool ~nrefs:2 in
   Alcotest.(check int) "no record" 0 (List.length records);
   Alcotest.(check int) "both arrays" 2 (List.length arrays);
   Alcotest.(check (pair int int)) "arrays detached" (0, 0)
     (Gobj.num_fields held, Gobj.num_fields weak)
+
+(* A mutator inside a request when a mark's release held a record back
+   may still hold it in an unrooted local, so the record is not reissued
+   before the mutator leaves that request, even after the mark and its
+   controller's step have ended. *)
+let test_deferred_waits_for_requests () =
+  let heap = mk_heap () in
+  let grace = heap.Heap_impl.grace in
+  let mutator = Grace.register grace and controller = Grace.register grace in
+  let r = claim_exn heap Region.Young in
+  let dead = alloc heap r ~size:64 ~nrefs:2 in
+  ignore (Heap_impl.begin_mark heap);
+  Heap_impl.release_region heap r;
+  Heap_impl.end_mark heap;
+  Grace.quiescent grace controller;
+  let fresh = claim_exn heap Region.Young in
+  let next n = List.init n (fun _ -> alloc heap fresh ~size:64 ~nrefs:2) in
+  Alcotest.(check bool) "not reissued inside the request" true
+    (List.for_all (fun o -> o != dead) (next 4));
+  Grace.offline grace mutator;
+  Alcotest.(check bool) "reissued after it" true (List.hd (next 1) == dead)
 
 let test_deferred_pooling_off () =
   let heap =
@@ -1075,14 +1114,15 @@ let test_deferred_pooling_off () =
       (Heap_impl.config ~heap_bytes:(4 * mib) ~region_bytes:(256 * kib)
          ~pooling:false ())
   in
-  let pool = heap.Heap_impl.pool in
+  let pool = heap.Heap_impl.pool and grace = heap.Heap_impl.grace in
+  let controller = Grace.register grace in
   let r = claim_exn heap Region.Young in
   let dead = alloc heap r ~size:64 ~nrefs:2 in
   ignore (Heap_impl.begin_mark heap);
   Heap_impl.release_region heap r;
-  Alcotest.(check int) "nothing deferred" 0
-    (Util.Vec.length (Gobj.Pool.deferred pool));
+  Alcotest.(check int) "nothing held" 0 (Grace.in_limbo grace);
   Heap_impl.end_mark heap;
+  Grace.quiescent grace controller;
   Alcotest.(check (list int)) "nothing pooled" [ 0; 0 ]
     (let _, _, records, arrays = Gobj.Pool.stats pool in [ records; arrays ]);
   Alcotest.(check bool) "freed, array kept" true
@@ -1376,10 +1416,11 @@ let test_recycled_heap_starts_empty () =
   Alcotest.(check bool) "arrays cleared" true
     (List.for_all (Array.for_all Gobj.is_null) arrays)
 
-(* A heap retired while a mark holds dead residents back gives them to
-   the next heap's pool once each, with their arrays, and the new run's
-   first mark end pools nothing of the old run again. *)
-let test_recycled_heap_takes_deferred () =
+(* A heap retired while a mark holds dead residents back drops them
+   with its grace state, as it drops its stubs: the next heap's pool
+   takes each resident record and array once and none of the held ones,
+   and the new heap's limbo starts empty. *)
+let test_recycled_heap_drops_held () =
   Fun.protect ~finally:Heap_impl.drop_retired @@ fun () ->
   let cfg = Heap_impl.config ~heap_bytes:(4 * mib) ~region_bytes:(256 * kib) () in
   let a = Heap_impl.create cfg in
@@ -1390,22 +1431,19 @@ let test_recycled_heap_takes_deferred () =
   ignore (Heap_impl.begin_mark a);
   let post = alloc a r ~size:64 ~nrefs:2 in
   Heap_impl.release_region a r;
-  Alcotest.(check int) "two deferred" 2
-    (Util.Vec.length (Gobj.Pool.deferred a.Heap_impl.pool));
+  Alcotest.(check int) "two held" 2 (Grace.in_limbo a.Heap_impl.grace);
   Heap_impl.retire a;
   let b = Heap_impl.create cfg in
   Alcotest.(check bool) "recycled" true (b.Heap_impl.pool == a.Heap_impl.pool);
-  Alcotest.(check int) "deferred vector emptied" 0
-    (Util.Vec.length (Gobj.Pool.deferred b.Heap_impl.pool));
-  ignore (Heap_impl.begin_mark b);
-  Heap_impl.end_mark b;
+  Alcotest.(check int) "nothing in the new limbo" 0
+    (Grace.in_limbo b.Heap_impl.grace);
   let records, arrays = drain_pool b.Heap_impl.pool ~nrefs:2 in
-  let all = kept @ pre @ [ post ] in
-  Alcotest.(check int) "each record pooled once" 5 (List.length records);
+  let all = kept @ [ post ] in
+  Alcotest.(check int) "each record pooled once" 3 (List.length records);
   Alcotest.(check bool) "no record pooled twice" true (distinct records);
-  Alcotest.(check bool) "resident, deferred and harvested records" true
+  Alcotest.(check bool) "resident and harvested records only" true
     (List.for_all (fun o -> List.memq o records) all);
-  Alcotest.(check int) "each array pooled once" 5 (List.length arrays);
+  Alcotest.(check int) "each array pooled once" 3 (List.length arrays);
   Alcotest.(check bool) "no array pooled twice" true (distinct arrays);
   Alcotest.(check bool) "arrays cleared" true
     (List.for_all (Array.for_all Gobj.is_null) arrays)
@@ -1558,14 +1596,19 @@ let () =
             test_harvest_young_mark;
           Alcotest.test_case "harvest under both marks" `Quick
             test_harvest_both_marks;
-          Alcotest.test_case "deferred harvest at an old mark's end" `Quick
+          Alcotest.test_case
+            "deferred harvest at an old mark's grace period end" `Quick
             test_deferred_old_mark;
-          Alcotest.test_case "deferred harvest at a young mark's end" `Quick
+          Alcotest.test_case
+            "deferred harvest at a young mark's grace period end" `Quick
             test_deferred_young_mark;
-          Alcotest.test_case "deferred harvest waits for the last mark" `Quick
+          Alcotest.test_case
+            "deferred harvest waits for the last mark's controller" `Quick
             test_deferred_both_marks;
           Alcotest.test_case "deferred records something names stay out"
             `Quick test_deferred_named_records_stay;
+          Alcotest.test_case "deferred records wait for requests in flight"
+            `Quick test_deferred_waits_for_requests;
           Alcotest.test_case "pooling off defers nothing" `Quick
             test_deferred_pooling_off;
           Alcotest.test_case "stub waits for a grace period" `Quick
@@ -1581,7 +1624,7 @@ let () =
             test_retire_hands_storage_on;
           Alcotest.test_case "a recycled heap starts empty" `Quick
             test_recycled_heap_starts_empty;
-          Alcotest.test_case "a recycled heap takes the deferred records"
-            `Quick test_recycled_heap_takes_deferred;
+          Alcotest.test_case "a recycled heap drops the held records" `Quick
+            test_recycled_heap_drops_held;
         ] );
     ]

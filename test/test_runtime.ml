@@ -92,7 +92,9 @@ let test_stw_with_parked_mutator () =
        (fun () ->
          let m = Mutator.create rt in
          (* Parked mutators count as stopped; the STW must proceed. *)
-         Mutator.safe_wait m c;
+         Safepoint.park rt.Rt.safepoint;
+         Sim.Engine.wait c;
+         Safepoint.unpark rt.Rt.safepoint;
          Mutator.finish m));
   ignore
     (Sim.Engine.spawn engine ~daemon:true ~name:"gc" ~kind:Sim.Engine.Gc

@@ -53,14 +53,6 @@ let test_prng_float_range () =
     Alcotest.(check bool) "in [0,1)" true (f >= 0. && f < 1.)
   done
 
-let test_prng_shuffle_permutation () =
-  let p = Prng.create 9 in
-  let arr = Array.init 20 Fun.id in
-  Prng.shuffle p arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 20 Fun.id) sorted
-
 (* The first draws of each stream, recorded from the boxed-[int64]
    implementation: any change to the state layout or the step must keep
    every stream bit-identical.  Floats compare by their bit patterns. *)
@@ -184,13 +176,6 @@ let test_vec_get_set () =
   Alcotest.check_raises "oob get" (Invalid_argument "Vec.get: index out of bounds")
     (fun () -> ignore (Vec.get v 3))
 
-let test_vec_swap_remove () =
-  let v = Vec.of_list 0 [ 10; 20; 30; 40 ] in
-  let x = Vec.swap_remove v 1 in
-  check Alcotest.int "removed" 20 x;
-  check Alcotest.int "length" 3 (Vec.length v);
-  check Alcotest.int "last swapped in" 40 (Vec.get v 1)
-
 let test_vec_sort_and_search () =
   let v = Vec.of_list 0 [ 5; 1; 9; 3; 7 ] in
   Vec.sort compare v;
@@ -228,11 +213,10 @@ let vec_reference_model =
   (* Full op-set model: every mutation mirrored on a naive list, full
      contents compared after every step (not just at the end). *)
   qtest ~count:300 "vec matches a naive list under all ops"
-    QCheck2.Gen.(list (pair (int_range 0 6) (int_range 0 99)))
+    QCheck2.Gen.(list (pair (int_range 0 5) (int_range 0 99)))
     (fun ops ->
       let v = Vec.create (-1) in
       let model = ref [] in
-      let nth_opt l i = List.nth_opt l i in
       List.for_all
         (fun (op, x) ->
           (match op with
@@ -253,19 +237,6 @@ let vec_reference_model =
                 model := List.mapi (fun j y -> if j = i then x else y) !model
               end
           | 4 ->
-              if !model <> [] then begin
-                let i = x mod List.length !model in
-                let removed = Vec.swap_remove v i in
-                (match nth_opt !model i with
-                | Some y when y = removed -> ()
-                | _ -> failwith "swap_remove returned wrong element");
-                let last = List.length !model - 1 in
-                let moved = List.nth !model last in
-                model :=
-                  List.filteri (fun j _ -> j <> last) !model
-                  |> List.mapi (fun j y -> if j = i then moved else y)
-              end
-          | 5 ->
               (* Lengths past the end are no-ops. *)
               let n = x mod (List.length !model + 2) in
               Vec.truncate v n;
@@ -293,9 +264,9 @@ let test_bitset_iter_range () =
   let b = Bitset.create 64 in
   List.iter (fun i -> ignore (Bitset.set b i)) [ 3; 17; 18; 40; 63 ];
   Alcotest.(check (list int)) "iter_set" [ 3; 17; 18; 40; 63 ] (Bitset.to_list b);
-  let acc = ref [] in
-  Bitset.iter_set_range (fun i -> acc := i :: !acc) b ~lo:17 ~hi:41;
-  Alcotest.(check (list int)) "range" [ 17; 18; 40 ] (List.rev !acc)
+  Bitset.clear_range b ~lo:17 ~hi:41;
+  Alcotest.(check (list int)) "range cleared" [ 3; 63 ] (Bitset.to_list b);
+  check Alcotest.int "cardinal" 2 (Bitset.cardinal b)
 
 let bitset_model =
   qtest "bitset matches an int-set model"
@@ -351,26 +322,19 @@ let bitset_reference_model =
       Bitset.cardinal b = ref_card
       && Bitset.to_list b = ref_list
       && List.for_all (fun i -> Bitset.get b i = ref_bits.(i))
-           (List.init nbits Fun.id)
-      (* iter_set_range over a sub-window also agrees. *)
-      &&
-      let lo = nbits / 3 and hi = 2 * nbits / 3 in
-      let acc = ref [] in
-      Bitset.iter_set_range (fun i -> acc := i :: !acc) b ~lo ~hi;
-      List.rev !acc = List.filter (fun i -> i >= lo && i < hi) ref_list)
+           (List.init nbits Fun.id))
 
-(* The batched range operations must agree bit-for-bit with per-bit
-   loops over a bool-array model: clear_range (including cardinal
-   maintenance, empty windows, out-of-range clamping, word-boundary
-   straddles) and count_range. *)
+(* The batched clear must agree bit-for-bit with per-bit loops over a
+   bool-array model: clear_range, including cardinal maintenance, empty
+   windows, out-of-range clamping and word-boundary straddles. *)
 let bitset_range_ops_model =
-  qtest ~count:300 "bitset clear_range/count_range match naive bit loops"
+  qtest ~count:300 "bitset clear_range matches naive bit loops"
     QCheck2.Gen.(
       let size = oneofl [ 1; 7; 62; 63; 64; 125; 126; 189; 200; 255 ] in
       pair size
         (pair
            (list (int_range 0 10_000)) (* initial set bits, mod nbits *)
-           (list (pair (int_range 0 3) (pair (int_range (-10) 300) (int_range (-10) 300))))))
+           (list (pair (int_range 0 2) (pair (int_range (-10) 300) (int_range (-10) 300))))))
     (fun (nbits, (seeds, ops)) ->
       let b = Bitset.create nbits in
       let ref_bits = Array.make nbits false in
@@ -380,15 +344,6 @@ let bitset_range_ops_model =
           ignore (Bitset.set b i);
           ref_bits.(i) <- true)
         seeds;
-      let naive_count lo hi =
-        let lo = max 0 lo and hi = min nbits hi in
-        let n = ref 0 in
-        for i = lo to hi - 1 do
-          if ref_bits.(i) then incr n
-        done;
-        !n
-      in
-      let ok = ref true in
       List.iter
         (fun (op, (lo, hi)) ->
           match op with
@@ -396,8 +351,7 @@ let bitset_range_ops_model =
               Bitset.clear_range b ~lo ~hi;
               let l = max 0 lo and h = min nbits hi in
               if l < h then Array.fill ref_bits l (h - l) false
-          | 1 -> if Bitset.count_range b ~lo ~hi <> naive_count lo hi then ok := false
-          | 2 ->
+          | 1 ->
               let i = abs lo mod nbits in
               ignore (Bitset.set b i);
               ref_bits.(i) <- true
@@ -409,11 +363,9 @@ let bitset_range_ops_model =
       let ref_card =
         Array.fold_left (fun n v -> if v then n + 1 else n) 0 ref_bits
       in
-      !ok
-      && Bitset.cardinal b = ref_card
+      Bitset.cardinal b = ref_card
       && Bitset.to_list b
-         = List.filter (fun i -> ref_bits.(i)) (List.init nbits Fun.id)
-      && Bitset.count_range b ~lo:0 ~hi:nbits = ref_card)
+         = List.filter (fun i -> ref_bits.(i)) (List.init nbits Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Pqueue *)
@@ -421,7 +373,6 @@ let bitset_range_ops_model =
 let test_pqueue_basic () =
   let q = Pqueue.create 0 in
   Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  Alcotest.(check (option int)) "min_key empty" None (Pqueue.min_key q);
   Pqueue.push q ~key:5 ~tie:0 50;
   Pqueue.push q ~key:1 ~tie:0 10;
   Pqueue.push q ~key:3 ~tie:0 30;
@@ -682,7 +633,6 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
           Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean;
           Alcotest.test_case "float range" `Quick test_prng_float_range;
-          Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "pinned streams" `Quick test_prng_pinned;
           Alcotest.test_case "hot path allocates nothing" `Quick test_hot_path_no_alloc;
         ] );
@@ -690,7 +640,6 @@ let () =
         [
           Alcotest.test_case "push/pop" `Quick test_vec_push_pop;
           Alcotest.test_case "get/set" `Quick test_vec_get_set;
-          Alcotest.test_case "swap_remove" `Quick test_vec_swap_remove;
           Alcotest.test_case "sort/search" `Quick test_vec_sort_and_search;
           vec_model;
           vec_reference_model;
