@@ -137,7 +137,9 @@ let install variant rt =
     ~store_barrier:(fun ~src ~field ~old_v ~new_v ->
       Common.Marker.pre_write markers old_v;
       Young_gen.barrier young ~src ~field ~new_v)
-    ~load_extra_cost:(if variant.colored then Costs.colored_load_extra else 1)
+    ~load_extra_cost:
+      (if variant.colored then Costs.colored_load_extra
+       else Costs.fwd_check_load_extra)
     ~mutator_tax_pct:
       (if variant.colored then Costs.compressed_oops_tax_pct else 0)
     ~on_alloc_failure:(fun () ->

@@ -202,7 +202,7 @@ let install rt =
   Common.install rt ~name:"shenandoah"
     ~store_barrier:(fun ~src:_ ~field:_ ~old_v ~new_v:_ ->
       Common.Marker.pre_write markers old_v)
-    ~load_extra_cost:1 ~mutator_tax_pct:0
+    ~load_extra_cost:Costs.fwd_check_load_extra ~mutator_tax_pct:0
     ~on_alloc_failure:(fun () ->
       t.urgent <- true;
       request_degeneration t)

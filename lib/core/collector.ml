@@ -171,7 +171,7 @@ let install ?(config = Jade_config.default) rt =
       Common.Marker.pre_write markers old_v;
       Young.barrier young ~src ~field ~new_v;
       Old.barrier old_gc ~src ~field ~new_v)
-    ~load_extra_cost:1
+    ~load_extra_cost:Costs.fwd_check_load_extra
     ~mutator_tax_pct:
       (if config.compressed_oops then 0
        else Costs.compressed_oops_tax_pct)

@@ -52,6 +52,12 @@ let load_barrier = 1
 (** extra per-load cost of colored-pointer checks *)
 let colored_load_extra = 2
 
+(** extra per-load cost of the forwarding check: a collector that copies
+    concurrently with uncolored pointers (Jade, Shenandoah, the
+    uncolored generational variants) tests each loaded reference for a
+    forwarded target *)
+let fwd_check_load_extra = 1
+
 (** slow path: forwarding-chain chase + CAS to heal a ref *)
 let heal = 36
 

@@ -129,9 +129,17 @@ let mmu_curve ivs ~lo ~hi =
 let analyze (events : Trace.event array) =
   let n = Array.length events in
   (* Analysis window: first Recording-on to the last Recording-off after
-     it; whole span when markers are absent or unbalanced. *)
-  let first_ts = if n = 0 then 0 else events.(0).Trace.ts in
-  let last_ts = if n = 0 then 0 else events.(n - 1).Trace.ts in
+     it; the whole span when markers are absent or unbalanced.  Stamps
+     are monotone only per thread, so the span runs from the least stamp
+     to the greatest, not from the first event to the last. *)
+  let first_ts, last_ts =
+    if n = 0 then (0, 0)
+    else
+      Array.fold_left
+        (fun (lo, hi) (e : Trace.event) ->
+          (Int.min lo e.Trace.ts, Int.max hi e.Trace.ts))
+        (max_int, min_int) events
+  in
   let w_on = ref None and w_off = ref None in
   Array.iter
     (fun (e : Trace.event) ->

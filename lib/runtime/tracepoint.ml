@@ -15,7 +15,15 @@
     stamps each event with {!Sim.Engine.now} and
     {!Sim.Engine.current_tid} at emission, keeping every fire site
     allocation-free in the disabled case and the stamping policy in one
-    place ([Obs.Trace]). *)
+    place ([Obs.Trace]).
+
+    With a sink installed, a fire site allocates its payload, but the
+    payload dies young: [Obs.Trace] copies its fields into columns and
+    keeps no reference to it.  The sink stays [payload -> unit], not a
+    set of unboxed entry points, because other consumers chain onto it
+    (bench/perf's ledger counts pauses, requests and boundaries through
+    the same seam); the run-wide event bus (ROADMAP item 2) is where
+    that type changes. *)
 
 type payload =
   | Phase_begin of { name : string }

@@ -278,8 +278,11 @@ echo "== zero-perturbation fence (tracing must not move simulated time) =="
 # stream must be byte-identical at -j1 and -j4, and same-seed runs must
 # match byte-for-byte.  These fences live in the obs suite's
 # determinism group; run it explicitly so a CI log names it even when
-# someone trims dune runtest.
+# someone trims dune runtest.  The recorder group holds the host side
+# of the same contract: recording an event allocates nothing on the
+# minor heap, and every event reads back as emitted (DESIGN.md §11).
 dune exec test/test_obs.exe -- test determinism
+dune exec test/test_obs.exe -- test recorder
 
 echo "== bench smoke (quick micro) =="
 dune exec bench/main.exe -- --quick micro

@@ -14,6 +14,8 @@
    - Determinism fences: same-seed runs are byte-identical, -j 1 and
      -j 4 produce identical streams, and attaching a tracer perturbs no
      simulated metric (the zero-perturbation contract).
+   - Recorder: recording an event allocates nothing on the host's
+     minor heap, and every payload constructor reads back as emitted.
    - qcheck properties: per-thread timestamp monotonicity, phase
      begin/end balance, request-span alternation, STW-pause disjointness
      and MMU-envelope monotonicity over randomized scenarios and
@@ -377,6 +379,161 @@ let test_chrome_json_shape () =
   Alcotest.(check string) "us formatting" "1.500" (Export.us 1500);
   Alcotest.(check string) "us formatting sub-us" "0.007" (Export.us 7)
 
+(* The golden text format drops nothing the Chrome exporter reads, but
+   the exporter decodes each payload on its own path, so its bytes are
+   pinned too: the MD5 of the jade golden scenario's Chrome JSON.  A
+   change that re-blesses test/golden/jade.trace updates this digest in
+   the same commit. *)
+let test_chrome_json_digest () =
+  let r = golden_run (Registry.find "jade") in
+  Alcotest.(check string)
+    "md5 of jade's golden-scenario Chrome JSON"
+    "294250e4d57afa4b301f5f8eed7e6e2b"
+    (Digest.to_hex
+       (Digest.string (Export.to_chrome_json ~meta:(golden_meta r) r.TR.trace)))
+
+let test_analyze_window_unordered () =
+  (* Two threads' stamps arrive out of global order and no marker is
+     recorded: the fallback window runs from the least stamp to the
+     greatest, so no event falls outside it. *)
+  let mk ts tid payload = { Trace.ts; tid; payload } in
+  let events =
+    [|
+      mk 5_000 1 (Tp.Pause { kind = "young-stw"; start_ns = 4_000; dur_ns = 1_000 });
+      mk 9_000 2 (Tp.Pause { kind = "alloc-stall"; start_ns = 8_500; dur_ns = 500 });
+      mk 2_000 1 (Tp.Pause { kind = "young-stw"; start_ns = 1_500; dur_ns = 500 });
+      mk 3_000 2 Tp.Request_begin;
+    |]
+  in
+  let a = Analyze.analyze events in
+  Alcotest.(check int) "window start is the least stamp" 2_000
+    a.Analyze.window_start;
+  Alcotest.(check int) "window end is the greatest stamp" 9_000
+    a.Analyze.window_end;
+  Alcotest.(check int) "both STW pauses counted" 2 a.Analyze.stw.Analyze.count;
+  Alcotest.(check int) "the stall counted" 1 a.Analyze.stalls.Analyze.count
+
+(* ------------------------------------------------------------------ *)
+(* Recorder storage: a recorder attached to a bare runtime (no
+   collector, no run), fed through the same two seams a run feeds. *)
+
+let recorder () =
+  let engine = Sim.Engine.create ~cores:1 () in
+  let heap =
+    Heap.Heap_impl.create
+      (Heap.Heap_impl.config ~heap_bytes:(4 * Util.Units.mib)
+         ~region_bytes:(256 * Util.Units.kib) ())
+  in
+  let rt = Runtime.Rt.create ~seed:1 ~engine ~heap () in
+  let trace = Trace.attach rt in
+  ( engine,
+    trace,
+    Option.get rt.Runtime.Rt.metrics.Runtime.Metrics.tracer,
+    Option.get heap.Heap.Heap_impl.on_region_event )
+
+let region () =
+  let r = Heap.Region.make ~rid:5 ~size:(256 * Util.Units.kib) in
+  r.Heap.Region.kind <- Heap.Region.Young;
+  r.Heap.Region.top <- 4096;
+  r
+
+(* One payload per constructor the sink receives (the region events
+   come through the observer), with both Recording values and an empty
+   name. *)
+let payloads =
+  [|
+    Tp.Recording { on = true };
+    Tp.Phase_begin { name = "jade.young" };
+    Tp.Phase_end { name = "" };
+    Tp.Pause { kind = "young-stw"; start_ns = 1_500; dur_ns = 250 };
+    Tp.Region_claim { rid = 7; rkind = "old" };
+    Tp.Region_release { rid = 7; rkind = "old"; used = 8_192 };
+    Tp.Evac_batch { objects = 12; bytes = 3_456 };
+    Tp.Boundary { collector = "jade"; boundary = "mark-end" };
+    Tp.Request_begin;
+    Tp.Request_end { latency_ns = 90_000; tax_ns = 300 };
+    Tp.Recording { on = false };
+  |]
+
+(* Recording keeps nothing on the minor heap: fire sites' payloads die
+   young, and the observer builds none.  Growing the columns allocates
+   in the major heap, which [Gc.minor_words] does not count. *)
+let test_recorder_allocates_nothing () =
+  let _, trace, sink, observe = recorder () in
+  let r = region () in
+  let rounds = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    Array.iter sink payloads;
+    observe r ~claimed:true;
+    observe r ~claimed:false
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let events = Trace.length trace in
+  Alcotest.(check int) "every event recorded"
+    (rounds * (Array.length payloads + 2))
+    events;
+  if words *. 100. >= float_of_int events then
+    Alcotest.failf "%.0f minor words for %d events (at least 1 per 100)" words
+      events
+
+(* Every event reads back as stamped and emitted, in order, through both
+   readers: from outside the engine (tid -1) and from a thread whose
+   clock moves between emissions, over enough rounds (5,200 events) to
+   fill more than one storage chunk. *)
+let test_recorder_round_trip () =
+  let engine, trace, sink, observe = recorder () in
+  let r = region () in
+  let expected = ref [] in
+  let stamp payload =
+    expected :=
+      {
+        Trace.ts = Sim.Engine.now engine;
+        tid = Sim.Engine.current_tid engine;
+        payload;
+      }
+      :: !expected
+  in
+  let emit p =
+    stamp p;
+    sink p
+  in
+  let observe_region ~claimed =
+    stamp
+      (if claimed then Tp.Region_claim { rid = 5; rkind = "young" }
+       else Tp.Region_release { rid = 5; rkind = "young"; used = 4096 });
+    observe r ~claimed
+  in
+  emit payloads.(0);
+  emit (Tp.Phase_end { name = "" });
+  ignore
+    (Sim.Engine.spawn engine ~name:"emitter" ~kind:Sim.Engine.Mutator
+       (fun () ->
+         for _ = 1 to 400 do
+           Array.iter
+             (fun p ->
+               Sim.Engine.tick 7;
+               emit p)
+             payloads;
+           Sim.Engine.tick 7;
+           observe_region ~claimed:true;
+           Sim.Engine.tick 7;
+           observe_region ~claimed:false
+         done));
+  Sim.Engine.run engine;
+  emit (Tp.Recording { on = false });
+  let expected = Array.of_list (List.rev !expected) in
+  let iterated = ref [] in
+  Trace.iter (fun e -> iterated := e :: !iterated) trace;
+  Alcotest.(check int) "length" (Array.length expected) (Trace.length trace);
+  Alcotest.(check bool) "events reads back every event in order" true
+    (Trace.events trace = expected);
+  Alcotest.(check bool) "iter reads back every event in order" true
+    (Array.of_list (List.rev !iterated) = expected);
+  Alcotest.(check bool) "host and engine tids both present" true
+    (Array.exists (fun (e : Trace.event) -> e.Trace.tid = -1) expected
+    && Array.exists (fun (e : Trace.event) -> e.Trace.tid >= 0) expected)
+
 (* ------------------------------------------------------------------ *)
 (* qcheck properties. *)
 
@@ -540,7 +697,12 @@ let () =
   in
   Alcotest.run "obs"
     [
-      ("golden", golden_tests);
+      ( "golden",
+        golden_tests
+        @ [
+            Alcotest.test_case "jade chrome json digest" `Quick
+              test_chrome_json_digest;
+          ] );
       ("activity", activity_tests);
       ( "differ",
         [ Alcotest.test_case "first divergent line" `Quick test_differ ] );
@@ -551,6 +713,13 @@ let () =
           Alcotest.test_case "-j1 = -j4" `Quick test_jobs_identical;
           Alcotest.test_case "tracing is zero-perturbation" `Quick
             test_zero_perturbation;
+        ] );
+      ( "recorder",
+        [
+          Alcotest.test_case "recorder allocates nothing per event" `Quick
+            test_recorder_allocates_nothing;
+          Alcotest.test_case "every constructor reads back in order" `Quick
+            test_recorder_round_trip;
         ] );
       ( "observer",
         [
@@ -563,6 +732,8 @@ let () =
             test_one_percentile;
           Alcotest.test_case "MMU envelope" `Quick test_mmu_envelope;
           Alcotest.test_case "measurement window" `Quick test_analyze_window;
+          Alcotest.test_case "unmarked window spans every stamp" `Quick
+            test_analyze_window_unordered;
           Alcotest.test_case "chrome json shape" `Quick test_chrome_json_shape;
         ] );
       ( "properties",
