@@ -146,15 +146,12 @@ let check_region_contents t =
           if Gobj.is_freed o then
             emit t ~invariant:"resident-not-freed" ~region:rid
               ~object_id:(Gobj.id o)
-              "object #%d (uid=%d, %dB, age=%d, fwd=%b, humongous=%b) is \
-               flagged freed yet still resident in region %d (%s, \
-               top=%d, humongous=%b)"
+              "object #%d (uid=%d, %dB, age=%d, fwd=%b) is flagged freed \
+               yet still resident in region %d (%s, top=%d)"
               (Gobj.id o) (Gobj.uid o) (Gobj.size o) (Gobj.age o)
-              (Gobj.is_forwarded o)
-              (Gobj.has_flag o Gobj.flag_humongous)
-              rid
+              (Gobj.is_forwarded o) rid
               (Region.kind_to_string r.Region.kind)
-              r.Region.top r.Region.humongous;
+              r.Region.top;
           if Gobj.offset o <> !running then
             emit t ~invariant:"region-layout" ~region:rid
               ~object_id:(Gobj.id o)

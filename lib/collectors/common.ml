@@ -488,28 +488,6 @@ let update_refs_in_card rt tk card =
   Ticker.tick tk Costs.card_scan;
   Heap_impl.scan_card rt.RtM.heap card tk ~f:heal_slot
 
-(** Release humongous regions whose object died per the just-completed
-    mark (G1's "eager reclaim"; every collector needs it because
-    humongous regions are excluded from collection sets).  Returns the
-    count released. *)
-let reclaim_dead_humongous rt (tk : Ticker.t) =
-  let heap = rt.RtM.heap in
-  let n = ref 0 in
-  Array.iter
-    (fun (r : Region.t) ->
-      if
-        (not (Region.is_free r))
-        && r.Region.humongous
-        && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-        && r.Region.live_bytes = 0
-      then begin
-        release_region rt tk r;
-        incr n
-      end)
-    heap.Heap_impl.regions;
-  if !n > 0 then RtM.notify_memory_freed rt;
-  !n
-
 (* ------------------------------------------------------------------ *)
 (* Full STW compaction: everyone's last resort.                         *)
 
@@ -556,9 +534,7 @@ let stw_full_compact ~on_live_ref rt =
       Array.iter
         (fun (r : Region.t) ->
           if
-            (not (Region.is_free r))
-            && (not r.Region.humongous)
-            && Region.live_ratio r < 0.95
+            (not (Region.is_free r)) && Region.live_ratio r < 0.95
           then victims := r :: !victims)
         heap.Heap_impl.regions;
       let victims =
@@ -634,7 +610,6 @@ let stw_full_compact ~on_live_ref rt =
             Queue.push r dest_pool
           end)
         victims;
-      ignore (reclaim_dead_humongous rt tk);
       (* Dense young regions were skipped by compaction (nothing to gain
          from copying them); promote them in place — their objects have
          survived a full collection and belong to the old generation.
@@ -698,7 +673,7 @@ let count_regions (heap : Heap_impl.t) kind =
   done;
   !n
 
-(** Young regions (humongous regions are always old). *)
+(** Young regions. *)
 let young_count rt = count_regions rt.RtM.heap Region.Young
 
 (** Old regions as a fraction of the heap (the old-cycle trigger). *)
@@ -725,16 +700,15 @@ let whole_heap = { cset_filter = (fun _ -> true); copy_hook = ignore }
 (** Only regions below this liveness are relocation candidates. *)
 let candidate_live_threshold = 0.85
 
-(** Relocation candidates after a mark: the claimed, non-humongous
-    regions allocated before its snapshot, below
-    {!candidate_live_threshold} and admitted by [config], least live
-    first (a stable sort, so ties keep region order). *)
+(** Relocation candidates after a mark: the claimed regions allocated
+    before its snapshot, below {!candidate_live_threshold} and admitted
+    by [config], least live first (a stable sort, so ties keep region
+    order). *)
 let relocation_candidates rt config =
   let heap = rt.RtM.heap in
   Array.to_list heap.Heap_impl.regions
   |> List.filter (fun (r : Region.t) ->
          (not (Region.is_free r))
-         && (not r.Region.humongous)
          && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
          && Region.live_ratio r < candidate_live_threshold
          && config.cset_filter r)

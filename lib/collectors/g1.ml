@@ -125,7 +125,7 @@ let rebuild_remset_cards heap remsets tk cards ~lo ~hi =
 
 (* One full concurrent marking cycle: STW init, concurrent trace, STW
    remark (weak refs), concurrent remembered-set rebuild from the dirty
-   card table, eager humongous reclaim, then candidate selection. *)
+   card table, then candidate selection. *)
 let run_mark_cycle t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
@@ -155,19 +155,6 @@ let run_mark_cycle t =
       rebuild_remset_cards heap t.remsets tk cards ~lo:(w * chunk)
         ~hi:(Int.min n ((w + 1) * chunk)));
   Metrics.phase_end metrics "g1.remset_build" ~now:(Sim.Engine.now rt.RtM.engine);
-  (* Eager reclaim of dead humongous regions. *)
-  Array.iter
-    (fun (r : Region.t) ->
-      if
-        (not (Region.is_free r))
-        && r.Region.humongous
-        && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-        && r.Region.live_bytes = 0
-      then begin
-        Heap_impl.release_region heap r;
-        RtM.notify_memory_freed rt
-      end)
-    heap.Heap_impl.regions;
   t.candidates <- Stw_collect.old_candidates heap;
   t.marking <- false;
   RtM.fire_phase rt Runtime.Vhook.Cycle_end

@@ -46,9 +46,7 @@ let rc_epoch t ~defrag =
       let good, _ =
         List.partition
           (fun (r : Region.t) ->
-            r.Region.kind = Region.Old
-            && (not r.Region.humongous)
-            && not (Region.is_free r))
+            r.Region.kind = Region.Old && not (Region.is_free r))
           t.candidates
       in
       t.candidates <- [];
@@ -79,8 +77,7 @@ let run_trace t =
   Common.Marker.cycle t.marker ~final:Metrics.Remark
     ~workers:Common.gc_threads ~at_final:(fun tk ->
       let cleared = Heap_impl.process_weak_refs_marked heap in
-      Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
-      ignore (Common.reclaim_dead_humongous rt tk));
+      Common.Ticker.tick tk (cleared * Costs.weak_ref_process));
   t.candidates <- Stw_collect.old_candidates heap;
   Metrics.add rt.RtM.metrics "lxr.traces" 1;
   RtM.fire_phase rt Runtime.Vhook.Cycle_end

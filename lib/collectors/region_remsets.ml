@@ -1,9 +1,9 @@
 (** Per-region remembered sets (G1-style, §3.3).
 
     One card-granularity set per region recording the cards that may hold
-    incoming references from *old* (or humongous) holders.  Young-to-
-    anything references need no entries because young regions are fully
-    traced by every collection.  Sets are created lazily and dropped when
+    incoming references from *old* holders.  Young-to-anything references
+    need no entries because young regions are fully traced by every
+    collection.  Sets are created lazily and dropped when
     their region is reclaimed, mirroring G1's memory behaviour (the paper:
     "the memory overhead is proportional to the number of regions"). *)
 

@@ -123,8 +123,7 @@ let run_cycle t =
     ~at_final:(fun tk ->
       let cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
-      cset := select_cset t;
-      ignore (Common.reclaim_dead_humongous rt tk));
+      cset := select_cset t);
   (* 4. Concurrent evacuation. *)
   Metrics.phase_begin metrics "shen.evac" ~now:(now ());
   let evac_rest, evac_failed =

@@ -16,12 +16,12 @@ open Heap
 module RtM = Runtime.Rt
 module Metrics = Runtime.Metrics
 
-(* Should stores out of this region be remembered?  Old holders and
-   humongous holders are not re-traced by young collections. *)
-let remember_from (r : Region.t) = r.Region.kind = Region.Old || r.Region.humongous
+(* Should stores out of this region be remembered?  Old holders are not
+   re-traced by young collections. *)
+let remember_from (r : Region.t) = r.Region.kind = Region.Old
 
 (** The write-barrier insertion rule shared by G1 and LXR: remember
-    cross-region references from old/humongous holders. *)
+    cross-region references from old holders. *)
 let barrier_insert rt remsets ~(src : Gobj.t) ~field ~(child : Gobj.t) =
   let heap = rt.RtM.heap in
   if Gobj.region child <> Gobj.region src then begin
@@ -33,10 +33,10 @@ let barrier_insert rt remsets ~(src : Gobj.t) ~field ~(child : Gobj.t) =
     end
   end
 
-(** Run one collection pause.  [old_cset] must be non-humongous old
-    regions chosen by the caller's policy (empty for a young-only GC).
-    Returns true when evacuation ran out of space: nothing was released
-    and the caller must fall back to a full compaction. *)
+(** Run one collection pause.  [old_cset] must be old regions chosen by
+    the caller's policy (empty for a young-only GC).  Returns true when
+    evacuation ran out of space: nothing was released and the caller
+    must fall back to a full compaction. *)
 let collect rt ~(remsets : Region_remsets.t) ~tenure_age
     ~(old_cset : Region.t list) ?(extra_roots = []) ~pause_kind () =
   let heap = rt.RtM.heap in
@@ -49,21 +49,20 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
       let cset = ref [] in
       Array.iter
         (fun (r : Region.t) ->
-          if r.Region.kind = Region.Young && not r.Region.humongous then begin
+          if r.Region.kind = Region.Young then begin
             r.Region.in_cset <- true;
             cset := r :: !cset
           end)
         heap.Heap_impl.regions;
       List.iter
         (fun (r : Region.t) ->
-          if r.Region.kind <> Region.Old || r.Region.humongous then
+          if r.Region.kind <> Region.Old then
             failwith
               (Printf.sprintf
-                 "stw_collect: old cset region r%d is %s%s — caller policy \
-                  must pick non-humongous old regions"
+                 "stw_collect: old cset region r%d is %s — caller policy \
+                  must pick old regions"
                  r.Region.rid
-                 (Region.kind_to_string r.Region.kind)
-                 (if r.Region.humongous then " (humongous)" else ""));
+                 (Region.kind_to_string r.Region.kind));
           r.Region.in_cset <- true;
           cset := r :: !cset)
         old_cset;
@@ -77,13 +76,6 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
       let dest_old = Common.Evac.make_dest rt Region.Old in
       let copied = ref 0 and cards = ref 0 in
       let copied_objects = ref 0 in
-      (* Humongous regions observed to be referenced during this pause
-         (for G1-style eager reclaim below). *)
-      let humongous_reached = Hashtbl.create 8 in
-      let note_humongous (o : Gobj.t) =
-        if (Heap_impl.region heap (Gobj.region o)).Region.humongous then
-          Hashtbl.replace humongous_reached (Gobj.region o) ()
-      in
       let tenure = Common.Evac.tenure rt ~age:tenure_age in
       let scan_list = Util.Vec.create Gobj.null in
       (* Copy a cset object (idempotent) and queue its copy for scanning.
@@ -112,7 +104,6 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
         if slot != Gobj.null then begin
           Common.Ticker.tick tk Costs.mark_ref;
           let child = Gobj.resolve slot in
-          note_humongous child;
           let child = if in_cset child then copy_out child else child in
           Gobj.set_field holder i child;
           if
@@ -129,7 +120,6 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
       (try
          (* Roots. *)
          Common.scan_roots rt tk (fun o ->
-             note_humongous o;
              if in_cset o then ignore (copy_out o));
          RtM.update_roots rt;
          (* Extra root vectors (a concurrent marker's worklists: SATB
@@ -213,43 +203,6 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
             Region_remsets.clear remsets r.Region.rid;
             Common.release_region rt tk r)
           !cset;
-        (* Eager humongous reclaim (G1): a humongous region that was not
-           reached during this pause and whose remembered set holds no
-           actual incoming reference is dead — old holders would have
-           inserted entries at store time, and young holders were all
-           traced just now. *)
-        (* Built once per pause; the region id is the scan's context. *)
-        let referenced = ref false in
-        let reference_slot rid o i =
-          let child = Gobj.get_field o i in
-          if child != Gobj.null && Gobj.region (Gobj.resolve child) = rid then
-            referenced := true
-        in
-        Array.iter
-          (fun (r : Region.t) ->
-            if
-              (not (Region.is_free r))
-              && r.Region.humongous
-              && not (Hashtbl.mem humongous_reached r.Region.rid)
-            then begin
-              referenced := false;
-              (match Region_remsets.get remsets r.Region.rid with
-              | None -> ()
-              | Some rs ->
-                  if Remset.cardinal rs > 8 then referenced := true
-                  else
-                    Remset.iter
-                      (fun card ->
-                        Common.Ticker.tick tk Costs.card_scan;
-                        Heap_impl.scan_card heap card r.Region.rid
-                          ~f:reference_slot)
-                      rs);
-              if not !referenced then begin
-                Region_remsets.clear remsets r.Region.rid;
-                Common.release_region rt tk r
-              end
-            end)
-          heap.Heap_impl.regions;
         let cleared = Heap_impl.process_weak_refs_freed_only heap in
         Common.Ticker.tick tk (cleared * Costs.weak_ref_process)
       end
@@ -271,16 +224,15 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
 (** Only old regions below this liveness become collection candidates. *)
 let cset_live_threshold = 0.85
 
-(** Garbage-first candidates after a marking cycle: the old,
-    non-humongous regions allocated before its snapshot whose live ratio
-    is below {!cset_live_threshold}, most garbage first. *)
+(** Garbage-first candidates after a marking cycle: the old regions
+    allocated before its snapshot whose live ratio is below
+    {!cset_live_threshold}, most garbage first. *)
 let old_candidates (heap : Heap_impl.t) =
   let cands = ref [] in
   Array.iter
     (fun (r : Region.t) ->
       if
         r.Region.kind = Region.Old
-        && (not r.Region.humongous)
         && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
         && Region.live_ratio r < cset_live_threshold
       then cands := r :: !cands)

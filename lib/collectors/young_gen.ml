@@ -85,8 +85,7 @@ let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
 let young_regions t =
   let heap = t.rt.RtM.heap in
   Array.to_list heap.Heap_impl.regions
-  |> List.filter (fun (r : Region.t) ->
-         r.Region.kind = Region.Young && not r.Region.humongous)
+  |> List.filter (fun (r : Region.t) -> r.Region.kind = Region.Young)
 
 (* Scan the old-to-young remembered set, graying young targets.  Cards
    that no longer hold any old-to-young reference are pruned. *)

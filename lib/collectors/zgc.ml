@@ -50,8 +50,7 @@ let run_cycle t =
     ~at_final:(fun tk ->
       RtM.update_roots rt;
       let cleared = Heap_impl.process_weak_refs_marked heap in
-      Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
-      ignore (Common.reclaim_dead_humongous rt tk));
+      Common.Ticker.tick tk (cleared * Costs.weak_ref_process));
   let forwarding_bytes = ref 0 in
   (* Concurrent relocation: each region is freed the moment its live
      objects are out — this is the incremental reclamation G1/Shenandoah

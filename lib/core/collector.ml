@@ -96,8 +96,7 @@ let old_controller t =
     let heap = rt.RtM.heap in
     (* Proactive rule (as in generational ZGC): even without occupancy
        pressure, run an old cycle once a heap's worth of allocation has
-       passed — it is what finds dead humongous regions and slow old
-       garbage on quiet workloads. *)
+       passed — it is what finds slow old garbage on quiet workloads. *)
     let proactive =
       heap.Heap_impl.bytes_allocated - !last_cycle_bytes
       > heap.Heap_impl.cfg.heap_bytes

@@ -39,7 +39,7 @@ let estimate_free_space ~free_region_count ~region_bytes ~promotion_rate
   int_of_float (float_of_int free_space *. (1. -. young_ratio))
 
 (** Algorithm 1.  [candidates] are the old regions eligible this cycle
-    (the caller applies the kind/humongous/epoch filters); this function
+    (the caller applies the kind/epoch filters); this function
     applies the liveness filter, sorts, and splits into groups. *)
 let build ~(config : Jade_config.t) ~free_bytes candidates =
   (* Lines 1-6: the tracked list, filtered by live ratio. *)

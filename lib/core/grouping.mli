@@ -37,7 +37,7 @@ val estimate_free_space :
 val build :
   config:Jade_config.t -> free_bytes:int -> Heap.Region.t list -> plan
 (** Algorithm 1.  [candidates] are the old regions eligible this cycle
-    (the caller applies kind/humongous/epoch filters); [build] filters
+    (the caller applies kind/epoch filters); [build] filters
     out regions at or above {!live_threshold} liveness, sorts the
     rest by live bytes ascending, and splits them into at most
     [config.max_groups] groups.  Guarantees:

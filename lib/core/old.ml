@@ -103,8 +103,7 @@ let mark_phase t =
         let cleared = Heap_impl.process_weak_refs_marked heap in
         Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
         Metrics.add metrics "jade.weak_stw_cleared" cleared
-      end;
-      ignore (Common.reclaim_dead_humongous rt tk));
+      end);
   if t.config.Jade_config.concurrent_weak_refs then begin
     (* Concurrent weak processing: safe because the mark results are
        stable after final mark, referents are judged through resolve, and
@@ -129,7 +128,6 @@ let group_phase t =
     Array.to_list heap.Heap_impl.regions
     |> List.filter (fun (r : Region.t) ->
            r.Region.kind = Region.Old
-           && (not r.Region.humongous)
            && (not (Region.is_free r))
            && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch)
   in

@@ -234,7 +234,7 @@ let collect t ~workers =
       RtM.retire_all_tlabs rt;
       Array.iter
         (fun (r : Region.t) ->
-          if r.Region.kind = Region.Young && not r.Region.humongous then begin
+          if r.Region.kind = Region.Young then begin
             r.Region.in_cset <- true;
             snapshot := r :: !snapshot
           end)

@@ -50,23 +50,6 @@ type summary = {
 exception Setup_oom of string
 (** The workload's live set does not fit the configured heap. *)
 
-(** Sanitizer level for a run: the [?verify] argument wins, then the
-    [GCSIM_VERIFY] environment variable ("fast" / "full"), else off. *)
-let verify_level ?verify () =
-  match verify with
-  | Some level -> level
-  | None -> (
-      match Sys.getenv_opt "GCSIM_VERIFY" with
-      | None -> Analysis.Sanitizer.Off
-      | Some s -> (
-          match Analysis.Sanitizer.level_of_string s with
-          | Some level -> level
-          | None ->
-              invalid_arg
-                (Printf.sprintf "GCSIM_VERIFY=%s (want off, fast or full)" s)))
-  [@@gcsim.allow
-    "host-side harness: GCSIM_VERIFY env probe selects the sanitizer level"]
-
 (** The heap geometry {!prepare} builds for [machine]: the heap rounded
     down to a whole number of regions, and at least 4 of them. *)
 let heap_config machine =
@@ -85,7 +68,7 @@ let heap_config machine =
     before any simulation — the schedule-space explorer hooks its
     scheduling policy and oracles here ({!check_scenario}), which must
     be on the engine before the first {!Sim.Engine.run}. *)
-let prepare ?(machine = default_machine) ?verify
+let prepare ?(machine = default_machine) ?(verify = Analysis.Sanitizer.Off)
     ?(attach = fun (_ : RtM.t) -> ()) ~install (app : Workload.Apps.t) =
   let engine = Sim.Engine.create ~cores:machine.cores () in
   let heap = Heap.Heap_impl.create (heap_config machine) in
@@ -94,7 +77,7 @@ let prepare ?(machine = default_machine) ?verify
      this unrelated heap. *)
   Heap.Access.reset ();
   install rt;
-  ignore (Analysis.Sanitizer.install ~level:(verify_level ?verify ()) rt);
+  ignore (Analysis.Sanitizer.install ~level:verify rt);
   attach rt;
   let state = ref None in
   ignore
@@ -196,7 +179,7 @@ let run ?machine ?verify ?attach ?(warmup = 300 * Util.Units.ms)
     ({!Analysis.Explore.scenario}): each invocation rebuilds the whole
     machine/heap/runtime from scratch and drives [requests] requests to
     completion, with the explorer's policy and oracles attached via
-    [attach].  The sanitizer is forced [Off] here because the explorer
+    [attach].  No sanitizer is installed here because the explorer
     installs its own oracle set per run
     ({!Analysis.Sanitizer.install_check_oracles}).
 
@@ -207,7 +190,7 @@ let run ?machine ?verify ?attach ?(warmup = 300 * Util.Units.ms)
 let check_scenario ?machine ?requests ?(on_run = fun (_ : Runtime.Driver.result) -> ())
     ~install (app : Workload.Apps.t) : Analysis.Explore.scenario =
  fun ~attach ->
-  match prepare ?machine ~verify:Analysis.Sanitizer.Off ~attach ~install app with
+  match prepare ?machine ~attach ~install app with
   | exception Setup_oom why ->
       failwith ("gcsim check: workload setup out of memory: " ^ why)
   | rt, request ->

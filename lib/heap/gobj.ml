@@ -172,7 +172,6 @@ let slot_shift = 3 (* log2 slot_bytes: card scans shift, not divide *)
 
 (* Flag bits *)
 let flag_weak_referent = 1
-let flag_humongous = 2
 let flag_freed = 4
 
 let flag_unremapped = 8
@@ -284,7 +283,6 @@ let set_flag t f =
 
 let clear_flag t f = t.meta <- t.meta land lnot (f land flag_mask)
 
-let is_humongous t = has_flag t flag_humongous
 let is_freed t = has_flag t flag_freed
 
 (* Physical comparison against the sentinel: one load and one pointer

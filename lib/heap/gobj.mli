@@ -156,7 +156,6 @@ val slot_shift : int
 (** {2 Flag bits} *)
 
 val flag_weak_referent : int
-val flag_humongous : int
 
 val flag_unremapped : int
 (** Set by ZGC on each record its relocation forwarded.  ZGC heals no
@@ -226,7 +225,6 @@ val set_flag : t -> int -> unit
 (** Checked against {!flag_mask}. *)
 
 val clear_flag : t -> int -> unit
-val is_humongous : t -> bool
 val is_freed : t -> bool
 
 (** {2 Forwarding} *)

@@ -42,7 +42,6 @@ type t = {
   mutable group : int;  (** Jade collection group, -1 when none *)
   mutable in_cset : bool;  (** selected for evacuation this cycle *)
   mutable alloc_epoch : int;  (** mark epoch current when first allocated *)
-  mutable humongous : bool;
 }
 
 let make ~rid ~size =
@@ -59,7 +58,6 @@ let make ~rid ~size =
     group = -1;
     in_cset = false;
     alloc_epoch = 0;
-    humongous = false;
   }
 
 let is_free t = t.kind = Free
@@ -146,8 +144,7 @@ let first_object_at t ~off =
     end
     else begin
       (* No object overlaps [off]'s card: the first object at or past
-         the card's end, found by binary search (cold path — only freshly
-         reset or humongous-tail gaps hit it). *)
+         the card's end, found by binary search (cold path). *)
       let i =
         Util.Vec.find_first_geq t.objects ~key:off ~of_elt:Gobj.offset
       in
@@ -188,5 +185,4 @@ let reset t =
   t.live_bytes <- 0;
   t.marking_live <- 0;
   t.group <- -1;
-  t.in_cset <- false;
-  t.humongous <- false
+  t.in_cset <- false

@@ -44,7 +44,6 @@ type t = {
   mutable group : int;  (** Jade collection group, -1 when none *)
   mutable in_cset : bool;  (** selected for evacuation this cycle *)
   mutable alloc_epoch : int;  (** mark epoch current when first allocated *)
-  mutable humongous : bool;
 }
 
 val make : rid:int -> size:int -> t

@@ -118,24 +118,21 @@ let safe_sleep_until m wake =
 (* ------------------------------------------------------------------ *)
 (* Allocation.                                                          *)
 
-let rec alloc_slow m ~size ~nrefs ~humongous =
+let rec alloc_slow m ~size ~nrefs =
   let rt = m.rt in
+  (match m.tlab with
+  | Some r when not (Heap.Region.fits r size) -> m.tlab <- None
+  | _ -> ());
   let claimed =
-    if humongous then Rt.claim_humongous_region rt
-    else begin
-      (match m.tlab with
-      | Some r when not (Heap.Region.fits r size) -> m.tlab <- None
-      | _ -> ());
-      match m.tlab with
-      | Some r -> Some r
-      | None ->
-          let r = Rt.claim_tlab_region rt in
-          (match r with
-          | Some _ -> tick m Heap.Costs.alloc_tlab_refill
-          | None -> ());
-          m.tlab <- r;
-          r
-    end
+    match m.tlab with
+    | Some r -> Some r
+    | None ->
+        let r = Rt.claim_tlab_region rt in
+        (match r with
+        | Some _ -> tick m Heap.Costs.alloc_tlab_refill
+        | None -> ());
+        m.tlab <- r;
+        r
   in
   match claimed with
   | Some r -> Heap.Heap_impl.alloc_in rt.Rt.heap r ~size ~nrefs
@@ -155,27 +152,21 @@ let rec alloc_slow m ~size ~nrefs ~humongous =
       if dur > 0 then
         Metrics.record_pause rt.Rt.metrics ~at:t0 ~dur Metrics.Alloc_stall;
       check_safepoint m;
-      alloc_slow m ~size ~nrefs ~humongous
+      alloc_slow m ~size ~nrefs
 
 (** Allocate an object with [nrefs] reference slots and [data_bytes] of
-    payload.  Objects larger than half a region take the humongous path. *)
+    payload in the mutator's TLAB. *)
 let alloc m ~data_bytes ~nrefs =
   maybe_check m;
   let rt = m.rt in
   let size = Heap.Heap_impl.object_size ~nrefs ~data_bytes in
-  let region_size = rt.Rt.heap.Heap.Heap_impl.cfg.region_bytes in
-  if size > region_size then
+  if size > rt.Rt.heap.Heap.Heap_impl.cfg.region_bytes then
     invalid_arg "Mutator.alloc: object larger than a region";
-  let humongous = size > region_size / 2 in
   tick m Heap.Costs.alloc_fast;
-  let o =
-    match m.tlab with
-    | Some r when (not humongous) && Heap.Region.fits r size ->
-        Heap.Heap_impl.alloc_in rt.Rt.heap r ~size ~nrefs
-    | _ -> alloc_slow m ~size ~nrefs ~humongous
-  in
-  if humongous then Heap.Gobj.set_flag o Heap.Gobj.flag_humongous;
-  o
+  match m.tlab with
+  | Some r when Heap.Region.fits r size ->
+      Heap.Heap_impl.alloc_in rt.Rt.heap r ~size ~nrefs
+  | _ -> alloc_slow m ~size ~nrefs
 
 (* ------------------------------------------------------------------ *)
 (* Reference loads and stores.                                          *)

@@ -62,8 +62,7 @@ val work : t -> int -> unit
 
 val alloc : t -> data_bytes:int -> nrefs:int -> Heap.Gobj.t
 (** Allocate an object with [nrefs] reference slots and [data_bytes] of
-    payload.  Objects over half a region take the humongous path (their
-    own old-generation region).  Blocks in an allocation stall when the
+    payload in the mutator's TLAB.  Blocks in an allocation stall when the
     heap is exhausted (the collector's policy decides how to make
     progress); raises {!Rt.Out_of_memory} when even a full collection
     cannot free memory. *)

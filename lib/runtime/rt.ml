@@ -170,17 +170,6 @@ let add_retire_hook t f = t.retire_tlab_hooks <- f :: t.retire_tlab_hooks
     STW at collection-cycle starts). *)
 let retire_all_tlabs t = List.iter (fun f -> f ()) t.retire_tlab_hooks
 
-(** Claim a whole region for a humongous allocation.  Humongous objects
-    are allocated directly in the old generation (as in HotSpot): they
-    are never young-evacuated, and their regions feed the old-occupancy
-    triggers so dead ones are found by marking and eagerly reclaimed. *)
-let claim_humongous_region t =
-  match Heap.Heap_impl.claim_region t.heap Heap.Region.Old with
-  | None -> None
-  | Some r ->
-      r.humongous <- true;
-      Some r
-
 let add_global t o =
   Util.Vec.push t.globals o;
   Util.Vec.length t.globals - 1

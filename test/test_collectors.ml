@@ -477,7 +477,7 @@ let test_verifier_metadata () =
 (* A full compaction moves the survivors, so every region remembered set
    must be rebuilt from the surviving references.  Checked at each
    compaction's cycle-end boundary, still inside its pause: every
-   cross-region reference out of a live old or humongous holder is in
+   cross-region reference out of a live old holder is in
    the remembered set of the region it points into. *)
 let uncovered_refs rt (remsets : Collectors.Region_remsets.t) =
   let heap = rt.Runtime.Rt.heap in

@@ -53,6 +53,25 @@ let test_machine_region_sizing () =
     (m_small.Experiments.Harness.heap_bytes
     mod m_small.Experiments.Harness.region_bytes)
 
+(* The simulator has no large-object path: an object up to a region is
+   allocated in a TLAB and copied like any other.  That matches HotSpot
+   only while no workload allocates an object over half of the smallest
+   region [Exp.machine_for] picks; a workload that does fails here. *)
+let test_largest_object_under_half_a_region () =
+  let smallest_region = 64 * kib in
+  Alcotest.(check int) "smallest region machine_for picks" smallest_region
+    (Experiments.Exp.machine_for (Workload.Apps.find "avrora") ~mult:0.01)
+      .Experiments.Harness.region_bytes;
+  List.iter
+    (fun (app : Workload.Apps.t) ->
+      let largest = Workload.Spec.largest_object app.Workload.Apps.spec in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: largest object %d B is at most half of %d B"
+           app.Workload.Apps.name largest smallest_region)
+        true
+        (2 * largest <= smallest_region))
+    Workload.Apps.all
+
 let test_machine_scales_with_mult () =
   let at mult =
     (Experiments.Exp.machine_for Workload.Apps.specjbb ~mult)
@@ -258,6 +277,8 @@ let () =
           Alcotest.test_case "min heap anchor" `Quick test_min_heap_anchor;
           Alcotest.test_case "region sizing" `Quick test_machine_region_sizing;
           Alcotest.test_case "mult monotone" `Quick test_machine_scales_with_mult;
+          Alcotest.test_case "largest object under half a region" `Quick
+            test_largest_object_under_half_a_region;
         ] );
       ( "harness",
         [

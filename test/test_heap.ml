@@ -279,7 +279,7 @@ let test_release_event_order_under_detector () =
    visit exactly the (object, field) pairs — in exactly the order — that
    the naive "every object, every field, range-check the slot offset"
    reference does, over random heaps: zero-field objects, objects
-   spanning card boundaries, near-region-sized (humongous) objects, and
+   spanning card boundaries, near-region-sized objects, and
    freshly reset-and-reused regions. *)
 let scan_card_model =
   QCheck_alcotest.to_alcotest

@@ -185,11 +185,11 @@ let test_survivor_overflow_promotes () =
     true
     (!old_bytes > 5 * mib / 2)
 
-(* Bug: humongous regions were excluded from every collection set *and*
-   from full compaction, so a dead humongous object's region was never
-   reclaimed.  Every collector now releases dead humongous regions after
-   marking. *)
-let test_dead_humongous_reclaimed () =
+(* Bug: regions holding a single object over half a region were excluded
+   from every collection set *and* from full compaction, so such an
+   object's region was never reclaimed once it died.  Objects over half a
+   region are now ordinary objects, collected like any other. *)
+let test_dead_large_objects_reclaimed () =
   List.iter
     (fun (name, install) ->
       let engine = Sim.Engine.create ~cores:2 () in
@@ -203,9 +203,8 @@ let test_dead_humongous_reclaimed () =
         (Sim.Engine.spawn engine ~name:"mut" ~kind:Sim.Engine.Mutator
            (fun () ->
              let m = Runtime.Mutator.create rt in
-             (* Allocate humongous garbage (objects over half a region),
-                then churn ordinary garbage long enough for marking cycles
-                to run. *)
+             (* Allocate garbage objects over half a region, then churn
+                ordinary garbage long enough for collections to run. *)
              for _ = 1 to 24 do
                ignore (Runtime.Mutator.alloc m ~data_bytes:(160 * kib) ~nrefs:0)
              done;
@@ -214,17 +213,22 @@ let test_dead_humongous_reclaimed () =
              done;
              Runtime.Mutator.finish m));
       Sim.Engine.run engine;
-      let humongous_left = ref 0 in
+      let large_left = ref 0 in
       Array.iter
         (fun (r : Region.t) ->
-          if (not (Region.is_free r)) && r.Region.humongous then
-            incr humongous_left)
+          if not (Region.is_free r) then
+            Util.Vec.iter
+              (fun (o : Gobj.t) ->
+                if (not (Gobj.is_freed o)) && 2 * Gobj.size o > r.Region.size
+                then incr large_left)
+              r.Region.objects)
         heap.Heap_impl.regions;
       Alcotest.(check bool)
-        (Printf.sprintf "%s reclaimed dead humongous (left %d of 24)" name
-           !humongous_left)
+        (Printf.sprintf
+           "%s reclaimed dead objects over half a region (left %d of 24)" name
+           !large_left)
         true
-        (!humongous_left <= 4))
+        (!large_left <= 4))
     [
       ("g1", fun rt -> ignore (Collectors.G1.install rt));
       ("shenandoah", fun rt -> ignore (Collectors.Shenandoah.install rt));
@@ -297,8 +301,8 @@ let () =
             test_unrooted_handles_are_collected;
           Alcotest.test_case "survivor overflow promotes" `Slow
             test_survivor_overflow_promotes;
-          Alcotest.test_case "dead humongous reclaimed" `Slow
-            test_dead_humongous_reclaimed;
+          Alcotest.test_case "dead objects over half a region freed" `Slow
+            test_dead_large_objects_reclaimed;
           Alcotest.test_case "tight-heap ordering holds" `Slow
             test_tight_heap_ordering;
         ] );

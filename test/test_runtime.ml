@@ -191,14 +191,48 @@ let test_load_healing () =
       Alcotest.(check bool) "slot healed" true
         (Heap.Gobj.get_field holder 0 == new_copy))
 
-let test_humongous_alloc () =
-  let rt = mk_rt () in
-  let o =
-    run_in_mutator rt (fun m -> Mutator.alloc m ~data_bytes:(200 * Util.Units.kib) ~nrefs:0)
-  in
-  Alcotest.(check bool) "flagged humongous" true (Heap.Gobj.is_humongous o);
-  let r = Heap.Heap_impl.region rt.Rt.heap (Heap.Gobj.region o) in
-  Alcotest.(check bool) "own region" true r.Heap.Region.humongous
+(* An object over half a region is an ordinary object: it is allocated
+   in a young TLAB region and copied by young collections like any
+   other, under the full sanitizer. *)
+let test_large_object_is_young () =
+  List.iter
+    (fun (name, install) ->
+      let rt = mk_rt () in
+      install rt;
+      ignore (Analysis.Sanitizer.install ~level:Analysis.Sanitizer.Full rt);
+      let region_bytes = rt.Rt.heap.Heap.Heap_impl.cfg.region_bytes in
+      let data_bytes = (region_bytes / 2) + Util.Units.kib in
+      let global, first, size =
+        run_in_mutator rt (fun m ->
+            let o = Mutator.alloc m ~data_bytes ~nrefs:0 in
+            let r = Heap.Heap_impl.region rt.Rt.heap (Heap.Gobj.region o) in
+            Alcotest.(check bool)
+              (name ^ ": over half a region")
+              true
+              (2 * Heap.Gobj.size o > region_bytes);
+            Alcotest.(check bool)
+              (name ^ ": allocated young")
+              true
+              (r.Heap.Region.kind = Heap.Region.Young);
+            let global = Rt.add_global rt o in
+            (* Churn garbage until a young collection has copied it. *)
+            let n = ref 0 in
+            while Rt.get_global rt global == o && !n < 200_000 do
+              ignore (Mutator.alloc m ~data_bytes:96 ~nrefs:0);
+              incr n
+            done;
+            (global, o, Heap.Gobj.size o))
+      in
+      let o = Heap.Gobj.resolve (Rt.get_global rt global) in
+      Alcotest.(check bool) (name ^ ": copied by a collection") true (o != first);
+      Alcotest.(check bool)
+        (name ^ ": still reachable")
+        false (Heap.Gobj.is_freed o);
+      Alcotest.(check int) (name ^ ": size unchanged") size (Heap.Gobj.size o))
+    [
+      ("jade", fun rt -> ignore (Jade.Collector.install rt));
+      ("g1", fun rt -> ignore (Collectors.G1.install rt));
+    ]
 
 let test_tlab_refill_claims_regions () =
   let rt = mk_rt () in
@@ -330,7 +364,8 @@ let () =
           Alcotest.test_case "read/write + barrier" `Quick
             test_mutator_read_write_and_barrier;
           Alcotest.test_case "load healing" `Quick test_load_healing;
-          Alcotest.test_case "humongous" `Quick test_humongous_alloc;
+          Alcotest.test_case "object over half a region" `Quick
+            test_large_object_is_young;
           Alcotest.test_case "tlab refill" `Quick test_tlab_refill_claims_regions;
           Alcotest.test_case "oom raises" `Quick test_oom_raises;
         ] );
