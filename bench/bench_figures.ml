@@ -40,7 +40,7 @@ let qps_figure ~title ~collectors ~app ~mult ~cell =
           loads)
       collectors
   in
-  Util.Table.print ~title
+  print_string @@ Util.Table.render ~title
     ~headers:("QPS" :: List.map (fun e -> e.Registry.name) collectors)
     (List.mapi
        (fun i qps ->
@@ -141,7 +141,7 @@ let fig8 () =
           ~mode:(Runtime.Driver.Open qps))
       group_counts
   in
-  Util.Table.print
+  print_string @@ Util.Table.render
     ~title:"Figure 8a: p99 latency vs max group count (Specjbb, fixed QPS)"
     ~headers:
       ("Metric" :: List.map (fun g -> Printf.sprintf "%d groups" g) group_counts)
@@ -169,7 +169,7 @@ let fig8 () =
           ~install:Registry.jade.Registry.install ~collector:"jade" app)
       region_sizes
   in
-  Util.Table.print
+  print_string @@ Util.Table.render
     ~title:"Figure 8b: p99 latency vs region size (Specjbb, fixed QPS)"
     ~headers:
       ("Metric" :: List.map (fun k -> Printf.sprintf "%dKiB" k) region_sizes)

@@ -39,7 +39,8 @@ let table1 () =
   let summaries =
     Util.Dpool.map_list ~jobs:!jobs (fun e -> run_max e app ~mult) entries
   in
-  Util.Table.print ~title:"Table 1: H2 max throughput and pauses (4x heap)"
+  print_string @@ Util.Table.render
+    ~title:"Table 1: H2 max throughput and pauses (4x heap)"
     ~headers:
       [ "Collector"; "Max Thru (req/s)"; "p99 latency"; "Cum. pause";
         "p99 pause" ]
@@ -78,7 +79,7 @@ let table2 () =
       pt s.Harness.cumulative_pause;
     ]
   in
-  Util.Table.print
+  print_string @@ Util.Table.render
     ~title:"Table 2: concurrent-phase breakdown on H2 (near own max throughput)"
     ~headers:
       [ "Collector"; "Window"; "Marking"; "Other"; "Avg Mark"; "Avg Other";
@@ -134,7 +135,7 @@ let table3 () =
         Array.of_list (Util.Dpool.map_list ~jobs:!jobs cell grid)
       in
       let hn = List.length heaps in
-      Util.Table.print
+      print_string @@ Util.Table.render
         ~title:
           (Printf.sprintf "Table 3: %s max%s throughput (req/s)"
              app.Workload.Apps.name
@@ -153,7 +154,8 @@ let table3 () =
       (fun e -> run_max e Workload.Apps.shop ~mult:4.0)
       entries
   in
-  Util.Table.print ~title:"Table 3 (cont.): shop max throughput, fixed heap"
+  print_string @@ Util.Table.render
+    ~title:"Table 3 (cont.): shop max throughput, fixed heap"
     ~headers:[ "Collector"; "Max Thru (req/s)"; "p99 latency" ]
     (List.map2
        (fun e s ->
@@ -219,7 +221,7 @@ let table4 () =
                        /. float_of_int (max 1 base_ns)))
              collectors runs
       in
-      Util.Table.print
+      print_string @@ Util.Table.render
         ~title:
           (Printf.sprintf
              "Table 4: DaCapo execution time normalized to G1 (%.1fx min heap)"
@@ -266,7 +268,7 @@ let table5 () =
                /. 1048576. /. Util.Units.to_sec ns));
     ]
   in
-  Util.Table.print
+  print_string @@ Util.Table.render
     ~title:"Table 5: GC phase breakdown, Jade vs GenZ (avg ms / MB/s)"
     ~headers:[ "Cycle"; "Collector"; "Phase"; "Avg"; "GC Thru (MB/s)" ]
     [
@@ -297,7 +299,8 @@ let table6 () =
   let phase_a name (s : Harness.summary) =
     pt (Metrics.phase_avg s.Harness.metrics name)
   in
-  Util.Table.print ~title:"Table 6: Jade phase statistics on H2 by heap size"
+  print_string @@ Util.Table.render
+    ~title:"Table 6: Jade phase statistics on H2 by heap size"
     ~headers:("Metric" :: List.map (fun m -> Printf.sprintf "%.1fx" m) mults)
     (List.map
        (fun (name, f) -> name :: List.map f runs)
@@ -338,7 +341,7 @@ let table7 () =
   let jb = Metrics.phase_avg mj "jade.build" in
   let gm = Metrics.phase_avg mg "g1.conc_mark" in
   let gb = Metrics.phase_avg mg "g1.remset_build" in
-  Util.Table.print
+  print_string @@ Util.Table.render
     ~title:"Table 7: remembered-set building per cycle (CRDT vs dirty-card scan)"
     ~headers:
       [ "Collector"; "Cycles"; "Avg Mark"; "Avg Build"; "Avg Total";

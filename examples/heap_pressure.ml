@@ -46,7 +46,7 @@ let () =
       names
   in
   print_newline ();
-  Util.Table.print
+  print_string @@ Util.Table.render
     ~title:"Peak throughput (req/s) and stall share as the heap shrinks"
     ~headers:
       ("Collector" :: List.map (fun m -> Printf.sprintf "%.1fx min heap" m) mults)

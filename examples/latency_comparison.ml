@@ -44,7 +44,7 @@ let () =
       collectors
   in
   print_newline ();
-  Util.Table.print ~title:"Collector comparison"
+  print_string @@ Util.Table.render ~title:"Collector comparison"
     ~headers:
       [ "Collector"; "Max thru (req/s)"; "p99 latency"; "Cum. pause";
         "p99 pause"; "GC CPU share" ]

@@ -51,7 +51,7 @@ let () =
         (total + p.Metrics.dur, count + 1, max worst p.Metrics.dur))
     m.Metrics.pauses;
   let cum = max 1 (Metrics.cumulative_pause m) in
-  Util.Table.print ~title:"Pause breakdown by kind"
+  print_string @@ Util.Table.render ~title:"Pause breakdown by kind"
     ~headers:[ "Kind"; "Count"; "Total"; "Avg"; "Worst"; "Share" ]
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_kind []
     |> List.sort (fun (_, (a, _, _)) (_, (b, _, _)) -> compare b a)

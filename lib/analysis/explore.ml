@@ -219,24 +219,23 @@ let run_schedule (scenario : scenario) ~horizon ~footprints
            let r = if r >= 0 && r < n then r else 0 in
            if r <> 0 then applied := (j, r) :: !applied;
            r));
-    ignore
-      (match foot with
-      | None -> Sanitizer.install_check_oracles ~on_violation:violation rt
-      | Some foot ->
-          Sanitizer.install_check_oracles
-            ~on_access:(fun _op res ~key ~site:_ ->
-              foot_add foot (Sim.Engine.current_tid engine) (res_tag res, key))
-            ~on_trace:(fun ev ->
-              match ev with
-              | Sim.Engine.Spawned { parent; child; _ } ->
-                  let item = (spawn_tag, child) in
-                  foot_add foot parent item;
-                  foot_add foot child item
-              | Sim.Engine.Woken { waker; woken; cond } ->
-                  let item = (cond_tag, Hashtbl.hash cond) in
-                  foot_add foot waker item;
-                  foot_add foot woken item)
-            ~on_violation:violation rt)
+    match foot with
+    | None -> Sanitizer.install_check_oracles ~on_violation:violation rt
+    | Some foot ->
+        Sanitizer.install_check_oracles
+          ~on_access:(fun _op res ~key ~site:_ ->
+            foot_add foot (Sim.Engine.current_tid engine) (res_tag res, key))
+          ~on_trace:(fun ev ->
+            match ev with
+            | Sim.Engine.Spawned { parent; child; _ } ->
+                let item = (spawn_tag, child) in
+                foot_add foot parent item;
+                foot_add foot child item
+            | Sim.Engine.Woken { waker; woken; cond } ->
+                let item = (cond_tag, Hashtbl.hash cond) in
+                foot_add foot waker item;
+                foot_add foot woken item)
+          ~on_violation:violation rt
   in
   let finished = ref false and end_ = ref "" in
   Fun.protect

@@ -57,7 +57,6 @@ type t = {
   trace : access array;  (** preallocated ring buffer of recent accesses *)
   mutable trace_pos : int;
   mutable trace_filled : int;  (** slots written so far, capped at capacity *)
-  mutable reported : int;
   on_violation : Report.t -> unit;
 }
 
@@ -80,7 +79,6 @@ let create ~engine ~on_violation () =
           });
     trace_pos = 0;
     trace_filled = 0;
-    reported = 0;
     on_violation;
   }
 
@@ -153,7 +151,6 @@ let trace_lines t =
   List.rev !lines
 
 let report_install_race t ~key ~site ~tid prev =
-  t.reported <- t.reported + 1;
   let tail lines n =
     let len = List.length lines in
     if len <= n then lines else List.filteri (fun i _ -> i >= len - n) lines
@@ -208,5 +205,3 @@ let on_access t op res ~key ~site =
         { w_tid = tid; w_stamp = stamp; w_site = site;
           w_time = Sim.Engine.now t.engine }
   | _ -> ()
-
-let races_reported t = t.reported

@@ -22,10 +22,6 @@ let level_of_string = function
   | "full" | "2" | "" -> Some Full
   | _ -> None
 
-type t = { verifier : Verifier.t option; race : Race.t option }
-
-let none = { verifier = None; race = None }
-
 let default_on_violation r = raise (Report.Violation r)
 
 (* The one wiring path behind both entry points, in hook order: the
@@ -42,24 +38,20 @@ let wire ~verify_level ~full ~race ~on_violation rt =
     (Some (Verifier.check_grace verifier));
   Runtime.Safepoint.set_on_release rt.RtM.safepoint (fun () ->
       RtM.fire_phase rt Vhook.Safepoint_release);
-  let race =
-    Option.map
-      (fun (on_access, on_trace) ->
-        let r = Race.create ~engine:rt.RtM.engine ~on_violation () in
-        Sim.Engine.set_tracer rt.RtM.engine
-          (Some
-             (fun ev ->
-               Race.on_trace r ev;
-               on_trace ev));
-        Heap.Access.set_hook
-          (Some
-             (fun op res ~key ~site ->
-               Race.on_access r op res ~key ~site;
-               on_access op res ~key ~site));
-        r)
-      race
-  in
-  { verifier = Some verifier; race }
+  Option.iter
+    (fun (on_access, on_trace) ->
+      let r = Race.create ~engine:rt.RtM.engine ~on_violation () in
+      Sim.Engine.set_tracer rt.RtM.engine
+        (Some
+           (fun ev ->
+             Race.on_trace r ev;
+             on_trace ev));
+      Heap.Access.set_hook
+        (Some
+           (fun op res ~key ~site ->
+             Race.on_access r op res ~key ~site;
+             on_access op res ~key ~site)))
+    race
 
 let no_access _ _ ~key:_ ~site:_ = ()
 let no_trace (_ : Sim.Engine.trace_event) = ()
@@ -68,8 +60,8 @@ let no_trace (_ : Sim.Engine.trace_event) = ()
     install on the same [rt] is a no-op (the first one wins). *)
 let install ?(on_violation = default_on_violation) ~level rt =
   match level with
-  | Off -> none
-  | Fast | Full when rt.RtM.verify_level > 0 -> none
+  | Off -> ()
+  | Fast | Full when rt.RtM.verify_level > 0 -> ()
   | Fast -> wire ~verify_level:1 ~full:false ~race:None ~on_violation rt
   | Full ->
       wire ~verify_level:2 ~full:true
@@ -89,14 +81,7 @@ let install ?(on_violation = default_on_violation) ~level rt =
     footprints this way for its equivalence pruning. *)
 let install_check_oracles ?(on_access = no_access) ?(on_trace = no_trace)
     ~on_violation rt =
-  if rt.RtM.verify_level > 0 then none
-  else
+  if rt.RtM.verify_level = 0 then
     wire ~verify_level:2 ~full:false
       ~race:(Some (on_access, on_trace))
       ~on_violation rt
-
-let checks_run t =
-  match t.verifier with Some v -> Verifier.checks_run v | None -> 0
-
-let races_reported t =
-  match t.race with Some r -> Race.races_reported r | None -> 0

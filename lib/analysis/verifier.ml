@@ -47,7 +47,6 @@ type t = {
       (** uid watermark of the current/most recent old marking snapshot *)
   mutable phase : string;  (** phase being checked, for reports *)
   mutable collector : string;  (** collector that fired it *)
-  mutable checks : int;  (** fires handled, so tests can assert coverage *)
 }
 
 let create ?(full = true) ~on_violation rt =
@@ -58,10 +57,7 @@ let create ?(full = true) ~on_violation rt =
     mark_watermark = max_int;
     phase = "-";
     collector = "-";
-    checks = 0;
   }
-
-let checks_run t = t.checks
 
 let emit t ~invariant ?region ?object_id fmt =
   Printf.ksprintf
@@ -464,7 +460,6 @@ let check_remset_coverage t =
     its storage.  Runs at both levels (one pass over the roots and the
     batch per period). *)
 let check_grace t ~(stubs : Gobj.t Util.Vec.t) ~(held : Gobj.t Util.Vec.t) =
-  t.checks <- t.checks + 1;
   t.phase <- "grace-end";
   let rooted = Hashtbl.create 64 in
   RtM.iter_roots t.rt (fun o ->
@@ -501,7 +496,6 @@ let check_grace t ~(stubs : Gobj.t Util.Vec.t) ~(held : Gobj.t Util.Vec.t) =
 (* Dispatch.                                                            *)
 
 let on_phase t ~collector phase =
-  t.checks <- t.checks + 1;
   t.collector <- collector;
   t.phase <- Vhook.phase_to_string phase;
   check_accounting t;

@@ -77,7 +77,7 @@ let prepare ?(machine = default_machine) ?(verify = Analysis.Sanitizer.Off)
      this unrelated heap. *)
   Heap.Access.reset ();
   install rt;
-  ignore (Analysis.Sanitizer.install ~level:verify rt);
+  Analysis.Sanitizer.install ~level:verify rt;
   attach rt;
   let state = ref None in
   ignore

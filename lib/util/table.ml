@@ -3,8 +3,7 @@
     Columns are sized to their widest cell; the first column is
     left-aligned, the rest right-aligned (numbers read better that way). *)
 
-let widths all =
-  let ncols = List.fold_left (fun m r -> max m (List.length r)) 0 all in
+let widths ncols all =
   let w = Array.make ncols 0 in
   List.iter
     (fun row ->
@@ -29,7 +28,15 @@ let render_row w row =
   "| " ^ String.concat " | " cells ^ " |"
 
 let render ~title ~headers rows =
-  let w = widths (headers :: rows) in
+  let ncols = List.length headers in
+  List.iter
+    (fun r ->
+      if List.length r <> ncols then
+        invalid_arg
+          (Printf.sprintf "Table.render %S: a row has %d cells under %d headers"
+             title (List.length r) ncols))
+    rows;
+  let w = widths ncols (headers :: rows) in
   let sep =
     "+"
     ^ String.concat "+"
@@ -44,5 +51,3 @@ let render ~title ~headers rows =
   List.iter (fun r -> Buffer.add_string buf (render_row w r ^ "\n")) rows;
   Buffer.add_string buf (sep ^ "\n");
   Buffer.contents buf
-
-let print ~title ~headers rows = print_string (render ~title ~headers rows)

@@ -28,9 +28,9 @@ lint_probe() {
   echo "$label OK ($6)"
 }
 
-echo "== lint-ast (simulator core must stay deterministic) =="
+echo "== lint-ast (simulator must stay deterministic) =="
 # Build the analyzer, prove it still catches planted violations of each
-# rule, then hold the real tree to it (R1-R6, see DESIGN.md §10).
+# rule, then hold the real trees to it (R1, R2, R4-R6; DESIGN.md §10).
 dune build tools/gcsim_lint/main.exe
 bash scripts/lint_purity.sh --self-test
 bash scripts/lint_purity.sh
@@ -53,12 +53,24 @@ lint_probe "lint-ast R5 probe" lib/heap/ci_probe_r5_deleteme.ml \
   "planted Gobj.t option" "boxed slot rejected"
 
 echo "== lint-ast R6 probe (a polymorphic max on a hot path must fail) =="
-# Plant Stdlib's polymorphic max in lib/workload, a tree parsed only as
-# aux: R6 must still reach it, since every call goes through the
-# runtime's compare_val (DESIGN.md §9).
+# Plant Stdlib's polymorphic max in lib/workload, a hot-path tree
+# outside the collector core: R6 must reach it, since every call goes
+# through the runtime's compare_val (DESIGN.md §9).
 lint_probe "lint-ast R6 probe" lib/workload/ci_probe_r6_deleteme.ml \
   'let wider a b = max a b\n' R6 \
   "planted polymorphic max" "polymorphic max rejected"
+
+echo "== lint-ast helper-tree probes (helper trees are linted directly) =="
+# lib/runtime and lib/util run inside every simulation, so R1 and R2 hold
+# there as in the core: a toplevel ref is shared by the -j N domains,
+# and a wall-clock read breaks replay.  These assert both trees are
+# linted, not only parsed.
+lint_probe "lint-ast runtime R2 probe" lib/runtime/ci_probe_r2_deleteme.ml \
+  'let cache = ref 0\n' R2 \
+  "planted toplevel ref" "toplevel ref rejected"
+lint_probe "lint-ast util R1 probe" lib/util/ci_probe_r1_deleteme.ml \
+  'let now () = Unix.gettimeofday ()\n' R1 \
+  "planted wall-clock read" "wall-clock read rejected"
 
 echo "== cross-module inlining (no simulator library is built with -opaque) =="
 # dune-workspace selects the release profile, so ocamlopt may inline

@@ -188,7 +188,7 @@ let young_only_rt ~config ~on_violation () =
       mutator_tax_pct = 0;
       alloc_failure = (fun () -> failwith "test heap exhausted");
     };
-  ignore (Analysis.Sanitizer.install ~on_violation ~level:Full rt);
+  Analysis.Sanitizer.install ~on_violation ~level:Full rt;
   (rt, young)
 
 (* An old-generation holder with one reference slot, in its own region
@@ -375,11 +375,10 @@ let deferred_harvest_reports ~level ~rooted =
   in
   let rt = Runtime.Rt.create ~seed:7 ~engine ~heap () in
   let reports = ref [] in
-  ignore
-    (Analysis.Sanitizer.install
-       ~on_violation:(fun (r : Analysis.Report.t) ->
-         reports := r.invariant :: !reports)
-       ~level rt);
+  Analysis.Sanitizer.install
+    ~on_violation:(fun (r : Analysis.Report.t) ->
+      reports := r.invariant :: !reports)
+    ~level rt;
   let grace = heap.Heap.Heap_impl.grace in
   let controller = Heap.Grace.register grace in
   let r = Option.get (Heap.Heap_impl.claim_region heap Heap.Region.Young) in

@@ -199,7 +199,7 @@ let test_large_object_is_young () =
     (fun (name, install) ->
       let rt = mk_rt () in
       install rt;
-      ignore (Analysis.Sanitizer.install ~level:Analysis.Sanitizer.Full rt);
+      Analysis.Sanitizer.install ~level:Analysis.Sanitizer.Full rt;
       let region_bytes = rt.Rt.heap.Heap.Heap_impl.cfg.region_bytes in
       let data_bytes = (region_bytes / 2) + Util.Units.kib in
       let global, first, size =

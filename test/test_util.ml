@@ -623,6 +623,19 @@ let test_table_render () =
     (Table.render ~title:"demo" ~headers:[ "a"; "bb" ]
        [ [ "x"; "1" ]; [ "long"; "22" ] ])
 
+(* A row whose cell count differs from the headers is a caller bug: it
+   would print an unlabeled column, or a short row. *)
+let test_table_ragged () =
+  let render rows =
+    ignore (Table.render ~title:"demo" ~headers:[ "a"; "bb" ] rows)
+  in
+  Alcotest.check_raises "extra cell"
+    (Invalid_argument "Table.render \"demo\": a row has 3 cells under 2 headers")
+    (fun () -> render [ [ "x"; "1" ]; [ "y"; "2"; "3" ] ]);
+  Alcotest.check_raises "missing cell"
+    (Invalid_argument "Table.render \"demo\": a row has 1 cells under 2 headers")
+    (fun () -> render [ [ "x" ] ])
+
 let () =
   Alcotest.run "util"
     [
@@ -679,5 +692,6 @@ let () =
         [
           Alcotest.test_case "units format" `Quick test_units_format;
           Alcotest.test_case "table render" `Quick test_table_render;
+          Alcotest.test_case "ragged table rejected" `Quick test_table_ragged;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Tricky negative: an env-gated debug heartbeat, deliberately exempted
-   in source with a reason.  The attribute must suppress both the R1
-   diagnostic and the taint seed (callers of [debug] stay clean). *)
+   in source with a reason.  The attribute suppresses the R1 diagnostic,
+   and callers of [debug] stay clean. *)
 let enabled =
   (match Sys.getenv_opt "SIM_DEBUG" with Some "1" -> true | _ -> false)
   [@@gcsim.allow "env-gated debug flag, read once at startup"]

@@ -1,15 +1,17 @@
 (** AST-grounded determinism & effect-discipline analyzer for the
-    simulator core (the engine behind [scripts/lint_purity.sh]).
+    simulator (the engine behind [scripts/lint_purity.sh]).
 
-    The simulator core — [lib/{sim,core,heap,collectors}] — must be a
-    pure function of its inputs: the schedule-space explorer replays
-    runs bit-for-bit, the [-j N] fan-out runs one simulation per domain,
-    and cross-collector diffs assume byte-identical traces.  The old
-    enforcement was a grep over source text, which cannot see through
-    [module R = Random], [let open Unix in ...], or a helper in
-    [lib/util] that launders a host effect.  This analyzer walks the
-    parsetree ([compiler-libs]) with a per-file resolved-path
-    environment instead.
+    Every tree that runs inside a simulation —
+    [lib/{sim,core,heap,collectors,obs,util,runtime,experiments,workload}]
+    — must be a pure function of its inputs: the schedule-space explorer
+    replays runs bit-for-bit, the [-j N] fan-out runs one simulation per
+    domain, and cross-collector diffs assume byte-identical traces.  The
+    old enforcement was a grep over source text, which cannot see
+    through [module R = Random] or [let open Unix in ...].  This analyzer
+    walks the parsetree ([compiler-libs]) with a per-file resolved-path
+    environment instead.  Each of those trees is linted directly, so a
+    helper that launders a host effect is caught where it touches the
+    primitive.
 
     Rules (see DESIGN.md §10 for the full catalog):
 
@@ -27,11 +29,8 @@
       toplevel [let () = ...] initializers, [lazy] blocks, and nested
       modules.  A cell minted inside a function body is per-call state
       and fine.
-    - {b R3} — transitive effect taint: a function whose body uses a
-      forbidden primitive taints every function that (transitively)
-      calls it, across files and libraries, so [lib/util] helpers cannot
-      smuggle host effects into the core.  Diagnostics print the full
-      call chain down to the primitive.
+    - {b R3} is retired (it was a call-graph taint pass for trees that
+      were not linted directly); the name is not reused.
     - {b R4} — DLS-handle-caching discipline: [Access.hooks ()] /
       [Gobj.uid_source ()] resolve a handle into {e this domain's} DLS
       slot and may only be bound inside function bodies (run-threaded
@@ -46,11 +45,11 @@
       use options.
     - {b R6} — no polymorphic comparison on hot paths: Stdlib's [min],
       [max] and [compare] may not be used in
-      [lib/{sim,core,heap,collectors,runtime,workload}], aux files
-      included.  They go through [compare_val] in the runtime on every
-      call, even on ints; the [Int.]/[Float.]/[String.] versions compile
-      to a compare.  A parameter or local binding of the same name
-      shadows them and stays silent.
+      [lib/{sim,core,heap,collectors,runtime,workload}].  They go
+      through [compare_val] in the runtime on every call, even on ints;
+      the [Int.]/[Float.]/[String.] versions compile to a compare.  A
+      parameter or local binding of the same name shadows them and
+      stays silent.
 
     Allowlisting is in-source: [[@gcsim.allow "reason"]] on an
     expression, [[@@gcsim.allow "reason"]] on a binding or module, or
@@ -58,21 +57,17 @@
     suppresses nothing is itself an error ("stale allow"), mirroring the
     old stale-allowlist check, so paid-off debt is retired.
 
-    Files are classified {e linted} (R1–R4 enforced) or {e aux} (parsed
-    only so the taint pass can see through them: [lib/util],
-    [lib/runtime], [lib/experiments], [lib/workload]); R5 and R6 apply
-    by directory, R6 to aux files too.  Diagnostics are
-    [file:line:col [rule] message]. *)
+    R1, R2 and R4 apply to every file; R5 and R6 by directory.
+    Diagnostics are [file:line:col [rule] message]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics.                                                        *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | Parse | Allow
+type rule = R1 | R2 | R4 | R5 | R6 | Parse | Allow
 
 let rule_to_string = function
   | R1 -> "R1"
   | R2 -> "R2"
-  | R3 -> "R3"
   | R4 -> "R4"
   | R5 -> "R5"
   | R6 -> "R6"
@@ -82,7 +77,6 @@ let rule_to_string = function
 let rule_of_string = function
   | "R1" -> Some R1
   | "R2" -> Some R2
-  | "R3" -> Some R3
   | "R4" -> Some R4
   | "R5" -> Some R5
   | "R6" -> Some R6
@@ -96,18 +90,11 @@ type diag = {
   col : int;
   rule : rule;
   message : string;
-  chain : string list;
-      (** R3 only: the tainted call chain, callee first, primitive last *)
 }
 
 let diag_to_string d =
-  let chain =
-    match d.chain with
-    | [] -> ""
-    | c -> Printf.sprintf "\n  chain: %s" (String.concat " -> " c)
-  in
-  Printf.sprintf "%s:%d:%d [%s] %s%s" d.file d.line d.col
-    (rule_to_string d.rule) d.message chain
+  Printf.sprintf "%s:%d:%d [%s] %s" d.file d.line d.col
+    (rule_to_string d.rule) d.message
 
 (* ------------------------------------------------------------------ *)
 (* Rule tables.                                                        *)
@@ -214,40 +201,19 @@ type scope = {
 (* How a module head resolves in the current environment. *)
 type binding = Alias of string list | Local
 
-type call = {
-  c_exact : string list list;  (** full-path candidates (local/shadow) *)
-  c_suffix : string list list;  (** qualified candidates, suffix-matched *)
-  c_line : int;
-  c_col : int;
-  c_allow : scope option;
-}
-
-type fn = {
-  f_id : string;
-  f_file : string;
-  f_linted : bool;
-  mutable f_direct : (string * int * int) list;  (** unsuppressed prim uses *)
-  mutable f_calls : call list;
-}
-
 type source = {
   src_file : string;
   src_text : string;
   src_modpath : string list;  (** e.g. [["Heap"; "Region"]] *)
-  src_linted : bool;
   src_r5 : bool;
       (** in the sentinel-only trees ([lib/heap], [lib/collectors]):
           R5 forbids [Gobj.t option] here *)
   src_r6 : bool;
       (** in the hot-path trees: R6 forbids Stdlib's polymorphic [min],
-          [max] and [compare] here, linted or aux *)
+          [max] and [compare] here *)
 }
 
-type acc = {
-  mutable diags : diag list;
-  mutable fns : fn list;
-  mutable scopes : scope list;
-}
+type acc = { mutable diags : diag list; mutable scopes : scope list }
 
 open Parsetree
 
@@ -281,7 +247,6 @@ let allow_of_attrs (acc : acc) ~file (attrs : attributes) =
                 col;
                 rule = Allow;
                 message = "[@gcsim.allow] needs a reason string: [@gcsim.allow \"why\"]";
-                chain = [];
               }
               :: acc.diags;
             found)
@@ -294,34 +259,15 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
   let aliases : (string * binding) list ref = ref [] in
   let opens : string list list ref = ref [] in
   let toplevel_values : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let modpath = ref src.src_modpath in
   let toplevel = ref true in
   let allow_stack : scope list ref = ref [] in
-  let file_init =
-    {
-      f_id = path_to_string (src.src_modpath @ [ "(init)" ]);
-      f_file = file;
-      f_linted = src.src_linted;
-      f_direct = [];
-      f_calls = [];
-    }
-  in
-  let cur_fn = ref file_init in
-  acc.fns <- file_init :: acc.fns;
 
-  let active_allow () = match !allow_stack with s :: _ -> Some s | [] -> None in
-  let suppressed () =
-    match active_allow () with
-    | Some s ->
-        s.s_used <- true;
-        true
-    | None -> false
-  in
-  let emit loc rule message chain =
-    if not (suppressed ()) then
-      let line, col = pos_of loc in
-      if src.src_linted || rule = R6 then
-        acc.diags <- { file; line; col; rule; message; chain } :: acc.diags
+  let emit loc rule message =
+    match !allow_stack with
+    | s :: _ -> s.s_used <- true
+    | [] ->
+        let line, col = pos_of loc in
+        acc.diags <- { file; line; col; rule; message } :: acc.diags
   in
   (* Names bound by parameters and local lets in scope; only the ones R6
      cares about are kept. *)
@@ -389,7 +335,7 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
                 || List.mem c forbidden_values)
               cands
           in
-          (match hit with
+          match hit with
           | Some c ->
               let spelled = path_to_string parts in
               let resolved = path_to_string c in
@@ -399,17 +345,7 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
               in
               emit loc R1
                 (Printf.sprintf "host-effect primitive %s%s" resolved via)
-                []
-          | None -> ());
-          (* Record the primitive as a taint seed even when the file is
-             aux (not linted): callers in linted code still get R3. *)
-          (match hit with
-          | Some c when active_allow () = None ->
-              let line, col = pos_of loc in
-              let f = !cur_fn in
-              f.f_direct <- (path_to_string c, line, col) :: f.f_direct
-          | Some _ -> ignore (suppressed ())
-          | None -> ())
+          | None -> ()
   in
 
   (* R6 check of one value identifier: Stdlib's polymorphic [min],
@@ -443,29 +379,7 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
                      name name name
                      (if name = "compare" then " (String.compare on strings)"
                       else ""))
-                  []
           | _ -> ())
-  in
-
-  (* Record a call candidate for the taint pass. *)
-  let record_call lid loc =
-    let parts = Longident.flatten lid in
-    let line, col = pos_of loc in
-    let f = !cur_fn in
-    let call =
-      match value_candidates parts with
-      | `Local p -> { c_exact = [ !modpath @ p ]; c_suffix = []; c_line = line; c_col = col; c_allow = active_allow () }
-      | `Resolved cands ->
-          let exact =
-            (* A bare name can only be a same-module function; a
-               qualified one might also be a sibling spelled without the
-               library wrapper. *)
-            match parts with [ _ ] -> [ !modpath @ parts ] | _ -> []
-          in
-          let suffix = List.filter (fun c -> List.length c >= 2) cands in
-          { c_exact = exact; c_suffix = suffix; c_line = line; c_col = col; c_allow = active_allow () }
-    in
-    f.f_calls <- call :: f.f_calls
   in
 
   (* R2/R4 check of a toplevel application head. *)
@@ -493,14 +407,12 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
                   domain's slot into every domain's runs; bind it inside a \
                   function and thread it through run state (e.g. Heap_impl.t)"
                  (path_to_string parts))
-              []
           else if matches cell_creators then
             emit loc R2
               (Printf.sprintf
                  "toplevel mutable cell (%s) outside Domain.DLS.new_key — \
                   cross-run state must live in run-threaded state or a DLS slot"
                  (path_to_string parts))
-              []
   in
 
   let with_saved_env f =
@@ -570,7 +482,6 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
                         the unboxed Gobj.null sentinel; an option boxes \
                         every read of the heap hot path on the host \
                         minor heap"
-                       []
                | _ -> ())
            | _ -> ());
         Ast_iterator.default_iterator.typ self ct)
@@ -587,7 +498,6 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
                   (Printf.sprintf
                      "host-effect module %s passed as functor argument"
                      (path_to_string p))
-                  []
             | None -> ())
         | _ -> ());
         module_expr self fn;
@@ -611,7 +521,6 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
         | Some p ->
             emit loc R1
               (Printf.sprintf "open of host-effect module %s" (path_to_string p))
-              []
         | None -> opens := parts :: !opens)
     | _ -> module_expr self od.popen_expr
   in
@@ -632,8 +541,7 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
             | Some p ->
                 emit loc R1
                   (Printf.sprintf "alias of host-effect module %s"
-                     (path_to_string p))
-                  [];
+                     (path_to_string p));
                 aliases := (name, Alias p) :: !aliases
             | None -> (
                 match resolve_module_path parts with
@@ -651,8 +559,7 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
         match e.pexp_desc with
         | Pexp_ident { txt; loc } ->
             check_ident txt loc;
-            check_poly_compare txt loc;
-            record_call txt loc
+            check_poly_compare txt loc
         | Pexp_apply (({ pexp_desc = Pexp_ident { txt; loc }; _ } as f), args) ->
             if !toplevel then check_toplevel_apply txt loc;
             expr self f;
@@ -714,53 +621,21 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
         | None -> ())
     | Pstr_value (_, vbs) ->
         (* Register names first so self/forward references resolve as
-           local, then walk each binding with the right taint target. *)
+           local. *)
         List.iter
           (fun vb ->
             match vb.pvb_pat.ppat_desc with
             | Ppat_var { txt; _ } -> Hashtbl.replace toplevel_values txt ()
             | _ -> ())
           vbs;
-        List.iter
-          (fun vb ->
-            let fn_name =
-              match (vb.pvb_pat.ppat_desc, vb.pvb_expr.pexp_desc) with
-              | Ppat_var { txt; _ }, (Pexp_fun _ | Pexp_function _) -> Some txt
-              | _ -> None
-            in
-            let saved = !cur_fn in
-            (match fn_name with
-            | Some name ->
-                let f =
-                  {
-                    f_id = path_to_string (!modpath @ [ name ]);
-                    f_file = file;
-                    f_linted = src.src_linted;
-                    f_direct = [];
-                    f_calls = [];
-                  }
-                in
-                acc.fns <- f :: acc.fns;
-                cur_fn := f
-            | None -> ());
-            value_binding self vb;
-            cur_fn := saved)
-          vbs
+        List.iter (value_binding self) vbs
     | Pstr_eval (e, attrs) ->
         let allow = allow_of_attrs acc ~file attrs in
         with_allow allow (fun () -> expr self e)
     | Pstr_module mb ->
         let allow = allow_of_attrs acc ~file mb.pmb_attributes in
         with_allow allow (fun () ->
-            (match mb.pmb_expr.pmod_desc with
-            | Pmod_structure _ | Pmod_functor _ | Pmod_constraint _ ->
-                let saved = !modpath in
-                (match mb.pmb_name.txt with
-                | Some n -> modpath := !modpath @ [ n ]
-                | None -> ());
-                module_expr self mb.pmb_expr;
-                modpath := saved
-            | _ -> module_expr self mb.pmb_expr);
+            module_expr self mb.pmb_expr;
             bind_module mb.pmb_name.txt mb.pmb_expr)
     | Pstr_recmodule mbs ->
         List.iter
@@ -780,7 +655,6 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
                 emit loc R1
                   (Printf.sprintf "include of host-effect module %s"
                      (path_to_string p))
-                  []
             | None -> opens := parts :: !opens)
         | _ -> module_expr self incl.pincl_mod)
     | _ -> Ast_iterator.default_iterator.structure_item self si
@@ -806,128 +680,6 @@ let analyze_structure (acc : acc) (src : source) (str : structure) =
   List.iter (fun si -> iter.structure_item iter si) str
 
 (* ------------------------------------------------------------------ *)
-(* Taint pass (R3).                                                    *)
-
-type witness = Prim of string | Callee of string
-
-let taint_pass (acc : acc) =
-  let fns = acc.fns in
-  let by_id = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace by_id f.f_id f) fns;
-  let by_name = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      let parts = String.split_on_char '.' f.f_id in
-      match List.rev parts with
-      | name :: _ ->
-          Hashtbl.replace by_name name (f :: (try Hashtbl.find by_name name with Not_found -> []))
-      | [] -> ())
-    fns;
-  let targets_of (c : call) =
-    let exact =
-      List.filter_map
-        (fun p -> Hashtbl.find_opt by_id (path_to_string p))
-        c.c_exact
-    in
-    let suffix =
-      List.concat_map
-        (fun p ->
-          match List.rev p with
-          | name :: _ -> (
-              match Hashtbl.find_opt by_name name with
-              | Some cands ->
-                  List.filter
-                    (fun f ->
-                      list_suffix ~suffix:p (String.split_on_char '.' f.f_id))
-                    cands
-              | None -> [])
-          | [] -> [])
-        c.c_suffix
-    in
-    (* A call never taints through the function it belongs to (self
-       recursion is not a new effect). *)
-    List.sort_uniq compare (List.map (fun f -> f.f_id) (exact @ suffix))
-  in
-  (* Seed and propagate over the reverse call graph. *)
-  let tainted : (string, witness) Hashtbl.t = Hashtbl.create 16 in
-  let work = Queue.create () in
-  List.iter
-    (fun f ->
-      match f.f_direct with
-      | (prim, _, _) :: _ ->
-          Hashtbl.replace tainted f.f_id (Prim prim);
-          Queue.push f.f_id work
-      | [] -> ())
-    fns;
-  (* callers: callee id -> (caller fn, call) list *)
-  let callers : (string, (fn * call) list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      List.iter
-        (fun c ->
-          List.iter
-            (fun tid ->
-              if tid <> f.f_id then
-                Hashtbl.replace callers tid
-                  ((f, c) :: (try Hashtbl.find callers tid with Not_found -> [])))
-            (targets_of c))
-        f.f_calls)
-    fns;
-  while not (Queue.is_empty work) do
-    let tid = Queue.pop work in
-    List.iter
-      (fun ((f : fn), (c : call)) ->
-        if not (Hashtbl.mem tainted f.f_id) then
-          match c.c_allow with
-          | Some s -> s.s_used <- true
-          | None ->
-              Hashtbl.replace tainted f.f_id (Callee tid);
-              Queue.push f.f_id work)
-      (try Hashtbl.find callers tid with Not_found -> [])
-  done;
-  let chain_of tid =
-    let rec go id seen =
-      if List.mem id seen then [ id ]
-      else
-        match Hashtbl.find_opt tainted id with
-        | Some (Prim p) -> [ id; p ]
-        | Some (Callee next) -> id :: go next (id :: seen)
-        | None -> [ id ]
-    in
-    go tid []
-  in
-  (* Report: every call from linted code to a tainted function. *)
-  List.iter
-    (fun f ->
-      if f.f_linted then
-        List.iter
-          (fun c ->
-            let ts = List.filter (fun t -> Hashtbl.mem tainted t) (targets_of c) in
-            match ts with
-            | [] -> ()
-            | tid :: _ -> (
-                match c.c_allow with
-                | Some s -> s.s_used <- true
-                | None ->
-                    let chain = chain_of tid in
-                    acc.diags <-
-                      {
-                        file = f.f_file;
-                        line = c.c_line;
-                        col = c.c_col;
-                        rule = R3;
-                        message =
-                          Printf.sprintf
-                            "call into effect-tainted %s (taint reaches a host \
-                             primitive; see chain)"
-                            tid;
-                        chain;
-                      }
-                      :: acc.diags))
-          f.f_calls)
-    fns
-
-(* ------------------------------------------------------------------ *)
 (* Entry points.                                                       *)
 
 let parse_source (acc : acc) (src : source) =
@@ -945,22 +697,20 @@ let parse_source (acc : acc) (src : source) =
         | exn -> (1, 0, Printexc.to_string exn)
       in
       acc.diags <-
-        { file = src.src_file; line; col; rule = Parse; message = msg; chain = [] }
+        { file = src.src_file; line; col; rule = Parse; message = msg }
         :: acc.diags;
       None
 
-(** Lint a set of sources.  Linted sources get R1–R4 enforced; aux
-    sources only feed the R3 taint pass, apart from R6.  Diagnostics
-    come back sorted by file, line, column. *)
+(** Lint a set of sources.  Diagnostics come back sorted by file, line,
+    column. *)
 let run (sources : source list) : diag list =
-  let acc = { diags = []; fns = []; scopes = [] } in
+  let acc = { diags = []; scopes = [] } in
   List.iter
     (fun src ->
       match parse_source acc src with
       | Some str -> analyze_structure acc src str
       | None -> ())
     sources;
-  taint_pass acc;
   (* Stale allows: an annotation that suppressed nothing is debt paid
      off — remove it (mirrors the old stale-allowlist check). *)
   List.iter
@@ -976,7 +726,6 @@ let run (sources : source list) : diag list =
               Printf.sprintf
                 "stale [@gcsim.allow \"%s\"]: it suppresses nothing — remove it"
                 s.s_reason;
-            chain = [];
           }
           :: acc.diags)
     acc.scopes;
@@ -1022,15 +771,15 @@ let module_of_file path =
    fixture tree (fixtures/bad/heap) participate. *)
 let r5_dirs = [ "heap"; "collectors" ]
 
-(* The hot-path trees where R6 applies, linted or aux. *)
+(* The hot-path trees where R6 applies. *)
 let r6_dirs = [ "sim"; "core"; "heap"; "collectors"; "runtime"; "workload" ]
 
 (** All [.ml] files directly in [dir], as lintable sources. *)
-let load_dir ~linted dir =
+let load_dir dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     failwith (Printf.sprintf "gcsim-lint: no such directory: %s" dir);
   let wrapper = lib_module_of_dir dir in
-  let r5 = linted && List.mem (Filename.basename dir) r5_dirs in
+  let r5 = List.mem (Filename.basename dir) r5_dirs in
   let r6 = List.mem (Filename.basename dir) r6_dirs in
   Sys.readdir dir |> Array.to_list |> List.sort compare
   |> List.filter (fun f -> Filename.check_suffix f ".ml")
@@ -1040,16 +789,12 @@ let load_dir ~linted dir =
            src_file = path;
            src_text = read_file path;
            src_modpath = [ wrapper; module_of_file path ];
-           src_linted = linted;
            src_r5 = r5;
            src_r6 = r6;
          })
 
-let run_dirs ~linted_dirs ~aux_dirs =
-  let sources =
-    List.concat_map (load_dir ~linted:true) linted_dirs
-    @ List.concat_map (load_dir ~linted:false) aux_dirs
-  in
+let run_dirs dirs =
+  let sources = List.concat_map load_dir dirs in
   (run sources, List.length sources)
 
 (* ------------------------------------------------------------------ *)
@@ -1057,8 +802,7 @@ let run_dirs ~linted_dirs ~aux_dirs =
 
 (* Fixture files declare what the linter must say about them in a
    comment: [(* expect: R1 *)].  A file with no marker must stay
-   silent.  Directories named [util] are aux (taint-only), the rest are
-   linted, mirroring the real invocation. *)
+   silent. *)
 let expected_rules text =
   let re = Str.regexp "expect:\\([ \tA-Za-z0-9]*\\)" in
   try
@@ -1074,7 +818,7 @@ let load_fixture_tree root =
   Sys.readdir root |> Array.to_list |> List.sort compare
   |> List.filter (fun d -> Sys.is_directory (Filename.concat root d))
   |> List.concat_map (fun d ->
-         load_dir ~linted:(d <> "util") (Filename.concat root d))
+         load_dir (Filename.concat root d))
 
 (** Run the analyzer against the planted-violation fixture tree.
     Returns [Ok n] ([n] files checked) or [Error reasons]. *)

@@ -1,34 +1,27 @@
 (* gcsim-lint command-line driver.
 
    Usage:
-     gcsim_lint [--aux DIR]... DIR...
+     gcsim_lint DIR...
      gcsim_lint --self-test [--fixtures DIR]
 
-   Positional directories are linted (R1-R4 enforced); --aux directories
-   are parsed only so the R3 taint pass can see through helpers the core
-   calls into, and R6 checks both by directory name.  Exit status: 0
-   clean, 1 diagnostics, 2 usage error. *)
+   Every positional directory is linted (R1, R2 and R4 everywhere; R5
+   and R6 by directory name).  Exit status: 0 clean, 1 diagnostics, 2
+   usage error. *)
 
 let () =
-  let linted = ref [] in
-  let aux = ref [] in
+  let dirs = ref [] in
   let self_test = ref false in
   let fixtures = ref "tools/gcsim_lint/fixtures" in
-  let usage =
-    "gcsim_lint [--aux DIR]... DIR...\n\
-     gcsim_lint --self-test [--fixtures DIR]"
-  in
+  let usage = "gcsim_lint DIR...\ngcsim_lint --self-test [--fixtures DIR]" in
   let spec =
     [
-      ("--aux", Arg.String (fun d -> aux := d :: !aux),
-       "DIR parse DIR for the taint pass without linting it");
       ("--self-test", Arg.Set self_test,
        " run the analyzer against the planted-violation fixture tree");
       ("--fixtures", Arg.Set_string fixtures,
        "DIR fixture tree for --self-test (default tools/gcsim_lint/fixtures)");
     ]
   in
-  Arg.parse spec (fun d -> linted := d :: !linted) usage;
+  Arg.parse spec (fun d -> dirs := d :: !dirs) usage;
   if !self_test then begin
     match Lint_core.self_test ~fixtures_dir:!fixtures with
     | Ok n ->
@@ -39,21 +32,18 @@ let () =
         exit 1
   end
   else begin
-    if !linted = [] then begin
+    if !dirs = [] then begin
       prerr_endline usage;
       exit 2
     end;
-    match
-      Lint_core.run_dirs ~linted_dirs:(List.rev !linted)
-        ~aux_dirs:(List.rev !aux)
-    with
+    match Lint_core.run_dirs (List.rev !dirs) with
     | exception Failure msg ->
         prerr_endline msg;
         exit 2
     | diags, nfiles ->
         List.iter (fun d -> print_endline (Lint_core.diag_to_string d)) diags;
         if diags = [] then
-          Printf.printf "gcsim-lint OK (%d files, %d linted dirs, %d aux dirs)\n"
-            nfiles (List.length !linted) (List.length !aux);
+          Printf.printf "gcsim-lint OK (%d files, %d linted dirs)\n" nfiles
+            (List.length !dirs);
         exit (if diags = [] then 0 else 1)
   end
