@@ -144,6 +144,12 @@ let writable ~flag = function
         fail "it is a directory"
       else Ok ()
 
+(* A run the sanitizer cut short prints its report instead of its
+   numbers and exits 1, the code [check] gives a violation. *)
+let print_violation r =
+  Printf.printf "INVARIANT VIOLATED:\n%s\n" (Analysis.Report.to_string r);
+  1
+
 (* Print one finished run.  Must stay out of the domain pool: parallel
    runs compute summaries silently and print here, in list order. *)
 let print_summary ~gc_report (s : Harness.summary) =
@@ -196,10 +202,10 @@ let run_cmd collectors workload heap_mult qps duration_s warmup_s cores seed
         | Runtime.Driver.Open q -> Printf.sprintf "open loop @ %.0f qps" q
         | _ -> "closed loop");
       (if verify <> Analysis.Sanitizer.Off then
-         Printf.printf "sanitizer       : %s (invariant verifier%s)\n%!"
+         Printf.printf "sanitizer       : %s (%s + race detector)\n%!"
            (Analysis.Sanitizer.level_to_string verify)
-           (if verify = Analysis.Sanitizer.Full then " + race detector"
-            else ""));
+           (if verify = Analysis.Sanitizer.Full then "invariant verifier"
+            else "accounting checks"));
       (* One (collector x config) cell per pool task; summaries come back
          in collector order and print identically at any -j. *)
       let summaries =
@@ -214,7 +220,10 @@ let run_cmd collectors workload heap_mult qps duration_s warmup_s cores seed
         (List.fold_left
            (fun code (s : Harness.summary) ->
              if multi then Printf.printf "-- %s --\n" s.Harness.collector;
-             max code (print_summary ~gc_report s))
+             max code
+               (match s.Harness.violation with
+               | Some r -> print_violation r
+               | None -> print_summary ~gc_report s))
            0 summaries)
 
 (* -- gcsim trace: deterministic timeline + MMU/percentile summary ----- *)
@@ -265,30 +274,37 @@ let trace_cmd collectors workload heap_mult cores seed requests out golden
             Trace_run.run ~verify ~cores ~mult:heap_mult ~seed ~requests e app)
           entries
       in
+      let code = ref 0 in
       let rows =
-        List.map2
-          (fun (e : Registry.entry) (r : Trace_run.result) ->
-            let meta = Trace_run.meta ~cores ~mult:heap_mult ~seed ~requests r in
-            (match out with
-            | Some path ->
-                let path = per_collector_path path e.Registry.name ~multi in
-                write_file path
-                  (Obs.Export.to_chrome_json ~meta r.Trace_run.trace);
-                Printf.printf "chrome trace written: %s (%d events)\n" path
-                  (Obs.Trace.length r.Trace_run.trace)
-            | None -> ());
-            (match golden with
-            | Some path ->
-                let path = per_collector_path path e.Registry.name ~multi in
-                write_file path (Obs.Export.to_text ~meta r.Trace_run.trace);
-                Printf.printf "golden trace written: %s\n" path
-            | None -> ());
-            ( e.Registry.name,
-              Obs.Analyze.analyze (Obs.Trace.events r.Trace_run.trace) ))
-          entries results
+        List.concat_map
+          (fun ((e : Registry.entry), (r : Trace_run.result)) ->
+            match r.Trace_run.summary.Harness.violation with
+            | Some v ->
+                if multi then Printf.printf "-- %s --\n" e.Registry.name;
+                code := print_violation v;
+                []
+            | None ->
+                let meta = Trace_run.meta ~cores ~mult:heap_mult ~seed ~requests r in
+                (match out with
+                | Some path ->
+                    let path = per_collector_path path e.Registry.name ~multi in
+                    write_file path
+                      (Obs.Export.to_chrome_json ~meta r.Trace_run.trace);
+                    Printf.printf "chrome trace written: %s (%d events)\n" path
+                      (Obs.Trace.length r.Trace_run.trace)
+                | None -> ());
+                (match golden with
+                | Some path ->
+                    let path = per_collector_path path e.Registry.name ~multi in
+                    write_file path (Obs.Export.to_text ~meta r.Trace_run.trace);
+                    Printf.printf "golden trace written: %s\n" path
+                | None -> ());
+                [ ( e.Registry.name,
+                    Obs.Analyze.analyze (Obs.Trace.events r.Trace_run.trace) ) ])
+          (List.combine entries results)
       in
-      print_endline (Obs.Export.summary_table rows);
-      `Ok 0
+      if rows <> [] then print_endline (Obs.Export.summary_table rows);
+      `Ok !code
 
 (* -- gcsim check: schedule-space exploration -------------------------- *)
 
@@ -580,10 +596,11 @@ let verify_arg =
     & info [ "verify" ] ~docv:"LEVEL"
         ~doc:
           "Run the GC invariant sanitizer: $(b,off) (default), $(b,fast) \
-           (accounting checks at phase boundaries) or $(b,full) (heap \
-           verifier + happens-before race detector).  $(b,--verify) alone \
-           means $(b,full).  A violation aborts the run with a structured \
-           report; simulated metrics are unaffected at any level.")
+           (accounting checks at phase boundaries + happens-before race \
+           detector) or $(b,full) (heap verifier + race detector).  \
+           $(b,--verify) alone means $(b,full).  A violation prints the \
+           report and exits 1; simulated metrics are unaffected at any \
+           level.")
 
 let requests_arg =
   Arg.(

@@ -8,7 +8,9 @@
     re-runs a {e scenario} — a closure that builds a fresh
     engine/heap/runtime and drives a full simulation — under perturbed
     schedules, with the accounting verifier and the happens-before race
-    detector attached as oracles ({!Sanitizer.install_check_oracles}).
+    detector attached as oracles ([Sanitizer.install ~level:Fast]).  An
+    oracle raises {!Report.Violation}; {!run_schedule} is the one place
+    it is caught, and the first one raised is the schedule's report.
 
     A schedule is encoded as its divergence from round-robin: a sparse
     list of [(choice point ordinal, left-rotation)] pairs fed to the
@@ -197,10 +199,6 @@ let run_schedule (scenario : scenario) ~horizon ~footprints
   in
   let report = ref None in
   let attached = ref None in
-  let violation r =
-    if !report = None then report := Some r;
-    raise (Report.Violation r)
-  in
   let attach rt =
     attached := Some rt;
     let engine = rt.RtM.engine in
@@ -220,9 +218,9 @@ let run_schedule (scenario : scenario) ~horizon ~footprints
            if r <> 0 then applied := (j, r) :: !applied;
            r));
     match foot with
-    | None -> Sanitizer.install_check_oracles ~on_violation:violation rt
+    | None -> Sanitizer.install ~level:Fast rt
     | Some foot ->
-        Sanitizer.install_check_oracles
+        Sanitizer.install ~level:Fast
           ~on_access:(fun _op res ~key ~site:_ ->
             foot_add foot (Sim.Engine.current_tid engine) (res_tag res, key))
           ~on_trace:(fun ev ->
@@ -235,7 +233,7 @@ let run_schedule (scenario : scenario) ~horizon ~footprints
                 let item = (cond_tag, Hashtbl.hash cond) in
                 foot_add foot waker item;
                 foot_add foot woken item)
-          ~on_violation:violation rt
+          rt
   in
   let finished = ref false and end_ = ref "" in
   Fun.protect
@@ -245,7 +243,7 @@ let run_schedule (scenario : scenario) ~horizon ~footprints
          scenario ~attach;
          finished := true
        with
-      | Report.Violation _ -> ()
+      | Report.Violation r -> report := Some r
       | Sim.Engine.Deadlock msg ->
           report :=
             Some

@@ -24,9 +24,10 @@
     updates that are benignly concurrent by design; they are recorded
     for the interleaving trace but never conflict-checked.
 
-    Violations carry both access sites, both thread names, and the tail
-    of the metadata-access trace so the interleaving that produced the
-    race can be read directly from the report. *)
+    A race raises {!Report.Violation} carrying both access sites, both
+    thread names, and the tail of the metadata-access trace so the
+    interleaving that produced the race can be read directly from the
+    report. *)
 
 (* Mutable on purpose: the ring buffer preallocates [trace_capacity]
    records at creation and overwrites them in place, so recording an
@@ -57,10 +58,9 @@ type t = {
   trace : access array;  (** preallocated ring buffer of recent accesses *)
   mutable trace_pos : int;
   mutable trace_filled : int;  (** slots written so far, capped at capacity *)
-  on_violation : Report.t -> unit;
 }
 
-let create ~engine ~on_violation () =
+let create ~engine () =
   {
     engine;
     clocks = Hashtbl.create 64;
@@ -79,7 +79,6 @@ let create ~engine ~on_violation () =
           });
     trace_pos = 0;
     trace_filled = 0;
-    on_violation;
   }
 
 let thread_name t tid =
@@ -169,16 +168,17 @@ let report_install_race t ~key ~site ~tid prev =
       (Vclock.to_string (clock_of t tid))
       (List.length trace) (String.concat "\n" trace)
   in
-  t.on_violation
-    {
-      Report.engine = "race-detector";
-      invariant = "ordered-forwarding-install";
-      collector = "-";
-      phase = "-";
-      region = None;
-      object_id = Some key;
-      detail;
-    }
+  raise
+    (Report.Violation
+       {
+         Report.engine = "race-detector";
+         invariant = "ordered-forwarding-install";
+         collector = "-";
+         phase = "-";
+         region = None;
+         object_id = Some key;
+         detail;
+       })
 
 let on_access t op res ~key ~site =
   let tid = Sim.Engine.current_tid t.engine in

@@ -3,9 +3,9 @@
 
     A report names which engine fired, which invariant broke, and where —
     collector, phase, region, object — so a CI log line is enough to
-    start debugging without re-running under a tracer.  The default
-    sanitizer policy raises {!Violation}, turning the first broken
-    invariant into a test failure with the full report as the message. *)
+    start debugging without re-running under a tracer.  A check raises
+    {!Violation} with the first broken invariant; the driver that ran
+    the simulation catches it ([Harness.run], [Explore.run_schedule]). *)
 
 type t = {
   engine : string;  (** ["verifier"] or ["race-detector"] *)

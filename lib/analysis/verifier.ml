@@ -30,7 +30,10 @@
     - [Young_mark_end] (full): the young-generation tri-color analog.
     - [Remset_scan] (full): old→young remembered-set coverage recomputed
       independently from the object graph, judged against the
-      collector-registered providers. *)
+      collector-registered provider.
+
+    The first broken invariant raises {!Report.Violation}; the driver
+    that installed the sanitizer catches it. *)
 
 module RtM = Runtime.Rt
 module Vhook = Runtime.Vhook
@@ -42,36 +45,29 @@ module Crdt = Heap.Crdt
 type t = {
   rt : RtM.t;
   full : bool;
-  on_violation : Report.t -> unit;
   mutable mark_watermark : int;
       (** uid watermark of the current/most recent old marking snapshot *)
   mutable phase : string;  (** phase being checked, for reports *)
   mutable collector : string;  (** collector that fired it *)
 }
 
-let create ?(full = true) ~on_violation rt =
-  {
-    rt;
-    full;
-    on_violation;
-    mark_watermark = max_int;
-    phase = "-";
-    collector = "-";
-  }
+let create ~full rt =
+  { rt; full; mark_watermark = max_int; phase = "-"; collector = "-" }
 
 let emit t ~invariant ?region ?object_id fmt =
   Printf.ksprintf
     (fun detail ->
-      t.on_violation
-        {
-          Report.engine = "verifier";
-          invariant;
-          collector = t.collector;
-          phase = t.phase;
-          region;
-          object_id;
-          detail;
-        })
+      raise
+        (Report.Violation
+           {
+             Report.engine = "verifier";
+             invariant;
+             collector = t.collector;
+             phase = t.phase;
+             region;
+             object_id;
+             detail;
+           }))
     fmt
 
 (** Follow a forwarding chain with a cycle guard; [None] on runaway. *)
@@ -396,57 +392,52 @@ let check_crdt t =
 (* Old→young remembered-set coverage.                                   *)
 
 (** Recompute, from nothing but the object graph, which cards hold
-    old→young references, and demand that every registered provider
-    covers each of them.  A provider may return [None] to decline
+    old→young references, and demand that the registered provider
+    covers each of them.  The provider may return [None] to decline
     judgment (Jade mid-old-cycle, where remembered-set maintenance has
     in-flight windows).  For a forwarded holder the logical field lives
     at both the original's and the copy's card (the records share the
     slot array); covering either is sound because remset scans visit
     whatever card is in the set. *)
 let check_remset_coverage t =
-  let providers =
-    List.filter_map
-      (fun (p : Vhook.remset_provider) ->
-        match p.Vhook.rp_covers () with
-        | Some f -> Some (p.Vhook.rp_name, f)
-        | None -> None)
-      t.rt.RtM.remset_providers
-  in
-  if providers <> [] then begin
-    let heap = t.rt.RtM.heap in
-    iter_residents heap (fun (r : Region.t) (o : Gobj.t) ->
-        if r.Region.kind = Region.Old then
-          Gobj.iter_fields
-            (fun i c ->
-              let rc = Gobj.resolve c in
-              if
-                (not (Gobj.is_freed rc))
-                && (H.region heap (Gobj.region rc)).Region.kind = Region.Young
-              then begin
-                let target_rid = Gobj.region rc in
-                let covered (_name, f) =
-                  f ~card:(H.card_of_field heap o i) ~target_rid
-                  ||
-                  match chase o with
-                  | Some oc when oc != o && not (Gobj.is_freed oc) ->
-                      f ~card:(H.card_of_field heap oc i) ~target_rid
-                  | _ -> false
-                in
-                List.iter
-                  (fun p ->
-                    if not (covered p) then
-                      emit t ~invariant:"remset-coverage" ~region:r.Region.rid
-                        ~object_id:(Gobj.id o)
-                        "old→young edge not covered by %s: holder #%d \
-                         (region %d, fwd=%b) field %d (card %d) → young #%d \
-                         (region %d); stored ref uid=%d region=%d stale=%b"
-                        (fst p) (Gobj.id o) r.Region.rid (Gobj.is_forwarded o) i
-                        (H.card_of_field heap o i) (Gobj.id rc) target_rid
-                        (Gobj.uid c) (Gobj.region c) (c != rc))
-                  providers
-              end)
-            o)
-  end
+  match t.rt.RtM.remset_provider with
+  | None -> ()
+  | Some p -> (
+      match p.Vhook.rp_covers () with
+      | None -> ()
+      | Some covers ->
+          let heap = t.rt.RtM.heap in
+          iter_residents heap (fun (r : Region.t) (o : Gobj.t) ->
+              if r.Region.kind = Region.Old then
+                Gobj.iter_fields
+                  (fun i c ->
+                    let rc = Gobj.resolve c in
+                    if
+                      (not (Gobj.is_freed rc))
+                      && (H.region heap (Gobj.region rc)).Region.kind
+                         = Region.Young
+                    then begin
+                      let target_rid = Gobj.region rc in
+                      let covered =
+                        covers ~card:(H.card_of_field heap o i) ~target_rid
+                        ||
+                        match chase o with
+                        | Some oc when oc != o && not (Gobj.is_freed oc) ->
+                            covers ~card:(H.card_of_field heap oc i) ~target_rid
+                        | _ -> false
+                      in
+                      if not covered then
+                        emit t ~invariant:"remset-coverage" ~region:r.Region.rid
+                          ~object_id:(Gobj.id o)
+                          "old→young edge not covered by %s: holder #%d \
+                           (region %d, fwd=%b) field %d (card %d) → young #%d \
+                           (region %d); stored ref uid=%d region=%d stale=%b"
+                          p.Vhook.rp_name (Gobj.id o) r.Region.rid
+                          (Gobj.is_forwarded o) i (H.card_of_field heap o i)
+                          (Gobj.id rc) target_rid (Gobj.uid c) (Gobj.region c)
+                          (c != rc)
+                    end)
+                  o))
 
 (* ------------------------------------------------------------------ *)
 (* Grace periods.                                                       *)

@@ -141,13 +141,8 @@ let run_mark_cycle t =
      cross-region references, clean the card (Table 7's G1 "Build"). *)
   Metrics.phase_begin metrics "g1.remset_build"
     ~now:(Sim.Engine.now rt.RtM.engine);
-  (* Cons-free dirty-card snapshot; descending order preserved (the
-     legacy list prepended during an ascending sweep — chunk assignment
-     below depends on the order). *)
-  let dirtyv = Util.Vec.create ~capacity:64 0 in
-  Heap_impl.iter_dirty_cards (fun c -> Util.Vec.push dirtyv c) heap;
-  let nd = Util.Vec.length dirtyv in
-  let cards = Array.init nd (fun i -> Util.Vec.get dirtyv (nd - 1 - i)) in
+  (* Highest card first: chunk assignment below depends on the order. *)
+  let cards = Heap_impl.dirty_cards_desc heap in
   Metrics.add metrics "g1.cards_scanned" (Array.length cards);
   Common.run_workers rt ~n:Common.gc_threads ~name:"g1-rebuild" (fun w tk ->
       let n = Array.length cards in

@@ -296,14 +296,9 @@ let evacuate_group t ~group (regions : Region.t list) =
   in
   if not failed then begin
     (* Heal every remembered incoming reference, then release the group:
-       this is the per-group incremental reclamation of §3.1. *)
-    (* Cons-free remset snapshot; descending order preserved (the legacy
-       list prepended during an ascending iteration, and card claim
-       order is part of the deterministic schedule). *)
-    let cardv = Util.Vec.create ~capacity:64 0 in
-    Remset.iter (fun c -> Util.Vec.push cardv c) t.group_remsets.(group);
-    let nc = Util.Vec.length cardv in
-    let cards = Array.init nc (fun i -> Util.Vec.get cardv (nc - 1 - i)) in
+       this is the per-group incremental reclamation of §3.1.  Cards are
+       handed out highest first. *)
+    let cards = Remset.to_array_desc t.group_remsets.(group) in
     ignore
       (Common.parallel_drain rt ~n:workers ~name:"jade-heal"
          ~init:Fun.id cards

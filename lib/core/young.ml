@@ -257,14 +257,8 @@ let collect t ~workers =
   (* Concurrent single phase: remembered-set cards, then the transitive
      copy-and-fix closure, picking up barrier discoveries as they come. *)
   if not !failed then begin
-    (* Snapshot the remembered set without a cons per card.  The legacy
-       list was built by prepending during an ascending iteration, so
-       workers claimed cards in descending order — preserved here (the
-       claim order is part of the deterministic schedule). *)
-    let cards = Util.Vec.create ~capacity:64 0 in
-    Remset.iter (fun c -> Util.Vec.push cards c) t.remset;
-    let n_cards = Util.Vec.length cards in
-    let card_arr = Array.init n_cards (fun i -> Util.Vec.get cards (n_cards - 1 - i)) in
+    (* Workers claim the remembered set's cards highest first. *)
+    let card_arr = Remset.to_array_desc t.remset in
     let next_card = ref 0 in
     Common.run_workers rt ~n:workers ~name:"jade-young" (fun _ tk ->
         let dests =
@@ -327,6 +321,7 @@ let collect t ~workers =
           !snapshot;
         let cleared = Heap_impl.process_weak_refs_freed_only heap in
         Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
+        Metrics.add metrics "jade.weak_young_cleared" cleared;
         Metrics.add metrics "jade.young_collections" 1;
         Metrics.add metrics "jade.young_regions_reclaimed"
           (List.length !snapshot);

@@ -1,5 +1,9 @@
 (** Experiment harness: build a simulated machine, install a collector,
-    load a workload, drive it, and summarize the run. *)
+    load a workload, drive it, and summarize the run.
+
+    {!run} is the driver that catches what the sanitizer raises: a
+    broken invariant in set-up or in the run ends the run, and its
+    report comes back as the summary's [violation]. *)
 
 module RtM = Runtime.Rt
 module Metrics = Runtime.Metrics
@@ -44,6 +48,8 @@ type summary = {
   cpu_utilization : float;  (** busy fraction of all cores in the window *)
   elapsed : int;
   oom : string option;
+  violation : Analysis.Report.t option;
+      (** the broken invariant that cut the run short, under [--verify] *)
   metrics : Metrics.t;  (** full sink for breakdown tables *)
 }
 
@@ -100,8 +106,9 @@ let prepare ?(machine = default_machine) ?(verify = Analysis.Sanitizer.Off)
   Gc.minor ();
   (rt, fun m -> Workload.Spec.request st rt m)
 
-(* A summary for runs that died building the live set. *)
-let oom_summary ~collector (app : Workload.Apps.t) why : summary =
+(* A summary for runs that produced no numbers: the live set did not
+   fit, or an invariant broke. *)
+let empty_summary ~collector (app : Workload.Apps.t) : summary =
   {
     collector;
     workload = app.Workload.Apps.name;
@@ -122,7 +129,8 @@ let oom_summary ~collector (app : Workload.Apps.t) why : summary =
     cpu_gc = 0;
     cpu_utilization = 0.;
     elapsed = 0;
-    oom = Some why;
+    oom = None;
+    violation = None;
     metrics = Runtime.Metrics.create ();
   }
 
@@ -151,6 +159,7 @@ let summarize rt (app : Workload.Apps.t) ~collector
       Metrics.cpu_utilization m ~cores:(Sim.Engine.cores rt.RtM.engine);
     elapsed = r.Runtime.Driver.elapsed_ns;
     oom = r.Runtime.Driver.oom;
+    violation = None;
     metrics = m;
   }
 
@@ -162,26 +171,33 @@ let summarize rt (app : Workload.Apps.t) ~collector
     collector+sanitizer install and before any simulation (observability
     recorders, scheduling policies); an observer that raises mid-run
     aborts the run loudly — the exception propagates out of
-    {!Sim.Engine.run} rather than silently corrupting metrics. *)
+    {!Sim.Engine.run} rather than silently corrupting metrics.  The one
+    exception caught is the sanitizer's {!Analysis.Report.Violation}:
+    the summary then carries the report and no numbers. *)
 let run ?machine ?verify ?attach ?(warmup = 300 * Util.Units.ms)
     ?(duration = 1_500 * Util.Units.ms) ~mode ~install ~collector app =
+  let empty = empty_summary ~collector app in
+  let violated r = { empty with violation = Some r } in
   match prepare ?machine ?verify ?attach ~install app with
-  | exception Setup_oom why -> oom_summary ~collector app why
-  | rt, request ->
-      let r =
+  | exception Setup_oom why -> { empty with oom = Some why }
+  | exception Analysis.Report.Violation r -> violated r
+  | rt, request -> (
+      match
         Runtime.Driver.run rt
           ~n_mutators:app.Workload.Apps.spec.Workload.Spec.mutators ~mode
           ~warmup ~duration ~request ()
-      in
-      summarize rt app ~collector r
+      with
+      | r -> summarize rt app ~collector r
+      | exception Analysis.Report.Violation r -> violated r)
 
 (** Package a fixed-work run as a schedule-explorer scenario
     ({!Analysis.Explore.scenario}): each invocation rebuilds the whole
     machine/heap/runtime from scratch and drives [requests] requests to
     completion, with the explorer's policy and oracles attached via
-    [attach].  No sanitizer is installed here because the explorer
+    [attach].  [prepare] runs at [Off] here because the explorer
     installs its own oracle set per run
-    ({!Analysis.Sanitizer.install_check_oracles}).
+    ([Analysis.Sanitizer.install ~level:Fast]), and catches what they
+    raise.
 
     [on_run] observes each completed run's driver result (e.g. to sum
     the virtual ns explored).  Under a parallel exploration it is called

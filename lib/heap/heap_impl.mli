@@ -175,6 +175,9 @@ val card_is_dirty : t -> int -> bool
 val clean_card : t -> int -> unit
 val iter_dirty_cards : (int -> unit) -> t -> unit
 
+val dirty_cards_desc : t -> int array
+(** The dirty cards in decreasing order ({!Util.Bitset.to_array_desc}). *)
+
 val scan_card : t -> int -> 'a -> f:('a -> Gobj.t -> int -> unit) -> unit
 (** [scan_card t card ctx ~f] scans the objects overlapping [card] in its
     region, applying [f ctx] to each reference slot that falls inside the

@@ -23,5 +23,8 @@ val clear : t -> unit
 val iter : (int -> unit) -> t -> unit
 (** Iterate member cards in increasing order. *)
 
+val to_array_desc : t -> int array
+(** Member cards in decreasing order ({!Util.Bitset.to_array_desc}). *)
+
 val byte_size : t -> int
 (** Memory footprint, for overhead reporting. *)

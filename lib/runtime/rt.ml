@@ -50,14 +50,11 @@ type t = {
      collector registers its metadata sources. ----------------------- *)
   mutable phase_hook : (collector:string -> Vhook.phase -> unit) option;
       (** fired by collectors at phase boundaries via {!fire_phase} *)
-  mutable remset_providers : Vhook.remset_provider list;
-      (** collector-registered old→young coverage sources *)
+  mutable remset_provider : Vhook.remset_provider option;
+      (** the collector-registered old→young coverage source *)
   mutable crdt_source : (string * Heap.Crdt.t) option;
       (** (owning collector, table) — checked at that collector's
           [Mark_end] against the objects' mark epochs *)
-  mutable verify_level : int;
-      (** 0 = off, 1 = fast, 2 = full; written by the sanitizer so a
-          second install request can be deduplicated *)
 }
 
 (* A collector that cannot reclaim anything: allocation failure is OOM.
@@ -93,9 +90,8 @@ let create ~seed ~engine ~heap () =
     next_mid = 0;
     prng = Util.Prng.create seed;
     phase_hook = None;
-    remset_providers = [];
+    remset_provider = None;
     crdt_source = None;
-    verify_level = 0;
   }
 
 let install_collector t c = t.collector <- c
@@ -130,8 +126,7 @@ let fire_phase ?collector t phase =
       in
       f ~collector phase
 
-let register_remset_provider t p =
-  t.remset_providers <- p :: t.remset_providers
+let register_remset_provider t p = t.remset_provider <- Some p
 
 let register_crdt_source t ~collector crdt =
   t.crdt_source <- Some (collector, crdt)

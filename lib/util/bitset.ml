@@ -160,3 +160,13 @@ let to_list t =
   let acc = ref [] in
   iter_set (fun i -> acc := i :: !acc) t;
   List.rev !acc
+
+let to_array_desc t =
+  let a = Array.make t.cardinal 0 in
+  let k = ref t.cardinal in
+  iter_set
+    (fun i ->
+      decr k;
+      Array.unsafe_set a !k i)
+    t;
+  a

@@ -39,3 +39,8 @@ val iter_set : (int -> unit) -> t -> unit
 (** Visit set bits in increasing order (zero words are skipped). *)
 
 val to_list : t -> int list
+
+val to_array_desc : t -> int array
+(** The set bits in decreasing order, in one array sized from
+    {!cardinal}: the snapshot collectors hand out cards from, highest
+    first (the claim order is part of the deterministic schedule). *)

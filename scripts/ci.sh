@@ -110,13 +110,30 @@ for c in jade g1 g1-10ms lxr zgc shenandoah genz genshen; do
       -d 0.25 --warmup 0.1 --verify=full > /dev/null
   done
 done
-# The benchmark's jade-h2-closed geometry (2x heap): Jade's old marks
-# overlap most region releases there, so the verifier checks many
-# batches of the dead records a mark holds back before the pool takes
-# them when their grace period ends (DESIGN.md §12).
-echo "-- jade / h2-tpcc -m 2.0 --verify=full --"
+
+echo "== verify outcome (a broken invariant is a report and exit 1) =="
+# One collector's slice of the verify census (ROADMAP item 15): a
+# passing cell and a failing one.  The passing cell is the benchmark's
+# jade-h2-closed geometry (2x heap): Jade's old marks overlap most
+# region releases there, so the verifier checks many batches of the
+# dead records a mark holds back before the pool takes them when their
+# grace period ends (DESIGN.md §12).  At 1.3x the verifier finds an
+# uncovered old-to-young edge; gcsim run prints the report and exits 1,
+# not cmdliner's crash code 125.  When ROADMAP item 12 mends that cell,
+# pin another failing one.
+echo "-- jade / h2-tpcc -m 2.0 --verify=full: passes --"
 dune exec bin/gcsim.exe -- run -c jade -w h2-tpcc -m 2.0 \
   -d 0.25 --warmup 0.1 --verify=full > /dev/null
+echo "-- jade / h2-tpcc -m 1.3 --verify=full: exits 1 naming remset-coverage --"
+code=0
+dune exec bin/gcsim.exe -- run -c jade -w h2-tpcc -m 1.3 \
+  -d 0.25 --warmup 0.1 --verify=full > /tmp/ci_verify_fail.txt 2>&1 || code=$?
+if [ "$code" -ne 1 ] || ! grep -q 'remset-coverage' /tmp/ci_verify_fail.txt; then
+  cat /tmp/ci_verify_fail.txt >&2
+  echo "verify outcome FAILED: exit $code, want 1 and a remset-coverage report" >&2
+  exit 1
+fi
+echo "violation reported, exit 1"
 
 echo "== schedule-space check smoke (explorer oracles stay clean) =="
 # 64 random schedules at depth 8 over a small fixed workload: every

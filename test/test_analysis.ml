@@ -83,10 +83,16 @@ let small_app ?(update_pct = 0.4) live_mib : Workload.Apps.t =
 (* ------------------------------------------------------------------ *)
 (* Tier-1 integration scenarios under --verify=full.                    *)
 
+(* A run that broke an invariant comes back with its report and no
+   numbers; fail with the report. *)
+let no_violation name (s : Experiments.Harness.summary) =
+  Option.iter
+    (fun r -> Alcotest.failf "%s: %s" name (Analysis.Report.to_string r))
+    s.Experiments.Harness.violation
+
 let test_verified_fixed_work_all_collectors () =
-  (* The default sanitizer policy raises [Report.Violation], so merely
-     finishing is the assertion: full verification at every phase
-     boundary of every collector, zero violations. *)
+  (* Full verification at every phase boundary of every collector:
+     each must finish its fixed work with no violation. *)
   let app = small_app 6 in
   List.iter
     (fun (name, install) ->
@@ -96,6 +102,7 @@ let test_verified_fixed_work_all_collectors () =
           ~mode:(Runtime.Driver.Fixed app.Workload.Apps.fixed_requests)
           ~install ~collector:name app
       in
+      no_violation name s;
       Alcotest.(check bool)
         (name ^ " completed fixed work under full verification")
         true
@@ -121,6 +128,7 @@ let test_verified_open_loop () =
       ~collector:"g1" ~mode:(Runtime.Driver.Open 5000.) ~warmup:(100 * ms)
       ~duration:(400 * ms) app
   in
+  no_violation "g1" s;
   Alcotest.(check bool) "p99 >= p50" true
     (s.Experiments.Harness.p99_latency >= s.Experiments.Harness.p50_latency);
   Alcotest.(check bool) "completed requests" true
@@ -138,6 +146,7 @@ let test_sanitizer_does_not_perturb_metrics () =
   in
   let off = run Analysis.Sanitizer.Off in
   let full = run Analysis.Sanitizer.Full in
+  no_violation "jade" full;
   let open Experiments.Harness in
   Alcotest.(check int) "completed" off.completed full.completed;
   Alcotest.(check (float 0.)) "throughput" off.throughput full.throughput;
@@ -158,7 +167,7 @@ let test_sanitizer_does_not_perturb_metrics () =
 
 (* A runtime with jade's young collector and write barrier but no
    controller daemons: the test decides when collection runs. *)
-let young_only_rt ~config ~on_violation () =
+let young_only_rt ~config () =
   let engine = Sim.Engine.create ~cores:4 ~quantum:(20 * Util.Units.us) () in
   let cfg =
     Heap.Heap_impl.config ~heap_bytes:(16 * mib)
@@ -188,7 +197,7 @@ let young_only_rt ~config ~on_violation () =
       mutator_tax_pct = 0;
       alloc_failure = (fun () -> failwith "test heap exhausted");
     };
-  Analysis.Sanitizer.install ~on_violation ~level:Full rt;
+  Analysis.Sanitizer.install ~level:Full rt;
   (rt, young)
 
 (* An old-generation holder with one reference slot, in its own region
@@ -202,12 +211,19 @@ let fresh_old_holder rt =
         ~size:(Heap.Heap_impl.object_size ~nrefs:1 ~data_bytes:0)
         ~nrefs:1
 
+(* Run the engine of [rt] to the end and return the violation it
+   raises, if any. *)
+let first_violation rt =
+  Fun.protect ~finally:Heap.Access.reset (fun () ->
+      match Sim.Engine.run rt.Runtime.Rt.engine with
+      | () -> None
+      | exception Analysis.Report.Violation r -> Some r)
+
 let test_planted_remset_bug_caught_by_verifier () =
-  let reports = ref [] in
   let config =
     { Jade.Jade_config.default with planted_bug = Jade.Jade_config.Skip_remset_insert }
   in
-  let rt, young = young_only_rt ~config ~on_violation:(fun r -> reports := r :: !reports) () in
+  let rt, young = young_only_rt ~config () in
   ignore
     (Sim.Engine.spawn rt.Runtime.Rt.engine ~name:"planter"
        ~kind:Sim.Engine.Mutator (fun () ->
@@ -219,26 +235,18 @@ let test_planted_remset_bug_caught_by_verifier () =
          Runtime.Mutator.write m h 0 x;
          Runtime.Mutator.finish m;
          ignore (Jade.Young.collect young ~workers:1)));
-  Sim.Engine.run rt.Runtime.Rt.engine;
-  Heap.Access.reset ();
-  let coverage =
-    List.filter
-      (fun (r : Analysis.Report.t) ->
-        r.engine = "verifier" && r.invariant = "remset-coverage")
-      !reports
-  in
-  Alcotest.(check bool)
-    "verifier reported the uncovered old→young edge" true (coverage <> [])
+  match first_violation rt with
+  | None -> Alcotest.fail "the verifier stayed silent on an uncovered old→young edge"
+  | Some r ->
+      Alcotest.(check (pair string string))
+        "verifier reported the uncovered old→young edge"
+        ("verifier", "remset-coverage")
+        (r.Analysis.Report.engine, r.Analysis.Report.invariant)
 
 let test_planted_remset_bug_absent_means_silent () =
   (* Control: the identical scenario without the plant must be clean —
      a sanitizer that cries wolf is as useless as a silent one. *)
-  let reports = ref [] in
-  let rt, young =
-    young_only_rt ~config:Jade.Jade_config.default
-      ~on_violation:(fun r -> reports := r :: !reports)
-      ()
-  in
+  let rt, young = young_only_rt ~config:Jade.Jade_config.default () in
   ignore
     (Sim.Engine.spawn rt.Runtime.Rt.engine ~name:"planter"
        ~kind:Sim.Engine.Mutator (fun () ->
@@ -248,20 +256,20 @@ let test_planted_remset_bug_absent_means_silent () =
          Runtime.Mutator.write m h 0 x;
          Runtime.Mutator.finish m;
          ignore (Jade.Young.collect young ~workers:1)));
-  Sim.Engine.run rt.Runtime.Rt.engine;
-  Heap.Access.reset ();
-  Alcotest.(check int) "no violations without the plant" 0
-    (List.length !reports)
+  match first_violation rt with
+  | None -> ()
+  | Some r ->
+      Alcotest.failf "violation without the plant:\n%s"
+        (Analysis.Report.to_string r)
 
 let test_planted_race_caught_by_detector () =
   (* Two holders on different cards reference the same young object; two
      evacuation workers scan one card each.  The planted check-then-act
      window (check forward slot, yield, install) lets both copy it. *)
-  let reports = ref [] in
   let config =
     { Jade.Jade_config.default with planted_bug = Jade.Jade_config.Racy_forwarding }
   in
-  let rt, young = young_only_rt ~config ~on_violation:(fun r -> reports := r :: !reports) () in
+  let rt, young = young_only_rt ~config () in
   ignore
     (Sim.Engine.spawn rt.Runtime.Rt.engine ~name:"planter"
        ~kind:Sim.Engine.Mutator (fun () ->
@@ -273,18 +281,16 @@ let test_planted_race_caught_by_detector () =
          Runtime.Mutator.write m h2 0 x;
          Runtime.Mutator.finish m;
          ignore (Jade.Young.collect young ~workers:2)));
-  Sim.Engine.run rt.Runtime.Rt.engine;
-  Heap.Access.reset ();
-  let races =
-    List.filter
-      (fun (r : Analysis.Report.t) -> r.engine = "race-detector")
-      !reports
-  in
-  Alcotest.(check bool)
-    "race detector reported the double forwarding install" true (races <> [])
+  match first_violation rt with
+  | None -> Alcotest.fail "the race detector stayed silent on a double install"
+  | Some r ->
+      Alcotest.(check string)
+        "race detector reported the double forwarding install"
+        "race-detector" r.Analysis.Report.engine
 
 let test_planted_remset_bug_end_to_end () =
-  (* Full workload run with the plant: the verifier must abort the run.
+  (* Full workload run with the plant: the verifier must cut the run
+     short, and the harness returns its report in the summary.
      Depending on whether an old cycle is in flight when the loss
      happens, the first broken invariant is either the remembered-set
      coverage recomputation or the downstream dangling-reference found
@@ -294,17 +300,18 @@ let test_planted_remset_bug_end_to_end () =
   let config =
     { Jade.Jade_config.default with planted_bug = Jade.Jade_config.Skip_remset_insert }
   in
-  match
+  let s =
     Experiments.Harness.run ~mode:Runtime.Driver.Closed ~machine:(machine 20)
       ~verify:Analysis.Sanitizer.Full
       ~install:(fun rt -> ignore (Jade.Collector.install ~config rt))
       ~collector:"jade" ~warmup:(100 * ms) ~duration:(600 * ms) app
-  with
-  | _ ->
+  in
+  match s.Experiments.Harness.violation with
+  | None ->
       Alcotest.fail
         "young barrier dropped remembered-set inserts and the verifier \
          stayed silent"
-  | exception Analysis.Report.Violation r ->
+  | Some r ->
       Alcotest.(check string) "caught by the heap verifier" "verifier"
         r.Analysis.Report.engine;
       Alcotest.(check bool)
@@ -317,9 +324,9 @@ let test_planted_remset_bug_end_to_end () =
 (* The fast verifier's accounting checks, each shown to fire.           *)
 
 (* Plant [fault] on a small heap holding one claimed region with one
-   object, fire a phase at the fast level, and return the invariants
-   reported. *)
-let accounting_reports fault =
+   object, fire a phase at the fast level, and return the invariant
+   reported first. *)
+let accounting_report fault =
   let engine = Sim.Engine.create () in
   let heap =
     Heap.Heap_impl.create
@@ -330,22 +337,18 @@ let accounting_reports fault =
   let r = Option.get (Heap.Heap_impl.claim_region heap Heap.Region.Old) in
   ignore (Heap.Heap_impl.alloc_in heap r ~size:64 ~nrefs:0);
   fault heap r;
-  let reports = ref [] in
-  let v =
-    Analysis.Verifier.create ~full:false
-      ~on_violation:(fun (r : Analysis.Report.t) ->
-        reports := r.invariant :: !reports)
-      rt
-  in
-  Analysis.Verifier.on_phase v ~collector:"test" Runtime.Vhook.Cycle_end;
-  !reports
+  let v = Analysis.Verifier.create ~full:false rt in
+  match Analysis.Verifier.on_phase v ~collector:"test" Runtime.Vhook.Cycle_end with
+  | () -> None
+  | exception Analysis.Report.Violation r -> Some r.Analysis.Report.invariant
 
+(* Each plant trips its own invariant first. *)
 let test_accounting_faults_reported () =
-  Alcotest.(check (list string)) "clean heap" []
-    (accounting_reports (fun _ _ -> ()));
+  Alcotest.(check (option string)) "clean heap" None
+    (accounting_report (fun _ _ -> ()));
   let fires invariant fault =
-    Alcotest.(check bool) invariant true
-      (List.mem invariant (accounting_reports fault))
+    Alcotest.(check (option string)) invariant (Some invariant)
+      (accounting_report fault)
   in
   fires "free-region-empty" (fun heap _ ->
       (Heap.Heap_impl.region heap (Heap.Heap_impl.num_regions heap - 1))
@@ -365,8 +368,8 @@ let test_accounting_faults_reported () =
    with the sanitizer installed at [level]: the controller's quiescent
    point ends the grace period over the record.  When [rooted], a global
    root names the resident: the check must report it before the pool
-   takes it.  Returns the invariants reported. *)
-let deferred_harvest_reports ~level ~rooted =
+   takes it.  Returns the invariant reported, if any. *)
+let deferred_harvest_report ~level ~rooted =
   let engine = Sim.Engine.create () in
   let heap =
     Heap.Heap_impl.create
@@ -374,11 +377,7 @@ let deferred_harvest_reports ~level ~rooted =
          ~region_bytes:(256 * Util.Units.kib) ())
   in
   let rt = Runtime.Rt.create ~seed:7 ~engine ~heap () in
-  let reports = ref [] in
-  Analysis.Sanitizer.install
-    ~on_violation:(fun (r : Analysis.Report.t) ->
-      reports := r.invariant :: !reports)
-    ~level rt;
+  Analysis.Sanitizer.install ~level rt;
   let grace = heap.Heap.Heap_impl.grace in
   let controller = Heap.Grace.register grace in
   let r = Option.get (Heap.Heap_impl.claim_region heap Heap.Region.Young) in
@@ -387,19 +386,21 @@ let deferred_harvest_reports ~level ~rooted =
   ignore (Heap.Heap_impl.begin_mark heap);
   Heap.Heap_impl.release_region heap r;
   Heap.Heap_impl.end_mark heap;
-  Heap.Grace.quiescent grace controller;
-  Heap.Access.reset ();
-  !reports
+  Fun.protect ~finally:Heap.Access.reset (fun () ->
+      match Heap.Grace.quiescent grace controller with
+      | () -> None
+      | exception Analysis.Report.Violation r -> Some r.Analysis.Report.invariant)
 
 let test_deferred_harvest_check () =
   List.iter
     (fun level ->
       let name = Analysis.Sanitizer.level_to_string level in
-      Alcotest.(check (list string)) (name ^ ": rooted record reported")
-        [ "deferred-harvest" ]
-        (deferred_harvest_reports ~level ~rooted:true);
-      Alcotest.(check (list string)) (name ^ ": unrooted record passes") []
-        (deferred_harvest_reports ~level ~rooted:false))
+      Alcotest.(check (option string)) (name ^ ": rooted record reported")
+        (Some "deferred-harvest")
+        (deferred_harvest_report ~level ~rooted:true);
+      Alcotest.(check (option string)) (name ^ ": unrooted record passes")
+        None
+        (deferred_harvest_report ~level ~rooted:false))
     [ Analysis.Sanitizer.Fast; Analysis.Sanitizer.Full ]
 
 let () =

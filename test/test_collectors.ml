@@ -435,19 +435,19 @@ let test_zgc_flags_stub_not_copy () =
 (* ------------------------------------------------------------------ *)
 (* Verifier metadata: what each registered collector tells --verify.   *)
 
-(* Per collector, after install: remembered-set providers and the owner
+(* Per collector, after install: the remembered-set provider and the owner
    of the CRDT source.  Dropping a registration would only make --verify
    check less, silently; this fence makes it fail. *)
 let expected_metadata =
   [
-    ("jade", (1, Some "jade"));
-    ("g1", (1, None));
-    ("g1-10ms", (1, None));
-    ("zgc", (0, None));
-    ("shenandoah", (0, None));
-    ("lxr", (1, None));
-    ("genz", (1, None));
-    ("genshen", (1, None));
+    ("jade", (Some "jade.old2young", Some "jade"));
+    ("g1", (Some "g1.remsets", None));
+    ("g1-10ms", (Some "g1.remsets", None));
+    ("zgc", (None, None));
+    ("shenandoah", (None, None));
+    ("lxr", (Some "lxr.remsets", None));
+    ("genz", (Some "young_gen.old2young", None));
+    ("genshen", (Some "young_gen.old2young", None));
   ]
 
 let test_verifier_metadata () =
@@ -462,10 +462,12 @@ let test_verifier_metadata () =
       let rt = Runtime.Rt.create ~seed:42 ~engine ~heap () in
       e.Experiments.Registry.install rt;
       let actual =
-        ( List.length rt.Runtime.Rt.remset_providers,
+        ( Option.map
+            (fun p -> p.Runtime.Vhook.rp_name)
+            rt.Runtime.Rt.remset_provider,
           Option.map fst rt.Runtime.Rt.crdt_source )
       in
-      Alcotest.(check (pair int (option string)))
+      Alcotest.(check (pair (option string) (option string)))
         (e.Experiments.Registry.name ^ " registrations")
         (List.assoc e.Experiments.Registry.name expected_metadata)
         actual)

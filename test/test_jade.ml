@@ -276,7 +276,14 @@ let test_jade_weak_refs_processed () =
   Alcotest.(check bool)
     (Printf.sprintf "weak list bounded (%d)" registered)
     true
-    (registered < 500_000)
+    (registered < 500_000);
+  (* Young collections clear most of them, and count what they clear. *)
+  let young_cleared =
+    Runtime.Metrics.counter rt.Runtime.Rt.metrics "jade.weak_young_cleared"
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "young collections cleared weak refs (%d)" young_cleared)
+    true (young_cleared > 0)
 
 let () =
   Alcotest.run "jade"

@@ -264,6 +264,8 @@ let test_bitset_iter_range () =
   let b = Bitset.create 64 in
   List.iter (fun i -> ignore (Bitset.set b i)) [ 3; 17; 18; 40; 63 ];
   Alcotest.(check (list int)) "iter_set" [ 3; 17; 18; 40; 63 ] (Bitset.to_list b);
+  Alcotest.(check (array int)) "descending snapshot" [| 63; 40; 18; 17; 3 |]
+    (Bitset.to_array_desc b);
   Bitset.clear_range b ~lo:17 ~hi:41;
   Alcotest.(check (list int)) "range cleared" [ 3; 63 ] (Bitset.to_list b);
   check Alcotest.int "cardinal" 2 (Bitset.cardinal b)
