@@ -113,14 +113,15 @@ let install variant rt =
      lost when the old card's region is freed. *)
   let copy_hook (o' : Gobj.t) =
     let heap = rt.RtM.heap in
-    Gobj.iter_fields
-      (fun i child ->
-        let child = Gobj.resolve child in
-        if Young_gen.is_young heap child then
-          ignore
-            (Remset.add young.Young_gen.remset
-               (Heap_impl.card_of_field heap o' i)))
-      o'
+    (* [Gobj.iter_fields] spelled out: its callback would be a fresh
+       closure over [o'] per copy. *)
+    for i = 0 to Gobj.num_fields o' - 1 do
+      let child = Gobj.resolve (Gobj.get_field o' i) in
+      if child != Gobj.null && Young_gen.is_young heap child then
+        ignore
+          (Remset.add young.Young_gen.remset
+             (Heap_impl.card_of_field heap o' i))
+    done
   in
   let old =
     variant.old_gen rt

@@ -130,14 +130,15 @@ let after_copy t tk (o : Gobj.t) (o' : Gobj.t) =
     t.tenure.survivors <- t.tenure.survivors + Gobj.size o
   else begin
     Metrics.add t.rt.RtM.metrics "young.promoted_bytes" (Gobj.size o);
-    Gobj.iter_fields
-      (fun i child ->
-        let child = Gobj.resolve child in
-        if is_young heap child then begin
-          Common.Ticker.tick tk Costs.remset_insert;
-          ignore (Remset.add t.remset (Heap_impl.card_of_field heap o' i))
-        end)
-      o'
+    (* [Gobj.iter_fields] spelled out: its callback would be a fresh
+       closure over [o'] per promoted object. *)
+    for i = 0 to Gobj.num_fields o' - 1 do
+      let child = Gobj.resolve (Gobj.get_field o' i) in
+      if child != Gobj.null && is_young heap child then begin
+        Common.Ticker.tick tk Costs.remset_insert;
+        ignore (Remset.add t.remset (Heap_impl.card_of_field heap o' i))
+      end
+    done
   end
 
 (** Run one concurrent young collection.  Returns false on evacuation

@@ -2,7 +2,8 @@
 
     Used pervasively: region object lists, GC mark stacks, SATB buffers,
     root sets.  Amortized O(1) push; indices are stable until [remove] or
-    [clear]. *)
+    [clear].  Only a vector emptied with [forget] keeps values past its
+    length. *)
 
 type 'a t = {
   mutable data : 'a array;
@@ -31,9 +32,31 @@ let ensure_capacity t n =
     t.data <- data
   end
 
+(* Exactly [n], not the next doubling: a reservation names what it
+   needs. *)
+let reserve t n =
+  if n > Array.length t.data then begin
+    let data = Array.make n t.dummy in
+    Array.blit t.data 0 data 0 t.len;
+    t.data <- data
+  end
+
 let push t x =
   ensure_capacity t (t.len + 1);
   t.data.(t.len) <- x;
+  t.len <- t.len + 1
+
+(* Values kept past the length.  Nothing else reads a slot at or past
+   [len], and [push] grows a vector only when every slot is below its
+   length, so a kept value stays where it is until a push lands on its
+   slot.  [reserve] and the shortening operations are not used on such a
+   vector. *)
+let forget t = t.len <- 0
+let kept t i = t.data.(i)
+
+let push_kept t x =
+  ensure_capacity t (t.len + 1);
+  if t.data.(t.len) != x then t.data.(t.len) <- x;
   t.len <- t.len + 1
 
 (* No option-returning pop: callers test [is_empty] first, and an option

@@ -2,7 +2,14 @@
 
     Used pervasively: region object lists, GC mark stacks, SATB buffers,
     root sets.  Amortized O(1) push; indices are stable until
-    {!pop_last}, {!truncate} or {!clear}. *)
+    {!pop_last}, {!truncate} or {!clear}.
+
+    Every operation that shortens a vector clears the slots it drops to
+    the dummy, except {!forget}: a vector emptied with it keeps its old
+    values past its length, readable with {!kept}, until pushes land on
+    their slots.  Only a region's object vector in a recycled heap is
+    emptied that way ([Heap.Region.recycle]): its slots are the records
+    the heap's previous run left there. *)
 
 type 'a t
 
@@ -15,6 +22,23 @@ val is_empty : 'a t -> bool
 val clear : 'a t -> unit
 
 val push : 'a t -> 'a -> unit
+
+val reserve : 'a t -> int -> unit
+(** [reserve t n] grows the capacity to exactly [n] when it is smaller,
+    so the next [n - length t] pushes allocate nothing. *)
+
+val forget : 'a t -> unit
+(** Set the length to 0 and keep every value in its slot, past the
+    length.  O(1): nothing is written. *)
+
+val kept : 'a t -> int -> 'a
+(** [kept t i] is the value in slot [i] at or past the length: one that
+    {!forget} kept, or the dummy.  Raises [Invalid_argument] when [i] is
+    not below the capacity. *)
+
+val push_kept : 'a t -> 'a -> unit
+(** {!push}, except that when the slot at the length already holds [x]
+    (physically) it is not written again. *)
 
 val pop_last : 'a t -> 'a
 (** Remove and return the last element; the caller has checked

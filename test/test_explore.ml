@@ -247,43 +247,68 @@ let test_pruning_skips_equivalent_schedules () =
 
 (* ------------------------------------------------------------------ *)
 (* Heap recycling: each schedule's heap is rebuilt from the previous
-   schedule's storage.  Recycled records are unreachable until reissued
-   and the pool is LIFO, so every schedule must end exactly as it does
-   on a fresh heap.  Each cell collects (asserted), so records are
-   harvested, stubs pass through limbo and carried-over records sit
-   under them in the pool. *)
+   schedule's storage.  Recycled records are unreachable until reissued,
+   so every schedule must end exactly as it does on a fresh heap.  The
+   cells that collect (asserted) harvest records and pass stubs through
+   limbo while carried-over records wait in their slots; on the check
+   workload's geometry nothing is collected, and every set-up object is
+   reissued in the record its slot held (asserted). *)
 
 (* One cell per collector at the golden-trace geometry, plus lxr pmd
    2.0x seed 2, where pooled and unpooled runs parted while LXR left
-   its remembered sets stale across full GCs. *)
+   its remembered sets stale across full GCs, and jade avrora 4x, the
+   check workload's geometry. *)
 let recycle_cells =
-  List.map (fun e -> (e, "lusearch", 1.5, 42, 300)) Experiments.Registry.all
-  @ [ (Experiments.Registry.lxr, "pmd", 2.0, 2, 300) ]
+  List.map (fun e -> (`Collects, (e, "lusearch", 1.5, 42, 300))) Experiments.Registry.all
+  @ [
+      (`Collects, (Experiments.Registry.lxr, "pmd", 2.0, 2, 300));
+      (`In_place, (Experiments.Registry.jade, "avrora", 4.0, 42, 400));
+    ]
+
+(* Whether every object of [heap] sits in the record its slot held in
+   [slots], each region's objects when the previous run ended. *)
+let all_in_place (heap : Heap.Heap_impl.t) slots =
+  Array.length slots = Heap.Heap_impl.num_regions heap
+  && Array.for_all2
+       (fun (r : Heap.Region.t) prev ->
+         let objs = r.Heap.Region.objects in
+         Util.Vec.length objs <= Array.length prev
+         && List.for_all
+              (fun i -> Util.Vec.get objs i == prev.(i))
+              (List.init (Util.Vec.length objs) Fun.id))
+       heap.Heap.Heap_impl.regions slots
 
 (* Explore [schedules] rand schedules of a cell and return each run's
    end state, in schedule order, with the number of runs whose heap
-   reused the previous run's regions and the explorer's end-state
-   digest.  [fresh] drops the parked heap
+   reused the previous run's regions, the number whose set-up objects
+   all sat in the records their slots held when the previous run ended,
+   and the explorer's end-state digest.  [fresh] drops the parked heap
    before each run, so every run builds its heap from nothing. *)
 let explore_fingerprints ~fresh ~schedules
     ((entry : Experiments.Registry.entry), app, mult, seed, requests) =
   let app = Workload.Apps.find app in
   let machine = Experiments.Trace_run.machine_for ~cores:4 ~mult ~seed app in
   let prints = ref [] and reused = ref 0 and last = ref [||] in
+  let in_place = ref 0 and slots = ref [||] in
   let scenario ~attach =
     if fresh then Heap.Heap_impl.drop_retired ();
     let rt, request =
       Experiments.Harness.prepare ~machine ~verify:Analysis.Sanitizer.Off
         ~attach ~install:entry.Experiments.Registry.install app
     in
+    let engine = rt.Runtime.Rt.engine and heap = rt.Runtime.Rt.heap in
+    if all_in_place heap !slots then incr in_place;
     let r =
       Runtime.Driver.run rt ~n_mutators:app.Workload.Apps.spec.Workload.Spec.mutators
         ~mode:(Runtime.Driver.Fixed requests) ~request ()
     in
-    let engine = rt.Runtime.Rt.engine and heap = rt.Runtime.Rt.heap in
     let m = rt.Runtime.Rt.metrics in
     if heap.Heap.Heap_impl.regions == !last then incr reused;
     last := heap.Heap.Heap_impl.regions;
+    slots :=
+      Array.map
+        (fun (r : Heap.Region.t) -> Util.Vec.to_array r.Heap.Region.objects)
+        heap.Heap.Heap_impl.regions;
     prints :=
       [
         Sim.Engine.now engine;
@@ -304,26 +329,31 @@ let explore_fingerprints ~fresh ~schedules
         seed; jobs = 1 }
   in
   Alcotest.(check bool) "no violation" true (res.Analysis.Explore.violation = None);
-  (List.rev !prints, !reused, res.Analysis.Explore.end_digest)
+  (List.rev !prints, !reused, !in_place, res.Analysis.Explore.end_digest)
 
 let test_recycled_equals_fresh () =
   let schedules = 4 in
   List.iter
-    (fun ((entry : Experiments.Registry.entry), app, mult, seed, _ as cell) ->
+    (fun (kind, ((entry : Experiments.Registry.entry), app, mult, seed, _ as cell)) ->
       let name =
         Printf.sprintf "%s %s %.1fx seed %d" entry.Experiments.Registry.name app mult seed
       in
-      let recycled, reused, recycled_digest =
+      let recycled, reused, in_place, recycled_digest =
         explore_fingerprints ~fresh:false ~schedules cell
       in
-      let fresh, reused_fresh, fresh_digest =
+      let fresh, reused_fresh, _, fresh_digest =
         explore_fingerprints ~fresh:true ~schedules cell
       in
       Alcotest.(check int) (name ^ ": every later schedule recycled") (schedules - 1) reused;
       Alcotest.(check int) (name ^ ": dropped slot builds fresh") 0 reused_fresh;
       let gc_busy fp = List.nth fp 5 in
-      Alcotest.(check bool) (name ^ ": collects") true
-        (List.for_all (fun fp -> gc_busy fp > 0) recycled);
+      (match kind with
+      | `Collects ->
+          Alcotest.(check bool) (name ^ ": collects") true
+            (List.for_all (fun fp -> gc_busy fp > 0) recycled)
+      | `In_place ->
+          Alcotest.(check int) (name ^ ": set-up reissued in place") (schedules - 1)
+            in_place);
       Alcotest.(check (list (list int))) (name ^ ": per-schedule end states") fresh
         recycled;
       Alcotest.(check string) (name ^ ": end-state digest") fresh_digest
