@@ -69,7 +69,7 @@ let run_workers rt ~n ~name f =
   for i = 0 to n - 1 do
     ignore
       (Sim.Engine.spawn engine ~daemon:true ~kind:Sim.Engine.Gc
-         ~name:(Printf.sprintf "%s-%d" name i)
+         ~name:(name ^ "-" ^ string_of_int i)
          (fun () ->
            let tk = Ticker.create () in
            f i tk;
@@ -413,8 +413,10 @@ end
 (* ------------------------------------------------------------------ *)
 (* The claim loop.                                                      *)
 
-(** Run [f ctx tk item] over [items] with [n] GC workers, each with its
-    own ticker [tk] and [init tk] context (e.g. a destination buffer).
+(** Run [f ctx tk item] over the [Util.Vec.length items] items of
+    [items] with [n] GC workers, each with its own ticker [tk] and
+    [init tk] context (e.g. a destination buffer).  [items] is a buffer
+    its caller refills each cycle; the drain only reads it.
     Workers claim items in index order, each exactly once, and stop
     claiming when the items run out, when [stop ()] turns true (checked
     between items), or once an item has raised
@@ -423,7 +425,7 @@ end
     the highest index down, then the failing items (latest failure
     first). *)
 let parallel_drain rt ~n ~name ?(stop = fun () -> false) ~init items f =
-  let len = Array.length items in
+  let len = Util.Vec.length items in
   let next = ref 0 in
   let leftover = ref [] in
   let failed = ref false in
@@ -435,15 +437,16 @@ let parallel_drain rt ~n ~name ?(stop = fun () -> false) ~init items f =
         else begin
           let i = !next in
           incr next;
-          match f ctx tk items.(i) with
+          let item = Util.Vec.get items i in
+          match f ctx tk item with
           | () -> ()
           | exception Evac.Evacuation_failure ->
               failed := true;
-              leftover := items.(i) :: !leftover
+              leftover := item :: !leftover
         end
       done);
   for i = !next to len - 1 do
-    leftover := items.(i) :: !leftover
+    leftover := Util.Vec.get items i :: !leftover
   done;
   (!leftover, !failed)
 
@@ -700,20 +703,30 @@ let whole_heap = { cset_filter = (fun _ -> true); copy_hook = ignore }
 (** Only regions below this liveness are relocation candidates. *)
 let candidate_live_threshold = 0.85
 
-(** Relocation candidates after a mark: the claimed regions allocated
-    before its snapshot, below {!candidate_live_threshold} and admitted
-    by [config], least live first (a stable sort, so ties keep region
-    order). *)
-let relocation_candidates rt config =
+(** An empty buffer of regions, for a collector to refill each cycle
+    instead of building a list. *)
+let region_buffer () = Util.Vec.create (Region.make ~rid:(-1) ~size:0)
+
+(** Fill [buf] with the relocation candidates after a mark: the claimed
+    regions allocated before its snapshot, below
+    {!candidate_live_threshold} and admitted by [config], least live
+    first (a stable sort, so ties keep region order). *)
+let relocation_candidates rt config buf =
   let heap = rt.RtM.heap in
-  Array.to_list heap.Heap_impl.regions
-  |> List.filter (fun (r : Region.t) ->
-         (not (Region.is_free r))
-         && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-         && Region.live_ratio r < candidate_live_threshold
-         && config.cset_filter r)
-  |> List.sort (fun (a : Region.t) b ->
-         Int.compare a.Region.live_bytes b.Region.live_bytes)
+  let regions = heap.Heap_impl.regions in
+  Util.Vec.clear buf;
+  for i = 0 to Array.length regions - 1 do
+    let r = regions.(i) in
+    if
+      (not (Region.is_free r))
+      && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
+      && Region.live_ratio r < candidate_live_threshold
+      && config.cset_filter r
+    then Util.Vec.push buf r
+  done;
+  Util.Vec.sort
+    (fun (a : Region.t) b -> Int.compare a.Region.live_bytes b.Region.live_bytes)
+    buf
 
 (* ------------------------------------------------------------------ *)
 (* Installation.                                                        *)

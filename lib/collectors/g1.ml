@@ -24,6 +24,7 @@ type t = {
   marker : Common.Marker.t;
   mutable marking : bool;
   mutable candidates : Region.t list;  (** mixed-collection victims *)
+  cards : int Util.Vec.t;  (** the remset rebuild's dirty cards *)
   mutable young_budget : int;  (** regions of eden before a young GC *)
   mutable urgent : bool;  (** an allocation failed; collect now *)
   mutable last_pause_est : int;
@@ -99,7 +100,7 @@ let full_gc t =
 let remset_rebuild_wanted (r : Region.t) =
   (not (Region.is_free r)) && Stw_collect.remember_from r
 
-(** One remset-rebuild worker's share, [cards.(lo)] to [cards.(hi - 1)]:
+(** One remset-rebuild worker's share, cards [lo] to [hi - 1] of [cards]:
     record each scanned card's cross-region references, then clean it.
     The slot visitor is built once per call and the card is the scan's
     context, so a card allocates nothing. *)
@@ -115,7 +116,7 @@ let rebuild_remset_cards heap remsets tk cards ~lo ~hi =
     end
   in
   for idx = lo to hi - 1 do
-    let card = cards.(idx) in
+    let card = Util.Vec.get cards idx in
     Common.Ticker.tick tk Costs.card_scan;
     let holder_r = Heap_impl.region heap (Heap_impl.card_to_region heap card) in
     if remset_rebuild_wanted holder_r then
@@ -142,10 +143,11 @@ let run_mark_cycle t =
   Metrics.phase_begin metrics "g1.remset_build"
     ~now:(Sim.Engine.now rt.RtM.engine);
   (* Highest card first: chunk assignment below depends on the order. *)
-  let cards = Heap_impl.dirty_cards_desc heap in
-  Metrics.add metrics "g1.cards_scanned" (Array.length cards);
+  let cards = t.cards in
+  Heap_impl.snapshot_dirty_cards heap cards;
+  Metrics.add metrics "g1.cards_scanned" (Util.Vec.length cards);
   Common.run_workers rt ~n:Common.gc_threads ~name:"g1-rebuild" (fun w tk ->
-      let n = Array.length cards in
+      let n = Util.Vec.length cards in
       let chunk = (n + Common.gc_threads - 1) / Common.gc_threads in
       rebuild_remset_cards heap t.remsets tk cards ~lo:(w * chunk)
         ~hi:(Int.min n ((w + 1) * chunk)));
@@ -204,6 +206,7 @@ let install ?(pause_target = 200 * Util.Units.ms) rt =
       marker = Common.Marker.create rt;
       marking = false;
       candidates = [];
+      cards = Util.Vec.create 0;
       young_budget = Int.max 4 (Heap_impl.num_regions heap / 4);
       urgent = false;
       last_pause_est = Util.Units.ms;

@@ -21,6 +21,10 @@ type t = {
   rt : RtM.t;
   config : Common.old_config;
   marker : Common.Marker.t;
+  candidates : Region.t Util.Vec.t;
+      (** the mark's relocation candidates, then the collection set in
+          claim order *)
+  all_regions : Region.t Util.Vec.t;  (** every region, in rid order *)
   mutable cycle_running : bool;
   mutable degen_requested : bool;
   mutable urgent : bool;
@@ -29,10 +33,14 @@ type t = {
 (** A Shenandoah instance on [rt], without a controller (GenShen drives
     its own). *)
 let create ?(config = Common.whole_heap) rt =
+  let all_regions = Common.region_buffer () in
+  Array.iter (Util.Vec.push all_regions) rt.RtM.heap.Heap_impl.regions;
   {
     rt;
     config;
     marker = Common.Marker.create rt;
+    candidates = Common.region_buffer ();
+    all_regions;
     cycle_running = false;
     degen_requested = false;
     urgent = false;
@@ -54,14 +62,17 @@ let select_cset t =
   let budget =
     ref (Heap_impl.free_regions heap * heap.Heap_impl.cfg.region_bytes * 9 / 10)
   in
-  List.iter
+  Common.relocation_candidates t.rt t.config t.candidates;
+  Util.Vec.iter
     (fun (r : Region.t) ->
       if r.Region.live_bytes <= !budget then begin
         budget := !budget - r.Region.live_bytes;
         r.Region.in_cset <- true;
         cset := r :: !cset
       end)
-    (Common.relocation_candidates t.rt t.config);
+    t.candidates;
+  Util.Vec.clear t.candidates;
+  List.iter (Util.Vec.push t.candidates) !cset;
   !cset
 
 (* ------------------------------------------------------------------ *)
@@ -131,14 +142,17 @@ let run_cycle t =
       ~init:(fun _ ->
         let dest = Common.Evac.make_dest rt Region.Old in
         fun _ -> dest)
-      (Array.of_list !cset)
+      t.candidates
       (fun pick tk r -> Common.Evac.evacuate_region rt ~after ~pick tk r)
   in
   Metrics.phase_end metrics "shen.evac" ~now:(now ());
-  let all_regions = Array.to_list heap.Heap_impl.regions in
   let finish_ok =
     if evac_failed || t.degen_requested then begin
-      let failed = degenerate t ~evac_rest ~update_rest:all_regions ~cset:!cset in
+      let failed =
+        degenerate t ~evac_rest
+          ~update_rest:(Util.Vec.to_list t.all_regions)
+          ~cset:!cset
+      in
       if failed then
         Common.full_gc_or_oom ~on_live_ref:Common.nothing_to_rebuild rt;
       false
@@ -148,7 +162,7 @@ let run_cycle t =
       Metrics.phase_begin metrics "shen.update_refs" ~now:(now ());
       let update_rest, _ =
         Common.parallel_drain rt ~n:Common.gc_threads ~name:"shen-update"
-          ~stop ~init:ignore heap.Heap_impl.regions
+          ~stop ~init:ignore t.all_regions
           (fun () tk (r : Region.t) ->
             if (not (Region.is_free r)) && not r.Region.in_cset then
               Common.update_refs_in_region rt tk r)

@@ -30,6 +30,8 @@ type t = {
   style : style;
   atomic_cost : bool;  (** colored-pointer cost during young marking *)
   marker : Common.Marker.t;
+  snapshot : Region.t Util.Vec.t;  (** the cycle's young regions *)
+  survivors : Region.t Util.Vec.t;  (** the survivor regions update-refs fixes *)
   mutable young_cycle_active : bool;
 }
 
@@ -48,6 +50,8 @@ let create ?(atomic_cost = false) ~style rt =
       style;
       atomic_cost;
       marker = Common.Marker.create ~gen:Common.Marker.Young_gen ~atomic_cost rt;
+      snapshot = Common.region_buffer ();
+      survivors = Common.region_buffer ();
       young_cycle_active = false;
     }
   in
@@ -82,10 +86,17 @@ let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
     end
   end
 
-let young_regions t =
-  let heap = t.rt.RtM.heap in
-  Array.to_list heap.Heap_impl.regions
-  |> List.filter (fun (r : Region.t) -> r.Region.kind = Region.Young)
+(* Snapshot the young regions, in rid order, into the collection set. *)
+let snapshot_young_regions t =
+  let regions = t.rt.RtM.heap.Heap_impl.regions in
+  Util.Vec.clear t.snapshot;
+  for i = 0 to Array.length regions - 1 do
+    let r = regions.(i) in
+    if r.Region.kind = Region.Young then begin
+      r.Region.in_cset <- true;
+      Util.Vec.push t.snapshot r
+    end
+  done
 
 (* Scan the old-to-young remembered set, graying young targets.  Cards
    that no longer hold any old-to-young reference are pruned. *)
@@ -151,13 +162,11 @@ let collect t =
   t.young_cycle_active <- true;
   t.tenure.survivors <- 0;
   Metrics.phase_begin metrics "young.cycle" ~now:(now ());
-  let snapshot = ref [] in
   (* Init (STW) snapshots the young regions and grays the roots and the
      remembered set; the young mark then runs concurrently. *)
   Common.Marker.cycle t.marker ~retire_tlabs:true ~phase:"young.mark"
     ~at_init:(fun () ->
-      snapshot := young_regions t;
-      List.iter (fun (r : Region.t) -> r.Region.in_cset <- true) !snapshot;
+      snapshot_young_regions t;
       RtM.fire_phase rt Runtime.Vhook.Remset_scan)
     ~at_roots:(scan_remset_roots t) ~final:Metrics.Final_mark
     ~workers:Common.gc_threads;
@@ -172,7 +181,7 @@ let collect t =
         let dest_old = Common.Evac.make_dest rt Region.Old in
         fun o ->
           if Common.Evac.promotes t.tenure o then dest_old else dest_young)
-      (Array.of_list !snapshot)
+      t.snapshot
       (fun pick tk r ->
         Common.Evac.evacuate_region rt ~live:Common.Evac.Young_mark ~after
           ~pick tk r)
@@ -190,34 +199,37 @@ let collect t =
         (* Snapshot the survivor regions now: later-allocated eden heals
            lazily through the load barrier, exactly as in GenShen —
            chasing live allocation here would never terminate. *)
-        let survivors =
-          Array.to_list heap.Heap_impl.regions
-          |> List.filter (fun (r : Region.t) ->
-                 (not (Region.is_free r))
-                 && r.Region.kind = Region.Young
-                 && not r.Region.in_cset)
-        in
+        let regions = heap.Heap_impl.regions in
+        Util.Vec.clear t.survivors;
+        for i = 0 to Array.length regions - 1 do
+          let r = regions.(i) in
+          if
+            (not (Region.is_free r))
+            && r.Region.kind = Region.Young
+            && not r.Region.in_cset
+          then Util.Vec.push t.survivors r
+        done;
         Common.run_workers rt ~n:Common.gc_threads ~name:"young-update" (fun w tk ->
             (* Fix the remembered cards and the survivor regions. *)
             if w = 0 then
               Remset.iter (fun card -> Common.update_refs_in_card rt tk card)
                 t.remset
             else if w = 1 then
-              List.iter
+              Util.Vec.iter
                 (fun (r : Region.t) ->
                   if not (Region.is_free r) then
                     Common.update_refs_in_region rt tk r)
-                survivors);
+                t.survivors);
         Metrics.phase_end metrics "young.update_refs" ~now:(now ());
         Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Remark (fun () ->
             RtM.update_roots rt));
     (* Release the collected young regions. *)
     let tk = Common.Ticker.create () in
-    List.iter
+    Util.Vec.iter
       (fun (r : Region.t) ->
         Metrics.add metrics "young.reclaimed_bytes" r.Region.top;
         Common.release_region rt tk r)
-      !snapshot;
+      t.snapshot;
     Common.Ticker.flush tk;
     let cleared = Heap_impl.process_weak_refs_freed_only heap in
     Metrics.add metrics "young.weak_cleared" cleared;
@@ -225,7 +237,8 @@ let collect t =
     RtM.notify_memory_freed rt;
     RtM.fire_phase rt Runtime.Vhook.Evac_end
   end
-  else List.iter (fun (r : Region.t) -> r.Region.in_cset <- false) !snapshot;
+  else
+    Util.Vec.iter (fun (r : Region.t) -> r.Region.in_cset <- false) t.snapshot;
   Metrics.phase_end metrics "young.cycle" ~now:(now ());
   t.young_cycle_active <- false;
   RtM.fire_phase rt Runtime.Vhook.Cycle_end;

@@ -24,6 +24,7 @@ type t = {
   rt : RtM.t;
   config : Common.old_config;
   marker : Common.Marker.t;
+  candidates : Region.t Util.Vec.t;  (** the cycle's relocation set *)
   mutable urgent : bool;
 }
 
@@ -33,6 +34,7 @@ let create ?(config = Common.whole_heap) rt =
     rt;
     config;
     marker = Common.Marker.create ~remap:true ~atomic_cost:true rt;
+    candidates = Common.region_buffer ();
     urgent = false;
   }
 
@@ -57,12 +59,13 @@ let run_cycle t =
      lack, and the reason ZGC stalls rather than degenerates. *)
   Metrics.phase_begin metrics "zgc.relocate" ~now:(now ());
   let after _ _ copy = t.config.Common.copy_hook copy in
+  Common.relocation_candidates rt t.config t.candidates;
   let _, out_of_space =
     Common.parallel_drain rt ~n:Common.gc_threads ~name:"zgc-relocate"
       ~init:(fun _ ->
         let dest = Common.Evac.make_dest rt Region.Old in
         fun _ -> dest)
-      (Array.of_list (Common.relocation_candidates rt t.config))
+      t.candidates
       (fun pick tk r ->
         Common.Evac.evacuate_region rt ~after ~pick tk r;
         let entries = ref 0 in

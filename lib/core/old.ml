@@ -27,6 +27,9 @@ type t = {
   crdt : Crdt.t;
   group_remsets : Remset.t array;
   young : Young.t;  (** for old-to-young inserts and promotion stats *)
+  cards : int Util.Vec.t;
+      (** the remset build's work list, then each round's heal cards *)
+  regions : Region.t Util.Vec.t;  (** the round's group, in claim order *)
   mutable current_group : int;  (** round in progress; -1 outside rounds *)
   mutable cycle_running : bool;
   mutable est_cycle_time : int;  (** EMA of cycle duration, Algorithm 2 *)
@@ -46,6 +49,8 @@ let create ~config ~young rt =
             ~name:(Printf.sprintf "jade-group-%d" i)
             ~total_cards:(Heap_impl.total_cards heap));
     young;
+    cards = Util.Vec.create 0;
+    regions = Common.region_buffer ();
     current_group = -1;
     cycle_running = false;
     est_cycle_time = 50 * Util.Units.ms;
@@ -124,13 +129,16 @@ let group_phase t =
   let metrics = rt.RtM.metrics in
   let now () = Sim.Engine.now rt.RtM.engine in
   Metrics.phase_begin metrics "jade.group" ~now:(now ());
-  let candidates =
-    Array.to_list heap.Heap_impl.regions
-    |> List.filter (fun (r : Region.t) ->
-           r.Region.kind = Region.Old
-           && (not (Region.is_free r))
-           && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch)
-  in
+  let regions = heap.Heap_impl.regions in
+  let candidates = ref [] in
+  for i = Array.length regions - 1 downto 0 do
+    let r = regions.(i) in
+    if
+      r.Region.kind = Region.Old
+      && (not (Region.is_free r))
+      && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
+    then candidates := r :: !candidates
+  done;
   let free_bytes =
     Grouping.estimate_free_space
       ~free_region_count:(Heap_impl.free_regions heap)
@@ -138,7 +146,7 @@ let group_phase t =
       ~promotion_rate:t.young.Young.promotion_rate
       ~estimated_gc_time_ns:t.est_cycle_time
   in
-  let plan = Grouping.build ~config:t.config ~free_bytes candidates in
+  let plan = Grouping.build ~config:t.config ~free_bytes !candidates in
   (* Install group ids on the regions and reset the group remsets. *)
   Array.iteri
     (fun gi regions ->
@@ -206,34 +214,30 @@ let build_remsets t =
   (* Work list: cards known to the CRDT (live cross-region refs found by
      marking) plus cards dirtied by mutators that the CRDT knows nothing
      about (post-snapshot stores). *)
-  let work = Util.Vec.create 0 in
-  Crdt.iter_nonempty (fun card _ -> Util.Vec.push work card) t.crdt;
+  let work = t.cards in
+  Util.Vec.clear work;
+  Crdt.push_nonempty t.crdt work;
   Heap_impl.iter_dirty_cards
-    (fun card -> if Crdt.get t.crdt card = Crdt.Empty then Util.Vec.push work card)
+    (fun card ->
+      if Crdt.code t.crdt card = Crdt.code_empty then Util.Vec.push work card)
     heap;
-  (* Ablation: without the CRDT shortcut every card is scanned. *)
-  let crdt_get card =
-    if t.config.Jade_config.use_crdt then Crdt.get t.crdt card
-    else if Crdt.get t.crdt card = Crdt.Empty then Crdt.Empty
-    else Crdt.Overflow
-  in
+  let use_crdt = t.config.Jade_config.use_crdt in
   ignore
     (Common.parallel_drain rt ~n:t.config.old_workers ~name:"jade-build"
-       ~init:target_slot (Util.Vec.to_array work) (fun slot tk card ->
-         (match crdt_get card with
-         | Crdt.Empty ->
-             (* Dirtied after the marking snapshot: conservative scan. *)
-             scan_card_for_targets tk slot card
-         | Crdt.One r1 ->
-             incr via_crdt;
-             insert_for_target tk ~card ~target_rid:r1
-         | Crdt.Two (r1, r2) ->
-             incr via_crdt;
-             insert_for_target tk ~card ~target_rid:r1;
-             insert_for_target tk ~card ~target_rid:r2
-         | Crdt.Overflow ->
-             (* Three or more referenced regions: rescan (§3.3). *)
-             scan_card_for_targets tk slot card);
+       ~init:target_slot work (fun slot tk card ->
+         let code = Crdt.code t.crdt card in
+         (* Empty: dirtied after the marking snapshot, a conservative
+            scan.  Overflow: three or more referenced regions, a rescan
+            (§3.3).  The ablation without the CRDT shortcut scans every
+            card. *)
+         if code = Crdt.code_empty || code = Crdt.code_overflow || not use_crdt
+         then scan_card_for_targets tk slot card
+         else begin
+           incr via_crdt;
+           insert_for_target tk ~card ~target_rid:(Crdt.code_first code);
+           let r2 = Crdt.code_second code in
+           if r2 >= 0 then insert_for_target tk ~card ~target_rid:r2
+         end;
          Heap_impl.clean_card heap card));
   Metrics.add metrics "jade.build_cards_scanned" !scanned;
   Metrics.add metrics "jade.build_cards_via_crdt" !via_crdt;
@@ -286,22 +290,24 @@ let evacuate_group t ~group (regions : Region.t list) =
   if workers > t.config.old_workers then
     Metrics.add metrics "jade.chasing_rounds" 1;
   let after tk _ o' = evacuate_object_fields t tk o' ~group in
+  Util.Vec.clear t.regions;
+  List.iter (Util.Vec.push t.regions) regions;
   let _, failed =
     Common.parallel_drain rt ~n:workers ~name:"jade-evac"
       ~init:(fun _ ->
         let dest = Common.Evac.make_dest rt Region.Old in
         fun _ -> dest)
-      (Array.of_list regions)
+      t.regions
       (fun pick tk r -> Common.Evac.evacuate_region rt ~after ~pick tk r)
   in
   if not failed then begin
     (* Heal every remembered incoming reference, then release the group:
        this is the per-group incremental reclamation of §3.1.  Cards are
        handed out highest first. *)
-    let cards = Remset.to_array_desc t.group_remsets.(group) in
+    Remset.snapshot_desc t.group_remsets.(group) t.cards;
     ignore
       (Common.parallel_drain rt ~n:workers ~name:"jade-heal"
-         ~init:Fun.id cards
+         ~init:Fun.id t.cards
          (fun tk _ card -> Common.update_refs_in_card rt tk card));
     Remset.clear t.group_remsets.(group);
     let tk = Common.Ticker.create () in

@@ -23,6 +23,8 @@ type t = {
   remset : Remset.t;  (** old-to-young, card granularity *)
   pending : Gobj.t Util.Vec.t;  (** young refs stored by mutators mid-cycle *)
   scan_stack : Gobj.t Util.Vec.t;  (** copies whose fields need scanning *)
+  snapshot : Region.t Util.Vec.t;  (** the cycle's young regions, rid order *)
+  cards : int Util.Vec.t;  (** the cycle's remembered cards, highest first *)
   mutable active : bool;
   mutable old_marker : Common.Marker.t option;  (** gray old targets here *)
   mutable old_cycle_running : unit -> bool;
@@ -56,6 +58,8 @@ let create ~config rt =
         ~total_cards:(Heap_impl.total_cards heap);
     pending = Util.Vec.create Gobj.null;
     scan_stack = Util.Vec.create Gobj.null;
+    snapshot = Common.region_buffer ();
+    cards = Util.Vec.create 0;
     active = false;
     old_marker = None;
     old_cycle_running = (fun () -> false);
@@ -225,20 +229,22 @@ let collect t ~workers =
   t.tenure.survivors <- 0;
   t.copied_objects <- 0;
   t.copied_bytes <- 0;
-  let snapshot = ref [] in
+  let snapshot = t.snapshot in
   let failed = ref false in
   (* Tiny STW: snapshot young regions and evacuate the root targets, so
      mutator stacks can never reference an uncopied snapshot object that
      the barriers would miss. *)
   Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Init_mark (fun () ->
       RtM.retire_all_tlabs rt;
-      Array.iter
-        (fun (r : Region.t) ->
-          if r.Region.kind = Region.Young then begin
-            r.Region.in_cset <- true;
-            snapshot := r :: !snapshot
-          end)
-        heap.Heap_impl.regions;
+      let regions = heap.Heap_impl.regions in
+      Util.Vec.clear snapshot;
+      for i = 0 to Array.length regions - 1 do
+        let r = regions.(i) in
+        if r.Region.kind = Region.Young then begin
+          r.Region.in_cset <- true;
+          Util.Vec.push snapshot r
+        end
+      done;
       t.active <- true;
       (* Old→young coverage must be complete at this point: the snapshot
          is taken and the remembered set is about to become the only
@@ -258,7 +264,8 @@ let collect t ~workers =
      copy-and-fix closure, picking up barrier discoveries as they come. *)
   if not !failed then begin
     (* Workers claim the remembered set's cards highest first. *)
-    let card_arr = Remset.to_array_desc t.remset in
+    let cards = t.cards in
+    Remset.snapshot_desc t.remset cards;
     let next_card = ref 0 in
     Common.run_workers rt ~n:workers ~name:"jade-young" (fun _ tk ->
         let dests =
@@ -272,10 +279,10 @@ let collect t ~workers =
           let continue_ = ref true in
           while !continue_ do
             if !failed then continue_ := false
-            else if !next_card < Array.length card_arr then begin
-              let c = !next_card in
+            else if !next_card < Util.Vec.length cards then begin
+              let card = Util.Vec.get cards !next_card in
               incr next_card;
-              let keep = scan_remset_card cs card_arr.(c) in
+              let keep = scan_remset_card cs card in
               (* Prune only while no old cycle runs: the scan may have
                  raced a mutator's half-completed store (remset insert
                  published, field write pending), which leaves the card
@@ -283,7 +290,7 @@ let collect t ~workers =
                  dirty cards, so outside an old cycle the dirty bit
                  safely covers the edge until the next scan. *)
               if not keep && not (t.old_cycle_running ()) then
-                Remset.remove t.remset card_arr.(c)
+                Remset.remove t.remset card
             end
             else begin
               drain t dests tk;
@@ -314,21 +321,22 @@ let collect t ~workers =
        with Common.Evac.Evacuation_failure -> failed := true);
       t.active <- false;
       if not !failed then begin
-        List.iter
-          (fun (r : Region.t) ->
-            Metrics.add metrics "jade.young_reclaimed_bytes" r.Region.top;
-            Common.release_region rt tk r)
-          !snapshot;
+        (* Highest rid first. *)
+        for i = Util.Vec.length snapshot - 1 downto 0 do
+          let r = Util.Vec.get snapshot i in
+          Metrics.add metrics "jade.young_reclaimed_bytes" r.Region.top;
+          Common.release_region rt tk r
+        done;
         let cleared = Heap_impl.process_weak_refs_freed_only heap in
         Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
         Metrics.add metrics "jade.weak_young_cleared" cleared;
         Metrics.add metrics "jade.young_collections" 1;
         Metrics.add metrics "jade.young_regions_reclaimed"
-          (List.length !snapshot);
+          (Util.Vec.length snapshot);
         RtM.fire_phase rt Runtime.Vhook.Evac_end
       end
       else begin
-        List.iter (fun (r : Region.t) -> r.Region.in_cset <- false) !snapshot;
+        Util.Vec.iter (fun (r : Region.t) -> r.Region.in_cset <- false) snapshot;
         Util.Vec.clear t.scan_stack;
         Util.Vec.clear t.pending
       end;

@@ -39,17 +39,23 @@ let total_cards t = t.cards
     of the heap). *)
 let byte_size t = 4 * t.cards
 
+let code_empty = 0
+let code_overflow = overflow_sentinel
+let code_first v = (v land 0xFFFF) - 1
+let code_second v = ((v lsr 16) land 0xFFFF) - 1
+
+let code t card =
+  if card < 0 || card >= t.cards then invalid_arg "Crdt.get: card";
+  if Array.length t.entries = 0 then code_empty else t.entries.(card)
+
 let decode v =
   if v = overflow_sentinel then Overflow
   else if v = 0 then Empty
   else
-    let r1 = (v land 0xFFFF) - 1 in
-    let hi = (v lsr 16) land 0xFFFF in
-    if hi = 0 then One r1 else Two (r1, hi - 1)
+    let r2 = code_second v in
+    if r2 < 0 then One (code_first v) else Two (code_first v, r2)
 
-let get t card =
-  if card < 0 || card >= t.cards then invalid_arg "Crdt.get: card";
-  if Array.length t.entries = 0 then Empty else decode t.entries.(card)
+let get t card = decode (code t card)
 
 (** Record that [card] holds a reference into region [rid].  Duplicate
     regions are stored once; a third distinct region overflows. *)
@@ -84,6 +90,12 @@ let reset t =
 (** Cards that recorded at least one cross-region reference. *)
 let iter_nonempty f t =
   Array.iteri (fun card v -> if v <> 0 then f card (decode v)) t.entries
+
+let push_nonempty t buf =
+  let entries = t.entries in
+  for card = 0 to Array.length entries - 1 do
+    if Array.unsafe_get entries card <> 0 then Util.Vec.push buf card
+  done
 
 let stats t =
   let nonempty = ref 0 in

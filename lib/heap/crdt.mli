@@ -35,13 +35,36 @@ val record : t -> card:int -> rid:int -> unit
     exceeds {!max_region_id}. *)
 
 val get : t -> int -> entry
-(** Raises [Invalid_argument] when the card is outside [0, total_cards). *)
+(** Raises [Invalid_argument] when the card is outside [0, total_cards).
+    Allocates a [One] or [Two]: the verifier and the tests read entries
+    this way, collectors through {!code}. *)
+
+(** {2 Unboxed reads} *)
+
+val code : t -> int -> int
+(** A card's entry as an int, with no allocation: {!code_empty},
+    {!code_overflow}, or a code for one or two regions, read with
+    {!code_first} and {!code_second}.  Raises like {!get}. *)
+
+val code_empty : int
+val code_overflow : int
+
+val code_first : int -> int
+(** The first region of a code that is neither empty nor overflowed. *)
+
+val code_second : int -> int
+(** The second region of such a code, or [-1] when it records one. *)
 
 val reset : t -> unit
 (** Clear every entry (done at each marking cycle's start). *)
 
 val iter_nonempty : (int -> entry -> unit) -> t -> unit
-(** Iterate cards with at least one recorded region, in card order. *)
+(** Iterate cards with at least one recorded region, in card order,
+    each with its decoded entry (for the verifier). *)
+
+val push_nonempty : t -> int Util.Vec.t -> unit
+(** Push the cards with at least one recorded region onto the buffer,
+    in card order, allocating nothing but the buffer's growth. *)
 
 val stats : t -> int * int
 (** [(nonempty_cards, overflowed_cards)]. *)

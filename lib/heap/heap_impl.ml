@@ -265,7 +265,7 @@ let clean_card t card =
   Util.Bitset.clear t.card_dirty card
 
 let iter_dirty_cards f t = Util.Bitset.iter_set f t.card_dirty
-let dirty_cards_desc t = Util.Bitset.to_array_desc t.card_dirty
+let snapshot_dirty_cards t buf = Util.Bitset.snapshot_desc t.card_dirty buf
 
 (** Scan the objects overlapping [card] in its region, applying
     [f ctx] to each reference slot that falls inside the card.  The

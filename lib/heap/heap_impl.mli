@@ -183,8 +183,9 @@ val card_is_dirty : t -> int -> bool
 val clean_card : t -> int -> unit
 val iter_dirty_cards : (int -> unit) -> t -> unit
 
-val dirty_cards_desc : t -> int array
-(** The dirty cards in decreasing order ({!Util.Bitset.to_array_desc}). *)
+val snapshot_dirty_cards : t -> int Util.Vec.t -> unit
+(** Replace the buffer's contents with the dirty cards in decreasing
+    order ({!Util.Bitset.snapshot_desc}). *)
 
 val scan_card : t -> int -> 'a -> f:('a -> Gobj.t -> int -> unit) -> unit
 (** [scan_card t card ctx ~f] scans the objects overlapping [card] in its

@@ -29,7 +29,7 @@ let remove t card =
 let cardinal t = Util.Bitset.cardinal t.cards
 let clear t = Util.Bitset.clear_all t.cards
 let iter f t = Util.Bitset.iter_set f t.cards
-let to_array_desc t = Util.Bitset.to_array_desc t.cards
+let snapshot_desc t buf = Util.Bitset.snapshot_desc t.cards buf
 
 (** Memory footprint, for overhead reporting. *)
 let byte_size t = Util.Bitset.byte_size t.cards

@@ -23,8 +23,9 @@ val clear : t -> unit
 val iter : (int -> unit) -> t -> unit
 (** Iterate member cards in increasing order. *)
 
-val to_array_desc : t -> int array
-(** Member cards in decreasing order ({!Util.Bitset.to_array_desc}). *)
+val snapshot_desc : t -> int Util.Vec.t -> unit
+(** Replace the buffer's contents with the member cards in decreasing
+    order ({!Util.Bitset.snapshot_desc}). *)
 
 val byte_size : t -> int
 (** Memory footprint, for overhead reporting. *)

@@ -31,8 +31,11 @@ type pause = { at : int; dur : int; kind : pause_kind }
 type phase = {
   mutable total_ns : int;
   mutable count : int;
-  mutable started_at : int option;
+  mutable started_at : int;  (** {!closed} while the phase is not open *)
 }
+
+(* Simulated times are never negative. *)
+let closed = -1
 
 type t = {
   mutable recording : bool;
@@ -110,42 +113,41 @@ let record_pause t ~at ~dur kind =
 
 (* -- named phases ---------------------------------------------------- *)
 
+(* [Not_found] rather than [find_opt], whose [Some] would box every
+   lookup of a known phase. *)
 let phase t name =
-  match Hashtbl.find_opt t.phases name with
-  | Some p -> p
-  | None ->
-      let p = { total_ns = 0; count = 0; started_at = None } in
+  match Hashtbl.find t.phases name with
+  | p -> p
+  | exception Not_found ->
+      let p = { total_ns = 0; count = 0; started_at = closed } in
       Hashtbl.replace t.phases name p;
       p
 
 let phase_begin t name ~now =
   let p = phase t name in
-  (match p.started_at with
-  | Some t0 ->
-      invalid_arg
-        (Printf.sprintf
-           "Metrics.phase_begin: phase %S already open (begun at %dns, \
-            re-begun at %dns without phase_end)"
-           name t0 now)
-  | None -> ());
+  if p.started_at <> closed then
+    invalid_arg
+      (Printf.sprintf
+         "Metrics.phase_begin: phase %S already open (begun at %dns, \
+          re-begun at %dns without phase_end)"
+         name p.started_at now);
   (match t.tracer with
   | Some f -> f (Tracepoint.Phase_begin { name })
   | None -> ());
-  p.started_at <- Some now
+  p.started_at <- now
 
 let phase_end t name ~now =
   let p = phase t name in
-  match p.started_at with
-  | None -> invalid_arg ("Metrics.phase_end without begin: " ^ name)
-  | Some t0 ->
-      (match t.tracer with
-      | Some f -> f (Tracepoint.Phase_end { name })
-      | None -> ());
-      p.started_at <- None;
-      if t.recording then begin
-        p.total_ns <- p.total_ns + (now - t0);
-        p.count <- p.count + 1
-      end
+  let t0 = p.started_at in
+  if t0 = closed then invalid_arg ("Metrics.phase_end without begin: " ^ name);
+  (match t.tracer with
+  | Some f -> f (Tracepoint.Phase_end { name })
+  | None -> ());
+  p.started_at <- closed;
+  if t.recording then begin
+    p.total_ns <- p.total_ns + (now - t0);
+    p.count <- p.count + 1
+  end
 
 let phase_total t name = (phase t name).total_ns
 let phase_count t name = (phase t name).count

@@ -73,6 +73,16 @@ let unpark t =
   done;
   note_running t
 
+(* Release the world stopped at [t0] and record the pause. *)
+let finish t kind ~t0 =
+  t.stop_requested <- false;
+  t.in_stw <- false;
+  Sim.Engine.broadcast t.engine t.release;
+  Sim.Engine.broadcast t.engine t.stw_free;
+  t.on_release ();
+  let now = Sim.Engine.now t.engine in
+  Metrics.record_pause t.metrics ~at:t0 ~dur:(now - t0) kind
+
 (** Run [f] with all mutators stopped; returns [f ()]'s result.
     Concurrent requesters (e.g. Jade's co-running young and old
     controllers) are serialized: later callers wait their turn. *)
@@ -87,18 +97,10 @@ let stw t kind f =
     Sim.Engine.wait t.all_stopped
   done;
   Sim.Engine.tick Heap.Costs.safepoint_sync;
-  let finish result =
-    t.stop_requested <- false;
-    t.in_stw <- false;
-    Sim.Engine.broadcast t.engine t.release;
-    Sim.Engine.broadcast t.engine t.stw_free;
-    t.on_release ();
-    let now = Sim.Engine.now t.engine in
-    Metrics.record_pause t.metrics ~at:t0 ~dur:(now - t0) kind;
-    result
-  in
   match f () with
-  | result -> finish result
+  | result ->
+      finish t kind ~t0;
+      result
   | exception e ->
-      ignore (finish ());
+      finish t kind ~t0;
       raise e

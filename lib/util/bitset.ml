@@ -161,12 +161,44 @@ let to_list t =
   iter_set (fun i -> acc := i :: !acc) t;
   List.rev !acc
 
-let to_array_desc t =
-  let a = Array.make t.cardinal 0 in
-  let k = ref t.cardinal in
-  iter_set
-    (fun i ->
-      decr k;
-      Array.unsafe_set a !k i)
-    t;
-  a
+(* Index of the highest set bit of [v <> 0] (62 for the sign bit).
+   Branchy binary search, as {!ntz}. *)
+let msb v =
+  if v < 0 then bits_per_word - 1
+  else begin
+    let n = ref 0 and v = ref v in
+    if !v lsr 32 <> 0 then begin
+      n := 32;
+      v := !v lsr 32
+    end;
+    if !v lsr 16 <> 0 then begin
+      n := !n + 16;
+      v := !v lsr 16
+    end;
+    if !v lsr 8 <> 0 then begin
+      n := !n + 8;
+      v := !v lsr 8
+    end;
+    if !v lsr 4 <> 0 then begin
+      n := !n + 4;
+      v := !v lsr 4
+    end;
+    if !v lsr 2 <> 0 then begin
+      n := !n + 2;
+      v := !v lsr 2
+    end;
+    if !v lsr 1 <> 0 then incr n;
+    !n
+  end
+
+let snapshot_desc t buf =
+  Vec.clear buf;
+  let words = t.words in
+  for w = Array.length words - 1 downto 0 do
+    let v = ref (Array.unsafe_get words w) in
+    while !v <> 0 do
+      let b = msb !v in
+      Vec.push buf ((w * bits_per_word) + b);
+      v := !v land lnot (1 lsl b)
+    done
+  done

@@ -40,7 +40,9 @@ val iter_set : (int -> unit) -> t -> unit
 
 val to_list : t -> int list
 
-val to_array_desc : t -> int array
-(** The set bits in decreasing order, in one array sized from
-    {!cardinal}: the snapshot collectors hand out cards from, highest
-    first (the claim order is part of the deterministic schedule). *)
+val snapshot_desc : t -> int Vec.t -> unit
+(** [snapshot_desc t buf] empties [buf] and pushes the set bits onto it
+    in decreasing order: the snapshot collectors hand out cards from,
+    highest first (the claim order is part of the deterministic
+    schedule).  A buffer kept across snapshots allocates nothing once
+    it holds the largest set. *)

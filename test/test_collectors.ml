@@ -194,6 +194,9 @@ let in_gc_fiber f =
    interleave between items. *)
 let busy tk = Collectors.Common.Ticker.tick tk 50_000
 
+(* The items 0 to [n - 1], in a buffer as the collectors pass them. *)
+let items n = Util.Vec.of_list 0 (List.init n Fun.id)
+
 let test_claim_each_once_in_order () =
   let claims = ref [] and workers_seen = ref [] in
   let leftover, failed =
@@ -203,7 +206,7 @@ let test_claim_each_once_in_order () =
           ~init:(fun _ ->
             incr next_worker;
             !next_worker)
-          (Array.init 20 Fun.id)
+          (items 20)
           (fun w tk i ->
             claims := i :: !claims;
             if not (List.mem w !workers_seen) then
@@ -226,7 +229,7 @@ let test_claim_failure_returns_remainder () =
   let leftover, failed =
     in_gc_fiber (fun rt ->
         Collectors.Common.parallel_drain rt ~n:2 ~name:"claim" ~init:ignore
-          (Array.init 10 Fun.id)
+          (items 10)
           (fun () tk i ->
             if !failed_yet then incr claims_after_failure;
             if i = 4 then begin
@@ -256,7 +259,7 @@ let test_claim_stop_flag () =
     in_gc_fiber (fun rt ->
         Collectors.Common.parallel_drain rt ~n:1 ~name:"claim"
           ~stop:(fun () -> !processed >= 3)
-          ~init:ignore (Array.init 10 Fun.id)
+          ~init:ignore (items 10)
           (fun () tk _ ->
             busy tk;
             incr processed))
@@ -383,8 +386,9 @@ let test_g1_rebuild_allocates_nothing () =
   let heap = rt.Runtime.Rt.heap in
   let remsets = Collectors.Region_remsets.create heap in
   let tk = idle_ticker () in
-  let scan cards n =
-    Collectors.G1.rebuild_remset_cards heap remsets tk cards ~lo:0 ~hi:n
+  let buf = Util.Vec.of_list 0 (Array.to_list cards) in
+  let scan _ n =
+    Collectors.G1.rebuild_remset_cards heap remsets tk buf ~lo:0 ~hi:n
   in
   scan cards 1;
   Alcotest.(check int) "rebuild recorded the card" 1

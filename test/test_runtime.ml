@@ -28,6 +28,33 @@ let test_metrics_phases () =
   Alcotest.(check int) "count" 2 (Metrics.phase_count m "mark");
   Alcotest.(check int) "avg" 200 (Metrics.phase_avg m "mark")
 
+(* A collector opens and closes its named phases every cycle: on a known
+   name, with no tracer, neither allocates.  Misuse still raises. *)
+let test_metrics_phases_allocate_nothing () =
+  let m = Metrics.create () in
+  let name = "young.cycle" in
+  let cycles () =
+    for i = 1 to 1_000 do
+      Metrics.phase_begin m name ~now:(10 * i);
+      Metrics.phase_end m name ~now:((10 * i) + 3)
+    done
+  in
+  cycles ();
+  let w0 = Gc.minor_words () in
+  cycles ();
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. w0);
+  Alcotest.(check int) "count" 2_000 (Metrics.phase_count m name);
+  Alcotest.(check int) "total" 6_000 (Metrics.phase_total m name);
+  Alcotest.(check bool) "end without begin raises" true
+    (match Metrics.phase_end m name ~now:0 with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Metrics.phase_begin m name ~now:0;
+  Alcotest.(check bool) "begin at time 0 is open" true
+    (match Metrics.phase_begin m name ~now:1 with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
 let test_metrics_recording_gate () =
   let m = Metrics.create () in
   Metrics.set_recording m ~now:0 false;
@@ -347,6 +374,8 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "phases" `Quick test_metrics_phases;
+          Alcotest.test_case "phases allocate nothing" `Quick
+            test_metrics_phases_allocate_nothing;
           Alcotest.test_case "recording gate" `Quick test_metrics_recording_gate;
           Alcotest.test_case "counters" `Quick test_metrics_counters;
         ] );
