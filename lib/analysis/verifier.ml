@@ -450,12 +450,12 @@ let check_remset_coverage t =
     and a forwarded held record would be a live object about to lose
     its storage.  Runs at both levels (one pass over the roots and the
     batch per period). *)
-let check_grace t ~(stubs : Gobj.t Util.Vec.t) ~(held : Gobj.t Util.Vec.t) =
+let check_grace t ~(stubs : Gobj.t Util.Ring.t) ~(held : Gobj.t Util.Vec.t) =
   t.phase <- "grace-end";
   let rooted = Hashtbl.create 64 in
   RtM.iter_roots t.rt (fun o ->
       if o != Gobj.null then Hashtbl.replace rooted (Gobj.uid o) ());
-  Util.Vec.iter
+  Util.Ring.iter
     (fun (o : Gobj.t) ->
       if Hashtbl.mem rooted (Gobj.uid o) then
         emit t ~invariant:"stub-grace" ~object_id:(Gobj.id o)
