@@ -1,8 +1,10 @@
 (** Machinery shared by every collector: batched GC-thread cost
     accounting, parallel worker phases and the claim loop that feeds
     them, root scanning, the SATB mark cycle, the evacuation kernel,
-    remembered-set scanning, the allocation stall, and the escalation
-    path everyone ends on — a stop-the-world full compaction, then OOM. *)
+    remembered-set scanning, the collection-set vocabulary (young
+    snapshot, rollback, post-mark candidates), the allocation stall, and
+    the escalation path everyone ends on — a stop-the-world full
+    compaction, then OOM. *)
 
 open Heap
 
@@ -129,9 +131,7 @@ module Marker = struct
   let in_scope t (o : Gobj.t) =
     match t.gen with
     | Old_gen -> true
-    | Young_gen ->
-        t.rt.RtM.heap.Heap_impl.regions.(Gobj.region o).Region.kind
-        = Region.Young
+    | Young_gen -> Heap_impl.is_young t.rt.RtM.heap o
 
   let mark t heap o =
     match t.gen with
@@ -453,8 +453,9 @@ let parallel_drain rt ~n ~name ?(stop = fun () -> false) ~init items f =
 (* ------------------------------------------------------------------ *)
 (* Reference updating.                                                  *)
 
-(** Fix all stale references inside the live objects of [region]; used by
-    Shenandoah's update-refs phase which walks the whole heap. *)
+(** Fix all stale references inside the live objects of [region]: the
+    update-refs phases of Shenandoah (over the whole heap) and of
+    [Young_gen] (over the survivor regions), and the full compaction. *)
 let update_refs_in_region rt (tk : Ticker.t) (region : Region.t) =
   let heap = rt.RtM.heap in
   Util.Vec.iter
@@ -686,6 +687,43 @@ let old_occupancy rt =
   /. float_of_int (Heap_impl.num_regions heap)
 
 (* ------------------------------------------------------------------ *)
+(* Collection sets.                                                     *)
+
+(** An empty buffer of regions, for a collector to refill each cycle
+    instead of building a list. *)
+let region_buffer () = Util.Vec.create (Region.make ~rid:(-1) ~size:0)
+
+(** Open a young collection's collection set: clear [buf], then push
+    every young region into it in rid order and flag each [in_cset]. *)
+let snapshot_young rt buf =
+  let regions = rt.RtM.heap.Heap_impl.regions in
+  Util.Vec.clear buf;
+  for i = 0 to Array.length regions - 1 do
+    let r = regions.(i) in
+    if r.Region.kind = Region.Young then begin
+      r.Region.in_cset <- true;
+      Util.Vec.push buf r
+    end
+  done
+
+(** Roll back the collection set [buf] after a failed evacuation: its
+    regions are not released, and none stays flagged [in_cset]. *)
+let abandon_cset buf =
+  Util.Vec.iter (fun (r : Region.t) -> r.Region.in_cset <- false) buf
+
+(** Only regions below this liveness are evacuated after a mark. *)
+let candidate_live_threshold = 0.85
+
+(** The post-mark candidate rule of every marking collector that picks
+    regions by liveness: [r] is claimed, was allocated before the last
+    mark's snapshot (so its live bytes are that mark's count), and is
+    below {!candidate_live_threshold} live. *)
+let evacuable heap (r : Region.t) =
+  (not (Region.is_free r))
+  && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
+  && Region.live_ratio r < candidate_live_threshold
+
+(* ------------------------------------------------------------------ *)
 (* Old cycles of ZGC and Shenandoah.                                    *)
 
 (** What the generational modes (GenZ, GenShen) change in a ZGC or
@@ -700,29 +738,16 @@ type old_config = {
 
 let whole_heap = { cset_filter = (fun _ -> true); copy_hook = ignore }
 
-(** Only regions below this liveness are relocation candidates. *)
-let candidate_live_threshold = 0.85
-
-(** An empty buffer of regions, for a collector to refill each cycle
-    instead of building a list. *)
-let region_buffer () = Util.Vec.create (Region.make ~rid:(-1) ~size:0)
-
-(** Fill [buf] with the relocation candidates after a mark: the claimed
-    regions allocated before its snapshot, below
-    {!candidate_live_threshold} and admitted by [config], least live
-    first (a stable sort, so ties keep region order). *)
+(** Fill [buf] with the relocation candidates after a mark: the
+    {!evacuable} regions admitted by [config], least live first (a
+    stable sort, so ties keep region order). *)
 let relocation_candidates rt config buf =
   let heap = rt.RtM.heap in
   let regions = heap.Heap_impl.regions in
   Util.Vec.clear buf;
   for i = 0 to Array.length regions - 1 do
     let r = regions.(i) in
-    if
-      (not (Region.is_free r))
-      && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-      && Region.live_ratio r < candidate_live_threshold
-      && config.cset_filter r
-    then Util.Vec.push buf r
+    if evacuable heap r && config.cset_filter r then Util.Vec.push buf r
   done;
   Util.Vec.sort
     (fun (a : Region.t) b -> Int.compare a.Region.live_bytes b.Region.live_bytes)

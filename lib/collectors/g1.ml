@@ -24,6 +24,7 @@ type t = {
   marker : Common.Marker.t;
   mutable marking : bool;
   mutable candidates : Region.t list;  (** mixed-collection victims *)
+  cset : Region.t Util.Vec.t;  (** the pause's collection set *)
   cards : int Util.Vec.t;  (** the remset rebuild's dirty cards *)
   mutable young_budget : int;  (** regions of eden before a young GC *)
   mutable urgent : bool;  (** an allocation failed; collect now *)
@@ -86,8 +87,8 @@ let collect t ~mixed =
     else []
   in
   let failed =
-    Stw_collect.collect t.rt ~remsets:t.remsets
-      ~tenure_age ~old_cset ~extra_roots ~pause_kind:kind ()
+    Stw_collect.collect t.rt ~remsets:t.remsets ~tenure_age ~cset:t.cset
+      ~old_cset ~extra_roots ~pause_kind:kind ()
   in
   adapt_young_budget t ~pause:(Sim.Engine.now t.rt.RtM.engine - t0);
   Metrics.add t.rt.RtM.metrics "g1.young_collections" 1;
@@ -206,6 +207,7 @@ let install ?(pause_target = 200 * Util.Units.ms) rt =
       marker = Common.Marker.create rt;
       marking = false;
       candidates = [];
+      cset = Common.region_buffer ();
       cards = Util.Vec.create 0;
       young_budget = Int.max 4 (Heap_impl.num_regions heap / 4);
       urgent = false;

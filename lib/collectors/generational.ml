@@ -117,7 +117,7 @@ let install variant rt =
        closure over [o'] per copy. *)
     for i = 0 to Gobj.num_fields o' - 1 do
       let child = Gobj.resolve (Gobj.get_field o' i) in
-      if child != Gobj.null && Young_gen.is_young heap child then
+      if child != Gobj.null && Heap_impl.is_young heap child then
         ignore
           (Remset.add young.Young_gen.remset
              (Heap_impl.card_of_field heap o' i))

@@ -31,6 +31,7 @@ type t = {
   mutable rc_log : int;  (** pending increment/decrement log entries *)
   mutable last_epoch_bytes : int;
   mutable candidates : Region.t list;  (** defrag victims from the trace *)
+  cset : Region.t Util.Vec.t;  (** the epoch's collection set *)
   mutable urgent : bool;
 }
 
@@ -59,12 +60,13 @@ let rc_epoch t ~defrag =
   t.last_epoch_bytes <- rt.RtM.heap.Heap_impl.bytes_allocated;
   let pause_kind = if defrag then Metrics.Mixed_stw else Metrics.Rc_epoch in
   let failed =
-    Stw_collect.collect rt ~remsets:t.remsets ~tenure_age
+    Stw_collect.collect rt ~remsets:t.remsets ~tenure_age ~cset:t.cset
       ~old_cset ~pause_kind ()
   in
-  (* The increment/decrement processing shares the same pause; bill it on
-     the collector fiber inside... the pause has ended, so bill the log
-     cost as part of epoch bookkeeping (small relative to copying). *)
+  (* The logged increments and decrements are processed once the pause
+     has ended: the controller fiber pays for them, concurrently with the
+     mutators, at the per-entry cost shared over the cores (small
+     relative to copying). *)
   Sim.Engine.tick
     (log * Costs.rc_process_ref / Int.max 1 (Sim.Engine.cores rt.RtM.engine));
   Metrics.add rt.RtM.metrics "lxr.rc_log_processed" log;
@@ -113,6 +115,7 @@ let install rt =
       rc_log = 0;
       last_epoch_bytes = 0;
       candidates = [];
+      cset = Common.region_buffer ();
       urgent = false;
     }
   in

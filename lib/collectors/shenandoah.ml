@@ -53,41 +53,49 @@ let request_degeneration t = if t.cycle_running then t.degen_requested <- true
 (* ------------------------------------------------------------------ *)
 (* Collection-set selection (final mark).                               *)
 
+(* Narrow [t.candidates] to the collection set, in claim order: the
+   candidates taken, last taken first. *)
 let select_cset t =
   let heap = t.rt.RtM.heap in
-  let cset = ref [] in
+  let cset = t.candidates in
   (* Evacuation needs destination space: bound the cset's live bytes by
      the free space (§2.3: "the number of objects collected in each GC
      cycle is restricted by the remaining free space size"). *)
   let budget =
     ref (Heap_impl.free_regions heap * heap.Heap_impl.cfg.region_bytes * 9 / 10)
   in
-  Common.relocation_candidates t.rt t.config t.candidates;
-  Util.Vec.iter
-    (fun (r : Region.t) ->
-      if r.Region.live_bytes <= !budget then begin
-        budget := !budget - r.Region.live_bytes;
-        r.Region.in_cset <- true;
-        cset := r :: !cset
-      end)
-    t.candidates;
-  Util.Vec.clear t.candidates;
-  List.iter (Util.Vec.push t.candidates) !cset;
-  !cset
+  Common.relocation_candidates t.rt t.config cset;
+  let n = ref 0 in
+  for i = 0 to Util.Vec.length cset - 1 do
+    let r = Util.Vec.get cset i in
+    if r.Region.live_bytes <= !budget then begin
+      budget := !budget - r.Region.live_bytes;
+      r.Region.in_cset <- true;
+      Util.Vec.set cset !n r;
+      incr n
+    end
+  done;
+  Util.Vec.truncate cset !n;
+  for i = 0 to (!n / 2) - 1 do
+    let r = Util.Vec.get cset i in
+    Util.Vec.set cset i (Util.Vec.get cset (!n - 1 - i));
+    Util.Vec.set cset (!n - 1 - i) r
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Cycle.                                                               *)
 
-let release_cset t tk cset =
-  List.iter (Common.release_region t.rt tk) cset;
-  Metrics.add t.rt.RtM.metrics "shen.regions_reclaimed" (List.length cset);
+let release_cset t tk =
+  Util.Vec.iter (Common.release_region t.rt tk) t.candidates;
+  Metrics.add t.rt.RtM.metrics "shen.regions_reclaimed"
+    (Util.Vec.length t.candidates);
   RtM.notify_memory_freed t.rt
 
 let evac_hook t _ _ copy = t.config.Common.copy_hook copy
 
 (* Finish the rest of a degenerated cycle inside one STW pause; returns
    true when even the degenerated evacuation failed (full GC needed). *)
-let degenerate t ~evac_rest ~update_rest ~cset =
+let degenerate t ~evac_rest ~update_rest =
   let rt = t.rt in
   Metrics.add rt.RtM.metrics "shen.degenerated" 1;
   Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Degenerated (fun () ->
@@ -110,9 +118,9 @@ let degenerate t ~evac_rest ~update_rest ~cset =
               Common.update_refs_in_region rt tk r)
           update_rest;
         RtM.update_roots rt;
-        release_cset t tk cset
+        release_cset t tk
       end
-      else List.iter (fun (r : Region.t) -> r.Region.in_cset <- false) cset;
+      else Common.abandon_cset t.candidates;
       Common.Ticker.flush tk;
       failed)
 
@@ -128,13 +136,12 @@ let run_cycle t =
   Metrics.phase_begin metrics "shen.cycle" ~now:(now ());
   (* 1-3. Init mark (STW), concurrent mark, final mark (STW): terminate
      marking, process weak refs, select the collection set. *)
-  let cset = ref [] in
   Common.Marker.cycle t.marker ~retire_tlabs:true ~phase:"shen.mark"
     ~final:Metrics.Final_mark ~workers:Common.gc_threads
     ~at_final:(fun tk ->
       let cleared = Heap_impl.process_weak_refs_marked heap in
       Common.Ticker.tick tk (cleared * Costs.weak_ref_process);
-      cset := select_cset t);
+      select_cset t);
   (* 4. Concurrent evacuation. *)
   Metrics.phase_begin metrics "shen.evac" ~now:(now ());
   let evac_rest, evac_failed =
@@ -149,9 +156,7 @@ let run_cycle t =
   let finish_ok =
     if evac_failed || t.degen_requested then begin
       let failed =
-        degenerate t ~evac_rest
-          ~update_rest:(Util.Vec.to_list t.all_regions)
-          ~cset:!cset
+        degenerate t ~evac_rest ~update_rest:(Util.Vec.to_list t.all_regions)
       in
       if failed then
         Common.full_gc_or_oom ~on_live_ref:Common.nothing_to_rebuild rt;
@@ -169,9 +174,7 @@ let run_cycle t =
       in
       Metrics.phase_end metrics "shen.update_refs" ~now:(now ());
       if t.degen_requested then begin
-        let failed =
-          degenerate t ~evac_rest:[] ~update_rest ~cset:!cset
-        in
+        let failed = degenerate t ~evac_rest:[] ~update_rest in
         if failed then
           ignore
             (Common.stw_full_compact ~on_live_ref:Common.nothing_to_rebuild
@@ -186,7 +189,7 @@ let run_cycle t =
     Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Remark (fun () ->
         let tk = Common.stw_ticker rt in
         RtM.update_roots rt;
-        release_cset t tk !cset;
+        release_cset t tk;
         Common.Ticker.flush tk;
         RtM.fire_phase rt Runtime.Vhook.Evac_end);
   Metrics.phase_end metrics "shen.cycle" ~now:(now ());

@@ -34,10 +34,12 @@ let barrier_insert rt remsets ~(src : Gobj.t) ~field ~(child : Gobj.t) =
   end
 
 (** Run one collection pause.  [old_cset] must be old regions chosen by
-    the caller's policy (empty for a young-only GC).  Returns true when
+    the caller's policy (empty for a young-only GC).  [cset] is the
+    caller's buffer for the collection set: the young regions in rid
+    order, then [old_cset], walked from the end.  Returns true when
     evacuation ran out of space: nothing was released and the caller
     must fall back to a full compaction. *)
-let collect rt ~(remsets : Region_remsets.t) ~tenure_age
+let collect rt ~(remsets : Region_remsets.t) ~tenure_age ~cset
     ~(old_cset : Region.t list) ?(extra_roots = []) ~pause_kind () =
   let heap = rt.RtM.heap in
   Runtime.Safepoint.stw rt.RtM.safepoint pause_kind (fun () ->
@@ -45,15 +47,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
       (* STW pause work is shared by parallel GC workers on the idle
          cores; see {!Common.Ticker}. *)
       let tk = Common.stw_ticker rt in
-      (* Snapshot the cset. *)
-      let cset = ref [] in
-      Array.iter
-        (fun (r : Region.t) ->
-          if r.Region.kind = Region.Young then begin
-            r.Region.in_cset <- true;
-            cset := r :: !cset
-          end)
-        heap.Heap_impl.regions;
+      Common.snapshot_young rt cset;
       List.iter
         (fun (r : Region.t) ->
           if r.Region.kind <> Region.Old then
@@ -64,14 +58,11 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
                  r.Region.rid
                  (Region.kind_to_string r.Region.kind));
           r.Region.in_cset <- true;
-          cset := r :: !cset)
+          Util.Vec.push cset r)
         old_cset;
       (* Remembered sets are about to be the only source of non-cset
          roots into the cset: coverage must be complete right now. *)
       RtM.fire_phase rt Runtime.Vhook.Remset_scan;
-      let in_cset (o : Gobj.t) =
-        (Heap_impl.region heap (Gobj.region o)).Region.in_cset
-      in
       let dest_young = Common.Evac.make_dest rt Region.Young in
       let dest_old = Common.Evac.make_dest rt Region.Old in
       let copied = ref 0 and cards = ref 0 in
@@ -84,8 +75,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
         if Gobj.is_forwarded o then Gobj.resolve o
         else begin
           let promote =
-            (Heap_impl.region heap (Gobj.region o)).Region.kind = Region.Old
-            || Common.Evac.promotes tenure o
+            Heap_impl.is_old heap o || Common.Evac.promotes tenure o
           in
           let dest = if promote then dest_old else dest_young in
           let o' = Common.Evac.copy_object dest tk o in
@@ -104,7 +94,9 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
         if slot != Gobj.null then begin
           Common.Ticker.tick tk Costs.mark_ref;
           let child = Gobj.resolve slot in
-          let child = if in_cset child then copy_out child else child in
+          let child =
+            if Heap_impl.in_cset heap child then copy_out child else child
+          in
           Gobj.set_field holder i child;
           if
             Gobj.region child <> Gobj.region holder
@@ -120,7 +112,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
       (try
          (* Roots. *)
          Common.scan_roots rt tk (fun o ->
-             if in_cset o then ignore (copy_out o));
+             if Heap_impl.in_cset heap o then ignore (copy_out o));
          RtM.update_roots rt;
          (* Extra root vectors (a concurrent marker's worklists: SATB
             snapshot-live objects must survive young collections that run
@@ -130,7 +122,7 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
              Util.Vec.iteri
                (fun i (o : Gobj.t) ->
                  let o = Gobj.resolve o in
-                 let o = if in_cset o then copy_out o else o in
+                 let o = if Heap_impl.in_cset heap o then copy_out o else o in
                  Util.Vec.set vec i o)
                vec)
            extra_roots;
@@ -139,55 +131,48 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
          let remset_slot () o i =
            Common.Ticker.tick tk Costs.mark_ref;
            let stored = Gobj.get_field o i in
-           if stored != Gobj.null then begin
-             let child = Gobj.resolve stored in
-             (* Dead holders on this card can hold dangling references
-                into regions reclaimed by earlier pauses; the target
-                region id may since have been recycled into this cset,
-                so the membership test alone would resurrect freed
-                garbage. *)
-             if Gobj.is_freed child then ()
-             else if in_cset child then begin
-               let child' = copy_out child in
-               Gobj.set_field o i child';
-               (* The holder stays outside the cset: its entry for the
-                  survivor's new region. *)
+           let child = Gobj.live_target stored in
+           if child == Gobj.null then ()
+           else if Heap_impl.in_cset heap child then begin
+             let child' = copy_out child in
+             Gobj.set_field o i child';
+             (* The holder stays outside the cset: its entry for the
+                survivor's new region. *)
+             Common.Ticker.tick tk Costs.remset_insert;
+             Region_remsets.add remsets ~target_rid:(Gobj.region child')
+               ~card:(Heap_impl.card_of_field heap o i)
+           end
+           else if child != stored then begin
+             (* Already evacuated via another path this pause: healing
+                alone would lose the edge when the cset region's
+                remembered set is cleared on release — the new
+                location needs this holder card too. *)
+             Gobj.set_field o i child;
+             if Gobj.region child <> Gobj.region o then begin
                Common.Ticker.tick tk Costs.remset_insert;
-               Region_remsets.add remsets ~target_rid:(Gobj.region child')
+               Region_remsets.add remsets ~target_rid:(Gobj.region child)
                  ~card:(Heap_impl.card_of_field heap o i)
-             end
-             else if child != stored then begin
-               (* Already evacuated via another path this pause: healing
-                  alone would lose the edge when the cset region's
-                  remembered set is cleared on release — the new
-                  location needs this holder card too. *)
-               Gobj.set_field o i child;
-               if Gobj.region child <> Gobj.region o then begin
-                 Common.Ticker.tick tk Costs.remset_insert;
-                 Region_remsets.add remsets ~target_rid:(Gobj.region child)
-                   ~card:(Heap_impl.card_of_field heap o i)
-               end
              end
            end
          in
-         List.iter
-           (fun (r : Region.t) ->
-             match Region_remsets.get remsets r.Region.rid with
-             | None -> ()
-             | Some rs ->
-                 Remset.iter
-                   (fun card ->
-                     let holder_r =
-                       Heap_impl.region heap (Heap_impl.card_to_region heap card)
-                     in
-                     (* Cards inside the cset are traced anyway. *)
-                     if not holder_r.Region.in_cset then begin
-                       incr cards;
-                       Common.Ticker.tick tk Costs.card_scan;
-                       Heap_impl.scan_card heap card () ~f:remset_slot
-                     end)
-                   rs)
-           !cset;
+         for k = Util.Vec.length cset - 1 downto 0 do
+           let rid = (Util.Vec.get cset k).Region.rid in
+           match Region_remsets.get remsets rid with
+           | None -> ()
+           | Some rs ->
+               Remset.iter
+                 (fun card ->
+                   let holder_r =
+                     Heap_impl.region heap (Heap_impl.card_to_region heap card)
+                   in
+                   (* Cards inside the cset are traced anyway. *)
+                   if not holder_r.Region.in_cset then begin
+                     incr cards;
+                     Common.Ticker.tick tk Costs.card_scan;
+                     Heap_impl.scan_card heap card () ~f:remset_slot
+                   end)
+                 rs
+         done;
          (* Transitive closure over new copies. *)
          while not (Util.Vec.is_empty scan_list) do
            let o' = Util.Vec.pop_last scan_list in
@@ -198,18 +183,18 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
          done
        with Common.Evac.Evacuation_failure -> failed := true);
       if not !failed then begin
-        List.iter
-          (fun (r : Region.t) ->
-            Region_remsets.clear remsets r.Region.rid;
-            Common.release_region rt tk r)
-          !cset;
+        for k = Util.Vec.length cset - 1 downto 0 do
+          let r = Util.Vec.get cset k in
+          Region_remsets.clear remsets r.Region.rid;
+          Common.release_region rt tk r
+        done;
         let cleared = Heap_impl.process_weak_refs_freed_only heap in
         Common.Ticker.tick tk (cleared * Costs.weak_ref_process)
       end
       else
         (* Leave the heap consistent: forwarded copies stay, nothing is
            released; the caller must fall back to a full compaction. *)
-        List.iter (fun (r : Region.t) -> r.Region.in_cset <- false) !cset;
+        Common.abandon_cset cset;
       if not !failed then RtM.fire_phase rt Runtime.Vhook.Evac_end;
       if !copied_objects > 0 && RtM.tracing rt then
         RtM.trace rt
@@ -221,21 +206,15 @@ let collect rt ~(remsets : Region_remsets.t) ~tenure_age
       RtM.notify_memory_freed rt;
       !failed)
 
-(** Only old regions below this liveness become collection candidates. *)
-let cset_live_threshold = 0.85
-
-(** Garbage-first candidates after a marking cycle: the old regions
-    allocated before its snapshot whose live ratio is below
-    {!cset_live_threshold}, most garbage first. *)
+(** Garbage-first candidates after a marking cycle: the
+    {!Common.evacuable} old regions, most garbage first (ties in
+    descending rid). *)
 let old_candidates (heap : Heap_impl.t) =
   let cands = ref [] in
   Array.iter
     (fun (r : Region.t) ->
-      if
-        r.Region.kind = Region.Old
-        && r.Region.alloc_epoch < heap.Heap_impl.mark_epoch
-        && Region.live_ratio r < cset_live_threshold
-      then cands := r :: !cands)
+      if r.Region.kind = Region.Old && Common.evacuable heap r then
+        cands := r :: !cands)
     heap.Heap_impl.regions;
   List.sort
     (fun (a : Region.t) b ->

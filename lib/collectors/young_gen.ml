@@ -65,19 +65,17 @@ let create ?(atomic_cost = false) ~style rt =
     };
   t
 
-let is_young heap (o : Gobj.t) =
-  (Heap_impl.region heap (Gobj.region o)).Region.kind = Region.Young
-
-let is_old heap (o : Gobj.t) =
-  (Heap_impl.region heap (Gobj.region o)).Region.kind = Region.Old
-
 (** Write-barrier hook: remember old-to-young stores; during a young
     cycle also gray the stored value so concurrently created references
     are not lost. *)
 let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
   let heap = t.rt.RtM.heap in
   (* Null first: the sentinel's region id (-1) must never be looked up. *)
-  if new_v != Gobj.null && is_old heap src && is_young heap new_v then begin
+  if
+    new_v != Gobj.null
+    && Heap_impl.is_old heap src
+    && Heap_impl.is_young heap new_v
+  then begin
     Sim.Engine.tick Costs.card_barrier;
     ignore (Remset.add t.remset (Heap_impl.card_of_field heap src field));
     if t.young_cycle_active then begin
@@ -85,18 +83,6 @@ let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
       Util.Vec.push t.marker.Common.Marker.satb new_v
     end
   end
-
-(* Snapshot the young regions, in rid order, into the collection set. *)
-let snapshot_young_regions t =
-  let regions = t.rt.RtM.heap.Heap_impl.regions in
-  Util.Vec.clear t.snapshot;
-  for i = 0 to Array.length regions - 1 do
-    let r = regions.(i) in
-    if r.Region.kind = Region.Young then begin
-      r.Region.in_cset <- true;
-      Util.Vec.push t.snapshot r
-    end
-  done
 
 (* Scan the old-to-young remembered set, graying young targets.  Cards
    that no longer hold any old-to-young reference are pruned. *)
@@ -106,16 +92,10 @@ let scan_remset_roots t tk =
   (* Built once per scan, not per card. *)
   let found = ref false in
   let gray_slot () o i =
-    let slot = Gobj.get_field o i in
-    if slot != Gobj.null then begin
-      let child = Gobj.resolve slot in
-      (* A dead holder can carry a dangling reference whose region id
-         was recycled into the young snapshot: graying it would mark and
-         visit a freed object. *)
-      if (not (Gobj.is_freed child)) && is_young heap child then begin
-        found := true;
-        Common.Marker.gray t.marker child
-      end
+    let child = Gobj.live_target (Gobj.get_field o i) in
+    if child != Gobj.null && Heap_impl.is_young heap child then begin
+      found := true;
+      Common.Marker.gray t.marker child
     end
   in
   Remset.iter
@@ -137,7 +117,7 @@ let scan_remset_roots t tk =
    its new location gets remembered-set entries. *)
 let after_copy t tk (o : Gobj.t) (o' : Gobj.t) =
   let heap = t.rt.RtM.heap in
-  if is_young heap o' then
+  if Heap_impl.is_young heap o' then
     t.tenure.survivors <- t.tenure.survivors + Gobj.size o
   else begin
     Metrics.add t.rt.RtM.metrics "young.promoted_bytes" (Gobj.size o);
@@ -145,7 +125,7 @@ let after_copy t tk (o : Gobj.t) (o' : Gobj.t) =
        closure over [o'] per promoted object. *)
     for i = 0 to Gobj.num_fields o' - 1 do
       let child = Gobj.resolve (Gobj.get_field o' i) in
-      if child != Gobj.null && is_young heap child then begin
+      if child != Gobj.null && Heap_impl.is_young heap child then begin
         Common.Ticker.tick tk Costs.remset_insert;
         ignore (Remset.add t.remset (Heap_impl.card_of_field heap o' i))
       end
@@ -166,7 +146,7 @@ let collect t =
      remembered set; the young mark then runs concurrently. *)
   Common.Marker.cycle t.marker ~retire_tlabs:true ~phase:"young.mark"
     ~at_init:(fun () ->
-      snapshot_young_regions t;
+      Common.snapshot_young rt t.snapshot;
       RtM.fire_phase rt Runtime.Vhook.Remset_scan)
     ~at_roots:(scan_remset_roots t) ~final:Metrics.Final_mark
     ~workers:Common.gc_threads;
@@ -237,8 +217,7 @@ let collect t =
     RtM.notify_memory_freed rt;
     RtM.fire_phase rt Runtime.Vhook.Evac_end
   end
-  else
-    Util.Vec.iter (fun (r : Region.t) -> r.Region.in_cset <- false) t.snapshot;
+  else Common.abandon_cset t.snapshot;
   Metrics.phase_end metrics "young.cycle" ~now:(now ());
   t.young_cycle_active <- false;
   RtM.fire_phase rt Runtime.Vhook.Cycle_end;

@@ -29,12 +29,7 @@ let full_gc t =
   Crdt.reset t.old_gc.Old.crdt;
   let on_live_ref (holder : Gobj.t) i (child : Gobj.t) =
     let child = Gobj.resolve child in
-    let holder_r = Heap_impl.region heap (Gobj.region holder) in
-    let child_r = Heap_impl.region heap (Gobj.region child) in
-    if
-      holder_r.Region.kind = Region.Old
-      && child_r.Region.kind = Region.Young
-    then
+    if Heap_impl.is_old heap holder && Heap_impl.is_young heap child then
       ignore
         (Remset.add t.young.Young.remset
            (Heap_impl.card_of_field heap holder i))

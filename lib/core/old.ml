@@ -67,15 +67,12 @@ let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
     let child = new_v in
     Sim.Engine.tick Costs.card_barrier;
     let card = Heap_impl.card_of_field heap src field in
-    let child_is_young =
-      (Heap_impl.region heap (Gobj.region child)).Region.kind = Region.Young
-    in
     (* The planted bug must also drop the card dirtying for old→young
        stores — otherwise the dirty bit masks the missing remset insert
        and the sanitizer regression test proves nothing. *)
     if
       not
-        (child_is_young
+        (Heap_impl.is_young heap child
         && t.config.Jade_config.planted_bug = Jade_config.Skip_remset_insert)
     then Heap_impl.dirty_card heap card;
     if t.current_group >= 0 then begin
@@ -184,26 +181,17 @@ let build_remsets t =
   (* A worker's slot visitor, built once per worker over its ticker; the
      card is the scan's context, so a card allocates nothing. *)
   let target_slot tk card o i =
-    let slot = Gobj.get_field o i in
-    if slot != Gobj.null then begin
-      let child = Gobj.resolve slot in
-      (* A dead holder's dangling reference into a reclaimed region
-         must not mint remset entries for whatever region id now
-         occupies that slot. *)
-      if (not (Gobj.is_freed child)) && Gobj.region child <> Gobj.region o
-      then begin
-        (* This scan is followed by [clean_card]; if the card still
-           covers an old→young edge whose remset insert the young
-           collector pruned against a half-completed store, the dirty
-           bit is the last record of that edge — re-publish it before
-           erasing the backup.  Unbilled: an idempotent bitset insert
-           the mutator already paid for once. *)
-        (let cr = Heap_impl.region heap (Gobj.region child) in
-         let hr = Heap_impl.region heap (Gobj.region o) in
-         if cr.Region.kind = Region.Young && hr.Region.kind = Region.Old then
-           ignore (Remset.add t.young.Young.remset card));
-        insert_for_target tk ~card ~target_rid:(Gobj.region child)
-      end
+    let child = Gobj.live_target (Gobj.get_field o i) in
+    if child != Gobj.null && Gobj.region child <> Gobj.region o then begin
+      (* This scan is followed by [clean_card]; if the card still covers
+         an old→young edge whose remset insert the young collector
+         pruned against a half-completed store, the dirty bit is the
+         last record of that edge — re-publish it before erasing the
+         backup.  Unbilled: an idempotent bitset insert the mutator
+         already paid for once. *)
+      if Heap_impl.is_young heap child && Heap_impl.is_old heap o then
+        ignore (Remset.add t.young.Young.remset card);
+      insert_for_target tk ~card ~target_rid:(Gobj.region child)
     end
   in
   let scan_card_for_targets tk slot card =

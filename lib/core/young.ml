@@ -72,27 +72,19 @@ let create ~config rt =
     tenure = Common.Evac.tenure rt ~age:tenure_age;
   }
 
-let in_snapshot heap (o : Gobj.t) =
-  (Heap_impl.region heap (Gobj.region o)).Region.in_cset
-
-let is_young heap (o : Gobj.t) =
-  (Heap_impl.region heap (Gobj.region o)).Region.kind = Region.Young
-
-let is_old heap (o : Gobj.t) =
-  (Heap_impl.region heap (Gobj.region o)).Region.kind = Region.Old
-
 (** Write-barrier hook (young half): remember old-to-young stores and
     keep concurrently created young references alive during a cycle. *)
 let barrier t ~(src : Gobj.t) ~field ~(new_v : Gobj.t) =
   let heap = t.rt.RtM.heap in
   (* The null test must come first: the sentinel's region id is -1. *)
-  if new_v != Gobj.null && is_young heap new_v then begin
-    if is_old heap src then begin
+  if new_v != Gobj.null && Heap_impl.is_young heap new_v then begin
+    if Heap_impl.is_old heap src then begin
       Sim.Engine.tick Costs.card_barrier;
       if t.config.planted_bug <> Jade_config.Skip_remset_insert then
         ignore (Remset.add t.remset (Heap_impl.card_of_field heap src field))
     end;
-    if t.active && in_snapshot heap new_v then Util.Vec.push t.pending new_v
+    if t.active && Heap_impl.in_cset heap new_v then
+      Util.Vec.push t.pending new_v
   end
 
 (* Copy one snapshot object (idempotent via the forwarding CAS), feed its
@@ -137,19 +129,21 @@ let scan_copy t dests tk (o' : Gobj.t) =
     if slot != Gobj.null then begin
       let child = Gobj.resolve slot in
       let child =
-        if in_snapshot heap child then copy_out t dests tk child else child
+        if Heap_impl.in_cset heap child then copy_out t dests tk child
+        else child
       in
       Gobj.set_field o' i child;
-      if is_old heap o' && is_young heap child then begin
+      if Heap_impl.is_old heap o' && Heap_impl.is_young heap child then begin
         Common.Ticker.tick tk Costs.remset_insert;
         ignore (Remset.add t.remset (Heap_impl.card_of_field heap o' i))
       end;
       (* Young-to-old references feed a co-running old mark (§5.6). *)
-      if is_old heap child then begin
+      if Heap_impl.is_old heap child then begin
         (match t.old_marker with
         | Some m when m.Common.Marker.active -> Common.Marker.gray m child
         | _ -> ());
-        if is_old heap o' && Gobj.region o' <> Gobj.region child then
+        if Heap_impl.is_old heap o' && Gobj.region o' <> Gobj.region child
+        then
           match t.promoted_old_ref with
           | Some f -> f o' i child
           | None -> ()
@@ -167,7 +161,7 @@ let drain t dests tk =
       scan_copy t dests tk (Util.Vec.pop_last t.scan_stack)
     else if not (Util.Vec.is_empty t.pending) then begin
       let o = Util.Vec.pop_last t.pending in
-      if in_snapshot t.rt.RtM.heap o && not (Gobj.is_forwarded o) then
+      if Heap_impl.in_cset t.rt.RtM.heap o && not (Gobj.is_forwarded o) then
         ignore (copy_out t dests tk o)
     end
     else continue_ := false;
@@ -185,24 +179,17 @@ type card_scan = {
 }
 
 let remset_slot cs o i =
-  let slot = Gobj.get_field o i in
-  if slot != Gobj.null then begin
+  let child = Gobj.live_target (Gobj.get_field o i) in
+  if child != Gobj.null then begin
     let t = cs.cs_young in
     let heap = t.rt.RtM.heap in
-    let child = Gobj.resolve slot in
-    (* A dead holder on this card can carry a dangling reference to an
-       object reclaimed cycles ago.  Its region id may have been
-       recycled into the current snapshot, so the membership test alone
-       would resurrect freed garbage — a dangling edge is never copied
-       or healed. *)
-    if not (Gobj.is_freed child) then begin
-      let child =
-        if in_snapshot heap child then copy_out t cs.cs_dests cs.cs_tk child
-        else child
-      in
-      Gobj.set_field o i child;
-      if is_young heap child then cs.cs_keep <- true
-    end
+    let child =
+      if Heap_impl.in_cset heap child then
+        copy_out t cs.cs_dests cs.cs_tk child
+      else child
+    in
+    Gobj.set_field o i child;
+    if Heap_impl.is_young heap child then cs.cs_keep <- true
   end
 
 (* Scan one old-to-young remembered card: copy-and-heal young targets.
@@ -236,15 +223,7 @@ let collect t ~workers =
      the barriers would miss. *)
   Runtime.Safepoint.stw rt.RtM.safepoint Metrics.Init_mark (fun () ->
       RtM.retire_all_tlabs rt;
-      let regions = heap.Heap_impl.regions in
-      Util.Vec.clear snapshot;
-      for i = 0 to Array.length regions - 1 do
-        let r = regions.(i) in
-        if r.Region.kind = Region.Young then begin
-          r.Region.in_cset <- true;
-          Util.Vec.push snapshot r
-        end
-      done;
+      Common.snapshot_young rt snapshot;
       t.active <- true;
       (* Old→young coverage must be complete at this point: the snapshot
          is taken and the remembered set is about to become the only
@@ -256,7 +235,7 @@ let collect t ~workers =
       in
       (try
          Common.scan_roots rt tk (fun o ->
-             if in_snapshot heap o then ignore (copy_out t dests tk o));
+             if Heap_impl.in_cset heap o then ignore (copy_out t dests tk o));
          RtM.update_roots rt
        with Common.Evac.Evacuation_failure -> failed := true);
       Common.Ticker.flush tk);
@@ -314,7 +293,8 @@ let collect t ~workers =
       (try
          if not !failed then begin
            Common.scan_roots rt tk (fun o ->
-               if in_snapshot heap o then ignore (copy_out t dests tk o));
+               if Heap_impl.in_cset heap o then
+                 ignore (copy_out t dests tk o));
            drain t dests tk;
            RtM.update_roots rt
          end
@@ -336,7 +316,7 @@ let collect t ~workers =
         RtM.fire_phase rt Runtime.Vhook.Evac_end
       end
       else begin
-        Util.Vec.iter (fun (r : Region.t) -> r.Region.in_cset <- false) snapshot;
+        Common.abandon_cset snapshot;
         Util.Vec.clear t.scan_stack;
         Util.Vec.clear t.pending
       end;

@@ -323,6 +323,11 @@ let set_forward ~hooks ~site t copy =
     testing it first. *)
 let rec resolve t = if t.forward == null then t else resolve t.forward
 
+(* Why a freed target reads as null: see the interface. *)
+let live_target slot =
+  let o = resolve slot in
+  if is_freed o then null else o
+
 (** Length of the forwarding chain, for tests and cost accounting. *)
 let forward_depth t =
   let rec go t n = if t.forward == null then n else go t.forward (n + 1) in

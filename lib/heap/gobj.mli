@@ -254,6 +254,15 @@ val resolve : t -> t
     [resolve null] is [null], so field values resolve without a
     preceding emptiness test. *)
 
+val live_target : t -> t
+(** The live object a reference slot names: [slot] resolved, or {!null}
+    when the slot is empty or its target is freed.  A card scan can meet
+    a dead holder whose dangling reference names an object reclaimed
+    cycles ago; that region id may since have been recycled into the
+    running collection set, so a region test alone would resurrect freed
+    garbage.  A freed target is never a live edge: it is not copied,
+    healed, grayed or remembered. *)
+
 val forward_depth : t -> int
 (** Length of the forwarding chain, for tests and cost accounting. *)
 

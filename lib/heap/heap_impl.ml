@@ -211,6 +211,15 @@ let create cfg =
 
 let num_regions t = Array.length t.regions
 let region t rid = t.regions.(rid)
+
+let[@inline] is_young t (o : Gobj.t) =
+  t.regions.(Gobj.region o).kind = Region.Young
+
+let[@inline] is_old t (o : Gobj.t) =
+  t.regions.(Gobj.region o).kind = Region.Old
+
+let[@inline] in_cset t (o : Gobj.t) = t.regions.(Gobj.region o).in_cset
+
 let free_regions t = Util.Ring.length t.free_q
 let used_regions t = num_regions t - free_regions t
 let total_cards t = t.cfg.heap_bytes / card_bytes

@@ -145,6 +145,17 @@ val drop_retired : unit -> unit
 
 val num_regions : t -> int
 val region : t -> int -> Region.t
+
+val is_young : t -> Gobj.t -> bool
+(** [o]'s region is young.  Like the two tests below, it reads the
+    region [o] names, so [o] must not be {!Gobj.null}. *)
+
+val is_old : t -> Gobj.t -> bool
+(** [o]'s region is old. *)
+
+val in_cset : t -> Gobj.t -> bool
+(** [o]'s region is in the running cycle's collection set. *)
+
 val free_regions : t -> int
 val used_regions : t -> int
 val total_cards : t -> int

@@ -111,6 +111,18 @@ for c in jade g1 g1-10ms lxr zgc shenandoah genz genshen; do
   done
 done
 
+echo "== verify at the benchmark geometry (every evacuating collector) =="
+# The loop above verifies at the CLI's 512 KiB regions, and whether a
+# cell passes depends on the geometry (ROADMAP item 15).  gcsim trace's
+# defaults are all8-lusearch-fixed's scenario: lusearch at 1.5x on 4
+# cores with the regions Exp.machine_for picks.  Every collector's
+# collection-set code (young snapshots, old slices, rollbacks, card
+# scans) runs there under the full verifier; any violation exits 1.
+dune exec bin/gcsim.exe -- trace \
+  -c jade,g1,g1-10ms,lxr,zgc,shenandoah,genz,genshen \
+  --requests 10000 --verify=full > /dev/null
+echo "all eight collectors verified at lusearch 1.5x, 10000 requests"
+
 echo "== verify outcome (a broken invariant is a report and exit 1) =="
 # One collector's slice of the verify census (ROADMAP item 15): a
 # passing cell and a failing one.  The passing cell is the benchmark's

@@ -269,6 +269,83 @@ let test_claim_stop_flag () =
   Alcotest.(check (list int)) "remainder" [ 9; 8; 7; 6; 5; 4; 3 ] leftover
 
 (* ------------------------------------------------------------------ *)
+(* The collection-set vocabulary (Common).                              *)
+
+(* A runtime over a heap of [region_bytes] regions whose first regions
+   are claimed with [kinds], in order: region [i] gets [kinds.(i)]. *)
+let cset_fixture ?(region_bytes = 256 * Util.Units.kib) kinds =
+  let engine = Sim.Engine.create () in
+  let heap =
+    Heap.Heap_impl.create
+      (Heap.Heap_impl.config ~heap_bytes:(16 * region_bytes) ~region_bytes ())
+  in
+  let rt = Runtime.Rt.create ~seed:42 ~engine ~heap () in
+  let regions =
+    List.map
+      (fun kind -> Option.get (Heap.Heap_impl.claim_region heap kind))
+      kinds
+  in
+  (rt, heap, regions)
+
+let rids buf =
+  List.map (fun (r : Heap.Region.t) -> r.Heap.Region.rid) (Util.Vec.to_list buf)
+
+let flagged heap =
+  Array.to_list heap.Heap.Heap_impl.regions
+  |> List.filter (fun (r : Heap.Region.t) -> r.Heap.Region.in_cset)
+  |> List.map (fun (r : Heap.Region.t) -> r.Heap.Region.rid)
+
+(* Only young regions, in rid order, each flagged; a buffer that still
+   holds last cycle's regions is cleared first. *)
+let test_snapshot_young () =
+  let open Heap.Region in
+  let rt, heap, regions = cset_fixture [ Old; Young; Young; Old; Young ] in
+  let young = List.filter (fun r -> r.kind = Young) regions in
+  Alcotest.(check (list int)) "fixture claims in rid order" [ 1; 2; 4 ]
+    (List.map (fun r -> r.rid) young);
+  let buf = Collectors.Common.region_buffer () in
+  Util.Vec.push buf (List.nth regions 3);
+  Util.Vec.push buf (List.nth regions 0);
+  Collectors.Common.snapshot_young rt buf;
+  Alcotest.(check (list int)) "young regions, ascending rid" [ 1; 2; 4 ]
+    (rids buf);
+  Alcotest.(check (list int)) "exactly the young regions flagged" [ 1; 2; 4 ]
+    (flagged heap)
+
+let test_abandon_cset () =
+  let rt, heap, _ = cset_fixture Heap.Region.[ Young; Old; Young; Young ] in
+  let buf = Collectors.Common.region_buffer () in
+  Collectors.Common.snapshot_young rt buf;
+  Alcotest.(check int) "three regions flagged" 3 (List.length (flagged heap));
+  Collectors.Common.abandon_cset buf;
+  Alcotest.(check (list int)) "no flag left" [] (flagged heap);
+  Alcotest.(check (list int)) "the buffer still names them" [ 0; 2; 3 ]
+    (rids buf)
+
+(* 10 KiB regions: 0.85 of one is exactly 8704 bytes, so the boundary is
+   tested on the threshold itself, not next to it. *)
+let test_evacuable () =
+  let open Heap.Region in
+  let _, heap, regions = cset_fixture ~region_bytes:(10 * Util.Units.kib) [ Old ] in
+  let r = List.hd regions and free = heap.Heap.Heap_impl.regions.(15) in
+  ignore (Heap.Heap_impl.begin_mark heap);
+  Heap.Heap_impl.end_mark heap;
+  let late = Option.get (Heap.Heap_impl.claim_region heap Old) in
+  let evacuable = Collectors.Common.evacuable heap in
+  Alcotest.(check bool) "region 15 is free" true (is_free free);
+  free.live_bytes <- 0;
+  Alcotest.(check bool) "a free region is not evacuable" false (evacuable free);
+  late.live_bytes <- 0;
+  Alcotest.(check bool) "allocated after the snapshot" false (evacuable late);
+  r.live_bytes <- 8703;
+  Alcotest.(check bool) "just below 0.85 live" true (evacuable r);
+  r.live_bytes <- 8704;
+  Alcotest.(check (float 0.)) "exactly 0.85 live" 0.85 (live_ratio r);
+  Alcotest.(check bool) "at 0.85 live" false (evacuable r);
+  r.live_bytes <- 0;
+  Alcotest.(check bool) "empty region before the snapshot" true (evacuable r)
+
+(* ------------------------------------------------------------------ *)
 (* Card heal (Common.update_refs_in_card).                              *)
 
 (* Jade's group heal and Young_gen's update-refs scan a card per call;
@@ -584,6 +661,14 @@ let () =
              test_claim_failure_returns_remainder;
            Alcotest.test_case "stop flag between items" `Quick
              test_claim_stop_flag;
+         ] );
+       ( "collection sets",
+         [
+           Alcotest.test_case "snapshot_young: young regions in rid order"
+             `Quick test_snapshot_young;
+           Alcotest.test_case "abandon_cset clears every flag" `Quick
+             test_abandon_cset;
+           Alcotest.test_case "evacuable" `Quick test_evacuable;
          ] );
        ( "card heal",
          [

@@ -111,6 +111,45 @@ let test_forwarding_resolve () =
   Alcotest.(check int) "depth" 2 (Gobj.forward_depth a);
   Alcotest.(check bool) "unforwarded resolves to self" true (Gobj.resolve c == c)
 
+(* The target a card scan may follow: null for an empty slot, the
+   newest copy for a forwarded object, null for a freed one, including
+   a stub whose copy has been freed since. *)
+let test_live_target () =
+  let heap = mk_heap () in
+  let r = claim_exn heap Region.Old and dead_r = claim_exn heap Region.Young in
+  let o = alloc heap r ~size:64 ~nrefs:0 and copy = alloc heap r ~size:64 ~nrefs:0 in
+  let stub = alloc heap r ~size:64 ~nrefs:0 in
+  let dead = alloc heap dead_r ~size:64 ~nrefs:0 in
+  stub.Gobj.forward <- dead;
+  Alcotest.(check bool) "null" true (Gobj.live_target Gobj.null == Gobj.null);
+  Alcotest.(check bool) "live, unforwarded" true (Gobj.live_target o == o);
+  o.Gobj.forward <- copy;
+  Alcotest.(check bool) "forwarded: the copy" true (Gobj.live_target o == copy);
+  Heap_impl.release_region heap dead_r;
+  Alcotest.(check bool) "target freed" true (Gobj.is_freed dead);
+  Alcotest.(check bool) "freed: null" true (Gobj.live_target dead == Gobj.null);
+  Alcotest.(check bool) "stub of a freed copy: null" true
+    (Gobj.live_target stub == Gobj.null)
+
+(* Each test reads the region the object names, and only it; a freed
+   object's region is free, neither young nor old. *)
+let test_region_tests () =
+  let heap = mk_heap () in
+  let y = claim_exn heap Region.Young and o = claim_exn heap Region.Old in
+  let f = claim_exn heap Region.Old in
+  let yo = alloc heap y ~size:64 ~nrefs:0 and oo = alloc heap o ~size:64 ~nrefs:0 in
+  let fo = alloc heap f ~size:64 ~nrefs:0 in
+  Heap_impl.release_region heap f;
+  let tests x =
+    [ Heap_impl.is_young heap x; Heap_impl.is_old heap x; Heap_impl.in_cset heap x ]
+  in
+  Alcotest.(check (list bool)) "young object" [ true; false; false ] (tests yo);
+  Alcotest.(check (list bool)) "old object" [ false; true; false ] (tests oo);
+  Alcotest.(check (list bool)) "freed object" [ false; false; false ] (tests fo);
+  o.Region.in_cset <- true;
+  Alcotest.(check (list bool)) "only the old region in the cset" [ false; true ]
+    [ Heap_impl.in_cset heap yo; Heap_impl.in_cset heap oo ]
+
 let test_card_math () =
   let heap = mk_heap ~region_bytes:(256 * kib) () in
   let cards_per_region = Heap_impl.cards_per_region heap in
@@ -1797,6 +1836,8 @@ let () =
           Alcotest.test_case "object size" `Quick test_object_size;
           Alcotest.test_case "offsets sorted" `Quick test_object_offsets_sorted;
           Alcotest.test_case "forwarding resolve" `Quick test_forwarding_resolve;
+          Alcotest.test_case "live target" `Quick test_live_target;
+          Alcotest.test_case "region tests" `Quick test_region_tests;
         ] );
       ( "cards",
         [
