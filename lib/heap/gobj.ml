@@ -36,9 +36,10 @@
       end of the limbo sees what it saw before; {!Grace} hands it to
       the pool once every participant online at the release has passed
       a quiescent point (a mutator between requests, a collector
-      controller between cycles), and it is reused, as a relocation
-      copy, only if no record that can still be named forwards to it
-      ({!flag_forward_target});
+      controller between cycles), and it is reused, by a relocation
+      copy before any dead record or by an allocation once no dead
+      record is left, only if no record that can still be named
+      forwards to it ({!flag_forward_target});
     - a [fields] array may be recycled from any dead unforwarded
       resident: dead holders are unreachable, and every guard on
       dangling edges ([is_freed]) fires before a field read, so nothing
@@ -204,7 +205,8 @@ let flag_forward_target = 32
 (* set on a copy when a forwarding pointer is installed to it, cleared
    when that predecessor is reused after its grace period: until then a
    stale reference can still resolve through the predecessor to this
-   record, so it is not reused ({!Pool.take_copy_record}). *)
+   record, so it is not reused ({!Pool.take_record},
+   {!Pool.take_copy_record}). *)
 
 let no_fields : t array = [||]
 
@@ -515,20 +517,22 @@ module Pool = struct
       else take_stub p
     end
 
-  (** A dead record to reinitialize, or {!null} when there is none. *)
+  (** A dead record to reinitialize, else the oldest stub that nothing
+      names any more, or {!null} when there is neither. *)
   let take_record p =
     if Util.Vec.is_empty p.records && p.carried then refill p;
-    if Util.Vec.is_empty p.records then null
+    if Util.Vec.is_empty p.records then take_stub p
     else begin
       p.records_reused <- p.records_reused + 1;
       Util.Vec.pop_last p.records
     end
 
   (* A record for a relocation copy: a stub past its grace period, else
-     a dead record.  Stubs back copies only.  A copy is long-lived, so
-     reusing an old host record for it costs little, while a short-lived
-     allocation placed in one pays the host GC's write barrier on every
-     later store of a young value into it. *)
+     a dead record.  A copy is long-lived, so reusing an old host record
+     for it costs little; an allocation takes dead records first, since
+     a short-lived object placed in an old record pays the host GC's
+     write barrier on every later store of a young value into it, and
+     takes a stub only when no dead record is left. *)
   let take_copy_record p =
     let o = take_stub p in
     if o == null then take_record p else o

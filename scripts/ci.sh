@@ -147,6 +147,36 @@ if [ "$code" -ne 1 ] || ! grep -q 'remset-coverage' /tmp/ci_verify_fail.txt; the
 fi
 echo "violation reported, exit 1"
 
+echo "== verify at specjbb2015 1.75x (g1-specjbb-open's heap and regions) =="
+# specjbb2015 at 1.75x on 8 cores with 512 KiB regions is the heap and
+# region geometry of the benchmark's g1-specjbb-open.  Its set-up
+# evacuates a large live set, and allocation takes the queued stubs
+# once the dead-record freelist is empty (DESIGN.md §12), so this runs
+# stub reuse by allocation as well as by copies under the full
+# verifier.  Six collectors pass.  G1 and G1-10ms fail at this cell:
+# the verifier finds an old-to-young edge that g1.remsets does not
+# cover (ROADMAP items 12 and 15); gcsim run prints the report and
+# exits 1.  When item 12 mends the cell, move them to the passing loop.
+for c in jade lxr zgc shenandoah genz genshen; do
+  echo "-- $c / specjbb2015 -m 1.75 --verify=full: passes --"
+  dune exec bin/gcsim.exe -- run -c "$c" -w specjbb2015 -m 1.75 \
+    -d 0.25 --warmup 0.1 --verify=full > /dev/null
+done
+for c in g1 g1-10ms; do
+  echo "-- $c / specjbb2015 -m 1.75 --verify=full: exits 1 naming remset-coverage --"
+  code=0
+  dune exec bin/gcsim.exe -- run -c "$c" -w specjbb2015 -m 1.75 \
+    -d 0.25 --warmup 0.1 --verify=full > /tmp/ci_verify_fail.txt 2>&1 || code=$?
+  if [ "$code" -ne 1 ] \
+    || ! grep -q 'remset-coverage violated (collector=g1 phase=remset-scan region=68 object=#1)' \
+      /tmp/ci_verify_fail.txt; then
+    cat /tmp/ci_verify_fail.txt >&2
+    echo "verify outcome FAILED: exit $code, want 1 and remset-coverage at region 68, object #1" >&2
+    exit 1
+  fi
+  echo "violation reported, exit 1"
+done
+
 echo "== schedule-space check smoke (explorer oracles stay clean) =="
 # 64 random schedules at depth 8 over a small fixed workload: every
 # schedule re-runs the simulation under the fast verifier + race

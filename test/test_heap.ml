@@ -830,120 +830,190 @@ let relocate heap dest (o : Gobj.t) =
   Gobj.set_forward ~hooks:heap.Heap_impl.hooks ~site:"test" o copy;
   copy
 
-(* The records of the next [n] relocation copies, where recycled stubs
-   go. *)
-let next_copies heap n =
-  let src = claim_exn heap Region.Young and dest = claim_exn heap Region.Old in
-  List.init n (fun _ -> relocate heap dest (alloc heap src ~size:64 ~nrefs:1))
+(* The two ways a record leaves the pool: an allocation ([alloc_in])
+   or a relocation copy ([remake]). *)
+type path = Alloc | Copy
+
+let path_name = function Alloc -> "allocation" | Copy -> "copy"
+
+(* [arm heap path n] prepares [n] takes along [path] and returns the
+   function that makes them and lists the records they got.  A copy's
+   source is allocated when the takes are armed, so arm them before the
+   stubs under test reach the pool, or the sources would take them. *)
+let arm heap path n =
+  match path with
+  | Alloc ->
+      let r = claim_exn heap Region.Young in
+      fun () -> List.init n (fun _ -> alloc heap r ~size:64 ~nrefs:1)
+  | Copy ->
+      let src = claim_exn heap Region.Young and dest = claim_exn heap Region.Old in
+      let sources = List.init n (fun _ -> alloc heap src ~size:64 ~nrefs:1) in
+      fun () -> List.map (relocate heap dest) sources
 
 (* A forwarded record (stub) with no incoming heap edge goes to limbo at
    its region's release, untouched but for the freed flag, and is
-   reissued (as a relocation copy) only after every participant online
-   at the release has passed a quiescent point.  Its field array stays
-   with the copy. *)
+   reissued, by an allocation or as a relocation copy, only after every
+   participant online at the release has passed a quiescent point.  Its
+   field array stays with the copy. *)
 let test_stub_waits_for_grace () =
-  let heap = mk_heap () in
-  let grace = heap.Heap_impl.grace in
-  let mutator = Grace.register grace and controller = Grace.register grace in
-  let home = claim_exn heap Region.Old in
-  let r = claim_exn heap Region.Young in
-  let stub = alloc heap r ~size:64 ~nrefs:2 in
-  let child = alloc heap home ~size:64 ~nrefs:0 in
-  Gobj.set_field stub 1 child;
-  let fields = stub.Gobj.fields in
-  let copy = relocate heap home stub in
-  Heap_impl.release_region heap r;
-  let untouched what =
-    Alcotest.(check bool) (what ^ ": stub still forwards") true
-      (stub.Gobj.forward == copy && Gobj.is_freed stub);
-    Alcotest.(check bool) (what ^ ": array shared with the copy") true
-      (stub.Gobj.fields == fields && copy.Gobj.fields == fields
-      && Gobj.get_field copy 1 == child)
-  in
-  Alcotest.(check int) "in limbo" 1 (Grace.in_limbo grace);
-  untouched "released";
-  (* The controller's quiescent point opens a period that waits on the
-     mutator, still inside its request. *)
-  Grace.quiescent grace controller;
-  untouched "period open";
-  Alcotest.(check bool) "not reissued before the grace point" true
-    (List.for_all (fun o -> o != stub) (next_copies heap 4));
-  Grace.offline grace mutator;
-  Alcotest.(check int) "limbo drained" 0 (Grace.in_limbo grace);
-  (match next_copies heap 1 with
-  | [ o ] -> Alcotest.(check bool) "reissued after it" true (o == stub)
-  | _ -> assert false);
-  Alcotest.(check bool) "the copy keeps its array" true
-    (copy.Gobj.fields == fields && Gobj.get_field copy 1 == child
-    && stub.Gobj.fields != fields)
+  List.iter
+    (fun path ->
+      let name what = path_name path ^ ": " ^ what in
+      let heap = mk_heap () in
+      let grace = heap.Heap_impl.grace in
+      let mutator = Grace.register grace and controller = Grace.register grace in
+      let home = claim_exn heap Region.Old in
+      let r = claim_exn heap Region.Young in
+      let stub = alloc heap r ~size:64 ~nrefs:2 in
+      let child = alloc heap home ~size:64 ~nrefs:0 in
+      Gobj.set_field stub 1 child;
+      let fields = stub.Gobj.fields in
+      let copy = relocate heap home stub in
+      let early = arm heap path 4 and late = arm heap path 1 in
+      Heap_impl.release_region heap r;
+      let untouched what =
+        Alcotest.(check bool) (name what ^ ": stub still forwards") true
+          (stub.Gobj.forward == copy && Gobj.is_freed stub);
+        Alcotest.(check bool) (name what ^ ": array shared with the copy") true
+          (stub.Gobj.fields == fields && copy.Gobj.fields == fields
+          && Gobj.get_field copy 1 == child)
+      in
+      Alcotest.(check int) (name "in limbo") 1 (Grace.in_limbo grace);
+      untouched "released";
+      (* The controller's quiescent point opens a period that waits on
+         the mutator, still inside its request. *)
+      Grace.quiescent grace controller;
+      untouched "period open";
+      Alcotest.(check bool) (name "not reissued before the grace point") true
+        (List.for_all (fun o -> o != stub) (early ()));
+      untouched "taken around";
+      Grace.offline grace mutator;
+      Alcotest.(check int) (name "limbo drained") 0 (Grace.in_limbo grace);
+      (match late () with
+      | [ o ] -> Alcotest.(check bool) (name "reissued after it") true (o == stub)
+      | _ -> assert false);
+      Alcotest.(check bool) (name "the copy keeps its array") true
+        (copy.Gobj.fields == fields && Gobj.get_field copy 1 == child
+        && stub.Gobj.fields != fields))
+    [ Alloc; Copy ]
 
-(* A stub that something may still name never reaches the pool: a stale
-   heap edge, a weak registration, an unremapped ZGC reference, or a
-   predecessor that was not recycled before it and can still resolve
-   through it.  With pooling off no stub enters limbo at all. *)
+(* A stub that something may still name is never reissued, by an
+   allocation or as a relocation copy: a stale heap edge, at its release
+   or gained in limbo, a weak registration, an unremapped ZGC reference,
+   or a predecessor that was not recycled before it and can still
+   resolve through it.  With
+   pooling off no stub enters limbo at all. *)
 let test_stub_exclusions () =
+  List.iter
+    (fun path ->
+      let name what = path_name path ^ ": " ^ what in
+      let heap = mk_heap () in
+      let grace = heap.Heap_impl.grace in
+      let p = Grace.register grace in
+      let home = claim_exn heap Region.Old in
+      let r = claim_exn heap Region.Young in
+      let stub () = alloc heap r ~size:64 ~nrefs:1 in
+      let named = stub () and weak = stub () and unremapped = stub () in
+      let stale = stub () in
+      let holder = alloc heap home ~size:64 ~nrefs:1 in
+      Gobj.set_field holder 0 named;
+      Heap_impl.register_weak heap weak;
+      List.iter
+        (fun o -> ignore (relocate heap home o))
+        [ named; weak; unremapped; stale ];
+      Gobj.set_flag unremapped Gobj.flag_unremapped;
+      (* [named]'s copy moves on: its predecessor is never recycled, so
+         it is not either. *)
+      let second = claim_exn heap Region.Old in
+      let named' = named.Gobj.forward in
+      ignore (relocate heap second named');
+      let excluded = [ named; weak; unremapped; named'; stale ] in
+      Heap_impl.release_region heap r;
+      Heap_impl.release_region heap home;
+      Alcotest.(check int) (name "only the stubs without an edge or flag in limbo") 2
+        (Grace.in_limbo grace);
+      (* [stale] gains a heap edge in limbo. *)
+      Gobj.set_field (alloc heap second ~size:64 ~nrefs:1) 0 stale;
+      let take = arm heap path 8 in
+      Grace.offline grace p;
+      Alcotest.(check int) (name "limbo drained") 0 (Grace.in_limbo grace);
+      Alcotest.(check bool) (name "none reissued") true
+        (List.for_all (fun o -> not (List.memq o excluded)) (take ()));
+      (* Each stub below has a copy that moved on again.  A copy
+         released after its predecessor is recycled once the
+         predecessor has been; one released before it never is. *)
+      Grace.online grace p;
+      let dest = claim_exn heap Region.Old in
+      let chain () =
+        let r1 = claim_exn heap Region.Young and r2 = claim_exn heap Region.Young in
+        let head = alloc heap r1 ~size:64 ~nrefs:1 in
+        let mid = relocate heap r2 head in
+        ignore (relocate heap dest mid);
+        (r1, r2, head, mid)
+      in
+      let early1, early2, early_head, early_mid = chain () in
+      let late1, late2, late_head, late_mid = chain () in
+      let take = arm heap path 8 in
+      List.iter (Heap_impl.release_region heap) [ early2; early1; late1; late2 ];
+      Alcotest.(check int) (name "all four in limbo") 4 (Grace.in_limbo grace);
+      Grace.offline grace p;
+      let reissued = take () in
+      Alcotest.(check (list bool)) (name "the copy released first stays out")
+        [ false; true; true; true ]
+        (List.map
+           (fun o -> List.memq o reissued)
+           [ early_mid; early_head; late_head; late_mid ]);
+      (* Pooling off: a stub with no edge stays out of limbo. *)
+      let heap = Heap_impl.create (Heap_impl.config ~pooling:false ()) in
+      let grace = heap.Heap_impl.grace in
+      let p = Grace.register grace in
+      let home = claim_exn heap Region.Old in
+      let r = claim_exn heap Region.Young in
+      let o = alloc heap r ~size:64 ~nrefs:1 in
+      ignore (relocate heap home o);
+      let take = arm heap path 8 in
+      Heap_impl.release_region heap r;
+      Alcotest.(check int) (name "pooling off: no limbo") 0 (Grace.in_limbo grace);
+      Grace.offline grace p;
+      Alcotest.(check bool) (name "pooling off: never reissued") true
+        (List.for_all (fun x -> x != o) (take ())))
+    [ Alloc; Copy ]
+
+(* An allocation takes a dead record while the freelist has one, then
+   the queued stubs, oldest first, and a fresh host record only when
+   neither is left. *)
+let test_alloc_takes_stubs_last () =
   let heap = mk_heap () in
   let grace = heap.Heap_impl.grace in
   let p = Grace.register grace in
   let home = claim_exn heap Region.Old in
   let r = claim_exn heap Region.Young in
-  let stub () = alloc heap r ~size:64 ~nrefs:1 in
-  let named = stub () and weak = stub () and unremapped = stub () in
-  let holder = alloc heap home ~size:64 ~nrefs:1 in
-  Gobj.set_field holder 0 named;
-  Heap_impl.register_weak heap weak;
-  List.iter (fun o -> ignore (relocate heap home o)) [ named; weak; unremapped ];
-  Gobj.set_flag unremapped Gobj.flag_unremapped;
-  (* [named]'s copy moves on: its predecessor is never recycled, so it
-     is not either. *)
-  let second = claim_exn heap Region.Old in
-  let named' = named.Gobj.forward in
-  ignore (relocate heap second named');
-  let excluded = [ named; weak; unremapped; named' ] in
+  let older = alloc heap r ~size:64 ~nrefs:1 in
+  let newer = alloc heap r ~size:64 ~nrefs:1 in
+  let dead = alloc heap r ~size:64 ~nrefs:1 in
+  let arrays = List.map (fun (o : Gobj.t) -> o.Gobj.fields) [ older; newer ] in
+  let copies = List.map (relocate heap home) [ older; newer ] in
   Heap_impl.release_region heap r;
-  Heap_impl.release_region heap home;
-  Alcotest.(check int) "only the copy without an edge or flag in limbo" 1
-    (Grace.in_limbo grace);
   Grace.offline grace p;
   Alcotest.(check int) "limbo drained" 0 (Grace.in_limbo grace);
-  Alcotest.(check bool) "none reissued" true
-    (List.for_all (fun o -> not (List.memq o excluded)) (next_copies heap 8));
-  (* Each stub below has a copy that moved on again.  A copy released
-     after its predecessor is recycled once the predecessor has been;
-     one released before it never is. *)
-  Grace.online grace p;
-  let dest = claim_exn heap Region.Old in
-  let chain () =
-    let r1 = claim_exn heap Region.Young and r2 = claim_exn heap Region.Young in
-    let head = alloc heap r1 ~size:64 ~nrefs:1 in
-    let mid = relocate heap r2 head in
-    ignore (relocate heap dest mid);
-    (r1, r2, head, mid)
-  in
-  let early1, early2, early_head, early_mid = chain () in
-  let late1, late2, late_head, late_mid = chain () in
-  List.iter (Heap_impl.release_region heap) [ early2; early1; late1; late2 ];
-  Alcotest.(check int) "all four in limbo" 4 (Grace.in_limbo grace);
-  Grace.offline grace p;
-  let reissued = next_copies heap 8 in
-  Alcotest.(check (list bool)) "the copy released first stays out"
-    [ false; true; true; true ]
-    (List.map
-       (fun o -> List.memq o reissued)
-       [ early_mid; early_head; late_head; late_mid ]);
-  (* Pooling off: a stub with no edge stays out of limbo. *)
-  let heap = Heap_impl.create (Heap_impl.config ~pooling:false ()) in
-  let grace = heap.Heap_impl.grace in
-  let p = Grace.register grace in
-  let home = claim_exn heap Region.Old in
-  let r = claim_exn heap Region.Young in
-  let o = alloc heap r ~size:64 ~nrefs:1 in
-  ignore (relocate heap home o);
-  Heap_impl.release_region heap r;
-  Alcotest.(check int) "pooling off: no limbo" 0 (Grace.in_limbo grace);
-  Grace.offline grace p;
-  Alcotest.(check bool) "pooling off: never reissued" true
-    (List.for_all (fun x -> x != o) (next_copies heap 8))
+  let fresh = claim_exn heap Region.Young in
+  (match List.init 4 (fun _ -> alloc heap fresh ~size:64 ~nrefs:1) with
+  | [ a; b; c; d ] ->
+      Alcotest.(check (list bool)) "the dead record, then the stubs, oldest first"
+        [ true; true; true ]
+        [ a == dead; b == older; c == newer ];
+      Alcotest.(check bool) "then a fresh record" false
+        (List.memq d [ dead; older; newer ])
+  | _ -> assert false);
+  Alcotest.(check bool) "a reissued stub reads as a fresh record" true
+    (List.for_all
+       (fun (o : Gobj.t) ->
+         (not (Gobj.is_forwarded o)) && (not (Gobj.is_freed o))
+         && Gobj.inrefs o = 0 && Gobj.num_fields o = 1
+         && Gobj.is_null (Gobj.get_field o 0))
+       [ older; newer ]);
+  Alcotest.(check bool) "the copies keep their arrays" true
+    (List.for_all2 (fun (c : Gobj.t) a -> c.Gobj.fields == a) copies arrays)
 
 (* Each grace period moves its stubs onto the pool's one stub queue, in
    release order behind those of earlier periods, and relocation copies
@@ -1926,6 +1996,8 @@ let () =
             test_stub_waits_for_grace;
           Alcotest.test_case "stubs something may name stay out" `Quick
             test_stub_exclusions;
+          Alcotest.test_case "allocation takes stubs after dead records"
+            `Quick test_alloc_takes_stubs_last;
           Alcotest.test_case "one stub queue, in release order, no allocation"
             `Quick test_stub_queue_order_no_alloc;
         ] );
