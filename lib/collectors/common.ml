@@ -759,14 +759,18 @@ let relocation_candidates rt config buf =
 (** Plug a collector into [rt] and start its controllers.  On allocation
     failure the mutator runs [on_alloc_failure] (the collector's request
     for memory), then stalls — parked, so safepoints need not wait for
-    it — until memory is freed.  Each [(name, step)] of [controllers]
-    becomes a daemon GC fiber, spawned in order, that runs [step ()]
-    forever: one step decides on, and runs, at most one collection (or
-    sleeps {!poll_interval}).  Between steps the controller holds no
-    collection state, so each one starts at a quiescent point of the
-    heap's grace periods ({!Heap.Grace}): a stub, or a dead record a
-    mark held back, released while a cycle runs is not recycled before
-    that cycle, and any mark it runs, has ended. *)
+    it — until memory is freed.  Each [(name, make_step)] of
+    [controllers] becomes a daemon GC fiber, spawned in order.  It is a
+    participant of the heap's grace periods ({!Heap.Grace}), and
+    [make_step] is called once with its quiescent function, built once
+    per controller; the step it returns runs forever: one step decides
+    on, and runs, at most one collection (or sleeps {!poll_interval}).
+    Between steps the controller holds no collection state, so each one
+    starts at a quiescent point.  A step may call the quiescent function
+    wherever the controller holds no record outside the roots and heap
+    slots and runs no mark (a call allocates nothing); a stub, or a dead
+    record a mark held back, is then not recycled before the controller
+    reaches its next quiescent point. *)
 let install rt ~name ~store_barrier ~load_extra_cost ~mutator_tax_pct
     ~on_alloc_failure controllers =
   let alloc_failure () =
@@ -785,13 +789,15 @@ let install rt ~name ~store_barrier ~load_extra_cost ~mutator_tax_pct
     };
   let grace = rt.RtM.heap.Heap_impl.grace in
   List.iter
-    (fun (name, step) ->
+    (fun (name, make_step) ->
       let p = Grace.register grace in
+      let quiescent () = Grace.quiescent grace p in
+      let step = make_step quiescent in
       ignore
         (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc ~name
            (fun () ->
              while true do
-               Grace.quiescent grace p;
+               quiescent ();
                step ()
              done)))
     controllers

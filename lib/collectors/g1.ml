@@ -243,5 +243,5 @@ let install ?(pause_target = 200 * Util.Units.ms) rt =
   Common.install rt ~name:"g1" ~store_barrier ~load_extra_cost:0
     ~mutator_tax_pct:0
     ~on_alloc_failure:(fun () -> t.urgent <- true)
-    [ ("g1-controller", controller t) ];
+    [ ("g1-controller", fun _ -> controller t) ];
   t

@@ -146,5 +146,5 @@ let install variant rt =
     ~on_alloc_failure:(fun () ->
       t.urgent <- true;
       old.on_alloc_failure ())
-    [ (variant.name ^ "-controller", controller t) ];
+    [ (variant.name ^ "-controller", fun _ -> controller t) ];
   t

@@ -145,5 +145,5 @@ let install rt =
   Common.install rt ~name:"lxr" ~store_barrier ~load_extra_cost:0
     ~mutator_tax_pct:0
     ~on_alloc_failure:(fun () -> t.urgent <- true)
-    [ ("lxr-controller", controller t) ];
+    [ ("lxr-controller", fun _ -> controller t) ];
   t

@@ -222,5 +222,5 @@ let install rt =
     ~on_alloc_failure:(fun () ->
       t.urgent <- true;
       request_degeneration t)
-    [ ("shen-controller", controller t) ];
+    [ ("shen-controller", fun _ -> controller t) ];
   t

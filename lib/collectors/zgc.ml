@@ -117,5 +117,5 @@ let install rt =
     ~on_alloc_failure:(fun () ->
       (* No degenerated mode: stall until relocation frees something. *)
       t.urgent <- true)
-    [ ("zgc-controller", controller t) ];
+    [ ("zgc-controller", fun _ -> controller t) ];
   t

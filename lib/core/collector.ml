@@ -84,7 +84,7 @@ let young_controller t () =
   end
   else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
 
-let old_controller t =
+let old_controller t quiescent =
   let last_cycle_bytes = ref 0 in
   fun () ->
     let rt = t.rt in
@@ -108,7 +108,7 @@ let old_controller t =
     then begin
       t.old_urgent <- false;
       last_cycle_bytes := heap.Heap_impl.bytes_allocated;
-      let ok = Old.run_cycle t.old_gc in
+      let ok = Old.run_cycle t.old_gc ~quiescent in
       if not ok then t.full_requested <- true
     end
     else Sim.Engine.sleep rt.RtM.engine Common.poll_interval
@@ -171,7 +171,7 @@ let install ?(config = Jade_config.default) rt =
        else Costs.compressed_oops_tax_pct)
     ~on_alloc_failure:(fun () -> t.young_urgent <- true)
     [
-      ("jade-young-controller", young_controller t);
+      ("jade-young-controller", fun _ -> young_controller t);
       ("jade-old-controller", old_controller t);
     ];
   t

@@ -315,8 +315,14 @@ let evacuate_group t ~group (regions : Region.t list) =
 (* The cycle.                                                           *)
 
 (** Run one full group-wise old collection; returns false when
-    evacuation ran out of space (caller escalates). *)
-let run_cycle t =
+    evacuation ran out of space (caller escalates).  [quiescent] is the
+    controller's quiescent point in the heap's grace periods
+    ({!Heap.Grace}), declared once the mark has ended: its final pause
+    drained every gray stack and SATB queue, and no evacuation of this
+    cycle has begun, so the controller holds no released record.  None
+    is declared between group rounds: a round's stubs stay named by
+    roots until the epilogue heals them. *)
+let run_cycle t ~quiescent =
   let rt = t.rt in
   let metrics = rt.RtM.metrics in
   let now () = Sim.Engine.now rt.RtM.engine in
@@ -324,6 +330,7 @@ let run_cycle t =
   t.cycle_running <- true;
   Metrics.phase_begin metrics "jade.old_cycle" ~now:t0;
   mark_phase t;
+  quiescent ();
   let plan = group_phase t in
   build_remsets t;
   Metrics.phase_begin metrics "jade.old_evac" ~now:(now ());

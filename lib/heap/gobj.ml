@@ -36,10 +36,12 @@
       end of the limbo sees what it saw before; {!Grace} hands it to
       the pool once every participant online at the release has passed
       a quiescent point (a mutator between requests, a collector
-      controller between cycles), and it is reused, by a relocation
-      copy before any dead record or by an allocation once no dead
-      record is left, only if no record that can still be named
-      forwards to it ({!flag_forward_target});
+      controller between steps or where a step holds no record outside
+      the roots and heap slots, as Jade's old controller does when its
+      mark ends), and it is reused, by a relocation copy before any
+      dead record or by an allocation once no dead record is left, only
+      if no record that can still be named forwards to it
+      ({!flag_forward_target});
     - a [fields] array may be recycled from any dead unforwarded
       resident: dead holders are unreachable, and every guard on
       dangling edges ([is_freed]) fires before a field read, so nothing
@@ -53,11 +55,12 @@
       may still be popped ({!release_residents});
     - every other dead resident released while a mark runs is held
       back: flagged freed, its edges and array left alone, it waits in
-      a second limbo beside the stubs.  Every mark runs inside one
-      controller step, so when its grace period ends the marks running
-      at the release have ended too, their final pauses having drained
-      every gray stack and SATB queue, and it goes through the same
-      harvest as a release outside marking;
+      a second limbo beside the stubs.  No controller declares a
+      quiescent point while a mark it runs is in progress, so when its
+      grace period ends the marks running at the release have ended
+      too, their final pauses having drained every gray stack and SATB
+      queue, and it goes through the same harvest as a release outside
+      marking;
     - [inrefs] is maintained at the {!set_field} choke point (install /
       overwrite) plus one decrement pass over dying holders at region
       release, so each logical edge is counted exactly once no matter

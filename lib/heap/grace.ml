@@ -3,11 +3,13 @@
 
     A participant is online while it may hold a heap reference outside
     the roots and the heap slots: a mutator inside a request (set-up is
-    one long request), a controller inside a collection cycle.  It
-    declares a quiescent point where it holds none.  A grace period
-    waits on every participant online when it opens, except the one
-    opening it, and ends once each of them has passed a quiescent point
-    or gone offline.  What a release put in limbo before a period opens
+    one long request), a collector controller always.  It declares a
+    quiescent point where it holds none: a mutator between requests, a
+    controller before each step and wherever inside one it holds no
+    record outside the roots and heap slots and runs no mark.  A grace
+    period waits on every participant online when it opens, except the
+    one opening it, and ends once each of them has passed a quiescent
+    point or gone offline.  What a release put in limbo before a period opens
     ({!release}: stubs, and dead residents a running mark kept back)
     goes to the pool when it ends.  Periods open and end only inside
     {!quiescent} and {!offline}, never inside a region release. *)
@@ -86,11 +88,14 @@ let open_period t ~self =
     end
   done
 
-(* Every mark runs inside one controller step, so a mark that was
-   running at a held record's release has ended by now, its final pause
-   having drained every gray stack and SATB queue: the held records go
-   through the harvest of a release outside marking.  Nothing relocates
-   a freed record, so none is forwarded and [released] gets none. *)
+(* No controller declares a quiescent point while a mark it runs is in
+   progress, and the period waited on every controller online when it
+   opened (a controller that opened it was at a quiescent point, so
+   outside any mark of its own).  So a mark that was running at a held
+   record's release has ended by now, its final pause having drained
+   every gray stack and SATB queue: the held records go through the
+   harvest of a release outside marking.  Nothing relocates a freed
+   record, so none is forwarded and [released] gets none. *)
 let close_period t =
   (match t.check with Some f -> f ~stubs:t.due ~held:t.held_due | None -> ());
   Gobj.Pool.put_stubs t.pool t.due;

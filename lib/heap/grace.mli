@@ -18,18 +18,24 @@
     order behind those of earlier periods, held records through the
     harvest of a release outside marking.  The period's ring of stubs
     and vector of held records are emptied and kept for the next one.
-    Every mark runs inside one controller step, between two of that
-    controller's quiescent points, so a mark that was running at the
-    release has ended by then.
+    A controller declares quiescent points only where it holds no record
+    outside the roots and the heap slots, and never while a mark it runs
+    is in progress, so a mark that was running at the release has ended
+    by then, its final pause having drained every gray stack and SATB
+    queue.
 
     Participants are online while they may hold such a reference: a
     mutator inside a request ({!Runtime.Driver} brackets each one;
-    set-up is one long request), a controller inside a collection cycle
-    (it declares a quiescent point before each cycle it considers).  A
-    grace period waits on every participant online when it opens,
-    except the one opening it, and ends when each has passed a
-    quiescent point or gone offline.  Periods open and end only inside
-    {!quiescent} and {!offline}, never inside a region release.
+    set-up is one long request), a collector controller always.  A
+    controller declares a quiescent point before each step
+    ({!Collectors.Common.install}) and may declare more inside one:
+    Jade's old controller declares one when its mark ends, before its
+    group rounds begin, so what the young collections release during
+    the mark need not wait for the whole old cycle.  A grace period
+    waits on every participant online when it opens, except the one
+    opening it, and ends when each has passed a quiescent point or gone
+    offline.  Periods open and end only inside {!quiescent} and
+    {!offline}, never inside a region release.
 
     All state is plain host state: nothing here ticks, traces or touches
     a simulated number. *)

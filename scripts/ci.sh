@@ -177,6 +177,18 @@ for c in g1 g1-10ms; do
   echo "violation reported, exit 1"
 done
 
+echo "== verify at h2-tpcc 2.0x (jade-h2-closed's heap, regions and run length) =="
+# The benchmark's jade-h2-closed scenario: h2-tpcc at 2.0x on 8 cores
+# with the 512 KiB regions Exp.machine_for picks, 100 ms warm-up and
+# 1 s measured.  Jade's old marks run with young collections inside
+# them there, and the records those collections release leave limbo
+# at the quiescent point the old controller declares when its mark
+# ends (DESIGN.md §12), so every such period end runs the grace check
+# under the full verifier.  About 40 s.
+dune exec bin/gcsim.exe -- run -c jade -w h2-tpcc -m 2.0 --cores 8 \
+  --region-kib 512 --warmup 0.1 -d 1.0 --verify=full > /dev/null
+echo "jade verified at h2-tpcc 2.0x, 1.1 s"
+
 echo "== schedule-space check smoke (explorer oracles stay clean) =="
 # 64 random schedules at depth 8 over a small fixed workload: every
 # schedule re-runs the simulation under the fast verifier + race
@@ -264,6 +276,25 @@ dune exec bin/gcsim.exe -- check -c jade -w avrora -m 1.5 \
   > /tmp/ci_check_pruned_j2.txt
 diff -u /tmp/ci_check_pruned_j1.txt /tmp/ci_check_pruned_j2.txt
 echo "pruned check -j 2 output identical to -j 1"
+
+echo "== old-mark grace fence (-j 2 byte-identical to -j 1 with young collections inside old marks) =="
+# The fences above run old cycles only on heaps of 18 regions, where
+# every one falls back to a full GC.  Lusearch at 1.5x on 4 cores with
+# the 128 KiB regions Exp.machine_for picks runs two old marks in 1,000
+# requests, with young collections inside them, and one cycle goes on
+# to evacuate an old group.  Jade's old controller declares a quiescent
+# point when its mark ends, so grace periods end there under perturbed
+# schedules, and the oracles check each one (no root names a record it
+# frees, no stub has a heap edge).
+dune exec bin/gcsim.exe -- check -c jade -w lusearch -m 1.5 --cores 4 \
+  --region-kib 128 --requests 1000 --schedules 64 --depth 8 --strategy rand \
+  > /tmp/ci_check_oldmark_j1.txt
+cat /tmp/ci_check_oldmark_j1.txt
+dune exec bin/gcsim.exe -- check -c jade -w lusearch -m 1.5 --cores 4 \
+  --region-kib 128 --requests 1000 --schedules 64 --depth 8 --strategy rand -j 2 \
+  > /tmp/ci_check_oldmark_j2.txt
+diff -u /tmp/ci_check_oldmark_j1.txt /tmp/ci_check_oldmark_j2.txt
+echo "old-mark check -j 2 output identical to -j 1"
 
 echo "== lint-ast obs probe (lib/obs is part of the linted tree) =="
 # Same adversarial probe as above, planted in the observability library:

@@ -134,6 +134,30 @@ let test_verified_open_loop () =
   Alcotest.(check bool) "completed requests" true
     (s.Experiments.Harness.completed > 400)
 
+(* Jade's old controller declares a quiescent point when its mark ends
+   and none during its group rounds: a round's stubs stay named by roots
+   until the cycle's epilogue heals them.  Lusearch at 1.5x on 4 cores
+   (128 KiB regions), open loop at 20,000 requests per second, evacuates
+   old groups within 100 ms, and its mutators park between requests
+   with their roots in place.  A quiescent point after each round, or a
+   period that ends one quiescent point early, recycles a stub a root
+   still names there, and the grace-period check reports it. *)
+let test_verified_jade_group_rounds () =
+  let app = Workload.Apps.find "lusearch" in
+  let s =
+    Experiments.Harness.run
+      ~machine:(Experiments.Exp.machine_for ~cores:4 app ~mult:1.5)
+      ~verify:Analysis.Sanitizer.Full
+      ~install:Experiments.Registry.jade.Experiments.Registry.install
+      ~collector:"jade" ~mode:(Runtime.Driver.Open 20_000.) ~warmup:0
+      ~duration:(100 * ms) app
+  in
+  no_violation "jade" s;
+  let rounds = Runtime.Metrics.counter s.Experiments.Harness.metrics "jade.rounds" in
+  Alcotest.(check bool)
+    (Printf.sprintf "old group rounds %d > 0" rounds)
+    true (rounds > 0)
+
 let test_sanitizer_does_not_perturb_metrics () =
   (* The verifier and race detector are host-side observers: a run with
      the full sanitizer must produce the exact same simulated metrics as
@@ -417,6 +441,8 @@ let () =
             test_verified_fixed_work_all_collectors;
           Alcotest.test_case "open loop, verify=full" `Slow
             test_verified_open_loop;
+          Alcotest.test_case "jade group rounds, verify=full" `Slow
+            test_verified_jade_group_rounds;
           Alcotest.test_case "sanitizer is metrics-neutral" `Slow
             test_sanitizer_does_not_perturb_metrics;
         ] );

@@ -274,6 +274,47 @@ let test_g1_specjbb_allocation_takes_stubs () =
     (Printf.sprintf "fresh records in the run %d <= %d" fresh bound)
     true (fresh <= bound)
 
+(* Jade on h2-tpcc at the benchmark's jade-h2-closed geometry (2.0x,
+   8 cores, seed 42), 15,000 requests: four old marks, with 17 young
+   collections inside them.  A stub or held record that a young
+   collection releases during an old mark leaves limbo at the quiescent
+   point the old controller declares when the mark ends, not when its
+   whole cycle does.  The run mints 2,186,257 records; 302,418 of them
+   are fresh host records, and 361,490 when the old controller declares
+   no quiescent point inside its cycle.  The earlier reuse is as
+   invisible as any other, so the pooled run reads as the unpooled one. *)
+let test_jade_h2_mark_end_reuse () =
+  let app = Workload.Apps.find "h2-tpcc" in
+  let run ~pooling =
+    let machine =
+      { (Experiments.Exp.machine_for ~cores:8 app ~mult:2.0) with
+        Experiments.Harness.seed = 42; pooling }
+    in
+    let rt, request =
+      Experiments.Harness.prepare ~machine
+        ~install:Experiments.Registry.jade.Experiments.Registry.install app
+    in
+    let reused () =
+      let r, _, _, _ = Heap.Gobj.Pool.stats rt.Runtime.Rt.heap.Heap.Heap_impl.pool in
+      r
+    in
+    let minted = Heap.Gobj.uid_watermark () and before = reused () in
+    let r =
+      Runtime.Driver.run rt
+        ~n_mutators:app.Workload.Apps.spec.Workload.Spec.mutators
+        ~mode:(Runtime.Driver.Fixed 15_000) ~request ()
+    in
+    let fresh = Heap.Gobj.uid_watermark () - minted - (reused () - before) in
+    (fingerprint (Experiments.Harness.summarize rt app ~collector:"jade" r), fresh)
+  in
+  let pooled, fresh = run ~pooling:true in
+  let unpooled, _ = run ~pooling:false in
+  let bound = 330_000 in
+  Alcotest.(check bool) "pooling simulation-invisible" true (pooled = unpooled);
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh records in the run %d <= %d" fresh bound)
+    true (fresh <= bound)
+
 (* Fixed work ignores the measurement windows: a [Fixed n] run gives
    the same summary with and without [~warmup]/[~duration]. *)
 let test_fixed_mode_ignores_windows () =
@@ -332,5 +373,7 @@ let () =
             test_jade_pool_hit_rate;
           Alcotest.test_case "g1 specjbb allocation takes stubs" `Quick
             test_g1_specjbb_allocation_takes_stubs;
+          Alcotest.test_case "jade h2 reuse at old mark end" `Quick
+            test_jade_h2_mark_end_reuse;
         ] );
     ]
