@@ -279,7 +279,8 @@ echo "pruned check -j 2 output identical to -j 1"
 
 echo "== old-mark grace fence (-j 2 byte-identical to -j 1 with young collections inside old marks) =="
 # The fences above run old cycles only on heaps of 18 regions, where
-# every one falls back to a full GC.  Lusearch at 1.5x on 4 cores with
+# each one in the baseline schedule falls back to a full GC before any
+# group round.  Lusearch at 1.5x on 4 cores with
 # the 128 KiB regions Exp.machine_for picks runs two old marks in 1,000
 # requests, with young collections inside them, and one cycle goes on
 # to evacuate an old group.  Jade's old controller declares a quiescent

@@ -234,24 +234,22 @@ let test_jade_pool_hit_rate () =
     (Printf.sprintf "record pool hit rate %.1f%% >= 85%%" pct)
     true (pct >= 85.)
 
-(* G1 on specjbb2015 at the benchmark's g1-specjbb-open geometry (1.75x,
-   8 cores, seed 42), 4,000 requests.  The young collection inside
-   set-up queues about 185,000 stubs, more than the relocation copies
-   that follow take, so allocation must take them once the dead-record
-   freelist runs dry.  The run mints 833,532 records; 220,487 of them
-   are fresh host records, and 371,358 when allocation never takes a
-   stub.  Reusing a stub for an allocation is as invisible as reusing a
-   dead record, so the pooled run reads as the unpooled one. *)
-let test_g1_specjbb_allocation_takes_stubs () =
-  let app = Workload.Apps.find "specjbb2015" in
+(* [requests] fixed requests of [e] on [app] at [mult] on 8 cores
+   (seed 42, [Exp.machine_for]'s regions), pooled and unpooled.  Reuse
+   is invisible, so the pooled run must read as the unpooled one; and
+   the pooled run mints at most [bound] fresh host records (uids minted
+   in the run minus the records the pool reused). *)
+let check_fresh_records (e : Experiments.Registry.entry) app ~mult ~requests
+    ~bound =
+  let app = Workload.Apps.find app in
   let run ~pooling =
     let machine =
-      { (Experiments.Exp.machine_for ~cores:8 app ~mult:1.75) with
+      { (Experiments.Exp.machine_for ~cores:8 app ~mult) with
         Experiments.Harness.seed = 42; pooling }
     in
     let rt, request =
-      Experiments.Harness.prepare ~machine
-        ~install:Experiments.Registry.g1.Experiments.Registry.install app
+      Experiments.Harness.prepare ~machine ~install:e.Experiments.Registry.install
+        app
     in
     let reused () =
       let r, _, _, _ = Heap.Gobj.Pool.stats rt.Runtime.Rt.heap.Heap.Heap_impl.pool in
@@ -261,59 +259,42 @@ let test_g1_specjbb_allocation_takes_stubs () =
     let r =
       Runtime.Driver.run rt
         ~n_mutators:app.Workload.Apps.spec.Workload.Spec.mutators
-        ~mode:(Runtime.Driver.Fixed 4_000) ~request ()
+        ~mode:(Runtime.Driver.Fixed requests) ~request ()
     in
     let fresh = Heap.Gobj.uid_watermark () - minted - (reused () - before) in
-    (fingerprint (Experiments.Harness.summarize rt app ~collector:"g1" r), fresh)
+    ( fingerprint
+        (Experiments.Harness.summarize rt app
+           ~collector:e.Experiments.Registry.name r),
+      fresh )
   in
   let pooled, fresh = run ~pooling:true in
   let unpooled, _ = run ~pooling:false in
-  let bound = 250_000 in
   Alcotest.(check bool) "pooling simulation-invisible" true (pooled = unpooled);
   Alcotest.(check bool)
     (Printf.sprintf "fresh records in the run %d <= %d" fresh bound)
     true (fresh <= bound)
 
-(* Jade on h2-tpcc at the benchmark's jade-h2-closed geometry (2.0x,
-   8 cores, seed 42), 15,000 requests: four old marks, with 17 young
-   collections inside them.  A stub or held record that a young
-   collection releases during an old mark leaves limbo at the quiescent
-   point the old controller declares when the mark ends, not when its
-   whole cycle does.  The run mints 2,186,257 records; 302,418 of them
-   are fresh host records, and 361,490 when the old controller declares
-   no quiescent point inside its cycle.  The earlier reuse is as
-   invisible as any other, so the pooled run reads as the unpooled one. *)
+(* G1 on specjbb2015 at the benchmark's g1-specjbb-open geometry (1.75x),
+   4,000 requests.  The young collection inside set-up queues about
+   185,000 stubs, more than the relocation copies that follow take, so
+   allocation must take them once the dead-record freelist runs dry.
+   The run mints 833,532 records; 220,487 of them are fresh host
+   records, and 371,358 when allocation never takes a stub. *)
+let test_g1_specjbb_allocation_takes_stubs () =
+  check_fresh_records Experiments.Registry.g1 "specjbb2015" ~mult:1.75
+    ~requests:4_000 ~bound:250_000
+
+(* Jade on h2-tpcc at the benchmark's jade-h2-closed geometry (2.0x),
+   15,000 requests: four old marks, with 17 young collections inside
+   them.  A stub or held record that a young collection releases during
+   an old mark leaves limbo at the quiescent point the old controller
+   declares when the mark ends, not when its whole cycle does.  The run
+   mints 2,186,257 records; 302,418 of them are fresh host records, and
+   361,490 when the old controller declares no quiescent point inside
+   its cycle. *)
 let test_jade_h2_mark_end_reuse () =
-  let app = Workload.Apps.find "h2-tpcc" in
-  let run ~pooling =
-    let machine =
-      { (Experiments.Exp.machine_for ~cores:8 app ~mult:2.0) with
-        Experiments.Harness.seed = 42; pooling }
-    in
-    let rt, request =
-      Experiments.Harness.prepare ~machine
-        ~install:Experiments.Registry.jade.Experiments.Registry.install app
-    in
-    let reused () =
-      let r, _, _, _ = Heap.Gobj.Pool.stats rt.Runtime.Rt.heap.Heap.Heap_impl.pool in
-      r
-    in
-    let minted = Heap.Gobj.uid_watermark () and before = reused () in
-    let r =
-      Runtime.Driver.run rt
-        ~n_mutators:app.Workload.Apps.spec.Workload.Spec.mutators
-        ~mode:(Runtime.Driver.Fixed 15_000) ~request ()
-    in
-    let fresh = Heap.Gobj.uid_watermark () - minted - (reused () - before) in
-    (fingerprint (Experiments.Harness.summarize rt app ~collector:"jade" r), fresh)
-  in
-  let pooled, fresh = run ~pooling:true in
-  let unpooled, _ = run ~pooling:false in
-  let bound = 330_000 in
-  Alcotest.(check bool) "pooling simulation-invisible" true (pooled = unpooled);
-  Alcotest.(check bool)
-    (Printf.sprintf "fresh records in the run %d <= %d" fresh bound)
-    true (fresh <= bound)
+  check_fresh_records Experiments.Registry.jade "h2-tpcc" ~mult:2.0
+    ~requests:15_000 ~bound:330_000
 
 (* Fixed work ignores the measurement windows: a [Fixed n] run gives
    the same summary with and without [~warmup]/[~duration]. *)
